@@ -10,11 +10,9 @@ convergence artifacts.
 from .algebra import (Frame, ad_matrix, as_vector, axial_rotation, bracket,
                       frame_from_axis, frame_from_pair, moving_frame,
                       plane_rotation, renormalize, rot_exp, rotation_error)
-from .approximants import (ApproxParams, EndomorphismSet, endomorphisms,
-                           first_approximant, fit_params, integrate_poly_axial,
-                           second_approximant, second_correction,
-                           second_correction_deriv2, second_correction_deriv3,
-                           taylor2_baseline)
+from .approximants import (ApproxParams, first_approximant, fit_params,
+                           integrate_poly_axial, second_approximant,
+                           second_correction, taylor2_baseline)
 from .errors import (ConfigError, DegeneracyError, DegenerateB, DegenerateFrame,
                      DegenerateThirdDerivative, NotNearRotation, StepTooLarge,
                      ZeroDirection)
@@ -31,19 +29,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxParams", "ConfigError", "DegeneracyError", "DegenerateB",
-    "DegenerateFrame", "DegenerateThirdDerivative", "EndomorphismSet",
+    "DegenerateFrame", "DegenerateThirdDerivative",
     "ErrorReport", "ExperimentConfig", "Frame", "NotNearRotation",
     "QuadraticIVP", "QuadraticTrajectory", "ReconstructionInput",
     "RotationTrajectory", "RunResult", "StepTooLarge", "ZeroDirection",
     "ad_matrix", "approx_cubic", "as_vector", "axial_rotation", "bracket",
-    "conserved_constant", "default_config", "endomorphisms",
+    "conserved_constant", "default_config",
     "first_approximant", "fit_params", "frame_from_axis", "frame_from_pair",
     "integrate_cubic", "integrate_poly_axial", "integrate_quadratic",
     "is_null", "load_config", "moving_frame", "plane_rotation",
     "quadratic_residual", "reconstruct_cubic", "renormalize", "rot_exp",
     "rotation_error", "rotation_phase", "rotation_phase_approx", "run",
     "run_converge", "run_cubic", "run_figure1", "run_figure2", "run_figure3",
-    "run_quadratic", "second_approximant", "second_correction",
-    "second_correction_deriv2", "second_correction_deriv3", "so3_distance",
+    "run_quadratic", "second_approximant", "second_correction", "so3_distance",
     "subgroup_product_velocity", "taylor2_baseline",
 ]

@@ -136,14 +136,6 @@ class Frame:
         """Orthogonal matrix with columns f0, f1, f2."""
         return np.column_stack([self.f0, self.f1, self.f2])
 
-    def to_frame(self, v) -> np.ndarray:
-        """Coordinates of v in the (f0, f1, f2) basis."""
-        return self.matrix.T @ as_vector(v)
-
-    def from_frame(self, coords) -> np.ndarray:
-        """Vector with the given (f0, f1, f2) coordinates."""
-        return self.matrix @ as_vector(coords)
-
     def perp_complex(self, v) -> complex:
         """The f0-orthogonal part of v encoded as <v,f1> + i <v,f2>.
 
@@ -153,9 +145,10 @@ class Frame:
         v = as_vector(v)
         return complex(v @ self.f1, v @ self.f2)
 
-    def from_complex(self, z: complex) -> np.ndarray:
-        """Inverse of perp_complex (the f0 component is zero)."""
-        return z.real * self.f1 + z.imag * self.f2
+    def from_complex(self, z) -> np.ndarray:
+        """Inverse of perp_complex (the f0 component is zero); a complex
+        array of shape S gives vectors of shape S + (3,)."""
+        return np.multiply.outer(np.real(z), self.f1) + np.multiply.outer(np.imag(z), self.f2)
 
 
 def frame_from_axis(axis) -> Frame:
@@ -189,15 +182,20 @@ def axial_rotation(frame: Frame, t: float, t0: float) -> np.ndarray:
     return rot_exp(-frame.d * (t - t0) * frame.f0)
 
 
-def plane_rotation(angle: float) -> np.ndarray:
-    """Clockwise rotation by `angle` in the first two coordinates."""
-    c = math.cos(angle)
-    s = math.sin(angle)
-    return np.array([
-        [c, s, 0.0],
-        [-s, c, 0.0],
-        [0.0, 0.0, 1.0],
-    ])
+def plane_rotation(angle) -> np.ndarray:
+    """Clockwise rotation by `angle` in the first two coordinates.
+
+    An array of angles of shape S gives rotations of shape S + (3, 3).
+    """
+    c = np.cos(angle)
+    s = np.sin(angle)
+    out = np.zeros(np.shape(angle) + (3, 3))
+    out[..., 0, 0] = c
+    out[..., 0, 1] = s
+    out[..., 1, 0] = -s
+    out[..., 1, 1] = c
+    out[..., 2, 2] = 1.0
+    return out
 
 
 def frame_from_pair(x1, x2) -> np.ndarray:
@@ -206,25 +204,33 @@ def frame_from_pair(x1, x2) -> np.ndarray:
     Rows are, in order: the normalized x1-orthogonal part of x2, the
     normalized cross product x1 x x2, and x1 / |x1|.  Requires the pair to
     be linearly independent; each row is invariant under positive scaling
-    of either input.
+    of either input.  Stacks of pairs, shape S + (3,), give rotations of
+    shape S + (3, 3); a degenerate pair raises DegenerateFrame naming the
+    first offending (flat) index.
     """
-    x1 = as_vector(x1)
-    x2 = as_vector(x2)
-    n1sq = float(x1 @ x1)
-    n2sq = float(x2 @ x2)
-    dot = float(x1 @ x2)
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    if x1.shape[-1:] != (3,):
+        raise ValueError(f"expected 3-vectors, got shape {x1.shape}")
+    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
+        raise ValueError("vector has non-finite components")
+    n1sq = np.einsum("...i,...i->...", x1, x1)
+    n2sq = np.einsum("...i,...i->...", x2, x2)
+    dot = np.einsum("...i,...i->...", x1, x2)
     gram = n1sq * n2sq - dot * dot
-    if gram <= GRAM_RTOL * n1sq * n2sq or n1sq == 0.0:
+    bad = (gram <= GRAM_RTOL * n1sq * n2sq) | (n1sq == 0.0)
+    if np.any(bad):
+        k = int(np.argmax(bad.ravel()))
+        where = f" at index {k}" if bad.ndim else ""
         raise DegenerateFrame(
-            f"Gram determinant {gram:.3g} below tolerance for norms "
-            f"{math.sqrt(n1sq):.3g}, {math.sqrt(n2sq):.3g}")
-    n1 = math.sqrt(n1sq)
-    sg = math.sqrt(gram)
-    return np.array([
-        (n1 * x2 - (dot / n1) * x1) / sg,
-        bracket(x1, x2) / sg,
+            f"Gram determinant {gram.flat[k]:.3g} below tolerance{where} for norms "
+            f"{math.sqrt(n1sq.flat[k]):.3g}, {math.sqrt(n2sq.flat[k]):.3g}")
+    n1 = np.sqrt(n1sq)[..., None]
+    sg = np.sqrt(gram)[..., None]
+    return np.stack([
+        (n1 * x2 - (dot[..., None] / n1) * x1) / sg,
+        np.cross(x1, x2) / sg,
         x1 / n1,
-    ])
+    ], axis=-2)
 
 
 def moving_frame(w, dw, t: float) -> np.ndarray:

@@ -14,18 +14,21 @@ multiples of e close up under an integration-by-parts recursion.
 
 All transverse arithmetic is done in complex form (the plane orthogonal
 to f0 with ad(f0) acting as i), which keeps every coefficient formula a
-few lines long and makes derivatives exact.
+few lines long and makes derivatives exact.  Each parameter set builds
+these closed forms and their first three derivatives once; every
+evaluator then accepts a scalar time or an array of times.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .algebra import Frame, ad_matrix, as_vector, axial_rotation, bracket, frame_from_axis
+from .algebra import Frame, ad_matrix, as_vector, frame_from_axis
 from .errors import DegenerateB
 from .quadratic import QuadraticIVP
 
@@ -70,9 +73,17 @@ class _PolyExp:
         return _PolyExp(d, np.atleast_1d(np.asarray(pe, dtype=complex)),
                         np.atleast_1d(np.asarray(pp, dtype=complex)))
 
-    def __call__(self, tau: float) -> complex:
-        return (complex(npoly.polyval(tau, self.pe)) * np.exp(-1j * self.d * tau)
-                + complex(npoly.polyval(tau, self.pp)))
+    def __call__(self, tau):
+        """Value at a scalar tau or elementwise over an array of them."""
+        return (npoly.polyval(tau, self.pe) * np.exp(-1j * self.d * tau)
+                + npoly.polyval(tau, self.pp))
+
+    def __add__(self, other: "_PolyExp") -> "_PolyExp":
+        return _PolyExp(self.d, npoly.polyadd(self.pe, other.pe),
+                        npoly.polyadd(self.pp, other.pp))
+
+    def __mul__(self, z: complex) -> "_PolyExp":
+        return _PolyExp(self.d, self.pe * z, self.pp * z)
 
     def deriv(self) -> "_PolyExp":
         pe = npoly.polyder(self.pe) if self.pe.size > 1 else np.zeros(1, complex)
@@ -208,6 +219,23 @@ class ApproxParams:
     def _bc(self) -> complex:
         return self.beta * np.exp(1j * self.gamma)
 
+    @cached_property
+    def _closed_forms(self) -> list[tuple["_PolyExp", ...]]:
+        """(Q, P, F, G) and their derivatives, indexed by order 0..3.
+
+        V1 = base + delta (Re Q f0 + P) with the axial polynomial Q = q and
+        the transverse part P = A0 + tau A1 + e B in complex form; the
+        correction is f2 = Im F and v2 = G, see _correction_forms.
+        """
+        d = self.frame.d
+        forms = (_PolyExp.make(d, pp=self.q_coeffs),
+                 _PolyExp.make(d, pe=[self._bc], pp=[self._a0c, self._a1c]),
+                 *_correction_forms(self))
+        jets = [forms]
+        for _ in range(3):
+            jets.append(tuple(form.deriv() for form in jets[-1]))
+        return jets
+
     def to_dict(self) -> dict:
         f = self.frame
         return {
@@ -269,6 +297,8 @@ def fit_params(base, delta: float, v0, v1, v2, t0: float = 0.0) -> ApproxParams:
         bc = -perp2 / d ** 2
         beta = abs(bc)
         gamma = math.atan2(bc.imag, bc.real) % (2.0 * math.pi)
+        if gamma == 2.0 * math.pi:   # an angle just below 0 rounds up to 2 pi
+            gamma = 0.0
     a1c = perp1 + d * 1j * bc
     a0c = perp0 - bc
     return ApproxParams(
@@ -282,34 +312,31 @@ def fit_params(base, delta: float, v0, v1, v2, t0: float = 0.0) -> ApproxParams:
 
 
 # ---------------------------------------------------------------------------
-# first-order approximant
+# evaluation (scalar or array times)
 # ---------------------------------------------------------------------------
 
-def first_approximant(p: ApproxParams, t: float, deriv: int = 0) -> np.ndarray:
+def _jet(p: ApproxParams, t, deriv: int):
+    if deriv not in (0, 1, 2, 3):
+        raise ValueError("derivative order must be in 0..3")
+    return np.asarray(t, dtype=float) - p.t0, p._closed_forms[deriv]
+
+
+def first_approximant(p: ApproxParams, t, deriv: int = 0) -> np.ndarray:
     """V1 and its first three t-derivatives in closed form.
 
-    The axial-rotation derivative is taken analytically: e' = -d ad(f0) e,
-    and ad(f0)^2 = -1 on the transverse plane.
+    A scalar t gives a 3-vector; an array of times of shape S gives an
+    array of shape S + (3,).
     """
+    tau, (q, perp, _, _) = _jet(p, t, deriv)
     f = p.frame
-    tau = t - p.t0
-    eb = axial_rotation(f, t, p.t0) @ p.b_vec
-    if deriv == 0:
-        q = p.c0 + p.c1 * tau + p.c2 * tau * tau
-        return f.base + p.delta * (q * f.f0 + p.a0_vec + tau * p.a1_vec + eb)
-    if deriv == 1:
-        dq = p.c1 + 2.0 * p.c2 * tau
-        return p.delta * (dq * f.f0 + p.a1_vec - f.d * bracket(f.f0, eb))
-    if deriv == 2:
-        return p.delta * (2.0 * p.c2 * f.f0 - f.d ** 2 * eb)
-    if deriv == 3:
-        return p.delta * f.d ** 3 * bracket(f.f0, eb)
-    raise ValueError("derivative order must be in 0..3")
+    v = p.delta * (np.multiply.outer(q(tau).real, f.f0) + f.from_complex(perp(tau)))
+    return f.base + v if deriv == 0 else v
 
 
-def taylor2_baseline(ivp: QuadraticIVP, t: float) -> np.ndarray:
-    """Degree-2 Taylor polynomial of the quadratic from its initial jet."""
-    tau = t - ivp.t0
+def taylor2_baseline(ivp: QuadraticIVP, t) -> np.ndarray:
+    """Degree-2 Taylor polynomial of the quadratic from its initial jet;
+    shapes as in first_approximant."""
+    tau = np.asarray(t, dtype=float)[..., None] - ivp.t0
     return ivp.v0 + tau * ivp.v1 + 0.5 * tau * tau * ivp.v2
 
 
@@ -317,167 +344,55 @@ def taylor2_baseline(ivp: QuadraticIVP, t: float) -> np.ndarray:
 # second-order correction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EndomorphismSet:
-    """The five transverse kernels of the second-order correction at one
-    time, as matrices on so(3): l0, l1 weight A0, A1 inside the axial
-    component; m0, m1, mb weight A0, A1, B inside the transverse one.
-    Each is a combination of the identity, ad(f0), the axial rotation e,
-    and ad(f0) e with polynomial coefficients in u = d (t - t0)."""
-
-    l0: np.ndarray
-    l1: np.ndarray
-    m0: np.ndarray
-    m1: np.ndarray
-    mb: np.ndarray
-    u: float
-
-
-def endomorphisms(frame: Frame, t: float, t0: float) -> EndomorphismSet:
-    """Evaluate the correction kernels at time t."""
-    d = frame.d
-    u = d * (t - t0)
-    eye = np.eye(3)
-    im = ad_matrix(frame.f0)
-    e = axial_rotation(frame, t, t0)
-    ie = im @ e
-    l0 = (-u * eye + (u * u / 2.0 - 1.0) * im + ie) / d
-    l1 = ((u * u / 2.0 - 3.0) * eye + 2.0 * u * im + 3.0 * e + u * ie) / d ** 2
-    m0 = ((u * u / 2.0 - 1.0) * eye + u * im + e) / d ** 3
-    m1 = ((u ** 3 / 6.0 - u) * eye + (u * u / 2.0 - 1.0) * im + ie) / d ** 4
-    mb = (2.0 * (e - eye) + u * (im @ (e + eye))) / d ** 3
-    return EndomorphismSet(l0=l0, l1=l1, m0=m0, m1=m1, mb=mb, u=u)
-
-
-def second_correction(p: ApproxParams, t: float) -> tuple[float, np.ndarray]:
-    """The pair (f2, v2): axial scalar and transverse vector of the
-    second-order correction.
+def _correction_forms(p: ApproxParams) -> tuple[_PolyExp, _PolyExp]:
+    """The pair (F, G) with f2 = Im F and v2 = G in transverse complex form:
 
     f2 = -2 <[A0, l0 B] + [A1, l1 B], f0>;
-    v2 = 2 q'' (m0 A0 + m1 A1 - mb B) + 2 d^2 ad(f0) I(I(I(q) e)) B,
-    with the double running integral evaluated by the integration-by-parts
-    closed form (integrate_poly_axial on the antiderivative of q).
-    """
-    f = p.frame
-    ends = endomorphisms(f, t, p.t0)
-    a0, a1, b = p.a0_vec, p.a1_vec, p.b_vec
-    f2 = -2.0 * float((bracket(a0, ends.l0 @ b) + bracket(a1, ends.l1 @ b)) @ f.f0)
-    iq = npoly.polyint(p.q_coeffs)
-    g2 = integrate_poly_axial(f, iq, t, p.t0, repeat=2)
-    v2 = (4.0 * p.c2 * (ends.m0 @ a0 + ends.m1 @ a1 - ends.mb @ b)
-          + 2.0 * f.d ** 2 * (ad_matrix(f.f0) @ (g2 @ b)))
-    return f2, v2
-
-
-class _CorrectionDerivatives:
-    """The pair (f2, v2) in transverse complex form, built once per
-    parameter set so that any derivative order is exact.
-
+    v2 = 2 q'' (m0 A0 + m1 A1 - mb B) + 2 d^2 ad(f0) I(I(I(q) e)) B.
     Each kernel becomes a _PolyExp in tau = t - t0 by encoding the
-    identity as 1, ad(f0) as i and the axial rotation as exp(-i d tau);
+    identity as 1, ad(f0) as i and the axial rotation e as exp(-i d tau);
     the polynomial coefficients below are the kernel formulas expanded in
-    powers of tau.  Then f2(tau) = Im(F(tau)) for a single _PolyExp F, and
-    v2 is the frame decoding of another.
+    powers of tau.  I is the running integral from t0, exact through the
+    integration-by-parts recursion of _PolyExp.integ.
     """
+    d = p.frame.d
+    # kernels weighting A0, A1 in the axial component
+    l0 = _PolyExp.make(d, pe=[1j / d], pp=[-1j / d, -1.0, 0.5j * d])
+    l1 = _PolyExp.make(d, pe=[3.0 / d ** 2, 1j / d],
+                       pp=[-3.0 / d ** 2, 2j / d, 0.5])
+    # kernels weighting A0, A1, B in the transverse component
+    m0 = _PolyExp.make(d, pe=[1.0 / d ** 3],
+                       pp=[-1.0 / d ** 3, 1j / d ** 2, 0.5 / d])
+    m1 = _PolyExp.make(d, pe=[1j / d ** 4],
+                       pp=[-1j / d ** 4, -1.0 / d ** 3, 0.5j / d ** 2, 1.0 / (6.0 * d)])
+    mb = _PolyExp.make(d, pe=[2.0 / d ** 3, 1j / d ** 2],
+                       pp=[-2.0 / d ** 3, 1j / d ** 2])
 
-    def __init__(self, p: ApproxParams):
-        d = p.frame.d
-        # kernel weighting A0 in the axial component
-        l0 = _PolyExp.make(d, pe=[1j / d], pp=[-1j / d, -1.0, 0.5j * d])
-        # kernel weighting A1 in the axial component
-        l1 = _PolyExp.make(d, pe=[3.0 / d ** 2, 1j / d],
-                           pp=[-3.0 / d ** 2, 2j / d, 0.5])
-        # kernels weighting A0, A1, B in the transverse component
-        m0 = _PolyExp.make(d, pe=[1.0 / d ** 3],
-                           pp=[-1.0 / d ** 3, 1j / d ** 2, 0.5 / d])
-        m1 = _PolyExp.make(d, pe=[1j / d ** 4],
-                           pp=[-1j / d ** 4, -1.0 / d ** 3, 0.5j / d ** 2, 1.0 / (6.0 * d)])
-        mb = _PolyExp.make(d, pe=[2.0 / d ** 3, 1j / d ** 2],
-                           pp=[-2.0 / d ** 3, 1j / d ** 2])
-
-        a0c, a1c, bc = p._a0c, p._a1c, p._bc
-        scale = lambda pexp, z: _PolyExp(d, pexp.pe * z, pexp.pp * z)
-        add = lambda x, y: _PolyExp(d, npoly.polyadd(x.pe, y.pe), npoly.polyadd(x.pp, y.pp))
-
-        self.f2 = scale(add(scale(l0, np.conj(a0c) * bc), scale(l1, np.conj(a1c) * bc)), -2.0)
-        iq = npoly.polyint(np.asarray(p.q_coeffs, dtype=complex))
-        g2 = _PolyExp.make(d, pe=iq).integ().integ()
-        v2 = add(add(scale(m0, 4.0 * p.c2 * a0c), scale(m1, 4.0 * p.c2 * a1c)),
-                 scale(mb, -4.0 * p.c2 * bc))
-        self.v2 = add(v2, scale(g2, 2j * d ** 2 * bc))
-
-    def eval(self, frame: Frame, tau: float, deriv: int) -> tuple[float, np.ndarray]:
-        f2 = self.f2
-        v2 = self.v2
-        for _ in range(deriv):
-            f2 = f2.deriv()
-            v2 = v2.deriv()
-        return f2(tau).imag, frame.from_complex(v2(tau))
-
-
-def second_correction_deriv2(p: ApproxParams, t: float) -> tuple[float, np.ndarray]:
-    """Second derivatives (f2'', v2'') in their explicit closed form:
-
-    f2'' = <2 d [A0, ad(f0)(e - 1) B] + 2 [A1, (e - 1 + u ad(f0) e) B], f0>
-    v2'' = -(4 c2 / d)(e - 1) A0
-           + (4 c2 / d^2)(u - ad(f0)(e - 1)) A1
-           + 2 (2 c2 (t - t0) + d^2 Iq(t)) ad(f0) e B
-    with u = d (t - t0) and Iq the antiderivative of q vanishing at t0.
-    """
-    f = p.frame
-    d = f.d
-    tau = t - p.t0
-    u = d * tau
-    eye = np.eye(3)
-    im = ad_matrix(f.f0)
-    e = axial_rotation(f, t, p.t0)
-    a0, a1, b = p.a0_vec, p.a1_vec, p.b_vec
-    f2 = float((2.0 * d * bracket(a0, im @ ((e - eye) @ b))
-                + 2.0 * bracket(a1, (e - eye + u * (im @ e)) @ b)) @ f.f0)
-    iq = float(npoly.polyval(tau, npoly.polyint(p.q_coeffs)))
-    v2 = (-(4.0 * p.c2 / d) * ((e - eye) @ a0)
-          + (4.0 * p.c2 / d ** 2) * ((u * eye - im @ (e - eye)) @ a1)
-          + 2.0 * (2.0 * p.c2 * tau + d ** 2 * iq) * (im @ (e @ b)))
+    a0c, a1c, bc = p._a0c, p._a1c, p._bc
+    f2 = (l0 * (np.conj(a0c) * bc) + l1 * (np.conj(a1c) * bc)) * -2.0
+    iq = npoly.polyint(np.asarray(p.q_coeffs, dtype=complex))
+    g2 = _PolyExp.make(d, pe=iq).integ().integ()
+    v2 = (m0 * (4.0 * p.c2 * a0c) + m1 * (4.0 * p.c2 * a1c) + mb * (-4.0 * p.c2 * bc)
+          + g2 * (2j * d ** 2 * bc))
     return f2, v2
 
 
-def second_correction_deriv3(p: ApproxParams, t: float) -> tuple[float, np.ndarray]:
-    """Third derivatives (f2''', v2'''), by analytic differentiation of the
-    second-derivative closed form."""
-    f = p.frame
-    d = f.d
-    tau = t - p.t0
-    u = d * tau
-    eye = np.eye(3)
-    im = ad_matrix(f.f0)
-    e = axial_rotation(f, t, p.t0)
-    a0, a1, b = p.a0_vec, p.a1_vec, p.b_vec
-    eb = e @ b
-    f2 = float((2.0 * d ** 2 * bracket(a0, eb) + 2.0 * d * u * bracket(a1, eb)) @ f.f0)
-    q = float(npoly.polyval(tau, p.q_coeffs))
-    iq = float(npoly.polyval(tau, npoly.polyint(p.q_coeffs)))
-    v2 = (4.0 * p.c2 * (im @ (e @ a0))
-          + (4.0 * p.c2 / d) * ((eye - e) @ a1)
-          + 2.0 * (2.0 * p.c2 + d ** 2 * q) * (im @ eb)
-          + 2.0 * d * (2.0 * p.c2 * tau + d ** 2 * iq) * eb)
-    return f2, v2
-
-
-def second_approximant(p: ApproxParams, t: float, deriv: int = 0) -> np.ndarray:
-    """V2 and its first three t-derivatives.
-
-    V2 = V1 + (delta^2 / 2)(f2 f0 + v2).  Orders 0 and 1 evaluate the
-    correction through the integral recursion; orders 2 and 3 use the
-    explicit trigonometric closed forms.
+def second_correction(p: ApproxParams, t, deriv: int = 0):
+    """The pair (f2, v2) of the second-order correction, or its t-derivative
+    of order `deriv` (0..3): the axial scalar f2 and the transverse vector
+    v2.  A scalar t gives (scalar, 3-vector); an array of times of shape S
+    gives arrays of shapes S and S + (3,).
     """
-    if deriv == 0:
-        f2, v2 = second_correction(p, t)
-    elif deriv == 1:
-        f2, v2 = _CorrectionDerivatives(p).eval(p.frame, t - p.t0, 1)
-    elif deriv == 2:
-        f2, v2 = second_correction_deriv2(p, t)
-    elif deriv == 3:
-        f2, v2 = second_correction_deriv3(p, t)
-    else:
-        raise ValueError("derivative order must be in 0..3")
-    return first_approximant(p, t, deriv) + 0.5 * p.delta ** 2 * (f2 * p.frame.f0 + v2)
+    tau, (_, _, f2, v2) = _jet(p, t, deriv)
+    return f2(tau).imag, p.frame.from_complex(v2(tau))
+
+
+def second_approximant(p: ApproxParams, t, deriv: int = 0) -> np.ndarray:
+    """V2 and its first three t-derivatives; shapes as in first_approximant.
+
+    V2 = V1 + (delta^2 / 2)(f2 f0 + v2), with every derivative order
+    taken exactly from the cached closed form of the correction.
+    """
+    f2, v2 = second_correction(p, t, deriv)
+    return (first_approximant(p, t, deriv)
+            + 0.5 * p.delta ** 2 * (np.multiply.outer(f2, p.frame.f0) + v2))

@@ -89,8 +89,12 @@ class ExperimentConfig:
             return replace(self, formats=formats).validate()
         if not self.deltas:
             raise ConfigError("at least one delta is required")
+        if not all(math.isfinite(d) for d in self.deltas):
+            raise ConfigError("deltas must be finite")
         if any(d < 0 for d in self.deltas):
             raise ConfigError("deltas must be nonnegative")
+        _finite_array(self.base, (3,), "base must be a finite 3-vector")
+        _finite_array(self.pert, (3, 3), "perturbation must hold three finite 3-vectors")
         if self.kind == "converge":
             if len(self.deltas) < 2:
                 raise ConfigError("converge needs at least two deltas")
@@ -98,9 +102,7 @@ class ExperimentConfig:
                 raise ConfigError("converge deltas must be strictly decreasing")
             if any(d <= 0 for d in self.deltas):
                 raise ConfigError("converge deltas must be positive")
-        proj = np.asarray(self.projection, dtype=float)
-        if proj.shape != (2, 3):
-            raise ConfigError("projection must be two 3-vectors")
+        _finite_array(self.projection, (2, 3), "projection must be two finite 3-vectors")
         if not self.budget > 0:
             raise ConfigError("budget must be positive")
         if self.renorm_every < 0:
@@ -112,6 +114,8 @@ class ExperimentConfig:
         return float(self.deltas[0])
 
     def ivp(self, delta: float) -> QuadraticIVP:
+        if delta == 0.0:
+            raise DegenerateB("zero perturbation leaves no oscillatory component")
         base = np.asarray(self.base, dtype=float)
         p0, p1, p2 = (np.asarray(p, dtype=float) for p in self.pert)
         return QuadraticIVP(self.t0, self.t1, base + delta * p0, delta * p1, delta * p2)
@@ -141,6 +145,16 @@ class ExperimentConfig:
             "budget": self.budget,
             "renorm_every": self.renorm_every,
         }
+
+
+def _finite_array(value, shape: tuple, message: str) -> None:
+    """Raise ConfigError(message) unless `value` is a finite array of `shape`."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{message}: {exc}") from exc
+    if arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise ConfigError(message)
 
 
 def default_config(kind: str, out_dir: str = "out") -> ExperimentConfig:
@@ -178,6 +192,15 @@ def config_from_dict(data: dict, kind: str | None = None) -> ExperimentConfig:
     if kind is None:
         raise ConfigError("config does not specify a kind")
     cfg = default_config(kind)
+    try:
+        fields = _config_fields(data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed config entry: {exc}") from exc
+    return replace(cfg, **fields).validate()
+
+
+def _config_fields(data: dict) -> dict:
+    """ExperimentConfig fields from the JSON keys present in `data`."""
     fields = {}
     if "interval" in data:
         iv = data["interval"]
@@ -209,7 +232,7 @@ def config_from_dict(data: dict, kind: str | None = None) -> ExperimentConfig:
         fields["budget"] = float(data["budget"])
     if "renorm_every" in data:
         fields["renorm_every"] = int(data["renorm_every"])
-    return replace(cfg, **fields).validate()
+    return fields
 
 
 def load_config(path, kind: str | None = None) -> ExperimentConfig:
@@ -276,9 +299,9 @@ def _curve_errors(traj: QuadraticTrajectory, params: ApproxParams,
     reference = np.atleast_2d(traj.eval(times))
     curves = {
         "reference": reference,
-        "first": np.array([first_approximant(params, t) for t in times]),
-        "second": np.array([second_approximant(params, t) for t in times]),
-        "taylor2": np.array([taylor2_baseline(ivp, t) for t in times]),
+        "first": first_approximant(params, times),
+        "second": second_approximant(params, times),
+        "taylor2": taylor2_baseline(ivp, times),
     }
     errors = {name: np.linalg.norm(vals - reference, axis=1)
               for name, vals in curves.items() if name != "reference"}
@@ -290,6 +313,17 @@ def _first_breach(times: np.ndarray, errors: np.ndarray, budget: float):
     if not mask.any():
         return None
     return float(times[int(np.argmax(mask))])
+
+
+def _integer_times(times: np.ndarray) -> list[tuple[float, int]]:
+    """(integer time, sample index) for every integer time that is one of
+    the evaluated sample times, to within 1e-9."""
+    pairs = []
+    for n in range(math.ceil(times[0] - 1e-9), math.floor(times[-1] + 1e-9) + 1):
+        i = int(np.argmin(np.abs(times - n)))
+        if abs(times[i] - n) <= 1e-9:
+            pairs.append((float(n), i))
+    return pairs
 
 
 def _marker_times(config: ExperimentConfig) -> list[float]:
@@ -397,8 +431,6 @@ def run_figure3(config: ExperimentConfig) -> RunResult:
     of its quadrature-free approximation, with distance series."""
     config = config.validate()
     delta = config.delta
-    if delta <= 0.0:
-        raise DegenerateB("zero perturbation leaves no oscillatory component")
     ivp = config.ivp(delta)
     traj = integrate_quadratic(ivp, config.step)
     xref = integrate_cubic(np.eye(3), traj, config.step,
@@ -412,7 +444,7 @@ def run_figure3(config: ExperimentConfig) -> RunResult:
                    / (xref.grid[1] - xref.grid[0])).astype(int)
     times = xref.grid[idx]
     ref_rows = xref.second_rows()[idx]
-    approx = np.array([approx_cubic(params, np.eye(3), t) for t in times])
+    approx = approx_cubic(params, np.eye(3), times)
     approx_rows = approx[:, 1, :]
     dists = np.array([so3_distance(approx[i], xref.rotations[idx[i]])
                       for i in range(len(times))])
@@ -432,11 +464,8 @@ def run_figure3(config: ExperimentConfig) -> RunResult:
         },
         "config": config.to_dict(),
     }
-    int_times = [t for t in np.arange(math.ceil(config.t0), math.floor(config.t1) + 1)
-                 if config.t0 <= t <= config.t1]
-    report["angle_at_integer_times"] = {
-        repr(float(t)): float(dists[int(round((t - config.t0) / config.stride)), 1])
-        for t in int_times}
+    int_times = _integer_times(times)
+    report["angle_at_integer_times"] = {repr(t): float(dists[i, 1]) for t, i in int_times}
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -454,11 +483,7 @@ def run_figure3(config: ExperimentConfig) -> RunResult:
         files.append(write_csv(out / "figure3.csv", header, rows))
     if "svg" in config.formats:
         def markers(projected):
-            res = []
-            for t in int_times:
-                k = int(round((t - config.t0) / config.stride))
-                res.append((projected[k][0], projected[k][1], f"{t:g}"))
-            return res
+            return [(projected[i][0], projected[i][1], f"{t:g}") for t, i in int_times]
         files.append(write_svg(out / "figure3.svg", [
             SvgCurve("integrated", ref_proj, CURVE_COLORS["reference"],
                      markers=markers(ref_proj)),
@@ -487,15 +512,12 @@ def run_converge(config: ExperimentConfig) -> RunResult:
         xref = integrate_cubic(np.eye(3), traj, config.step,
                                renorm_every=config.renorm_every)
         idx = np.round((times - config.t0) / (xref.grid[1] - xref.grid[0])).astype(int)
-        xerr = np.array([np.linalg.norm(
-            approx_cubic(params, np.eye(3), xref.grid[i]) - xref.rotations[i])
-            for i in idx])
-        series["approx_cubic"][delta] = xerr
+        series["approx_cubic"][delta] = np.linalg.norm(
+            approx_cubic(params, np.eye(3), xref.grid[idx]) - xref.rotations[idx],
+            axis=(1, 2))
         recon = ReconstructionInput(traj, np.eye(3))
-        phases = rotation_phase(recon, times)
-        phase_err = np.abs(phases - np.array(
-            [rotation_phase_approx(params, t) for t in times]))
-        series["phase"][delta] = phase_err
+        series["phase"][delta] = np.abs(rotation_phase(recon, times)
+                                        - rotation_phase_approx(params, times))
 
     report_obj = ErrorReport(
         deltas=list(config.deltas), times=times, series=series,
@@ -578,9 +600,9 @@ def run_cubic(config: ExperimentConfig) -> RunResult:
     if not params.b_degenerate:
         idx = np.round((config.sample_times() - config.t0)
                        / (xref.grid[1] - xref.grid[0])).astype(int)
-        dists = np.array([so3_distance(approx_cubic(params, np.eye(3), xref.grid[i]),
-                                       xref.rotations[i])
-                          for i in idx])
+        approx = approx_cubic(params, np.eye(3), xref.grid[idx])
+        dists = np.array([so3_distance(approx[k], xref.rotations[i])
+                          for k, i in enumerate(idx)])
         report["approx_max_frobenius"] = float(dists[:, 0].max())
         report["approx_max_angle"] = float(dists[:, 1].max())
         report["params"] = params.to_dict()

@@ -208,10 +208,11 @@ def integrate_quadratic(ivp: QuadraticIVP, step: float) -> QuadraticTrajectory:
     constant = conserved_constant(ivp.v0, ivp.v1, ivp.v2)
     accel = float(ivp.v2 @ ivp.v2)
     accel_drift = np.abs(np.einsum("ij,ij->i", states[:, 6:9], states[:, 6:9]) - accel)
-    if float(np.max(accel_drift)) > C_DRIFT_LIMIT:
+    max_drift = float(np.max(accel_drift))
+    # written so that a NaN drift (an overflowed trajectory) also raises
+    if not max_drift <= C_DRIFT_LIMIT:
         raise StepTooLarge(
-            f"acceleration drift {float(np.max(accel_drift)):.3g} at step {h:.3g}; "
-            "use a smaller step")
+            f"acceleration drift {max_drift:.3g} at step {h:.3g}; use a smaller step")
     return QuadraticTrajectory(
         grid=grid,
         v=states[:, 0:3].copy(),

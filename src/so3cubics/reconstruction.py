@@ -43,17 +43,12 @@ class ReconstructionInput:
 
     trajectory: QuadraticTrajectory
     x0: np.ndarray
-    t0: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (3, 3) or rotation_error(x0) > 1e-8:
             raise ValueError("x0 is not a rotation matrix")
         object.__setattr__(self, "x0", x0)
-        if self.t0 is None:
-            object.__setattr__(self, "t0", self.trajectory.t0)
-        elif abs(self.t0 - self.trajectory.t0) > 1e-12:
-            raise ValueError("t0 must coincide with the trajectory start")
         if self.trajectory.c <= ACCEL_TOL:
             raise ValueError("degenerate acceleration: c is (nearly) zero")
         v3 = self.trajectory.third_derivative_grid()
@@ -101,56 +96,52 @@ def reconstruct_cubic(recon: ReconstructionInput) -> RotationTrajectory:
     """
     traj = recon.trajectory
     grid = traj.grid
-    v2 = traj.v2
-    v3 = traj.third_derivative_grid()
-    phases = rotation_phase(recon, grid)
-    rots = np.empty((grid.size, 3, 3))
-    y0 = plane_rotation(phases[0]) @ frame_from_pair(v2[0], v3[0])
-    anchor = recon.x0 @ y0.T
+    ys = plane_rotation(rotation_phase(recon, grid)) @ frame_from_pair(
+        traj.v2, traj.third_derivative_grid())
+    rots = recon.x0 @ ys[0].T @ ys
     rots[0] = recon.x0
-    for k in range(1, grid.size):
-        y = plane_rotation(phases[k]) @ frame_from_pair(v2[k], v3[k])
-        rots[k] = anchor @ y
     return RotationTrajectory(grid=grid, rotations=rots)
 
 
-def rotation_phase_approx(p: ApproxParams, t: float) -> float:
+def rotation_phase_approx(p: ApproxParams, t) -> float | np.ndarray:
     """Closed-form first-order phase for a nearly constant quadratic:
 
     phi_hat(t) = delta sqrt(rho^2 + 1) ((t - t0) beta
         + (a11 (cos(gamma - u) - cos gamma)
            + a12 (sin(gamma - u) - sin gamma)) / d^2),
-    with u = d (t - t0); requires beta > 0.
+    with u = d (t - t0); requires beta > 0.  Accepts scalar or array times.
     """
     if p.beta <= 0.0 or p.b_degenerate:
         raise DegenerateB("closed-form phase requires beta > 0")
     d = p.frame.d
-    tau = t - p.t0
+    tau = np.asarray(t, dtype=float) - p.t0
     u = d * tau
-    osc = (p.a11 * (math.cos(p.gamma - u) - math.cos(p.gamma))
-           + p.a12 * (math.sin(p.gamma - u) - math.sin(p.gamma))) / d ** 2
-    return p.delta * math.sqrt(p.rho ** 2 + 1.0) * (tau * p.beta + osc)
+    osc = (p.a11 * (np.cos(p.gamma - u) - math.cos(p.gamma))
+           + p.a12 * (np.sin(p.gamma - u) - math.sin(p.gamma))) / d ** 2
+    out = p.delta * math.sqrt(p.rho ** 2 + 1.0) * (tau * p.beta + osc)
+    return float(out) if np.ndim(t) == 0 else out
 
 
-def approx_cubic(p: ApproxParams, x0, t: float) -> np.ndarray:
+def approx_cubic(p: ApproxParams, x0, t) -> np.ndarray:
     """Quadrature-free first-order approximation to the rotation curve.
 
     Assembles the phased moving frame from the second and third
     derivatives of the second-order approximant and anchors it at x0; the
-    value at t0 is x0 exactly.
+    value at t0 is x0 exactly.  A scalar t gives a rotation; an array of
+    times of shape S gives rotations of shape S + (3, 3).
     """
     if p.beta <= 0.0 or p.b_degenerate:
         raise DegenerateB("closed-form cubic requires beta > 0")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (3, 3) or rotation_error(x0) > 1e-8:
         raise ValueError("x0 is not a rotation matrix")
-    if t == p.t0:
-        return x0.copy()
-    y0 = plane_rotation(rotation_phase_approx(p, p.t0)) @ frame_from_pair(
-        second_approximant(p, p.t0, 2), second_approximant(p, p.t0, 3))
-    y = plane_rotation(rotation_phase_approx(p, t)) @ frame_from_pair(
-        second_approximant(p, t, 2), second_approximant(p, t, 3))
-    return x0 @ y0.T @ y
+    # the anchor frame y(t0) is evaluated with the requested times
+    ts = np.append(p.t0, t)
+    ys = plane_rotation(rotation_phase_approx(p, ts)) @ frame_from_pair(
+        second_approximant(p, ts, 2), second_approximant(p, ts, 3))
+    out = x0 @ ys[0].T @ ys[1:]
+    out[ts[1:] == p.t0] = x0
+    return out.reshape(np.shape(t) + (3, 3))
 
 
 def so3_distance(r1, r2) -> tuple[float, float]:

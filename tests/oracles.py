@@ -1,0 +1,142 @@
+"""Independent oracles for the second-order correction.
+
+The library evaluates the correction (f2, v2) through one complex
+polynomial x exp(-i d tau) closed form.  The forms here compute the same
+quantities by other routes and serve only as test references:
+
+* the matrix kernels (`endomorphisms`, `matrix_second_correction`), which
+  act on so(3) with 3x3 matrices instead of complex scalars;
+* the hand-derived second and third derivatives
+  (`second_correction_deriv2`, `second_correction_deriv3`);
+* nested cumulative-Simpson quadrature of the order-2 variational
+  recursion (`brute_force_correction`).
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+from numpy.polynomial import polynomial as npoly
+from scipy.integrate import cumulative_simpson
+
+from so3cubics.algebra import Frame, ad_matrix, axial_rotation, bracket
+from so3cubics.approximants import ApproxParams, integrate_poly_axial
+
+
+@dataclass(frozen=True)
+class EndomorphismSet:
+    """The five transverse kernels of the second-order correction at one
+    time, as matrices on so(3): l0, l1 weight A0, A1 inside the axial
+    component; m0, m1, mb weight A0, A1, B inside the transverse one.
+    Each is a combination of the identity, ad(f0), the axial rotation e,
+    and ad(f0) e with polynomial coefficients in u = d (t - t0)."""
+
+    l0: np.ndarray
+    l1: np.ndarray
+    m0: np.ndarray
+    m1: np.ndarray
+    mb: np.ndarray
+    u: float
+
+
+def endomorphisms(frame: Frame, t: float, t0: float) -> EndomorphismSet:
+    """Evaluate the correction kernels at time t."""
+    d = frame.d
+    u = d * (t - t0)
+    eye = np.eye(3)
+    im = ad_matrix(frame.f0)
+    e = axial_rotation(frame, t, t0)
+    ie = im @ e
+    l0 = (-u * eye + (u * u / 2.0 - 1.0) * im + ie) / d
+    l1 = ((u * u / 2.0 - 3.0) * eye + 2.0 * u * im + 3.0 * e + u * ie) / d ** 2
+    m0 = ((u * u / 2.0 - 1.0) * eye + u * im + e) / d ** 3
+    m1 = ((u ** 3 / 6.0 - u) * eye + (u * u / 2.0 - 1.0) * im + ie) / d ** 4
+    mb = (2.0 * (e - eye) + u * (im @ (e + eye))) / d ** 3
+    return EndomorphismSet(l0=l0, l1=l1, m0=m0, m1=m1, mb=mb, u=u)
+
+
+def matrix_second_correction(p: ApproxParams, t: float) -> tuple[float, np.ndarray]:
+    """The pair (f2, v2) at one time through the matrix kernels.
+
+    f2 = -2 <[A0, l0 B] + [A1, l1 B], f0>;
+    v2 = 2 q'' (m0 A0 + m1 A1 - mb B) + 2 d^2 ad(f0) I(I(I(q) e)) B,
+    with the double running integral evaluated by the integration-by-parts
+    closed form (integrate_poly_axial on the antiderivative of q).
+    """
+    f = p.frame
+    ends = endomorphisms(f, t, p.t0)
+    a0, a1, b = p.a0_vec, p.a1_vec, p.b_vec
+    f2 = -2.0 * float((bracket(a0, ends.l0 @ b) + bracket(a1, ends.l1 @ b)) @ f.f0)
+    iq = npoly.polyint(p.q_coeffs)
+    g2 = integrate_poly_axial(f, iq, t, p.t0, repeat=2)
+    v2 = (4.0 * p.c2 * (ends.m0 @ a0 + ends.m1 @ a1 - ends.mb @ b)
+          + 2.0 * f.d ** 2 * (ad_matrix(f.f0) @ (g2 @ b)))
+    return f2, v2
+
+
+def second_correction_deriv2(p: ApproxParams, t: float) -> tuple[float, np.ndarray]:
+    """Second derivatives (f2'', v2'') in their explicit closed form:
+
+    f2'' = <2 d [A0, ad(f0)(e - 1) B] + 2 [A1, (e - 1 + u ad(f0) e) B], f0>
+    v2'' = -(4 c2 / d)(e - 1) A0
+           + (4 c2 / d^2)(u - ad(f0)(e - 1)) A1
+           + 2 (2 c2 (t - t0) + d^2 Iq(t)) ad(f0) e B
+    with u = d (t - t0) and Iq the antiderivative of q vanishing at t0.
+    """
+    f = p.frame
+    d = f.d
+    tau = t - p.t0
+    u = d * tau
+    eye = np.eye(3)
+    im = ad_matrix(f.f0)
+    e = axial_rotation(f, t, p.t0)
+    a0, a1, b = p.a0_vec, p.a1_vec, p.b_vec
+    f2 = float((2.0 * d * bracket(a0, im @ ((e - eye) @ b))
+                + 2.0 * bracket(a1, (e - eye + u * (im @ e)) @ b)) @ f.f0)
+    iq = float(npoly.polyval(tau, npoly.polyint(p.q_coeffs)))
+    v2 = (-(4.0 * p.c2 / d) * ((e - eye) @ a0)
+          + (4.0 * p.c2 / d ** 2) * ((u * eye - im @ (e - eye)) @ a1)
+          + 2.0 * (2.0 * p.c2 * tau + d ** 2 * iq) * (im @ (e @ b)))
+    return f2, v2
+
+
+def second_correction_deriv3(p: ApproxParams, t: float) -> tuple[float, np.ndarray]:
+    """Third derivatives (f2''', v2'''), by analytic differentiation of the
+    second-derivative closed form."""
+    f = p.frame
+    d = f.d
+    tau = t - p.t0
+    u = d * tau
+    eye = np.eye(3)
+    im = ad_matrix(f.f0)
+    e = axial_rotation(f, t, p.t0)
+    a0, a1, b = p.a0_vec, p.a1_vec, p.b_vec
+    eb = e @ b
+    f2 = float((2.0 * d ** 2 * bracket(a0, eb) + 2.0 * d * u * bracket(a1, eb)) @ f.f0)
+    q = float(npoly.polyval(tau, p.q_coeffs))
+    iq = float(npoly.polyval(tau, npoly.polyint(p.q_coeffs)))
+    v2 = (4.0 * p.c2 * (im @ (e @ a0))
+          + (4.0 * p.c2 / d) * ((eye - e) @ a1)
+          + 2.0 * (2.0 * p.c2 + d ** 2 * q) * (im @ eb)
+          + 2.0 * d * (2.0 * p.c2 * tau + d ** 2 * iq) * eb)
+    return f2, v2
+
+
+def brute_force_correction(params, tmax, n=8001):
+    """Nested running integrals of the order-2 variational recursion."""
+    f = params.frame
+    d = f.d
+    ts = np.linspace(params.t0, tmax, n)
+    tau = ts - params.t0
+    a0, a1, b = params.a0_vec, params.a1_vec, params.b_vec
+    q = params.c0 + params.c1 * tau + params.c2 * tau * tau
+    e = np.array([axial_rotation(f, t, params.t0) for t in ts])
+    e_inv = np.transpose(e, (0, 2, 1))
+    v1 = a0[None, :] + tau[:, None] * a1[None, :] + np.einsum("kij,j->ki", e, b)
+    v1dd = -d * d * np.einsum("kij,j->ki", e, b)
+    ci = lambda y: cumulative_simpson(y, x=ts, initial=0.0, axis=0)
+    f2 = ci(ci(ci(2.0 * np.einsum("ki,i->k", np.cross(v1dd, v1), f.f0))))
+    integrand = (2.0 * params.c2 * np.einsum("kij,kj->ki", e_inv, v1)
+                 - q[:, None] * np.einsum("kij,kj->ki", e_inv, v1dd))
+    v2dd = 2.0 * np.einsum("ij,kjl,kl->ki", ad_matrix(f.f0), e, ci(integrand))
+    v2 = ci(ci(v2dd))
+    return ts, f2, v2

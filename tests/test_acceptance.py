@@ -33,7 +33,7 @@ from so3cubics.reconstruction import (ReconstructionInput, approx_cubic,
                                       reconstruct_cubic, rotation_phase,
                                       rotation_phase_approx, so3_distance)
 
-from test_approximants import brute_force_correction
+from oracles import brute_force_correction
 
 
 def report(criterion, ok, detail):

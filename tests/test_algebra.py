@@ -205,6 +205,15 @@ def test_frame_from_pair_rejects_parallel():
         frame_from_pair([1, 0, 0], [0, 0, 0])
 
 
+def test_frame_from_pair_batch_matches_single_and_names_first_degenerate():
+    x1 = np.array([[1.0, 0.0, 0.0], [0.3, -1.2, 0.5], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    x2 = np.array([[0.0, 1.0, 0.0], [0.7, 0.1, -0.4], [2.0, 4.0, 0.0], [0.0, 0.0, 2.0]])
+    np.testing.assert_array_equal(frame_from_pair(x1[:2], x2[:2]),
+                                  [frame_from_pair(a, b) for a, b in zip(x1[:2], x2[:2])])
+    with pytest.raises(DegenerateFrame, match="at index 2 "):
+        frame_from_pair(x1, x2)
+
+
 # -------------------------------------------------------------- moving_frame
 
 def test_moving_frame_substitution():

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_simpson, quad
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.integrate import quad
 
 from conftest import FIG3_BASE, fig1_ivp, fig3_ivp
+from oracles import (brute_force_correction, endomorphisms, matrix_second_correction,
+                     second_correction_deriv2, second_correction_deriv3)
 from so3cubics.algebra import ad_matrix, axial_rotation, frame_from_axis
-from so3cubics.approximants import (ApproxParams, endomorphisms, first_approximant,
-                                    fit_params, integrate_poly_axial,
-                                    second_approximant, second_correction,
-                                    second_correction_deriv2,
-                                    second_correction_deriv3, taylor2_baseline)
+from so3cubics.approximants import (ApproxParams, first_approximant, fit_params,
+                                    integrate_poly_axial, second_approximant,
+                                    second_correction, taylor2_baseline)
 from so3cubics.errors import DegenerateB
 from so3cubics.quadratic import integrate_quadratic, quadratic_residual
+from so3cubics.reconstruction import approx_cubic, rotation_phase_approx
 
 
 def fig3_params(delta=0.05):
@@ -61,6 +65,15 @@ def test_fit_round_trip_random_perturbations(rng):
         np.testing.assert_allclose(first_approximant(p, 0.0, 0), v0, atol=1e-12)
         np.testing.assert_allclose(first_approximant(p, 0.0, 1), v1, atol=1e-12)
         np.testing.assert_allclose(first_approximant(p, 0.0, 2), v2, atol=1e-12)
+
+
+def test_fit_angle_just_below_zero():
+    # atan2 returns -1e-17 here, which the modulo rounds up to 2 pi
+    base = np.array([1.0, 0.0, 0.0])
+    p = fit_params(base, 0.05, base, np.zeros(3), 0.05 * np.array([0.0, -1.0, 1e-17]))
+    assert p.gamma == 0.0
+    np.testing.assert_allclose(first_approximant(p, 0.0, 2), [0.0, -0.05, 0.0],
+                               atol=1e-15)
 
 
 def test_fit_validates_inputs():
@@ -211,27 +224,6 @@ def test_integral_rejects_high_degree():
 
 # ----------------------------------------------------------- second correction
 
-def brute_force_correction(params, tmax, n=8001):
-    """Nested running integrals of the order-2 variational recursion."""
-    f = params.frame
-    d = f.d
-    ts = np.linspace(params.t0, tmax, n)
-    tau = ts - params.t0
-    a0, a1, b = params.a0_vec, params.a1_vec, params.b_vec
-    q = params.c0 + params.c1 * tau + params.c2 * tau * tau
-    e = np.array([axial_rotation(f, t, params.t0) for t in ts])
-    e_inv = np.transpose(e, (0, 2, 1))
-    v1 = a0[None, :] + tau[:, None] * a1[None, :] + np.einsum("kij,j->ki", e, b)
-    v1dd = -d * d * np.einsum("kij,j->ki", e, b)
-    ci = lambda y: cumulative_simpson(y, x=ts, initial=0.0, axis=0)
-    f2 = ci(ci(ci(2.0 * np.einsum("ki,i->k", np.cross(v1dd, v1), f.f0))))
-    integrand = (2.0 * params.c2 * np.einsum("kij,kj->ki", e_inv, v1)
-                 - q[:, None] * np.einsum("kij,kj->ki", e_inv, v1dd))
-    v2dd = 2.0 * np.einsum("ij,kjl,kl->ki", ad_matrix(f.f0), e, ci(integrand))
-    v2 = ci(ci(v2dd))
-    return ts, f2, v2
-
-
 def test_second_correction_vanishes_at_start():
     p = fig3_params()
     f2, v2 = second_correction(p, p.t0)
@@ -271,7 +263,7 @@ def test_second_correction_closed_derivatives_match_differences():
         samples = {k: second_correction(p, t + k * h) for k, _ in stencil}
         fd_f2 = sum(w * samples[k][0] for k, w in stencil) / h ** 2
         fd_v2 = sum(w * samples[k][1] for k, w in stencil) / h ** 2
-        f2dd, v2dd = second_correction_deriv2(p, t)
+        f2dd, v2dd = second_correction(p, t, 2)
         assert abs(f2dd - fd_f2) < 1e-8
         np.testing.assert_allclose(v2dd, fd_v2, atol=1e-8)
 
@@ -282,12 +274,70 @@ def test_third_correction_derivative_matches_differences():
     h = 1e-3
     stencil = ((-2, 1 / 12), (-1, -8 / 12), (1, 8 / 12), (2, -1 / 12))
     for t in (0.9, 2.6):
-        samples = {k: second_correction_deriv2(p, t + k * h) for k, _ in stencil}
+        samples = {k: second_correction(p, t + k * h, 2) for k, _ in stencil}
         fd_f2 = sum(w * samples[k][0] for k, w in stencil) / h
         fd_v2 = sum(w * samples[k][1] for k, w in stencil) / h
-        f2d3, v2d3 = second_correction_deriv3(p, t)
+        f2d3, v2d3 = second_correction(p, t, 3)
         assert abs(f2d3 - fd_f2) < 1e-8
         np.testing.assert_allclose(v2d3, fd_v2, atol=1e-8)
+
+
+# random jets near a constant velocity, with their fitted parameters
+jets = st.builds(
+    lambda base, scale, delta, triple: (base * scale / np.linalg.norm(base), delta, triple),
+    arrays(float, 3, elements=st.floats(-1.0, 1.0)).filter(
+        lambda v: np.linalg.norm(v) > 0.1),
+    st.floats(0.5, 2.0), st.floats(0.005, 0.05),
+    arrays(float, (3, 3), elements=st.floats(-1.0, 1.0)))
+time_arrays = arrays(float, st.integers(1, 12), elements=st.floats(0.0, 25.0))
+
+
+def jet_params(jet):
+    base, delta, (p0, p1, p2) = jet
+    return fit_params(base, delta, base + delta * p0, delta * p1, delta * p2, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jets, time_arrays)
+def test_array_evaluation_matches_scalar_loop(jet, times):
+    p = jet_params(jet)
+    for deriv in range(4):
+        for fn in (first_approximant, second_approximant):
+            loop = np.array([fn(p, t, deriv) for t in times])
+            np.testing.assert_allclose(fn(p, times, deriv), loop, rtol=1e-14, atol=1e-14)
+    if p.b_degenerate:
+        return
+    loop = np.array([rotation_phase_approx(p, t) for t in times])
+    np.testing.assert_allclose(rotation_phase_approx(p, times), loop, rtol=1e-14,
+                               atol=1e-14)
+    loop = np.array([approx_cubic(p, np.eye(3), t) for t in times])
+    np.testing.assert_allclose(approx_cubic(p, np.eye(3), times), loop, rtol=1e-14,
+                               atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jets, time_arrays)
+def test_second_correction_matches_oracles(jet, times):
+    # the matrix kernels at order 0, the hand-derived forms at orders 2 and 3
+    p = jet_params(jet)
+    for deriv, oracle in ((0, matrix_second_correction), (2, second_correction_deriv2),
+                          (3, second_correction_deriv3)):
+        f2, v2 = second_correction(p, times, deriv)
+        f2o, v2o = (np.array(x) for x in zip(*(oracle(p, t) for t in times)))
+        scale = 1.0 + max(np.max(np.abs(f2o)), np.max(np.abs(v2o)))
+        np.testing.assert_allclose(f2, f2o, rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(v2, v2o, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_scalar_time_keeps_shapes():
+    # the approximants and approx_cubic are covered by the scalar-loop test
+    p = fig3_params()
+    f2, v2 = second_correction(p, 1.5, 1)
+    assert np.shape(f2) == () and v2.shape == (3,)
+    assert isinstance(rotation_phase_approx(p, 1.5), float)
+    assert taylor2_baseline(fig1_ivp(), np.linspace(0.0, 3.0, 4)).shape == (4, 3)
+    with pytest.raises(ValueError):
+        second_correction(p, 1.5, 4)
 
 
 # ---------------------------------------------------------- second_approximant

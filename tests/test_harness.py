@@ -156,6 +156,21 @@ def test_figure3_angle_grows(figure3_result):
     assert angles["2.0"] < angles["6.0"]
 
 
+@pytest.mark.parametrize("stride", [0.3, 0.6])
+def test_figure3_integer_times_are_evaluated_times(tmp_path, stride):
+    cfg = replace(default_config("figure3"), out_dir=str(tmp_path), step=0.01,
+                  stride=stride)
+    report = run_figure3(cfg).report
+    times = np.array(report["times"])
+    angles = report["series"]["approx_angle"][repr(cfg.delta)]
+    marked = report["angle_at_integer_times"]
+    assert sorted(marked) == ["0.0", "3.0", "6.0", "9.0"]
+    for key, value in marked.items():
+        i = int(np.argmin(np.abs(times - float(key))))
+        assert abs(times[i] - float(key)) <= 1e-9
+        assert value == angles[i]
+
+
 def test_figure3_rejects_zero_delta(tmp_path):
     cfg = replace(default_config("figure3"), out_dir=str(tmp_path), deltas=(0.0,))
     with pytest.raises(DegenerateB):
@@ -245,6 +260,29 @@ def test_cli_config_error(tmp_path):
 
 def test_cli_degeneracy_exit(tmp_path):
     assert main(["figure3", "--out", str(tmp_path), "--delta", "0.0"]) == 3
+
+
+@pytest.mark.parametrize("argv, config, code", [
+    (["figure1", "--delta", "0"], None, 3),
+    (["cubic", "--delta", "0"], None, 3),
+    (["figure1", "--delta", "nan"], None, 2),
+    (["figure2", "--delta", "inf"], None, 2),
+    (["figure1"], {"base": [1.0, 0.0]}, 2),
+    (["figure1"], {"base": [1.0, float("inf"), 0.0]}, 2),
+    (["figure1"], {"perturbation": [[0, 1, 0], [0, 0, "x"], [0, 0, 0]]}, 2),
+    (["figure1"], {"perturbation": [[0, 1, 0], [0, 0], [0, 0, 0]]}, 2),
+    (["figure1"], {"perturbation": [[0, 1, 0], [0, 0, float("nan")], [0, 0, 0]]}, 2),
+    (["figure1"], {"deltas": [float("nan")]}, 2),
+    (["figure1"], {"step": None}, 2),
+])
+def test_cli_bad_input_exit_code(tmp_path, capsys, argv, config, code):
+    argv = argv + ["--out", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_config_file(tmp_path):

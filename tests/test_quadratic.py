@@ -81,6 +81,13 @@ def test_integrate_rejects_drifting_step():
         integrate_quadratic(ivp, 0.5)
 
 
+def test_integrate_rejects_overflowed_trajectory():
+    # the state overflows and turns to NaN, whose drift compares False
+    ivp = QuadraticIVP(0.0, 25.0, [3.0, 1.0, 0.0], [0.5, -1.0, 2.0], [1.0, 1.0, -1.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepTooLarge):
+        integrate_quadratic(ivp, 0.05)
+
+
 def test_integrate_validates_step():
     ivp = fig1_ivp()
     with pytest.raises(ValueError):
