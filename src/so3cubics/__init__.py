@@ -17,8 +17,7 @@ from .errors import (ConfigError, DegeneracyError, DegenerateB, DegenerateFrame,
                      DegenerateThirdDerivative, NotNearRotation, StepTooLarge,
                      ZeroDirection)
 from .harness import (ErrorReport, ExperimentConfig, RunResult, default_config,
-                      load_config, run, run_converge, run_cubic, run_figure1,
-                      run_figure2, run_figure3, run_quadratic)
+                      load_config, run_experiment)
 from .quadratic import (QuadraticIVP, QuadraticTrajectory, RotationTrajectory,
                         conserved_constant, integrate_cubic, integrate_quadratic,
                         is_null, quadratic_residual, subgroup_product_velocity)
@@ -39,8 +38,7 @@ __all__ = [
     "integrate_cubic", "integrate_poly_axial", "integrate_quadratic",
     "is_null", "load_config", "moving_frame", "plane_rotation",
     "quadratic_residual", "reconstruct_cubic", "renormalize", "rot_exp",
-    "rotation_error", "rotation_phase", "rotation_phase_approx", "run",
-    "run_converge", "run_cubic", "run_figure1", "run_figure2", "run_figure3",
-    "run_quadratic", "second_approximant", "second_correction", "so3_distance",
+    "rotation_error", "rotation_phase", "rotation_phase_approx", "run_experiment",
+    "second_approximant", "second_correction", "so3_distance",
     "subgroup_product_velocity", "taylor2_baseline",
 ]

@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Subcommands map one-to-one to the harness runners; flags override config
+Each subcommand names one experiment kind, run by
+`harness.run_experiment` through `harness.RUNNERS`; flags override config
 fields.  Exit codes: 0 on success, 2 on configuration errors, 3 on
 numerical degeneracy.
 """

@@ -12,6 +12,12 @@ reproduce the package's two demonstration families:
 * figure3 - the rotation curve of a nearly constant quadratic with a
   clean rational perturbation on [0, 10], compared against its
   quadrature-free approximation.
+
+Every kind runs through one pipeline, `run_experiment`: a validated
+config; one set of sample times; the pieces the kind needs (quadratic,
+rotation curve, reconstruction, fitted parameters), each built at most
+once per delta; named series evaluated at those times; and one emission
+step writing them as CSV, SVG and JSON.
 """
 
 from __future__ import annotations
@@ -19,23 +25,33 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .approximants import (ApproxParams, first_approximant, fit_params,
                            second_approximant, taylor2_baseline)
 from .errors import ConfigError, DegenerateB
-from .output import (CURVE_COLORS, SvgCurve, project_points, write_csv, write_json,
-                     write_quadratic_csv, write_quadratic_json, write_rotation_csv,
-                     write_rotation_json, write_svg, SCHEMA_PREFIX)
-from .quadratic import (QuadraticIVP, QuadraticTrajectory, integrate_cubic,
-                        integrate_quadratic)
+from .output import (CURVE_COLORS, SCHEMA_PREFIX, SvgCurve, project_points, write_csv,
+                     write_json, write_quadratic_csv, write_quadratic_json,
+                     write_rotation_csv, write_rotation_json, write_svg)
+from .quadratic import (QuadraticIVP, QuadraticTrajectory, RotationTrajectory,
+                        integrate_cubic, integrate_quadratic)
 from .reconstruction import (ReconstructionInput, approx_cubic, reconstruct_cubic,
                              rotation_phase, rotation_phase_approx, so3_distance)
 
 KINDS = ("figure1", "figure2", "figure3", "converge",
          "quadratic-compare", "cubic-compare")
+# kinds with a rotation series: sampled at integration-grid nodes
+_ROTATION_KINDS = ("figure3", "converge", "cubic-compare")
+
+# largest integration-step and sample counts a config may ask for
+MAX_STEPS = 1_000_000
+MAX_SAMPLES = 100_000
+# a marker or integer time is shown where it matches a sample time this closely
+TIME_TOL = 1e-9
 
 # convergence-ratio pass bands for halved deltas, by approximant
 RATIO_BANDS = {
@@ -78,8 +94,12 @@ class ExperimentConfig:
             raise ConfigError("step must be positive")
         if self.step > self.t1 - self.t0:
             raise ConfigError("step exceeds the interval length")
-        if not self.stride > 0:
-            raise ConfigError("stride must be positive")
+        if not (self.t1 - self.t0) / self.step <= MAX_STEPS:
+            raise ConfigError(f"more than MAX_STEPS={MAX_STEPS} integration steps")
+        if not 0 < self.stride < math.inf:
+            raise ConfigError("stride must be positive and finite")
+        if not (self.t1 - self.t0) / self.stride < MAX_SAMPLES:
+            raise ConfigError(f"more than MAX_SAMPLES={MAX_SAMPLES} sample times")
         if not self.formats or not set(self.formats) <= {"csv", "json", "svg"}:
             raise ConfigError("formats must be a nonempty subset of csv/json/svg")
         formats = self.formats
@@ -102,6 +122,11 @@ class ExperimentConfig:
                 raise ConfigError("converge deltas must be strictly decreasing")
             if any(d <= 0 for d in self.deltas):
                 raise ConfigError("converge deltas must be positive")
+            if self.stride > self.t1 - self.t0:
+                # at t0 alone every error is 0 and no ratio is defined
+                raise ConfigError("converge needs at least two sample times")
+        elif len(self.deltas) > 1:
+            raise ConfigError(f"{self.kind} takes one delta, got {len(self.deltas)}")
         _finite_array(self.projection, (2, 3), "projection must be two finite 3-vectors")
         if not self.budget > 0:
             raise ConfigError("budget must be positive")
@@ -119,11 +144,6 @@ class ExperimentConfig:
         base = np.asarray(self.base, dtype=float)
         p0, p1, p2 = (np.asarray(p, dtype=float) for p in self.pert)
         return QuadraticIVP(self.t0, self.t1, base + delta * p0, delta * p1, delta * p2)
-
-    def fit(self, delta: float) -> ApproxParams:
-        ivp = self.ivp(delta)
-        return fit_params(np.asarray(self.base, dtype=float), delta,
-                          ivp.v0, ivp.v1, ivp.v2, self.t0)
 
     def sample_times(self) -> np.ndarray:
         count = int(math.floor((self.t1 - self.t0) / self.stride)) + 1
@@ -257,7 +277,6 @@ class ErrorReport:
     ratios: dict = field(default_factory=dict)    # name -> ratios between deltas
     bands: dict = field(default_factory=dict)     # name -> (lo, hi)
     passed: dict = field(default_factory=dict)    # name -> [bool per ratio]
-    breach_times: dict = field(default_factory=dict)  # name -> first budget breach
 
     def finalize(self):
         if len(self.deltas) >= 2:
@@ -271,7 +290,7 @@ class ErrorReport:
         return self
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "schema": f"{SCHEMA_PREFIX}-report-v1",
             "deltas": list(self.deltas),
             "times": np.asarray(self.times).tolist(),
@@ -283,360 +302,302 @@ class ErrorReport:
             "bands": {k: list(v) for k, v in self.bands.items()},
             "passed": self.passed,
         }
-        if self.breach_times:
-            payload["breach_times"] = self.breach_times
-        return payload
 
 
 @dataclass
 class RunResult:
     files: list
+    report: dict        # exactly what the run's JSON report file holds
+
+
+@dataclass
+class _Pieces:
+    """What the series of one delta are computed from; each piece is built
+    on first use, so a kind pays only for the pieces it needs, once."""
+
+    config: ExperimentConfig
+    delta: float
+
+    @cached_property
+    def ivp(self) -> QuadraticIVP:
+        return self.config.ivp(self.delta)
+
+    @cached_property
+    def traj(self) -> QuadraticTrajectory:
+        return integrate_quadratic(self.ivp, self.config.step)
+
+    @cached_property
+    def params(self) -> ApproxParams:
+        ivp = self.ivp
+        return fit_params(np.asarray(self.config.base, dtype=float), self.delta,
+                          ivp.v0, ivp.v1, ivp.v2, ivp.t0)
+
+    @cached_property
+    def xref(self) -> RotationTrajectory:
+        return integrate_cubic(np.eye(3), self.traj, self.config.step,
+                               renorm_every=self.config.renorm_every)
+
+    @cached_property
+    def recon(self) -> ReconstructionInput:
+        return ReconstructionInput(self.traj, np.eye(3))
+
+
+@dataclass
+class _Artifacts:
+    """One run's output: `csv` writes <stem>.csv to the path it is given,
+    <stem>.svg plots the `curves`, <stem>.json holds the `report`; `dumps`
+    are extra raw files as (format, file name, writer taking the path)."""
+
+    csv: Callable[[Path], Path]
+    curves: list
+    title: str
     report: dict
+    dumps: tuple = ()
 
 
-def _curve_errors(traj: QuadraticTrajectory, params: ApproxParams,
-                  ivp: QuadraticIVP, times: np.ndarray) -> dict:
-    reference = np.atleast_2d(traj.eval(times))
+def _nearest(nodes: np.ndarray, targets, tol: float = math.inf) -> np.ndarray:
+    """Index of the node nearest each target time (`nodes` ascending), or -1
+    where that node is farther than `tol` from the target."""
+    targets = np.asarray(targets, dtype=float)
+    hi = np.minimum(np.searchsorted(nodes, targets), len(nodes) - 1)
+    lo = np.maximum(hi - 1, 0)
+    idx = np.where(targets - nodes[lo] <= nodes[hi] - targets, lo, hi)
+    return np.where(np.abs(nodes[idx] - targets) <= tol, idx, -1)
+
+
+def _samples(config: ExperimentConfig, grid=None) -> tuple[np.ndarray, np.ndarray]:
+    """(times, idx): the times every series of a run is evaluated at and
+    written with.  Without a grid, the exact sample times and their own
+    indices; with the integration grid, the distinct grid nodes nearest the
+    sample times and their indices into the grid."""
+    times = config.sample_times()
+    if grid is None:
+        return times, np.arange(len(times))
+    idx = np.unique(_nearest(grid, times))
+    return grid[idx], idx
+
+
+def _matches(times: np.ndarray, wanted) -> list[tuple[float, int]]:
+    """(wanted time, sample index) for each wanted time that is one of the
+    evaluated times to within TIME_TOL; the others are left out."""
+    return [(float(t), int(i)) for t, i in zip(wanted, _nearest(times, wanted, TIME_TOL))
+            if i >= 0]
+
+
+def _markers(points: np.ndarray, labels: list[tuple[int, str]]) -> list:
+    return [(points[i][0], points[i][1], label) for i, label in labels]
+
+
+def _error_report(config: ExperimentConfig, times: np.ndarray, series: dict) -> dict:
+    """The report of error series keyed by delta, with their maxima and,
+    over several deltas, the convergence ratios."""
+    deltas = [float(d) for d in config.deltas]
+    report = ErrorReport(
+        deltas=deltas, times=times, series=series,
+        maxima={name: [float(by_delta[d].max()) for d in deltas]
+                for name, by_delta in series.items()},
+    ).finalize().to_dict()
+    report["config"] = config.to_dict()
+    return report
+
+
+def _curve_errors(p: _Pieces, times: np.ndarray) -> tuple[dict, dict]:
+    """The integrated quadratic, both approximants and the Taylor baseline
+    at `times`, and the distances of the last three from the first."""
     curves = {
-        "reference": reference,
-        "first": first_approximant(params, times),
-        "second": second_approximant(params, times),
-        "taylor2": taylor2_baseline(ivp, times),
+        "reference": np.atleast_2d(p.traj.eval(times)),
+        "first": first_approximant(p.params, times),
+        "second": second_approximant(p.params, times),
+        "taylor2": taylor2_baseline(p.ivp, times),
     }
-    errors = {name: np.linalg.norm(vals - reference, axis=1)
+    errors = {name: np.linalg.norm(vals - curves["reference"], axis=1)
               for name, vals in curves.items() if name != "reference"}
     return curves, errors
 
 
-def _first_breach(times: np.ndarray, errors: np.ndarray, budget: float):
-    mask = errors > budget
-    if not mask.any():
-        return None
-    return float(times[int(np.argmax(mask))])
+def _curve_table(config: ExperimentConfig, times: np.ndarray, curves: dict):
+    """CSV header and rows of 3D curves at `times`, each followed by its
+    projected 2D coordinates (`name_x` .. `name_py`), and the projections."""
+    proj = np.asarray(config.projection, dtype=float)
+    projected = {name: project_points(vals, proj) for name, vals in curves.items()}
+    header = ["t"] + [f"{name}_{c}" for name in curves for c in ("x", "y", "z", "px", "py")]
+    rows = np.column_stack([times, *(np.column_stack([curves[name], projected[name]])
+                                     for name in curves)])
+    return header, rows, projected
 
 
-def _integer_times(times: np.ndarray) -> list[tuple[float, int]]:
-    """(integer time, sample index) for every integer time that is one of
-    the evaluated sample times, to within 1e-9."""
-    pairs = []
-    for n in range(math.ceil(times[0] - 1e-9), math.floor(times[-1] + 1e-9) + 1):
-        i = int(np.argmin(np.abs(times - n)))
-        if abs(times[i] - n) <= 1e-9:
-            pairs.append((float(n), i))
-    return pairs
+def _distances(approx: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """(Frobenius, angle) distance rows between two rotation series."""
+    return np.array([so3_distance(a, r) for a, r in zip(approx, rotations)])
 
 
-def _marker_times(config: ExperimentConfig) -> list[float]:
+def _quadratic_kind(config, pieces, times, idx) -> _Artifacts:
+    """figure1, figure2, quadratic-compare: the integrated quadratic against
+    both approximants and the degree-2 Taylor baseline; figure2 also
+    reports when each first exceeds the error budget."""
+    (p,) = pieces
+    curves, errors = _curve_errors(p, times)
+    report = _error_report(config, times, {name: {p.delta: err}
+                                           for name, err in errors.items()})
+    report.update(constant=p.traj.C.tolist(), accel=p.traj.c, params=p.params.to_dict())
     marks = [config.t0, config.t0 + 2.0]
     if config.kind == "figure2":
+        over = {name: err > config.budget for name, err in errors.items()}
+        report["breach_times"] = {name: float(times[mask.argmax()]) if mask.any() else None
+                                  for name, mask in over.items()}
+        report["budget"] = config.budget
         marks.append(config.t0 + 22.5)
-    return [t for t in marks if config.t0 <= t <= config.t1]
+
+    header, rows, projected = _curve_table(config, times, curves)
+    labels = [(i, f"t={times[i]:g}") for _, i in _matches(times, marks)]
+    svg = [SvgCurve(name, projected[name], CURVE_COLORS[name], dashed=(name == "taylor2"),
+                    markers=_markers(projected[name], labels)) for name in curves]
+
+    dumps = ()
+    if config.kind == "quadratic-compare":
+        report["near_geodesic_gauge"] = list(p.traj.near_geodesic_gauge())
+        dumps = (("csv", "trajectory.csv",
+                  lambda path: write_quadratic_csv(path, p.traj, times)),
+                 ("json", "trajectory.json",
+                  lambda path: write_quadratic_json(path, p.traj)))
+    return _Artifacts(lambda path: write_csv(path, header, rows), svg,
+                      f"{_stem(config)}: quadratic vs approximants", report, dumps)
 
 
-def _emit_quadratic_figure(config: ExperimentConfig, curves: dict, errors: dict,
-                           report: dict, name: str) -> list[Path]:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    times = config.sample_times()
-    proj = np.asarray(config.projection, dtype=float)
-    files = []
-    order = ["reference", "first", "second", "taylor2"]
-    projected = {key: project_points(curves[key], proj) for key in order}
-    if "csv" in config.formats:
-        header = ["t"]
-        for key in order:
-            header += [f"{key}_x", f"{key}_y", f"{key}_z", f"{key}_px", f"{key}_py"]
-        rows = []
-        for i, t in enumerate(times):
-            row = [t]
-            for key in order:
-                row += [*curves[key][i], *projected[key][i]]
-            rows.append(row)
-        files.append(write_csv(out / f"{name}.csv", header, rows))
-    if "svg" in config.formats:
-        svg_curves = []
-        for key in order:
-            markers = []
-            for mt in _marker_times(config):
-                idx = int(round((mt - config.t0) / config.stride))
-                if 0 <= idx < len(times):
-                    markers.append((projected[key][idx][0], projected[key][idx][1],
-                                    f"t={times[idx]:g}"))
-            svg_curves.append(SvgCurve(name=key, points=projected[key],
-                                       color=CURVE_COLORS[key],
-                                       dashed=(key == "taylor2"), markers=markers))
-        files.append(write_svg(out / f"{name}.svg", svg_curves,
-                               title=f"{name}: quadratic vs approximants"))
-    if "json" in config.formats:
-        files.append(write_json(out / f"{name}.json", report))
-    return files
-
-
-def _compare_quadratic(config: ExperimentConfig, name: str) -> tuple[RunResult, QuadraticTrajectory]:
-    delta = config.delta
-    ivp = config.ivp(delta)
-    traj = integrate_quadratic(ivp, config.step)
-    params = config.fit(delta)
-    times = config.sample_times()
-    curves, errors = _curve_errors(traj, params, ivp, times)
-    report = ErrorReport(
-        deltas=[delta], times=times,
-        series={key: {delta: err} for key, err in errors.items()},
-        maxima={key: [float(err.max())] for key, err in errors.items()},
-    ).finalize().to_dict()
-    report["constant"] = traj.C.tolist()
-    report["accel"] = traj.c
-    report["params"] = params.to_dict()
-    report["config"] = config.to_dict()
-    files = _emit_quadratic_figure(config, curves, errors, report, name)
-    return RunResult(files=files, report=report), traj
-
-
-def run_figure1(config: ExperimentConfig) -> RunResult:
-    """Short-interval comparison: integrated quadratic against the two
-    closed-form approximants and the degree-2 Taylor baseline."""
-    config = config.validate()
-    result, _ = _compare_quadratic(config, "figure1")
-    return result
-
-
-def run_figure2(config: ExperimentConfig) -> RunResult:
-    """Long-interval variant of run_figure1; additionally reports when each
-    approximant first exceeds the configured error budget."""
-    config = config.validate()
-    delta = config.delta
-    ivp = config.ivp(delta)
-    traj = integrate_quadratic(ivp, config.step)
-    params = config.fit(delta)
-    times = config.sample_times()
-    curves, errors = _curve_errors(traj, params, ivp, times)
-    breaches = {name: _first_breach(times, err, config.budget)
-                for name, err in errors.items()}
-    report_obj = ErrorReport(
-        deltas=[delta], times=times,
-        series={name: {delta: err} for name, err in errors.items()},
-        maxima={name: [float(err.max())] for name, err in errors.items()},
-        breach_times=breaches,
-    ).finalize()
-    report = report_obj.to_dict()
-    report["budget"] = config.budget
-    report["params"] = params.to_dict()
-    report["config"] = config.to_dict()
-    files = _emit_quadratic_figure(config, curves, errors, report, "figure2")
-    return RunResult(files=files, report=report)
-
-
-def run_figure3(config: ExperimentConfig) -> RunResult:
-    """Rotation-curve comparison: second rows of the integrated curve and
-    of its quadrature-free approximation, with distance series."""
-    config = config.validate()
-    delta = config.delta
-    ivp = config.ivp(delta)
-    traj = integrate_quadratic(ivp, config.step)
-    xref = integrate_cubic(np.eye(3), traj, config.step,
-                           renorm_every=config.renorm_every)
-    params = config.fit(delta)
-    if params.b_degenerate:
-        raise DegenerateB("fitted parameters have beta = 0")
-    # snap sample times onto the integration grid so the two curves are
-    # compared at identical times
-    idx = np.round((config.sample_times() - config.t0)
-                   / (xref.grid[1] - xref.grid[0])).astype(int)
-    times = xref.grid[idx]
-    ref_rows = xref.second_rows()[idx]
-    approx = approx_cubic(params, np.eye(3), times)
-    approx_rows = approx[:, 1, :]
-    dists = np.array([so3_distance(approx[i], xref.rotations[idx[i]])
-                      for i in range(len(times))])
-
-    report = {
-        "schema": f"{SCHEMA_PREFIX}-report-v1",
-        "deltas": [delta],
-        "times": times.tolist(),
-        "params": params.to_dict(),
-        "series": {
-            "approx_frobenius": {repr(delta): dists[:, 0].tolist()},
-            "approx_angle": {repr(delta): dists[:, 1].tolist()},
-        },
-        "maxima": {
-            "approx_frobenius": [float(dists[:, 0].max())],
-            "approx_angle": [float(dists[:, 1].max())],
-        },
-        "config": config.to_dict(),
-    }
-    int_times = _integer_times(times)
+def _figure3(config, pieces, times, idx) -> _Artifacts:
+    """Second rows of the integrated rotation curve and of its
+    quadrature-free approximation, with their distance series."""
+    (p,) = pieces
+    approx = approx_cubic(p.params, np.eye(3), times)
+    dists = _distances(approx, p.xref.rotations[idx])
+    report = _error_report(config, times, {"approx_frobenius": {p.delta: dists[:, 0]},
+                                           "approx_angle": {p.delta: dists[:, 1]}})
+    report["params"] = p.params.to_dict()
+    integers = np.arange(math.ceil(times[0] - TIME_TOL),
+                         math.floor(times[-1] + TIME_TOL) + 1, dtype=float)
+    int_times = _matches(times, integers)
     report["angle_at_integer_times"] = {repr(t): float(dists[i, 1]) for t, i in int_times}
 
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    proj = np.asarray(config.projection, dtype=float)
-    ref_proj = project_points(ref_rows, proj)
-    approx_proj = project_points(approx_rows, proj)
-    files = []
-    if "csv" in config.formats:
-        header = ["t", "ref_x", "ref_y", "ref_z", "ref_px", "ref_py",
-                  "approx_x", "approx_y", "approx_z", "approx_px", "approx_py",
-                  "frobenius", "angle"]
-        rows = [[times[i], *ref_rows[i], *ref_proj[i], *approx_rows[i],
-                 *approx_proj[i], dists[i, 0], dists[i, 1]]
-                for i in range(len(times))]
-        files.append(write_csv(out / "figure3.csv", header, rows))
-    if "svg" in config.formats:
-        def markers(projected):
-            return [(projected[i][0], projected[i][1], f"{t:g}") for t, i in int_times]
-        files.append(write_svg(out / "figure3.svg", [
-            SvgCurve("integrated", ref_proj, CURVE_COLORS["reference"],
-                     markers=markers(ref_proj)),
-            SvgCurve("closed-form", approx_proj, CURVE_COLORS["approx"],
-                     markers=markers(approx_proj)),
-        ], title="figure3: second rows of the rotation curve"))
-    if "json" in config.formats:
-        files.append(write_json(out / "figure3.json", report))
-    return RunResult(files=files, report=report)
+    header, rows, projected = _curve_table(
+        config, times, {"ref": p.xref.second_rows()[idx], "approx": approx[:, 1, :]})
+    labels = [(i, f"{t:g}") for t, i in int_times]
+    svg = [SvgCurve(name, projected[key], CURVE_COLORS[color],
+                    markers=_markers(projected[key], labels))
+           for name, key, color in (("integrated", "ref", "reference"),
+                                    ("closed-form", "approx", "approx"))]
+    header += ["frobenius", "angle"]
+    rows = np.column_stack([rows, dists])
+    return _Artifacts(lambda path: write_csv(path, header, rows), svg,
+                      "figure3: second rows of the rotation curve", report)
 
 
-def run_converge(config: ExperimentConfig) -> RunResult:
-    """Convergence-order study: max errors of every approximant for each
-    delta, with consecutive ratios checked against the expected bands."""
-    config = config.validate()
-    times = config.sample_times()
-    series = {name: {} for name in ("first", "second", "taylor2",
-                                    "approx_cubic", "phase")}
-    for delta in config.deltas:
-        ivp = config.ivp(delta)
-        traj = integrate_quadratic(ivp, config.step)
-        params = config.fit(delta)
-        _, errors = _curve_errors(traj, params, ivp, times)
-        for name in ("first", "second", "taylor2"):
-            series[name][delta] = errors[name]
-        xref = integrate_cubic(np.eye(3), traj, config.step,
-                               renorm_every=config.renorm_every)
-        idx = np.round((times - config.t0) / (xref.grid[1] - xref.grid[0])).astype(int)
-        series["approx_cubic"][delta] = np.linalg.norm(
-            approx_cubic(params, np.eye(3), xref.grid[idx]) - xref.rotations[idx],
-            axis=(1, 2))
-        recon = ReconstructionInput(traj, np.eye(3))
-        series["phase"][delta] = np.abs(rotation_phase(recon, times)
-                                        - rotation_phase_approx(params, times))
-
-    report_obj = ErrorReport(
-        deltas=list(config.deltas), times=times, series=series,
-        maxima={name: [float(by_delta[d].max()) for d in config.deltas]
-                for name, by_delta in series.items()},
-    ).finalize()
-    report = report_obj.to_dict()
-    report["config"] = config.to_dict()
-
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
-    if "csv" in config.formats:
-        header = ["approximant", "delta", "max_error", "ratio_to_next", "band_lo",
-                  "band_hi", "passed"]
-        rows = []
-        for name, maxima in report_obj.maxima.items():
-            for i, delta in enumerate(config.deltas):
-                ratio = report_obj.ratios.get(name, [])
-                band = report_obj.bands.get(name)
-                ok = report_obj.passed.get(name)
-                rows.append([
-                    name, delta, maxima[i],
-                    ratio[i] if i < len(ratio) else "",
-                    band[0] if band else "", band[1] if band else "",
-                    (str(ok[i]).lower() if ok and i < len(ok) else ""),
-                ])
-        files.append(write_csv(out / "converge.csv", header, rows))
-    if "svg" in config.formats:
-        palette = ["#1f6feb", "#2da44e", "#cf222e", "#8250df", "#bf8700"]
-        curves = []
-        for ci, (name, by_delta) in enumerate(series.items()):
-            for delta in config.deltas:
-                pts = np.column_stack([times, by_delta[delta]])
-                curves.append(SvgCurve(f"{name} d={delta:g}", pts,
-                                       palette[ci % len(palette)]))
-        files.append(write_svg(out / "converge.svg", curves,
-                               title="converge: error vs time"))
-    if "json" in config.formats:
-        files.append(write_json(out / "converge.json", report))
-    return RunResult(files=files, report=report)
+_PALETTE = ("#1f6feb", "#2da44e", "#cf222e", "#8250df", "#bf8700")
 
 
-def run_quadratic(config: ExperimentConfig) -> RunResult:
-    """Config-driven quadratic integration plus approximant comparison;
-    also dumps the raw trajectory."""
-    config = config.validate()
-    result, traj = _compare_quadratic(config, "quadratic")
-    out = Path(config.out_dir)
-    files = list(result.files)
-    if "csv" in config.formats:
-        files.append(write_quadratic_csv(out / "trajectory.csv", traj,
-                                         config.sample_times()))
-    if "json" in config.formats:
-        files.append(write_quadratic_json(out / "trajectory.json", traj))
-    report = dict(result.report)
-    report["near_geodesic_gauge"] = list(traj.near_geodesic_gauge())
-    return RunResult(files=files, report=report)
+def _converge(config, pieces, times, idx) -> _Artifacts:
+    """Max errors of every approximant for each delta, with consecutive
+    ratios checked against the expected-order bands."""
+    series = {name: {} for name in ("first", "second", "taylor2", "approx_cubic", "phase")}
+    for p in pieces:
+        _, errors = _curve_errors(p, times)
+        for name, err in errors.items():
+            series[name][p.delta] = err
+        series["approx_cubic"][p.delta] = np.linalg.norm(
+            approx_cubic(p.params, np.eye(3), times) - p.xref.rotations[idx], axis=(1, 2))
+        series["phase"][p.delta] = np.abs(rotation_phase(p.recon, times)
+                                          - rotation_phase_approx(p.params, times))
+    report = _error_report(config, times, series)
+
+    header = ["approximant", "delta", "max_error", "ratio_to_next", "band_lo",
+              "band_hi", "passed"]
+    rows = []
+    for name, maxima in report["maxima"].items():
+        ratios = report["ratios"].get(name, [])
+        band = report["bands"].get(name, ["", ""])
+        passed = report["passed"].get(name, [])
+        for i, delta in enumerate(config.deltas):
+            rows.append([name, delta, maxima[i], ratios[i] if i < len(ratios) else "",
+                         *band, str(passed[i]).lower() if i < len(passed) else ""])
+    svg = [SvgCurve(f"{name} d={p.delta:g}", np.column_stack([times, by_delta[p.delta]]),
+                    _PALETTE[ci % len(_PALETTE)])
+           for ci, (name, by_delta) in enumerate(series.items()) for p in pieces]
+    return _Artifacts(lambda path: write_csv(path, header, rows), svg,
+                      "converge: error vs time", report)
 
 
-def run_cubic(config: ExperimentConfig) -> RunResult:
-    """Integrate the rotation curve, rebuild it by quadrature, and report
-    the agreement; includes the closed-form approximation when defined."""
-    config = config.validate()
-    delta = config.delta
-    traj = integrate_quadratic(config.ivp(delta), config.step)
-    xref = integrate_cubic(np.eye(3), traj, config.step,
-                           renorm_every=config.renorm_every)
-    recon = ReconstructionInput(traj, np.eye(3))
-    xrec = reconstruct_cubic(recon)
-    equiv = float(np.max(np.linalg.norm(xref.rotations - xrec.rotations,
-                                        axis=(1, 2))))
+def _cubic(config, pieces, times, idx) -> _Artifacts:
+    """The integrated rotation curve against its quadrature reconstruction
+    and, where defined, the closed-form approximation."""
+    (p,) = pieces
+    xref = p.xref
+    xrec = reconstruct_cubic(p.recon)
     report = {
         "schema": f"{SCHEMA_PREFIX}-report-v1",
-        "deltas": [delta],
-        "reconstruction_max_frobenius": equiv,
+        "deltas": [p.delta],
+        "reconstruction_max_frobenius": float(np.max(np.linalg.norm(
+            xref.rotations - xrec.rotations, axis=(1, 2)))),
         "config": config.to_dict(),
     }
-    params = config.fit(delta)
-    if not params.b_degenerate:
-        idx = np.round((config.sample_times() - config.t0)
-                       / (xref.grid[1] - xref.grid[0])).astype(int)
-        approx = approx_cubic(params, np.eye(3), xref.grid[idx])
-        dists = np.array([so3_distance(approx[k], xref.rotations[i])
-                          for k, i in enumerate(idx)])
+    if not p.params.b_degenerate:
+        dists = _distances(approx_cubic(p.params, np.eye(3), times), xref.rotations[idx])
         report["approx_max_frobenius"] = float(dists[:, 0].max())
         report["approx_max_angle"] = float(dists[:, 1].max())
-        report["params"] = params.to_dict()
+        report["params"] = p.params.to_dict()
 
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    stride = max(1, int(round(config.stride / config.step)))
-    files = []
-    if "csv" in config.formats:
-        files.append(write_rotation_csv(out / "cubic.csv", xref, stride))
-    if "json" in config.formats:
-        files.append(write_rotation_json(out / "cubic_trajectory.json", xref, stride))
-        files.append(write_json(out / "cubic.json", report))
-    if "svg" in config.formats:
-        proj = np.asarray(config.projection, dtype=float)
-        files.append(write_svg(out / "cubic.svg", [
-            SvgCurve("integrated", project_points(
-                xref.second_rows()[::stride], proj), CURVE_COLORS["reference"]),
-            SvgCurve("reconstructed", project_points(
-                xrec.second_rows()[::stride], proj), CURVE_COLORS["second"]),
-        ], title="cubic: second rows, integrated vs reconstructed"))
-    return RunResult(files=files, report=report)
+    sampled = RotationTrajectory(grid=times, rotations=xref.rotations[idx])
+    proj = np.asarray(config.projection, dtype=float)
+    svg = [SvgCurve("integrated", project_points(xref.second_rows()[idx], proj),
+                    CURVE_COLORS["reference"]),
+           SvgCurve("reconstructed", project_points(xrec.second_rows()[idx], proj),
+                    CURVE_COLORS["second"])]
+    dumps = (("json", "cubic_trajectory.json",
+              lambda path: write_rotation_json(path, sampled)),)
+    return _Artifacts(lambda path: write_rotation_csv(path, sampled), svg,
+                      "cubic: second rows, integrated vs reconstructed", report, dumps)
 
 
-RUNNERS = {
-    "figure1": run_figure1,
-    "figure2": run_figure2,
-    "figure3": run_figure3,
-    "converge": run_converge,
-    "quadratic-compare": run_quadratic,
-    "cubic-compare": run_cubic,
+_BUILDERS = {
+    "figure1": _quadratic_kind,
+    "figure2": _quadratic_kind,
+    "figure3": _figure3,
+    "converge": _converge,
+    "quadratic-compare": _quadratic_kind,
+    "cubic-compare": _cubic,
 }
 
 
-def run(config: ExperimentConfig) -> RunResult:
+def _stem(config: ExperimentConfig) -> str:
+    """File name stem of a kind's artifacts: the CLI subcommand name."""
+    return config.kind.removesuffix("-compare")
+
+
+def _emit(config: ExperimentConfig, art: _Artifacts) -> list[Path]:
+    """Write the run's table, plot, report and raw dumps in the requested formats."""
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    stem = _stem(config)
+    writers = (("csv", f"{stem}.csv", art.csv),
+               ("svg", f"{stem}.svg", lambda path: write_svg(path, art.curves, title=art.title)),
+               ("json", f"{stem}.json", lambda path: write_json(path, art.report)),
+               *art.dumps)
+    return [write(out / name) for fmt, name, write in writers if fmt in config.formats]
+
+
+def run_experiment(config: ExperimentConfig) -> RunResult:
+    """Run one experiment of any kind: validate the config, fix the sample
+    times, evaluate the kind's series there and write them out.
+
+    Kinds with a rotation series (figure3, converge, cubic-compare) sample
+    at the integration-grid nodes nearest the configured sample times, so
+    that every series is compared and reported at the times it was
+    evaluated; the others sample at the exact sample times.
+    """
     config = config.validate()
-    return RUNNERS[config.kind](config)
+    pieces = [_Pieces(config, float(d)) for d in config.deltas]
+    grid = pieces[0].traj.grid if config.kind in _ROTATION_KINDS else None
+    times, idx = _samples(config, grid)
+    art = _BUILDERS[config.kind](config, pieces, times, idx)
+    return RunResult(files=_emit(config, art), report=art.report)
+
+
+RUNNERS = {kind: run_experiment for kind in KINDS}

@@ -50,7 +50,9 @@ class ReconstructionInput:
             raise ValueError("x0 is not a rotation matrix")
         object.__setattr__(self, "x0", x0)
         if self.trajectory.c <= ACCEL_TOL:
-            raise ValueError("degenerate acceleration: c is (nearly) zero")
+            # V'' = 0 makes V''' = [V'', V] vanish too
+            raise DegenerateThirdDerivative(
+                f"degenerate acceleration: c = {self.trajectory.c:.3g}")
         v3 = self.trajectory.third_derivative_grid()
         min_v3 = float(np.min(np.linalg.norm(v3, axis=1)))
         if min_v3 <= THIRD_DERIV_TOL:

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from so3cubics.cli import main
 from so3cubics.errors import ConfigError, DegenerateB
 from so3cubics.harness import (config_from_dict, default_config, load_config,
-                               run_converge, run_cubic, run_figure1, run_figure2,
-                               run_figure3, run_quadratic)
+                               run_experiment)
 from so3cubics.output import (ROTATION_CSV_HEADER, write_quadratic_csv,
                               write_quadratic_json, write_rotation_csv)
 from so3cubics.quadratic import integrate_cubic, integrate_quadratic
@@ -84,7 +89,7 @@ def test_config_sample_times_count():
 def figure1_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("figure1")
     cfg = replace(default_config("figure1"), out_dir=str(out), stride=0.02)
-    return cfg, run_figure1(cfg)
+    return cfg, run_experiment(cfg)
 
 
 def test_figure1_emits_all_formats(figure1_result):
@@ -112,8 +117,8 @@ def test_figure1_error_ordering(figure1_result):
 def test_figure1_deterministic_output(tmp_path):
     cfg = replace(default_config("figure1"), out_dir=str(tmp_path),
                   stride=0.1, step=5e-3)
-    first = {p.name: p.read_bytes() for p in run_figure1(cfg).files}
-    second = {p.name: p.read_bytes() for p in run_figure1(cfg).files}
+    first = {p.name: p.read_bytes() for p in run_experiment(cfg).files}
+    second = {p.name: p.read_bytes() for p in run_experiment(cfg).files}
     assert first == second
 
 
@@ -121,7 +126,7 @@ def test_figure1_deterministic_output(tmp_path):
 
 def test_figure2_budget_breach_ordering(tmp_path):
     cfg = replace(default_config("figure2"), out_dir=str(tmp_path), budget=1e-3)
-    result = run_figure2(cfg)
+    result = run_experiment(cfg)
     maxima = result.report["maxima"]
     assert maxima["second"][0] < maxima["first"][0]
     breach = result.report["breach_times"]
@@ -137,7 +142,7 @@ def test_figure2_budget_breach_ordering(tmp_path):
 def figure3_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("figure3")
     cfg = replace(default_config("figure3"), out_dir=str(out), stride=0.02)
-    return cfg, run_figure3(cfg)
+    return cfg, run_experiment(cfg)
 
 
 def test_figure3_parameter_regression(figure3_result):
@@ -160,7 +165,7 @@ def test_figure3_angle_grows(figure3_result):
 def test_figure3_integer_times_are_evaluated_times(tmp_path, stride):
     cfg = replace(default_config("figure3"), out_dir=str(tmp_path), step=0.01,
                   stride=stride)
-    report = run_figure3(cfg).report
+    report = run_experiment(cfg).report
     times = np.array(report["times"])
     angles = report["series"]["approx_angle"][repr(cfg.delta)]
     marked = report["angle_at_integer_times"]
@@ -174,7 +179,7 @@ def test_figure3_integer_times_are_evaluated_times(tmp_path, stride):
 def test_figure3_rejects_zero_delta(tmp_path):
     cfg = replace(default_config("figure3"), out_dir=str(tmp_path), deltas=(0.0,))
     with pytest.raises(DegenerateB):
-        run_figure3(cfg)
+        run_experiment(cfg)
 
 
 # ------------------------------------------------------------------- converge
@@ -182,7 +187,7 @@ def test_figure3_rejects_zero_delta(tmp_path):
 def test_converge_default_bands_pass(tmp_path):
     cfg = replace(default_config("converge"), out_dir=str(tmp_path),
                   formats=("json",))
-    result = run_converge(cfg)
+    result = run_experiment(cfg)
     passed = result.report["passed"]
     for name in ("first", "second", "approx_cubic", "phase"):
         assert passed[name] == [True], (name, result.report["ratios"][name])
@@ -192,7 +197,7 @@ def test_converge_three_deltas_two_ratio_rows(tmp_path):
     cfg = replace(default_config("converge"), out_dir=str(tmp_path),
                   deltas=(0.08, 0.04, 0.02), t1=1.5, step=2e-3, stride=0.05,
                   formats=("json",))
-    result = run_converge(cfg)
+    result = run_experiment(cfg)
     for name in ("first", "second", "approx_cubic", "phase"):
         assert len(result.report["ratios"][name]) == 2
 
@@ -202,7 +207,7 @@ def test_converge_three_deltas_two_ratio_rows(tmp_path):
 def test_quadratic_compare_emits_trajectory(tmp_path):
     cfg = replace(default_config("quadratic-compare"), out_dir=str(tmp_path),
                   t1=2.0, step=2e-3, stride=0.05)
-    result = run_quadratic(cfg)
+    result = run_experiment(cfg)
     names = {p.name for p in result.files}
     assert "trajectory.csv" in names and "trajectory.json" in names
     assert "near_geodesic_gauge" in result.report
@@ -214,7 +219,7 @@ def test_quadratic_compare_emits_trajectory(tmp_path):
 def test_cubic_compare_reports_equivalence(tmp_path):
     cfg = replace(default_config("cubic-compare"), out_dir=str(tmp_path),
                   t1=2.0, step=2e-3, stride=0.05)
-    result = run_cubic(cfg)
+    result = run_experiment(cfg)
     assert result.report["reconstruction_max_frobenius"] < 1e-6
     assert result.report["approx_max_frobenius"] > 0.0
 
@@ -274,6 +279,10 @@ def test_cli_degeneracy_exit(tmp_path):
     (["figure1"], {"perturbation": [[0, 1, 0], [0, 0, float("nan")], [0, 0, 0]]}, 2),
     (["figure1"], {"deltas": [float("nan")]}, 2),
     (["figure1"], {"step": None}, 2),
+    (["figure1"], {"interval": [0, 1e308]}, 2),
+    (["figure1", "--stride", "1e-12"], None, 2),
+    (["figure1", "--stride", "inf"], None, 2),
+    (["figure1", "--delta", "0.01", "--delta", "0.5"], None, 2),
 ])
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, config, code):
     argv = argv + ["--out", str(tmp_path / "out")]
@@ -324,3 +333,72 @@ def test_cli_cubic(tmp_path):
     assert (tmp_path / "cubic.csv").exists()
     data = json.loads((tmp_path / "cubic.json").read_text())
     assert data["reconstruction_max_frobenius"] < 1e-6
+
+
+# --------------------------------------------------------------- CLI contract
+
+@st.composite
+def cli_runs(draw):
+    """A subcommand and a config: interval of length <= 2, step >= 1e-2."""
+    command = draw(st.sampled_from(["figure1", "figure2", "figure3", "converge",
+                                    "quadratic", "cubic"]))
+    t0 = draw(st.floats(-3.0, 3.0))
+    count = draw(st.integers(2, 3)) if command == "converge" else 1
+    return command, {
+        "interval": [t0, t0 + draw(st.floats(0.01, 2.0))],
+        "step": draw(st.floats(1e-2, 0.5)),
+        "stride": draw(st.floats(1e-3, 1.0)),
+        "deltas": sorted(draw(st.lists(st.floats(0.0, 0.2, exclude_min=count > 1),
+                                       min_size=count, max_size=count, unique=True)),
+                         reverse=True),
+        "formats": draw(st.lists(st.sampled_from(["csv", "json", "svg"]),
+                                 min_size=1, unique=True)),
+    }
+
+
+def artifact_times(out: Path) -> dict:
+    """The sample times each artifact carries: a CSV's `t` column, a
+    report's `times`, a sampled rotation dump's `grid`.  The raw quadratic
+    dump (trajectory.json) holds the whole integration grid by design."""
+    found = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".csv":
+            header, *rows = path.read_text().splitlines()
+            if header.split(",")[0] == "t":
+                found[path.name] = np.array([float(r.split(",")[0]) for r in rows])
+        elif path.suffix == ".json":
+            data = json.loads(path.read_text())
+            if "times" in data:
+                found[path.name] = np.array(data["times"])
+            elif data.get("schema") == "so3cubics-rotation-v1":
+                found[path.name] = np.array(data["grid"])
+    return found
+
+
+@settings(max_examples=30, deadline=None)
+@given(cli_runs())
+@example(("converge", {"interval": [0.0, 1.0], "step": 0.01, "stride": 0.0105,
+                       "deltas": [0.04, 0.02], "formats": ["json"]}))
+def test_cli_contract(run):
+    """Exit code 0/2/3 without a traceback; one set of times in every
+    artifact; grid nodes wherever a rotation series is written."""
+    command, config = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code != 0:
+            return
+        found = artifact_times(Path(tmp) / "out")
+    for name, times in found.items():
+        assert np.array_equal(times, next(iter(found.values()))), name
+    if command in ("figure3", "converge", "cubic"):
+        t0, t1 = config["interval"]
+        h = (t1 - t0) / max(1, round((t1 - t0) / config["step"]))
+        for name, times in found.items():
+            nodes = t0 + np.round((times - t0) / h) * h
+            assert np.all(np.abs(times - nodes) <= 1e-9), name
