@@ -42,24 +42,42 @@ def bracket(u, v) -> np.ndarray:
     ])
 
 
+def as_vectors(v) -> np.ndarray:
+    """Coerce to a finite float array of 3-vectors, shape S + (3,)."""
+    arr = np.asarray(v, dtype=float)
+    if arr.shape[-1:] != (3,):
+        raise ValueError(f"expected 3-vectors, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("vector has non-finite components")
+    return arr
+
+
 def ad_matrix(v) -> np.ndarray:
-    """Skew-symmetric matrix with ad_matrix(v) @ w == bracket(v, w)."""
-    x, y, z = as_vector(v)
-    return np.array([
-        [0.0, -z, y],
-        [z, 0.0, -x],
-        [-y, x, 0.0],
-    ])
+    """Skew-symmetric matrix with ad_matrix(v) @ w == bracket(v, w).
+
+    A stack of vectors, shape S + (3,), gives matrices of shape S + (3, 3).
+    """
+    v = as_vectors(v)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1] = -z
+    out[..., 0, 2] = y
+    out[..., 1, 0] = z
+    out[..., 1, 2] = -x
+    out[..., 2, 0] = -y
+    out[..., 2, 1] = x
+    return out
 
 
 def rot_exp(v) -> np.ndarray:
     """Matrix exponential of ad_matrix(v) by the closed Rodrigues form.
 
     The two trigonometric coefficients are written through sinc, so the
-    zero-angle limit is exact rather than a truncated series.
+    zero-angle limit is exact rather than a truncated series.  A stack of
+    vectors, shape S + (3,), gives rotations of shape S + (3, 3).
     """
-    v = as_vector(v)
-    theta = math.sqrt(float(v @ v))
+    v = as_vectors(v)
+    theta = np.sqrt(v[..., None, :] @ v[..., :, None])   # shape S + (1, 1)
     k = ad_matrix(v)
     a = np.sinc(theta / np.pi)                    # sin(theta)/theta
     b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2  # (1 - cos(theta))/theta^2
@@ -67,10 +85,11 @@ def rot_exp(v) -> np.ndarray:
 
 
 def rotation_error(r) -> float:
-    """Max of the entrywise orthogonality defect |R^T R - I| and |det R - 1|."""
+    """Max of the entrywise orthogonality defect |R^T R - I| and |det R - 1|;
+    for a stack of matrices, shape S + (3, 3), the worst over the stack."""
     r = np.asarray(r, dtype=float)
-    ortho = float(np.max(np.abs(r.T @ r - np.eye(3))))
-    return max(ortho, abs(float(np.linalg.det(r)) - 1.0))
+    ortho = float(np.max(np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3))))
+    return max(ortho, float(np.max(np.abs(np.linalg.det(r) - 1.0))))
 
 
 def renormalize(r) -> np.ndarray:
@@ -208,11 +227,7 @@ def frame_from_pair(x1, x2) -> np.ndarray:
     shape S + (3, 3); a degenerate pair raises DegenerateFrame naming the
     first offending (flat) index.
     """
-    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
-    if x1.shape[-1:] != (3,):
-        raise ValueError(f"expected 3-vectors, got shape {x1.shape}")
-    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
-        raise ValueError("vector has non-finite components")
+    x1, x2 = np.broadcast_arrays(as_vectors(x1), as_vectors(x2))
     n1sq = np.einsum("...i,...i->...", x1, x1)
     n2sq = np.einsum("...i,...i->...", x2, x2)
     dot = np.einsum("...i,...i->...", x1, x2)

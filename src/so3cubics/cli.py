@@ -2,8 +2,8 @@
 
 Each subcommand names one experiment kind, run by
 `harness.run_experiment` through `harness.RUNNERS`; flags override config
-fields.  Exit codes: 0 on success, 2 on configuration errors, 3 on
-numerical degeneracy.
+fields.  Exit codes: 0 on success, 2 on configuration errors and on
+failures to write the output, 3 on numerical degeneracy.
 """
 
 from __future__ import annotations
@@ -81,6 +81,9 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     for path in result.files:
         print(f"wrote {path}")
     maxima = result.report.get("maxima", {})

@@ -50,6 +50,9 @@ _ROTATION_KINDS = ("figure3", "converge", "cubic-compare")
 # largest integration-step and sample counts a config may ask for
 MAX_STEPS = 1_000_000
 MAX_SAMPLES = 100_000
+# steps and strides must span at least this many float spacings of the
+# interval endpoints, so that grid and sample times are strictly increasing
+MIN_SPACING_ULPS = 256
 # a marker or integer time is shown where it matches a sample time this closely
 TIME_TOL = 1e-9
 
@@ -83,7 +86,6 @@ class ExperimentConfig:
     stride: float = 0.01
     projection: tuple = ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     budget: float = 1e-3
-    renorm_every: int = 16
 
     def validate(self) -> "ExperimentConfig":
         if self.kind not in KINDS:
@@ -98,6 +100,11 @@ class ExperimentConfig:
             raise ConfigError(f"more than MAX_STEPS={MAX_STEPS} integration steps")
         if not 0 < self.stride < math.inf:
             raise ConfigError("stride must be positive and finite")
+        resolution = MIN_SPACING_ULPS * np.spacing(max(abs(self.t0), abs(self.t1)))
+        for name, value in (("step", self.step), ("stride", self.stride)):
+            if not (self.t0 + value) - self.t0 >= resolution:
+                raise ConfigError(f"{name} {value:g} is below the {resolution:.3g} that the "
+                                  f"interval endpoints resolve")
         if not (self.t1 - self.t0) / self.stride < MAX_SAMPLES:
             raise ConfigError(f"more than MAX_SAMPLES={MAX_SAMPLES} sample times")
         if not self.formats or not set(self.formats) <= {"csv", "json", "svg"}:
@@ -130,8 +137,6 @@ class ExperimentConfig:
         _finite_array(self.projection, (2, 3), "projection must be two finite 3-vectors")
         if not self.budget > 0:
             raise ConfigError("budget must be positive")
-        if self.renorm_every < 0:
-            raise ConfigError("renorm_every must be nonnegative")
         return self
 
     @property
@@ -163,7 +168,6 @@ class ExperimentConfig:
             "stride": self.stride,
             "projection": [list(p) for p in self.projection],
             "budget": self.budget,
-            "renorm_every": self.renorm_every,
         }
 
 
@@ -250,8 +254,7 @@ def _config_fields(data: dict) -> dict:
         fields["projection"] = tuple(tuple(float(x) for x in p) for p in data["projection"])
     if "budget" in data:
         fields["budget"] = float(data["budget"])
-    if "renorm_every" in data:
-        fields["renorm_every"] = int(data["renorm_every"])
+    # "renorm_every" is accepted and ignored: rotation curves stay on SO(3) unaided
     return fields
 
 
@@ -334,8 +337,7 @@ class _Pieces:
 
     @cached_property
     def xref(self) -> RotationTrajectory:
-        return integrate_cubic(np.eye(3), self.traj, self.config.step,
-                               renorm_every=self.config.renorm_every)
+        return integrate_cubic(np.eye(3), self.traj, self.config.step)
 
     @cached_property
     def recon(self) -> ReconstructionInput:
@@ -473,6 +475,7 @@ def _figure3(config, pieces, times, idx) -> _Artifacts:
     report = _error_report(config, times, {"approx_frobenius": {p.delta: dists[:, 0]},
                                            "approx_angle": {p.delta: dists[:, 1]}})
     report["params"] = p.params.to_dict()
+    report["rotation_defect_max"] = p.xref.max_rotation_error()
     integers = np.arange(math.ceil(times[0] - TIME_TOL),
                          math.floor(times[-1] + TIME_TOL) + 1, dtype=float)
     int_times = _matches(times, integers)
@@ -507,6 +510,7 @@ def _converge(config, pieces, times, idx) -> _Artifacts:
         series["phase"][p.delta] = np.abs(rotation_phase(p.recon, times)
                                           - rotation_phase_approx(p.params, times))
     report = _error_report(config, times, series)
+    report["rotation_defect_max"] = max(p.xref.max_rotation_error() for p in pieces)
 
     header = ["approximant", "delta", "max_error", "ratio_to_next", "band_lo",
               "band_hi", "passed"]
@@ -536,6 +540,7 @@ def _cubic(config, pieces, times, idx) -> _Artifacts:
         "deltas": [p.delta],
         "reconstruction_max_frobenius": float(np.max(np.linalg.norm(
             xref.rotations - xrec.rotations, axis=(1, 2)))),
+        "rotation_defect_max": xref.max_rotation_error(),
         "config": config.to_dict(),
     }
     if not p.params.b_degenerate:

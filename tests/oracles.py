@@ -1,4 +1,4 @@
-"""Independent oracles for the second-order correction.
+"""Independent oracles for the second-order correction and the integrators.
 
 The library evaluates the correction (f2, v2) through one complex
 polynomial x exp(-i d tau) closed form.  The forms here compute the same
@@ -10,6 +10,14 @@ quantities by other routes and serve only as test references:
   (`second_correction_deriv2`, `second_correction_deriv3`);
 * nested cumulative-Simpson quadrature of the order-2 variational
   recursion (`brute_force_correction`).
+
+The library integrates V''' = [V'', V] by RK4 on float locals and
+x' = x ad(V) by the fourth-order Magnus method.  The RK4 loops here
+integrate the same equations one numpy expression per stage:
+
+* `rk4_quadratic`, whose states the library must reproduce bit for bit;
+* `rk4_rotation`, RK4 on 3x3 matrices with periodic Gram-Schmidt
+  renormalization, an independent reference for the Magnus integrator.
 """
 
 from dataclasses import dataclass
@@ -18,8 +26,9 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import cumulative_simpson
 
-from so3cubics.algebra import Frame, ad_matrix, axial_rotation, bracket
+from so3cubics.algebra import Frame, ad_matrix, axial_rotation, bracket, renormalize
 from so3cubics.approximants import ApproxParams, integrate_poly_axial
+from so3cubics.quadratic import QuadraticIVP, QuadraticTrajectory, _uniform_grid
 
 
 @dataclass(frozen=True)
@@ -140,3 +149,66 @@ def brute_force_correction(params, tmax, n=8001):
     v2dd = 2.0 * np.einsum("ij,kjl,kl->ki", ad_matrix(f.f0), e, ci(integrand))
     v2 = ci(ci(v2dd))
     return ts, f2, v2
+
+
+def _quadratic_rhs(state: np.ndarray) -> np.ndarray:
+    out = np.empty(9)
+    out[0:3] = state[3:6]
+    out[3:6] = state[6:9]
+    v0, v1_, v2_ = state[0], state[1], state[2]
+    a0, a1, a2 = state[6], state[7], state[8]
+    out[6] = a1 * v2_ - a2 * v1_
+    out[7] = a2 * v0 - a0 * v2_
+    out[8] = a0 * v1_ - a1 * v0
+    return out
+
+
+def rk4_quadratic(ivp: QuadraticIVP, step: float) -> np.ndarray:
+    """Classic RK4 for V''' = [V'', V] on the 9-vector (V, V', V''), one
+    numpy expression per stage; the states at every grid node, (n + 1, 9)."""
+    grid, h, n = _uniform_grid(ivp.t0, ivp.t1, step)
+    states = np.empty((n + 1, 9))
+    states[0, 0:3] = ivp.v0
+    states[0, 3:6] = ivp.v1
+    states[0, 6:9] = ivp.v2
+    y = states[0].copy()
+    for k in range(n):
+        k1 = _quadratic_rhs(y)
+        k2 = _quadratic_rhs(y + 0.5 * h * k1)
+        k3 = _quadratic_rhs(y + 0.5 * h * k2)
+        k4 = _quadratic_rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[k + 1] = y
+    return states
+
+
+def rk4_rotation(x0, velocity, step: float, t0=None, t1=None,
+                 renorm_every: int = 16) -> np.ndarray:
+    """Classic RK4 for x' = x ad(V(t)) on 3x3 matrices, snapped back onto
+    SO(3) every `renorm_every` steps (0 never); the rotations at every grid
+    node, (n + 1, 3, 3).  `velocity` is a QuadraticTrajectory or a callable
+    t -> 3-vector with explicit t0 and t1."""
+    if isinstance(velocity, QuadraticTrajectory):
+        t0 = velocity.t0 if t0 is None else t0
+        t1 = velocity.t1 if t1 is None else t1
+        sample = lambda ts: np.atleast_2d(velocity.eval(ts))
+    else:
+        sample = lambda ts: np.array([velocity(t) for t in ts], dtype=float)
+    grid, h, n = _uniform_grid(t0, t1, step)
+    v_nodes = sample(grid)
+    v_mids = sample(grid[:-1] + 0.5 * h)
+    rots = np.empty((n + 1, 3, 3))
+    rots[0] = x = np.asarray(x0, dtype=float)
+    for k in range(n):
+        a0 = ad_matrix(v_nodes[k])
+        am = ad_matrix(v_mids[k])
+        a1 = ad_matrix(v_nodes[k + 1])
+        k1 = x @ a0
+        k2 = (x + 0.5 * h * k1) @ am
+        k3 = (x + 0.5 * h * k2) @ am
+        k4 = (x + h * k3) @ a1
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if renorm_every and (k + 1) % renorm_every == 0:
+            x = renormalize(x)
+        rots[k + 1] = x
+    return rots

@@ -97,6 +97,33 @@ def test_rot_exp_is_rotation(v):
     assert rotation_error(rot_exp(v)) < 1e-12
 
 
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(vectors, min_size=2 * n, max_size=2 * n)))
+def test_batched_exp_and_ad_match_scalar_loops(vs):
+    for stack in (np.array(vs), np.array(vs).reshape(2, -1, 3)):
+        for f in (rot_exp, ad_matrix):
+            batched = f(stack)
+            assert batched.shape == stack.shape + (3,)
+            loop = np.array([f(v) for v in vs]).reshape(batched.shape)
+            assert np.max(np.abs(batched - loop)) <= 1e-15
+
+
+def test_scalar_exp_and_ad_keep_shapes():
+    assert rot_exp([0.1, 0.2, 0.3]).shape == (3, 3)
+    assert ad_matrix([0.1, 0.2, 0.3]).shape == (3, 3)
+    with pytest.raises(ValueError):
+        rot_exp([[0.1, 0.2]])
+    with pytest.raises(ValueError):
+        ad_matrix([[0.1, 0.2, math.nan]])
+
+
+def test_rotation_error_of_a_stack_is_the_worst():
+    rots = rot_exp(np.array([[0.1, 0.2, 0.3], [0.0, -1.0, 2.0], [0.5, 0.5, 0.5]]))
+    bent = rots.copy()
+    bent[1, 0, 0] += 1e-7
+    assert rotation_error(rots) < 1e-14
+    assert rotation_error(bent) == rotation_error(bent[1])
+
+
 # ----------------------------------------------------------- axial_rotation
 
 def test_axial_rotation_identity_at_start():
@@ -298,7 +325,7 @@ def test_renormalize_rejects_far_matrix():
 
 def test_renormalize_after_long_integration(fig1_trajectory):
     from so3cubics.quadratic import integrate_cubic
-    # 1e4 raw RK4 steps of x' = x ad(V) on [0, 5] at half step
-    rt = integrate_cubic(np.eye(3), fig1_trajectory, 5e-4, renorm_every=0)
+    # 1e4 steps of x' = x ad(V) on [0, 5] at half step
+    rt = integrate_cubic(np.eye(3), fig1_trajectory, 5e-4)
     final = renormalize(rt.rotations[-1])
     assert abs(np.linalg.det(final) - 1.0) < 1e-12

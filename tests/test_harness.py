@@ -63,6 +63,21 @@ def test_config_rejects_oversized_step():
         cfg.validate()
 
 
+@pytest.mark.parametrize("field", ["step", "stride"])
+def test_config_rejects_unresolvable_spacing(field):
+    # near 1e15 floats are 0.125 apart: t0 + 0.01 rounds back to t0
+    cfg = replace(default_config("figure1"), t0=1e15, t1=1e15 + 256.0, step=64.0, stride=64.0)
+    cfg.validate()
+    with pytest.raises(ConfigError, match=field):
+        replace(cfg, **{field: 0.01}).validate()
+
+
+def test_config_accepts_and_ignores_renorm_every():
+    cfg = config_from_dict({"kind": "cubic-compare", "renorm_every": 4})
+    assert cfg == default_config("cubic-compare").validate()
+    assert "renorm_every" not in cfg.to_dict()
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = default_config("figure1")
     path = tmp_path / "config.json"
@@ -224,6 +239,16 @@ def test_cubic_compare_reports_equivalence(tmp_path):
     assert result.report["approx_max_frobenius"] > 0.0
 
 
+@pytest.mark.parametrize("kind", ["figure3", "converge", "cubic-compare"])
+def test_rotation_kinds_report_rotation_defect(tmp_path, kind):
+    cfg = replace(default_config(kind), out_dir=str(tmp_path), t1=1.5, step=2e-3,
+                  stride=0.05, formats=("json",))
+    report = run_experiment(cfg).report
+    assert 0.0 <= report["rotation_defect_max"] < 1e-13
+    stored = json.loads((tmp_path / f"{kind.removesuffix('-compare')}.json").read_text())
+    assert stored["rotation_defect_max"] == report["rotation_defect_max"]
+
+
 # -------------------------------------------------------------- serialization
 
 def test_quadratic_serialization_shapes(tmp_path):
@@ -283,15 +308,26 @@ def test_cli_degeneracy_exit(tmp_path):
     (["figure1", "--stride", "1e-12"], None, 2),
     (["figure1", "--stride", "inf"], None, 2),
     (["figure1", "--delta", "0.01", "--delta", "0.5"], None, 2),
+    (["figure1", "--out", "{tmp}/cfg.json"], {}, 2),    # output dir is an existing file
+    (["figure1"], {"interval": [1e15, 1000000000000002.0], "step": 0.01}, 2),
 ])
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, config, code):
-    argv = argv + ["--out", str(tmp_path / "out")]
+    # argv's own --out, placed after this default, overrides it
+    argv = argv[:1] + ["--out", str(tmp_path / "out")] + [a.format(tmp=tmp_path)
+                                                         for a in argv[1:]]
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
     assert main(argv) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_output_error(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert main(["figure1", "--out", str(blocker)]) == 2
+    assert "output error" in capsys.readouterr().err
 
 
 def test_cli_config_file(tmp_path):

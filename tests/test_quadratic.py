@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIG1_CONSTANT, fig1_ivp
+from conftest import FIG1_CONSTANT, fig1_ivp, fig3_ivp
+from oracles import rk4_quadratic, rk4_rotation
 from so3cubics.algebra import rot_exp
 from so3cubics.errors import StepTooLarge
-from so3cubics.quadratic import (QuadraticIVP, conserved_constant, integrate_cubic,
-                                 integrate_quadratic, is_null, quadratic_residual,
-                                 subgroup_product_velocity)
+from so3cubics.quadratic import (C_DRIFT_LIMIT, QuadraticIVP, conserved_constant,
+                                 integrate_cubic, integrate_quadratic, is_null,
+                                 quadratic_residual, subgroup_product_velocity)
 
 # Richardson step-halving reference for V(2) of the figure1 family:
 # values at steps 2e-3 and 1e-3 agree to 3.6e-15.
@@ -88,6 +91,32 @@ def test_integrate_rejects_overflowed_trajectory():
         integrate_quadratic(ivp, 0.05)
 
 
+def test_integrate_rejects_bracket_constant_drift():
+    # C drifts by 1.1e-5 while c stays within 1e-8, so only the C gate fires
+    ivp = QuadraticIVP(0.0, 1.0, [0.0, -0.3, 0.2], [-0.2, 0.6, 0.2], [0.3, -0.2, -0.7])
+    states = rk4_quadratic(ivp, 0.2)
+    accel = np.einsum("ij,ij->i", states[:, 6:9], states[:, 6:9])
+    assert np.max(np.abs(accel - accel[0])) < 0.1 * C_DRIFT_LIMIT
+    with pytest.raises(StepTooLarge,
+                       match=r"bracket constant C drifted by 1\.\d+e-05 .* step index \d, t="):
+        integrate_quadratic(ivp, 0.2)
+    integrate_quadratic(ivp, 0.02)
+
+
+component = st.floats(-1.0, 1.0, allow_nan=False)
+vectors = st.tuples(component, component, component).map(np.array)
+
+
+@settings(max_examples=30, deadline=None)
+@given(vectors, vectors, vectors, st.floats(0.5, 2.0), st.floats(2e-3, 5e-3))
+def test_integrate_matches_vector_rk4_bit_for_bit(v0, v1, v2, t1, step):
+    # steps this small keep every draw within the drift gates (worst ~1e-7)
+    ivp = QuadraticIVP(0.0, t1, v0, v1, v2)
+    traj = integrate_quadratic(ivp, step)
+    states = rk4_quadratic(ivp, step)
+    assert np.array_equal(np.hstack([traj.v, traj.v1, traj.v2]), states)
+
+
 def test_integrate_validates_step():
     ivp = fig1_ivp()
     with pytest.raises(ValueError):
@@ -125,6 +154,35 @@ def test_integrate_cubic_constant_velocity_is_subgroup():
     for t in (0.5, 1.0, 2.0):
         expected = x0 @ rot_exp(t * d)
         np.testing.assert_allclose(rt.at_time(t), expected, atol=1e-9)
+
+
+def test_integrate_cubic_constant_velocity_is_exact():
+    # with a constant velocity every Magnus step is the exact exponential
+    d = np.array([0.3, -0.5, 0.8])
+    x0 = rot_exp([0.1, 0.7, 0.2])
+    rt = integrate_cubic(x0, lambda t: d, 1e-2, t0=0.0, t1=2.0)
+    expected = np.einsum("ij,kjl->kil", x0, rot_exp(np.multiply.outer(rt.grid, d)))
+    assert np.max(np.abs(rt.rotations - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("ivp", [fig1_ivp(), fig3_ivp(0.05, t1=5.0)], ids=["figure1", "figure3"])
+def test_integrate_cubic_matches_rk4_oracle(ivp):
+    traj = integrate_quadratic(ivp, 1e-3)
+    rt = integrate_cubic(np.eye(3), traj, 1e-3)
+    ref = rk4_rotation(np.eye(3), traj, 2.5e-4)[::4]
+    assert np.max(np.linalg.norm(rt.rotations - ref, axis=(1, 2))) < 1e-10
+    assert rt.max_rotation_error() < 1e-12
+
+
+def test_integrate_cubic_fourth_order():
+    # x(t) = exp(t a) exp(t b) has the body velocity subgroup_product_velocity
+    a = np.array([0.7, -0.2, 0.4])
+    b = np.array([0.1, 0.9, -0.5])
+    exact = rot_exp(2.0 * a) @ rot_exp(2.0 * b)
+    errs = [np.linalg.norm(integrate_cubic(np.eye(3), lambda t: subgroup_product_velocity(a, b, t),
+                                           h, t0=0.0, t1=2.0).rotations[-1] - exact)
+            for h in (0.1, 0.05)]
+    assert 12.0 <= errs[0] / errs[1] <= 20.0
 
 
 def test_integrate_cubic_left_invariance(fig1_trajectory):
