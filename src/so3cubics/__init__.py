@@ -16,7 +16,7 @@ from .approximants import (ApproxParams, first_approximant, fit_params,
 from .errors import (ConfigError, DegeneracyError, DegenerateB, DegenerateFrame,
                      DegenerateThirdDerivative, NotNearRotation, StepTooLarge,
                      ZeroDirection)
-from .harness import (ErrorReport, ExperimentConfig, RunResult, default_config,
+from .harness import (ExperimentConfig, RunResult, default_config,
                       load_config, run_experiment)
 from .quadratic import (QuadraticIVP, QuadraticTrajectory, RotationTrajectory,
                         conserved_constant, integrate_cubic, integrate_quadratic,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxParams", "ConfigError", "DegeneracyError", "DegenerateB",
     "DegenerateFrame", "DegenerateThirdDerivative",
-    "ErrorReport", "ExperimentConfig", "Frame", "NotNearRotation",
+    "ExperimentConfig", "Frame", "NotNearRotation",
     "QuadraticIVP", "QuadraticTrajectory", "ReconstructionInput",
     "RotationTrajectory", "RunResult", "StepTooLarge", "ZeroDirection",
     "ad_matrix", "approx_cubic", "as_vector", "axial_rotation", "bracket",

@@ -31,6 +31,14 @@ def as_vector(v) -> np.ndarray:
     return arr
 
 
+def as_rotation(x) -> np.ndarray:
+    """Coerce to a finite float 3x3 rotation matrix, to within 1e-8."""
+    arr = np.asarray(x, dtype=float)
+    if arr.shape != (3, 3) or not np.all(np.isfinite(arr)) or rotation_error(arr) > 1e-8:
+        raise ValueError("x0 is not a rotation matrix")
+    return arr
+
+
 def bracket(u, v) -> np.ndarray:
     """Lie bracket on so(3) ~ E^3: the cross product u x v."""
     u = as_vector(u)

@@ -17,26 +17,28 @@ Every kind runs through one pipeline, `run_experiment`: a validated
 config; one set of sample times; the pieces the kind needs (quadratic,
 rotation curve, reconstruction, fitted parameters), each built at most
 once per delta; named series evaluated at those times; and one emission
-step writing them as CSV, SVG and JSON.
+step.  A kind hands that step its artifacts as data: a table (a header and
+its rows), the SVG curves, the report dict and any extra files as (file
+name, table or payload); the emission step picks each file's writer from
+its suffix.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .approximants import (ApproxParams, first_approximant, fit_params,
                            second_approximant, taylor2_baseline)
 from .errors import ConfigError, DegenerateB
-from .output import (CURVE_COLORS, SCHEMA_PREFIX, SvgCurve, project_points, write_csv,
-                     write_json, write_quadratic_csv, write_quadratic_json,
-                     write_rotation_csv, write_rotation_json, write_svg)
+from .output import (CURVE_COLORS, QUADRATIC_CSV_HEADER, ROTATION_CSV_HEADER, SCHEMA_PREFIX,
+                     SvgCurve, project_points, quadratic_table, quadratic_to_dict,
+                     rotation_table, rotation_to_dict, write_csv, write_json, write_svg)
 from .quadratic import (QuadraticIVP, QuadraticTrajectory, RotationTrajectory,
                         integrate_cubic, integrate_quadratic)
 from .reconstruction import (ReconstructionInput, approx_cubic, reconstruct_cubic,
@@ -135,8 +137,8 @@ class ExperimentConfig:
         elif len(self.deltas) > 1:
             raise ConfigError(f"{self.kind} takes one delta, got {len(self.deltas)}")
         _finite_array(self.projection, (2, 3), "projection must be two finite 3-vectors")
-        if not self.budget > 0:
-            raise ConfigError("budget must be positive")
+        if not 0 < self.budget < math.inf:
+            raise ConfigError("budget must be positive and finite")
         return self
 
     @property
@@ -269,45 +271,6 @@ def load_config(path, kind: str | None = None) -> ExperimentConfig:
 
 
 @dataclass
-class ErrorReport:
-    """Error series, maxima, and (for multi-delta runs) convergence ratios
-    with pass/fail flags against the expected-order bands."""
-
-    deltas: list
-    times: np.ndarray
-    series: dict            # name -> {delta -> (N,) error array}
-    maxima: dict            # name -> [max error per delta]
-    ratios: dict = field(default_factory=dict)    # name -> ratios between deltas
-    bands: dict = field(default_factory=dict)     # name -> (lo, hi)
-    passed: dict = field(default_factory=dict)    # name -> [bool per ratio]
-
-    def finalize(self):
-        if len(self.deltas) >= 2:
-            for name, maxima in self.maxima.items():
-                ratios = [maxima[i] / maxima[i + 1] for i in range(len(maxima) - 1)]
-                self.ratios[name] = ratios
-                if name in RATIO_BANDS:
-                    lo, hi = RATIO_BANDS[name]
-                    self.bands[name] = (lo, hi)
-                    self.passed[name] = [lo <= r <= hi for r in ratios]
-        return self
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": f"{SCHEMA_PREFIX}-report-v1",
-            "deltas": list(self.deltas),
-            "times": np.asarray(self.times).tolist(),
-            "series": {name: {repr(float(d)): np.asarray(e).tolist()
-                              for d, e in by_delta.items()}
-                       for name, by_delta in self.series.items()},
-            "maxima": self.maxima,
-            "ratios": self.ratios,
-            "bands": {k: list(v) for k, v in self.bands.items()},
-            "passed": self.passed,
-        }
-
-
-@dataclass
 class RunResult:
     files: list
     report: dict        # exactly what the run's JSON report file holds
@@ -346,11 +309,12 @@ class _Pieces:
 
 @dataclass
 class _Artifacts:
-    """One run's output: `csv` writes <stem>.csv to the path it is given,
-    <stem>.svg plots the `curves`, <stem>.json holds the `report`; `dumps`
-    are extra raw files as (format, file name, writer taking the path)."""
+    """One run's output as data: <stem>.csv holds the `table`, a header and
+    its rows (a 2-D array, or a list of rows of strings and numbers);
+    <stem>.svg plots the `curves` under the `title`; <stem>.json holds the
+    `report`; `dumps` are extra files as (file name, table or payload)."""
 
-    csv: Callable[[Path], Path]
+    table: tuple
     curves: list
     title: str
     report: dict
@@ -391,16 +355,31 @@ def _markers(points: np.ndarray, labels: list[tuple[int, str]]) -> list:
 
 
 def _error_report(config: ExperimentConfig, times: np.ndarray, series: dict) -> dict:
-    """The report of error series keyed by delta, with their maxima and,
-    over several deltas, the convergence ratios."""
+    """The report of error series (name -> {delta -> errors at `times`}),
+    with their maxima and, over several deltas, the ratios of consecutive
+    maxima, checked against the expected-order bands where one is set."""
     deltas = [float(d) for d in config.deltas]
-    report = ErrorReport(
-        deltas=deltas, times=times, series=series,
-        maxima={name: [float(by_delta[d].max()) for d in deltas]
-                for name, by_delta in series.items()},
-    ).finalize().to_dict()
-    report["config"] = config.to_dict()
-    return report
+    maxima = {name: [float(by_delta[d].max()) for d in deltas]
+              for name, by_delta in series.items()}
+    ratios, bands, passed = {}, {}, {}
+    if len(deltas) >= 2:
+        for name, values in maxima.items():
+            ratios[name] = [a / b for a, b in zip(values, values[1:])]
+            if name in RATIO_BANDS:
+                lo, hi = bands[name] = list(RATIO_BANDS[name])
+                passed[name] = [lo <= r <= hi for r in ratios[name]]
+    return {
+        "schema": f"{SCHEMA_PREFIX}-report-v1",
+        "deltas": deltas,
+        "times": times.tolist(),
+        "series": {name: {repr(float(d)): e.tolist() for d, e in by_delta.items()}
+                   for name, by_delta in series.items()},
+        "maxima": maxima,
+        "ratios": ratios,
+        "bands": bands,
+        "passed": passed,
+        "config": config.to_dict(),
+    }
 
 
 def _curve_errors(p: _Pieces, times: np.ndarray) -> tuple[dict, dict]:
@@ -428,11 +407,6 @@ def _curve_table(config: ExperimentConfig, times: np.ndarray, curves: dict):
     return header, rows, projected
 
 
-def _distances(approx: np.ndarray, rotations: np.ndarray) -> np.ndarray:
-    """(Frobenius, angle) distance rows between two rotation series."""
-    return np.array([so3_distance(a, r) for a, r in zip(approx, rotations)])
-
-
 def _quadratic_kind(config, pieces, times, idx) -> _Artifacts:
     """figure1, figure2, quadratic-compare: the integrated quadratic against
     both approximants and the degree-2 Taylor baseline; figure2 also
@@ -458,12 +432,10 @@ def _quadratic_kind(config, pieces, times, idx) -> _Artifacts:
     dumps = ()
     if config.kind == "quadratic-compare":
         report["near_geodesic_gauge"] = list(p.traj.near_geodesic_gauge())
-        dumps = (("csv", "trajectory.csv",
-                  lambda path: write_quadratic_csv(path, p.traj, times)),
-                 ("json", "trajectory.json",
-                  lambda path: write_quadratic_json(path, p.traj)))
-    return _Artifacts(lambda path: write_csv(path, header, rows), svg,
-                      f"{_stem(config)}: quadratic vs approximants", report, dumps)
+        dumps = (("trajectory.csv", (QUADRATIC_CSV_HEADER, quadratic_table(p.traj, times))),
+                 ("trajectory.json", quadratic_to_dict(p.traj)))
+    return _Artifacts((header, rows), svg, f"{_stem(config)}: quadratic vs approximants",
+                      report, dumps)
 
 
 def _figure3(config, pieces, times, idx) -> _Artifacts:
@@ -471,15 +443,15 @@ def _figure3(config, pieces, times, idx) -> _Artifacts:
     quadrature-free approximation, with their distance series."""
     (p,) = pieces
     approx = approx_cubic(p.params, np.eye(3), times)
-    dists = _distances(approx, p.xref.rotations[idx])
-    report = _error_report(config, times, {"approx_frobenius": {p.delta: dists[:, 0]},
-                                           "approx_angle": {p.delta: dists[:, 1]}})
+    fro, angle = so3_distance(approx, p.xref.rotations[idx])
+    report = _error_report(config, times, {"approx_frobenius": {p.delta: fro},
+                                           "approx_angle": {p.delta: angle}})
     report["params"] = p.params.to_dict()
     report["rotation_defect_max"] = p.xref.max_rotation_error()
     integers = np.arange(math.ceil(times[0] - TIME_TOL),
                          math.floor(times[-1] + TIME_TOL) + 1, dtype=float)
     int_times = _matches(times, integers)
-    report["angle_at_integer_times"] = {repr(t): float(dists[i, 1]) for t, i in int_times}
+    report["angle_at_integer_times"] = {repr(t): float(angle[i]) for t, i in int_times}
 
     header, rows, projected = _curve_table(
         config, times, {"ref": p.xref.second_rows()[idx], "approx": approx[:, 1, :]})
@@ -488,10 +460,8 @@ def _figure3(config, pieces, times, idx) -> _Artifacts:
                     markers=_markers(projected[key], labels))
            for name, key, color in (("integrated", "ref", "reference"),
                                     ("closed-form", "approx", "approx"))]
-    header += ["frobenius", "angle"]
-    rows = np.column_stack([rows, dists])
-    return _Artifacts(lambda path: write_csv(path, header, rows), svg,
-                      "figure3: second rows of the rotation curve", report)
+    table = (header + ["frobenius", "angle"], np.column_stack([rows, fro, angle]))
+    return _Artifacts(table, svg, "figure3: second rows of the rotation curve", report)
 
 
 _PALETTE = ("#1f6feb", "#2da44e", "#cf222e", "#8250df", "#bf8700")
@@ -525,8 +495,7 @@ def _converge(config, pieces, times, idx) -> _Artifacts:
     svg = [SvgCurve(f"{name} d={p.delta:g}", np.column_stack([times, by_delta[p.delta]]),
                     _PALETTE[ci % len(_PALETTE)])
            for ci, (name, by_delta) in enumerate(series.items()) for p in pieces]
-    return _Artifacts(lambda path: write_csv(path, header, rows), svg,
-                      "converge: error vs time", report)
+    return _Artifacts((header, rows), svg, "converge: error vs time", report)
 
 
 def _cubic(config, pieces, times, idx) -> _Artifacts:
@@ -544,21 +513,20 @@ def _cubic(config, pieces, times, idx) -> _Artifacts:
         "config": config.to_dict(),
     }
     if not p.params.b_degenerate:
-        dists = _distances(approx_cubic(p.params, np.eye(3), times), xref.rotations[idx])
-        report["approx_max_frobenius"] = float(dists[:, 0].max())
-        report["approx_max_angle"] = float(dists[:, 1].max())
+        fro, angle = so3_distance(approx_cubic(p.params, np.eye(3), times), xref.rotations[idx])
+        report["approx_max_frobenius"] = float(fro.max())
+        report["approx_max_angle"] = float(angle.max())
         report["params"] = p.params.to_dict()
 
-    sampled = RotationTrajectory(grid=times, rotations=xref.rotations[idx])
+    sampled = rotation_table(times, xref.rotations[idx])
     proj = np.asarray(config.projection, dtype=float)
     svg = [SvgCurve("integrated", project_points(xref.second_rows()[idx], proj),
                     CURVE_COLORS["reference"]),
            SvgCurve("reconstructed", project_points(xrec.second_rows()[idx], proj),
                     CURVE_COLORS["second"])]
-    dumps = (("json", "cubic_trajectory.json",
-              lambda path: write_rotation_json(path, sampled)),)
-    return _Artifacts(lambda path: write_rotation_csv(path, sampled), svg,
-                      "cubic: second rows, integrated vs reconstructed", report, dumps)
+    return _Artifacts((ROTATION_CSV_HEADER, sampled), svg,
+                      "cubic: second rows, integrated vs reconstructed", report,
+                      (("cubic_trajectory.json", rotation_to_dict(sampled)),))
 
 
 _BUILDERS = {
@@ -577,15 +545,21 @@ def _stem(config: ExperimentConfig) -> str:
 
 
 def _emit(config: ExperimentConfig, art: _Artifacts) -> list[Path]:
-    """Write the run's table, plot, report and raw dumps in the requested formats."""
+    """Write the run's table, plot, report and extra files in the requested
+    formats, each by the writer its file suffix names."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = _stem(config)
-    writers = (("csv", f"{stem}.csv", art.csv),
-               ("svg", f"{stem}.svg", lambda path: write_svg(path, art.curves, title=art.title)),
-               ("json", f"{stem}.json", lambda path: write_json(path, art.report)),
-               *art.dumps)
-    return [write(out / name) for fmt, name, write in writers if fmt in config.formats]
+    files = ((f"{stem}.csv", art.table), (f"{stem}.svg", (art.curves, art.title)),
+             (f"{stem}.json", art.report), *art.dumps)
+    written = []
+    for name, data in files:
+        path = out / name
+        fmt = path.suffix[1:]
+        if fmt in config.formats:
+            written.append(write_json(path, data) if fmt == "json" else
+                           (write_csv if fmt == "csv" else write_svg)(path, *data))
+    return written
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:

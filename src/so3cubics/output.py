@@ -1,6 +1,9 @@
-"""Deterministic CSV/JSON/SVG emission for the experiment harness.
+"""Deterministic CSV/JSON/SVG writers for the experiment harness.
 
-CSV and JSON are written with shortest round-trip float formatting so a
+An artifact is data: a table (a header and its rows), a JSON payload, or
+a list of SVG curves.  Each format has one writer, which takes arrays as
+they are and formats them without a Python call per value.  Tables and
+payloads are written with shortest round-trip float formatting, so a
 given config always produces byte-identical files.  SVG plots are plain
 polyline renders of orthographically projected curves; every SVG has a
 CSV twin carrying the exact plotted numbers.
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .quadratic import QuadraticTrajectory, RotationTrajectory
+from .quadratic import QuadraticTrajectory
 
 SCHEMA_PREFIX = "so3cubics"
 
@@ -30,39 +33,32 @@ CURVE_COLORS = {
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write a table: a 2-D array, or a list of rows of strings and numbers.
+
+    The csv module writes every Python float in its shortest round-trip
+    form, so a table's floats read back bit for bit.
+    """
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows(rows.tolist() if isinstance(rows, np.ndarray) else rows)
     return path
 
 
-def _fmt(x):
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    return x
-
-
 def write_json(path: Path, payload: dict) -> Path:
+    """Write a payload; arrays in it are written as (nested) lists."""
     path = Path(path)
     with path.open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_array_to_list)
         fh.write("\n")
     return path
 
 
-def quadratic_to_rows(traj: QuadraticTrajectory, times=None):
-    """Rows (t, V, V', V'') sampled at the given times (grid by default)."""
-    times = traj.grid if times is None else np.asarray(times, dtype=float)
-    v = np.atleast_2d(traj.eval(times, 0))
-    v1 = np.atleast_2d(traj.eval(times, 1))
-    v2 = np.atleast_2d(traj.eval(times, 2))
-    for i, t in enumerate(times):
-        yield [t, *v[i], *v1[i], *v2[i]]
+def _array_to_list(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 QUADRATIC_CSV_HEADER = [
@@ -73,46 +69,41 @@ QUADRATIC_CSV_HEADER = [
 ]
 
 
-def write_quadratic_csv(path: Path, traj: QuadraticTrajectory, times=None) -> Path:
-    return write_csv(path, QUADRATIC_CSV_HEADER, quadratic_to_rows(traj, times))
+def quadratic_table(traj: QuadraticTrajectory, times=None) -> np.ndarray:
+    """Rows (t, V, V', V'') at the given times (the grid by default)."""
+    times = traj.grid if times is None else np.asarray(times, dtype=float)
+    return np.column_stack([times, *(np.atleast_2d(traj.eval(times, deriv))
+                                     for deriv in range(3))])
 
 
 def quadratic_to_dict(traj: QuadraticTrajectory) -> dict:
     return {
         "schema": f"{SCHEMA_PREFIX}-quadratic-v1",
-        "grid": traj.grid.tolist(),
-        "v": traj.v.tolist(),
-        "dv": traj.v1.tolist(),
-        "ddv": traj.v2.tolist(),
-        "constant": traj.C.tolist(),
+        "grid": traj.grid,
+        "v": traj.v,
+        "dv": traj.v1,
+        "ddv": traj.v2,
+        "constant": traj.C,
         "accel": traj.c,
         "null": traj.null,
     }
 
 
-def write_quadratic_json(path: Path, traj: QuadraticTrajectory) -> Path:
-    return write_json(path, quadratic_to_dict(traj))
-
-
 ROTATION_CSV_HEADER = ["t"] + [f"r{i}{j}" for i in range(3) for j in range(3)]
 
 
-def write_rotation_csv(path: Path, traj: RotationTrajectory, stride: int = 1) -> Path:
-    rows = ([t, *r.reshape(9)] for t, r in
-            zip(traj.grid[::stride], traj.rotations[::stride]))
-    return write_csv(path, ROTATION_CSV_HEADER, rows)
+def rotation_table(times, rotations) -> np.ndarray:
+    """Rows (t, r00..r22): each time followed by its rotation, row-major."""
+    return np.column_stack([times, np.reshape(rotations, (-1, 9))])
 
 
-def rotation_to_dict(traj: RotationTrajectory, stride: int = 1) -> dict:
+def rotation_to_dict(table: np.ndarray) -> dict:
+    """The payload of a rotation table: its times and its rotations."""
     return {
         "schema": f"{SCHEMA_PREFIX}-rotation-v1",
-        "grid": traj.grid[::stride].tolist(),
-        "rotations": traj.rotations[::stride].reshape(-1, 9).tolist(),
+        "grid": table[:, 0],
+        "rotations": table[:, 1:],
     }
-
-
-def write_rotation_json(path: Path, traj: RotationTrajectory, stride: int = 1) -> Path:
-    return write_json(path, rotation_to_dict(traj, stride))
 
 
 @dataclass
@@ -140,11 +131,13 @@ def render_svg(curves: list[SvgCurve], title: str = "",
     pad = 0.05 * span
     lo, hi = lo - pad, hi + pad
     span = hi - lo
+    extent = np.array([width - 2 * margin, height - 2 * margin])
 
-    def to_px(p):
-        x = margin + (p[0] - lo[0]) / span[0] * (width - 2 * margin)
-        y = height - margin - (p[1] - lo[1]) / span[1] * (height - 2 * margin)
-        return x, y
+    def to_px(points) -> list:
+        """Pixel coordinates [x, y] of (N, 2) data points."""
+        scaled = (np.reshape(points, (-1, 2)) - lo) / span * extent
+        return np.column_stack([margin + scaled[:, 0],
+                                height - margin - scaled[:, 1]]).tolist()
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -156,15 +149,14 @@ def render_svg(curves: list[SvgCurve], title: str = "",
     if title:
         parts.append(f'<text x="{width / 2}" y="{margin - 20}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="14">{title}</text>')
-    for corner, anchor in ((lo, "start"), (hi, "end")):
-        x, y = to_px(corner)
+    for corner, anchor, (x, y) in zip((lo, hi), ("start", "end"), to_px([lo, hi])):
         parts.append(f'<text x="{x:.1f}" y="{height - margin + 16:.1f}" text-anchor="{anchor}" '
                      f'font-family="sans-serif" font-size="10">{corner[0]:.3g}</text>')
         parts.append(f'<text x="{margin - 6:.1f}" y="{y:.1f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{corner[1]:.3g}</text>')
     legend_y = margin + 4.0
     for curve in curves:
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(to_px, curve.points))
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in to_px(curve.points))
         dash = ' stroke-dasharray="6,4"' if curve.dashed else ""
         parts.append(f'<polyline fill="none" stroke="{curve.color}" stroke-width="1.5"'
                      f'{dash} points="{coords}"/>')
@@ -172,8 +164,8 @@ def render_svg(curves: list[SvgCurve], title: str = "",
                      f'font-family="sans-serif" font-size="10" fill="{curve.color}">'
                      f'{curve.name}</text>')
         legend_y += 14.0
-        for mx, my, label in curve.markers:
-            x, y = to_px((mx, my))
+        marks = to_px([marker[:2] for marker in curve.markers])
+        for (x, y), (_, _, label) in zip(marks, curve.markers):
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{curve.color}"/>')
             if label:
                 parts.append(f'<text x="{x + 5:.2f}" y="{y - 5:.2f}" '

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .algebra import as_vector, bracket, rot_exp, rotation_error
+from .algebra import as_rotation, as_vector, bracket, rot_exp, rotation_error
 from .errors import StepTooLarge
 
 NULL_TOL = 1e-12        # |C| at or below this counts as a null quadratic
@@ -273,9 +273,7 @@ def integrate_cubic(x0, velocity, step: float, t0: float | None = None,
     interval) or a callable t -> 3-vector, in which case t0 and t1 must be
     given.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (3, 3) or rotation_error(x0) > 1e-8:
-        raise ValueError("x0 is not a rotation matrix")
+    x0 = as_rotation(x0)
     if isinstance(velocity, QuadraticTrajectory):
         t0 = velocity.t0 if t0 is None else t0
         t1 = velocity.t1 if t1 is None else t1

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .algebra import frame_from_pair, plane_rotation, rotation_error
+from .algebra import as_rotation, frame_from_pair, plane_rotation
 from .approximants import ApproxParams, second_approximant
 from .errors import DegenerateB, DegenerateThirdDerivative
 from .quadratic import QuadraticTrajectory, RotationTrajectory
@@ -45,10 +45,7 @@ class ReconstructionInput:
     x0: np.ndarray
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
-        if x0.shape != (3, 3) or rotation_error(x0) > 1e-8:
-            raise ValueError("x0 is not a rotation matrix")
-        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x0", as_rotation(self.x0))
         if self.trajectory.c <= ACCEL_TOL:
             # V'' = 0 makes V''' = [V'', V] vanish too
             raise DegenerateThirdDerivative(
@@ -134,9 +131,7 @@ def approx_cubic(p: ApproxParams, x0, t) -> np.ndarray:
     """
     if p.beta <= 0.0 or p.b_degenerate:
         raise DegenerateB("closed-form cubic requires beta > 0")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (3, 3) or rotation_error(x0) > 1e-8:
-        raise ValueError("x0 is not a rotation matrix")
+    x0 = as_rotation(x0)
     # the anchor frame y(t0) is evaluated with the requested times
     ts = np.append(p.t0, t)
     ys = plane_rotation(rotation_phase_approx(p, ts)) @ frame_from_pair(
@@ -146,11 +141,18 @@ def approx_cubic(p: ApproxParams, x0, t) -> np.ndarray:
     return out.reshape(np.shape(t) + (3, 3))
 
 
-def so3_distance(r1, r2) -> tuple[float, float]:
-    """(Frobenius distance, geodesic angle) between two rotations."""
+def so3_distance(r1, r2):
+    """(Frobenius distance, geodesic angle) between two rotations, as two
+    floats; stacks of shape S + (3, 3) give two arrays of shape S."""
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
-    fro = float(np.linalg.norm(r1 - r2))
-    cos_angle = 0.5 * (float(np.trace(r1.T @ r2)) - 1.0)
-    angle = math.acos(min(1.0, max(-1.0, cos_angle)))
+    diff = r1 - r2
+    diff = diff.reshape(diff.shape[:-2] + (1, 9))
+    fro = np.sqrt(diff @ np.swapaxes(diff, -1, -2))[..., 0, 0]
+    cos_angle = 0.5 * (np.trace(np.swapaxes(r1, -1, -2) @ r2, axis1=-2, axis2=-1) - 1.0)
+    # math.acos, not np.arccos: they differ in the last bit on some inputs
+    angle = np.reshape([math.acos(min(1.0, max(-1.0, c)))
+                        for c in np.ravel(cos_angle).tolist()], fro.shape)
+    if fro.ndim == 0:
+        return float(fro), float(angle)
     return fro, angle

@@ -18,8 +18,13 @@ integrate the same equations one numpy expression per stage:
 * `rk4_quadratic`, whose states the library must reproduce bit for bit;
 * `rk4_rotation`, RK4 on 3x3 matrices with periodic Gram-Schmidt
   renormalization, an independent reference for the Magnus integrator.
+
+The library measures a stack of rotation pairs in one `so3_distance` call;
+`pair_distance` measures one pair with the scalar numpy and math calls,
+and the stacked form must reproduce it bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,3 +217,10 @@ def rk4_rotation(x0, velocity, step: float, t0=None, t1=None,
             x = renormalize(x)
         rots[k + 1] = x
     return rots
+
+
+def pair_distance(r1, r2) -> tuple[float, float]:
+    """(Frobenius distance, geodesic angle) between two rotations."""
+    fro = float(np.linalg.norm(r1 - r2))
+    cos_angle = 0.5 * (float(np.trace(r1.T @ r2)) - 1.0)
+    return fro, math.acos(min(1.0, max(-1.0, cos_angle)))

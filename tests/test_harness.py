@@ -15,8 +15,8 @@ from so3cubics.cli import main
 from so3cubics.errors import ConfigError, DegenerateB
 from so3cubics.harness import (config_from_dict, default_config, load_config,
                                run_experiment)
-from so3cubics.output import (ROTATION_CSV_HEADER, write_quadratic_csv,
-                              write_quadratic_json, write_rotation_csv)
+from so3cubics.output import (QUADRATIC_CSV_HEADER, ROTATION_CSV_HEADER, quadratic_table,
+                              quadratic_to_dict, rotation_table, write_csv, write_json)
 from so3cubics.quadratic import integrate_cubic, integrate_quadratic
 
 
@@ -254,11 +254,11 @@ def test_rotation_kinds_report_rotation_defect(tmp_path, kind):
 def test_quadratic_serialization_shapes(tmp_path):
     cfg = default_config("figure1")
     traj = integrate_quadratic(cfg.ivp(cfg.delta), 1e-2)
-    csv_path = write_quadratic_csv(tmp_path / "traj.csv", traj)
+    csv_path = write_csv(tmp_path / "traj.csv", QUADRATIC_CSV_HEADER, quadratic_table(traj))
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "t,v_x,v_y,v_z,dv_x,dv_y,dv_z,ddv_x,ddv_y,ddv_z"
     assert len(lines) == len(traj.grid) + 1
-    json_path = write_quadratic_json(tmp_path / "traj.json", traj)
+    json_path = write_json(tmp_path / "traj.json", quadratic_to_dict(traj))
     data = json.loads(json_path.read_text())
     assert len(data["v"]) == len(traj.grid)
     np.testing.assert_allclose(data["constant"], traj.C)
@@ -268,10 +268,23 @@ def test_rotation_serialization_header(tmp_path):
     cfg = default_config("figure1")
     traj = integrate_quadratic(cfg.ivp(cfg.delta), 1e-2)
     rt = integrate_cubic(np.eye(3), traj, 1e-2)
-    path = write_rotation_csv(tmp_path / "rot.csv", rt, stride=10)
+    path = write_csv(tmp_path / "rot.csv", ROTATION_CSV_HEADER,
+                     rotation_table(rt.grid, rt.rotations))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(ROTATION_CSV_HEADER)
-    assert len(lines) == len(rt.grid[::10]) + 1
+    assert len(lines) == len(rt.grid) + 1
+
+
+def test_csv_floats_are_shortest_round_trip(tmp_path):
+    values = [0.1, 1 / 3, 1e-05, 1e16, -0.0, 2.5e-300]
+    mixed = ["first", 0.1, 1 / 3, "", "true", 2.5e-300]
+    write_csv(tmp_path / "array.csv", list("abcdef"), np.array([values]))
+    write_csv(tmp_path / "list.csv", list("abcdef"), [values, mixed])
+    expected = ["a,b,c,d,e,f", ",".join(map(repr, values))]
+    assert (tmp_path / "array.csv").read_bytes() == "\r\n".join(expected + [""]).encode()
+    mixed_line = ",".join(x if isinstance(x, str) else repr(x) for x in mixed)
+    assert ((tmp_path / "list.csv").read_bytes()
+            == "\r\n".join(expected + [mixed_line, ""]).encode())
 
 
 # ------------------------------------------------------------------------ CLI
@@ -310,6 +323,7 @@ def test_cli_degeneracy_exit(tmp_path):
     (["figure1", "--delta", "0.01", "--delta", "0.5"], None, 2),
     (["figure1", "--out", "{tmp}/cfg.json"], {}, 2),    # output dir is an existing file
     (["figure1"], {"interval": [1e15, 1000000000000002.0], "step": 0.01}, 2),
+    (["figure2", "--budget", "inf"], None, 2),
 ])
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, config, code):
     # argv's own --out, placed after this default, overrides it

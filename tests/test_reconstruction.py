@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import FIG3_BASE, fig1_ivp, fig3_ivp
+from oracles import pair_distance
 from so3cubics.algebra import frame_from_axis, rot_exp, rotation_error
 from so3cubics.approximants import ApproxParams, fit_params
 from so3cubics.errors import DegenerateB, DegenerateThirdDerivative
@@ -206,3 +210,39 @@ def test_distance_small_angle():
     fro, angle = so3_distance(np.eye(3), rot_exp([0.1, 0.0, 0.0]))
     assert abs(angle - 0.1) < 1e-12
     assert fro > 0.0
+
+
+_axes = arrays(float, (6, 2, 3), elements=st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_axes, st.floats(1e-9, 1.0))
+def test_stacked_distance_matches_scalar_loop_bit_for_bit(axes, scale):
+    # pairs at every separation: near (scaled) and far (independent)
+    r1 = rot_exp(axes[:, 0])
+    r2 = np.concatenate([r1[:3] @ rot_exp(scale * axes[:3, 1]), rot_exp(axes[3:, 1])])
+    fro, angle = so3_distance(r1, r2)
+    pairs = [so3_distance(a, b) for a, b in zip(r1, r2)]
+    assert all(type(x) is float for pair in pairs for x in pair)
+    assert pairs == [pair_distance(a, b) for a, b in zip(r1, r2)]
+    assert np.array_equal(fro, [f for f, _ in pairs])
+    assert np.array_equal(angle, [a for _, a in pairs])
+    grid_fro, grid_angle = so3_distance(r1.reshape(2, 3, 3, 3), r2.reshape(2, 3, 3, 3))
+    assert np.array_equal(grid_fro, fro.reshape(2, 3))
+    assert np.array_equal(grid_angle, angle.reshape(2, 3))
+
+
+# ------------------------------------------------------------ x0 validation
+
+@pytest.mark.parametrize("x0", [np.diag([1.0, 1.0, -1.0]), np.zeros((2, 3)),
+                                np.full((3, 3), np.nan)],
+                         ids=["reflection", "shape-2x3", "nan"])
+@pytest.mark.parametrize("entry", ["integrate_cubic", "ReconstructionInput", "approx_cubic"])
+def test_entry_points_reject_a_non_rotation_x0(fig1_trajectory, entry, x0):
+    calls = {
+        "integrate_cubic": lambda: integrate_cubic(x0, fig1_trajectory, 1e-2),
+        "ReconstructionInput": lambda: ReconstructionInput(fig1_trajectory, x0),
+        "approx_cubic": lambda: approx_cubic(fig3_params(), x0, 1.0),
+    }
+    with pytest.raises(ValueError, match="x0 is not a rotation matrix"):
+        calls[entry]()
