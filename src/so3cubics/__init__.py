@@ -7,15 +7,12 @@ quadratics, and an experiment harness that generates figure and
 convergence artifacts.
 """
 
-from .algebra import (Frame, ad_matrix, as_vector, axial_rotation, bracket,
-                      frame_from_axis, frame_from_pair, moving_frame,
-                      plane_rotation, renormalize, rot_exp, rotation_error)
+from .algebra import (Frame, ad_matrix, as_vector, bracket, frame_from_axis,
+                      frame_from_pair, plane_rotation, rot_exp, rotation_error)
 from .approximants import (ApproxParams, first_approximant, fit_params,
-                           integrate_poly_axial, second_approximant,
-                           second_correction, taylor2_baseline)
+                           second_approximant, second_correction, taylor2_baseline)
 from .errors import (ConfigError, DegeneracyError, DegenerateB, DegenerateFrame,
-                     DegenerateThirdDerivative, NotNearRotation, StepTooLarge,
-                     ZeroDirection)
+                     DegenerateThirdDerivative, StepTooLarge, ZeroDirection)
 from .harness import (ExperimentConfig, RunResult, default_config,
                       load_config, run_experiment)
 from .quadratic import (QuadraticIVP, QuadraticTrajectory, RotationTrajectory,
@@ -29,15 +26,15 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxParams", "ConfigError", "DegeneracyError", "DegenerateB",
     "DegenerateFrame", "DegenerateThirdDerivative",
-    "ExperimentConfig", "Frame", "NotNearRotation",
+    "ExperimentConfig", "Frame",
     "QuadraticIVP", "QuadraticTrajectory", "ReconstructionInput",
     "RotationTrajectory", "RunResult", "StepTooLarge", "ZeroDirection",
-    "ad_matrix", "approx_cubic", "as_vector", "axial_rotation", "bracket",
+    "ad_matrix", "approx_cubic", "as_vector", "bracket",
     "conserved_constant", "default_config",
     "first_approximant", "fit_params", "frame_from_axis", "frame_from_pair",
-    "integrate_cubic", "integrate_poly_axial", "integrate_quadratic",
-    "is_null", "load_config", "moving_frame", "plane_rotation",
-    "quadratic_residual", "reconstruct_cubic", "renormalize", "rot_exp",
+    "integrate_cubic", "integrate_quadratic",
+    "is_null", "load_config", "plane_rotation",
+    "quadratic_residual", "reconstruct_cubic", "rot_exp",
     "rotation_error", "rotation_phase", "rotation_phase_approx", "run_experiment",
     "second_approximant", "second_correction", "so3_distance",
     "subgroup_product_velocity", "taylor2_baseline",

@@ -14,11 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateFrame, NotNearRotation, ZeroDirection
+from .errors import DegenerateFrame, ZeroDirection
 
 GRAM_RTOL = 1e-12          # relative Gram-determinant floor for frame_from_pair
 FRAME_TOL = 1e-12          # orthonormality tolerance for Frame validation
-ORTHO_GUARD = 0.1          # Frobenius defect beyond which renormalize refuses
 
 
 def as_vector(v) -> np.ndarray:
@@ -100,30 +99,6 @@ def rotation_error(r) -> float:
     return max(ortho, float(np.max(np.abs(np.linalg.det(r) - 1.0))))
 
 
-def renormalize(r) -> np.ndarray:
-    """Snap a slightly drifted matrix back onto SO(3).
-
-    Modified Gram-Schmidt on the rows followed by a determinant sign fix;
-    idempotent on exact rotations.  Refuses matrices whose orthogonality
-    defect exceeds ORTHO_GUARD in Frobenius norm.
-    """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {r.shape}")
-    defect = float(np.linalg.norm(r.T @ r - np.eye(3)))
-    if not defect < ORTHO_GUARD:
-        raise NotNearRotation(f"orthogonality defect {defect:.3g} >= {ORTHO_GUARD}")
-    q = np.array(r)
-    q[0] /= np.linalg.norm(q[0])
-    q[1] -= (q[1] @ q[0]) * q[0]
-    q[1] /= np.linalg.norm(q[1])
-    q[2] -= (q[2] @ q[0]) * q[0] + (q[2] @ q[1]) * q[1]
-    q[2] /= np.linalg.norm(q[2])
-    if np.linalg.det(q) < 0.0:
-        q[2] = -q[2]
-    return q
-
-
 @dataclass(frozen=True)
 class Frame:
     """Positively oriented orthonormal triple (f0, f1, f2) with scale d > 0.
@@ -199,16 +174,6 @@ def frame_from_axis(axis) -> Frame:
     return Frame(f0, f1, f2, d)
 
 
-def axial_rotation(frame: Frame, t: float, t0: float) -> np.ndarray:
-    """One-parameter rotation family exp(-d (t - t0) ad(f0)).
-
-    Fixes f0 and rotates the transverse plane clockwise at rate d; in
-    frame coordinates the matrix has rows (1,0,0), (0,cos u,sin u),
-    (0,-sin u,cos u) with u = d (t - t0).
-    """
-    return rot_exp(-frame.d * (t - t0) * frame.f0)
-
-
 def plane_rotation(angle) -> np.ndarray:
     """Clockwise rotation by `angle` in the first two coordinates.
 
@@ -254,8 +219,3 @@ def frame_from_pair(x1, x2) -> np.ndarray:
         np.cross(x1, x2) / sg,
         x1 / n1,
     ], axis=-2)
-
-
-def moving_frame(w, dw, t: float) -> np.ndarray:
-    """frame_from_pair applied to a curve and its derivative at time t."""
-    return frame_from_pair(w(t), dw(t))

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .algebra import Frame, ad_matrix, as_vector, frame_from_axis
+from .algebra import Frame, as_vector, frame_from_axis
 from .errors import DegenerateB
 from .quadratic import QuadraticIVP
 
@@ -97,39 +97,6 @@ class _PolyExp:
         pp = npoly.polyint(self.pp)
         pp = npoly.polyadd(pp, [-complex(npoly.polyval(0.0, w))])
         return _PolyExp(self.d, w, np.atleast_1d(pp))
-
-
-def _shifted_poly(coeffs) -> np.ndarray:
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if coeffs.size > 4:
-        raise ValueError("polynomial degree must be at most 3")
-    return coeffs
-
-
-def integrate_poly_axial(frame: Frame, coeffs, t: float, t0: float,
-                         repeat: int = 1) -> np.ndarray:
-    """Running integral I(p e) from t0, as a linear map on so(3).
-
-    `coeffs` holds p in powers of (t - t0), lowest first, degree <= 3;
-    e is the axial rotation of the frame.  The closed form comes from the
-    integration-by-parts recursion
-        I(p e) = (ad(f0)/d)(p e - p(t0) - I(p' e)),
-    applied until the polynomial derivative vanishes.  `repeat` iterates
-    the running integral, e.g. repeat=2 gives I(I(p e)).
-    """
-    if repeat < 1:
-        raise ValueError("repeat must be at least 1")
-    coeffs = _shifted_poly(coeffs)
-    tau = t - t0
-    perp = _PolyExp.make(frame.d, pe=coeffs)
-    axial = np.asarray(coeffs, dtype=float)
-    for _ in range(repeat):
-        perp = perp.integ()
-        axial = npoly.polyint(axial)
-    w = perp(tau)
-    s = float(npoly.polyval(tau, axial))
-    p0 = np.outer(frame.f0, frame.f0)
-    return w.real * (np.eye(3) - p0) + w.imag * ad_matrix(frame.f0) + s * p0
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ failures to write the output, 3 on numerical degeneracy.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -25,7 +26,10 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it
+    was, and every parse starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="so3cubics",
         description="Riemannian cubics in SO(3): integration, closed-form "
@@ -70,8 +74,7 @@ def config_from_args(args) -> "ExperimentConfig":
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
         result = RUNNERS[config.kind](config)

@@ -13,10 +13,6 @@ class ZeroDirection(DegeneracyError):
     """A direction vector with (nearly) zero norm cannot define a frame."""
 
 
-class NotNearRotation(DegeneracyError):
-    """Matrix too far from orthogonal for renormalization to be meaningful."""
-
-
 class StepTooLarge(DegeneracyError):
     """Integration step produced unacceptable drift in a conserved quantity."""
 

@@ -72,8 +72,7 @@ QUADRATIC_CSV_HEADER = [
 def quadratic_table(traj: QuadraticTrajectory, times=None) -> np.ndarray:
     """Rows (t, V, V', V'') at the given times (the grid by default)."""
     times = traj.grid if times is None else np.asarray(times, dtype=float)
-    return np.column_stack([times, *(np.atleast_2d(traj.eval(times, deriv))
-                                     for deriv in range(3))])
+    return np.column_stack([times, traj.jet(times).reshape(-1, 9)])
 
 
 def quadratic_to_dict(traj: QuadraticTrajectory) -> dict:

@@ -7,10 +7,14 @@ through a single quadrature: with the moving frame adapted to
     phi(t) = sqrt(c) * integral_{t0}^{t} (c - <C, V''(s)>) / |V'''(s)|^2 ds,
 
 the curve y(t) = plane_rotation(phi(t)) @ frame_from_pair(V''(t), V'''(t))
-satisfies x(t) = x0 y(t0)^T y(t).  For nearly constant quadratics both the
-phase and the frame have closed-form counterparts built from the
-second-order approximant, which yields a quadrature-free approximation to
-the cubic itself.
+satisfies x(t) = x0 y(t0)^T y(t).  The integrand is read from the
+trajectory's interpolated jet, one `jet` call per set of times, and the
+cumulative phase is densified by a 1-D `Hermite`: scipy's arithmetic bit
+for bit, and times off the grid extrapolate the end cubics.
+
+For nearly constant quadratics both the phase and the frame have
+closed-form counterparts built from the second-order approximant, which
+yields a quadrature-free approximation to the cubic itself.
 """
 
 from __future__ import annotations
@@ -20,12 +24,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .algebra import as_rotation, frame_from_pair, plane_rotation
 from .approximants import ApproxParams, second_approximant
 from .errors import DegenerateB, DegenerateThirdDerivative
-from .quadratic import QuadraticTrajectory, RotationTrajectory
+from .quadratic import Hermite, QuadraticTrajectory, RotationTrajectory
 
 THIRD_DERIV_TOL = 1e-10   # |V'''| below this makes the quadrature singular
 ACCEL_TOL = 1e-12         # c below this means a reparameterised geodesic
@@ -57,9 +60,9 @@ class ReconstructionInput:
                 f"|V'''| dips to {min_v3:.3g} on the grid")
 
     @cached_property
-    def _phase_spline(self) -> CubicHermiteSpline:
+    def _phase(self) -> Hermite:
         """Cumulative phase on the grid by per-interval Simpson, densified
-        through a Hermite spline with the exact integrand as derivative."""
+        through a Hermite interpolant with the exact integrand as slope."""
         traj = self.trajectory
         grid = traj.grid
         mids = 0.5 * (grid[:-1] + grid[1:])
@@ -68,13 +71,15 @@ class ReconstructionInput:
         h = np.diff(grid)
         increments = h / 6.0 * (g_nodes[:-1] + 4.0 * g_mids + g_nodes[1:])
         phase = np.concatenate([[0.0], np.cumsum(increments)])
-        return CubicHermiteSpline(grid, math.sqrt(traj.c) * phase,
-                                  math.sqrt(traj.c) * g_nodes)
+        return Hermite(grid, math.sqrt(traj.c) * phase, math.sqrt(traj.c) * g_nodes)
 
     def _integrand(self, times) -> np.ndarray:
         traj = self.trajectory
-        v2 = np.atleast_2d(traj.eval(times, 2))
-        v3 = np.atleast_2d(traj.eval(times, 3))
+        jet = traj.jet(times)
+        # contiguous: a strided v2 may take another matmul path in v2 @ C
+        # and round differently
+        v2 = np.ascontiguousarray(jet[:, 2])
+        v3 = np.cross(v2, jet[:, 0])
         norms = np.einsum("ij,ij->i", v3, v3)
         if float(np.min(norms)) <= THIRD_DERIV_TOL ** 2:
             raise DegenerateThirdDerivative("|V'''| dips below tolerance")
@@ -83,7 +88,7 @@ class ReconstructionInput:
 
 def rotation_phase(recon: ReconstructionInput, t) -> float | np.ndarray:
     """The quadrature phase phi(t); phi(t0) = 0."""
-    out = recon._phase_spline(t)
+    out = recon._phase(t)
     return float(out) if np.ndim(t) == 0 else out
 
 

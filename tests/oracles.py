@@ -22,6 +22,11 @@ integrate the same equations one numpy expression per stage:
 The library measures a stack of rotation pairs in one `so3_distance` call;
 `pair_distance` measures one pair with the scalar numpy and math calls,
 and the stacked form must reproduce it bit for bit.
+
+Helpers that only tests and these oracles call live here too: the axial
+rotation family `axial_rotation`, its running integrals in matrix form
+(`integrate_poly_axial`), `moving_frame`, and the row Gram-Schmidt
+`renormalize` with its `NotNearRotation` error.
 """
 
 import math
@@ -31,9 +36,88 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import cumulative_simpson
 
-from so3cubics.algebra import Frame, ad_matrix, axial_rotation, bracket, renormalize
-from so3cubics.approximants import ApproxParams, integrate_poly_axial
+from so3cubics.algebra import Frame, ad_matrix, bracket, frame_from_pair, rot_exp
+from so3cubics.approximants import ApproxParams, _PolyExp
+from so3cubics.errors import DegeneracyError
 from so3cubics.quadratic import QuadraticIVP, QuadraticTrajectory, _uniform_grid
+
+ORTHO_GUARD = 0.1          # Frobenius defect beyond which renormalize refuses
+
+
+class NotNearRotation(DegeneracyError):
+    """Matrix too far from orthogonal for renormalization to be meaningful."""
+
+
+def renormalize(r) -> np.ndarray:
+    """Snap a slightly drifted matrix back onto SO(3).
+
+    Modified Gram-Schmidt on the rows followed by a determinant sign fix;
+    idempotent on exact rotations.  Refuses matrices whose orthogonality
+    defect exceeds ORTHO_GUARD in Frobenius norm.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix, got shape {r.shape}")
+    defect = float(np.linalg.norm(r.T @ r - np.eye(3)))
+    if not defect < ORTHO_GUARD:
+        raise NotNearRotation(f"orthogonality defect {defect:.3g} >= {ORTHO_GUARD}")
+    q = np.array(r)
+    q[0] /= np.linalg.norm(q[0])
+    q[1] -= (q[1] @ q[0]) * q[0]
+    q[1] /= np.linalg.norm(q[1])
+    q[2] -= (q[2] @ q[0]) * q[0] + (q[2] @ q[1]) * q[1]
+    q[2] /= np.linalg.norm(q[2])
+    if np.linalg.det(q) < 0.0:
+        q[2] = -q[2]
+    return q
+
+
+def axial_rotation(frame: Frame, t: float, t0: float) -> np.ndarray:
+    """One-parameter rotation family exp(-d (t - t0) ad(f0)).
+
+    Fixes f0 and rotates the transverse plane clockwise at rate d; in
+    frame coordinates the matrix has rows (1,0,0), (0,cos u,sin u),
+    (0,-sin u,cos u) with u = d (t - t0).
+    """
+    return rot_exp(-frame.d * (t - t0) * frame.f0)
+
+
+def moving_frame(w, dw, t: float) -> np.ndarray:
+    """frame_from_pair applied to a curve and its derivative at time t."""
+    return frame_from_pair(w(t), dw(t))
+
+
+def _shifted_poly(coeffs) -> np.ndarray:
+    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    if coeffs.size > 4:
+        raise ValueError("polynomial degree must be at most 3")
+    return coeffs
+
+
+def integrate_poly_axial(frame: Frame, coeffs, t: float, t0: float,
+                         repeat: int = 1) -> np.ndarray:
+    """Running integral I(p e) from t0, as a linear map on so(3).
+
+    `coeffs` holds p in powers of (t - t0), lowest first, degree <= 3;
+    e is the axial rotation of the frame.  The closed form comes from the
+    integration-by-parts recursion
+        I(p e) = (ad(f0)/d)(p e - p(t0) - I(p' e)),
+    applied until the polynomial derivative vanishes.  `repeat` iterates
+    the running integral, e.g. repeat=2 gives I(I(p e)).
+    """
+    if repeat < 1:
+        raise ValueError("repeat must be at least 1")
+    coeffs = _shifted_poly(coeffs)
+    tau = t - t0
+    perp = _PolyExp.make(frame.d, pe=coeffs)
+    axial = np.asarray(coeffs, dtype=float)
+    for _ in range(repeat):
+        perp = perp.integ()
+        axial = npoly.polyint(axial)
+    w = perp(tau)
+    s = float(npoly.polyval(tau, axial))
+    p0 = np.outer(frame.f0, frame.f0)
+    return w.real * (np.eye(3) - p0) + w.imag * ad_matrix(frame.f0) + s * p0
 
 
 @dataclass(frozen=True)

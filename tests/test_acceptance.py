@@ -21,11 +21,9 @@ import numpy as np
 import pytest
 
 from conftest import FIG1_CONSTANT, FIG3_BASE, fig1_ivp, fig3_ivp
-from so3cubics.algebra import (axial_rotation, frame_from_axis, frame_from_pair,
-                               plane_rotation, renormalize, rot_exp,
-                               rotation_error)
-from so3cubics.approximants import (first_approximant, fit_params,
-                                    integrate_poly_axial, second_approximant,
+from so3cubics.algebra import (frame_from_axis, frame_from_pair, plane_rotation,
+                               rot_exp, rotation_error)
+from so3cubics.approximants import (first_approximant, fit_params, second_approximant,
                                     second_correction, taylor2_baseline)
 from so3cubics.quadratic import (QuadraticIVP, integrate_cubic, integrate_quadratic,
                                  quadratic_residual, subgroup_product_velocity)
@@ -33,7 +31,8 @@ from so3cubics.reconstruction import (ReconstructionInput, approx_cubic,
                                       reconstruct_cubic, rotation_phase,
                                       rotation_phase_approx, so3_distance)
 
-from oracles import brute_force_correction
+from oracles import (axial_rotation, brute_force_correction, integrate_poly_axial,
+                     renormalize)
 
 
 def report(criterion, ok, detail):

@@ -8,12 +8,13 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from conftest import FIG3_BASE, fig1_ivp, fig3_ivp
-from oracles import (brute_force_correction, endomorphisms, matrix_second_correction,
+from oracles import (axial_rotation, brute_force_correction, endomorphisms,
+                     integrate_poly_axial, matrix_second_correction,
                      second_correction_deriv2, second_correction_deriv3)
-from so3cubics.algebra import ad_matrix, axial_rotation, frame_from_axis
+from so3cubics.algebra import ad_matrix, frame_from_axis
 from so3cubics.approximants import (ApproxParams, first_approximant, fit_params,
-                                    integrate_poly_axial, second_approximant,
-                                    second_correction, taylor2_baseline)
+                                    second_approximant, second_correction,
+                                    taylor2_baseline)
 from so3cubics.errors import DegenerateB
 from so3cubics.quadratic import integrate_quadratic, quadratic_residual
 from so3cubics.reconstruction import approx_cubic, rotation_phase_approx

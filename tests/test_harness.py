@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from so3cubics.cli import main
+import so3cubics
+from so3cubics.cli import build_parser, main
 from so3cubics.errors import ConfigError, DegenerateB
 from so3cubics.harness import (config_from_dict, default_config, load_config,
                                run_experiment)
@@ -335,6 +339,36 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, config, code):
         argv += ["--config", str(path)]
     assert main(argv) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    common = ["--stride", "0.1", "--step", "0.005"]
+    assert main(["converge", "--out", str(tmp_path / "a"), "--delta", "0.08",
+                 "--delta", "0.04", *common]) == 0
+    # an appended --delta list that outlived its call would make this one
+    # three deltas long, which figure1 rejects
+    assert main(["figure1", "--out", str(tmp_path / "b"), "--delta", "0.02", *common]) == 0
+    assert main(["converge", "--out", str(tmp_path / "c"), "--delta", "0.06",
+                 "--delta", "0.03", *common]) == 0
+    assert main(["figure1", "--out", str(tmp_path / "d"), "--step", "-1.0"]) == 2
+    assert main(["figure3", "--out", str(tmp_path / "e"), "--delta", "0.0"]) == 3
+    deltas = [json.loads((tmp_path / run / name).read_text())["deltas"]
+              for run, name in (("a", "converge.json"), ("b", "figure1.json"),
+                                ("c", "converge.json"))]
+    assert deltas == [[0.08, 0.04], [0.02], [0.06, 0.03]]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the library's runtime needs numpy only; scipy is a test oracle
+    src = str(Path(so3cubics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, so3cubics.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_output_error(tmp_path, capsys):

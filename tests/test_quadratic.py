@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.interpolate import CubicHermiteSpline
 
 from conftest import FIG1_CONSTANT, fig1_ivp, fig3_ivp
 from oracles import rk4_quadratic, rk4_rotation
 from so3cubics.algebra import rot_exp
 from so3cubics.errors import StepTooLarge
-from so3cubics.quadratic import (C_DRIFT_LIMIT, QuadraticIVP, conserved_constant,
+from so3cubics.quadratic import (C_DRIFT_LIMIT, Hermite, QuadraticIVP, conserved_constant,
                                  integrate_cubic, integrate_quadratic, is_null,
                                  quadratic_residual, subgroup_product_velocity)
 
@@ -131,6 +133,70 @@ def test_dense_interpolation_matches_fine_grid(fig1_trajectory):
         idx = int(round(t / 5e-4))
         np.testing.assert_allclose(fig1_trajectory.eval(fine.grid[idx]),
                                    fine.v[idx], atol=1e-11)
+
+
+def _same_floats(a, b) -> bool:
+    """Equal element for element, the sign of every zero included."""
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hermite_matches_scipy_bit_for_bit(data):
+    n = data.draw(st.integers(2, 25), label="nodes")
+    trailing = data.draw(st.sampled_from([(), (3,), (3, 3)]), label="trailing")
+    gaps = data.draw(hnp.arrays(float, n - 1, elements=st.floats(1e-3, 2.0)))
+    x = data.draw(st.floats(-10.0, 10.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    entries = hnp.arrays(float, (n,) + trailing, elements=st.floats(-1e3, 1e3))
+    values, slopes = data.draw(entries), data.draw(entries)
+    fractions = data.draw(hnp.arrays(float, data.draw(st.integers(1, 20)),
+                                     elements=st.floats(0.0, 1.0)))
+    times = np.concatenate([x[0] + fractions * (x[-1] - x[0]), x, [x[0], x[-1]]])
+
+    ours = Hermite(x, values, slopes)
+    ref = CubicHermiteSpline(x, values, slopes)
+    # the node axis follows the part axis in ours
+    assert _same_floats(ours.c, np.moveaxis(ref.c, 2, 1) if trailing else ref.c)
+    assert _same_floats(ours(times), ref(times))
+    for t in (times[0], x[-1]):
+        assert ours(t).shape == trailing
+        assert _same_floats(ours(t), ref(t))
+    if trailing:
+        parts = Hermite(x, tuple(values[:, k].copy() for k in range(trailing[0])),
+                        tuple(slopes[:, k].copy() for k in range(trailing[0])))
+        assert _same_floats(parts.c, ours.c)
+        for k in range(trailing[0]):
+            assert _same_floats(ours(times, k), ours(times)[:, k])
+
+
+def test_hermite_matches_scipy_off_the_grid_and_on_signed_zeros():
+    x = np.array([0.0, 0.5, 1.25, 2.0])
+    values, slopes = np.sin(x), np.cos(x)
+    times = np.array([-3.0, -1e-300, 2.0 + 1e-12, 40.0, np.nan])
+    assert _same_floats(Hermite(x, values, slopes)(times),
+                        CubicHermiteSpline(x, values, slopes)(times))
+    # at t = 0 every term of the sum is -0.0; scipy's sum starts from 0.0
+    x, values, slopes = np.array([0.0, 1.0]), np.array([-0.0, -3.0]), np.array([-1.0, -6.0])
+    ours = Hermite(x, values, slopes)(0.0)
+    assert _same_floats(ours, CubicHermiteSpline(x, values, slopes)(0.0))
+    assert not np.signbit(ours)
+
+
+def test_jet_rows_are_eval_bit_for_bit(fig1_trajectory):
+    traj = fig1_trajectory
+    times = np.concatenate([np.linspace(traj.t0, traj.t1, 101) + 1.234e-4,
+                            traj.grid[::250], [traj.t1]])
+    jet = traj.jet(times)
+    assert jet.shape == times.shape + (3, 3)
+    slopes = (traj.v1, traj.v2, traj.third_derivative_grid())
+    for d, (values, slope) in enumerate(zip((traj.v, traj.v1, traj.v2), slopes)):
+        assert _same_floats(jet[..., d, :], traj.eval(times, d))
+        # the per-derivative scipy splines the jet interpolant replaced
+        assert _same_floats(jet[..., d, :], CubicHermiteSpline(traj.grid, values, slope)(times))
+    assert _same_floats(traj.eval(times, 3), np.cross(jet[..., 2, :], jet[..., 0, :]))
+    assert traj.jet(1.5).shape == (3, 3)
+    assert _same_floats(traj.jet(1.5)[2], traj.eval(1.5, 2))
 
 
 def test_near_geodesic_gauge(fig1_trajectory):
