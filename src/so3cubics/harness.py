@@ -247,7 +247,9 @@ def _config_fields(data: dict) -> dict:
             raise ConfigError("perturbation must hold three 3-vectors")
         fields["pert"] = tuple(tuple(float(x) for x in p) for p in pert)
     if "output_dir" in data:
-        fields["out_dir"] = str(data["output_dir"])
+        if not isinstance(data["output_dir"], str):
+            raise ConfigError("output_dir must be a string")
+        fields["out_dir"] = data["output_dir"]
     if "formats" in data:
         fields["formats"] = tuple(data["formats"])
     if "stride" in data:

@@ -6,12 +6,13 @@ acceleration c = <V'', V''> are conserved along solutions, which gives the
 integrator its built-in accuracy check.  The associated rotation curve
 solves the left-invariant linear equation x' = x ad(V(t)).
 
-Between grid nodes a trajectory is read through one cubic Hermite
-interpolant (`Hermite`) of its whole jet (V, V', V''), whose slopes are
-(V', V'', [V'', V]).  `Hermite` is written here in numpy but does scipy's
-CubicHermiteSpline arithmetic operation for operation, so its values are
-bit-identical to scipy's; times outside the grid extrapolate the end
-cubics, as scipy's do.
+Between grid nodes every derivative d = 0, 1, 2 of a trajectory is read
+through `hermite`, the cubic Hermite interpolant of its node values with
+derivative d + 1 as slope ([V'', V] for d = 2).  `hermite` computes the
+cubics of only the intervals that the requested times fall in and keeps
+no coefficient table.  It does scipy's CubicHermiteSpline arithmetic
+operation for operation, so its values are bit-identical to scipy's.
+Times outside the grid extrapolate the end cubics, as scipy's do.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,106 +40,71 @@ def is_null(constant) -> bool:
     return float(np.linalg.norm(as_vector(constant))) <= NULL_TOL
 
 
-class Hermite:
-    """Piecewise cubic Hermite interpolant of values and slopes given at
-    strictly increasing nodes x, both of shape (N,) + trailing.
+def hermite(x, y, m, t) -> np.ndarray:
+    """Piecewise cubic Hermite interpolant of values y and slopes m, both of
+    shape (N,) + trailing, given at strictly increasing nodes x, at times t;
+    shape t.shape + trailing.
 
-    Every step is scipy's CubicHermiteSpline (a PPoly), so values are
-    bit-identical to scipy's:
+    Only the intervals that t falls in are computed, each by scipy's
+    CubicHermiteSpline arithmetic, so values are bit-identical to scipy's:
 
-    * on [x_i, x_{i+1}], with dx = x_{i+1} - x_i, slope = (y_{i+1} - y_i)/dx
-      and t = (m_i + m_{i+1} - 2 slope)/dx, the cubic in s = time - x_i has
-      the coefficients (t/dx, (slope - m_i)/dx - t, m_i, y_i) of s^3..s^0;
     * a time takes the interval searchsorted(x, time, "right") - 1, clipped
       to the first and the last, so times outside [x_0, x_{N-1}]
       extrapolate the end cubics and NaN gives NaN;
-    * the cubic is summed by powers, ((0 + c3 + c2 s) + c1 s^2) + c0 s^3
+    * on [x_i, x_{i+1}], with dx = x_{i+1} - x_i, slope = (y_{i+1} - y_i)/dx
+      and w = ((m_i + m_{i+1}) - 2 slope)/dx, the cubic in s = time - x_i
+      has the coefficients (w/dx, (slope - m_i)/dx - w, m_i, y_i) of
+      s^3..s^0;
+    * the cubic is summed by powers, ((0 + y_i + m_i s) + c1 s^2) + c0 s^3
       with s^2 = s s and s^3 = s^2 s; Horner's rule differs in the last bit.
-
-    Values of shape (N, K) + rest are read as K parts, their slices along
-    axis 1, and may also be given as tuples of K arrays of shape (N,) + rest,
-    which spares building the stack.  `c` holds the coefficients of s^3..s^0
-    with the node axis after the part axis: shape (4, N - 1) for scalar
-    values, (4, K, N - 1) + rest otherwise (scipy's c is (4, N - 1) +
-    trailing).  So the build and every evaluation step run on contiguous
-    arrays the size of one part, and one `take` gathers coefficient k of a
-    part at every time.
     """
-
-    def __init__(self, x, values, slopes):
-        self.x = x = np.asarray(x, dtype=float)
-        dx = np.diff(x)
-        if x.ndim != 1 or x.size < 2 or not np.all(dx > 0.0):
-            raise ValueError("nodes must be a strictly increasing 1-D array of 2 or more")
-        stacked = isinstance(values, tuple) or np.ndim(values) > 1
-        if stacked and not isinstance(values, tuple):
-            values, slopes = (tuple(np.moveaxis(np.asarray(a, dtype=float), 1, 0))
-                              for a in (values, slopes))
-        parts = [(np.asarray(y, dtype=float), np.asarray(m, dtype=float))
-                 for y, m in (zip(values, slopes, strict=True) if stacked
-                              else [(values, slopes)])]
-        rest = parts[0][0].shape[1:]
-        if any(y.shape != (x.size,) + rest or m.shape != y.shape for y, m in parts):
-            raise ValueError("values and slopes must have shape (len(x),) + trailing")
-        n = x.size - 1
-        self.c = np.empty((4,) + (len(parts),) * stacked + (n,) + rest)
-        dx = np.repeat(dx, math.prod(rest)).reshape((n,) + rest)
-        for d, (y, m) in enumerate(parts):
-            # in scipy's order; c1 holds slope and c0 holds t until each is done
-            c3, c2, c1, c0 = (self.c[k, d] if stacked else self.c[k] for k in (3, 2, 1, 0))
-            c3[...] = y[:-1]
-            c2[...] = m[:-1]
-            np.subtract(y[1:], c3, out=c1)
-            c1 /= dx
-            np.add(c2, m[1:], out=c0)
-            c0 -= 2.0 * c1
-            c0 /= dx
-            c1 -= c2
-            c1 /= dx
-            c1 -= c0
-            c0 /= dx
-
-    def __call__(self, t, component: int | None = None) -> np.ndarray:
-        """Values at times t, shape t.shape + trailing; with `component`
-        (values with parts only), that part alone, shape t.shape + rest,
-        whose coefficients are the only ones gathered."""
-        t = np.asarray(t, dtype=float)
-        ts = t.ravel()
-        i = np.searchsorted(self.x, ts, side="right")
-        i -= 1
-        np.clip(i, 0, self.x.size - 2, out=i)
-        s = ts - self.x[i]
-        rest = self.c.shape[3:]
-        if rest:
-            # s repeated over a part's entries, so that no step broadcasts
-            # along a short axis
-            s = np.repeat(s, math.prod(rest)).reshape(s.shape + rest)
-        if self.c.ndim == 2 or component is not None:
-            out = _power_sum(self.c if component is None else self.c[:, component], i, s)
-        else:
-            out = np.empty(ts.shape + self.c.shape[1:2] + rest)
-            for d in range(self.c.shape[1]):
-                out[:, d] = _power_sum(self.c[:, d], i, s)
-        return out.reshape(t.shape + out.shape[1:])
-
-
-def _power_sum(c, i, s) -> np.ndarray:
-    """The cubics with coefficients c (s^3..s^0 along the first axis) of the
-    intervals i, at offsets s, summed in scipy's order."""
-    out = np.take(c[3], i, axis=0, mode="clip")
-    out += 0.0          # scipy starts from 0.0, which turns a -0.0 into 0.0
-    term = np.take(c[2], i, axis=0, mode="clip")
-    term *= s
-    out += term
-    z = s * s
-    np.take(c[1], i, axis=0, out=term, mode="clip")
-    term *= z
-    out += term
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    m = np.asarray(m, dtype=float)
+    if x.ndim != 1 or x.size < 2 or not np.all(np.diff(x) > 0.0):
+        raise ValueError("nodes must be a strictly increasing 1-D array of 2 or more")
+    if y.shape[:1] != x.shape or m.shape != y.shape:
+        raise ValueError("values and slopes must have shape (len(x),) + trailing")
+    t = np.asarray(t, dtype=float)
+    ts = t.ravel()
+    i = np.searchsorted(x, ts, side="right")
+    i -= 1
+    np.clip(i, 0, x.size - 2, out=i)
+    j = i + 1
+    s = ts - x[i]
+    dx = x[j]
+    dx -= x[i]
+    rest = y.shape[1:]
+    if rest:
+        # dx and s repeated over the trailing entries, so that no step
+        # broadcasts along a short axis
+        dx, s = (np.repeat(a, math.prod(rest)).reshape(ts.shape + rest) for a in (dx, s))
+    # the coefficients in place, in scipy's order: c1 holds the slope and
+    # c0 holds w until each is done
+    out = np.take(y, i, axis=0)
+    m0 = np.take(m, i, axis=0)
+    c1 = np.take(y, j, axis=0)
+    c1 -= out
+    c1 /= dx
+    c0 = np.take(m, j, axis=0)
+    c0 += m0
+    c0 -= 2.0 * c1
+    c0 /= dx
+    c1 -= m0
+    c1 /= dx
+    c1 -= c0
+    c0 /= dx
+    # the power sum; scipy's starts from 0.0, which turns a -0.0 into 0.0
+    out += 0.0
+    m0 *= s
+    out += m0
+    z = np.multiply(s, s, out=m0)
+    c1 *= z
+    out += c1
     z *= s
-    np.take(c[0], i, axis=0, out=term, mode="clip")
-    term *= z
-    out += term
-    return out
+    c0 *= z
+    out += c0
+    return out.reshape(t.shape + rest)
 
 
 @dataclass(frozen=True)
@@ -166,9 +131,9 @@ class QuadraticIVP:
 class QuadraticTrajectory:
     """Dense solution samples (V, V', V'') plus the conserved pair (C, c).
 
-    Values between grid nodes come from one cubic Hermite interpolant of
-    the jet (V, V', V''); the third derivative is always obtained from the
-    equation itself as [V'', V], never by differencing.
+    Values between grid nodes come from cubic Hermite interpolation
+    (`hermite`) of the jet (V, V', V''); the third derivative is always
+    obtained from the equation itself as [V'', V], never by differencing.
     """
 
     grid: np.ndarray
@@ -190,29 +155,26 @@ class QuadraticTrajectory:
     def null(self) -> bool:
         return is_null(self.C)
 
-    @cached_property
-    def _interpolant(self) -> Hermite:
-        return Hermite(self.grid, (self.v, self.v1, self.v2),
-                       (self.v1, self.v2, self.third_derivative_grid()))
-
     def jet(self, t) -> np.ndarray:
         """Interpolated (V, V', V'') at scalar or array times, shape
         t.shape + (3, 3): row d is the d-th derivative, bit for bit
         eval(t, d)."""
-        return self._interpolant(t)
+        return np.stack([self.eval(t, d) for d in range(3)], axis=-2)
 
     def eval(self, t, deriv: int = 0) -> np.ndarray:
         """Interpolated V and derivatives; deriv in 0..3.
 
-        Accepts scalar or array times; the third derivative is assembled
-        as [V''(t), V(t)].
+        Accepts scalar or array times.  Derivative d is the Hermite
+        interpolant of its node values with derivative d + 1 as slope; the
+        third derivative is assembled as [V''(t), V(t)].
         """
         if deriv == 3:
-            jet = self.jet(t)
-            return np.cross(jet[..., 2, :], jet[..., 0, :])
+            return np.cross(self.eval(t, 2), self.eval(t))
         if deriv not in (0, 1, 2):
             raise ValueError("derivative order must be in 0..3")
-        return self._interpolant(t, deriv)
+        nodes = (self.v, self.v1, self.v2)
+        slopes = nodes[deriv + 1] if deriv < 2 else self.third_derivative_grid()
+        return hermite(self.grid, nodes[deriv], slopes, t)
 
     def third_derivative_grid(self) -> np.ndarray:
         """[V'', V] at the grid nodes."""
@@ -255,7 +217,8 @@ class RotationTrajectory:
         """Index of the grid node at time t (must lie on the grid)."""
         idx = int(np.argmin(np.abs(self.grid - t)))
         scale = max(1.0, abs(float(self.grid[-1])))
-        if abs(float(self.grid[idx]) - t) > 1e-9 * scale:
+        # written so that a NaN time raises too
+        if not abs(float(self.grid[idx]) - t) <= 1e-9 * scale:
             raise ValueError(f"time {t} is not a grid node")
         return idx
 

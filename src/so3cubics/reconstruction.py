@@ -8,9 +8,10 @@ through a single quadrature: with the moving frame adapted to
 
 the curve y(t) = plane_rotation(phi(t)) @ frame_from_pair(V''(t), V'''(t))
 satisfies x(t) = x0 y(t0)^T y(t).  The integrand is read from the
-trajectory's interpolated jet, one `jet` call per set of times, and the
-cumulative phase is densified by a 1-D `Hermite`: scipy's arithmetic bit
-for bit, and times off the grid extrapolate the end cubics.
+trajectory's interpolated V and V''.  The cumulative phase is kept at the
+grid nodes, with the integrand as its slope, and read at other times
+through `quadratic.hermite`: scipy's arithmetic bit for bit, and times off
+the grid extrapolate the end cubics.
 
 For nearly constant quadratics both the phase and the frame have
 closed-form counterparts built from the second-order approximant, which
@@ -28,7 +29,7 @@ import numpy as np
 from .algebra import as_rotation, frame_from_pair, plane_rotation
 from .approximants import ApproxParams, second_approximant
 from .errors import DegenerateB, DegenerateThirdDerivative
-from .quadratic import Hermite, QuadraticTrajectory, RotationTrajectory
+from .quadratic import QuadraticTrajectory, RotationTrajectory, hermite
 
 THIRD_DERIV_TOL = 1e-10   # |V'''| below this makes the quadrature singular
 ACCEL_TOL = 1e-12         # c below this means a reparameterised geodesic
@@ -60,9 +61,9 @@ class ReconstructionInput:
                 f"|V'''| dips to {min_v3:.3g} on the grid")
 
     @cached_property
-    def _phase(self) -> Hermite:
-        """Cumulative phase on the grid by per-interval Simpson, densified
-        through a Hermite interpolant with the exact integrand as slope."""
+    def _phase(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cumulative phase at the grid nodes by per-interval Simpson, and
+        its slope there, the exact integrand; `hermite` densifies the pair."""
         traj = self.trajectory
         grid = traj.grid
         mids = 0.5 * (grid[:-1] + grid[1:])
@@ -71,15 +72,12 @@ class ReconstructionInput:
         h = np.diff(grid)
         increments = h / 6.0 * (g_nodes[:-1] + 4.0 * g_mids + g_nodes[1:])
         phase = np.concatenate([[0.0], np.cumsum(increments)])
-        return Hermite(grid, math.sqrt(traj.c) * phase, math.sqrt(traj.c) * g_nodes)
+        return math.sqrt(traj.c) * phase, math.sqrt(traj.c) * g_nodes
 
     def _integrand(self, times) -> np.ndarray:
         traj = self.trajectory
-        jet = traj.jet(times)
-        # contiguous: a strided v2 may take another matmul path in v2 @ C
-        # and round differently
-        v2 = np.ascontiguousarray(jet[:, 2])
-        v3 = np.cross(v2, jet[:, 0])
+        v2 = traj.eval(times, 2)
+        v3 = np.cross(v2, traj.eval(times))
         norms = np.einsum("ij,ij->i", v3, v3)
         if float(np.min(norms)) <= THIRD_DERIV_TOL ** 2:
             raise DegenerateThirdDerivative("|V'''| dips below tolerance")
@@ -88,7 +86,7 @@ class ReconstructionInput:
 
 def rotation_phase(recon: ReconstructionInput, t) -> float | np.ndarray:
     """The quadrature phase phi(t); phi(t0) = 0."""
-    out = recon._phase(t)
+    out = hermite(recon.trajectory.grid, *recon._phase, t)
     return float(out) if np.ndim(t) == 0 else out
 
 

@@ -61,6 +61,14 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"kind": "figure1", "bogus": 1})
 
 
+@pytest.mark.parametrize("output_dir", [None, 3, ["out"]])
+def test_config_rejects_a_non_string_output_dir(output_dir):
+    # str(None) once sent the artifacts to a directory named "None"
+    with pytest.raises(ConfigError, match="output_dir"):
+        config_from_dict({"kind": "figure1", "output_dir": output_dir})
+    assert config_from_dict({"kind": "figure1", "output_dir": "here"}).out_dir == "here"
+
+
 def test_config_rejects_oversized_step():
     cfg = replace(default_config("figure1"), step=10.0)
     with pytest.raises(ConfigError):
@@ -328,6 +336,7 @@ def test_cli_degeneracy_exit(tmp_path):
     (["figure1", "--out", "{tmp}/cfg.json"], {}, 2),    # output dir is an existing file
     (["figure1"], {"interval": [1e15, 1000000000000002.0], "step": 0.01}, 2),
     (["figure2", "--budget", "inf"], None, 2),
+    (["figure1"], {"output_dir": None}, 2),
 ])
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, config, code):
     # argv's own --out, placed after this default, overrides it

@@ -9,7 +9,7 @@ from conftest import FIG1_CONSTANT, fig1_ivp, fig3_ivp
 from oracles import rk4_quadratic, rk4_rotation
 from so3cubics.algebra import rot_exp
 from so3cubics.errors import StepTooLarge
-from so3cubics.quadratic import (C_DRIFT_LIMIT, Hermite, QuadraticIVP, conserved_constant,
+from so3cubics.quadratic import (C_DRIFT_LIMIT, QuadraticIVP, conserved_constant, hermite,
                                  integrate_cubic, integrate_quadratic, is_null,
                                  quadratic_residual, subgroup_product_velocity)
 
@@ -145,7 +145,7 @@ def _same_floats(a, b) -> bool:
 @given(st.data())
 def test_hermite_matches_scipy_bit_for_bit(data):
     n = data.draw(st.integers(2, 25), label="nodes")
-    trailing = data.draw(st.sampled_from([(), (3,), (3, 3)]), label="trailing")
+    trailing = data.draw(st.sampled_from([(), (1,), (3,), (3, 3), (4, 3)]), label="trailing")
     gaps = data.draw(hnp.arrays(float, n - 1, elements=st.floats(1e-3, 2.0)))
     x = data.draw(st.floats(-10.0, 10.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
     entries = hnp.arrays(float, (n,) + trailing, elements=st.floats(-1e3, 1e3))
@@ -154,33 +154,41 @@ def test_hermite_matches_scipy_bit_for_bit(data):
                                      elements=st.floats(0.0, 1.0)))
     times = np.concatenate([x[0] + fractions * (x[-1] - x[0]), x, [x[0], x[-1]]])
 
-    ours = Hermite(x, values, slopes)
     ref = CubicHermiteSpline(x, values, slopes)
-    # the node axis follows the part axis in ours
-    assert _same_floats(ours.c, np.moveaxis(ref.c, 2, 1) if trailing else ref.c)
-    assert _same_floats(ours(times), ref(times))
+    assert _same_floats(hermite(x, values, slopes, times), ref(times))
     for t in (times[0], x[-1]):
-        assert ours(t).shape == trailing
-        assert _same_floats(ours(t), ref(t))
-    if trailing:
-        parts = Hermite(x, tuple(values[:, k].copy() for k in range(trailing[0])),
-                        tuple(slopes[:, k].copy() for k in range(trailing[0])))
-        assert _same_floats(parts.c, ours.c)
-        for k in range(trailing[0]):
-            assert _same_floats(ours(times, k), ours(times)[:, k])
+        assert hermite(x, values, slopes, t).shape == trailing
+        assert _same_floats(hermite(x, values, slopes, t), ref(t))
+    grid = times[: 2 * (times.size // 2)].reshape(2, -1)
+    assert _same_floats(hermite(x, values, slopes, grid), ref(grid))
 
 
 def test_hermite_matches_scipy_off_the_grid_and_on_signed_zeros():
     x = np.array([0.0, 0.5, 1.25, 2.0])
     values, slopes = np.sin(x), np.cos(x)
     times = np.array([-3.0, -1e-300, 2.0 + 1e-12, 40.0, np.nan])
-    assert _same_floats(Hermite(x, values, slopes)(times),
+    assert _same_floats(hermite(x, values, slopes, times),
                         CubicHermiteSpline(x, values, slopes)(times))
     # at t = 0 every term of the sum is -0.0; scipy's sum starts from 0.0
     x, values, slopes = np.array([0.0, 1.0]), np.array([-0.0, -3.0]), np.array([-1.0, -6.0])
-    ours = Hermite(x, values, slopes)(0.0)
+    ours = hermite(x, values, slopes, 0.0)
     assert _same_floats(ours, CubicHermiteSpline(x, values, slopes)(0.0))
     assert not np.signbit(ours)
+
+
+@pytest.mark.parametrize("x, y, m, match", [
+    ([0.0, 1.0, 1.0], np.zeros(3), np.zeros(3), "nodes"),             # repeated node
+    ([0.0, 2.0, 1.0], np.zeros(3), np.zeros(3), "nodes"),             # decreasing
+    ([0.0, np.nan, 1.0], np.zeros(3), np.zeros(3), "nodes"),          # NaN node
+    ([0.0], np.zeros(1), np.zeros(1), "nodes"),                       # one node
+    ([[0.0, 1.0]], np.zeros((1, 2)), np.zeros((1, 2)), "nodes"),      # 2-D nodes
+    ([0.0, 1.0, 2.0], np.zeros((2, 3)), np.zeros((2, 3)), "shape"),   # too few values
+    ([0.0, 1.0, 2.0], np.zeros((3, 3)), np.zeros((3, 2)), "shape"),   # slopes differ
+    ([0.0, 1.0, 2.0], np.zeros(3), np.zeros((3, 1)), "shape"),        # slopes differ
+])
+def test_hermite_rejects_bad_nodes_and_shapes(x, y, m, match):
+    with pytest.raises(ValueError, match=match):
+        hermite(x, y, m, 0.5)
 
 
 def test_jet_rows_are_eval_bit_for_bit(fig1_trajectory):
@@ -270,6 +278,11 @@ def test_rotation_trajectory_lookup(fig1_trajectory):
     assert rt.index_of(5.0) == len(rt.grid) - 1
     with pytest.raises(ValueError):
         rt.index_of(0.005)
+    # abs(nan) > tol is False, which once let a NaN time pick the first node
+    with pytest.raises(ValueError, match="not a grid node"):
+        rt.index_of(float("nan"))
+    with pytest.raises(ValueError, match="not a grid node"):
+        rt.at_time(float("nan"))
     assert rt.second_rows().shape == (len(rt.grid), 3)
 
 
