@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Each subcommand names one experiment kind, run by
-`harness.run_experiment` through `harness.RUNNERS`; flags override config
-fields.  Exit codes: 0 on success, 2 on configuration errors and on
-failures to write the output, 3 on numerical degeneracy.
+Each subcommand runs one kind of `harness.KINDS` through `harness.RUNNERS`.
+Its flags, each under the JSON key it sets, override the `--config` file's
+entries key by key (`harness.config_from_dict`).  Exit codes: 0 on
+success, 2 on configuration errors and on failures to write the output, 3
+on numerical degeneracy.
 """
 
 from __future__ import annotations
@@ -11,66 +12,43 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 
 from .errors import ConfigError, DegeneracyError
-from .harness import RUNNERS, default_config, load_config
-
-_SUBCOMMANDS = {
-    "figure1": ("figure1", "short-interval quadratic vs approximants"),
-    "figure2": ("figure2", "long-interval quadratic vs approximants with error budget"),
-    "figure3": ("figure3", "rotation curve vs its closed-form approximation"),
-    "converge": ("converge", "convergence-order study over a list of deltas"),
-    "quadratic": ("quadratic-compare", "integrate a quadratic and compare approximants"),
-    "cubic": ("cubic-compare", "integrate, reconstruct and compare a rotation curve"),
-}
+from .harness import KINDS, RUNNERS, config_from_dict, read_config
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parsing leaves it as it
-    was, and every parse starts from a fresh namespace."""
+    was, and every parse starts from a fresh namespace.  A flag that is not
+    given leaves no attribute."""
     parser = argparse.ArgumentParser(
         prog="so3cubics",
         description="Riemannian cubics in SO(3): integration, closed-form "
                     "approximants, and quadrature reconstruction.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output directory")
+    for name, kind in KINDS.items():
+        p = sub.add_parser(kind.command, help=kind.help, argument_default=argparse.SUPPRESS)
+        p.set_defaults(kind=name)
+        p.add_argument("--config", default=None, help="JSON config file")
+        p.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
         p.add_argument("--step", type=float, help="integration step")
-        p.add_argument("--delta", type=float, action="append",
+        p.add_argument("--delta", dest="deltas", metavar="DELTA", type=float, action="append",
                        help="perturbation size (repeat for converge)")
         p.add_argument("--stride", type=float, help="output sample stride")
-        p.add_argument("--formats", help="comma-separated subset of csv,json,svg")
+        p.add_argument("--formats", type=lambda s: [f.strip() for f in s.split(",") if f.strip()],
+                       help="comma-separated subset of csv,json,svg")
         p.add_argument("--budget", type=float, help="error budget (figure2)")
     return parser
 
 
 def config_from_args(args) -> "ExperimentConfig":
-    kind = _SUBCOMMANDS[args.command][0]
-    if args.config:
-        config = load_config(args.config, kind=kind)
-        if config.kind != kind:
-            raise ConfigError(
-                f"config kind {config.kind!r} does not match subcommand {args.command!r}")
-    else:
-        config = default_config(kind)
-    overrides = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.step is not None:
-        overrides["step"] = args.step
-    if args.delta is not None:
-        overrides["deltas"] = tuple(args.delta)
-    if args.stride is not None:
-        overrides["stride"] = args.stride
-    if args.formats is not None:
-        overrides["formats"] = tuple(f.strip() for f in args.formats.split(",") if f.strip())
-    if args.budget is not None:
-        overrides["budget"] = args.budget
-    return replace(config, **overrides).validate()
+    flags = dict(vars(args))
+    command, kind, path = flags.pop("command"), flags.pop("kind"), flags.pop("config")
+    config = config_from_dict(*([read_config(path)] if path else []), flags, kind=kind)
+    if config.kind != kind:
+        raise ConfigError(f"config kind {config.kind!r} does not match subcommand {command!r}")
+    return config
 
 
 def main(argv=None) -> int:

@@ -13,6 +13,11 @@ reproduce the package's two demonstration families:
   clean rational perturbation on [0, 10], compared against its
   quadrature-free approximation.
 
+Each kind is one row of `KINDS`: its CLI subcommand (also its artifact
+file stem), help line, builder, grid sampling and config defaults.
+`config_from_dict` type-checks every entry of JSON-keyed layers (a config
+file, the CLI flags), merges them key by key and validates the result once.
+
 Every kind runs through one pipeline, `run_experiment`: a validated
 config; one set of sample times; the pieces the kind needs (quadratic,
 rotation curve, reconstruction, fitted parameters), each built at most
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -43,11 +49,6 @@ from .quadratic import (QuadraticIVP, QuadraticTrajectory, RotationTrajectory,
                         integrate_cubic, integrate_quadratic)
 from .reconstruction import (ReconstructionInput, approx_cubic, reconstruct_cubic,
                              rotation_phase, rotation_phase_approx, so3_distance)
-
-KINDS = ("figure1", "figure2", "figure3", "converge",
-         "quadratic-compare", "cubic-compare")
-# kinds with a rotation series: sampled at integration-grid nodes
-_ROTATION_KINDS = ("figure3", "converge", "cubic-compare")
 
 # largest integration-step and sample counts a config may ask for
 MAX_STEPS = 1_000_000
@@ -66,11 +67,9 @@ RATIO_BANDS = {
     "phase": (3.0, 5.0),
 }
 
-# perturbation triple of the figure1/figure2 demonstration family
-_FIG1_BASE = (1.0, 0.0, 0.0)
+# perturbation triples of the figure1/figure2 and of the figure3 families,
+# both around the base (1, 0, 0)
 _FIG1_PERT = ((0.5, 0.6, -1.0), (-0.5, -0.449, 0.0), (0.1, -0.5, 0.5))
-# perturbation triple of the figure3 family
-_FIG3_BASE = (1.0, 0.0, 0.0)
 _FIG3_PERT = ((0.0, 1.0, 0.0), (0.0, 0.0, 0.5), (0.25, 0.25, 0.25))
 
 
@@ -81,7 +80,7 @@ class ExperimentConfig:
     t1: float
     step: float = 1e-3
     deltas: tuple = (0.01,)
-    base: tuple = _FIG1_BASE
+    base: tuple = (1.0, 0.0, 0.0)
     pert: tuple = _FIG1_PERT
     out_dir: str = "out"
     formats: tuple = ("csv", "json", "svg")
@@ -90,8 +89,7 @@ class ExperimentConfig:
     budget: float = 1e-3
 
     def validate(self) -> "ExperimentConfig":
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
+        _kind(self.kind)
         if not (np.isfinite(self.t0) and np.isfinite(self.t1) and self.t0 < self.t1):
             raise ConfigError(f"degenerate interval [{self.t0}, {self.t1}]")
         if not self.step > 0:
@@ -111,11 +109,6 @@ class ExperimentConfig:
             raise ConfigError(f"more than MAX_SAMPLES={MAX_SAMPLES} sample times")
         if not self.formats or not set(self.formats) <= {"csv", "json", "svg"}:
             raise ConfigError("formats must be a nonempty subset of csv/json/svg")
-        formats = self.formats
-        if "svg" in formats and "csv" not in formats:
-            # every SVG gets a CSV twin carrying the exact plotted numbers
-            formats = tuple(formats) + ("csv",)
-            return replace(self, formats=formats).validate()
         if not self.deltas:
             raise ConfigError("at least one delta is required")
         if not all(math.isfinite(d) for d in self.deltas):
@@ -139,6 +132,9 @@ class ExperimentConfig:
         _finite_array(self.projection, (2, 3), "projection must be two finite 3-vectors")
         if not 0 < self.budget < math.inf:
             raise ConfigError("budget must be positive and finite")
+        if "svg" in self.formats and "csv" not in self.formats:
+            # every SVG gets a CSV twin carrying the exact plotted numbers
+            return replace(self, formats=tuple(self.formats) + ("csv",))
         return self
 
     @property
@@ -183,93 +179,101 @@ def _finite_array(value, shape: tuple, message: str) -> None:
         raise ConfigError(message)
 
 
+def _kind(name) -> "Kind":
+    """The `KINDS` row of a kind name; ConfigError for any other value."""
+    if not isinstance(name, str) or name not in KINDS:
+        raise ConfigError(f"unknown kind {name!r}; expected one of {tuple(KINDS)}")
+    return KINDS[name]
+
+
 def default_config(kind: str, out_dir: str = "out") -> ExperimentConfig:
-    if kind == "figure1":
-        return ExperimentConfig(kind="figure1", t0=0.0, t1=5.0, out_dir=out_dir)
-    if kind == "figure2":
-        return ExperimentConfig(kind="figure2", t0=0.0, t1=25.0, out_dir=out_dir)
-    if kind == "figure3":
-        return ExperimentConfig(kind="figure3", t0=0.0, t1=10.0, deltas=(0.05,),
-                                base=_FIG3_BASE, pert=_FIG3_PERT, out_dir=out_dir,
-                                projection=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
-    if kind == "converge":
-        return ExperimentConfig(kind="converge", t0=0.0, t1=5.0, deltas=(0.04, 0.02),
-                                base=_FIG3_BASE, pert=_FIG3_PERT, out_dir=out_dir)
-    if kind == "quadratic-compare":
-        return ExperimentConfig(kind="quadratic-compare", t0=0.0, t1=5.0, out_dir=out_dir)
-    if kind == "cubic-compare":
-        return ExperimentConfig(kind="cubic-compare", t0=0.0, t1=5.0, deltas=(0.05,),
-                                base=_FIG3_BASE, pert=_FIG3_PERT, out_dir=out_dir)
-    raise ConfigError(f"unknown kind {kind!r}")
+    return ExperimentConfig(kind=kind, out_dir=out_dir, **_kind(kind).defaults)
 
 
+def _number(key: str, value) -> float:
+    """A JSON number, int or float but not bool, in the float range."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, (int, float)):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{key} must be a JSON number in the float range, got {value!r:.40}")
+
+
+def _string(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string")
+    return value
+
+
+def _array(key: str, value, depth: int = 1, leaf=_number) -> tuple:
+    """A JSON array nested `depth` deep, as nested tuples of its leaves
+    parsed by `leaf`; shapes are checked by `validate`."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a JSON array, got {value!r:.40}")
+    return tuple(_array(key, x, depth - 1, leaf) if depth > 1 else leaf(f"{key} entry", x)
+                 for x in value)
+
+
+def _interval(key: str, value) -> tuple:
+    if len(interval := _array(key, value)) != 2:
+        raise ConfigError("interval must be [t0, t1]")
+    return interval
+
+
+# JSON key -> (the ExperimentConfig field it sets, the parser of its value);
+# "deltas" follows "delta", so that it wins where one dict holds both
 _CONFIG_KEYS = {
-    "schema", "kind", "interval", "step", "deltas", "delta", "base",
-    "perturbation", "output_dir", "formats", "stride", "projection",
-    "budget", "renorm_every",
+    "kind": ("kind", _string),
+    "interval": ("interval", _interval),
+    "step": ("step", _number),
+    "delta": ("deltas", lambda key, value: (_number(key, value),)),
+    "deltas": ("deltas", _array),
+    "base": ("base", _array),
+    "perturbation": ("pert", lambda key, value: _array(key, value, 2)),
+    "output_dir": ("out_dir", _string),
+    "formats": ("formats", lambda key, value: _array(key, value, 1, _string)),
+    "stride": ("stride", _number),
+    "projection": ("projection", lambda key, value: _array(key, value, 2)),
+    "budget": ("budget", _number),
 }
+# accepted and ignored; "renorm_every" is from when rotations were renormalized
+_IGNORED_KEYS = {"schema", "renorm_every"}
 
 
-def config_from_dict(data: dict, kind: str | None = None) -> ExperimentConfig:
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kind = data.get("kind", kind)
+def config_from_dict(*layers: dict, kind: str | None = None) -> ExperimentConfig:
+    """The validated config of JSON-keyed dicts: every entry of every layer
+    is parsed, later layers override earlier ones key by key, and `kind`
+    applies where no layer names one."""
+    fields = {}
+    for data in layers:
+        unknown = set(data) - set(_CONFIG_KEYS) - _IGNORED_KEYS
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, (field, parse) in _CONFIG_KEYS.items():
+            if key in data:
+                fields[field] = parse(key, data[key])
+    kind = fields.pop("kind", kind)
     if kind is None:
         raise ConfigError("config does not specify a kind")
-    cfg = default_config(kind)
-    try:
-        fields = _config_fields(data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config entry: {exc}") from exc
-    return replace(cfg, **fields).validate()
+    if "interval" in fields:
+        fields["t0"], fields["t1"] = fields.pop("interval")
+    return replace(default_config(kind), **fields).validate()
 
 
-def _config_fields(data: dict) -> dict:
-    """ExperimentConfig fields from the JSON keys present in `data`."""
-    fields = {}
-    if "interval" in data:
-        iv = data["interval"]
-        if not (isinstance(iv, (list, tuple)) and len(iv) == 2):
-            raise ConfigError("interval must be [t0, t1]")
-        fields["t0"], fields["t1"] = float(iv[0]), float(iv[1])
-    if "step" in data:
-        fields["step"] = float(data["step"])
-    if "delta" in data:
-        fields["deltas"] = (float(data["delta"]),)
-    if "deltas" in data:
-        fields["deltas"] = tuple(float(d) for d in data["deltas"])
-    if "base" in data:
-        fields["base"] = tuple(float(x) for x in data["base"])
-    if "perturbation" in data:
-        pert = data["perturbation"]
-        if len(pert) != 3:
-            raise ConfigError("perturbation must hold three 3-vectors")
-        fields["pert"] = tuple(tuple(float(x) for x in p) for p in pert)
-    if "output_dir" in data:
-        if not isinstance(data["output_dir"], str):
-            raise ConfigError("output_dir must be a string")
-        fields["out_dir"] = data["output_dir"]
-    if "formats" in data:
-        fields["formats"] = tuple(data["formats"])
-    if "stride" in data:
-        fields["stride"] = float(data["stride"])
-    if "projection" in data:
-        fields["projection"] = tuple(tuple(float(x) for x in p) for p in data["projection"])
-    if "budget" in data:
-        fields["budget"] = float(data["budget"])
-    # "renorm_every" is accepted and ignored: rotation curves stay on SO(3) unaided
-    return fields
-
-
-def load_config(path, kind: str | None = None) -> ExperimentConfig:
+def read_config(path) -> dict:
+    """The JSON object a config file holds."""
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:    # ValueError: bad JSON, or an int too long
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    return config_from_dict(data, kind=kind)
+    return data
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(read_config(path))
 
 
 @dataclass
@@ -436,8 +440,8 @@ def _quadratic_kind(config, pieces, times, idx) -> _Artifacts:
         report["near_geodesic_gauge"] = list(p.traj.near_geodesic_gauge())
         dumps = (("trajectory.csv", (QUADRATIC_CSV_HEADER, quadratic_table(p.traj, times))),
                  ("trajectory.json", quadratic_to_dict(p.traj)))
-    return _Artifacts((header, rows), svg, f"{_stem(config)}: quadratic vs approximants",
-                      report, dumps)
+    title = f"{KINDS[config.kind].command}: quadratic vs approximants"
+    return _Artifacts((header, rows), svg, title, report, dumps)
 
 
 def _figure3(config, pieces, times, idx) -> _Artifacts:
@@ -531,19 +535,36 @@ def _cubic(config, pieces, times, idx) -> _Artifacts:
                       (("cubic_trajectory.json", rotation_to_dict(sampled)),))
 
 
-_BUILDERS = {
-    "figure1": _quadratic_kind,
-    "figure2": _quadratic_kind,
-    "figure3": _figure3,
-    "converge": _converge,
-    "quadratic-compare": _quadratic_kind,
-    "cubic-compare": _cubic,
+@dataclass(frozen=True)
+class Kind:
+    """One experiment kind: its CLI subcommand, also its artifact file stem;
+    the subcommand's help line; the builder of its artifacts; whether it
+    samples at integration-grid nodes (kinds with a rotation series do);
+    the ExperimentConfig fields that differ from the class defaults."""
+
+    command: str
+    help: str
+    build: Callable[..., _Artifacts]
+    on_grid: bool
+    defaults: dict
+
+
+# every experiment kind, by name; iterating it yields the names
+KINDS = {
+    "figure1": Kind("figure1", "short-interval quadratic vs approximants",
+                    _quadratic_kind, False, {"t0": 0.0, "t1": 5.0}),
+    "figure2": Kind("figure2", "long-interval quadratic vs approximants with error budget",
+                    _quadratic_kind, False, {"t0": 0.0, "t1": 25.0}),
+    "figure3": Kind("figure3", "rotation curve vs its closed-form approximation", _figure3, True,
+                    {"t0": 0.0, "t1": 10.0, "deltas": (0.05,), "pert": _FIG3_PERT,
+                     "projection": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))}),
+    "converge": Kind("converge", "convergence-order study over a list of deltas", _converge,
+                     True, {"t0": 0.0, "t1": 5.0, "deltas": (0.04, 0.02), "pert": _FIG3_PERT}),
+    "quadratic-compare": Kind("quadratic", "integrate a quadratic and compare approximants",
+                              _quadratic_kind, False, {"t0": 0.0, "t1": 5.0}),
+    "cubic-compare": Kind("cubic", "integrate, reconstruct and compare a rotation curve", _cubic,
+                          True, {"t0": 0.0, "t1": 5.0, "deltas": (0.05,), "pert": _FIG3_PERT}),
 }
-
-
-def _stem(config: ExperimentConfig) -> str:
-    """File name stem of a kind's artifacts: the CLI subcommand name."""
-    return config.kind.removesuffix("-compare")
 
 
 def _emit(config: ExperimentConfig, art: _Artifacts) -> list[Path]:
@@ -551,7 +572,7 @@ def _emit(config: ExperimentConfig, art: _Artifacts) -> list[Path]:
     formats, each by the writer its file suffix names."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = _stem(config)
+    stem = KINDS[config.kind].command
     files = ((f"{stem}.csv", art.table), (f"{stem}.svg", (art.curves, art.title)),
              (f"{stem}.json", art.report), *art.dumps)
     written = []
@@ -568,16 +589,17 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run one experiment of any kind: validate the config, fix the sample
     times, evaluate the kind's series there and write them out.
 
-    Kinds with a rotation series (figure3, converge, cubic-compare) sample
-    at the integration-grid nodes nearest the configured sample times, so
-    that every series is compared and reported at the times it was
-    evaluated; the others sample at the exact sample times.
+    `on_grid` kinds sample at the integration-grid nodes nearest the
+    configured sample times, so that every series is compared and reported
+    at the times it was evaluated; the others sample at the exact sample
+    times.
     """
     config = config.validate()
+    kind = KINDS[config.kind]
     pieces = [_Pieces(config, float(d)) for d in config.deltas]
-    grid = pieces[0].traj.grid if config.kind in _ROTATION_KINDS else None
+    grid = pieces[0].traj.grid if kind.on_grid else None
     times, idx = _samples(config, grid)
-    art = _BUILDERS[config.kind](config, pieces, times, idx)
+    art = kind.build(config, pieces, times, idx)
     return RunResult(files=_emit(config, art), report=art.report)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -177,8 +178,14 @@ class QuadraticTrajectory:
         return hermite(self.grid, nodes[deriv], slopes, t)
 
     def third_derivative_grid(self) -> np.ndarray:
-        """[V'', V] at the grid nodes."""
-        return np.cross(self.v2, self.v)
+        """[V'', V] at the grid nodes: one read-only array, computed once."""
+        return self._v3
+
+    @cached_property
+    def _v3(self) -> np.ndarray:
+        v3 = np.cross(self.v2, self.v)
+        v3.flags.writeable = False
+        return v3
 
     def constant_series(self) -> np.ndarray:
         """V'' - [V', V] at every grid node (constant up to solver error)."""

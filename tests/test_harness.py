@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import so3cubics
 from so3cubics.cli import build_parser, main
 from so3cubics.errors import ConfigError, DegenerateB
-from so3cubics.harness import (config_from_dict, default_config, load_config,
+from so3cubics.harness import (KINDS, config_from_dict, default_config, load_config,
                                run_experiment)
 from so3cubics.output import (QUADRATIC_CSV_HEADER, ROTATION_CSV_HEADER, quadratic_table,
                               quadratic_to_dict, rotation_table, write_csv, write_json)
@@ -67,6 +67,41 @@ def test_config_rejects_a_non_string_output_dir(output_dir):
     with pytest.raises(ConfigError, match="output_dir"):
         config_from_dict({"kind": "figure1", "output_dir": output_dir})
     assert config_from_dict({"kind": "figure1", "output_dir": "here"}).out_dir == "here"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("base", "100"), ("base", [True, 0, 0]), ("deltas", "1"), ("budget", True),
+    ("stride", "0.5"), ("step", [0.01]), ("delta", [0.1]), ("interval", [0, [1]]),
+    ("perturbation", [1, 2, 3]), ("formats", "csv"), ("formats", ["csv", 1]),
+    ("kind", ["x"]), pytest.param("step", 10 ** 400, id="step-int-beyond-float-range"),
+])
+def test_config_entries_are_typed(key, value):
+    # float() and tuple() once let strings and booleans through
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({"kind": "figure1", key: value})
+
+
+def test_config_accepts_integer_entries():
+    cfg = config_from_dict({"kind": "figure1", "interval": [0, 2], "deltas": [1], "budget": 1})
+    assert (cfg.t0, cfg.t1, cfg.deltas, cfg.budget) == (0.0, 2.0, (1.0,), 1.0)
+    assert all(type(x) is float for x in (cfg.t0, cfg.t1, cfg.deltas[0], cfg.budget))
+
+
+def test_config_layers_override_key_by_key_and_are_all_parsed():
+    cfg = config_from_dict({"kind": "figure1", "stride": 1e-300, "delta": 0.5},
+                           {"stride": 0.5, "deltas": [0.02]})
+    assert (cfg.stride, cfg.deltas) == (0.5, (0.02,))
+    # a malformed entry is an error even where a later layer overrides it
+    with pytest.raises(ConfigError, match="stride"):
+        config_from_dict({"kind": "figure1", "stride": "x"}, {"stride": 0.5})
+
+
+def test_config_rejects_an_unhashable_kind():
+    # a list cannot be looked up in the KINDS dict
+    with pytest.raises(ConfigError, match="kind"):
+        default_config(["x"])
+    with pytest.raises(ConfigError, match="kind"):
+        replace(default_config("figure1"), kind=["x"]).validate()
 
 
 def test_config_rejects_oversized_step():
@@ -337,6 +372,18 @@ def test_cli_degeneracy_exit(tmp_path):
     (["figure1"], {"interval": [1e15, 1000000000000002.0], "step": 0.01}, 2),
     (["figure2", "--budget", "inf"], None, 2),
     (["figure1"], {"output_dir": None}, 2),
+    (["figure1"], {"base": "100"}, 2),
+    (["figure1"], {"deltas": "1"}, 2),
+    (["figure1"], {"budget": True}, 2),
+    (["figure1"], {"stride": "0.5"}, 2),
+    (["figure1"], {"formats": "csv"}, 2),
+    (["figure1"], {"step": [0.01]}, 2),
+    (["figure1"], {"delta": [0.1]}, 2),
+    (["figure1"], {"interval": [0, [1]]}, 2),
+    (["figure1"], {"kind": ["x"]}, 2),
+    (["figure1"], {"base": [True, 0, 0]}, 2),
+    (["figure1"], {"step": 10 ** 400}, 2),
+    (["figure1", "--stride", "0.5"], {"stride": "x"}, 2),
 ])
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, config, code):
     # argv's own --out, placed after this default, overrides it
@@ -348,6 +395,54 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, config, code):
         argv += ["--config", str(path)]
     assert main(argv) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"step": ' + "1" * 5000 + "}", '{"step": ', "[1, 2]"])
+def test_cli_unreadable_config_exit_code(tmp_path, capsys, text):
+    # json.loads raises a plain ValueError for an integer of over 4,300 digits
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["figure1", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_flags_override_file_entries_before_validation(tmp_path, capsys):
+    # the file's stride alone is unresolvable; the flag replaces it before validation
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"stride": 1e-300, "step": 0.01}))
+    assert main(["figure1", "--config", str(path), "--stride", "0.5",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "figure1.json").read_text())["config"]["stride"] == 0.5
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _flags(settings: dict) -> list:
+    """The CLI flags that give `settings`."""
+    argv = []
+    for key, value in settings.items():
+        if key == "deltas":
+            argv += [a for d in value for a in ("--delta", repr(d))]
+        elif key == "formats":
+            argv += ["--formats", ",".join(value)]
+        else:
+            argv += [f"--{key}", repr(value)]
+    return argv
+
+
+@pytest.mark.parametrize("name", list(KINDS))
+def test_cli_flags_and_file_entries_are_one_path(tmp_path, capsys, name):
+    command, out = KINDS[name].command, tmp_path / "out"
+    settings = {"step": 0.01, "stride": 0.25, "formats": ["json", "svg"], "budget": 2e-3,
+                "deltas": [0.04, 0.02] if name == "converge" else [0.03]}
+    (tmp_path / "cfg.json").write_text(json.dumps(settings))
+    runs = []
+    for argv in (_flags(settings), ["--config", str(tmp_path / "cfg.json")]):
+        assert main([command, "--out", str(out), *argv]) == 0
+        runs.append(({p.name: p.read_bytes() for p in out.iterdir()}, capsys.readouterr().out))
+        for p in out.iterdir():
+            p.unlink()
+    assert runs[0] == runs[1]
+    assert {f"{command}.json", f"{command}.svg", f"{command}.csv"} <= set(runs[0][0])
 
 
 def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
@@ -432,12 +527,13 @@ def test_cli_cubic(tmp_path):
 
 @st.composite
 def cli_runs(draw):
-    """A subcommand and a config: interval of length <= 2, step >= 1e-2."""
-    command = draw(st.sampled_from(["figure1", "figure2", "figure3", "converge",
-                                    "quadratic", "cubic"]))
+    """A kind, its settings (interval of length <= 2, step >= 1e-2) and
+    the subset of them that is given as flags instead of file keys."""
+    name = draw(st.sampled_from(list(KINDS)))
     t0 = draw(st.floats(-3.0, 3.0))
-    count = draw(st.integers(2, 3)) if command == "converge" else 1
-    return command, {
+    count = draw(st.integers(2, 3)) if name == "converge" else 1
+    flags = draw(st.lists(st.sampled_from(["step", "stride", "deltas", "formats"]), unique=True))
+    return name, {
         "interval": [t0, t0 + draw(st.floats(0.01, 2.0))],
         "step": draw(st.floats(1e-2, 0.5)),
         "stride": draw(st.floats(1e-3, 1.0)),
@@ -446,7 +542,7 @@ def cli_runs(draw):
                          reverse=True),
         "formats": draw(st.lists(st.sampled_from(["csv", "json", "svg"]),
                                  min_size=1, unique=True)),
-    }
+    }, flags
 
 
 def artifact_times(out: Path) -> dict:
@@ -471,17 +567,19 @@ def artifact_times(out: Path) -> dict:
 @settings(max_examples=30, deadline=None)
 @given(cli_runs())
 @example(("converge", {"interval": [0.0, 1.0], "step": 0.01, "stride": 0.0105,
-                       "deltas": [0.04, 0.02], "formats": ["json"]}))
+                       "deltas": [0.04, 0.02], "formats": ["json"]}, []))
 def test_cli_contract(run):
     """Exit code 0/2/3 without a traceback; one set of times in every
     artifact; grid nodes wherever a rotation series is written."""
-    command, config = run
+    kind, config, flags = run
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(json.dumps({k: v for k, v in config.items() if k not in flags}))
+        argv = [KINDS[kind].command, "--config", str(cfg), "--out", str(Path(tmp) / "out"),
+                *_flags({k: config[k] for k in flags})]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+            code = main(argv)
         assert code in (0, 2, 3)
         assert "Traceback" not in out.getvalue() + err.getvalue()
         if code != 0:
@@ -489,7 +587,7 @@ def test_cli_contract(run):
         found = artifact_times(Path(tmp) / "out")
     for name, times in found.items():
         assert np.array_equal(times, next(iter(found.values()))), name
-    if command in ("figure3", "converge", "cubic"):
+    if KINDS[kind].on_grid:
         t0, t1 = config["interval"]
         h = (t1 - t0) / max(1, round((t1 - t0) / config["step"]))
         for name, times in found.items():

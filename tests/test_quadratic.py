@@ -207,6 +207,14 @@ def test_jet_rows_are_eval_bit_for_bit(fig1_trajectory):
     assert _same_floats(traj.jet(1.5)[2], traj.eval(1.5, 2))
 
 
+def test_third_derivative_grid_is_computed_once_and_read_only():
+    traj = integrate_quadratic(fig1_ivp(1.0), 1e-2)
+    v3 = traj.third_derivative_grid()
+    assert traj.third_derivative_grid() is v3
+    assert not v3.flags.writeable
+    assert _same_floats(v3, np.cross(traj.v2, traj.v))
+
+
 def test_near_geodesic_gauge(fig1_trajectory):
     sup_v1, sup_v2 = fig1_trajectory.near_geodesic_gauge()
     assert 0 < sup_v1 < 0.05
