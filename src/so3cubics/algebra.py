@@ -95,8 +95,13 @@ def rotation_error(r) -> float:
     """Max of the entrywise orthogonality defect |R^T R - I| and |det R - 1|;
     for a stack of matrices, shape S + (3, 3), the worst over the stack."""
     r = np.asarray(r, dtype=float)
-    ortho = float(np.max(np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3))))
-    return max(ortho, float(np.max(np.abs(np.linalg.det(r) - 1.0))))
+    # a contiguous transpose keeps the stacked product off numpy's strided path
+    rt = np.ascontiguousarray(np.swapaxes(r, -1, -2))
+    ortho = float(np.max(np.abs(rt @ r - np.eye(3))))
+    # the determinant by cofactors along the first row, over the whole stack
+    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(r, (-2, -1), (0, 1))
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return max(ortho, float(np.max(np.abs(det - 1.0))))
 
 
 @dataclass(frozen=True)

@@ -346,8 +346,9 @@ def integrate_cubic(x0, velocity, step: float, t0: float | None = None,
     Each step multiplies by one exact rotation, x_{k+1} = x_k rot_exp(W_k)
     with W_k = h/2 (V_a + V_b) - (sqrt(3)/12) h^2 [V_b, V_a], where V_a and
     V_b are V at the two Gauss-Legendre nodes of the step.  Every W_k and
-    its exponential is computed in one batch; only the running product is
-    sequential.  The curve stays on SO(3) to rounding, so it is never
+    its exponential is computed in one batch, and the running product is a
+    blocked prefix product (`_running_product`) of about 2 sqrt(n) batched
+    calls.  The curve stays on SO(3) to rounding, so it is never
     renormalized.
 
     `velocity` is either a QuadraticTrajectory (dense-evaluated on its own
@@ -364,17 +365,40 @@ def integrate_cubic(x0, velocity, step: float, t0: float | None = None,
             raise ValueError("callable velocity requires explicit t0 and t1")
         sample = lambda ts: np.array([as_vector(velocity(t)) for t in ts])
 
-    grid, h, n = _uniform_grid(t0, t1, step)
+    grid, h, _ = _uniform_grid(t0, t1, step)
     va, vb = (sample(grid[:-1] + node * h) for node in _GAUSS_NODES)
     omega = (0.5 * h) * (va + vb) - (_MAGNUS_COMMUTATOR * h * h) * np.cross(vb, va)
-    steps = rot_exp(omega)
+    return RotationTrajectory(grid=grid, rotations=_running_product(x0, rot_exp(omega)))
 
-    rots = np.empty((n + 1, 3, 3))
-    rots[0] = x = x0
-    for k in range(n):
-        x = x @ steps[k]
-        rots[k + 1] = x
-    return RotationTrajectory(grid=grid, rotations=rots)
+
+def _running_product(x0: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The prefix products x0, x0 S_0, x0 S_0 S_1, ... of n >= 1 step
+    rotations S_k, shape (n + 1, 3, 3), by a blocked scan.
+
+    The steps are cut into blocks of L = ceil(sqrt(n)), the tail of the last
+    block padded with identities.  L - 1 batched products form the prefix
+    products inside every block at once, then one product per block
+    applies the carry (x0, then the last row of the block before).  The
+    factors keep their left-to-right order, so row k + 1 is x0 S_0 ... S_k
+    up to rounding and row 0 is x0 itself; each row is a product of at most
+    about 2 sqrt(n) factors.  The products are formed in place in the
+    returned buffer, which holds fewer than L rotations beyond n + 1.
+    """
+    n = len(steps)
+    size = math.isqrt(n - 1) + 1
+    count = -(-n // size)
+    out = np.empty((count * size + 1, 3, 3))
+    out[0] = x0
+    out[1:n + 1] = steps
+    out[n + 1:] = np.eye(3)
+    blocks = out[1:].reshape(count, size, 3, 3)
+    for j in range(1, size):
+        np.matmul(blocks[:, j - 1], blocks[:, j], out=blocks[:, j])
+    carry = out[0]
+    for block in blocks:
+        np.matmul(carry, block, out=block)
+        carry = block[-1]
+    return out[:n + 1]
 
 
 def subgroup_product_velocity(a, b, t: float) -> np.ndarray:

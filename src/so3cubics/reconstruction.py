@@ -63,21 +63,23 @@ class ReconstructionInput:
     @cached_property
     def _phase(self) -> tuple[np.ndarray, np.ndarray]:
         """Cumulative phase at the grid nodes by per-interval Simpson, and
-        its slope there, the exact integrand; `hermite` densifies the pair."""
+        its slope there, the exact integrand; `hermite` densifies the pair.
+        At the nodes the integrand reads the node values of V'' and [V'', V],
+        which are what `hermite` returns there."""
         traj = self.trajectory
         grid = traj.grid
         mids = 0.5 * (grid[:-1] + grid[1:])
-        g_nodes = self._integrand(grid)
-        g_mids = self._integrand(mids)
+        g_nodes = self._integrand(traj.v2, traj.third_derivative_grid())
+        v2_mids = traj.eval(mids, 2)
+        g_mids = self._integrand(v2_mids, np.cross(v2_mids, traj.eval(mids)))
         h = np.diff(grid)
         increments = h / 6.0 * (g_nodes[:-1] + 4.0 * g_mids + g_nodes[1:])
         phase = np.concatenate([[0.0], np.cumsum(increments)])
         return math.sqrt(traj.c) * phase, math.sqrt(traj.c) * g_nodes
 
-    def _integrand(self, times) -> np.ndarray:
+    def _integrand(self, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
+        """(c - <C, V''>) / |V'''|^2 from V'' and V''' = [V'', V]."""
         traj = self.trajectory
-        v2 = traj.eval(times, 2)
-        v3 = np.cross(v2, traj.eval(times))
         norms = np.einsum("ij,ij->i", v3, v3)
         if float(np.min(norms)) <= THIRD_DERIV_TOL ** 2:
             raise DegenerateThirdDerivative("|V'''| dips below tolerance")
@@ -98,7 +100,7 @@ def reconstruct_cubic(recon: ReconstructionInput) -> RotationTrajectory:
     """
     traj = recon.trajectory
     grid = traj.grid
-    ys = plane_rotation(rotation_phase(recon, grid)) @ frame_from_pair(
+    ys = plane_rotation(recon._phase[0]) @ frame_from_pair(
         traj.v2, traj.third_derivative_grid())
     rots = recon.x0 @ ys[0].T @ ys
     rots[0] = recon.x0

@@ -19,6 +19,9 @@ integrate the same equations one numpy expression per stage:
 * `rk4_rotation`, RK4 on 3x3 matrices with periodic Gram-Schmidt
   renormalization, an independent reference for the Magnus integrator.
 
+The Magnus integrator forms its running product x0 S_0 ... S_k by a blocked
+prefix product; `sequential_product` forms it one step at a time.
+
 The library measures a stack of rotation pairs in one `so3_distance` call;
 `pair_distance` measures one pair with the scalar numpy and math calls,
 and the stacked form must reproduce it bit for bit.
@@ -299,6 +302,17 @@ def rk4_rotation(x0, velocity, step: float, t0=None, t1=None,
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if renorm_every and (k + 1) % renorm_every == 0:
             x = renormalize(x)
+        rots[k + 1] = x
+    return rots
+
+
+def sequential_product(x0, steps) -> np.ndarray:
+    """The running products x0, x0 S_0, x0 S_0 S_1, ... of the step
+    rotations, one matrix product per step; shape (n + 1, 3, 3)."""
+    rots = np.empty((len(steps) + 1, 3, 3))
+    rots[0] = x = np.asarray(x0, dtype=float)
+    for k in range(len(steps)):
+        x = x @ steps[k]
         rots[k + 1] = x
     return rots
 

@@ -124,6 +124,38 @@ def test_rotation_error_of_a_stack_is_the_worst():
     assert rotation_error(bent) == rotation_error(bent[1])
 
 
+def test_rotation_error_determinant_matches_linalg():
+    # rotation_error(m) is max(|m^T m - I|, |det m - 1|); matrices whose
+    # determinant defect is the larger one by a clear margin read the
+    # closed-form determinant back, to compare with np.linalg.det
+    rng = np.random.default_rng(7)
+    rots = rot_exp(rng.normal(size=(500, 3)))
+    # s Q with Q a rotation or a reflection: |det - 1| = |+-s^3 - 1| > |s^2 - 1|
+    scales = rng.uniform(0.8, 1.2, size=(500, 1, 1))
+    scaled = np.concatenate([scales * rots, scales * rots * np.array([1.0, 1.0, -1.0])])
+    general = rng.uniform(-1.0, 1.0, size=(2000, 3, 3))
+    for stack in (rots, scaled, general):
+        dets = np.linalg.det(stack)
+        ortho = np.max(np.abs(np.swapaxes(stack, -1, -2) @ stack - np.eye(3)), axis=(-2, -1))
+        errors = np.array([rotation_error(m) for m in stack])
+        assert np.max(np.abs(errors - np.maximum(ortho, np.abs(dets - 1.0)))) <= 1e-15
+        by_det = np.abs(dets - 1.0) > ortho + 1e-12
+        assert np.max(np.abs(errors - np.abs(dets - 1.0))[by_det], initial=0.0) <= 1e-15
+        if stack is not rots:
+            assert np.count_nonzero(by_det) >= 100
+    assert rotation_error(rots) <= 1e-14
+    assert rotation_error(np.diag([1.0, 1.0, -1.0])) == 2.0
+
+
+def test_rotation_error_of_a_matrix_and_its_stack_agree():
+    rng = np.random.default_rng(3)
+    bent = rot_exp(rng.normal(size=3))
+    bent[2, 1] += 3e-9
+    for shape in [(1,), (4, 1), (1, 2, 1)]:
+        stack = np.broadcast_to(bent, shape + (3, 3))
+        assert rotation_error(stack) == rotation_error(bent)
+
+
 # ----------------------------------------------------------- axial_rotation
 
 def test_axial_rotation_identity_at_start():

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.interpolate import CubicHermiteSpline
 
 from conftest import FIG1_CONSTANT, fig1_ivp, fig3_ivp
-from oracles import rk4_quadratic, rk4_rotation
+from oracles import rk4_quadratic, rk4_rotation, sequential_product
 from so3cubics.algebra import rot_exp
 from so3cubics.errors import StepTooLarge
 from so3cubics.quadratic import (C_DRIFT_LIMIT, QuadraticIVP, conserved_constant, hermite,
@@ -265,6 +265,22 @@ def test_integrate_cubic_fourth_order():
                                            h, t0=0.0, t1=2.0).rotations[-1] - exact)
             for h in (0.1, 0.05)]
     assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 16, 17, 24, 25, 26, 997, 5000])
+def test_integrate_cubic_blocked_product_matches_sequential(n):
+    # a velocity that is constant on each step makes every Magnus step
+    # exactly rot_exp(h w_k): both Gauss nodes read w_k and the commutator
+    # vanishes, so the steps are known and only the running product differs
+    rng = np.random.default_rng(n)
+    w = rng.normal(size=(n, 3)) * n
+    x0 = rot_exp([0.4, -1.1, 0.6])
+    rt = integrate_cubic(x0, lambda t: w[int(t * n)], 1.0 / n, t0=0.0, t1=1.0)
+    ref = sequential_product(x0, rot_exp((1.0 / n) * w))
+    assert rt.rotations.shape == (n + 1, 3, 3)
+    assert np.max(np.linalg.norm(rt.rotations - ref, axis=(1, 2))) < 1e-13
+    assert np.array_equal(rt.rotations[0], x0)
+    assert rt.max_rotation_error() < 1e-13
 
 
 def test_integrate_cubic_left_invariance(fig1_trajectory):
