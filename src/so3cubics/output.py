@@ -2,18 +2,23 @@
 
 An artifact is data: a table (a header and its rows), a JSON payload, or
 a list of SVG curves.  Each format has one writer, which takes arrays as
-they are and formats them without a Python call per value.  Tables and
-payloads are written with shortest round-trip float formatting, so a
-given config always produces byte-identical files.  SVG plots are plain
-polyline renders of orthographically projected curves; every SVG has a
-CSV twin carrying the exact plotted numbers.
+they are and formats their floats in bulk C-level calls: a float table is
+written `CSV_BLOCK_ROWS` rows per `%` format call, an SVG polyline's points
+in one `%` format call, and a JSON list of floats in one `str.join` over
+`float.__repr__`.  The bytes are those of `csv.writer`, of
+`json.dumps(indent=2, sort_keys=True)` and of `%.2f`: floats in tables and
+payloads take their shortest round-trip form, so a given config always
+produces byte-identical files.  SVG plots are plain polyline renders of
+orthographically projected curves; every SVG has a CSV twin carrying the
+exact plotted numbers.
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -32,33 +37,99 @@ CURVE_COLORS = {
 }
 
 
+# rows of a float table per format call: bounds the formatting buffers
+CSV_BLOCK_ROWS = 1024
+
+
 def write_csv(path: Path, header: list[str], rows) -> Path:
     """Write a table: a 2-D array, or a list of rows of strings and numbers.
 
-    The csv module writes every Python float in its shortest round-trip
-    form, so a table's floats read back bit for bit.
+    Floats are written in their shortest round-trip form (`repr`, as the
+    csv module writes them), so a table's floats read back bit for bit.  A
+    2-D float array is formatted `CSV_BLOCK_ROWS` rows per call with the
+    excel dialect's `\\r\\n` line ends; other rows go through `csv.writer`.
     """
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows.tolist() if isinstance(rows, np.ndarray) else rows)
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+            line = ",".join(["%r"] * rows.shape[1]) + "\r\n"
+            for start in range(0, len(rows), CSV_BLOCK_ROWS):
+                block = rows[start:start + CSV_BLOCK_ROWS]
+                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        else:
+            writer.writerows(rows.tolist() if isinstance(rows, np.ndarray) else rows)
     return path
 
 
-def write_json(path: Path, payload: dict) -> Path:
-    """Write a payload; arrays in it are written as (nested) lists."""
+def write_json(path: Path, payload) -> Path:
+    """Write a payload as `json.dumps(payload, indent=2, sort_keys=True)`
+    writes it, with a final newline; arrays in it are written as (nested)
+    lists.  Each top-level entry is written as soon as it is rendered."""
     path = Path(path)
     with path.open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_array_to_list)
+        fh.writelines(_json_dict(payload, "\n") if isinstance(payload, dict)
+                      else [_json(payload, "\n")])
         fh.write("\n")
     return path
 
 
-def _array_to_list(obj):
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json(obj, nl: str) -> str:
+    """JSON text of one value whose line starts with `nl` (a newline and
+    its indent), as json's pure-Python encoder writes it."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return _JSON_CONSTANTS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        sep = "," + inner
+        body = _json_floats(obj, sep) or sep.join([_json(item, inner) for item in obj])
+        return "[" + inner + body + nl + "]"
+    if isinstance(obj, dict):
+        return "".join(_json_dict(obj, nl))
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _json(obj.tolist(), nl)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _json_floats(items, sep: str) -> str | None:
+    """`items` joined by `sep` in one call if all are finite floats, else None."""
+    try:
+        body = sep.join(map(float.__repr__, items))
+    except TypeError:   # an item that is not a float
+        return None
+    return None if "n" in body else body   # nan and inf are spelled NaN, Infinity
+
+
+def _json_dict(obj: dict, nl: str):
+    """The pieces of a dict's JSON text: one per entry, keys sorted.  A key
+    that is a number, a bool or None is quoted as its JSON text."""
+    if not obj:
+        yield "{}"
+        return
+    inner = nl + "  "
+    sep = "{" + inner
+    for key, value in sorted(obj.items()):
+        if not (isinstance(key, (str, int, float)) or key is None):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        text = key if isinstance(key, str) else _json(key, nl)
+        yield sep + encode_basestring_ascii(text) + ": " + _json(value, inner)
+        sep = "," + inner
+    yield nl + "}"
 
 
 QUADRATIC_CSV_HEADER = [
@@ -132,11 +203,10 @@ def render_svg(curves: list[SvgCurve], title: str = "",
     span = hi - lo
     extent = np.array([width - 2 * margin, height - 2 * margin])
 
-    def to_px(points) -> list:
-        """Pixel coordinates [x, y] of (N, 2) data points."""
+    def to_px(points) -> np.ndarray:
+        """Pixel coordinates (x, y) of (N, 2) data points, as an (N, 2) array."""
         scaled = (np.reshape(points, (-1, 2)) - lo) / span * extent
-        return np.column_stack([margin + scaled[:, 0],
-                                height - margin - scaled[:, 1]]).tolist()
+        return np.column_stack([margin + scaled[:, 0], height - margin - scaled[:, 1]])
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -148,14 +218,15 @@ def render_svg(curves: list[SvgCurve], title: str = "",
     if title:
         parts.append(f'<text x="{width / 2}" y="{margin - 20}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="14">{title}</text>')
-    for corner, anchor, (x, y) in zip((lo, hi), ("start", "end"), to_px([lo, hi])):
+    for corner, anchor, (x, y) in zip((lo, hi), ("start", "end"), to_px([lo, hi]).tolist()):
         parts.append(f'<text x="{x:.1f}" y="{height - margin + 16:.1f}" text-anchor="{anchor}" '
                      f'font-family="sans-serif" font-size="10">{corner[0]:.3g}</text>')
         parts.append(f'<text x="{margin - 6:.1f}" y="{y:.1f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{corner[1]:.3g}</text>')
     legend_y = margin + 4.0
     for curve in curves:
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in to_px(curve.points))
+        flat = to_px(curve.points).ravel().tolist()
+        coords = " ".join(["%.2f,%.2f"] * (len(flat) // 2)) % tuple(flat)
         dash = ' stroke-dasharray="6,4"' if curve.dashed else ""
         parts.append(f'<polyline fill="none" stroke="{curve.color}" stroke-width="1.5"'
                      f'{dash} points="{coords}"/>')
@@ -163,7 +234,7 @@ def render_svg(curves: list[SvgCurve], title: str = "",
                      f'font-family="sans-serif" font-size="10" fill="{curve.color}">'
                      f'{curve.name}</text>')
         legend_y += 14.0
-        marks = to_px([marker[:2] for marker in curve.markers])
+        marks = to_px([marker[:2] for marker in curve.markers]).tolist()
         for (x, y), (_, _, label) in zip(marks, curve.markers):
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{curve.color}"/>')
             if label:

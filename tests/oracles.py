@@ -318,7 +318,12 @@ def sequential_product(x0, steps) -> np.ndarray:
 
 
 def pair_distance(r1, r2) -> tuple[float, float]:
-    """(Frobenius distance, geodesic angle) between two rotations."""
+    """(Frobenius distance, geodesic angle) between two rotations: the angle
+    is atan2(|vee(M - M^T)| / 2, (tr M - 1) / 2) with M = R1^T R2."""
     fro = float(np.linalg.norm(r1 - r2))
-    cos_angle = 0.5 * (float(np.trace(r1.T @ r2)) - 1.0)
-    return fro, math.acos(min(1.0, max(-1.0, cos_angle)))
+    m = r1.T @ r2
+    (_, m01, m02), (m10, _, m12), (m20, m21, _) = m.tolist()
+    a, b, c = m21 - m12, m02 - m20, m10 - m01
+    sin_angle = 0.5 * math.sqrt(a * a + b * b + c * c)
+    cos_angle = 0.5 * (float(np.trace(m)) - 1.0)
+    return fro, float(np.arctan2(sin_angle, cos_angle))

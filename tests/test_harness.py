@@ -238,6 +238,16 @@ def test_figure3_integer_times_are_evaluated_times(tmp_path, stride):
         assert value == angles[i]
 
 
+def test_figure3_distances_agree_at_tiny_delta(tmp_path):
+    # the approximation error is ~1e-12 here: the angle must keep its digits
+    cfg = replace(default_config("figure3"), out_dir=str(tmp_path), deltas=(1e-7,))
+    series = run_experiment(cfg).report["series"]
+    fro = np.array(series["approx_frobenius"][repr(1e-7)])
+    angle = np.array(series["approx_angle"][repr(1e-7)])
+    assert np.max(fro) > 1e-13
+    assert np.max(np.abs(fro - 2.0 * math.sqrt(2.0) * np.sin(angle / 2.0))) <= 1e-14
+
+
 def test_figure3_rejects_zero_delta(tmp_path):
     cfg = replace(default_config("figure3"), out_dir=str(tmp_path), deltas=(0.0,))
     with pytest.raises(DegenerateB):

@@ -196,8 +196,8 @@ def test_distance_to_self_is_zero():
     r = rot_exp([0.2, -0.7, 0.4])
     fro, angle = so3_distance(r, r)
     assert fro == 0.0
-    # acos near 1 amplifies the float error of trace(R^T R) to ~sqrt(eps)
-    assert angle < 3e-8
+    # R^T R is symmetric to the last bit, so its skew part and the angle vanish
+    assert angle == 0.0
 
 
 def test_distance_half_turn():
@@ -210,6 +210,21 @@ def test_distance_small_angle():
     fro, angle = so3_distance(np.eye(3), rot_exp([0.1, 0.0, 0.0]))
     assert abs(angle - 0.1) < 1e-12
     assert fro > 0.0
+
+
+def test_distance_angle_is_accurate_at_every_separation():
+    rng = np.random.default_rng(7)
+    thetas = np.geomspace(1e-10, math.pi, 400)
+    axes = rng.normal(size=(400, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    r1 = rot_exp(rng.normal(size=(400, 3)))
+    r2 = r1 @ rot_exp(thetas[:, None] * axes)
+    fro, angle = so3_distance(r1, r2)
+    assert np.max(np.abs(angle - thetas)) <= 2e-15
+    # ||R1 - R2|| = 2 sqrt(2) sin(angle / 2)
+    assert np.max(np.abs(fro - 2.0 * math.sqrt(2.0) * np.sin(thetas / 2.0))) <= 1e-14
+    assert so3_distance(r1, r1)[1].tolist() == [0.0] * 400
+    assert so3_distance(np.eye(3), np.diag([1.0, -1.0, -1.0]))[1] == math.pi
 
 
 _axes = arrays(float, (6, 2, 3), elements=st.floats(-4.0, 4.0))
