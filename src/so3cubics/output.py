@@ -3,14 +3,14 @@
 An artifact is data: a table (a header and its rows), a JSON payload, or
 a list of SVG curves.  Each format has one writer, which takes arrays as
 they are and formats their floats in bulk C-level calls: a float table is
-written `CSV_BLOCK_ROWS` rows per `%` format call, an SVG polyline's points
-in one `%` format call, and a JSON list of floats in one `str.join` over
-`float.__repr__`.  The bytes are those of `csv.writer`, of
-`json.dumps(indent=2, sort_keys=True)` and of `%.2f`: floats in tables and
-payloads take their shortest round-trip form, so a given config always
-produces byte-identical files.  SVG plots are plain polyline renders of
-orthographically projected curves; every SVG has a CSV twin carrying the
-exact plotted numbers.
+written `CSV_BLOCK_ROWS` rows per `%` format call, with each distinct float
+of a block formatted once, an SVG polyline's points in one `%` format call,
+and a JSON list of floats in one `str.join` over `float.__repr__`.  The
+bytes are those of `csv.writer`, of `json.dumps(indent=2, sort_keys=True)`
+and of `%.2f`: floats in tables and payloads take their shortest
+round-trip form, so a given config always produces byte-identical files.
+SVG plots are plain polyline renders of orthographically projected
+curves; every SVG has a CSV twin carrying the exact plotted numbers.
 """
 
 from __future__ import annotations
@@ -47,20 +47,31 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
     Floats are written in their shortest round-trip form (`repr`, as the
     csv module writes them), so a table's floats read back bit for bit.  A
     2-D float array is formatted `CSV_BLOCK_ROWS` rows per call with the
-    excel dialect's `\\r\\n` line ends; other rows go through `csv.writer`.
+    excel dialect's `\\r\\n` line ends, each distinct float of a block
+    formatted once; other rows go through `csv.writer`.
     """
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-            line = ",".join(["%r"] * rows.shape[1]) + "\r\n"
+            line = ",".join(["%s"] * rows.shape[1]) + "\r\n"
             for start in range(0, len(rows), CSV_BLOCK_ROWS):
                 block = rows[start:start + CSV_BLOCK_ROWS]
-                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+                fh.write((line * len(block)) % _float_texts(block))
         else:
             writer.writerows(rows.tolist() if isinstance(rows, np.ndarray) else rows)
     return path
+
+
+def _float_texts(block: np.ndarray) -> tuple:
+    """The `repr` of every float of `block`, row by row, with `repr` called
+    once per distinct float.  Floats are told apart by their bits, so 0.0
+    and -0.0 keep their own texts."""
+    flat = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    return tuple(texts[inverse])
 
 
 def write_json(path: Path, payload) -> Path:
@@ -197,7 +208,9 @@ def render_svg(curves: list[SvgCurve], title: str = "",
     pts = np.vstack([c.points for c in curves if len(c.points)])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    span = np.maximum(hi - lo, 1e-9)
+    # a flat extent is widened relative to its magnitude: far from the
+    # origin a fixed floor falls below the float spacing and stays flat
+    span = np.maximum(hi - lo, 1e-9 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
     pad = 0.05 * span
     lo, hi = lo - pad, hi + pad
     span = hi - lo

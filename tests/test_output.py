@@ -20,6 +20,33 @@ SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
 
 _floats = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_subnormal=True)
 
+# a small pool of cells, so that most cells of a table drawn from it repeat:
+# both zeros, NaNs with different payloads (quiet, negative, signalling),
+# both infinities and 17-digit floats
+POOL = np.concatenate([
+    [0.0, -0.0, float("inf"), float("-inf"), 0.1, 1 / 3, -2 / 3, 1e16 / 3],
+    np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF4000000000000],
+             dtype=np.uint64).view(np.float64),
+])
+
+_shapes = st.tuples(st.integers(0, 2 * CSV_BLOCK_ROWS + 3), st.integers(1, 4))
+_tables = (arrays(float, _shapes, elements=_floats)
+           | arrays(np.intp, _shapes, elements=st.integers(0, len(POOL) - 1)).map(POOL.take))
+
+
+def _block_boundary_table() -> np.ndarray:
+    """Cells of the last row of the first block repeated, sign-swapped
+    zeros included, in the first row of the second."""
+    table = np.resize(POOL, (CSV_BLOCK_ROWS + 2, 3))
+    table[CSV_BLOCK_ROWS - 1] = [-0.0, 0.0, 1 / 3]
+    table[CSV_BLOCK_ROWS] = [0.0, -0.0, 1 / 3]
+    return table
+
+
+def _float32_table() -> np.ndarray:
+    with np.errstate(invalid="ignore"):   # the cast quiets the signalling NaN
+        return np.resize(POOL, (40, 3)).astype(np.float32)
+
 
 def _csv_writer_bytes(header, rows) -> bytes:
     buf = io.StringIO(newline="")
@@ -31,12 +58,15 @@ def _csv_writer_bytes(header, rows) -> bytes:
 
 # ------------------------------------------------------------------------ CSV
 
-@settings(max_examples=60, deadline=None)
-@given(arrays(float, st.tuples(st.integers(0, 2 * CSV_BLOCK_ROWS + 3), st.integers(1, 4)),
-              elements=_floats))
+@settings(max_examples=80, deadline=None)
+@given(_tables)
 @example(np.empty((0, 3)))
 @example(np.array(SPECIAL_FLOATS).reshape(-1, 1))
 @example(np.resize(np.array(SPECIAL_FLOATS), (CSV_BLOCK_ROWS + 1, 3)))
+@example(_float32_table())
+@example(np.resize(POOL, (4, 30)).T)
+@example(np.resize(POOL, (30, 8))[:, ::3])
+@example(_block_boundary_table())
 def test_csv_float_table_matches_csv_writer(tmp_path_factory, rows):
     header = [f"c{j}" for j in range(rows.shape[1])]
     path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", header, rows)
@@ -61,16 +91,20 @@ def test_csv_non_float_arrays_go_through_csv_writer(tmp_path):
 
 @settings(max_examples=60, deadline=None)
 @given(arrays(float, st.tuples(st.integers(1, 60), st.just(2)),
-              elements=st.floats(-1e4, 1e4) | st.sampled_from([0.0, -0.0, 1e-300, 1e-9])))
+              elements=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-300, 1e-9])))
+@example(np.array([[1e6, 1e6], [1e6, 1e6]]))
 def test_svg_polyline_matches_per_point_fstring(points):
     # a marker at every point: the markers still format one f-string per
     # coordinate, from the same pixel coordinates as the polyline
     curve = SvgCurve("c", points, markers=[(x, y, "") for x, y in points.tolist()])
-    svg = render_svg([curve])
+    svg = render_svg([curve], width=720, height=540, margin=56.0)
     polyline = re.search(r'points="([^"]*)"', svg).group(1)
     circles = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', svg)
     assert polyline == " ".join(f"{x},{y}" for x, y in circles)
     assert len(circles) == len(points)
+    # every point lies inside the plot frame, a flat curve included
+    coords = np.array([point.split(",") for point in polyline.split()], dtype=float)
+    assert ((coords >= 56.0) & (coords <= [664.0, 484.0])).all()
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, -0.004, float("nan"), float("inf"),
