@@ -1,11 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.interpolate import CubicHermiteSpline
 
-from conftest import FIG1_CONSTANT, fig1_ivp, fig3_ivp
+from conftest import FIG1_CONSTANT, FIG1_V0, FIG1_V1, FIG1_V2, fig1_ivp, fig3_ivp
 from oracles import rk4_quadratic, rk4_rotation, sequential_product
 from so3cubics.algebra import rot_exp
 from so3cubics.errors import StepTooLarge
@@ -111,12 +113,26 @@ vectors = st.tuples(component, component, component).map(np.array)
 
 @settings(max_examples=30, deadline=None)
 @given(vectors, vectors, vectors, st.floats(0.5, 2.0), st.floats(2e-3, 5e-3))
+# the two ends of the state buffer: one step (n = 1), and the ensemble's
+# 20,000 steps on [0, 20]; a node left unwritten would read as a zero row
+@example(np.array([0.3, -0.8, 0.5]), np.array([0.2, 0.1, -0.4]),
+         np.array([-0.6, 0.3, 0.9]), 0.004, 0.004)
+@example(FIG1_V0, FIG1_V1, FIG1_V2, 20.0, 1e-3)
 def test_integrate_matches_vector_rk4_bit_for_bit(v0, v1, v2, t1, step):
     # steps this small keep every draw within the drift gates (worst ~1e-7)
     ivp = QuadraticIVP(0.0, t1, v0, v1, v2)
     traj = integrate_quadratic(ivp, step)
     states = rk4_quadratic(ivp, step)
     assert np.array_equal(np.hstack([traj.v, traj.v1, traj.v2]), states)
+
+
+def test_integrate_returns_separate_contiguous_arrays(fig1_trajectory):
+    # a caller that writes into one of V, V', V'' cannot change another
+    parts = (fig1_trajectory.v, fig1_trajectory.v1, fig1_trajectory.v2)
+    for part in parts:
+        assert part.dtype == np.float64 and part.flags.c_contiguous
+    for a, b in itertools.combinations(parts, 2):
+        assert not np.shares_memory(a, b)
 
 
 def test_integrate_validates_step():

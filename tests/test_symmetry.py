@@ -1,0 +1,75 @@
+"""The equations' own invariances, checked on computed values.
+
+V''' = [V'', V] is equivariant under rotations (the bracket is the cross
+product), reversible in time (W(t) = -V(T - t)) and scale invariant
+(W(t) = λ V(λ t)).  Each test integrates the transformed initial data and
+compares the transformed trajectory node by node; no fitted parameter is
+compared.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import fig3_ivp
+from so3cubics.algebra import rot_exp
+from so3cubics.quadratic import QuadraticIVP, integrate_quadratic
+
+FIG3_STEP = 1e-3          # the figure3 default step
+FIG3_DELTA = 0.05         # the figure3 default delta
+
+
+@pytest.fixture(scope="module")
+def fig3_trajectory():
+    return integrate_quadratic(fig3_ivp(FIG3_DELTA), FIG3_STEP)
+
+
+def _jet(traj):
+    return np.hstack([traj.v, traj.v1, traj.v2])
+
+
+angle = st.floats(-np.pi, np.pi, allow_nan=False)
+
+
+# ------------------------------------------------------- integrate_quadratic
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(angle, angle, angle))
+def test_integrate_quadratic_is_rotation_equivariant(fig3_trajectory, axis_angle):
+    # the rotated jet (R V0, R V1, R V2) integrates to R V(t)
+    R = rot_exp(np.array(axis_angle))
+    ivp = fig3_ivp(FIG3_DELTA)
+    rotated = integrate_quadratic(QuadraticIVP(ivp.t0, ivp.t1, R @ ivp.v0, R @ ivp.v1,
+                                               R @ ivp.v2), FIG3_STEP)
+    expected = np.hstack([fig3_trajectory.v @ R.T, fig3_trajectory.v1 @ R.T,
+                          fig3_trajectory.v2 @ R.T])
+    assert np.max(np.abs(_jet(rotated) - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.02, 0.05, 0.1])
+def test_integrate_quadratic_is_time_reversible(delta):
+    # W(t) = -V(T - t) solves the same equation from (-V(T), V'(T), -V''(T));
+    # RK4 is not a symmetric method, so W meets -V(T - t) only to its own
+    # error: at most 5.6e-16 over these deltas
+    traj = integrate_quadratic(fig3_ivp(delta), FIG3_STEP)
+    back = integrate_quadratic(QuadraticIVP(traj.t0, traj.t1, -traj.v[-1], traj.v1[-1],
+                                            -traj.v2[-1]), FIG3_STEP)
+    expected = np.hstack([-traj.v[::-1], traj.v1[::-1], -traj.v2[::-1]])
+    assert np.max(np.abs(_jet(back) - expected)) < 1e-14
+
+
+@pytest.mark.parametrize("lam", [2.0, 0.5, 4.0])
+def test_integrate_quadratic_scaling_is_exact_for_powers_of_two(lam):
+    # W(t) = λ V(λ t) has the jet (λ V0, λ² V1, λ³ V2) on [t0/λ, t1/λ]; at
+    # step h/λ every RK4 operation of W is λ^k times that of V, which is
+    # exact in binary floating point when λ is a power of two
+    ivp = fig3_ivp(FIG3_DELTA)
+    step = 1e-2
+    traj = integrate_quadratic(ivp, step)
+    scaled = integrate_quadratic(QuadraticIVP(ivp.t0 / lam, ivp.t1 / lam, lam * ivp.v0,
+                                              lam**2 * ivp.v1, lam**3 * ivp.v2), step / lam)
+    assert np.array_equal(scaled.grid, traj.grid / lam)
+    assert np.array_equal(scaled.v, lam * traj.v)
+    assert np.array_equal(scaled.v1, lam**2 * traj.v1)
+    assert np.array_equal(scaled.v2, lam**3 * traj.v2)
