@@ -13,8 +13,7 @@ from .approximants import (ApproxParams, first_approximant, fit_params,
                            second_approximant, second_correction, taylor2_baseline)
 from .errors import (ConfigError, DegeneracyError, DegenerateB, DegenerateFrame,
                      DegenerateThirdDerivative, StepTooLarge, ZeroDirection)
-from .harness import (ExperimentConfig, RunResult, default_config,
-                      load_config, run_experiment)
+from .harness import ExperimentConfig, RunResult, default_config, run_experiment
 from .quadratic import (QuadraticIVP, QuadraticTrajectory, RotationTrajectory,
                         conserved_constant, integrate_cubic, integrate_quadratic,
                         is_null, quadratic_residual, subgroup_product_velocity)
@@ -33,7 +32,7 @@ __all__ = [
     "conserved_constant", "default_config",
     "first_approximant", "fit_params", "frame_from_axis", "frame_from_pair",
     "integrate_cubic", "integrate_quadratic",
-    "is_null", "load_config", "plane_rotation",
+    "is_null", "plane_rotation",
     "quadratic_residual", "reconstruct_cubic", "rot_exp",
     "rotation_error", "rotation_phase", "rotation_phase_approx", "run_experiment",
     "second_approximant", "second_correction", "so3_distance",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -137,11 +136,6 @@ class Frame:
     def base(self) -> np.ndarray:
         """The constant angular velocity d * f0 the frame is adapted to."""
         return self.d * self.f0
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Orthogonal matrix with columns f0, f1, f2."""
-        return np.column_stack([self.f0, self.f1, self.f2])
 
     def perp_complex(self, v) -> complex:
         """The f0-orthogonal part of v encoded as <v,f1> + i <v,f2>.

@@ -142,36 +142,11 @@ class ApproxParams:
         return np.array([self.c0, self.c1, self.c2])
 
     @property
-    def a0_vec(self) -> np.ndarray:
-        return self.a01 * self.frame.f1 + self.a02 * self.frame.f2
-
-    @property
-    def a1_vec(self) -> np.ndarray:
-        return self.a11 * self.frame.f1 + self.a12 * self.frame.f2
-
-    @property
-    def b_vec(self) -> np.ndarray:
-        return self.beta * (math.cos(self.gamma) * self.frame.f1
-                            + math.sin(self.gamma) * self.frame.f2)
-
-    @property
     def rho(self) -> float:
         """-2 c2 / (d^2 beta); only defined for beta > 0."""
         if self.beta <= 0.0:
             raise DegenerateB("rho is undefined for beta = 0")
         return -2.0 * self.c2 / (self.frame.d ** 2 * self.beta)
-
-    @property
-    def c_hat(self) -> float:
-        """Squared acceleration of the first-order approximant."""
-        return self.delta ** 2 * (4.0 * self.c2 ** 2 + self.frame.d ** 4 * self.beta ** 2)
-
-    @property
-    def C_hat(self) -> np.ndarray:
-        """First-order bracket constant delta (2 c2 f0 - d a12 f1 + d a11 f2)."""
-        f = self.frame
-        return self.delta * (2.0 * self.c2 * f.f0 - f.d * self.a12 * f.f1
-                             + f.d * self.a11 * f.f2)
 
     # complex shorthands for the transverse coefficients
     @property
@@ -216,19 +191,6 @@ class ApproxParams:
             "gamma": self.gamma,
             "b_degenerate": self.b_degenerate,
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ApproxParams":
-        f = data["frame"]
-        frame = Frame(np.array(f["f0"]), np.array(f["f1"]), np.array(f["f2"]), f["d"])
-        return ApproxParams(
-            delta=data["delta"], frame=frame, t0=data["t0"],
-            c0=data["q"][0], c1=data["q"][1], c2=data["q"][2],
-            a01=data["a0"][0], a02=data["a0"][1],
-            a11=data["a1"][0], a12=data["a1"][1],
-            beta=data["beta"], gamma=data["gamma"],
-            b_degenerate=data.get("b_degenerate", False),
-        )
 
 
 def fit_params(base, delta: float, v0, v1, v2, t0: float = 0.0) -> ApproxParams:

@@ -137,10 +137,6 @@ class ExperimentConfig:
             return replace(self, formats=tuple(self.formats) + ("csv",))
         return self
 
-    @property
-    def delta(self) -> float:
-        return float(self.deltas[0])
-
     def ivp(self, delta: float) -> QuadraticIVP:
         if delta == 0.0:
             raise DegenerateB("zero perturbation leaves no oscillatory component")
@@ -270,10 +266,6 @@ def read_config(path) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     return data
-
-
-def load_config(path) -> ExperimentConfig:
-    return config_from_dict(read_config(path))
 
 
 @dataclass

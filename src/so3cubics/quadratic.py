@@ -200,9 +200,13 @@ class QuadraticTrajectory:
 
     def conservation_drift(self) -> tuple[float, float]:
         """(max |C(t) - C(t0)|, max |c(t) - c(t0)|) over the grid."""
-        dc = float(np.max(np.linalg.norm(self.constant_series() - self.C, axis=1)))
-        da = float(np.max(np.abs(self.accel_series() - self.c)))
-        return dc, da
+        dc, da = self._drift_series()
+        return float(np.max(dc)), float(np.max(da))
+
+    def _drift_series(self) -> tuple[np.ndarray, np.ndarray]:
+        """|C(t) - C(t0)| and |c(t) - c(t0)| at every grid node."""
+        dC = self.constant_series() - self.C
+        return np.sqrt(np.einsum("ij,ij->i", dC, dC)), np.abs(self.accel_series() - self.c)
 
     def near_geodesic_gauge(self) -> tuple[float, float]:
         """Sup norms (max |V'|, max |V''|) over the grid.
@@ -223,17 +227,14 @@ class RotationTrajectory:
     grid: np.ndarray
     rotations: np.ndarray
 
-    def index_of(self, t: float) -> int:
-        """Index of the grid node at time t (must lie on the grid)."""
+    def at_time(self, t: float) -> np.ndarray:
+        """The rotation at the grid node at time t (must lie on the grid)."""
         idx = int(np.argmin(np.abs(self.grid - t)))
         scale = max(1.0, abs(float(self.grid[-1])))
         # written so that a NaN time raises too
         if not abs(float(self.grid[idx]) - t) <= 1e-9 * scale:
             raise ValueError(f"time {t} is not a grid node")
-        return idx
-
-    def at_time(self, t: float) -> np.ndarray:
-        return self.rotations[self.index_of(t)]
+        return self.rotations[idx]
 
     def second_rows(self) -> np.ndarray:
         """Second row of every sample; the standard planar trace of the curve."""
@@ -324,9 +325,9 @@ def integrate_quadratic(ivp: QuadraticIVP, step: float) -> QuadraticTrajectory:
         C=conserved_constant(ivp.v0, ivp.v1, ivp.v2),
         c=float(ivp.v2 @ ivp.v2),
     )
-    dC = traj.constant_series() - traj.C
-    _gate_drift("bracket constant C", np.sqrt(np.einsum("ij,ij->i", dC, dC)), grid, h)
-    _gate_drift("squared acceleration c", np.abs(traj.accel_series() - traj.c), grid, h)
+    dc, da = traj._drift_series()
+    _gate_drift("bracket constant C", dc, grid, h)
+    _gate_drift("squared acceleration c", da, grid, h)
     return traj
 
 

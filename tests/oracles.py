@@ -28,8 +28,10 @@ and the stacked form must reproduce it bit for bit.
 
 Helpers that only tests and these oracles call live here too: the axial
 rotation family `axial_rotation`, its running integrals in matrix form
-(`integrate_poly_axial`), `moving_frame`, and the row Gram-Schmidt
-`renormalize` with its `NotNearRotation` error.
+(`integrate_poly_axial`), `moving_frame`, the row Gram-Schmidt
+`renormalize` with its `NotNearRotation` error, and `transverse_vectors`,
+which builds the transverse coefficients A0, A1, B of a parameter set as
+3-vectors for the matrix kernels.
 """
 
 import math
@@ -155,6 +157,13 @@ def endomorphisms(frame: Frame, t: float, t0: float) -> EndomorphismSet:
     return EndomorphismSet(l0=l0, l1=l1, m0=m0, m1=m1, mb=mb, u=u)
 
 
+def transverse_vectors(p: ApproxParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The transverse coefficients (A0, A1, B) as 3-vectors in the frame."""
+    f = p.frame
+    return (p.a01 * f.f1 + p.a02 * f.f2, p.a11 * f.f1 + p.a12 * f.f2,
+            p.beta * (math.cos(p.gamma) * f.f1 + math.sin(p.gamma) * f.f2))
+
+
 def matrix_second_correction(p: ApproxParams, t: float) -> tuple[float, np.ndarray]:
     """The pair (f2, v2) at one time through the matrix kernels.
 
@@ -165,7 +174,7 @@ def matrix_second_correction(p: ApproxParams, t: float) -> tuple[float, np.ndarr
     """
     f = p.frame
     ends = endomorphisms(f, t, p.t0)
-    a0, a1, b = p.a0_vec, p.a1_vec, p.b_vec
+    a0, a1, b = transverse_vectors(p)
     f2 = -2.0 * float((bracket(a0, ends.l0 @ b) + bracket(a1, ends.l1 @ b)) @ f.f0)
     iq = npoly.polyint(p.q_coeffs)
     g2 = integrate_poly_axial(f, iq, t, p.t0, repeat=2)
@@ -190,7 +199,7 @@ def second_correction_deriv2(p: ApproxParams, t: float) -> tuple[float, np.ndarr
     eye = np.eye(3)
     im = ad_matrix(f.f0)
     e = axial_rotation(f, t, p.t0)
-    a0, a1, b = p.a0_vec, p.a1_vec, p.b_vec
+    a0, a1, b = transverse_vectors(p)
     f2 = float((2.0 * d * bracket(a0, im @ ((e - eye) @ b))
                 + 2.0 * bracket(a1, (e - eye + u * (im @ e)) @ b)) @ f.f0)
     iq = float(npoly.polyval(tau, npoly.polyint(p.q_coeffs)))
@@ -210,7 +219,7 @@ def second_correction_deriv3(p: ApproxParams, t: float) -> tuple[float, np.ndarr
     eye = np.eye(3)
     im = ad_matrix(f.f0)
     e = axial_rotation(f, t, p.t0)
-    a0, a1, b = p.a0_vec, p.a1_vec, p.b_vec
+    a0, a1, b = transverse_vectors(p)
     eb = e @ b
     f2 = float((2.0 * d ** 2 * bracket(a0, eb) + 2.0 * d * u * bracket(a1, eb)) @ f.f0)
     q = float(npoly.polyval(tau, p.q_coeffs))
@@ -228,7 +237,7 @@ def brute_force_correction(params, tmax, n=8001):
     d = f.d
     ts = np.linspace(params.t0, tmax, n)
     tau = ts - params.t0
-    a0, a1, b = params.a0_vec, params.a1_vec, params.b_vec
+    a0, a1, b = transverse_vectors(params)
     q = params.c0 + params.c1 * tau + params.c2 * tau * tau
     e = np.array([axial_rotation(f, t, params.t0) for t in ts])
     e_inv = np.transpose(e, (0, 2, 1))

@@ -166,7 +166,8 @@ def test_axial_rotation_identity_at_start():
 def test_axial_rotation_frame_coordinates_quarter_turn():
     frame = frame_from_axis([0.3, -1.2, 0.4])
     t = (math.pi / 2) / frame.d
-    m = frame.matrix.T @ axial_rotation(frame, t, 0.0) @ frame.matrix
+    q = np.column_stack([frame.f0, frame.f1, frame.f2])
+    m = q.T @ axial_rotation(frame, t, 0.0) @ q
     expected = np.array([[1, 0, 0], [0, 0, 1], [0, -1, 0]], dtype=float)
     np.testing.assert_allclose(m, expected, atol=1e-12)
 

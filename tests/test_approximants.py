@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from scipy.integrate import quad
 from conftest import FIG3_BASE, fig1_ivp, fig3_ivp
 from oracles import (axial_rotation, brute_force_correction, endomorphisms,
                      integrate_poly_axial, matrix_second_correction,
-                     second_correction_deriv2, second_correction_deriv3)
+                     second_correction_deriv2, second_correction_deriv3,
+                     transverse_vectors)
 from so3cubics.algebra import ad_matrix, frame_from_axis
 from so3cubics.approximants import (ApproxParams, first_approximant, fit_params,
                                     second_approximant, second_correction,
@@ -83,20 +85,26 @@ def test_fit_validates_inputs():
 
 
 def test_params_json_round_trip():
+    # to_dict carries every scalar field and frame vector bit for bit
     p = fig3_params()
-    q = ApproxParams.from_dict(p.to_dict())
-    assert q.c2 == p.c2 and q.beta == p.beta and q.gamma == p.gamma
-    np.testing.assert_array_equal(q.frame.f1, p.frame.f1)
+    data = json.loads(json.dumps(p.to_dict()))
+    for name in ("delta", "t0", "beta", "gamma", "b_degenerate"):
+        assert data[name] == getattr(p, name)
+    assert data["q"] == [p.c0, p.c1, p.c2]
+    assert data["a0"] == [p.a01, p.a02]
+    assert data["a1"] == [p.a11, p.a12]
+    for name in ("f0", "f1", "f2"):
+        np.testing.assert_array_equal(data["frame"][name], getattr(p.frame, name))
+    assert data["frame"]["d"] == p.frame.d
 
 
 def test_params_derived_quantities():
     p = fig3_params()
     assert abs(p.rho - (-2.0 * p.c2 / (p.frame.d ** 2 * p.beta))) < 1e-15
-    expected_c_hat = p.delta ** 2 * (4 * p.c2 ** 2 + p.frame.d ** 4 * p.beta ** 2)
-    assert abs(p.c_hat - expected_c_hat) < 1e-15
-    f = p.frame
-    expected = p.delta * (2 * p.c2 * f.f0 - p.a12 * f.f1 + p.a11 * f.f2)
-    np.testing.assert_allclose(p.C_hat, expected, atol=1e-15)
+    # the first-order approximant has constant squared acceleration
+    c_hat = p.delta ** 2 * (4 * p.c2 ** 2 + p.frame.d ** 4 * p.beta ** 2)
+    accel = first_approximant(p, np.linspace(0.0, 10.0, 101), 2)
+    np.testing.assert_allclose(np.einsum("ij,ij->i", accel, accel), c_hat, rtol=1e-14)
 
 
 def test_rho_undefined_for_degenerate_b():
@@ -159,7 +167,7 @@ def test_endomorphisms_against_independent_coefficient_evaluation():
     e_f = np.array([[1, 0, 0], [0, cu, su], [0, -su, cu]], dtype=float)
     i_f = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float)
     one = np.eye(3)
-    q = frame.matrix
+    q = np.column_stack([frame.f0, frame.f1, frame.f2])
     conj = lambda m: q @ m @ q.T
     expected = {
         "l0": (-u * one + (u * u / 2 - 1) * i_f + i_f @ e_f) / d,
@@ -241,7 +249,8 @@ def test_second_correction_without_oscillatory_part():
     f2, v2 = second_correction(p, t)
     assert f2 == 0.0
     ends = endomorphisms(frame, t, 0.0)
-    expected = 4.0 * p.c2 * (ends.m0 @ p.a0_vec + ends.m1 @ p.a1_vec)
+    a0, a1, _ = transverse_vectors(p)
+    expected = 4.0 * p.c2 * (ends.m0 @ a0 + ends.m1 @ a1)
     np.testing.assert_allclose(v2, expected, atol=1e-14)
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import so3cubics
 from so3cubics.cli import build_parser, main
 from so3cubics.errors import ConfigError, DegenerateB
-from so3cubics.harness import (KINDS, config_from_dict, default_config, load_config,
+from so3cubics.harness import (KINDS, config_from_dict, default_config, read_config,
                                run_experiment)
 from so3cubics.output import (QUADRATIC_CSV_HEADER, ROTATION_CSV_HEADER, quadratic_table,
                               quadratic_to_dict, rotation_table, write_csv, write_json)
@@ -129,7 +129,7 @@ def test_config_file_round_trip(tmp_path):
     cfg = default_config("figure1")
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg.to_dict()))
-    loaded = load_config(path)
+    loaded = config_from_dict(read_config(path))
     assert loaded == cfg.validate()
 
 
@@ -229,7 +229,7 @@ def test_figure3_integer_times_are_evaluated_times(tmp_path, stride):
                   stride=stride)
     report = run_experiment(cfg).report
     times = np.array(report["times"])
-    angles = report["series"]["approx_angle"][repr(cfg.delta)]
+    angles = report["series"]["approx_angle"][repr(cfg.deltas[0])]
     marked = report["angle_at_integer_times"]
     assert sorted(marked) == ["0.0", "3.0", "6.0", "9.0"]
     for key, value in marked.items():
@@ -310,7 +310,7 @@ def test_rotation_kinds_report_rotation_defect(tmp_path, kind):
 
 def test_quadratic_serialization_shapes(tmp_path):
     cfg = default_config("figure1")
-    traj = integrate_quadratic(cfg.ivp(cfg.delta), 1e-2)
+    traj = integrate_quadratic(cfg.ivp(cfg.deltas[0]), 1e-2)
     csv_path = write_csv(tmp_path / "traj.csv", QUADRATIC_CSV_HEADER, quadratic_table(traj))
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "t,v_x,v_y,v_z,dv_x,dv_y,dv_z,ddv_x,ddv_y,ddv_z"
@@ -323,7 +323,7 @@ def test_quadratic_serialization_shapes(tmp_path):
 
 def test_rotation_serialization_header(tmp_path):
     cfg = default_config("figure1")
-    traj = integrate_quadratic(cfg.ivp(cfg.delta), 1e-2)
+    traj = integrate_quadratic(cfg.ivp(cfg.deltas[0]), 1e-2)
     rt = integrate_cubic(np.eye(3), traj, 1e-2)
     path = write_csv(tmp_path / "rot.csv", ROTATION_CSV_HEADER,
                      rotation_table(rt.grid, rt.rotations))

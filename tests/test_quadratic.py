@@ -126,6 +126,22 @@ def test_integrate_matches_vector_rk4_bit_for_bit(v0, v1, v2, t1, step):
     assert np.array_equal(np.hstack([traj.v, traj.v1, traj.v2]), states)
 
 
+@settings(max_examples=60, deadline=None)
+@given(vectors, vectors, vectors, st.floats(0.5, 3.0), st.floats(0.01, 0.2))
+def test_returned_trajectory_drift_is_within_the_gate(v0, v1, v2, t1, step):
+    # the gates and conservation_drift read one drift series, so what
+    # integrate_quadratic returns reports at most C_DRIFT_LIMIT; steps this
+    # large make many draws raise instead
+    ivp = QuadraticIVP(0.0, t1, v0, v1, v2)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate_quadratic(ivp, step)
+    except StepTooLarge:
+        return
+    dc, da = traj.conservation_drift()
+    assert dc <= C_DRIFT_LIMIT and da <= C_DRIFT_LIMIT
+
+
 def test_integrate_returns_separate_contiguous_arrays(fig1_trajectory):
     # a caller that writes into one of V, V', V'' cannot change another
     parts = (fig1_trajectory.v, fig1_trajectory.v1, fig1_trajectory.v2)
@@ -314,13 +330,11 @@ def test_integrate_cubic_rejects_bad_start(fig1_trajectory):
 
 def test_rotation_trajectory_lookup(fig1_trajectory):
     rt = integrate_cubic(np.eye(3), fig1_trajectory, 1e-2)
-    assert rt.index_of(0.0) == 0
-    assert rt.index_of(5.0) == len(rt.grid) - 1
+    np.testing.assert_array_equal(rt.at_time(0.0), rt.rotations[0])
+    np.testing.assert_array_equal(rt.at_time(5.0), rt.rotations[-1])
     with pytest.raises(ValueError):
-        rt.index_of(0.005)
+        rt.at_time(0.005)
     # abs(nan) > tol is False, which once let a NaN time pick the first node
-    with pytest.raises(ValueError, match="not a grid node"):
-        rt.index_of(float("nan"))
     with pytest.raises(ValueError, match="not a grid node"):
         rt.at_time(float("nan"))
     assert rt.second_rows().shape == (len(rt.grid), 3)

@@ -3,8 +3,11 @@
 V''' = [V'', V] is equivariant under rotations (the bracket is the cross
 product), reversible in time (W(t) = -V(T - t)) and scale invariant
 (W(t) = λ V(λ t)).  Each test integrates the transformed initial data and
-compares the transformed trajectory node by node; no fitted parameter is
-compared.
+compares the transformed trajectory node by node.  The approximants are
+fitted to rotated initial data and compared by value on a grid of times.
+No fitted parameter is compared: `frame_from_axis` picks its f1 by
+coordinate axis, so the parameters change under rotation while every
+approximant value is equivariant.
 """
 
 import numpy as np
@@ -12,12 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fig3_ivp
+from conftest import FIG3_BASE, fig3_ivp
 from so3cubics.algebra import rot_exp
+from so3cubics.approximants import (first_approximant, fit_params, second_approximant,
+                                    taylor2_baseline)
 from so3cubics.quadratic import QuadraticIVP, integrate_quadratic
 
 FIG3_STEP = 1e-3          # the figure3 default step
 FIG3_DELTA = 0.05         # the figure3 default delta
+FIG3_TIMES = np.linspace(0.0, 10.0, 101)
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +79,34 @@ def test_integrate_quadratic_scaling_is_exact_for_powers_of_two(lam):
     assert np.array_equal(scaled.v, lam * traj.v)
     assert np.array_equal(scaled.v1, lam**2 * traj.v1)
     assert np.array_equal(scaled.v2, lam**3 * traj.v2)
+
+
+# ------------------------------------------------------------- approximants
+
+def _rotated_ivp(R):
+    ivp = fig3_ivp(FIG3_DELTA)
+    return ivp, QuadraticIVP(ivp.t0, ivp.t1, R @ ivp.v0, R @ ivp.v1, R @ ivp.v2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(angle, angle, angle))
+def test_approximants_are_rotation_equivariant(axis_angle):
+    # fitted with base R base to the rotated jet, V1 and V2 become R V1 and
+    # R V2 at every derivative order
+    R = rot_exp(np.array(axis_angle))
+    ivp, rot = _rotated_ivp(R)
+    p = fit_params(FIG3_BASE, FIG3_DELTA, ivp.v0, ivp.v1, ivp.v2, ivp.t0)
+    q = fit_params(R @ FIG3_BASE, FIG3_DELTA, rot.v0, rot.v1, rot.v2, rot.t0)
+    for approximant in (first_approximant, second_approximant):
+        for deriv in range(4):
+            expected = approximant(p, FIG3_TIMES, deriv) @ R.T
+            assert np.max(np.abs(approximant(q, FIG3_TIMES, deriv) - expected)) < 1e-13
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(angle, angle, angle))
+def test_taylor2_baseline_is_rotation_equivariant(axis_angle):
+    R = rot_exp(np.array(axis_angle))
+    ivp, rot = _rotated_ivp(R)
+    expected = taylor2_baseline(ivp, FIG3_TIMES) @ R.T
+    assert np.max(np.abs(taylor2_baseline(rot, FIG3_TIMES) - expected)) < 1e-13
