@@ -12,7 +12,7 @@ from .algebra import (Frame, ad_matrix, as_vector, bracket, frame_from_axis,
 from .approximants import (ApproxParams, first_approximant, fit_params,
                            second_approximant, second_correction, taylor2_baseline)
 from .errors import (ConfigError, DegeneracyError, DegenerateB, DegenerateFrame,
-                     DegenerateThirdDerivative, StepTooLarge, ZeroDirection)
+                     DegenerateThirdDerivative, OutOfDomain, StepTooLarge, ZeroDirection)
 from .harness import ExperimentConfig, RunResult, default_config, run_experiment
 from .quadratic import (QuadraticIVP, QuadraticTrajectory, RotationTrajectory,
                         conserved_constant, integrate_cubic, integrate_quadratic,
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxParams", "ConfigError", "DegeneracyError", "DegenerateB",
     "DegenerateFrame", "DegenerateThirdDerivative",
-    "ExperimentConfig", "Frame",
+    "ExperimentConfig", "Frame", "OutOfDomain",
     "QuadraticIVP", "QuadraticTrajectory", "ReconstructionInput",
     "RotationTrajectory", "RunResult", "StepTooLarge", "ZeroDirection",
     "ad_matrix", "approx_cubic", "as_vector", "bracket",

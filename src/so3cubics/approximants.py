@@ -15,8 +15,10 @@ multiples of e close up under an integration-by-parts recursion.
 All transverse arithmetic is done in complex form (the plane orthogonal
 to f0 with ad(f0) acting as i), which keeps every coefficient formula a
 few lines long and makes derivatives exact.  Each parameter set builds
-these closed forms and their first three derivatives once; every
-evaluator then accepts a scalar time or an array of times.
+these closed forms and their first three derivatives once, as tuples of
+Python complex coefficients on the frequency bands 0 and -d; one pass
+forms exp(-i d (t - t0)) once and Horner-sums every form it needs at
+every requested order, for a scalar time or an array of times.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .algebra import Frame, as_vector, frame_from_axis
-from .errors import DegenerateB
+from .errors import DegenerateB, OutOfDomain
 from .quadratic import QuadraticIVP
 
 B_DEGENERACY_TOL = 1e-12   # per-delta transverse V'' below this flags beta = 0
@@ -38,65 +39,76 @@ B_DEGENERACY_TOL = 1e-12   # per-delta transverse V'' below this flags beta = 0
 # ---------------------------------------------------------------------------
 # polynomial x axial-rotation calculus (transverse plane, complex form)
 # ---------------------------------------------------------------------------
+# Coefficients are tuples of Python complex numbers, lowest power first.  The
+# helpers follow numpy.polynomial's arithmetic: its trimming of trailing
+# zeros and its division by an integer as a product with the reciprocal.  A
+# table thus holds numpy's values bit for bit, except where numpy's vectorised
+# product of two general complex numbers rounds differently.
 
-def _ibp_weights(coeffs: np.ndarray, d: float) -> np.ndarray:
-    """Coefficients w with int_0^tau p(s) exp(-i d s) ds
-    = w(tau) exp(-i d tau) - w(0), by repeated integration by parts:
-    w = sum_k (-1)^k (i/d)^(k+1) p^(k)."""
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    w = np.zeros_like(coeffs)
-    term = coeffs
-    factor = 1j / d
-    sign = 1.0
-    while term.size and np.any(term != 0.0):
-        w[: term.size] += sign * factor * term
-        term = npoly.polyder(term)
-        factor *= 1j / d
-        sign = -sign
-    return w
+def _trim(c: tuple) -> tuple:
+    while len(c) > 1 and c[-1] == 0:
+        c = c[:-1]
+    return c
 
 
-@dataclass(frozen=True)
-class _PolyExp:
-    """Complex function p(tau) exp(-i d tau) + r(tau) with polynomial p, r.
+def _padd(a: tuple, b: tuple) -> tuple:
+    a, b = sorted((a, b), key=len, reverse=True)
+    return _trim(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
-    Closed under differentiation and under running integration from 0,
-    which is all the second-order correction formulas need.
-    """
+
+def _pder(c: tuple) -> tuple:
+    """Derivative; empty for a constant."""
+    return tuple(j * x for j, x in enumerate(c) if j)
+
+
+def _pint(c: tuple) -> tuple:
+    """Antiderivative vanishing at 0."""
+    return (0j, c[0], *(x * (1.0 / j) for j, x in enumerate(c[1:], 2)))
+
+
+def _horner(c: tuple, x, x0):
+    """The polynomial at times x, given x0 = x * 0 (shared by the forms)."""
+    c0 = c[-1] + x0
+    for a in c[-2::-1]:
+        c0 = a + c0 * x
+    return c0
+
+
+@dataclass(slots=True)
+class _BandPoly:
+    """Complex function pe(tau) exp(-i d tau) + pp(tau): a polynomial on
+    each frequency band, -d and 0.  Closed under sums, scalar products,
+    differentiation and running integration from 0."""
 
     d: float
-    pe: np.ndarray   # coefficients of the exp-carrying polynomial, low to high
-    pp: np.ndarray   # coefficients of the plain polynomial
+    pe: tuple
+    pp: tuple
 
     @staticmethod
-    def make(d: float, pe=(0,), pp=(0,)) -> "_PolyExp":
-        return _PolyExp(d, np.atleast_1d(np.asarray(pe, dtype=complex)),
-                        np.atleast_1d(np.asarray(pp, dtype=complex)))
+    def make(d: float, pe=(0,), pp=(0,)) -> "_BandPoly":
+        return _BandPoly(d, tuple(map(complex, pe)), tuple(map(complex, pp)))
 
-    def __call__(self, tau):
-        """Value at a scalar tau or elementwise over an array of them."""
-        return (npoly.polyval(tau, self.pe) * np.exp(-1j * self.d * tau)
-                + npoly.polyval(tau, self.pp))
+    def __add__(self, other: "_BandPoly") -> "_BandPoly":
+        return _BandPoly(self.d, _padd(self.pe, other.pe), _padd(self.pp, other.pp))
 
-    def __add__(self, other: "_PolyExp") -> "_PolyExp":
-        return _PolyExp(self.d, npoly.polyadd(self.pe, other.pe),
-                        npoly.polyadd(self.pp, other.pp))
+    def __mul__(self, z) -> "_BandPoly":
+        z = complex(z)
+        return _BandPoly(self.d, tuple(c * z for c in self.pe), tuple(c * z for c in self.pp))
 
-    def __mul__(self, z: complex) -> "_PolyExp":
-        return _PolyExp(self.d, self.pe * z, self.pp * z)
+    def deriv(self) -> "_BandPoly":
+        pe = _padd(_pder(self.pe) or (0j,), tuple((-1j * self.d) * c for c in self.pe))
+        return _BandPoly(self.d, pe, _pder(self.pp) or (0j,))
 
-    def deriv(self) -> "_PolyExp":
-        pe = npoly.polyder(self.pe) if self.pe.size > 1 else np.zeros(1, complex)
-        pe = npoly.polyadd(pe, -1j * self.d * self.pe)
-        pp = npoly.polyder(self.pp) if self.pp.size > 1 else np.zeros(1, complex)
-        return _PolyExp(self.d, np.atleast_1d(pe), np.atleast_1d(pp))
-
-    def integ(self) -> "_PolyExp":
-        """Running integral from 0."""
-        w = _ibp_weights(self.pe, self.d)
-        pp = npoly.polyint(self.pp)
-        pp = npoly.polyadd(pp, [-complex(npoly.polyval(0.0, w))])
-        return _PolyExp(self.d, w, np.atleast_1d(pp))
+    def integ(self) -> "_BandPoly":
+        """Running integral from 0.  Integration by parts gives
+        int_0^tau p(s) exp(-i d s) ds = w(tau) exp(-i d tau) - w(0) with
+        w = sum_k (-1)^k (i/d)^(k+1) p^(k)."""
+        w, term, factor, sign = [0j] * len(self.pe), self.pe, 1j / self.d, 1.0
+        while term and any(c != 0 for c in term):
+            scale = sign * factor
+            w[:len(term)] = [a + scale * c for a, c in zip(w, term)]
+            term, factor, sign = _pder(term), factor * (1j / self.d), -sign
+        return _BandPoly(self.d, tuple(w), _padd(_pint(self.pp), (-w[0],)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,31 +160,20 @@ class ApproxParams:
             raise DegenerateB("rho is undefined for beta = 0")
         return -2.0 * self.c2 / (self.frame.d ** 2 * self.beta)
 
-    # complex shorthands for the transverse coefficients
-    @property
-    def _a0c(self) -> complex:
-        return complex(self.a01, self.a02)
-
-    @property
-    def _a1c(self) -> complex:
-        return complex(self.a11, self.a12)
-
-    @property
-    def _bc(self) -> complex:
-        return self.beta * np.exp(1j * self.gamma)
-
     @cached_property
-    def _closed_forms(self) -> list[tuple["_PolyExp", ...]]:
-        """(Q, P, F, G) and their derivatives, indexed by order 0..3.
+    def _closed_forms(self) -> list[tuple[_BandPoly, ...]]:
+        """(Q, P, F, G) and their derivatives, indexed by order 0..3, built
+        on first use.
 
         V1 = base + delta (Re Q f0 + P) with the axial polynomial Q = q and
         the transverse part P = A0 + tau A1 + e B in complex form; the
         correction is f2 = Im F and v2 = G, see _correction_forms.
         """
         d = self.frame.d
-        forms = (_PolyExp.make(d, pp=self.q_coeffs),
-                 _PolyExp.make(d, pe=[self._bc], pp=[self._a0c, self._a1c]),
-                 *_correction_forms(self))
+        a0c, a1c = complex(self.a01, self.a02), complex(self.a11, self.a12)
+        bc = self.beta * np.exp(1j * self.gamma)
+        forms = (_BandPoly.make(d, pp=self.q_coeffs), _BandPoly.make(d, pe=[bc], pp=[a0c, a1c]),
+                 *_correction_forms(self, a0c, a1c, bc))
         jets = [forms]
         for _ in range(3):
             jets.append(tuple(form.deriv() for form in jets[-1]))
@@ -244,10 +245,53 @@ def fit_params(base, delta: float, v0, v1, v2, t0: float = 0.0) -> ApproxParams:
 # evaluation (scalar or array times)
 # ---------------------------------------------------------------------------
 
-def _jet(p: ApproxParams, t, deriv: int):
-    if deriv not in (0, 1, 2, 3):
+def _check_finite(t, *values) -> None:
+    """The evaluators accept any finite time and compute with numpy's warnings
+    off; this raises OutOfDomain at the first time (in C order) that is not
+    finite or at which one of `values` (shapes S + ...) is not."""
+    t = np.asarray(t, dtype=float)
+    ok = np.isfinite(t)
+    for v in values:
+        ok = ok & np.isfinite(v).reshape(t.shape + (-1,)).all(axis=-1)
+    if not np.all(ok):
+        raise OutOfDomain(f"closed form is not finite at t = {float(t.flat[np.argmin(ok)])!r}")
+
+
+def _forms_at(p: ApproxParams, t, orders, forms=slice(None)) -> np.ndarray:
+    """The closed forms (Q, P, F, G)[forms] at t at every order in `orders`,
+    shape (orders, forms) + shape of t.  Each form is pe(tau) E + pp(tau),
+    with one E = exp(-i d tau) for all of them."""
+    if any(k not in (0, 1, 2, 3) for k in orders):
         raise ValueError("derivative order must be in 0..3")
-    return np.asarray(t, dtype=float) - p.t0, p._closed_forms[deriv]
+    tau = np.asarray(t, dtype=float) - p.t0
+    e = np.exp(-1j * p.frame.d * tau)
+    zero = tau * 0
+    return np.array([[_horner(f.pe, tau, zero) * e + _horner(f.pp, tau, zero)
+                      for f in p._closed_forms[k][forms]] for k in orders])
+
+
+def _approximants(p: ApproxParams, t, orders, forms=slice(None)) -> np.ndarray:
+    """V1 (forms (Q, P)) or V2 (all four) at every order in `orders`, shape
+    (orders,) + shape of t + (3,):
+
+    V1 = base + delta (Re Q f0 + P) with the base only at order 0, and
+    V2 = V1 + (delta^2 / 2)(f2 f0 + v2) with f2 = Im F and v2 = G; a
+    transverse z stands for Re z f1 + Im z f2.
+    """
+    f = p.frame
+    with np.errstate(all="ignore"):
+        values = _forms_at(p, t, orders, forms)
+        parts = [values[:, 0].real, values[:, 1].real, values[:, 1].imag]
+        if values.shape[1] == 4:
+            parts += [values[:, 2].imag, values[:, 3].real, values[:, 3].imag]
+        axes = np.array([f.f0, f.f1, f.f2] * (len(parts) // 3))
+        terms = np.stack(parts)[..., None] * axes.reshape((-1,) + (1,) * parts[0].ndim + (3,))
+        v = p.delta * (terms[0] + (terms[1] + terms[2]))
+        v[np.equal(orders, 0)] += f.base
+        if len(parts) == 6:
+            v = v + 0.5 * p.delta ** 2 * (terms[3] + (terms[4] + terms[5]))
+    _check_finite(t, *v)
+    return v
 
 
 def first_approximant(p: ApproxParams, t, deriv: int = 0) -> np.ndarray:
@@ -256,51 +300,51 @@ def first_approximant(p: ApproxParams, t, deriv: int = 0) -> np.ndarray:
     A scalar t gives a 3-vector; an array of times of shape S gives an
     array of shape S + (3,).
     """
-    tau, (q, perp, _, _) = _jet(p, t, deriv)
-    f = p.frame
-    v = p.delta * (np.multiply.outer(q(tau).real, f.f0) + f.from_complex(perp(tau)))
-    return f.base + v if deriv == 0 else v
+    return _approximants(p, t, (deriv,), slice(0, 2))[0]
 
 
 def taylor2_baseline(ivp: QuadraticIVP, t) -> np.ndarray:
     """Degree-2 Taylor polynomial of the quadratic from its initial jet;
     shapes as in first_approximant."""
-    tau = np.asarray(t, dtype=float)[..., None] - ivp.t0
-    return ivp.v0 + tau * ivp.v1 + 0.5 * tau * tau * ivp.v2
+    with np.errstate(all="ignore"):
+        tau = np.asarray(t, dtype=float)[..., None] - ivp.t0
+        out = ivp.v0 + tau * ivp.v1 + 0.5 * tau * tau * ivp.v2
+    _check_finite(t, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # second-order correction
 # ---------------------------------------------------------------------------
 
-def _correction_forms(p: ApproxParams) -> tuple[_PolyExp, _PolyExp]:
-    """The pair (F, G) with f2 = Im F and v2 = G in transverse complex form:
+def _correction_forms(p: ApproxParams, a0c, a1c, bc) -> tuple[_BandPoly, _BandPoly]:
+    """The pair (F, G) with f2 = Im F and v2 = G in transverse complex form
+    (a0c, a1c, bc are A0, A1, B):
 
     f2 = -2 <[A0, l0 B] + [A1, l1 B], f0>;
     v2 = 2 q'' (m0 A0 + m1 A1 - mb B) + 2 d^2 ad(f0) I(I(I(q) e)) B.
-    Each kernel becomes a _PolyExp in tau = t - t0 by encoding the
+    Each kernel becomes a _BandPoly in tau = t - t0 by encoding the
     identity as 1, ad(f0) as i and the axial rotation e as exp(-i d tau);
     the polynomial coefficients below are the kernel formulas expanded in
     powers of tau.  I is the running integral from t0, exact through the
-    integration-by-parts recursion of _PolyExp.integ.
+    integration-by-parts recursion of _BandPoly.integ.
     """
     d = p.frame.d
     # kernels weighting A0, A1 in the axial component
-    l0 = _PolyExp.make(d, pe=[1j / d], pp=[-1j / d, -1.0, 0.5j * d])
-    l1 = _PolyExp.make(d, pe=[3.0 / d ** 2, 1j / d],
-                       pp=[-3.0 / d ** 2, 2j / d, 0.5])
+    l0 = _BandPoly.make(d, pe=[1j / d], pp=[-1j / d, -1.0, 0.5j * d])
+    l1 = _BandPoly.make(d, pe=[3.0 / d ** 2, 1j / d],
+                        pp=[-3.0 / d ** 2, 2j / d, 0.5])
     # kernels weighting A0, A1, B in the transverse component
-    m0 = _PolyExp.make(d, pe=[1.0 / d ** 3],
-                       pp=[-1.0 / d ** 3, 1j / d ** 2, 0.5 / d])
-    m1 = _PolyExp.make(d, pe=[1j / d ** 4],
-                       pp=[-1j / d ** 4, -1.0 / d ** 3, 0.5j / d ** 2, 1.0 / (6.0 * d)])
-    mb = _PolyExp.make(d, pe=[2.0 / d ** 3, 1j / d ** 2],
-                       pp=[-2.0 / d ** 3, 1j / d ** 2])
+    m0 = _BandPoly.make(d, pe=[1.0 / d ** 3],
+                        pp=[-1.0 / d ** 3, 1j / d ** 2, 0.5 / d])
+    m1 = _BandPoly.make(d, pe=[1j / d ** 4],
+                        pp=[-1j / d ** 4, -1.0 / d ** 3, 0.5j / d ** 2, 1.0 / (6.0 * d)])
+    mb = _BandPoly.make(d, pe=[2.0 / d ** 3, 1j / d ** 2],
+                        pp=[-2.0 / d ** 3, 1j / d ** 2])
 
-    a0c, a1c, bc = p._a0c, p._a1c, p._bc
-    f2 = (l0 * (np.conj(a0c) * bc) + l1 * (np.conj(a1c) * bc)) * -2.0
-    iq = npoly.polyint(np.asarray(p.q_coeffs, dtype=complex))
-    g2 = _PolyExp.make(d, pe=iq).integ().integ()
+    f2 = (l0 * (a0c.conjugate() * bc) + l1 * (a1c.conjugate() * bc)) * -2.0
+    iq = _pint(tuple(map(complex, p.q_coeffs)))
+    g2 = _BandPoly.make(d, pe=iq).integ().integ()
     v2 = (m0 * (4.0 * p.c2 * a0c) + m1 * (4.0 * p.c2 * a1c) + mb * (-4.0 * p.c2 * bc)
           + g2 * (2j * d ** 2 * bc))
     return f2, v2
@@ -312,16 +356,13 @@ def second_correction(p: ApproxParams, t, deriv: int = 0):
     v2.  A scalar t gives (scalar, 3-vector); an array of times of shape S
     gives arrays of shapes S and S + (3,).
     """
-    tau, (_, _, f2, v2) = _jet(p, t, deriv)
-    return f2(tau).imag, p.frame.from_complex(v2(tau))
+    with np.errstate(all="ignore"):
+        ((f2, v2),) = _forms_at(p, t, (deriv,), slice(2, 4))
+        out = f2.imag, p.frame.from_complex(v2)
+    _check_finite(t, *out)
+    return out
 
 
 def second_approximant(p: ApproxParams, t, deriv: int = 0) -> np.ndarray:
-    """V2 and its first three t-derivatives; shapes as in first_approximant.
-
-    V2 = V1 + (delta^2 / 2)(f2 f0 + v2), with every derivative order
-    taken exactly from the cached closed form of the correction.
-    """
-    f2, v2 = second_correction(p, t, deriv)
-    return (first_approximant(p, t, deriv)
-            + 0.5 * p.delta ** 2 * (np.multiply.outer(f2, p.frame.f0) + v2))
+    """V2 and its first three t-derivatives; shapes as in first_approximant."""
+    return _approximants(p, t, (deriv,))[0]

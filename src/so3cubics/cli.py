@@ -3,8 +3,8 @@
 Each subcommand runs one kind of `harness.KINDS` through `harness.RUNNERS`.
 Its flags, each under the JSON key it sets, override the `--config` file's
 entries key by key (`harness.config_from_dict`).  Exit codes: 0 on
-success, 2 on configuration errors and on failures to write the output, 3
-on numerical degeneracy.
+success, 2 on configuration errors, on failures to write the output and on
+closed forms asked for outside their domain, 3 on numerical degeneracy.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import functools
 import sys
 
-from .errors import ConfigError, DegeneracyError
+from .errors import ConfigError, DegeneracyError, OutOfDomain
 from .harness import KINDS, RUNNERS, config_from_dict, read_config
 
 
@@ -62,6 +62,9 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return 3
+    except OutOfDomain as exc:
+        print(f"out of domain: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2

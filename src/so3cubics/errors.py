@@ -29,3 +29,8 @@ class DegenerateThirdDerivative(DegeneracyError):
 
 class ConfigError(Exception):
     """Invalid experiment configuration (CLI exit code 2)."""
+
+
+class OutOfDomain(ValueError):
+    """A closed form was asked for at a time that is not finite, or at
+    which its value is not (CLI exit code 2)."""

@@ -1,9 +1,20 @@
-"""Independent oracles for the second-order correction and the integrators.
+"""Independent oracles for the closed forms and the integrators.
 
-The library evaluates the correction (f2, v2) through one complex
-polynomial x exp(-i d tau) closed form.  The forms here compute the same
-quantities by other routes and serve only as test references:
+The library evaluates the approximants and the correction (f2, v2) from
+tables of plain Python complex coefficients: one polynomial on each of the
+frequency bands 0 and -d, built once per parameter set.  The forms here
+compute the same quantities by other routes and serve only as test
+references:
 
+* `_PolyExp` and `_ibp_weights`, the same closed forms on numpy arrays run
+  through `numpy.polynomial` (`polyder`, `polyadd`, `polyint`, `polyval`),
+  each form evaluated with its own exp(-i d tau): `polyexp_closed_forms`
+  builds (Q, P, F, G) and their derivatives, `polyexp_values` and
+  `polyexp_approx_cubic` evaluate them, and `closed_form_phase` and
+  `taylor2_values` restate the phase and the Taylor baseline.  The
+  library's tables must agree with them to rounding, and bit for bit
+  where every complex product that builds the tables has a factor with a
+  zero component (the figure3 family, or B along f1);
 * the matrix kernels (`endomorphisms`, `matrix_second_correction`), which
   act on so(3) with 3x3 matrices instead of complex scalars;
 * the hand-derived second and third derivatives
@@ -41,8 +52,9 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import cumulative_simpson
 
-from so3cubics.algebra import Frame, ad_matrix, bracket, frame_from_pair, rot_exp
-from so3cubics.approximants import ApproxParams, _PolyExp
+from so3cubics.algebra import (Frame, ad_matrix, bracket, frame_from_pair, plane_rotation,
+                              rot_exp)
+from so3cubics.approximants import ApproxParams
 from so3cubics.errors import DegeneracyError
 from so3cubics.quadratic import QuadraticIVP, QuadraticTrajectory, _uniform_grid
 
@@ -75,6 +87,139 @@ def renormalize(r) -> np.ndarray:
     if np.linalg.det(q) < 0.0:
         q[2] = -q[2]
     return q
+
+
+def _ibp_weights(coeffs: np.ndarray, d: float) -> np.ndarray:
+    """Coefficients w with int_0^tau p(s) exp(-i d s) ds
+    = w(tau) exp(-i d tau) - w(0), by repeated integration by parts:
+    w = sum_k (-1)^k (i/d)^(k+1) p^(k)."""
+    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+    w = np.zeros_like(coeffs)
+    term = coeffs
+    factor = 1j / d
+    sign = 1.0
+    while term.size and np.any(term != 0.0):
+        w[: term.size] += sign * factor * term
+        term = npoly.polyder(term)
+        factor *= 1j / d
+        sign = -sign
+    return w
+
+
+@dataclass(frozen=True)
+class _PolyExp:
+    """Complex function p(tau) exp(-i d tau) + r(tau) with polynomial p, r.
+
+    Closed under differentiation and under running integration from 0,
+    which is all the second-order correction formulas need.
+    """
+
+    d: float
+    pe: np.ndarray   # coefficients of the exp-carrying polynomial, low to high
+    pp: np.ndarray   # coefficients of the plain polynomial
+
+    @staticmethod
+    def make(d: float, pe=(0,), pp=(0,)) -> "_PolyExp":
+        return _PolyExp(d, np.atleast_1d(np.asarray(pe, dtype=complex)),
+                        np.atleast_1d(np.asarray(pp, dtype=complex)))
+
+    def __call__(self, tau):
+        """Value at a scalar tau or elementwise over an array of them."""
+        return (npoly.polyval(tau, self.pe) * np.exp(-1j * self.d * tau)
+                + npoly.polyval(tau, self.pp))
+
+    def __add__(self, other: "_PolyExp") -> "_PolyExp":
+        return _PolyExp(self.d, npoly.polyadd(self.pe, other.pe),
+                        npoly.polyadd(self.pp, other.pp))
+
+    def __mul__(self, z: complex) -> "_PolyExp":
+        return _PolyExp(self.d, self.pe * z, self.pp * z)
+
+    def deriv(self) -> "_PolyExp":
+        pe = npoly.polyder(self.pe) if self.pe.size > 1 else np.zeros(1, complex)
+        pe = npoly.polyadd(pe, -1j * self.d * self.pe)
+        pp = npoly.polyder(self.pp) if self.pp.size > 1 else np.zeros(1, complex)
+        return _PolyExp(self.d, np.atleast_1d(pe), np.atleast_1d(pp))
+
+    def integ(self) -> "_PolyExp":
+        """Running integral from 0."""
+        w = _ibp_weights(self.pe, self.d)
+        pp = npoly.polyint(self.pp)
+        pp = npoly.polyadd(pp, [-complex(npoly.polyval(0.0, w))])
+        return _PolyExp(self.d, w, np.atleast_1d(pp))
+
+
+def polyexp_closed_forms(p: ApproxParams) -> list[tuple[_PolyExp, ...]]:
+    """(Q, P, F, G) and their derivatives, indexed by order 0..3, as
+    numpy.polynomial forms: Q = q, P = A0 + tau A1 + e B, and the
+    correction's F, G with f2 = Im F, v2 = G, from the same kernel
+    expansions as the library's tables."""
+    d = p.frame.d
+    l0 = _PolyExp.make(d, pe=[1j / d], pp=[-1j / d, -1.0, 0.5j * d])
+    l1 = _PolyExp.make(d, pe=[3.0 / d ** 2, 1j / d],
+                       pp=[-3.0 / d ** 2, 2j / d, 0.5])
+    m0 = _PolyExp.make(d, pe=[1.0 / d ** 3],
+                       pp=[-1.0 / d ** 3, 1j / d ** 2, 0.5 / d])
+    m1 = _PolyExp.make(d, pe=[1j / d ** 4],
+                       pp=[-1j / d ** 4, -1.0 / d ** 3, 0.5j / d ** 2, 1.0 / (6.0 * d)])
+    mb = _PolyExp.make(d, pe=[2.0 / d ** 3, 1j / d ** 2],
+                       pp=[-2.0 / d ** 3, 1j / d ** 2])
+    a0c, a1c = complex(p.a01, p.a02), complex(p.a11, p.a12)
+    bc = p.beta * np.exp(1j * p.gamma)
+    f2 = (l0 * (np.conj(a0c) * bc) + l1 * (np.conj(a1c) * bc)) * -2.0
+    iq = npoly.polyint(np.asarray(p.q_coeffs, dtype=complex))
+    g2 = _PolyExp.make(d, pe=iq).integ().integ()
+    v2 = (m0 * (4.0 * p.c2 * a0c) + m1 * (4.0 * p.c2 * a1c) + mb * (-4.0 * p.c2 * bc)
+          + g2 * (2j * d ** 2 * bc))
+    jets = [(_PolyExp.make(d, pp=p.q_coeffs), _PolyExp.make(d, pe=[bc], pp=[a0c, a1c]),
+             f2, v2)]
+    for _ in range(3):
+        jets.append(tuple(form.deriv() for form in jets[-1]))
+    return jets
+
+
+def polyexp_values(p: ApproxParams, t, deriv: int, jets=None):
+    """(V1, f2, v2, V2) at order `deriv` through `polyexp_closed_forms`
+    (or the `jets` it returned), each form evaluated on its own with
+    numpy's warnings off; shapes as the library's evaluators give them."""
+    jets = polyexp_closed_forms(p) if jets is None else jets
+    f = p.frame
+    with np.errstate(all="ignore"):
+        q, perp, f2, v2 = (form(np.asarray(t, dtype=float) - p.t0) for form in jets[deriv])
+        v1 = p.delta * (np.multiply.outer(q.real, f.f0) + f.from_complex(perp))
+        v1 = f.base + v1 if deriv == 0 else v1
+        f2, v2 = f2.imag, f.from_complex(v2)
+        return v1, f2, v2, v1 + 0.5 * p.delta ** 2 * (np.multiply.outer(f2, f.f0) + v2)
+
+
+def polyexp_approx_cubic(p: ApproxParams, x0, t, jets=None) -> np.ndarray:
+    """The closed-form cubic assembled from `polyexp_values`; raises
+    ValueError where V2'' or V2''' is not finite."""
+    ts = np.append(p.t0, t)
+    v2, v3 = (polyexp_values(p, ts, k, jets)[3] for k in (2, 3))
+    with np.errstate(all="ignore"):
+        ys = plane_rotation(closed_form_phase(p, ts)) @ frame_from_pair(v2, v3)
+        out = x0 @ ys[0].T @ ys[1:]
+    out[ts[1:] == p.t0] = x0
+    return out.reshape(np.shape(t) + (3, 3))
+
+
+def closed_form_phase(p: ApproxParams, t):
+    """The first-order phase phi_hat(t), with numpy's warnings off."""
+    d = p.frame.d
+    with np.errstate(all="ignore"):
+        tau = np.asarray(t, dtype=float) - p.t0
+        u = d * tau
+        osc = (p.a11 * (np.cos(p.gamma - u) - math.cos(p.gamma))
+               + p.a12 * (np.sin(p.gamma - u) - math.sin(p.gamma))) / d ** 2
+        return p.delta * math.sqrt(p.rho ** 2 + 1.0) * (tau * p.beta + osc)
+
+
+def taylor2_values(ivp: QuadraticIVP, t) -> np.ndarray:
+    """The degree-2 Taylor polynomial of the jet, with numpy's warnings off."""
+    with np.errstate(all="ignore"):
+        tau = np.asarray(t, dtype=float)[..., None] - ivp.t0
+        return ivp.v0 + tau * ivp.v1 + 0.5 * tau * tau * ivp.v2
 
 
 def axial_rotation(frame: Frame, t: float, t0: float) -> np.ndarray:

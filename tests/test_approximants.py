@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +10,16 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from conftest import FIG3_BASE, fig1_ivp, fig3_ivp
-from oracles import (axial_rotation, brute_force_correction, endomorphisms,
-                     integrate_poly_axial, matrix_second_correction,
-                     second_correction_deriv2, second_correction_deriv3,
+from oracles import (axial_rotation, brute_force_correction, closed_form_phase,
+                     endomorphisms, integrate_poly_axial, matrix_second_correction,
+                     polyexp_approx_cubic, polyexp_closed_forms, polyexp_values,
+                     second_correction_deriv2, second_correction_deriv3, taylor2_values,
                      transverse_vectors)
 from so3cubics.algebra import ad_matrix, frame_from_axis
 from so3cubics.approximants import (ApproxParams, first_approximant, fit_params,
                                     second_approximant, second_correction,
                                     taylor2_baseline)
-from so3cubics.errors import DegenerateB
+from so3cubics.errors import DegenerateB, OutOfDomain
 from so3cubics.quadratic import integrate_quadratic, quadratic_residual
 from so3cubics.reconstruction import approx_cubic, rotation_phase_approx
 
@@ -348,6 +350,129 @@ def test_scalar_time_keeps_shapes():
     assert taylor2_baseline(fig1_ivp(), np.linspace(0.0, 3.0, 4)).shape == (4, 3)
     with pytest.raises(ValueError):
         second_correction(p, 1.5, 4)
+
+
+# ------------------------------------- tables against the numpy.polynomial oracle
+
+# parameters drawn as the benchmark's ivp-ensemble draws them: |base| in
+# [0.5, 2], an N(0, 1) triple (here within 4 standard deviations) and delta
+# log-uniform in [0.005, 0.05], evaluated over its interval [0, 20]
+ensemble_jets = st.builds(
+    lambda base, scale, log_delta, triple: (base * scale / np.linalg.norm(base),
+                                            math.exp(log_delta), triple),
+    arrays(float, 3, elements=st.floats(-1.0, 1.0)).filter(
+        lambda v: np.linalg.norm(v) > 0.1),
+    st.floats(0.5, 2.0), st.floats(math.log(0.005), math.log(0.05)),
+    arrays(float, (3, 3), elements=st.floats(-4.0, 4.0)))
+ENSEMBLE_TIMES = np.linspace(0.0, 20.0, 201)
+
+
+def _library_values(p, t, deriv):
+    """(V1, f2, v2, V2), in the order of oracles.polyexp_values."""
+    return (first_approximant(p, t, deriv), *second_correction(p, t, deriv),
+            second_approximant(p, t, deriv))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ensemble_jets)
+def test_tables_match_polyexp_oracle(jet):
+    # numpy's vectorised complex product rounds some products differently
+    # from Python's scalar one: last-digit differences, at most 1.6e-15 of
+    # each series' largest value over 600 draws
+    p = jet_params(jet)
+    jets = polyexp_closed_forms(p)
+    for deriv in range(4):
+        expected = polyexp_values(p, ENSEMBLE_TIMES, deriv, jets)
+        for got, want in zip(_library_values(p, ENSEMBLE_TIMES, deriv), expected):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# With B along f1 (gamma = 0) every complex product that builds the tables
+# has a factor with a zero component, which numpy's vectorised product and
+# Python's scalar one round alike: the tables then equal the oracle's bit
+# for bit whatever the frame and the other coefficients.
+@settings(max_examples=40, deadline=None)
+@given(arrays(float, 3, elements=st.floats(-1.0, 1.0)).filter(lambda v: np.linalg.norm(v) > 0.1),
+       arrays(float, 7, elements=st.floats(-3.0, 3.0)), st.floats(0.0, 3.0),
+       st.floats(0.005, 0.05), st.floats(-1.0, 1.0))
+def test_tables_equal_polyexp_oracle_bit_for_bit_with_b_along_f1(base, coeffs, beta, delta, t0):
+    c0, c1, c2, a01, a02, a11, a12 = map(float, coeffs)
+    p = ApproxParams(delta=delta, frame=frame_from_axis(base), t0=t0, c0=c0, c1=c1, c2=c2,
+                     a01=a01, a02=a02, a11=a11, a12=a12, beta=beta, gamma=0.0)
+    jets = polyexp_closed_forms(p)
+    times = np.linspace(-5.0, 20.0, 101)
+    for deriv in range(4):
+        for got, want in zip(_library_values(p, times, deriv),
+                             polyexp_values(p, times, deriv, jets)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("delta", [0.005, 0.01, 0.02, 0.04, 0.05, 0.1])
+def test_tables_equal_polyexp_oracle_bit_for_bit_on_figure3_family(delta):
+    p = fig3_params(delta)
+    jets = polyexp_closed_forms(p)
+    for t in (np.linspace(-5.0, 15.0, 201), 0.0, 2.5, -1.25):
+        for deriv in range(4):
+            got = _library_values(p, t, deriv)
+            for name, a, b in zip(("V1", "f2", "v2", "V2"), got,
+                                  polyexp_values(p, t, deriv, jets)):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (name, deriv, t)
+
+
+# ------------------------------------------------------------------ the domain
+
+FIG3_JETS = polyexp_closed_forms(fig3_params())
+extreme_times = st.sampled_from([math.nan, math.inf, -math.inf, 1e150, -1e150])
+
+
+def _closed_form_cases(t, deriv):
+    """(library call, oracle call) for each of the six closed-form evaluators."""
+    p, ivp, x0 = fig3_params(), fig3_ivp(0.05), np.eye(3)
+    return [
+        (lambda: first_approximant(p, t, deriv),
+         lambda: polyexp_values(p, t, deriv, FIG3_JETS)[0]),
+        (lambda: second_correction(p, t, deriv),
+         lambda: polyexp_values(p, t, deriv, FIG3_JETS)[1:3]),
+        (lambda: second_approximant(p, t, deriv),
+         lambda: polyexp_values(p, t, deriv, FIG3_JETS)[3]),
+        (lambda: taylor2_baseline(ivp, t), lambda: taylor2_values(ivp, t)),
+        (lambda: rotation_phase_approx(p, t), lambda: closed_form_phase(p, t)),
+        (lambda: approx_cubic(p, x0, t), lambda: polyexp_approx_cubic(p, x0, t, FIG3_JETS)),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(extreme_times, st.floats(-10.0, 20.0)), st.integers(0, 3))
+def test_closed_forms_return_oracle_values_or_raise_out_of_domain(t, deriv):
+    # on the figure3 family the tables equal the oracle's bit for bit: where
+    # the oracle is finite the value comes back unchanged, elsewhere the
+    # evaluator raises OutOfDomain, and no floating-point warning escapes
+    for evaluate, oracle in _closed_form_cases(t, deriv):
+        try:
+            expected = oracle()
+        except ValueError:   # frame_from_pair refuses non-finite derivatives
+            expected = (math.nan,)
+        parts = expected if isinstance(expected, tuple) else (expected,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if all(np.all(np.isfinite(x)) for x in parts):
+                got = evaluate()
+                got = got if isinstance(got, tuple) else (got,)
+                assert [np.asarray(x).tobytes() for x in got] == \
+                    [np.asarray(x).tobytes() for x in parts]
+            else:
+                with pytest.raises(OutOfDomain, match="closed form is not finite at t = "):
+                    evaluate()
+
+
+def test_out_of_domain_names_the_first_bad_time():
+    times = np.array([1.0, 2.0, math.inf, math.nan])
+    for evaluate, _ in _closed_form_cases(times, 2):
+        with pytest.raises(OutOfDomain, match=r"at t = inf$"):
+            evaluate()
+    with pytest.raises(OutOfDomain, match=r"at t = 1e\+150$"):
+        second_approximant(fig3_params(), np.array([[0.5], [1e150]]))
+    assert issubclass(OutOfDomain, ValueError)
 
 
 # ---------------------------------------------------------- second_approximant

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import so3cubics
 from so3cubics.cli import build_parser, main
-from so3cubics.errors import ConfigError, DegenerateB
-from so3cubics.harness import (KINDS, config_from_dict, default_config, read_config,
-                               run_experiment)
+from so3cubics.errors import ConfigError, DegenerateB, OutOfDomain
+from so3cubics.harness import (KINDS, RUNNERS, config_from_dict, default_config,
+                               read_config, run_experiment)
 from so3cubics.output import (QUADRATIC_CSV_HEADER, ROTATION_CSV_HEADER, quadratic_table,
                               quadratic_to_dict, rotation_table, write_csv, write_json)
 from so3cubics.quadratic import integrate_cubic, integrate_quadratic
@@ -475,14 +475,27 @@ def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # the library's runtime needs numpy only; scipy is a test oracle
+    # the library's runtime needs numpy only, and not numpy.polynomial: scipy
+    # and numpy.polynomial are test oracles.  Only modules that importing the
+    # CLI adds after numpy count, so numpy's own eager imports cannot trip this.
     src = str(Path(so3cubics.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, so3cubics.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    probe = ("import sys, numpy; before = set(sys.modules); import so3cubics.cli; "
+             "print(sorted(m for m in set(sys.modules) - before "
+             "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_out_of_domain_exit(tmp_path, monkeypatch, capsys):
+    def refuse(config):
+        raise OutOfDomain("closed form is not finite at t = inf")
+    monkeypatch.setitem(RUNNERS, "figure1", refuse)
+    assert main(["figure1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "out of domain" in err and "Traceback" not in err
 
 
 def test_cli_output_error(tmp_path, capsys):

@@ -4,8 +4,10 @@ V''' = [V'', V] is equivariant under rotations (the bracket is the cross
 product), reversible in time (W(t) = -V(T - t)) and scale invariant
 (W(t) = λ V(λ t)).  Each test integrates the transformed initial data and
 compares the transformed trajectory node by node.  The approximants are
-fitted to rotated initial data and compared by value on a grid of times.
-No fitted parameter is compared: `frame_from_axis` picks its f1 by
+fitted to rotated initial data and compared by value on a grid of times,
+and the rotation curves from the identity (integrated, reconstructed and
+closed-form) are conjugated by the rotation.  No fitted parameter is
+compared: `frame_from_axis` picks its f1 by
 coordinate axis, so the parameters change under rotation while every
 approximant value is equivariant.
 """
@@ -19,7 +21,8 @@ from conftest import FIG3_BASE, fig3_ivp
 from so3cubics.algebra import rot_exp
 from so3cubics.approximants import (first_approximant, fit_params, second_approximant,
                                     taylor2_baseline)
-from so3cubics.quadratic import QuadraticIVP, integrate_quadratic
+from so3cubics.quadratic import QuadraticIVP, integrate_cubic, integrate_quadratic
+from so3cubics.reconstruction import ReconstructionInput, approx_cubic, reconstruct_cubic
 
 FIG3_STEP = 1e-3          # the figure3 default step
 FIG3_DELTA = 0.05         # the figure3 default delta
@@ -110,3 +113,38 @@ def test_taylor2_baseline_is_rotation_equivariant(axis_angle):
     ivp, rot = _rotated_ivp(R)
     expected = taylor2_baseline(ivp, FIG3_TIMES) @ R.T
     assert np.max(np.abs(taylor2_baseline(rot, FIG3_TIMES) - expected)) < 1e-13
+
+
+# ------------------------------------------------------------ rotation curves
+# Rotating base and perturbation by R conjugates the curve that starts at
+# the identity: x(t) becomes R x(t) R^T, since ad(R V) = R ad(V) R^T.
+
+IDENTITY = np.eye(3)
+
+
+def _conjugated(R, x):
+    return R @ x @ R.T
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(angle, angle, angle))
+def test_approx_cubic_is_conjugation_equivariant(axis_angle):
+    R = rot_exp(np.array(axis_angle))
+    ivp, rot = _rotated_ivp(R)
+    p = fit_params(FIG3_BASE, FIG3_DELTA, ivp.v0, ivp.v1, ivp.v2, ivp.t0)
+    q = fit_params(R @ FIG3_BASE, FIG3_DELTA, rot.v0, rot.v1, rot.v2, rot.t0)
+    expected = _conjugated(R, approx_cubic(p, IDENTITY, FIG3_TIMES))
+    assert np.max(np.abs(approx_cubic(q, IDENTITY, FIG3_TIMES) - expected)) < 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.tuples(angle, angle, angle))
+def test_integrated_and_reconstructed_cubics_are_conjugation_equivariant(fig3_trajectory,
+                                                                         axis_angle):
+    R = rot_exp(np.array(axis_angle))
+    _, rot = _rotated_ivp(R)
+    rotated = integrate_quadratic(rot, FIG3_STEP)
+    for curve in (lambda traj: integrate_cubic(IDENTITY, traj, FIG3_STEP),
+                  lambda traj: reconstruct_cubic(ReconstructionInput(traj, IDENTITY))):
+        expected = _conjugated(R, curve(fig3_trajectory).rotations)
+        assert np.max(np.abs(curve(rotated).rotations - expected)) < 1e-12
