@@ -3,7 +3,9 @@
 Vectors in so(3) are identified with Euclidean 3-vectors through the
 adjoint map, so the Lie bracket is the cross product and the Euclidean
 inner product is ad-invariant.  Rotations are plain 3x3 arrays acting on
-column vectors.
+column vectors.  The batched kernels (`rot_exp`, `rotation_error`,
+`frame_from_pair`) work entry by entry on whole stacks, with no stacked
+3x3 matrix product.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ from .errors import DegenerateFrame, ZeroDirection
 
 GRAM_RTOL = 1e-12          # relative Gram-determinant floor for frame_from_pair
 FRAME_TOL = 1e-12          # orthonormality tolerance for Frame validation
+# the normal float range that frame_from_pair keeps its squared norms and
+# Gram determinants in
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
 
 
 def as_vector(v) -> np.ndarray:
@@ -78,29 +84,55 @@ def ad_matrix(v) -> np.ndarray:
 def rot_exp(v) -> np.ndarray:
     """Matrix exponential of ad_matrix(v) by the closed Rodrigues form.
 
-    The two trigonometric coefficients are written through sinc, so the
+    With a = sin(theta)/theta and b = (1 - cos(theta))/theta^2, theta = |v|,
+    the exponential I + a K + b K^2 of K = ad_matrix(v) is written entry by
+    entry from the components (x, y, z): K^2 = v v^T - theta^2 I, so the
+    diagonal is 1 - b (y^2 + z^2) and so on, and the entry (0, 1) is
+    b x y - a z.  Both coefficients are written through sinc, so the
     zero-angle limit is exact rather than a truncated series.  A stack of
     vectors, shape S + (3,), gives rotations of shape S + (3, 3).
     """
     v = as_vectors(v)
-    theta = np.sqrt(v[..., None, :] @ v[..., :, None])   # shape S + (1, 1)
-    k = ad_matrix(v)
-    a = np.sinc(theta / np.pi)                    # sin(theta)/theta
-    b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2  # (1 - cos(theta))/theta^2
-    return np.eye(3) + a * k + b * (k @ k)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    xx, yy, zz = x * x, y * y, z * z
+    theta = np.sqrt(xx + yy + zz)
+    a = np.sinc(theta / np.pi)
+    b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
+    ax, ay, az = a * x, a * y, a * z
+    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
+    out = np.empty(v.shape + (3,))
+    out[..., 0, 0] = 1.0 - b * (yy + zz)
+    out[..., 0, 1] = bxy - az
+    out[..., 0, 2] = bxz + ay
+    out[..., 1, 0] = bxy + az
+    out[..., 1, 1] = 1.0 - b * (xx + zz)
+    out[..., 1, 2] = byz - ax
+    out[..., 2, 0] = bxz - ay
+    out[..., 2, 1] = byz + ax
+    out[..., 2, 2] = 1.0 - b * (xx + yy)
+    return out
 
 
 def rotation_error(r) -> float:
     """Max of the entrywise orthogonality defect |R^T R - I| and |det R - 1|;
-    for a stack of matrices, shape S + (3, 3), the worst over the stack."""
+    for a stack of matrices, shape S + (3, 3), the worst over the stack.
+
+    R^T R is read as the six dot products of the columns of R, and the
+    determinant by cofactors along the first row, each over the whole stack.
+    """
     r = np.asarray(r, dtype=float)
-    # a contiguous transpose keeps the stacked product off numpy's strided path
-    rt = np.ascontiguousarray(np.swapaxes(r, -1, -2))
-    ortho = float(np.max(np.abs(rt @ r - np.eye(3))))
-    # the determinant by cofactors along the first row, over the whole stack
     (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(r, (-2, -1), (0, 1))
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return max(ortho, float(np.max(np.abs(det - 1.0))))
+    defects = np.stack([
+        a * a + d * d + g * g - 1.0,
+        b * b + e * e + h * h - 1.0,
+        c * c + f * f + i * i - 1.0,
+        a * b + d * e + g * h,
+        a * c + d * f + g * i,
+        b * c + e * f + h * i,
+        det - 1.0,
+    ])
+    return float(np.max(np.abs(defects)))
 
 
 @dataclass(frozen=True)
@@ -198,23 +230,52 @@ def frame_from_pair(x1, x2) -> np.ndarray:
     of either input.  Stacks of pairs, shape S + (3,), give rotations of
     shape S + (3, 3); a degenerate pair raises DegenerateFrame naming the
     first offending (flat) index.
+
+    A pair whose squared norms or Gram determinant leave the normal float
+    range is first scaled by powers of two, each vector to a largest
+    component in [1/2, 1).  That scaling is exact and leaves the rows
+    unchanged, so pairs of any finite magnitude give their frame, and all
+    other pairs are computed as given.
     """
     x1, x2 = np.broadcast_arrays(as_vectors(x1), as_vectors(x2))
+    shape = x1.shape
+    x1 = x1.reshape(-1, 3)
+    x2 = x2.reshape(-1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n1sq, n2sq, dot, gram = _gram(x1, x2)
+        off = ~((n1sq * n2sq <= _HUGE) & (np.minimum(np.minimum(n1sq, n2sq), gram) >= _TINY))
+    given = x1, x2
+    if np.any(off):
+        x1, x2 = x1.copy(), x2.copy()
+        x1[off], x2[off] = _unit_scale(x1[off]), _unit_scale(x2[off])
+        n1sq[off], n2sq[off], dot[off], gram[off] = _gram(x1[off], x2[off])
+    bad = (gram <= GRAM_RTOL * n1sq * n2sq) | (n1sq == 0.0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        where = f" at index {k}" if len(shape) > 1 else ""
+        scale = n1sq[k] * n2sq[k]
+        raise DegenerateFrame(
+            f"relative Gram determinant {gram[k] / scale if scale else 0.0:.3g} at or below "
+            f"{GRAM_RTOL:g}{where} for norms {math.hypot(*given[0][k]):.3g}, "
+            f"{math.hypot(*given[1][k]):.3g}")
+    n1 = np.sqrt(n1sq)[:, None]
+    sg = np.sqrt(gram)[:, None]
+    return np.stack([
+        (n1 * x2 - (dot[:, None] / n1) * x1) / sg,
+        np.cross(x1, x2) / sg,
+        x1 / n1,
+    ], axis=-2).reshape(shape + (3,))
+
+
+def _gram(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """|x1|^2, |x2|^2, <x1, x2> and the Gram determinant of row pairs."""
     n1sq = np.einsum("...i,...i->...", x1, x1)
     n2sq = np.einsum("...i,...i->...", x2, x2)
     dot = np.einsum("...i,...i->...", x1, x2)
-    gram = n1sq * n2sq - dot * dot
-    bad = (gram <= GRAM_RTOL * n1sq * n2sq) | (n1sq == 0.0)
-    if np.any(bad):
-        k = int(np.argmax(bad.ravel()))
-        where = f" at index {k}" if bad.ndim else ""
-        raise DegenerateFrame(
-            f"Gram determinant {gram.flat[k]:.3g} below tolerance{where} for norms "
-            f"{math.sqrt(n1sq.flat[k]):.3g}, {math.sqrt(n2sq.flat[k]):.3g}")
-    n1 = np.sqrt(n1sq)[..., None]
-    sg = np.sqrt(gram)[..., None]
-    return np.stack([
-        (n1 * x2 - (dot[..., None] / n1) * x1) / sg,
-        np.cross(x1, x2) / sg,
-        x1 / n1,
-    ], axis=-2)
+    return n1sq, n2sq, dot, n1sq * n2sq - dot * dot
+
+
+def _unit_scale(x: np.ndarray) -> np.ndarray:
+    """Rows of x scaled by powers of two to a largest |component| in [1/2, 1)."""
+    _, e = np.frexp(np.max(np.abs(x), axis=-1))
+    return np.ldexp(x, -e[:, None])

@@ -12,7 +12,11 @@ derivative d + 1 as slope ([V'', V] for d = 2).  `hermite` computes the
 cubics of only the intervals that the requested times fall in and keeps
 no coefficient table.  It does scipy's CubicHermiteSpline arithmetic
 operation for operation, so its values are bit-identical to scipy's.
-Times outside the grid extrapolate the end cubics, as scipy's do.
+Times outside the grid extrapolate the end cubics, as scipy's do; the
+evaluators of a trajectory (`QuadraticTrajectory.eval` and `jet`, the
+trajectory branch of `integrate_cubic`) first pass their times through
+`check_times`, which raises OutOfDomain for a time that is not finite or
+lies off the trajectory's interval.
 """
 
 from __future__ import annotations
@@ -25,10 +29,11 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import as_rotation, as_vector, bracket, rot_exp, rotation_error
-from .errors import StepTooLarge
+from .errors import OutOfDomain, StepTooLarge
 
 NULL_TOL = 1e-12        # |C| at or below this counts as a null quadratic
 C_DRIFT_LIMIT = 1e-6    # drift of C or c beyond this raises StepTooLarge
+DOMAIN_ULPS = 4         # float spacings a time may lie outside [t0, t1]
 
 # one RK4 node (V, V', V'') as nine native doubles
 _NODE = struct.Struct("9d")
@@ -42,6 +47,19 @@ def conserved_constant(v, v1, v2) -> np.ndarray:
 def is_null(constant) -> bool:
     """A quadratic is null when its bracket constant vanishes."""
     return float(np.linalg.norm(as_vector(constant))) <= NULL_TOL
+
+
+def check_times(t, t0: float, t1: float) -> None:
+    """Raise OutOfDomain at the first time (in C order) that is not finite
+    or lies outside [t0, t1] widened by DOMAIN_ULPS float spacings of
+    max(|t0|, |t1|); sample times that overshoot an end by rounding pass."""
+    slack = DOMAIN_ULPS * math.ulp(max(abs(t0), abs(t1)))
+    t = np.asarray(t, dtype=float)
+    # written so that NaN fails too
+    ok = (t >= t0 - slack) & (t <= t1 + slack)
+    if not np.all(ok):
+        bad = float(t.flat[np.argmin(ok)])
+        raise OutOfDomain(f"time {bad!r} lies outside the interval [{t0!r}, {t1!r}]")
 
 
 def hermite(x, y, m, t) -> np.ndarray:
@@ -168,14 +186,16 @@ class QuadraticTrajectory:
     def eval(self, t, deriv: int = 0) -> np.ndarray:
         """Interpolated V and derivatives; deriv in 0..3.
 
-        Accepts scalar or array times.  Derivative d is the Hermite
-        interpolant of its node values with derivative d + 1 as slope; the
-        third derivative is assembled as [V''(t), V(t)].
+        Accepts scalar or array times within the grid's interval (see
+        `check_times`); others raise OutOfDomain.  Derivative d is the
+        Hermite interpolant of its node values with derivative d + 1 as
+        slope; the third derivative is assembled as [V''(t), V(t)].
         """
         if deriv == 3:
             return np.cross(self.eval(t, 2), self.eval(t))
         if deriv not in (0, 1, 2):
             raise ValueError("derivative order must be in 0..3")
+        check_times(t, self.t0, self.t1)
         nodes = (self.v, self.v1, self.v2)
         slopes = nodes[deriv + 1] if deriv < 2 else self.third_derivative_grid()
         return hermite(self.grid, nodes[deriv], slopes, t)
@@ -361,13 +381,14 @@ def integrate_cubic(x0, velocity, step: float, t0: float | None = None,
     renormalized.
 
     `velocity` is either a QuadraticTrajectory (dense-evaluated on its own
-    interval) or a callable t -> 3-vector, in which case t0 and t1 must be
-    given.
+    interval, or on a given [t0, t1] within it, else OutOfDomain) or a
+    callable t -> 3-vector, in which case t0 and t1 must be given.
     """
     x0 = as_rotation(x0)
     if isinstance(velocity, QuadraticTrajectory):
         t0 = velocity.t0 if t0 is None else t0
         t1 = velocity.t1 if t1 is None else t1
+        check_times([t0, t1], velocity.t0, velocity.t1)
         sample = lambda ts: np.atleast_2d(velocity.eval(ts))
     else:
         if t0 is None or t1 is None:

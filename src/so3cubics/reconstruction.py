@@ -10,8 +10,8 @@ the curve y(t) = plane_rotation(phi(t)) @ frame_from_pair(V''(t), V'''(t))
 satisfies x(t) = x0 y(t0)^T y(t).  The integrand is read from the
 trajectory's interpolated V and V''.  The cumulative phase is kept at the
 grid nodes, with the integrand as its slope, and read at other times
-through `quadratic.hermite`: scipy's arithmetic bit for bit, and times off
-the grid extrapolate the end cubics.
+through `quadratic.hermite`: scipy's arithmetic bit for bit.  Times off
+the trajectory's interval raise OutOfDomain (`quadratic.check_times`).
 
 For nearly constant quadratics both the phase and the frame have
 closed-form counterparts built from the second-order approximant, which
@@ -31,7 +31,7 @@ from .algebra import as_rotation, frame_from_pair, plane_rotation
 from .approximants import (ApproxParams, _approximants, _check_finite,  # noqa: F401
                            second_approximant)
 from .errors import DegenerateB, DegenerateThirdDerivative
-from .quadratic import QuadraticTrajectory, RotationTrajectory, hermite
+from .quadratic import QuadraticTrajectory, RotationTrajectory, check_times, hermite
 
 THIRD_DERIV_TOL = 1e-10   # |V'''| below this makes the quadrature singular
 ACCEL_TOL = 1e-12         # c below this means a reparameterised geodesic
@@ -89,8 +89,11 @@ class ReconstructionInput:
 
 
 def rotation_phase(recon: ReconstructionInput, t) -> float | np.ndarray:
-    """The quadrature phase phi(t); phi(t0) = 0."""
-    out = hermite(recon.trajectory.grid, *recon._phase, t)
+    """The quadrature phase phi(t); phi(t0) = 0.  Times off the
+    trajectory's interval raise OutOfDomain."""
+    traj = recon.trajectory
+    check_times(t, traj.t0, traj.t1)
+    out = hermite(traj.grid, *recon._phase, t)
     return float(out) if np.ndim(t) == 0 else out
 
 

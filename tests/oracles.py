@@ -37,6 +37,11 @@ The library measures a stack of rotation pairs in one `so3_distance` call;
 `pair_distance` measures one pair with the scalar numpy and math calls,
 and the stacked form must reproduce it bit for bit.
 
+The library writes the Rodrigues exponential and the rotation defect entry
+by entry; `matmul_rot_exp` (I + a K + b K @ K on `ad_matrix` stacks) and
+`matmul_rotation_error` (a stacked R^T @ R) form them by matrix products,
+and the library must agree with them to rounding.
+
 Helpers that only tests and these oracles call live here too: the axial
 rotation family `axial_rotation`, its running integrals in matrix form
 (`integrate_poly_axial`), `moving_frame`, the row Gram-Schmidt
@@ -481,3 +486,25 @@ def pair_distance(r1, r2) -> tuple[float, float]:
     sin_angle = 0.5 * math.sqrt(a * a + b * b + c * c)
     cos_angle = 0.5 * (float(np.trace(m)) - 1.0)
     return fro, float(np.arctan2(sin_angle, cos_angle))
+
+
+def matmul_rot_exp(v) -> np.ndarray:
+    """rot_exp as I + a K + b K @ K with K = ad_matrix(v), a = sin(theta)/theta
+    and b = (1 - cos(theta))/theta^2 through sinc; shape S + (3, 3)."""
+    v = np.asarray(v, dtype=float)
+    theta = np.sqrt(v[..., None, :] @ v[..., :, None])   # shape S + (1, 1)
+    k = ad_matrix(v)
+    a = np.sinc(theta / np.pi)
+    b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
+    return np.eye(3) + a * k + b * (k @ k)
+
+
+def matmul_rotation_error(r) -> float:
+    """rotation_error with the orthogonality defect from a stacked R^T @ R
+    and the determinant by cofactors along the first row."""
+    r = np.asarray(r, dtype=float)
+    rt = np.ascontiguousarray(np.swapaxes(r, -1, -2))
+    ortho = float(np.max(np.abs(rt @ r - np.eye(3))))
+    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(r, (-2, -1), (0, 1))
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return max(ortho, float(np.max(np.abs(det - 1.0))))

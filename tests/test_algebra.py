@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from oracles import NotNearRotation, axial_rotation, moving_frame, renormalize
+from oracles import (NotNearRotation, axial_rotation, matmul_rot_exp, matmul_rotation_error,
+                     moving_frame, renormalize)
 from so3cubics.algebra import (Frame, ad_matrix, bracket, frame_from_axis,
                                frame_from_pair, plane_rotation, rot_exp,
                                rotation_error)
@@ -156,6 +159,27 @@ def test_rotation_error_of_a_matrix_and_its_stack_agree():
         assert rotation_error(stack) == rotation_error(bent)
 
 
+# a stack of shape (3,), (k, 3) or (2, k, 3): directions times an angle in
+# [0, pi] or a magnitude down to 1e-300
+magnitudes = st.one_of(st.floats(0.0, math.pi), st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e))
+rotation_vector_stacks = st.integers(1, 6).flatmap(
+    lambda k: st.sampled_from([(), (k,), (2, k)])).flatmap(
+    lambda shape: st.tuples(hnp.arrays(float, shape + (3,), elements=component),
+                            hnp.arrays(float, shape, elements=magnitudes)))
+
+
+@given(rotation_vector_stacks, hnp.arrays(float, (3, 3), elements=st.floats(-0.1, 0.1)))
+def test_rot_exp_and_rotation_error_match_their_matmul_forms(stack, bend):
+    directions, size = stack
+    norms = np.linalg.norm(directions, axis=-1)
+    v = directions * (size / np.maximum(norms, 1e-3))[..., None]
+    rots = rot_exp(v)
+    assert rots.shape == v.shape + (3,)
+    assert np.max(np.abs(rots - matmul_rot_exp(v))) <= 1e-15
+    for m in (rots, rots + bend):
+        assert abs(rotation_error(m) - matmul_rotation_error(m)) <= 1e-15
+
+
 # ----------------------------------------------------------- axial_rotation
 
 def test_axial_rotation_identity_at_start():
@@ -272,6 +296,36 @@ def test_frame_from_pair_batch_matches_single_and_names_first_degenerate():
                                   [frame_from_pair(a, b) for a, b in zip(x1[:2], x2[:2])])
     with pytest.raises(DegenerateFrame, match="at index 2 "):
         frame_from_pair(x1, x2)
+
+
+@pytest.mark.parametrize("x1, x2, k", [
+    ([1e155, 0.0, 0.0], [1e150, 1e154, 0.0], -520),     # squared norms overflow
+    ([1e-170, 0.0, 0.0], [1e-170, 1e-171, 0.0], 570),   # squared norms underflow
+])
+def test_frame_from_pair_at_extreme_magnitudes(x1, x2, k):
+    # the rows are those of the same pair scaled into range, with no warning
+    in_range = frame_from_pair(np.ldexp(x1, k), np.ldexp(x2, k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(frame_from_pair(x1, x2), in_range)
+        stacked = frame_from_pair([[0.3, -1.2, 0.5], x1], [[0.7, 0.1, -0.4], x2])
+    np.testing.assert_array_equal(stacked, [frame_from_pair([0.3, -1.2, 0.5], [0.7, 0.1, -0.4]),
+                                            in_range])
+
+
+milli = st.integers(-1000, 1000).map(lambda n: n / 1000.0)
+milli_vectors = st.tuples(milli, milli, milli).map(np.array)
+
+
+@given(milli_vectors, milli_vectors, st.integers(-900, 900), st.integers(-900, 900))
+def test_frame_from_pair_is_unchanged_by_power_of_two_scaling(x1, x2, k1, k2):
+    try:
+        frame = frame_from_pair(x1, x2)
+    except DegenerateFrame:
+        with pytest.raises(DegenerateFrame):
+            frame_from_pair(np.ldexp(x1, k1), np.ldexp(x2, k2))
+        return
+    np.testing.assert_array_equal(frame_from_pair(np.ldexp(x1, k1), np.ldexp(x2, k2)), frame)
 
 
 # -------------------------------------------------------------- moving_frame

@@ -1,4 +1,8 @@
 import itertools
+import math
+import re
+import warnings
+from functools import cache
 
 import numpy as np
 import pytest
@@ -10,10 +14,11 @@ from scipy.interpolate import CubicHermiteSpline
 from conftest import FIG1_CONSTANT, FIG1_V0, FIG1_V1, FIG1_V2, fig1_ivp, fig3_ivp
 from oracles import rk4_quadratic, rk4_rotation, sequential_product
 from so3cubics.algebra import rot_exp
-from so3cubics.errors import StepTooLarge
-from so3cubics.quadratic import (C_DRIFT_LIMIT, QuadraticIVP, conserved_constant, hermite,
-                                 integrate_cubic, integrate_quadratic, is_null,
+from so3cubics.errors import OutOfDomain, StepTooLarge
+from so3cubics.quadratic import (C_DRIFT_LIMIT, DOMAIN_ULPS, QuadraticIVP, conserved_constant,
+                                 hermite, integrate_cubic, integrate_quadratic, is_null,
                                  quadratic_residual, subgroup_product_velocity)
+from so3cubics.reconstruction import ReconstructionInput, rotation_phase
 
 # Richardson step-halving reference for V(2) of the figure1 family:
 # values at steps 2e-3 and 1e-3 agree to 3.6e-15.
@@ -225,8 +230,12 @@ def test_hermite_rejects_bad_nodes_and_shapes(x, y, m, match):
 
 def test_jet_rows_are_eval_bit_for_bit(fig1_trajectory):
     traj = fig1_trajectory
-    times = np.concatenate([np.linspace(traj.t0, traj.t1, 101) + 1.234e-4,
-                            traj.grid[::250], [traj.t1]])
+    shifted = np.linspace(traj.t0, traj.t1, 101) + 1.234e-4
+    # the last shifted time lies past t1, where both evaluators refuse
+    for read in (traj.jet, lambda t: traj.eval(t, 2)):
+        with pytest.raises(OutOfDomain, match="time 5.0001234 "):
+            read(shifted)
+    times = np.concatenate([shifted[:-1], traj.grid[::250], [traj.t1]])
     jet = traj.jet(times)
     assert jet.shape == times.shape + (3, 3)
     slopes = (traj.v1, traj.v2, traj.third_derivative_grid())
@@ -251,6 +260,72 @@ def test_near_geodesic_gauge(fig1_trajectory):
     sup_v1, sup_v2 = fig1_trajectory.near_geodesic_gauge()
     assert 0 < sup_v1 < 0.05
     assert 0 < sup_v2 < 0.05
+
+
+# ------------------------------------------------------------ domain contract
+
+@cache
+def _fig3_pieces():
+    """figure3's [0, 10] trajectory at step 0.01 and its reconstruction input."""
+    traj = integrate_quadratic(fig3_ivp(0.05), 0.01)
+    return traj, ReconstructionInput(traj, np.eye(3))
+
+
+# the band of accepted times around [0, 10]
+_SLACK = DOMAIN_ULPS * math.ulp(10.0)
+_LO, _HI = -_SLACK, 10.0 + _SLACK
+_OFF = [math.nan, math.inf, -math.inf, 1e150, -1e150, 50.0, -3.0,
+        math.nextafter(_HI, math.inf), math.nextafter(_LO, -math.inf)]
+_ON = [0.0, 10.0, _LO, _HI, math.nextafter(10.0, math.inf), 5.0]
+
+
+def _unchecked(name, t):
+    """What the evaluator `name` computes at t, read through `hermite` alone."""
+    traj, recon = _fig3_pieces()
+    if name == "phase":
+        return hermite(traj.grid, *recon._phase, t)
+    nodes = (traj.v, traj.v1, traj.v2, traj.third_derivative_grid())
+    rows = [hermite(traj.grid, nodes[d], nodes[d + 1], t) for d in range(3)]
+    if name == "jet":
+        return np.stack(rows, axis=-2)
+    return np.cross(rows[2], rows[0]) if name == 3 else rows[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_OFF + _ON), st.floats(0.0, 10.0)), min_size=1,
+                max_size=4),
+       st.sampled_from([0, 1, 2, 3, "jet", "phase"]), st.booleans())
+def test_trajectory_evaluators_take_times_in_the_interval_only(times, name, scalar):
+    traj, recon = _fig3_pieces()
+    t = np.float64(times[0]) if scalar else np.array(times)
+    read = {"jet": traj.jet, "phase": lambda t: rotation_phase(recon, t)}.get(
+        name, lambda t: traj.eval(t, name))
+    bad = [x for x in np.ravel(t) if not _LO <= x <= _HI]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if bad:
+            with pytest.raises(OutOfDomain, match=re.escape(f"time {float(bad[0])!r} ")):
+                read(t)
+            return
+        out = read(t)
+    assert np.all(np.isfinite(out))
+    assert _same_floats(np.asarray(out), _unchecked(name, t))
+
+
+@pytest.mark.parametrize("t0, t1, first_bad", [
+    (20.0, 30.0, 20.0), (math.nan, 5.0, math.nan), (0.0, math.inf, math.inf),
+    (-1e150, 5.0, -1e150), (2.0, math.nextafter(_HI, math.inf), math.nextafter(_HI, math.inf)),
+    (2.0, 8.0, None), (_LO, _HI, None),
+])
+def test_integrate_cubic_takes_a_subinterval_of_its_trajectory(t0, t1, first_bad):
+    traj, _ = _fig3_pieces()
+    if first_bad is not None:
+        with pytest.raises(OutOfDomain, match=re.escape(f"time {first_bad!r} ")):
+            integrate_cubic(np.eye(3), traj, 0.01, t0, t1)
+        return
+    curve = integrate_cubic(np.eye(3), traj, 0.01, t0, t1)
+    assert curve.grid[0] == t0 and curve.grid[-1] == t1
+    assert curve.max_rotation_error() < 1e-13
 
 
 # ----------------------------------------------------------- integrate_cubic

@@ -6,11 +6,16 @@ product), reversible in time (W(t) = -V(T - t)) and scale invariant
 compares the transformed trajectory node by node.  The approximants are
 fitted to rotated initial data and compared by value on a grid of times,
 and the rotation curves from the identity (integrated, reconstructed and
-closed-form) are conjugated by the rotation.  No fitted parameter is
+closed-form) are conjugated by the rotation.  At the CLI, a run with
+rotated `base`, `perturbation` and `projection` rows writes the projected
+and error columns of the unrotated run.  No fitted parameter is
 compared: `frame_from_axis` picks its f1 by
 coordinate axis, so the parameters change under rotation while every
 approximant value is equivariant.
 """
+
+import csv
+import json
 
 import numpy as np
 import pytest
@@ -21,6 +26,8 @@ from conftest import FIG3_BASE, fig3_ivp
 from so3cubics.algebra import rot_exp
 from so3cubics.approximants import (first_approximant, fit_params, second_approximant,
                                     taylor2_baseline)
+from so3cubics.cli import main
+from so3cubics.harness import KINDS, default_config
 from so3cubics.quadratic import QuadraticIVP, integrate_cubic, integrate_quadratic
 from so3cubics.reconstruction import ReconstructionInput, approx_cubic, reconstruct_cubic
 
@@ -148,3 +155,49 @@ def test_integrated_and_reconstructed_cubics_are_conjugation_equivariant(fig3_tr
                   lambda traj: reconstruct_cubic(ReconstructionInput(traj, IDENTITY))):
         expected = _conjugated(R, curve(fig3_trajectory).rotations)
         assert np.max(np.abs(curve(rotated).rotations - expected)) < 1e-12
+
+
+# ---------------------------------------------------------------- the CLI
+# Rotating base and perturbation by R rotates every quadratic curve by R,
+# and rotating the rows of the projection too (P becomes P R^T) leaves every
+# projected column as it was; errors are distances, so they stay too.  The
+# rotation curves are conjugated, x(t) becoming R x(t) R^T, which keeps
+# their Frobenius and angle distances.
+
+def _relation_columns(out, name, R):
+    """The columns of one run into `out` that the rotation leaves unchanged:
+    projected and error columns, or the distances of the rotation kinds."""
+    config = default_config(name)
+    command, path = KINDS[name].command, out.with_suffix(".json")
+    path.write_text(json.dumps({
+        "step": 0.01, "stride": 0.25, "formats": ["csv", "json"],
+        "base": (R @ np.asarray(config.base)).tolist(),
+        "perturbation": (np.asarray(config.pert) @ R.T).tolist(),
+        "projection": (np.asarray(config.projection) @ R.T).tolist()}))
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    with open(out / f"{command}.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    report = json.loads((out / f"{command}.json").read_text())
+    if name == "cubic-compare":
+        keys = ("reconstruction_max_frobenius", "approx_max_frobenius", "approx_max_angle")
+        return [report[key] for key in keys]
+    keep = (("frobenius", "angle") if name == "figure3"
+            else tuple(h for h in header if h.endswith(("_px", "_py"))))
+    columns = [float(row[header.index(h)]) for row in rows for h in keep]
+    if name == "figure3":
+        return columns
+    series = report["series"]
+    errors = [series[curve][delta] for curve in sorted(series) for delta in sorted(series[curve])]
+    maxima = [report["maxima"][curve] for curve in sorted(report["maxima"])]
+    return columns + list(np.ravel(errors)) + list(np.ravel(maxima))
+
+
+@pytest.mark.parametrize("name", ["figure1", "figure2", "quadratic-compare", "figure3",
+                                  "cubic-compare"])
+def test_cli_runs_with_rotated_inputs_write_the_same_values(tmp_path, name):
+    plain = np.array(_relation_columns(tmp_path / "plain", name, IDENTITY))
+    for seed in (5, 6):
+        R = rot_exp(np.random.default_rng(seed).normal(size=3))
+        rotated = np.array(_relation_columns(tmp_path / f"seed{seed}", name, R))
+        assert rotated.shape == plain.shape
+        assert np.max(np.abs(rotated - plain)) <= 1e-12
