@@ -64,28 +64,12 @@ def as_vectors(v) -> np.ndarray:
     return arr
 
 
-def ad_matrix(v) -> np.ndarray:
-    """Skew-symmetric matrix with ad_matrix(v) @ w == bracket(v, w).
-
-    A stack of vectors, shape S + (3,), gives matrices of shape S + (3, 3).
-    """
-    v = as_vectors(v)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    out = np.zeros(v.shape + (3,))
-    out[..., 0, 1] = -z
-    out[..., 0, 2] = y
-    out[..., 1, 0] = z
-    out[..., 1, 2] = -x
-    out[..., 2, 0] = -y
-    out[..., 2, 1] = x
-    return out
-
-
 def rot_exp(v) -> np.ndarray:
-    """Matrix exponential of ad_matrix(v) by the closed Rodrigues form.
+    """Matrix exponential of ad(v), the skew matrix with ad(v) w = v x w, by
+    the closed Rodrigues form.
 
     With a = sin(theta)/theta and b = (1 - cos(theta))/theta^2, theta = |v|,
-    the exponential I + a K + b K^2 of K = ad_matrix(v) is written entry by
+    the exponential I + a K + b K^2 of K = ad(v) is written entry by
     entry from the components (x, y, z): K^2 = v v^T - theta^2 I, so the
     diagonal is 1 - b (y^2 + z^2) and so on, and the entry (0, 1) is
     b x y - a z.  Both coefficients are written through sinc, so the

@@ -280,16 +280,12 @@ def _approximants(p: ApproxParams, t, orders, forms=slice(None)) -> np.ndarray:
     """
     f = p.frame
     with np.errstate(all="ignore"):
-        values = _forms_at(p, t, orders, forms)
-        parts = [values[:, 0].real, values[:, 1].real, values[:, 1].imag]
-        if values.shape[1] == 4:
-            parts += [values[:, 2].imag, values[:, 3].real, values[:, 3].imag]
-        axes = np.array([f.f0, f.f1, f.f2] * (len(parts) // 3))
-        terms = np.stack(parts)[..., None] * axes.reshape((-1,) + (1,) * parts[0].ndim + (3,))
-        v = p.delta * (terms[0] + (terms[1] + terms[2]))
+        q, perp, *correction = _forms_at(p, t, orders, forms).swapaxes(0, 1)
+        v = p.delta * (np.multiply.outer(q.real, f.f0) + f.from_complex(perp))
         v[np.equal(orders, 0)] += f.base
-        if len(parts) == 6:
-            v = v + 0.5 * p.delta ** 2 * (terms[3] + (terms[4] + terms[5]))
+        if correction:
+            f2, v2 = correction
+            v = v + 0.5 * p.delta ** 2 * (np.multiply.outer(f2.imag, f.f0) + f.from_complex(v2))
     _check_finite(t, *v)
     return v
 

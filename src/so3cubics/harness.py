@@ -149,20 +149,18 @@ class ExperimentConfig:
         return self.t0 + self.stride * np.arange(count)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": f"{SCHEMA_PREFIX}-config-v1",
-            "kind": self.kind,
-            "interval": [self.t0, self.t1],
-            "step": self.step,
-            "deltas": list(self.deltas),
-            "base": list(self.base),
-            "perturbation": [list(p) for p in self.pert],
-            "output_dir": self.out_dir,
-            "formats": list(self.formats),
-            "stride": self.stride,
-            "projection": [list(p) for p in self.projection],
-            "budget": self.budget,
-        }
+        """The config under the JSON keys of `_CONFIG_KEYS` but the "delta"
+        alias, tuples as lists; `config_from_dict` reads it back."""
+        out = {"schema": f"{SCHEMA_PREFIX}-config-v1", "interval": [self.t0, self.t1]}
+        for key, (field, _) in _CONFIG_KEYS.items():
+            if key not in out and key != "delta":
+                out[key] = _lists(getattr(self, field))
+        return out
+
+
+def _lists(value):
+    """`value` with every tuple or list in it, at any depth, as a list."""
+    return [_lists(x) for x in value] if isinstance(value, (tuple, list)) else value
 
 
 def _finite_array(value, shape: tuple, message: str) -> None:

@@ -214,19 +214,16 @@ class QuadraticTrajectory:
         """V'' - [V', V] at every grid node (constant up to solver error)."""
         return self.v2 - np.cross(self.v1, self.v)
 
-    def accel_series(self) -> np.ndarray:
-        """<V'', V''> at every grid node (constant up to solver error)."""
-        return np.einsum("ij,ij->i", self.v2, self.v2)
-
     def conservation_drift(self) -> tuple[float, float]:
         """(max |C(t) - C(t0)|, max |c(t) - c(t0)|) over the grid."""
         dc, da = self._drift_series()
         return float(np.max(dc)), float(np.max(da))
 
     def _drift_series(self) -> tuple[np.ndarray, np.ndarray]:
-        """|C(t) - C(t0)| and |c(t) - c(t0)| at every grid node."""
+        """|C(t) - C(t0)| and |c(t) - c(t0)| at every grid node; c = <V'', V''>."""
         dC = self.constant_series() - self.C
-        return np.sqrt(np.einsum("ij,ij->i", dC, dC)), np.abs(self.accel_series() - self.c)
+        return (np.sqrt(np.einsum("ij,ij->i", dC, dC)),
+                np.abs(np.einsum("ij,ij->i", self.v2, self.v2) - self.c))
 
     def near_geodesic_gauge(self) -> tuple[float, float]:
         """Sup norms (max |V'|, max |V''|) over the grid.
@@ -248,12 +245,12 @@ class RotationTrajectory:
     rotations: np.ndarray
 
     def at_time(self, t: float) -> np.ndarray:
-        """The rotation at the grid node at time t (must lie on the grid)."""
+        """The rotation at the grid node at time t; other times raise OutOfDomain."""
         idx = int(np.argmin(np.abs(self.grid - t)))
         scale = max(1.0, abs(float(self.grid[-1])))
         # written so that a NaN time raises too
         if not abs(float(self.grid[idx]) - t) <= 1e-9 * scale:
-            raise ValueError(f"time {t} is not a grid node")
+            raise OutOfDomain(f"time {t} is not a grid node")
         return self.rotations[idx]
 
     def second_rows(self) -> np.ndarray:
@@ -429,51 +426,3 @@ def _running_product(x0: np.ndarray, steps: np.ndarray) -> np.ndarray:
         np.matmul(carry, block, out=block)
         carry = block[-1]
     return out[:n + 1]
-
-
-def subgroup_product_velocity(a, b, t: float) -> np.ndarray:
-    """Body velocity of the product of one-parameter subgroups with
-    generators a and b: the adjoint rot_exp(-t b) applied to a, plus b."""
-    a = as_vector(a)
-    b = as_vector(b)
-    return rot_exp(-t * b) @ a + b
-
-
-# 4th-order central-difference stencils (uniform grid).
-_D2_STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-_D3_STENCIL = np.array([0.125, -1.0, 1.625, 0.0, -1.625, 1.0, -0.125])
-
-
-def quadratic_residual(curve, grid) -> float:
-    """Sup over interior grid nodes of |V''' - [V'', V]|.
-
-    `curve` is a callable t -> 3-vector or a QuadraticTrajectory (sampled
-    through its dense interpolant).  Second and third derivatives come
-    from 4th-order central differences of the value samples, which keeps
-    the residual independent of how the curve was produced; the three
-    outermost nodes on each side are excluded by the stencil width.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 7:
-        raise ValueError("need a 1D grid with at least 7 nodes")
-    h = np.diff(grid)
-    if np.max(np.abs(h - h[0])) > 1e-9 * abs(h[0]):
-        raise ValueError("grid must be uniform")
-    h = float(h[0])
-    if isinstance(curve, QuadraticTrajectory):
-        values = np.atleast_2d(curve.eval(grid))
-    else:
-        values = np.array([as_vector(curve(t)) for t in grid])
-
-    n = grid.size
-    idx = np.arange(3, n - 3)
-    d2 = np.zeros((idx.size, 3))
-    for j, w in enumerate(_D2_STENCIL):
-        d2 += w * values[idx + j - 2]
-    d2 /= h * h
-    d3 = np.zeros((idx.size, 3))
-    for j, w in enumerate(_D3_STENCIL):
-        d3 += w * values[idx + j - 3]
-    d3 /= h ** 3
-    residual = d3 - np.cross(d2, values[idx])
-    return float(np.max(np.linalg.norm(residual, axis=1)))

@@ -56,11 +56,11 @@ class ReconstructionInput:
             # V'' = 0 makes V''' = [V'', V] vanish too
             raise DegenerateThirdDerivative(
                 f"degenerate acceleration: c = {self.trajectory.c:.3g}")
-        v3 = self.trajectory.third_derivative_grid()
-        min_v3 = float(np.min(np.linalg.norm(v3, axis=1)))
-        if min_v3 <= THIRD_DERIV_TOL:
-            raise DegenerateThirdDerivative(
-                f"|V'''| dips to {min_v3:.3g} on the grid")
+        v3 = np.linalg.norm(self.trajectory.third_derivative_grid(), axis=1)
+        k = int(np.argmin(v3))
+        if v3[k] <= THIRD_DERIV_TOL:
+            raise DegenerateThirdDerivative(f"|V'''| dips to {v3[k]:.3g} on the grid, at node "
+                                            f"{k}, t={float(self.trajectory.grid[k])!r}")
 
     @cached_property
     def _phase(self) -> tuple[np.ndarray, np.ndarray]:
@@ -71,20 +71,24 @@ class ReconstructionInput:
         traj = self.trajectory
         grid = traj.grid
         mids = 0.5 * (grid[:-1] + grid[1:])
-        g_nodes = self._integrand(traj.v2, traj.third_derivative_grid())
+        g_nodes = self._integrand(traj.v2, traj.third_derivative_grid(), grid, "node")
         v2_mids = traj.eval(mids, 2)
-        g_mids = self._integrand(v2_mids, np.cross(v2_mids, traj.eval(mids)))
+        g_mids = self._integrand(v2_mids, np.cross(v2_mids, traj.eval(mids)), mids, "midpoint")
         h = np.diff(grid)
         increments = h / 6.0 * (g_nodes[:-1] + 4.0 * g_mids + g_nodes[1:])
         phase = np.concatenate([[0.0], np.cumsum(increments)])
         return math.sqrt(traj.c) * phase, math.sqrt(traj.c) * g_nodes
 
-    def _integrand(self, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
-        """(c - <C, V''>) / |V'''|^2 from V'' and V''' = [V'', V]."""
+    def _integrand(self, v2: np.ndarray, v3: np.ndarray, times: np.ndarray,
+                   where: str) -> np.ndarray:
+        """(c - <C, V''>) / |V'''|^2 from V'' and V''' = [V'', V] at `times`;
+        `where` ("node" or "midpoint") names them in the error."""
         traj = self.trajectory
         norms = np.einsum("ij,ij->i", v3, v3)
-        if float(np.min(norms)) <= THIRD_DERIV_TOL ** 2:
-            raise DegenerateThirdDerivative("|V'''| dips below tolerance")
+        k = int(np.argmin(norms))
+        if norms[k] <= THIRD_DERIV_TOL ** 2:
+            raise DegenerateThirdDerivative(f"|V'''| dips to {math.sqrt(norms[k]):.3g} at the "
+                                            f"{where} t={float(times[k])!r}")
         return (traj.c - v2 @ traj.C) / norms
 
 

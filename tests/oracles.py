@@ -42,12 +42,18 @@ by entry; `matmul_rot_exp` (I + a K + b K @ K on `ad_matrix` stacks) and
 `matmul_rotation_error` (a stacked R^T @ R) form them by matrix products,
 and the library must agree with them to rounding.
 
-Helpers that only tests and these oracles call live here too: the axial
-rotation family `axial_rotation`, its running integrals in matrix form
-(`integrate_poly_axial`), `moving_frame`, the row Gram-Schmidt
+Helpers that only tests and these oracles call live here too: the adjoint
+matrix `ad_matrix` (ad_matrix(v) @ w == bracket(v, w), on stacks), the
+axial rotation family `axial_rotation`, its running integrals in matrix
+form (`integrate_poly_axial`), `moving_frame`, the row Gram-Schmidt
 `renormalize` with its `NotNearRotation` error, and `transverse_vectors`,
 which builds the transverse coefficients A0, A1, B of a parameter set as
-3-vectors for the matrix kernels.
+3-vectors for the matrix kernels.  Two more serve the acceptance suite
+and the integrator tests: `subgroup_product_velocity`, the body velocity
+of exp(t a) exp(t b), a velocity that no Lie quadratic gives in general;
+and `quadratic_residual`, the sup of |V''' - [V'', V]| over a uniform grid
+by 4th-order central differences of the values alone, an equation gauge
+that does not depend on how a curve was produced.
 """
 
 import math
@@ -57,13 +63,78 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import cumulative_simpson
 
-from so3cubics.algebra import (Frame, ad_matrix, bracket, frame_from_pair, plane_rotation,
-                              rot_exp)
+from so3cubics.algebra import (Frame, as_vector, as_vectors, bracket, frame_from_pair,
+                              plane_rotation, rot_exp)
 from so3cubics.approximants import ApproxParams
 from so3cubics.errors import DegeneracyError
 from so3cubics.quadratic import QuadraticIVP, QuadraticTrajectory, _uniform_grid
 
 ORTHO_GUARD = 0.1          # Frobenius defect beyond which renormalize refuses
+
+
+def ad_matrix(v) -> np.ndarray:
+    """Skew-symmetric matrix with ad_matrix(v) @ w == bracket(v, w).
+
+    A stack of vectors, shape S + (3,), gives matrices of shape S + (3, 3).
+    """
+    v = as_vectors(v)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1] = -z
+    out[..., 0, 2] = y
+    out[..., 1, 0] = z
+    out[..., 1, 2] = -x
+    out[..., 2, 0] = -y
+    out[..., 2, 1] = x
+    return out
+
+
+def subgroup_product_velocity(a, b, t: float) -> np.ndarray:
+    """Body velocity of the product of one-parameter subgroups with
+    generators a and b: the adjoint rot_exp(-t b) applied to a, plus b."""
+    a = as_vector(a)
+    b = as_vector(b)
+    return rot_exp(-t * b) @ a + b
+
+
+# 4th-order central-difference stencils (uniform grid).
+_D2_STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+_D3_STENCIL = np.array([0.125, -1.0, 1.625, 0.0, -1.625, 1.0, -0.125])
+
+
+def quadratic_residual(curve, grid) -> float:
+    """Sup over interior grid nodes of |V''' - [V'', V]|.
+
+    `curve` is a callable t -> 3-vector or a QuadraticTrajectory (sampled
+    through its dense interpolant).  Second and third derivatives come
+    from 4th-order central differences of the value samples, which keeps
+    the residual independent of how the curve was produced; the three
+    outermost nodes on each side are excluded by the stencil width.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 7:
+        raise ValueError("need a 1D grid with at least 7 nodes")
+    h = np.diff(grid)
+    if np.max(np.abs(h - h[0])) > 1e-9 * abs(h[0]):
+        raise ValueError("grid must be uniform")
+    h = float(h[0])
+    if isinstance(curve, QuadraticTrajectory):
+        values = np.atleast_2d(curve.eval(grid))
+    else:
+        values = np.array([as_vector(curve(t)) for t in grid])
+
+    n = grid.size
+    idx = np.arange(3, n - 3)
+    d2 = np.zeros((idx.size, 3))
+    for j, w in enumerate(_D2_STENCIL):
+        d2 += w * values[idx + j - 2]
+    d2 /= h * h
+    d3 = np.zeros((idx.size, 3))
+    for j, w in enumerate(_D3_STENCIL):
+        d3 += w * values[idx + j - 3]
+    d3 /= h ** 3
+    residual = d3 - np.cross(d2, values[idx])
+    return float(np.max(np.linalg.norm(residual, axis=1)))
 
 
 class NotNearRotation(DegeneracyError):

@@ -25,14 +25,13 @@ from so3cubics.algebra import (frame_from_axis, frame_from_pair, plane_rotation,
                                rot_exp, rotation_error)
 from so3cubics.approximants import (first_approximant, fit_params, second_approximant,
                                     second_correction, taylor2_baseline)
-from so3cubics.quadratic import (QuadraticIVP, integrate_cubic, integrate_quadratic,
-                                 quadratic_residual, subgroup_product_velocity)
+from so3cubics.quadratic import QuadraticIVP, integrate_cubic, integrate_quadratic
 from so3cubics.reconstruction import (ReconstructionInput, approx_cubic,
                                       reconstruct_cubic, rotation_phase,
                                       rotation_phase_approx, so3_distance)
 
 from oracles import (axial_rotation, brute_force_correction, integrate_poly_axial,
-                     renormalize)
+                     quadratic_residual, renormalize, subgroup_product_velocity)
 
 
 def report(criterion, ok, detail):

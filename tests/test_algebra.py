@@ -7,9 +7,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import (NotNearRotation, axial_rotation, matmul_rot_exp, matmul_rotation_error,
-                     moving_frame, renormalize)
-from so3cubics.algebra import (Frame, ad_matrix, bracket, frame_from_axis,
+from oracles import (NotNearRotation, ad_matrix, axial_rotation, matmul_rot_exp,
+                     matmul_rotation_error, moving_frame, renormalize)
+from so3cubics.algebra import (Frame, bracket, frame_from_axis,
                                frame_from_pair, plane_rotation, rot_exp,
                                rotation_error)
 from so3cubics.errors import DegenerateFrame, ZeroDirection

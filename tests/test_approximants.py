@@ -10,17 +10,17 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from conftest import FIG3_BASE, fig1_ivp, fig3_ivp
-from oracles import (axial_rotation, brute_force_correction, closed_form_phase,
+from oracles import (ad_matrix, axial_rotation, brute_force_correction, closed_form_phase,
                      endomorphisms, integrate_poly_axial, matrix_second_correction,
                      polyexp_approx_cubic, polyexp_closed_forms, polyexp_values,
-                     second_correction_deriv2, second_correction_deriv3, taylor2_values,
-                     transverse_vectors)
-from so3cubics.algebra import ad_matrix, frame_from_axis
+                     quadratic_residual, second_correction_deriv2, second_correction_deriv3,
+                     taylor2_values, transverse_vectors)
+from so3cubics.algebra import frame_from_axis
 from so3cubics.approximants import (ApproxParams, first_approximant, fit_params,
                                     second_approximant, second_correction,
                                     taylor2_baseline)
 from so3cubics.errors import DegenerateB, OutOfDomain
-from so3cubics.quadratic import integrate_quadratic, quadratic_residual
+from so3cubics.quadratic import integrate_quadratic
 from so3cubics.reconstruction import approx_cubic, rotation_phase_approx
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -125,8 +126,20 @@ def test_config_accepts_and_ignores_renorm_every():
     assert "renorm_every" not in cfg.to_dict()
 
 
-def test_config_file_round_trip(tmp_path):
-    cfg = default_config("figure1")
+# every kind's default, and a converge config off the defaults in every key
+# but its kind
+ROUND_TRIP_CONFIGS = {
+    **{kind: default_config(kind) for kind in KINDS},
+    "converge-custom": replace(
+        default_config("converge", out_dir="custom"), t0=0.5, t1=3.0, step=2e-3, stride=0.05,
+        deltas=(0.08, 0.04, 0.02), base=(0.0, 1.5, 0.0),
+        pert=((0.25, 0.0, -0.5), (0.0, 0.125, 0.0), (0.5, 0.25, 0.75)),
+        projection=((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)), formats=("json", "svg"), budget=2.5e-4),
+}
+
+
+@pytest.mark.parametrize("cfg", ROUND_TRIP_CONFIGS.values(), ids=ROUND_TRIP_CONFIGS.keys())
+def test_config_file_round_trip(tmp_path, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg.to_dict()))
     loaded = config_from_dict(read_config(path))
@@ -487,6 +500,12 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_documents_every_exported_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [name for name in so3cubics.__all__ if not re.search(rf"\b{name}\b", readme)]
+    assert missing == []
 
 
 def test_cli_out_of_domain_exit(tmp_path, monkeypatch, capsys):

@@ -12,12 +12,12 @@ from hypothesis.extra import numpy as hnp
 from scipy.interpolate import CubicHermiteSpline
 
 from conftest import FIG1_CONSTANT, FIG1_V0, FIG1_V1, FIG1_V2, fig1_ivp, fig3_ivp
-from oracles import rk4_quadratic, rk4_rotation, sequential_product
+from oracles import (quadratic_residual, rk4_quadratic, rk4_rotation, sequential_product,
+                     subgroup_product_velocity)
 from so3cubics.algebra import rot_exp
 from so3cubics.errors import OutOfDomain, StepTooLarge
 from so3cubics.quadratic import (C_DRIFT_LIMIT, DOMAIN_ULPS, QuadraticIVP, conserved_constant,
-                                 hermite, integrate_cubic, integrate_quadratic, is_null,
-                                 quadratic_residual, subgroup_product_velocity)
+                                 hermite, integrate_cubic, integrate_quadratic, is_null)
 from so3cubics.reconstruction import ReconstructionInput, rotation_phase
 
 # Richardson step-halving reference for V(2) of the figure1 family:
@@ -413,6 +413,15 @@ def test_rotation_trajectory_lookup(fig1_trajectory):
     with pytest.raises(ValueError, match="not a grid node"):
         rt.at_time(float("nan"))
     assert rt.second_rows().shape == (len(rt.grid), 3)
+
+
+@pytest.mark.parametrize("t", [math.nan, 5.0, -0.5, 0.25])
+def test_rotation_trajectory_lookup_raises_out_of_domain(t):
+    # NaN, past either end, and on the interval between the two nodes
+    rt = integrate_cubic(np.eye(3), lambda s: np.array([1.0, 0.0, 0.0]), 1.0, 0.0, 1.0)
+    assert len(rt.grid) == 2
+    with pytest.raises(OutOfDomain, match="is not a grid node"):
+        rt.at_time(t)
 
 
 # --------------------------------------------------- subgroup product curves

@@ -11,7 +11,8 @@ from oracles import pair_distance
 from so3cubics.algebra import frame_from_axis, rot_exp, rotation_error
 from so3cubics.approximants import ApproxParams, fit_params
 from so3cubics.errors import DegenerateB, DegenerateThirdDerivative
-from so3cubics.quadratic import QuadraticIVP, integrate_cubic, integrate_quadratic
+from so3cubics.quadratic import (QuadraticIVP, QuadraticTrajectory, integrate_cubic,
+                                 integrate_quadratic)
 from so3cubics.reconstruction import (ReconstructionInput, approx_cubic,
                                       reconstruct_cubic, rotation_phase,
                                       rotation_phase_approx, so3_distance)
@@ -51,6 +52,30 @@ def test_degenerate_third_derivative_rejected():
     traj = integrate_quadratic(ivp, 1e-3)
     with pytest.raises(DegenerateThirdDerivative):
         ReconstructionInput(traj, np.eye(3))
+
+
+def test_degenerate_third_derivative_names_node_and_time():
+    # the same axial trajectory: |V'''| vanishes first at node 0, t = 0.0
+    ivp = QuadraticIVP(0.0, 2.0, [1.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.2, 0.0, 0.0])
+    traj = integrate_quadratic(ivp, 1e-3)
+    with pytest.raises(DegenerateThirdDerivative, match=r"at node 0, t=0\.0$"):
+        ReconstructionInput(traj, np.eye(3))
+
+
+def test_degenerate_third_derivative_at_a_midpoint_names_it():
+    # V = (0, 0, 1) constant and V'' = y0, y1 at the nodes 0 and 1, y1 chosen so
+    # that the Hermite interpolant of V'' (slopes [V'', V]) vanishes at t = 0.5:
+    # |V'''| is 1 at both nodes and 0 up to rounding at the midpoint
+    y0 = np.array([1.0, 0.0, 0.0])
+    jy0 = np.cross(y0, [0.0, 0.0, 1.0])
+    y1 = -y0 + (2.0 * y0 - 8.0 * jy0) / 17.0
+    traj = QuadraticTrajectory(grid=np.array([0.0, 1.0]), v=np.tile([0.0, 0.0, 1.0], (2, 1)),
+                               v1=np.zeros((2, 3)), v2=np.array([y0, y1]),
+                               C=np.zeros(3), c=1.0)
+    recon = ReconstructionInput(traj, np.eye(3))
+    assert np.linalg.norm(traj.eval(0.5, 2)) < 1e-15
+    with pytest.raises(DegenerateThirdDerivative, match=r"at the midpoint t=0\.5$"):
+        rotation_phase(recon, 1.0)
 
 
 def test_zero_acceleration_rejected():
