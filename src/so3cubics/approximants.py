@@ -252,7 +252,9 @@ def _check_finite(t, *values) -> None:
     t = np.asarray(t, dtype=float)
     ok = np.isfinite(t)
     for v in values:
-        ok = ok & np.isfinite(v).reshape(t.shape + (-1,)).all(axis=-1)
+        # the trailing size is explicit: -1 cannot be inferred for an empty t
+        trailing = np.size(v) // max(t.size, 1)
+        ok = ok & np.isfinite(v).reshape(t.shape + (trailing,)).all(axis=-1)
     if not np.all(ok):
         raise OutOfDomain(f"closed form is not finite at t = {float(t.flat[np.argmin(ok)])!r}")
 

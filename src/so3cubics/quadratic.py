@@ -6,11 +6,15 @@ acceleration c = <V'', V''> are conserved along solutions, which gives the
 integrator its built-in accuracy check.  The associated rotation curve
 solves the left-invariant linear equation x' = x ad(V(t)).
 
-Between grid nodes every derivative d = 0, 1, 2 of a trajectory is read
-through `hermite`, the cubic Hermite interpolant of its node values with
-derivative d + 1 as slope ([V'', V] for d = 2).  `hermite` computes the
-cubics of only the intervals that the requested times fall in and keeps
-no coefficient table.  It does scipy's CubicHermiteSpline arithmetic
+Between grid nodes every derivative d = 0, 1, 2 of a trajectory is the
+cubic Hermite interpolant of its node values with derivative d + 1 as
+slope ([V'', V] for d = 2).  At one fixed fraction theta of every step
+(the Gauss nodes of `integrate_cubic`, the midpoints of the quadrature
+phase) `QuadraticTrajectory.at_fraction` reads it through the four
+Hermite weights of theta, with no search and no division.  All other
+times go through `hermite`, which computes the cubics of only the
+intervals that the requested times fall in and keeps no coefficient
+table.  It does scipy's CubicHermiteSpline arithmetic
 operation for operation, so its values are bit-identical to scipy's.
 Times outside the grid extrapolate the end cubics, as scipy's do; the
 evaluators of a trajectory (`QuadraticTrajectory.eval` and `jet`, the
@@ -200,6 +204,31 @@ class QuadraticTrajectory:
         slopes = nodes[deriv + 1] if deriv < 2 else self.third_derivative_grid()
         return hermite(self.grid, nodes[deriv], slopes, t)
 
+    def at_fraction(self, theta: float, deriv: int = 0) -> np.ndarray:
+        """Derivative `deriv` (0..2) of the interpolant at grid[k] + theta
+        (grid[k+1] - grid[k]) for every step k, shape (n, 3), for theta in
+        [0, 1].
+
+        The same cubics as `eval`, read through the four Hermite weights of
+        theta, h00 y_k + h01 y_{k+1} + dx_k (h10 m_k + h11 m_{k+1}): no
+        interval search, no gather and no division.  Equal to `eval` at
+        those times to rounding; theta = 0 gives the node values.
+        """
+        if deriv not in (0, 1, 2):
+            raise ValueError("derivative order must be in 0..2")
+        # written so that NaN fails too
+        if not 0.0 <= theta <= 1.0:
+            raise ValueError(f"fraction {theta!r} lies outside [0, 1]")
+        t2 = theta * theta
+        t3 = t2 * theta
+        nodes = (self.v, self.v1, self.v2, self._v3)
+        y, m = nodes[deriv], nodes[deriv + 1]
+        dx = np.diff(self.grid)[:, None]
+        out = (2.0 * t3 - 3.0 * t2 + 1.0) * y[:-1]
+        out += (3.0 * t2 - 2.0 * t3) * y[1:]
+        out += dx * ((t3 - 2.0 * t2 + theta) * m[:-1] + (t3 - t2) * m[1:])
+        return out
+
     def third_derivative_grid(self) -> np.ndarray:
         """[V'', V] at the grid nodes: one read-only array, computed once."""
         return self._v3
@@ -285,9 +314,18 @@ def integrate_quadratic(ivp: QuadraticIVP, step: float) -> QuadraticTrajectory:
     nine floats per step.  The conserved bracket constant C and squared
     acceleration c are monitored over the whole grid, and StepTooLarge is
     raised when the drift of either exceeds C_DRIFT_LIMIT, which signals
-    that the step must shrink.
+    that the step must shrink.  An initial jet whose C or c overflows
+    raises StepTooLarge before the first step, since no step helps; the
+    float warnings of an overflowing jet or trajectory are kept quiet.
     """
     grid, h, n = _uniform_grid(ivp.t0, ivp.t1, step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = conserved_constant(ivp.v0, ivp.v1, ivp.v2)
+        c = float(ivp.v2 @ ivp.v2)
+    for quantity, value in (("bracket constant C", C), ("squared acceleration c", c)):
+        if not np.all(np.isfinite(value)):
+            raise StepTooLarge(f"{quantity} of the initial jet overflows to "
+                               f"{np.asarray(value).tolist()}; no step size helps")
     hh = 0.5 * h
     h6 = h / 6.0
     # V = (x0, x1, x2), V' = (y0, y1, y2), V'' = (z0, z1, z2)
@@ -339,10 +377,11 @@ def integrate_quadratic(ivp: QuadraticIVP, step: float) -> QuadraticTrajectory:
         v=values[:, 0:3].copy(),
         v1=values[:, 3:6].copy(),
         v2=values[:, 6:9].copy(),
-        C=conserved_constant(ivp.v0, ivp.v1, ivp.v2),
-        c=float(ivp.v2 @ ivp.v2),
+        C=C,
+        c=c,
     )
-    dc, da = traj._drift_series()
+    with np.errstate(over="ignore", invalid="ignore"):
+        dc, da = traj._drift_series()
     _gate_drift("bracket constant C", dc, grid, h)
     _gate_drift("squared acceleration c", da, grid, h)
     return traj
@@ -379,7 +418,10 @@ def integrate_cubic(x0, velocity, step: float, t0: float | None = None,
 
     `velocity` is either a QuadraticTrajectory (dense-evaluated on its own
     interval, or on a given [t0, t1] within it, else OutOfDomain) or a
-    callable t -> 3-vector, in which case t0 and t1 must be given.
+    callable t -> 3-vector, in which case t0 and t1 must be given.  When
+    the step grid is the trajectory's own grid, V_a and V_b are read by
+    `QuadraticTrajectory.at_fraction` at the two Gauss fractions; other
+    grids read them through `eval`.
     """
     x0 = as_rotation(x0)
     if isinstance(velocity, QuadraticTrajectory):
@@ -393,7 +435,10 @@ def integrate_cubic(x0, velocity, step: float, t0: float | None = None,
         sample = lambda ts: np.array([as_vector(velocity(t)) for t in ts])
 
     grid, h, _ = _uniform_grid(t0, t1, step)
-    va, vb = (sample(grid[:-1] + node * h) for node in _GAUSS_NODES)
+    if isinstance(velocity, QuadraticTrajectory) and np.array_equal(grid, velocity.grid):
+        va, vb = (velocity.at_fraction(node) for node in _GAUSS_NODES)
+    else:
+        va, vb = (sample(grid[:-1] + node * h) for node in _GAUSS_NODES)
     omega = (0.5 * h) * (va + vb) - (_MAGNUS_COMMUTATOR * h * h) * np.cross(vb, va)
     return RotationTrajectory(grid=grid, rotations=_running_product(x0, rot_exp(omega)))
 

@@ -8,7 +8,9 @@ through a single quadrature: with the moving frame adapted to
 
 the curve y(t) = plane_rotation(phi(t)) @ frame_from_pair(V''(t), V'''(t))
 satisfies x(t) = x0 y(t0)^T y(t).  The integrand is read from the
-trajectory's interpolated V and V''.  The cumulative phase is kept at the
+trajectory's node values and, at the Simpson midpoints, from its
+interpolated V and V'' at the fraction 1/2 of every step
+(`QuadraticTrajectory.at_fraction`).  The cumulative phase is kept at the
 grid nodes, with the integrand as its slope, and read at other times
 through `quadratic.hermite`: scipy's arithmetic bit for bit.  Times off
 the trajectory's interval raise OutOfDomain (`quadratic.check_times`).
@@ -72,8 +74,9 @@ class ReconstructionInput:
         grid = traj.grid
         mids = 0.5 * (grid[:-1] + grid[1:])
         g_nodes = self._integrand(traj.v2, traj.third_derivative_grid(), grid, "node")
-        v2_mids = traj.eval(mids, 2)
-        g_mids = self._integrand(v2_mids, np.cross(v2_mids, traj.eval(mids)), mids, "midpoint")
+        v2_mids = traj.at_fraction(0.5, 2)
+        g_mids = self._integrand(v2_mids, np.cross(v2_mids, traj.at_fraction(0.5)), mids,
+                                 "midpoint")
         h = np.diff(grid)
         increments = h / 6.0 * (g_nodes[:-1] + 4.0 * g_mids + g_nodes[1:])
         phase = np.concatenate([[0.0], np.cumsum(increments)])

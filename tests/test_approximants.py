@@ -475,6 +475,18 @@ def test_out_of_domain_names_the_first_bad_time():
     assert issubclass(OutOfDomain, ValueError)
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 2), (2, 0)])
+def test_closed_forms_take_empty_time_arrays(shape):
+    # results of shape S + trailing, as for any other array of times
+    trailing = [[(3,)], [(), (3,)], [(3,)], [(3,)], [()], [(3, 3)]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (evaluate, _), expected in zip(_closed_form_cases(np.zeros(shape), 2), trailing):
+            got = evaluate()
+            got = got if isinstance(got, tuple) else (got,)
+            assert [np.shape(x) for x in got] == [shape + e for e in expected]
+
+
 # ---------------------------------------------------------- second_approximant
 
 def test_second_approximant_zero_perturbation_is_constant():

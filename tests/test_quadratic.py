@@ -15,9 +15,11 @@ from conftest import FIG1_CONSTANT, FIG1_V0, FIG1_V1, FIG1_V2, fig1_ivp, fig3_iv
 from oracles import (quadratic_residual, rk4_quadratic, rk4_rotation, sequential_product,
                      subgroup_product_velocity)
 from so3cubics.algebra import rot_exp
+from so3cubics.cli import main
 from so3cubics.errors import OutOfDomain, StepTooLarge
-from so3cubics.quadratic import (C_DRIFT_LIMIT, DOMAIN_ULPS, QuadraticIVP, conserved_constant,
-                                 hermite, integrate_cubic, integrate_quadratic, is_null)
+from so3cubics.quadratic import (_GAUSS_NODES, C_DRIFT_LIMIT, DOMAIN_ULPS, QuadraticIVP,
+                                 QuadraticTrajectory, conserved_constant, hermite,
+                                 integrate_cubic, integrate_quadratic, is_null)
 from so3cubics.reconstruction import ReconstructionInput, rotation_phase
 
 # Richardson step-halving reference for V(2) of the figure1 family:
@@ -110,6 +112,35 @@ def test_integrate_rejects_bracket_constant_drift():
                        match=r"bracket constant C drifted by 1\.\d+e-05 .* step index \d, t="):
         integrate_quadratic(ivp, 0.2)
     integrate_quadratic(ivp, 0.02)
+
+
+@pytest.mark.parametrize("jet, match", [
+    # c = |V''|^2 overflows
+    ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1e300]],
+     r"squared acceleration c of the initial jet overflows to inf; no step size helps"),
+    # [V', V] overflows to inf - inf
+    ([[1e160] * 3] * 3, r"bracket constant C of the initial jet overflows to \[.*nan"),
+    # C and c are finite, the first steps overflow to NaN
+    ([[0.0, 0.0, 0.0], [0.0, 0.0, -1e100], [-1e100, -1e100, 0.0]],
+     r"drifted by nan .* step index 1, t=0\.001,"),
+])
+def test_overflowing_initial_jets_raise_step_too_large_without_warnings(jet, match):
+    ivp = QuadraticIVP(0.0, 1.0, *jet)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepTooLarge, match=match):
+            integrate_quadratic(ivp, 1e-3)
+
+
+@pytest.mark.parametrize("argv", [["cubic", "--delta", "1e300"],
+                                  ["quadratic", "--delta", "1e160"]])
+def test_cli_overflowing_initial_jet_exits_3_without_warnings(tmp_path, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "of the initial jet overflows" in err and "no step size helps" in err
+    assert "smaller step" not in err and "Traceback" not in err
 
 
 component = st.floats(-1.0, 1.0, allow_nan=False)
@@ -246,6 +277,37 @@ def test_jet_rows_are_eval_bit_for_bit(fig1_trajectory):
     assert _same_floats(traj.eval(times, 3), np.cross(jet[..., 2, :], jet[..., 0, :]))
     assert traj.jet(1.5).shape == (3, 3)
     assert _same_floats(traj.jet(1.5)[2], traj.eval(1.5, 2))
+
+
+@cache
+def _nonuniform_trajectory():
+    """The figure3 trajectory kept at hand-picked nodes whose gaps span
+    1e-3 to 1.2: node values of a solution on a non-uniform grid."""
+    fine = integrate_quadratic(fig3_ivp(0.05, t1=5.0), 1e-3)
+    keep = [0, 1, 3, 4, 10, 35, 36, 200, 201, 850, 2050, 2400, 2401, 3333, 4500, 4999, 5000]
+    return QuadraticTrajectory(grid=fine.grid[keep], v=fine.v[keep], v1=fine.v1[keep],
+                               v2=fine.v2[keep], C=fine.C, c=fine.c)
+
+
+@pytest.mark.parametrize("theta", [0.0, _GAUSS_NODES[0], 0.5, _GAUSS_NODES[1], 1.0])
+@pytest.mark.parametrize("deriv", [0, 1, 2])
+@pytest.mark.parametrize("grid", ["uniform", "nonuniform"])
+def test_at_fraction_matches_eval_at_the_same_fraction_of_every_step(
+        fig1_trajectory, grid, deriv, theta):
+    traj = fig1_trajectory if grid == "uniform" else _nonuniform_trajectory()
+    got = traj.at_fraction(theta, deriv)
+    ref = traj.eval(traj.grid[:-1] + theta * np.diff(traj.grid), deriv)
+    assert got.shape == (len(traj.grid) - 1, 3)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    if theta == 0.0:
+        assert np.array_equal(got, (traj.v, traj.v1, traj.v2)[deriv][:-1])
+
+
+@pytest.mark.parametrize("theta, deriv", [(-0.1, 0), (1.5, 0), (math.nan, 0), (0.5, 3)])
+def test_at_fraction_rejects_fractions_off_the_step_and_high_derivatives(
+        fig1_trajectory, theta, deriv):
+    with pytest.raises(ValueError):
+        fig1_trajectory.at_fraction(theta, deriv)
 
 
 def test_third_derivative_grid_is_computed_once_and_read_only():
@@ -388,6 +450,18 @@ def test_integrate_cubic_blocked_product_matches_sequential(n):
     assert np.max(np.linalg.norm(rt.rotations - ref, axis=(1, 2))) < 1e-13
     assert np.array_equal(rt.rotations[0], x0)
     assert rt.max_rotation_error() < 1e-13
+
+
+def test_integrate_cubic_on_the_trajectory_grid_matches_the_callable_path():
+    # on its own grid a trajectory is read at the Gauss fractions of every
+    # step; a callable reads the same cubics through eval at h-spaced times
+    traj = integrate_quadratic(fig3_ivp(0.05, t1=2.0), 1e-3)
+    x0 = rot_exp([0.3, -0.2, 0.9])
+    fast = integrate_cubic(x0, traj, 1e-3)
+    slow = integrate_cubic(x0, lambda t: traj.eval(t), 1e-3, t0=traj.t0, t1=traj.t1)
+    assert np.array_equal(fast.grid, traj.grid)
+    assert np.max(np.abs(fast.rotations - slow.rotations)) < 1e-13
+    assert np.array_equal(fast.rotations[0], x0)
 
 
 def test_integrate_cubic_left_invariance(fig1_trajectory):

@@ -46,6 +46,26 @@ def test_phase_matches_refinement_oracle(fig1_recon):
     assert abs(coarse - FIG1_PHASE_AT_5) < 1e-10
 
 
+def test_phase_reads_the_trajectory_at_the_midpoint_of_every_step(fig1_recon):
+    # the Simpson phase with its midpoint V and V'' read through eval at the
+    # midpoint times; the library reads the same cubics at the fraction 1/2
+    traj = fig1_recon.trajectory
+    grid = traj.grid
+    mids = 0.5 * (grid[:-1] + grid[1:])
+
+    def integrand(v2, v):
+        v3 = np.cross(v2, v)
+        return (traj.c - v2 @ traj.C) / np.einsum("ij,ij->i", v3, v3)
+
+    g_nodes = integrand(traj.v2, traj.v)
+    g_mids = integrand(traj.eval(mids, 2), traj.eval(mids))
+    increments = np.diff(grid) / 6.0 * (g_nodes[:-1] + 4.0 * g_mids + g_nodes[1:])
+    phase = math.sqrt(traj.c) * np.concatenate([[0.0], np.cumsum(increments)])
+    got, slope = fig1_recon._phase
+    assert np.max(np.abs(got - phase)) <= 1e-14 * np.max(np.abs(phase))
+    np.testing.assert_allclose(slope, math.sqrt(traj.c) * g_nodes, rtol=1e-15, atol=0.0)
+
+
 def test_degenerate_third_derivative_rejected():
     # axial initial data keeps V on the axis, so V''' vanishes identically
     ivp = QuadraticIVP(0.0, 2.0, [1.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.2, 0.0, 0.0])
