@@ -3,9 +3,8 @@
 Vectors in so(3) are identified with Euclidean 3-vectors through the
 adjoint map, so the Lie bracket is the cross product and the Euclidean
 inner product is ad-invariant.  Rotations are plain 3x3 arrays acting on
-column vectors.  The batched kernels (`rot_exp`, `rotation_error`,
-`frame_from_pair`) work entry by entry on whole stacks, with no stacked
-3x3 matrix product.
+column vectors.  `rot_exp` and `rotation_error` are written entry by
+entry on whole stacks, with no stacked 3x3 matrix product.
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ from .errors import ConfigError, DegenerateB
 from .output import (CURVE_COLORS, QUADRATIC_CSV_HEADER, ROTATION_CSV_HEADER, SCHEMA_PREFIX,
                      SvgCurve, project_points, quadratic_table, quadratic_to_dict,
                      rotation_table, rotation_to_dict, write_csv, write_json, write_svg)
-from .quadratic import (QuadraticIVP, QuadraticTrajectory, RotationTrajectory,
+from .quadratic import (DOMAIN_ULPS, QuadraticIVP, QuadraticTrajectory, RotationTrajectory,
                         integrate_cubic, integrate_quadratic)
 from .reconstruction import (ReconstructionInput, approx_cubic, reconstruct_cubic,
                              rotation_phase, rotation_phase_approx, so3_distance)
@@ -105,7 +105,7 @@ class ExperimentConfig:
             if not (self.t0 + value) - self.t0 >= resolution:
                 raise ConfigError(f"{name} {value:g} is below the {resolution:.3g} that the "
                                   f"interval endpoints resolve")
-        if not (self.t1 - self.t0) / self.stride < MAX_SAMPLES:
+        if self._sample_count() > MAX_SAMPLES:
             raise ConfigError(f"more than MAX_SAMPLES={MAX_SAMPLES} sample times")
         if not self.formats or not set(self.formats) <= {"csv", "json", "svg"}:
             raise ConfigError("formats must be a nonempty subset of csv/json/svg")
@@ -124,7 +124,7 @@ class ExperimentConfig:
                 raise ConfigError("converge deltas must be strictly decreasing")
             if any(d <= 0 for d in self.deltas):
                 raise ConfigError("converge deltas must be positive")
-            if self.stride > self.t1 - self.t0:
+            if self._sample_count() < 2:
                 # at t0 alone every error is 0 and no ratio is defined
                 raise ConfigError("converge needs at least two sample times")
         elif len(self.deltas) > 1:
@@ -145,8 +145,14 @@ class ExperimentConfig:
         return QuadraticIVP(self.t0, self.t1, base + delta * p0, delta * p1, delta * p2)
 
     def sample_times(self) -> np.ndarray:
-        count = int(math.floor((self.t1 - self.t0) / self.stride)) + 1
-        return self.t0 + self.stride * np.arange(count)
+        return self.t0 + self.stride * np.arange(self._sample_count())
+
+    def _sample_count(self) -> int:
+        """How many t0 + k stride lie at or below t1 plus the DOMAIN_ULPS float
+        spacings `check_times` accepts; floor((t1 - t0) / stride) is one off at most."""
+        end = self.t1 + DOMAIN_ULPS * math.ulp(max(abs(self.t0), abs(self.t1)))
+        k = int((self.t1 - self.t0) / self.stride)
+        return k + (self.t0 + self.stride * (k + 1) <= end) + (self.t0 + self.stride * k <= end)
 
     def to_dict(self) -> dict:
         """The config under the JSON keys of `_CONFIG_KEYS` but the "delta"

@@ -7,17 +7,18 @@ through a single quadrature: with the moving frame adapted to
     phi(t) = sqrt(c) * integral_{t0}^{t} (c - <C, V''(s)>) / |V'''(s)|^2 ds,
 
 the curve y(t) = plane_rotation(phi(t)) @ frame_from_pair(V''(t), V'''(t))
-satisfies x(t) = x0 y(t0)^T y(t).  The integrand is read from the
-trajectory's node values and, at the Simpson midpoints, from its
-interpolated V and V'' at the fraction 1/2 of every step
+satisfies x(t) = x0 y(t0)^T y(t); both rotation curves below are this
+one lift.  The integrand is read from the trajectory's node values (the
+input forms and checks |V'''|^2 there once) and, at the Simpson
+midpoints, from V and V'' interpolated at the fraction 1/2 of every step
 (`QuadraticTrajectory.at_fraction`).  The cumulative phase is kept at the
 grid nodes, with the integrand as its slope, and read at other times
 through `quadratic.hermite`: scipy's arithmetic bit for bit.  Times off
 the trajectory's interval raise OutOfDomain (`quadratic.check_times`).
 
 For nearly constant quadratics both the phase and the frame have
-closed-form counterparts built from the second-order approximant, which
-yields a quadrature-free approximation to the cubic itself.
+closed-form counterparts built from the second-order approximant, and the
+same lift of them is a quadrature-free approximation to the cubic itself.
 """
 
 from __future__ import annotations
@@ -54,44 +55,42 @@ class ReconstructionInput:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", as_rotation(self.x0))
-        if self.trajectory.c <= ACCEL_TOL:
+        traj = self.trajectory
+        if traj.c <= ACCEL_TOL:
             # V'' = 0 makes V''' = [V'', V] vanish too
-            raise DegenerateThirdDerivative(
-                f"degenerate acceleration: c = {self.trajectory.c:.3g}")
-        v3 = np.linalg.norm(self.trajectory.third_derivative_grid(), axis=1)
-        k = int(np.argmin(v3))
-        if v3[k] <= THIRD_DERIV_TOL:
-            raise DegenerateThirdDerivative(f"|V'''| dips to {v3[k]:.3g} on the grid, at node "
-                                            f"{k}, t={float(self.trajectory.grid[k])!r}")
+            raise DegenerateThirdDerivative(f"degenerate acceleration: c = {traj.c:.3g}")
+        v3 = traj.third_derivative_grid()
+        object.__setattr__(self, "_v3_sq", np.einsum("ij,ij->i", v3, v3))
+        k = int(np.argmin(self._v3_sq))
+        if self._v3_sq[k] <= THIRD_DERIV_TOL ** 2:
+            raise DegenerateThirdDerivative(f"|V'''| dips to {math.sqrt(self._v3_sq[k]):.3g} on "
+                                            f"the grid, at node {k}, t={float(traj.grid[k])!r}")
 
     @cached_property
     def _phase(self) -> tuple[np.ndarray, np.ndarray]:
         """Cumulative phase at the grid nodes by per-interval Simpson, and
         its slope there, the exact integrand; `hermite` densifies the pair.
-        At the nodes the integrand reads the node values of V'' and [V'', V],
-        which are what `hermite` returns there."""
+        At the nodes the integrand reads V'' and the |V'''|^2 that
+        `__post_init__` checked, which are what `hermite` returns there."""
         traj = self.trajectory
-        grid = traj.grid
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        g_nodes = self._integrand(traj.v2, traj.third_derivative_grid(), grid, "node")
-        v2_mids = traj.at_fraction(0.5, 2)
-        g_mids = self._integrand(v2_mids, np.cross(v2_mids, traj.at_fraction(0.5)), mids,
-                                 "midpoint")
-        h = np.diff(grid)
-        increments = h / 6.0 * (g_nodes[:-1] + 4.0 * g_mids + g_nodes[1:])
+        g_nodes = (traj.c - traj.v2 @ traj.C) / self._v3_sq
+        h = np.diff(traj.grid)
+        increments = h / 6.0 * (g_nodes[:-1] + 4.0 * self._integrand() + g_nodes[1:])
         phase = np.concatenate([[0.0], np.cumsum(increments)])
         return math.sqrt(traj.c) * phase, math.sqrt(traj.c) * g_nodes
 
-    def _integrand(self, v2: np.ndarray, v3: np.ndarray, times: np.ndarray,
-                   where: str) -> np.ndarray:
-        """(c - <C, V''>) / |V'''|^2 from V'' and V''' = [V'', V] at `times`;
-        `where` ("node" or "midpoint") names them in the error."""
+    def _integrand(self) -> np.ndarray:
+        """(c - <C, V''>) / |V'''|^2 at the Simpson midpoints, from V and V''
+        read at the fraction 1/2 of every step and V''' = [V'', V]."""
         traj = self.trajectory
+        v2 = traj.at_fraction(0.5, 2)
+        v3 = np.cross(v2, traj.at_fraction(0.5))
         norms = np.einsum("ij,ij->i", v3, v3)
         k = int(np.argmin(norms))
         if norms[k] <= THIRD_DERIV_TOL ** 2:
+            mid = 0.5 * (traj.grid[k] + traj.grid[k + 1])
             raise DegenerateThirdDerivative(f"|V'''| dips to {math.sqrt(norms[k]):.3g} at the "
-                                            f"{where} t={float(times[k])!r}")
+                                            f"midpoint t={float(mid)!r}")
         return (traj.c - v2 @ traj.C) / norms
 
 
@@ -105,18 +104,19 @@ def rotation_phase(recon: ReconstructionInput, t) -> float | np.ndarray:
 
 
 def reconstruct_cubic(recon: ReconstructionInput) -> RotationTrajectory:
-    """Lift the quadratic to its rotation curve on the trajectory grid.
-
-    x(t) = x0 y(t0)^T y(t) with y the phased moving frame; the initial
-    sample is x0 itself.
-    """
+    """The quadrature phase's lift (`_lift`) on the trajectory grid."""
     traj = recon.trajectory
-    grid = traj.grid
-    ys = plane_rotation(recon._phase[0]) @ frame_from_pair(
-        traj.v2, traj.third_derivative_grid())
-    rots = recon.x0 @ ys[0].T @ ys
-    rots[0] = recon.x0
-    return RotationTrajectory(grid=grid, rotations=rots)
+    rots = _lift(recon.x0, recon._phase[0], traj.v2, traj.third_derivative_grid())
+    return RotationTrajectory(grid=traj.grid, rotations=rots)
+
+
+def _lift(x0: np.ndarray, phi: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
+    """x0 y(t0)^T y(t) for the phased moving frame y = plane_rotation(phi) @
+    frame_from_pair(V'', V''') at times from t0 on; row 0 is x0 itself."""
+    ys = plane_rotation(phi) @ frame_from_pair(v2, v3)
+    rots = x0 @ ys[0].T @ ys
+    rots[0] = x0
+    return rots
 
 
 def rotation_phase_approx(p: ApproxParams, t) -> float | np.ndarray:
@@ -155,8 +155,7 @@ def approx_cubic(p: ApproxParams, x0, t) -> np.ndarray:
     ts = np.append(p.t0, t)
     v2, v3 = _approximants(p, ts, (2, 3))
     with np.errstate(all="ignore"):
-        ys = plane_rotation(rotation_phase_approx(p, ts)) @ frame_from_pair(v2, v3)
-        out = x0 @ ys[0].T @ ys[1:]
+        out = _lift(x0, rotation_phase_approx(p, ts), v2, v3)[1:]
     _check_finite(t, out)
     out[ts[1:] == p.t0] = x0
     return out.reshape(np.shape(t) + (3, 3))

@@ -40,7 +40,8 @@ and the stacked form must reproduce it bit for bit.
 The library writes the Rodrigues exponential and the rotation defect entry
 by entry; `matmul_rot_exp` (I + a K + b K @ K on `ad_matrix` stacks) and
 `matmul_rotation_error` (a stacked R^T @ R) form them by matrix products,
-and the library must agree with them to rounding.
+and the library must agree with them to rounding.  `rot_exp_error`
+measures either exponential against the exact one in 50-digit mpmath.
 
 Helpers that only tests and these oracles call live here too: the adjoint
 matrix `ad_matrix` (ad_matrix(v) @ w == bracket(v, w), on stacks), the
@@ -59,6 +60,7 @@ that does not depend on how a curve was produced.
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import cumulative_simpson
@@ -568,6 +570,23 @@ def matmul_rot_exp(v) -> np.ndarray:
     a = np.sinc(theta / np.pi)
     b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
     return np.eye(3) + a * k + b * (k @ k)
+
+
+def rot_exp_error(v, r, dps: int = 50) -> float:
+    """Max over the entries of |r - exp(ad v)| for a stack of vectors v,
+    shape S + (3,), and of matrices r, shape S + (3, 3): the exact Rodrigues
+    exponential and the differences in `dps`-digit arithmetic."""
+    worst = mpmath.mpf(0)
+    with mpmath.workdps(dps):
+        for vec, rot in zip(np.reshape(v, (-1, 3)).tolist(), np.reshape(r, (-1, 3, 3)).tolist()):
+            x, y, z = map(mpmath.mpf, vec)
+            theta = mpmath.sqrt(x * x + y * y + z * z)
+            a = mpmath.sin(theta) / theta if theta else mpmath.mpf(1)
+            b = (1 - mpmath.cos(theta)) / theta ** 2 if theta else mpmath.mpf(0.5)
+            k = mpmath.matrix([[0, -z, y], [z, 0, -x], [-y, x, 0]])
+            exact = mpmath.eye(3) + a * k + b * k * k
+            worst = max(worst, *(abs(rot[i][j] - exact[i, j]) for i in range(3) for j in range(3)))
+        return float(worst)
 
 
 def matmul_rotation_error(r) -> float:

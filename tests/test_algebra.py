@@ -3,12 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import (NotNearRotation, ad_matrix, axial_rotation, matmul_rot_exp,
-                     matmul_rotation_error, moving_frame, renormalize)
+                     matmul_rotation_error, moving_frame, renormalize, rot_exp_error)
 from so3cubics.algebra import (Frame, bracket, frame_from_axis,
                                frame_from_pair, plane_rotation, rot_exp,
                                rotation_error)
@@ -168,14 +168,49 @@ rotation_vector_stacks = st.integers(1, 6).flatmap(
                             hnp.arrays(float, shape, elements=magnitudes)))
 
 
+# A bound on every entry of rot_exp(v) and of matmul_rot_exp(v) against the
+# exact exp(ad v) for |v| = theta <= pi, to first order in U = 2**-53: each +,
+# -, *, / and sqrt rounds by at most U, and numpy's sin lies within one ulp (2U).
+# - theta from the three squares: 2.5U.  np.sinc multiplies theta / fl(pi) or
+#   theta / fl(2 pi) back by fl(pi), which cancels: 2U more, 4.5U.
+# - b = sinc(theta / 2)^2 / 2: sin(y) / y has the condition |y cot y - 1| <= 1
+#   for y <= pi / 2, so 4.5U + 2U (sin) + U (divide), doubled by the square,
+#   plus U: 16U.  a = sinc(theta) has the absolute error |cos theta - a| 4.5U
+#   + 3U a, where |cos theta - a| <= 1 on [0, pi].
+# - a diagonal entry 1 - b (y^2 + z^2), where b (y^2 + z^2) <= 1 - cos theta
+#   <= 2: 2 (16U + 3U) + U = 39U.  An off-diagonal entry b x y - a z, where
+#   |b x y| <= 1, |a z| <= sin theta <= 1 and |z| <= pi: (16U + 2U) + U
+#   + (4.5 pi U + 3U) + U < 38U.
+# matmul_rot_exp rounds the same factors no more often (K @ K forms x y in one
+# product and y^2 + z^2 in one sum), so the two agree to twice the bound.  At
+# |v| = pi each is measured at up to about 12U, and they differ by up to 16U.
+ROT_EXP_ERR = 39 * 2.0 ** -53
+# a vector of size pi at which rot_exp and matmul_rot_exp differ by 1.55e-15
+PI_VECTOR = np.array([0.0, -1.7691060863603998, 2.5961255856163716])
+
+
+def test_rot_exp_and_its_matmul_form_keep_the_derived_bound():
+    # 300 directions at |v| = pi, where the errors peak, 100 magnitudes over
+    # [0, pi], and PI_VECTOR
+    rng = np.random.default_rng(18)
+    directions = rng.normal(size=(400, 3))
+    sizes = np.concatenate([np.full(300, math.pi), rng.uniform(0.0, math.pi, 100)])
+    v = np.vstack([directions * (sizes / np.linalg.norm(directions, axis=1))[:, None],
+                   PI_VECTOR])
+    assert rot_exp_error(v, rot_exp(v)) <= ROT_EXP_ERR
+    assert rot_exp_error(v, matmul_rot_exp(v)) <= ROT_EXP_ERR
+    assert np.max(np.abs(rot_exp(v) - matmul_rot_exp(v))) <= 2 * ROT_EXP_ERR
+
+
 @given(rotation_vector_stacks, hnp.arrays(float, (3, 3), elements=st.floats(-0.1, 0.1)))
+@example((PI_VECTOR, np.linalg.norm(PI_VECTOR)), np.zeros((3, 3)))
 def test_rot_exp_and_rotation_error_match_their_matmul_forms(stack, bend):
     directions, size = stack
     norms = np.linalg.norm(directions, axis=-1)
     v = directions * (size / np.maximum(norms, 1e-3))[..., None]
     rots = rot_exp(v)
     assert rots.shape == v.shape + (3,)
-    assert np.max(np.abs(rots - matmul_rot_exp(v))) <= 1e-15
+    assert np.max(np.abs(rots - matmul_rot_exp(v))) <= 2 * ROT_EXP_ERR
     for m in (rots, rots + bend):
         assert abs(rotation_error(m) - matmul_rotation_error(m)) <= 1e-15
 

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 import so3cubics
 from so3cubics.cli import build_parser, main
 from so3cubics.errors import ConfigError, DegenerateB, OutOfDomain
-from so3cubics.harness import (KINDS, RUNNERS, config_from_dict, default_config,
+from so3cubics.harness import (KINDS, MAX_SAMPLES, RUNNERS, config_from_dict, default_config,
                                read_config, run_experiment)
 from so3cubics.output import (QUADRATIC_CSV_HEADER, ROTATION_CSV_HEADER, quadratic_table,
                               quadratic_to_dict, rotation_table, write_csv, write_json)
-from so3cubics.quadratic import integrate_cubic, integrate_quadratic
+from so3cubics.quadratic import DOMAIN_ULPS, integrate_cubic, integrate_quadratic
 
 
 # ------------------------------------------------------------- configuration
@@ -156,6 +156,56 @@ def test_config_sample_times_count():
     times = cfg.sample_times()
     assert len(times) == math.floor((cfg.t1 - cfg.t0) / cfg.stride) + 1
     assert times[0] == cfg.t0
+
+
+def _reaches(times, t0, t1) -> bool:
+    """The last sample time is t1 to within the DOMAIN_ULPS float spacings
+    that the evaluators accept."""
+    return abs(times[-1] - t1) <= DOMAIN_ULPS * math.ulp(max(abs(t0), abs(t1)))
+
+
+@given(st.integers(-2000, 2000), st.integers(1, 2000),
+       st.sampled_from([0.1, 0.01, 0.02, 0.05, 0.25, 0.3, 0.7, 1e-3]))
+def test_sample_times_keep_t1_where_the_stride_reaches_it(t0_milli, k, stride):
+    # decimal configs with t1 = t0 + k stride, whose quotient (t1 - t0) /
+    # stride often rounds just below k
+    t0 = t0_milli / 1000
+    t1 = round(t0 + k * stride, 6)
+    times = replace(default_config("figure1"), t0=t0, t1=t1, stride=stride).sample_times()
+    assert len(times) == k + 1
+    assert _reaches(times, t0, t1)
+
+
+def test_figure1_writes_its_t1_row(tmp_path):
+    # (0.7 - 0) / 0.1 rounds to 6.999999999999999
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"interval": [0, 0.7], "step": 0.01, "stride": 0.1,
+                                "formats": ["csv"]}))
+    assert main(["figure1", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    header, *rows = (tmp_path / "out" / "figure1.csv").read_text().splitlines()
+    times = [float(row.split(",")[0]) for row in rows]
+    assert len(times) == 8 and _reaches(times, 0.0, 0.7)
+
+
+def test_converge_takes_a_stride_that_reaches_t1(tmp_path):
+    # 0.3 - 0.2 is 0.09999999999999998, below the stride, yet 0.2 + 0.1
+    # lies one float spacing past t1
+    cfg = replace(default_config("converge"), out_dir=str(tmp_path), t0=0.2, t1=0.3,
+                  stride=0.1, formats=("json",))
+    times = run_experiment(cfg).report["times"]
+    assert len(times) == 2 and _reaches(times, 0.2, 0.3)
+
+
+@pytest.mark.parametrize("t1, stride, count", [(9999.9, 0.1, 100_000), (99_999.0, 1.0, 100_000),
+                                               (10_000.0, 0.1, 100_001),
+                                               (100_000.0, 1.0, 100_001)])
+def test_max_samples_counts_the_sample_times(t1, stride, count):
+    cfg = replace(default_config("figure1"), t0=0.0, t1=t1, step=0.1, stride=stride)
+    if count > MAX_SAMPLES:
+        with pytest.raises(ConfigError, match="MAX_SAMPLES"):
+            cfg.validate()
+    else:
+        assert len(cfg.validate().sample_times()) == count
 
 
 # ------------------------------------------------------------------- figure1
