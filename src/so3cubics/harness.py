@@ -45,7 +45,7 @@ from .errors import ConfigError, DegenerateB
 from .output import (CURVE_COLORS, QUADRATIC_CSV_HEADER, ROTATION_CSV_HEADER, SCHEMA_PREFIX,
                      SvgCurve, project_points, quadratic_table, quadratic_to_dict,
                      rotation_table, rotation_to_dict, write_csv, write_json, write_svg)
-from .quadratic import (DOMAIN_ULPS, QuadraticIVP, QuadraticTrajectory, RotationTrajectory,
+from .quadratic import (QuadraticIVP, QuadraticTrajectory, RotationTrajectory, _domain_slack,
                         integrate_cubic, integrate_quadratic)
 from .reconstruction import (ReconstructionInput, approx_cubic, reconstruct_cubic,
                              rotation_phase, rotation_phase_approx, so3_distance)
@@ -148,9 +148,9 @@ class ExperimentConfig:
         return self.t0 + self.stride * np.arange(self._sample_count())
 
     def _sample_count(self) -> int:
-        """How many t0 + k stride lie at or below t1 plus the DOMAIN_ULPS float
-        spacings `check_times` accepts; floor((t1 - t0) / stride) is one off at most."""
-        end = self.t1 + DOMAIN_ULPS * math.ulp(max(abs(self.t0), abs(self.t1)))
+        """How many t0 + k stride lie at or below t1 plus the slack `check_times`
+        accepts; floor((t1 - t0) / stride) is one off at most."""
+        end = self.t1 + _domain_slack(self.t0, self.t1)
         k = int((self.t1 - self.t0) / self.stride)
         return k + (self.t0 + self.stride * (k + 1) <= end) + (self.t0 + self.stride * k <= end)
 

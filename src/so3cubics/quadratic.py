@@ -14,8 +14,8 @@ phase) `QuadraticTrajectory.at_fraction` reads it through the four
 Hermite weights of theta, with no search and no division.  All other
 times go through `hermite`, which computes the cubics of only the
 intervals that the requested times fall in and keeps no coefficient
-table.  It does scipy's CubicHermiteSpline arithmetic
-operation for operation, so its values are bit-identical to scipy's.
+table.  It writes scipy's CubicHermiteSpline formula directly, so its
+values are bit-identical to scipy's.
 Times outside the grid extrapolate the end cubics, as scipy's do; the
 evaluators of a trajectory (`QuadraticTrajectory.eval` and `jet`, the
 trajectory branch of `integrate_cubic`) first pass their times through
@@ -53,11 +53,16 @@ def is_null(constant) -> bool:
     return float(np.linalg.norm(as_vector(constant))) <= NULL_TOL
 
 
+def _domain_slack(t0: float, t1: float) -> float:
+    """DOMAIN_ULPS float spacings of max(|t0|, |t1|), a time's rounding slack."""
+    return DOMAIN_ULPS * math.ulp(max(abs(t0), abs(t1)))
+
+
 def check_times(t, t0: float, t1: float) -> None:
     """Raise OutOfDomain at the first time (in C order) that is not finite
-    or lies outside [t0, t1] widened by DOMAIN_ULPS float spacings of
-    max(|t0|, |t1|); sample times that overshoot an end by rounding pass."""
-    slack = DOMAIN_ULPS * math.ulp(max(abs(t0), abs(t1)))
+    or lies outside [t0, t1] widened by `_domain_slack`; sample times that
+    overshoot an end by rounding pass."""
+    slack = _domain_slack(t0, t1)
     t = np.asarray(t, dtype=float)
     # written so that NaN fails too
     ok = (t >= t0 - slack) & (t <= t1 + slack)
@@ -93,44 +98,19 @@ def hermite(x, y, m, t) -> np.ndarray:
         raise ValueError("values and slopes must have shape (len(x),) + trailing")
     t = np.asarray(t, dtype=float)
     ts = t.ravel()
-    i = np.searchsorted(x, ts, side="right")
-    i -= 1
-    np.clip(i, 0, x.size - 2, out=i)
-    j = i + 1
-    s = ts - x[i]
-    dx = x[j]
-    dx -= x[i]
-    rest = y.shape[1:]
-    if rest:
-        # dx and s repeated over the trailing entries, so that no step
-        # broadcasts along a short axis
-        dx, s = (np.repeat(a, math.prod(rest)).reshape(ts.shape + rest) for a in (dx, s))
-    # the coefficients in place, in scipy's order: c1 holds the slope and
-    # c0 holds w until each is done
-    out = np.take(y, i, axis=0)
-    m0 = np.take(m, i, axis=0)
-    c1 = np.take(y, j, axis=0)
-    c1 -= out
-    c1 /= dx
-    c0 = np.take(m, j, axis=0)
-    c0 += m0
-    c0 -= 2.0 * c1
-    c0 /= dx
-    c1 -= m0
-    c1 /= dx
-    c1 -= c0
-    c0 /= dx
-    # the power sum; scipy's starts from 0.0, which turns a -0.0 into 0.0
-    out += 0.0
-    m0 *= s
-    out += m0
-    z = np.multiply(s, s, out=m0)
-    c1 *= z
-    out += c1
-    z *= s
-    c0 *= z
-    out += c0
-    return out.reshape(t.shape + rest)
+    i = np.clip(np.searchsorted(x, ts, side="right") - 1, 0, x.size - 2)
+    y0, y1, m0, m1 = y[i], y[i + 1], m[i], m[i + 1]
+    # dx and s broadcast against the trailing axes
+    column = ts.shape + (1,) * (y.ndim - 1)
+    dx = (x[i + 1] - x[i]).reshape(column)
+    s = (ts - x[i]).reshape(column)
+    slope = (y1 - y0) / dx
+    w = ((m0 + m1) - 2.0 * slope) / dx
+    c1 = (slope - m0) / dx - w
+    c0 = w / dx
+    # scipy's sum starts from 0.0, which turns a -0.0 into 0.0
+    out = (((0.0 + y0) + m0 * s) + c1 * (s * s)) + c0 * (s * s * s)
+    return out.reshape(t.shape + y.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -274,11 +254,10 @@ class RotationTrajectory:
     rotations: np.ndarray
 
     def at_time(self, t: float) -> np.ndarray:
-        """The rotation at the grid node at time t; other times raise OutOfDomain."""
+        """The rotation at the grid node within `_domain_slack` of t, else OutOfDomain."""
         idx = int(np.argmin(np.abs(self.grid - t)))
-        scale = max(1.0, abs(float(self.grid[-1])))
         # written so that a NaN time raises too
-        if not abs(float(self.grid[idx]) - t) <= 1e-9 * scale:
+        if not abs(float(self.grid[idx]) - t) <= _domain_slack(self.grid[0], self.grid[-1]):
             raise OutOfDomain(f"time {t} is not a grid node")
         return self.rotations[idx]
 

@@ -374,6 +374,28 @@ def test_trajectory_evaluators_take_times_in_the_interval_only(times, name, scal
     assert _same_floats(np.asarray(out), _unchecked(name, t))
 
 
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+@pytest.mark.parametrize("name, trailing", [
+    (0, (3,)), (1, (3,)), (2, (3,)), (3, (3,)), ("jet", (3, 3)), ("phase", ()),
+    ("hermite", ()), ("hermite", (3,)),
+])
+def test_trajectory_evaluators_take_empty_time_arrays(name, trailing, shape):
+    # results of shape S + trailing, as for any other array of times
+    traj, recon = _fig3_pieces()
+    t = np.zeros(shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if name == "hermite":
+            column = slice(None) if trailing else 0
+            out = hermite(traj.grid, traj.v[:, column], traj.v1[:, column], t)
+        else:
+            read = {"jet": traj.jet, "phase": lambda t: rotation_phase(recon, t)}.get(
+                name, lambda t: traj.eval(t, name))
+            out = read(t)
+    assert out.shape == shape + trailing
+    assert out.dtype == np.float64
+
+
 @pytest.mark.parametrize("t0, t1, first_bad", [
     (20.0, 30.0, 20.0), (math.nan, 5.0, math.nan), (0.0, math.inf, math.inf),
     (-1e150, 5.0, -1e150), (2.0, math.nextafter(_HI, math.inf), math.nextafter(_HI, math.inf)),
@@ -496,6 +518,17 @@ def test_rotation_trajectory_lookup_raises_out_of_domain(t):
     assert len(rt.grid) == 2
     with pytest.raises(OutOfDomain, match="is not a grid node"):
         rt.at_time(t)
+
+
+def test_rotation_trajectory_lookup_far_from_the_origin():
+    # at t ~ 1e7 a tolerance of 1e-9 |t1| = 0.01 once took a time half a step
+    # off its nearest node; the same offset on [0, 1] always raised
+    rt = integrate_cubic(np.eye(3), lambda s: np.array([1.0, 0.0, 0.0]), 1e-3, 1e7, 1e7 + 1)
+    with pytest.raises(OutOfDomain, match="is not a grid node"):
+        rt.at_time(1e7 + 0.0105)
+    node = float(rt.grid[11])
+    for t in (node, math.nextafter(node, math.inf)):
+        np.testing.assert_array_equal(rt.at_time(t), rt.rotations[11])
 
 
 # --------------------------------------------------- subgroup product curves
