@@ -6,6 +6,14 @@ acceleration c = <V'', V''> are conserved along solutions, which gives the
 integrator its built-in accuracy check.  The associated rotation curve
 solves the left-invariant linear equation x' = x ad(V(t)).
 
+The RK4 step loop of `integrate_quadratic` runs in a small C kernel,
+`_rk4.c`, loaded through ctypes.  It is compiled on the first call (never
+at import) with the compiler Python was built with, cached per machine
+under $XDG_CACHE_HOME/so3cubics (~/.cache/so3cubics when that is unset),
+and used only after a self-check matches the Python loop byte for byte.
+Where any of that fails, the same loop runs in Python, with the same
+bits and no warning; nothing of the package's own chooses between them.
+
 Between grid nodes every derivative d = 0, 1, 2 of a trajectory is the
 cubic Hermite interpolant of its node values with derivative d + 1 as
 slope ([V'', V] for d = 2).  At one fixed fraction theta of every step
@@ -26,9 +34,10 @@ lies off the trajectory's interval.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -89,13 +98,25 @@ def hermite(x, y, m, t) -> np.ndarray:
     * the cubic is summed by powers, ((0 + y_i + m_i s) + c1 s^2) + c0 s^3
       with s^2 = s s and s^3 = s^2 s; Horner's rule differs in the last bit.
     """
-    x = np.asarray(x, dtype=float)
+    x = _checked_nodes(x)
     y = np.asarray(y, dtype=float)
     m = np.asarray(m, dtype=float)
-    if x.ndim != 1 or x.size < 2 or not np.all(np.diff(x) > 0.0):
-        raise ValueError("nodes must be a strictly increasing 1-D array of 2 or more")
     if y.shape[:1] != x.shape or m.shape != y.shape:
         raise ValueError("values and slopes must have shape (len(x),) + trailing")
+    return _hermite(x, y, m, t)
+
+
+def _checked_nodes(x) -> np.ndarray:
+    """x as a float array, or ValueError unless it is a strictly increasing
+    1-D array of two or more nodes."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 2 or not np.all(np.diff(x) > 0.0):
+        raise ValueError("nodes must be a strictly increasing 1-D array of 2 or more")
+    return x
+
+
+def _hermite(x: np.ndarray, y: np.ndarray, m: np.ndarray, t) -> np.ndarray:
+    """`hermite` on float arrays it has already checked."""
     t = np.asarray(t, dtype=float)
     ts = t.ravel()
     i = np.clip(np.searchsorted(x, ts, side="right") - 1, 0, x.size - 2)
@@ -182,7 +203,7 @@ class QuadraticTrajectory:
         check_times(t, self.t0, self.t1)
         nodes = (self.v, self.v1, self.v2)
         slopes = nodes[deriv + 1] if deriv < 2 else self.third_derivative_grid()
-        return hermite(self.grid, nodes[deriv], slopes, t)
+        return _hermite(self._nodes, nodes[deriv], slopes, t)
 
     def at_fraction(self, theta: float, deriv: int = 0) -> np.ndarray:
         """Derivative `deriv` (0..2) of the interpolant at grid[k] + theta
@@ -212,6 +233,11 @@ class QuadraticTrajectory:
     def third_derivative_grid(self) -> np.ndarray:
         """[V'', V] at the grid nodes: one read-only array, computed once."""
         return self._v3
+
+    @cached_property
+    def _nodes(self) -> np.ndarray:
+        """The grid as `hermite` takes its nodes, checked once."""
+        return _checked_nodes(self.grid)
 
     @cached_property
     def _v3(self) -> np.ndarray:
@@ -285,17 +311,20 @@ def _uniform_grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float,
 def integrate_quadratic(ivp: QuadraticIVP, step: float) -> QuadraticTrajectory:
     """Fixed-step classic RK4 for V''' = [V'', V].
 
-    The 9-dimensional first-order system carries (V, V', V'') in plain
-    float locals.  Each stage sum is written in the order of the vector
+    The step loop runs on the 9-dimensional first-order system (V, V', V'')
+    in plain doubles.  Each stage sum is written in the order of the vector
     form y + (h/2) k and y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), so the
-    result equals that form's bit for bit.  The states go into one buffer
-    sized for the n + 1 nodes before the loop, by one C-level pack of the
-    nine floats per step.  The conserved bracket constant C and squared
-    acceleration c are monitored over the whole grid, and StepTooLarge is
-    raised when the drift of either exceeds C_DRIFT_LIMIT, which signals
-    that the step must shrink.  An initial jet whose C or c overflows
-    raises StepTooLarge before the first step, since no step helps; the
-    float warnings of an overflowing jet or trajectory are kept quiet.
+    result equals that form's bit for bit.  The loop is the C kernel of
+    `_rk4.c` where it can be built and passes its self-check (`_kernel`),
+    and otherwise the Python loop `_rk4_python`; the two give the same
+    bits.  Either writes V, V' and V'' straight into the three planes of
+    one (3, n + 1, 3) array, which the trajectory keeps.  The conserved
+    bracket constant C and squared acceleration c are monitored over the
+    whole grid, and StepTooLarge is raised when the drift of either exceeds
+    C_DRIFT_LIMIT, which signals that the step must shrink.  An initial jet
+    whose C or c overflows raises StepTooLarge before the first step, since
+    no step helps; the float warnings of an overflowing jet or trajectory
+    are kept quiet.
     """
     grid, h, n = _uniform_grid(ivp.t0, ivp.t1, step)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -305,12 +334,24 @@ def integrate_quadratic(ivp: QuadraticIVP, step: float) -> QuadraticTrajectory:
         if not np.all(np.isfinite(value)):
             raise StepTooLarge(f"{quantity} of the initial jet overflows to "
                                f"{np.asarray(value).tolist()}; no step size helps")
+    nodes = np.empty((3, n + 1, 3))
+    (_kernel() or _rk4_python)(np.concatenate([ivp.v0, ivp.v1, ivp.v2]), h, n, nodes)
+    traj = QuadraticTrajectory(grid=grid, v=nodes[0], v1=nodes[1], v2=nodes[2], C=C, c=c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dc, da = traj._drift_series()
+    _gate_drift("bracket constant C", dc, grid, h)
+    _gate_drift("squared acceleration c", da, grid, h)
+    return traj
+
+
+def _rk4_python(jet: np.ndarray, h: float, n: int, out: np.ndarray) -> None:
+    """n RK4 steps of size h from the initial (V, V', V'') `jet`, written
+    into the planes V, V', V'' of `out`, shape (3, n + 1, 3): the Python
+    twin of `_rk4.c`, operation for operation."""
     hh = 0.5 * h
     h6 = h / 6.0
     # V = (x0, x1, x2), V' = (y0, y1, y2), V'' = (z0, z1, z2)
-    x0, x1, x2 = ivp.v0.tolist()
-    y0, y1, y2 = ivp.v1.tolist()
-    z0, z1, z2 = ivp.v2.tolist()
+    x0, x1, x2, y0, y1, y2, z0, z1, z2 = jet.tolist()
     size = _NODE.size
     states = bytearray(size * (n + 1))
     pack = _NODE.pack_into
@@ -350,20 +391,79 @@ def integrate_quadratic(ivp: QuadraticIVP, step: float) -> QuadraticTrajectory:
         z2 = z2 + h6 * (((b12 + 2.0 * b22) + 2.0 * b32) + b42)
         pack(states, offset, x0, x1, x2, y0, y1, y2, z0, z1, z2)
 
-    values = np.frombuffer(states, dtype=float).reshape(n + 1, 9)
-    traj = QuadraticTrajectory(
-        grid=grid,
-        v=values[:, 0:3].copy(),
-        v1=values[:, 3:6].copy(),
-        v2=values[:, 6:9].copy(),
-        C=C,
-        c=c,
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        dc, da = traj._drift_series()
-    _gate_drift("bracket constant C", dc, grid, h)
-    _gate_drift("squared acceleration c", da, grid, h)
-    return traj
+    out[...] = np.frombuffer(states, dtype=float).reshape(n + 1, 3, 3).swapaxes(0, 1)
+
+
+# the compiler flags of the kernel; -ffp-contract=off keeps a * b + c from
+# becoming one fused multiply-add, which would change its bits
+_KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# the self-check's initial (V, V', V''), step and step count: a step this
+# large keeps the last bits of every stage sum in the states (whose entries
+# stay below 4 in size), so reassociating any one of the nine final sums,
+# scaling one by 1 + 2^-52 or contracting to fused multiply-adds changes 222
+# to 535 of the 585 numbers
+_CHECK_JET = (-0.98, 0.92, 0.72, 0.22, 0.63, 0.19, 0.81, -0.51, -0.11)
+_CHECK_STEP = 0.2
+_CHECK_STEPS = 64
+
+
+@cache
+def _kernel():
+    """The C step loop of `_rk4.c` as a ctypes function with
+    `_rk4_python`'s signature, or None where it cannot be had.
+
+    Built on the first call, with the compiler Python was built with and
+    `_KERNEL_FLAGS`, into $XDG_CACHE_HOME/so3cubics (~/.cache/so3cubics when
+    that is unset), under a name hashed from the source, the compiler
+    command and the platform; the build goes to a temporary name first and
+    is then moved into place, so a reader never sees half a file.  The
+    loaded kernel is used only when it matches `_rk4_python` byte for byte
+    on a short fixed IVP.  No compiler, an unwritable cache, a failed build
+    or load, or a mismatch gives None, and the Python loop runs instead.
+    """
+    import ctypes
+    import hashlib
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+    from pathlib import Path
+
+    compiler = sysconfig.get_config_var("CC")
+    if not compiler:
+        return None
+    command = [*shlex.split(compiler), *_KERNEL_FLAGS]
+    source = Path(__file__).with_name("_rk4.c")
+    try:
+        text = source.read_bytes()
+        key = hashlib.sha256(b"\0".join(
+            [text, " ".join(command).encode(), sysconfig.get_platform().encode()]))
+        cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "so3cubics"
+        built = cache_dir / f"rk4-{key.hexdigest()[:16]}.so"
+        if not built.is_file():
+            cache_dir.mkdir(parents=True, exist_ok=True)
+            handle, partial = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+            os.close(handle)
+            try:
+                subprocess.run([*command, str(source), "-o", partial], check=True,
+                               capture_output=True, timeout=120)
+                os.replace(partial, built)
+            finally:
+                if os.path.exists(partial):
+                    os.unlink(partial)
+        steps = ctypes.CDLL(str(built)).rk4_quadratic
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        # RuntimeError: Path.home() with no home directory to be found
+        return None
+    vector = np.ctypeslib.ndpointer(np.float64, ndim=1, shape=(9,), flags="C_CONTIGUOUS")
+    planes = np.ctypeslib.ndpointer(np.float64, ndim=3, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    steps.argtypes = (vector, ctypes.c_double, ctypes.c_longlong, planes)
+    steps.restype = None
+    jet = np.array(_CHECK_JET)
+    ours, theirs = np.empty((2, 3, _CHECK_STEPS + 1, 3))
+    steps(jet, _CHECK_STEP, _CHECK_STEPS, ours)
+    _rk4_python(jet, _CHECK_STEP, _CHECK_STEPS, theirs)
+    return steps if ours.tobytes() == theirs.tobytes() else None
 
 
 def _gate_drift(quantity: str, drift: np.ndarray, grid: np.ndarray, h: float) -> None:

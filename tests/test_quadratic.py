@@ -1,12 +1,13 @@
 import itertools
 import math
 import re
+import sysconfig
 import warnings
 from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.interpolate import CubicHermiteSpline
@@ -14,6 +15,7 @@ from scipy.interpolate import CubicHermiteSpline
 from conftest import FIG1_CONSTANT, FIG1_V0, FIG1_V1, FIG1_V2, fig1_ivp, fig3_ivp
 from oracles import (quadratic_residual, rk4_quadratic, rk4_rotation, sequential_product,
                      subgroup_product_velocity)
+from so3cubics import quadratic
 from so3cubics.algebra import rot_exp
 from so3cubics.cli import main
 from so3cubics.errors import OutOfDomain, StepTooLarge
@@ -57,6 +59,21 @@ def test_initial_third_derivative_consistent_with_equation():
 
 # ------------------------------------------------------- integrate_quadratic
 
+def _require_kernel():
+    if quadratic._kernel() is None:
+        pytest.skip("the C kernel of integrate_quadratic cannot be built here")
+
+
+@pytest.fixture(params=["kernel", "python"])
+def engine(request, monkeypatch):
+    """Run a test on the C kernel, then on the Python loop."""
+    if request.param == "kernel":
+        _require_kernel()
+    else:
+        monkeypatch.setattr(quadratic, "_kernel", lambda: None)
+    return request.param
+
+
 def test_integrate_constant_data_stays_constant():
     d = np.array([0.4, -0.1, 0.9])
     traj = integrate_quadratic(QuadraticIVP(0.0, 3.0, d, np.zeros(3), np.zeros(3)), 1e-2)
@@ -80,7 +97,7 @@ def test_integrate_matches_step_halving_oracle():
     np.testing.assert_allclose(fine, FIG1_V_AT_2, atol=1e-12)
 
 
-def test_integrate_rk4_order():
+def test_integrate_rk4_order(engine):
     ivp = QuadraticIVP(0.0, 2.0, [1.0, 0.2, -0.1], [0.3, 0.1, 0.0], [0.0, -0.2, 0.25])
     ref = integrate_quadratic(ivp, 1e-4).v[-1]
     errs = [np.linalg.norm(integrate_quadratic(ivp, h).v[-1] - ref)
@@ -89,20 +106,20 @@ def test_integrate_rk4_order():
     assert 12.0 <= ratio <= 20.0
 
 
-def test_integrate_rejects_drifting_step():
+def test_integrate_rejects_drifting_step(engine):
     ivp = QuadraticIVP(0.0, 5.0, [0.0, 0.0, 3.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0])
     with pytest.raises(StepTooLarge):
         integrate_quadratic(ivp, 0.5)
 
 
-def test_integrate_rejects_overflowed_trajectory():
+def test_integrate_rejects_overflowed_trajectory(engine):
     # the state overflows and turns to NaN, whose drift compares False
     ivp = QuadraticIVP(0.0, 25.0, [3.0, 1.0, 0.0], [0.5, -1.0, 2.0], [1.0, 1.0, -1.0])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepTooLarge):
         integrate_quadratic(ivp, 0.05)
 
 
-def test_integrate_rejects_bracket_constant_drift():
+def test_integrate_rejects_bracket_constant_drift(engine):
     # C drifts by 1.1e-5 while c stays within 1e-8, so only the C gate fires
     ivp = QuadraticIVP(0.0, 1.0, [0.0, -0.3, 0.2], [-0.2, 0.6, 0.2], [0.3, -0.2, -0.7])
     states = rk4_quadratic(ivp, 0.2)
@@ -124,7 +141,7 @@ def test_integrate_rejects_bracket_constant_drift():
     ([[0.0, 0.0, 0.0], [0.0, 0.0, -1e100], [-1e100, -1e100, 0.0]],
      r"drifted by nan .* step index 1, t=0\.001,"),
 ])
-def test_overflowing_initial_jets_raise_step_too_large_without_warnings(jet, match):
+def test_overflowing_initial_jets_raise_step_too_large_without_warnings(jet, match, engine):
     ivp = QuadraticIVP(0.0, 1.0, *jet)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -147,14 +164,16 @@ component = st.floats(-1.0, 1.0, allow_nan=False)
 vectors = st.tuples(component, component, component).map(np.array)
 
 
-@settings(max_examples=30, deadline=None)
+# the engine fixture is set once per test, not per example, as it should be
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(vectors, vectors, vectors, st.floats(0.5, 2.0), st.floats(2e-3, 5e-3))
 # the two ends of the state buffer: one step (n = 1), and the ensemble's
 # 20,000 steps on [0, 20]; a node left unwritten would read as a zero row
 @example(np.array([0.3, -0.8, 0.5]), np.array([0.2, 0.1, -0.4]),
          np.array([-0.6, 0.3, 0.9]), 0.004, 0.004)
 @example(FIG1_V0, FIG1_V1, FIG1_V2, 20.0, 1e-3)
-def test_integrate_matches_vector_rk4_bit_for_bit(v0, v1, v2, t1, step):
+def test_integrate_matches_vector_rk4_bit_for_bit(engine, v0, v1, v2, t1, step):
     # steps this small keep every draw within the drift gates (worst ~1e-7)
     ivp = QuadraticIVP(0.0, t1, v0, v1, v2)
     traj = integrate_quadratic(ivp, step)
@@ -176,6 +195,97 @@ def test_returned_trajectory_drift_is_within_the_gate(v0, v1, v2, t1, step):
         return
     dc, da = traj.conservation_drift()
     assert dc <= C_DRIFT_LIMIT and da <= C_DRIFT_LIMIT
+
+
+def _outcome(ivp, step):
+    """The state bytes of integrate_quadratic, or its StepTooLarge message."""
+    try:
+        traj = integrate_quadratic(ivp, step)
+    except StepTooLarge as exc:
+        return str(exc)
+    return np.hstack([traj.v, traj.v1, traj.v2]).tobytes()
+
+
+scaled = st.tuples(vectors, st.floats(-3.0, 2.0)).map(lambda p: p[0] * 10.0 ** p[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaled, scaled, scaled, st.floats(0.5, 3.0), st.floats(1e-3, 0.2))
+def test_kernel_and_python_loop_give_the_same_states_or_message(v0, v1, v2, t1, step):
+    # jets of size 1e-3 to 1e2 at steps up to 0.2: many draws overflow or
+    # drift past a gate, and both engines must then say the same
+    _require_kernel()
+    ivp = QuadraticIVP(0.0, t1, v0, v1, v2)
+    kernel = _outcome(ivp, step)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadratic, "_kernel", lambda: None)
+        assert _outcome(ivp, step) == kernel
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """A loader with no kernel loaded yet and an empty cache directory;
+    the loader forgets what it found here once the test ends."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    quadratic._kernel.cache_clear()
+    yield tmp_path
+    quadratic._kernel.cache_clear()
+
+
+def _runs_the_python_loop(monkeypatch):
+    """integrate_quadratic runs the Python loop, silently, and gives the
+    vector form's states bit for bit."""
+    calls = []
+    python_loop = quadratic._rk4_python
+    monkeypatch.setattr(quadratic, "_rk4_python",
+                        lambda *args: calls.append(args) or python_loop(*args))
+    ivp = fig1_ivp(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_quadratic(ivp, 1e-2)
+    assert len(calls) == 1 and quadratic._kernel() is None
+    assert np.array_equal(np.hstack([traj.v, traj.v1, traj.v2]), rk4_quadratic(ivp, 1e-2))
+
+
+def test_kernel_is_built_once_into_the_cache_directory(fresh_loader):
+    _require_kernel()
+    # one built file and no temporary left behind, named for what built it
+    built, = (fresh_loader / "cache" / "so3cubics").iterdir()
+    assert re.fullmatch(r"rk4-[0-9a-f]{16}\.so", built.name)
+    quadratic._kernel.cache_clear()
+    stamp = built.stat().st_mtime_ns
+    assert quadratic._kernel() is not None
+    assert built.stat().st_mtime_ns == stamp
+
+
+def test_missing_compiler_runs_the_python_loop(fresh_loader, monkeypatch):
+    config = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: "no-such-compiler" if name == "CC" else config(name))
+    _runs_the_python_loop(monkeypatch)
+    # the temporary the build would have written is gone
+    assert not any((fresh_loader / "cache" / "so3cubics").iterdir())
+
+
+def test_cache_path_that_is_a_file_runs_the_python_loop(fresh_loader, monkeypatch):
+    blocker = fresh_loader / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    _runs_the_python_loop(monkeypatch)
+
+
+def test_failed_self_check_runs_the_python_loop(fresh_loader, monkeypatch):
+    # the self-check compares against a Python loop one ulp off in its last state
+    python_loop = quadratic._rk4_python
+
+    def one_ulp_off(jet, h, n, out):
+        python_loop(jet, h, n, out)
+        out[-1, -1, -1] = np.nextafter(out[-1, -1, -1], np.inf)
+
+    monkeypatch.setattr(quadratic, "_rk4_python", one_ulp_off)
+    assert quadratic._kernel() is None
+    monkeypatch.setattr(quadratic, "_rk4_python", python_loop)
+    _runs_the_python_loop(monkeypatch)
 
 
 def test_integrate_returns_separate_contiguous_arrays(fig1_trajectory):
@@ -257,6 +367,15 @@ def test_hermite_matches_scipy_off_the_grid_and_on_signed_zeros():
 def test_hermite_rejects_bad_nodes_and_shapes(x, y, m, match):
     with pytest.raises(ValueError, match=match):
         hermite(x, y, m, 0.5)
+
+
+def test_trajectory_checks_its_grid_as_hermite_checks_its_nodes():
+    zeros = np.zeros((3, 3))
+    traj = QuadraticTrajectory(grid=np.array([0.0, 1.0, 1.0]), v=zeros, v1=zeros, v2=zeros,
+                               C=np.zeros(3), c=0.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="nodes must be a strictly increasing"):
+            traj.eval(0.5)
 
 
 def test_jet_rows_are_eval_bit_for_bit(fig1_trajectory):
