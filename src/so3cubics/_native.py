@@ -1,0 +1,90 @@
+"""The package's C kernels: built on first use, cached per machine, and
+used only where they match their Python twins byte for byte.
+
+A kernel is a C source of the package, `_<name>.c`, together with a bind
+function that its Python module supplies.  `kernel(name, bind)` compiles
+the source on its first call (never at import) with the compiler Python
+was built with and `FLAGS`, into $XDG_CACHE_HOME/so3cubics
+(~/.cache/so3cubics when that is unset) as `<name>-<hash>.so`, the hash
+taken over the source, the headers it includes, the compiler command and
+the platform.  The build goes to a temporary name first and is then moved
+into place, so a reader never sees half a file.  `bind` receives the
+loaded library, declares its functions' types, runs the kernel's
+self-check against its Python twin, and returns what the module calls in
+place of that twin, or None when the check fails.
+
+No compiler, an unwritable cache, a failed build or load, or a failed
+self-check gives None, silently; the module then runs its Python twin,
+with the same bits.  Each kernel is built, loaded and checked on its own,
+so one kernel's failure leaves the others in use.  Nothing of the
+package's own, no option, flag, config key or environment variable,
+chooses between a kernel and its twin.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+from functools import cache
+from pathlib import Path
+
+# the compiler flags of every kernel; -ffp-contract=off keeps a * b + c from
+# becoming one fused multiply-add, which would change its bits
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+_HERE = Path(__file__).parent
+
+
+@cache
+def kernel(name: str, bind):
+    """bind(the loaded `_<name>.c`), or None where it cannot be had; built,
+    loaded and bound once per process."""
+    import ctypes
+
+    built = _build(name)
+    if built is None:
+        return None
+    try:
+        library = ctypes.CDLL(str(built))
+    except OSError:
+        return None
+    return bind(library)
+
+
+def _build(name: str) -> Path | None:
+    """The cached shared library of `_<name>.c`, compiled into the cache
+    first if it is not there, or None where that fails."""
+    import hashlib
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    compiler = sysconfig.get_config_var("CC")
+    if not compiler:
+        return None
+    command = [*shlex.split(compiler), *FLAGS]
+    source = _HERE / f"_{name}.c"
+    try:
+        text = source.read_bytes()
+        headers = [(_HERE / header).read_bytes()
+                   for header in re.findall(r'^#include "([^"]+)"', text.decode(), re.M)]
+        key = hashlib.sha256(b"\0".join(
+            [text, *headers, " ".join(command).encode(), sysconfig.get_platform().encode()]))
+        cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "so3cubics"
+        built = cache_dir / f"{name}-{key.hexdigest()[:16]}.so"
+        if not built.is_file():
+            cache_dir.mkdir(parents=True, exist_ok=True)
+            handle, partial = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+            os.close(handle)
+            try:
+                subprocess.run([*command, str(source), "-o", partial], check=True,
+                               capture_output=True, timeout=120)
+                os.replace(partial, built)
+            finally:
+                if os.path.exists(partial):
+                    os.unlink(partial)
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        # RuntimeError: Path.home() with no home directory to be found
+        return None
+    return built

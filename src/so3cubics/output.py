@@ -2,13 +2,19 @@
 
 An artifact is data: a table (a header and its rows), a JSON payload, or
 a list of SVG curves.  Each format has one writer, which takes arrays as
-they are and formats their floats in bulk C-level calls: a float table is
-written `CSV_BLOCK_ROWS` rows per `%` format call, with each distinct float
-of a block formatted once, an SVG polyline's points in one `%` format call,
-and a JSON list of floats in one `str.join` over `float.__repr__`.  The
-bytes are those of `csv.writer`, of `json.dumps(indent=2, sort_keys=True)`
-and of `%.2f`: floats in tables and payloads take their shortest
-round-trip form, so a given config always produces byte-identical files.
+they are and formats their floats in bulk.  The floats of a float table,
+`CSV_BLOCK_ROWS` rows at a time, and those of a JSON list or float array
+of `KERNEL_MIN_FLOATS` or more finite floats are written by the C kernel
+of `_floattext.c`: Grisu3 digits in `float.__repr__`'s layout, written
+into one slot per float, with `repr` filling the slots whose digits Grisu3
+cannot prove, and the slots joined in C.  Where that kernel cannot be had
+(see `_native`) the same text comes from `repr` in Python: one `%` format
+call per table block with each distinct float formatted once, and one
+`str.join` per JSON list.  An SVG polyline's points take one `%.2f` format
+call.  The bytes are those of `csv.writer`, of
+`json.dumps(indent=2, sort_keys=True)` and of `%.2f`: floats in tables and
+payloads take their shortest round-trip form, so a given config always
+produces byte-identical files, with the kernel or without it.
 SVG plots are plain polyline renders of orthographically projected
 curves; every SVG has a CSV twin carrying the exact plotted numbers.
 """
@@ -23,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .quadratic import QuadraticTrajectory
 
 SCHEMA_PREFIX = "so3cubics"
@@ -39,6 +46,11 @@ CURVE_COLORS = {
 
 # rows of a float table per format call: bounds the formatting buffers
 CSV_BLOCK_ROWS = 1024
+# fewest floats of a JSON list or array that go to the float-text kernel;
+# shorter ones cost less in Python than a kernel call does
+KERNEL_MIN_FLOATS = 16
+# bytes of one float's slot, SLOT in _floattext.c; repr's longest text is 24
+_SLOT = 32
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
@@ -46,22 +58,34 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
 
     Floats are written in their shortest round-trip form (`repr`, as the
     csv module writes them), so a table's floats read back bit for bit.  A
-    2-D float array is formatted `CSV_BLOCK_ROWS` rows per call with the
-    excel dialect's `\\r\\n` line ends, each distinct float of a block
-    formatted once; other rows go through `csv.writer`.
+    2-D float array is formatted `CSV_BLOCK_ROWS` rows at a time by
+    `_float_text`, with the excel dialect's `\\r\\n` line ends; other rows
+    go through `csv.writer`.
     """
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-            line = ",".join(["%s"] * rows.shape[1]) + "\r\n"
             for start in range(0, len(rows), CSV_BLOCK_ROWS):
-                block = rows[start:start + CSV_BLOCK_ROWS]
-                fh.write((line * len(block)) % _float_texts(block))
+                fh.write(_float_text(rows[start:start + CSV_BLOCK_ROWS], ",", "\r\n"))
+                fh.write("\r\n")
         else:
             writer.writerows(rows.tolist() if isinstance(rows, np.ndarray) else rows)
     return path
+
+
+def _float_text(values: np.ndarray, sep: str, row_sep: str) -> str:
+    """The `repr` of every float of the 2-D array `values`, those of a row
+    joined by `sep` and the rows joined by `row_sep`: by the float-text
+    kernel where it can be had, else by `_float_text_python`."""
+    return (_kernel() or _float_text_python)(values, sep, row_sep)
+
+
+def _float_text_python(values: np.ndarray, sep: str, row_sep: str) -> str:
+    """`_float_text` in Python: one `%` format call over `_float_texts`."""
+    line = sep.join(["%s"] * values.shape[1])
+    return row_sep.join([line] * len(values)) % _float_texts(values)
 
 
 def _float_texts(block: np.ndarray) -> tuple:
@@ -72,6 +96,72 @@ def _float_texts(block: np.ndarray) -> tuple:
     bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
     texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
     return tuple(texts[inverse])
+
+
+def _kernel():
+    """The float-text kernel of `_floattext.c` as a function with
+    `_float_text_python`'s signature, or None where it cannot be had (see
+    `_native`); then `_float_text_python` runs instead."""
+    return _native.kernel("floattext", _bind_floattext)
+
+
+# the self-check's floats, before 480 random ones: both zeros, NaN and the
+# infinities, the ends of the subnormal and normal ranges, both sides of
+# each switch between fixed and exponent notation, and 1e23, whose digits
+# Grisu3 cannot prove (the kernel leaves it to repr, as NaN and infinities)
+_CHECK_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+                 1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-05, 0.0001, 100.0,
+                 -0.1, 1 / 3, 2.0 ** 63, 1.5e300, 9.5e-7, -1e22, 1e23, 5e-310)
+
+
+def _bind_floattext(library):
+    """`library`'s float text as a function with `_float_text_python`'s
+    signature, if the two give the same text of a fixed check table, else
+    None.
+
+    The kernel writes each float's text into a slot of its own and leaves
+    the slot empty where Grisu3 cannot prove its digits; Python writes
+    `repr` into those slots, and the kernel then joins the slots.
+    """
+    import ctypes
+
+    fill, join = library.format_slots, library.join_slots
+    fill.argtypes = (ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p)
+    fill.restype = ctypes.c_longlong
+    join.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong,
+                     ctypes.c_char_p, ctypes.c_longlong, ctypes.c_char_p, ctypes.c_longlong,
+                     ctypes.c_void_p)
+    join.restype = ctypes.c_longlong
+
+    def float_text(values: np.ndarray, sep: str, row_sep: str) -> str:
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        rows, cols = values.shape
+        n = rows * cols
+        slots = np.empty(n * _SLOT, dtype=np.uint8)
+        lens = np.empty(n, dtype=np.uint8)
+        if fill(values.ctypes.data, n, slots.ctypes.data, lens.ctypes.data):
+            flat, view = values.ravel(), slots.data
+            for i in np.flatnonzero(lens == 0).tolist():
+                text = float.__repr__(flat[i]).encode()
+                view[_SLOT * i:_SLOT * i + len(text)] = text
+                lens[i] = len(text)
+        sep_bytes, row_bytes = sep.encode(), row_sep.encode()
+        size = (int(lens.sum()) + rows * max(cols - 1, 0) * len(sep_bytes)
+                + max(rows - 1, 0) * len(row_bytes))
+        # room for the kernel's fixed-size copies past the end
+        out = np.empty(size + _SLOT, dtype=np.uint8)
+        join(slots.ctypes.data, lens.ctypes.data, rows, cols, sep_bytes, len(sep_bytes),
+             row_bytes, len(row_bytes), out.ctypes.data)
+        return str(out.data[:size], "ascii")
+
+    rng = np.random.default_rng(2010)
+    check = np.concatenate([
+        _CHECK_FLOATS,
+        rng.integers(-2 ** 63, 2 ** 63, 240, dtype=np.int64).view(np.float64),
+        rng.normal(size=240) * 10.0 ** rng.integers(-8, 20, 240),
+    ]).reshape(-1, 3)
+    ours, theirs = (text(check, ", ", "\r\n") for text in (float_text, _float_text_python))
+    return float_text if ours == theirs else None
 
 
 def write_json(path: Path, payload) -> Path:
@@ -112,17 +202,39 @@ def _json(obj, nl: str) -> str:
     if isinstance(obj, dict):
         return "".join(_json_dict(obj, nl))
     if isinstance(obj, np.ndarray):
-        return _json(obj.tolist(), nl)
+        return _json_array(obj, nl) or _json(obj.tolist(), nl)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _json_floats(items, sep: str) -> str | None:
-    """`items` joined by `sep` in one call if all are finite floats, else None."""
+    """`items` joined by `sep` in one call if all are finite floats, else
+    None; a list of `KERNEL_MIN_FLOATS` or more plain floats goes to the
+    float-text kernel where it can be had."""
+    kernel = _kernel() if len(items) >= KERNEL_MIN_FLOATS else None
+    if kernel is not None and set(map(type, items)) == {float}:
+        values = np.array(items)
+        return kernel(values[None], sep, "") if np.isfinite(values).all() else None
     try:
         body = sep.join(map(float.__repr__, items))
     except TypeError:   # an item that is not a float
         return None
     return None if "n" in body else body   # nan and inf are spelled NaN, Infinity
+
+
+def _json_array(obj: np.ndarray, nl: str) -> str | None:
+    """The JSON text of a 1-D or 2-D float64 array of `KERNEL_MIN_FLOATS`
+    or more finite floats by the float-text kernel, the same as that of its
+    `tolist()`; None for any other array, or where the kernel cannot be had."""
+    sized = obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size >= KERNEL_MIN_FLOATS
+    kernel = _kernel() if sized else None
+    if kernel is None or not np.isfinite(obj).all():
+        return None
+    inner = nl + "  "
+    if obj.ndim == 1:
+        return "[" + inner + kernel(obj[None], "," + inner, "") + nl + "]"
+    row = inner + "  "
+    body = kernel(obj, "," + row, inner + "]," + inner + "[" + row)
+    return "[" + inner + "[" + row + body + inner + "]" + nl + "]"
 
 
 def _json_dict(obj: dict, nl: str):

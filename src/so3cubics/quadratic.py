@@ -7,12 +7,11 @@ integrator its built-in accuracy check.  The associated rotation curve
 solves the left-invariant linear equation x' = x ad(V(t)).
 
 The RK4 step loop of `integrate_quadratic` runs in a small C kernel,
-`_rk4.c`, loaded through ctypes.  It is compiled on the first call (never
-at import) with the compiler Python was built with, cached per machine
-under $XDG_CACHE_HOME/so3cubics (~/.cache/so3cubics when that is unset),
-and used only after a self-check matches the Python loop byte for byte.
-Where any of that fails, the same loop runs in Python, with the same
-bits and no warning; nothing of the package's own chooses between them.
+`_rk4.c`, loaded through ctypes by `_native`: compiled on the first call
+(never at import), cached per machine, and used only after a self-check
+matches the Python loop byte for byte.  Where any of that fails, the same
+loop runs in Python, with the same bits and no warning; nothing of the
+package's own chooses between them.
 
 Between grid nodes every derivative d = 0, 1, 2 of a trajectory is the
 cubic Hermite interpolant of its node values with derivative d + 1 as
@@ -34,13 +33,13 @@ lies off the trajectory's interval.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
+from . import _native
 from .algebra import as_rotation, as_vector, bracket, rot_exp, rotation_error
 from .errors import OutOfDomain, StepTooLarge
 
@@ -257,8 +256,7 @@ class QuadraticTrajectory:
     def _drift_series(self) -> tuple[np.ndarray, np.ndarray]:
         """|C(t) - C(t0)| and |c(t) - c(t0)| at every grid node; c = <V'', V''>."""
         dC = self.constant_series() - self.C
-        return (np.sqrt(np.einsum("ij,ij->i", dC, dC)),
-                np.abs(np.einsum("ij,ij->i", self.v2, self.v2) - self.c))
+        return np.sqrt(_squared_norms(dC)), np.abs(_squared_norms(self.v2) - self.c)
 
     def near_geodesic_gauge(self) -> tuple[float, float]:
         """Sup norms (max |V'|, max |V''|) over the grid.
@@ -294,6 +292,13 @@ class RotationTrajectory:
     def max_rotation_error(self) -> float:
         """Worst orthogonality/determinant defect over all samples."""
         return rotation_error(self.rotations)
+
+
+def _squared_norms(a: np.ndarray) -> np.ndarray:
+    """(a0 a0 + a1 a1) + a2 a2 for every row (a0, a1, a2) of a, summed in
+    that order on every machine (einsum's order depends on numpy's build)."""
+    a0, a1, a2 = a.T
+    return (a0 * a0 + a1 * a1) + a2 * a2
 
 
 def _uniform_grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float, int]:
@@ -394,9 +399,6 @@ def _rk4_python(jet: np.ndarray, h: float, n: int, out: np.ndarray) -> None:
     out[...] = np.frombuffer(states, dtype=float).reshape(n + 1, 3, 3).swapaxes(0, 1)
 
 
-# the compiler flags of the kernel; -ffp-contract=off keeps a * b + c from
-# becoming one fused multiply-add, which would change its bits
-_KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 # the self-check's initial (V, V', V''), step and step count: a step this
 # large keeps the last bits of every stage sum in the states (whose entries
 # stay below 4 in size), so reassociating any one of the nine final sums,
@@ -407,54 +409,19 @@ _CHECK_STEP = 0.2
 _CHECK_STEPS = 64
 
 
-@cache
 def _kernel():
     """The C step loop of `_rk4.c` as a ctypes function with
-    `_rk4_python`'s signature, or None where it cannot be had.
+    `_rk4_python`'s signature, or None where it cannot be had (see
+    `_native`); then the Python loop runs instead."""
+    return _native.kernel("rk4", _bind_rk4)
 
-    Built on the first call, with the compiler Python was built with and
-    `_KERNEL_FLAGS`, into $XDG_CACHE_HOME/so3cubics (~/.cache/so3cubics when
-    that is unset), under a name hashed from the source, the compiler
-    command and the platform; the build goes to a temporary name first and
-    is then moved into place, so a reader never sees half a file.  The
-    loaded kernel is used only when it matches `_rk4_python` byte for byte
-    on a short fixed IVP.  No compiler, an unwritable cache, a failed build
-    or load, or a mismatch gives None, and the Python loop runs instead.
-    """
+
+def _bind_rk4(library):
+    """`library`'s step loop, typed, if it matches `_rk4_python` byte for
+    byte on a short fixed IVP, else None."""
     import ctypes
-    import hashlib
-    import shlex
-    import subprocess
-    import sysconfig
-    import tempfile
-    from pathlib import Path
 
-    compiler = sysconfig.get_config_var("CC")
-    if not compiler:
-        return None
-    command = [*shlex.split(compiler), *_KERNEL_FLAGS]
-    source = Path(__file__).with_name("_rk4.c")
-    try:
-        text = source.read_bytes()
-        key = hashlib.sha256(b"\0".join(
-            [text, " ".join(command).encode(), sysconfig.get_platform().encode()]))
-        cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "so3cubics"
-        built = cache_dir / f"rk4-{key.hexdigest()[:16]}.so"
-        if not built.is_file():
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            handle, partial = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-            os.close(handle)
-            try:
-                subprocess.run([*command, str(source), "-o", partial], check=True,
-                               capture_output=True, timeout=120)
-                os.replace(partial, built)
-            finally:
-                if os.path.exists(partial):
-                    os.unlink(partial)
-        steps = ctypes.CDLL(str(built)).rk4_quadratic
-    except (OSError, RuntimeError, subprocess.SubprocessError):
-        # RuntimeError: Path.home() with no home directory to be found
-        return None
+    steps = library.rk4_quadratic
     vector = np.ctypeslib.ndpointer(np.float64, ndim=1, shape=(9,), flags="C_CONTIGUOUS")
     planes = np.ctypeslib.ndpointer(np.float64, ndim=3, flags=("C_CONTIGUOUS", "WRITEABLE"))
     steps.argtypes = (vector, ctypes.c_double, ctypes.c_longlong, planes)

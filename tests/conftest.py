@@ -35,3 +35,14 @@ def fig1_trajectory():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """The kernel loader with no kernel loaded yet and an empty cache
+    directory; the loader forgets what it found here once the test ends."""
+    from so3cubics import _native
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    _native.kernel.cache_clear()
+    yield tmp_path
+    _native.kernel.cache_clear()

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from so3cubics.output import CSV_BLOCK_ROWS, SvgCurve, render_svg, write_csv, write_json
+from so3cubics.output import (CSV_BLOCK_ROWS, KERNEL_MIN_FLOATS, SvgCurve, render_svg, write_csv,
+                              write_json)
 
 SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
                   2.2250738585072014e-308, 1e16, 9999999999999998.0, 1e-05, 1e-04]
@@ -61,6 +62,7 @@ def _csv_writer_bytes(header, rows) -> bytes:
 @settings(max_examples=80, deadline=None)
 @given(_tables)
 @example(np.empty((0, 3)))
+@example(np.empty((3, 0)))
 @example(np.array(SPECIAL_FLOATS).reshape(-1, 1))
 @example(np.resize(np.array(SPECIAL_FLOATS), (CSV_BLOCK_ROWS + 1, 3)))
 @example(_float32_table())
@@ -158,6 +160,28 @@ def test_json_matches_json_dumps(tmp_path_factory, payload):
             write_json(path, payload)
         return
     assert write_json(path, payload).read_bytes() == expected
+
+
+# lists and arrays long enough for the float-text kernel: finite floats,
+# NaN and the infinities, and lists that mix in ints or numpy floats
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_long = (arrays(float, st.sampled_from([(KERNEL_MIN_FLOATS,), (40,), (KERNEL_MIN_FLOATS, 1),
+                                        (1, KERNEL_MIN_FLOATS), (8, 2), (16, 3), (5, 7)]),
+                elements=_finite | _floats)
+         | st.lists(_finite | _floats, min_size=KERNEL_MIN_FLOATS, max_size=40)
+         | st.lists(_finite | st.integers() | _finite.map(np.float64),
+                    min_size=KERNEL_MIN_FLOATS, max_size=20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.text(max_size=3), _long | st.lists(_long, max_size=3), max_size=4))
+@example({"a": np.arange(16.0) / 3, "b": np.arange(48.0).reshape(16, 3) / 7,
+          "c": [0.1] * KERNEL_MIN_FLOATS, "d": [0.1] * (KERNEL_MIN_FLOATS - 1) + [1],
+          "e": [np.float64(0.5)] * KERNEL_MIN_FLOATS, "f": np.full(KERNEL_MIN_FLOATS, np.nan),
+          "g": [np.arange(20.0) * 1e-5, np.full((4, 4), -0.0)]})
+def test_json_of_long_float_lists_and_arrays_matches_json_dumps(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("json") / "p.json"
+    assert write_json(path, payload).read_bytes() == _json_dumps_bytes(payload)
 
 
 @pytest.mark.parametrize("value", [{1, 2}, 1j, b"x", object(), np.int64(1), np.bool_(True),

@@ -15,7 +15,7 @@ from scipy.interpolate import CubicHermiteSpline
 from conftest import FIG1_CONSTANT, FIG1_V0, FIG1_V1, FIG1_V2, fig1_ivp, fig3_ivp
 from oracles import (quadratic_residual, rk4_quadratic, rk4_rotation, sequential_product,
                      subgroup_product_velocity)
-from so3cubics import quadratic
+from so3cubics import _native, quadratic
 from so3cubics.algebra import rot_exp
 from so3cubics.cli import main
 from so3cubics.errors import OutOfDomain, StepTooLarge
@@ -197,6 +197,27 @@ def test_returned_trajectory_drift_is_within_the_gate(v0, v1, v2, t1, step):
     assert dc <= C_DRIFT_LIMIT and da <= C_DRIFT_LIMIT
 
 
+def test_drift_series_sums_every_row_in_one_fixed_order():
+    # random rows, on which numpy's einsum sums in another order for many,
+    # a row whose squares overflow and a NaN row, against plain floats
+    rng = np.random.default_rng(5)
+    v, v1, v2 = rng.normal(size=(3, 300, 3)) * 10.0 ** rng.integers(-3, 4, size=(3, 300, 1))
+    v2[7] = [1e200, -1e200, 3.0]
+    v1[11, 1] = math.nan
+    traj = QuadraticTrajectory(grid=np.arange(300.0), v=v, v1=v1, v2=v2,
+                               C=rng.normal(size=3), c=float(rng.uniform()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dc, da = traj._drift_series()
+        rows_c = (traj.constant_series() - traj.C).tolist()
+
+    def squared(a0, a1, a2):
+        return (a0 * a0 + a1 * a1) + a2 * a2
+
+    np.testing.assert_array_equal(dc, [math.sqrt(squared(*row)) for row in rows_c])
+    np.testing.assert_array_equal(da, [abs(squared(*row) - traj.c) for row in v2.tolist()])
+    assert np.isinf(dc[7]) and np.isinf(da[7]) and np.isnan(dc[11])
+
+
 def _outcome(ivp, step):
     """The state bytes of integrate_quadratic, or its StepTooLarge message."""
     try:
@@ -222,16 +243,6 @@ def test_kernel_and_python_loop_give_the_same_states_or_message(v0, v1, v2, t1, 
         assert _outcome(ivp, step) == kernel
 
 
-@pytest.fixture
-def fresh_loader(monkeypatch, tmp_path):
-    """A loader with no kernel loaded yet and an empty cache directory;
-    the loader forgets what it found here once the test ends."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    quadratic._kernel.cache_clear()
-    yield tmp_path
-    quadratic._kernel.cache_clear()
-
-
 def _runs_the_python_loop(monkeypatch):
     """integrate_quadratic runs the Python loop, silently, and gives the
     vector form's states bit for bit."""
@@ -252,7 +263,7 @@ def test_kernel_is_built_once_into_the_cache_directory(fresh_loader):
     # one built file and no temporary left behind, named for what built it
     built, = (fresh_loader / "cache" / "so3cubics").iterdir()
     assert re.fullmatch(r"rk4-[0-9a-f]{16}\.so", built.name)
-    quadratic._kernel.cache_clear()
+    _native.kernel.cache_clear()
     stamp = built.stat().st_mtime_ns
     assert quadratic._kernel() is not None
     assert built.stat().st_mtime_ns == stamp
