@@ -275,7 +275,7 @@ def read_config(path) -> dict:
 @dataclass
 class RunResult:
     files: list
-    report: dict        # exactly what the run's JSON report file holds
+    report: dict        # what the run's JSON report file holds, arrays where it has lists
 
 
 @dataclass
@@ -373,8 +373,8 @@ def _error_report(config: ExperimentConfig, times: np.ndarray, series: dict) -> 
     return {
         "schema": f"{SCHEMA_PREFIX}-report-v1",
         "deltas": deltas,
-        "times": times.tolist(),
-        "series": {name: {repr(float(d)): e.tolist() for d, e in by_delta.items()}
+        "times": times,
+        "series": {name: {repr(float(d)): e for d, e in by_delta.items()}
                    for name, by_delta in series.items()},
         "maxima": maxima,
         "ratios": ratios,
@@ -450,9 +450,9 @@ def _figure3(config, pieces, times, idx) -> _Artifacts:
                                            "approx_angle": {p.delta: angle}})
     report["params"] = p.params.to_dict()
     report["rotation_defect_max"] = p.xref.max_rotation_error()
-    integers = np.arange(math.ceil(times[0] - TIME_TOL),
-                         math.floor(times[-1] + TIME_TOL) + 1, dtype=float)
-    int_times = _matches(times, integers)
+    # the integers nearest the samples, so the cost grows with the sample
+    # count, not with t1 - t0; + 0.0 turns a rounded -0.0 into 0.0
+    int_times = _matches(times, np.unique(np.round(times)) + 0.0)
     report["angle_at_integer_times"] = {repr(t): float(angle[i]) for t, i in int_times}
 
     header, rows, projected = _curve_table(

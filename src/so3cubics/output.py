@@ -2,19 +2,22 @@
 
 An artifact is data: a table (a header and its rows), a JSON payload, or
 a list of SVG curves.  Each format has one writer, which takes arrays as
-they are and formats their floats in bulk.  The floats of a float table,
-`CSV_BLOCK_ROWS` rows at a time, and those of a JSON list or float array
-of `KERNEL_MIN_FLOATS` or more finite floats are written by the C kernel
-of `_floattext.c`: Grisu3 digits in `float.__repr__`'s layout, written
-into one slot per float, with `repr` filling the slots whose digits Grisu3
-cannot prove, and the slots joined in C.  Where that kernel cannot be had
-(see `_native`) the same text comes from `repr` in Python: one `%` format
-call per table block with each distinct float formatted once, and one
-`str.join` per JSON list.  An SVG polyline's points take one `%.2f` format
-call.  The bytes are those of `csv.writer`, of
-`json.dumps(indent=2, sort_keys=True)` and of `%.2f`: floats in tables and
-payloads take their shortest round-trip form, so a given config always
-produces byte-identical files, with the kernel or without it.
+they are and formats their floats in bulk.  `_float_text` writes the
+floats of a float table, `CSV_BLOCK_ROWS` rows at a time, and those of a
+1-D or 2-D float array in a JSON payload that holds `KERNEL_MIN_FLOATS` or
+more floats, all finite.  It runs the C kernel of `_floattext.c`: Grisu3
+digits in `float.__repr__`'s layout, written into one slot per float, with
+`repr` filling the slots whose digits Grisu3 cannot prove, and the slots
+joined in C.  Where that kernel cannot be had (see `_native`) the same text
+comes from `repr` in Python: one `%` format call per block with each
+distinct float formatted once.  JSON lists and the other arrays' lists are
+written item by item; the harness keeps every series that grows with the
+sample count an array, so its lists grow only with the number of deltas.
+An SVG polyline's points take one `%.2f` format call.  The bytes are those
+of `csv.writer`, of `json.dumps(indent=2, sort_keys=True)` and of `%.2f`:
+floats in tables and payloads take their shortest round-trip form, so a
+given config always produces byte-identical files, with the kernel or
+without it.
 SVG plots are plain polyline renders of orthographically projected
 curves; every SVG has a CSV twin carrying the exact plotted numbers.
 """
@@ -166,8 +169,10 @@ def _bind_floattext(library):
 
 def write_json(path: Path, payload) -> Path:
     """Write a payload as `json.dumps(payload, indent=2, sort_keys=True)`
-    writes it, with a final newline; arrays in it are written as (nested)
-    lists.  Each top-level entry is written as soon as it is rendered."""
+    writes it, with a final newline; arrays in it are written as the
+    (nested) lists of their `tolist()`, by `_float_text` where
+    `_json_array` takes them, and lists item by item.  Each top-level entry
+    is written as soon as it is rendered."""
     path = Path(path)
     with path.open("w") as fh:
         fh.writelines(_json_dict(payload, "\n") if isinstance(payload, dict)
@@ -196,9 +201,7 @@ def _json(obj, nl: str) -> str:
         if not obj:
             return "[]"
         inner = nl + "  "
-        sep = "," + inner
-        body = _json_floats(obj, sep) or sep.join([_json(item, inner) for item in obj])
-        return "[" + inner + body + nl + "]"
+        return "[" + inner + ("," + inner).join([_json(item, inner) for item in obj]) + nl + "]"
     if isinstance(obj, dict):
         return "".join(_json_dict(obj, nl))
     if isinstance(obj, np.ndarray):
@@ -206,34 +209,18 @@ def _json(obj, nl: str) -> str:
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _json_floats(items, sep: str) -> str | None:
-    """`items` joined by `sep` in one call if all are finite floats, else
-    None; a list of `KERNEL_MIN_FLOATS` or more plain floats goes to the
-    float-text kernel where it can be had."""
-    kernel = _kernel() if len(items) >= KERNEL_MIN_FLOATS else None
-    if kernel is not None and set(map(type, items)) == {float}:
-        values = np.array(items)
-        return kernel(values[None], sep, "") if np.isfinite(values).all() else None
-    try:
-        body = sep.join(map(float.__repr__, items))
-    except TypeError:   # an item that is not a float
-        return None
-    return None if "n" in body else body   # nan and inf are spelled NaN, Infinity
-
-
 def _json_array(obj: np.ndarray, nl: str) -> str | None:
     """The JSON text of a 1-D or 2-D float64 array of `KERNEL_MIN_FLOATS`
-    or more finite floats by the float-text kernel, the same as that of its
-    `tolist()`; None for any other array, or where the kernel cannot be had."""
-    sized = obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size >= KERNEL_MIN_FLOATS
-    kernel = _kernel() if sized else None
-    if kernel is None or not np.isfinite(obj).all():
+    or more finite floats by `_float_text`, the same as that of its
+    `tolist()`; None for any other array."""
+    if not (obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size >= KERNEL_MIN_FLOATS
+            and np.isfinite(obj).all()):
         return None
     inner = nl + "  "
     if obj.ndim == 1:
-        return "[" + inner + kernel(obj[None], "," + inner, "") + nl + "]"
+        return "[" + inner + _float_text(obj[None], "," + inner, "") + nl + "]"
     row = inner + "  "
-    body = kernel(obj, "," + row, inner + "]," + inner + "[" + row)
+    body = _float_text(obj, "," + row, inner + "]," + inner + "[" + row)
     return "[" + inner + "[" + row + body + inner + "]" + nl + "]"
 
 

@@ -20,8 +20,9 @@ from so3cubics.cli import build_parser, main
 from so3cubics.errors import ConfigError, DegenerateB, OutOfDomain
 from so3cubics.harness import (KINDS, MAX_SAMPLES, RUNNERS, config_from_dict, default_config,
                                read_config, run_experiment)
-from so3cubics.output import (QUADRATIC_CSV_HEADER, ROTATION_CSV_HEADER, quadratic_table,
-                              quadratic_to_dict, rotation_table, write_csv, write_json)
+from so3cubics.output import (KERNEL_MIN_FLOATS, QUADRATIC_CSV_HEADER, ROTATION_CSV_HEADER,
+                              quadratic_table, quadratic_to_dict, rotation_table, write_csv,
+                              write_json)
 from so3cubics.quadratic import DOMAIN_ULPS, integrate_cubic, integrate_quadratic
 
 
@@ -301,6 +302,19 @@ def test_figure3_integer_times_are_evaluated_times(tmp_path, stride):
         assert value == angles[i]
 
 
+def test_figure3_integer_times_far_from_the_origin(tmp_path):
+    # above 2^53 every sample time is an integer, and an integer step
+    # between t0 and t1 rounds to 0: one entry and one marker per sample
+    cfg = replace(default_config("figure3"), out_dir=str(tmp_path), t0=1e17,
+                  t1=1e17 + 300 * 4096.0, step=4096.0, stride=4096.0, base=(1e-5, 0.0, 0.0),
+                  deltas=(1e-30,), pert=((0, 1, 0), (0, 0, 0), (0, 0.25, 0.25)))
+    report = run_experiment(cfg).report
+    assert len(report["times"]) == 301
+    assert sorted(report["angle_at_integer_times"]) == sorted(map(repr, report["times"].tolist()))
+    svg = (tmp_path / "figure3.svg").read_text()
+    assert [curve.count("<circle") for curve in svg.split("<polyline")[1:]] == [301, 301]
+
+
 def test_figure3_distances_agree_at_tiny_delta(tmp_path):
     # the approximation error is ~1e-12 here: the angle must keep its digits
     cfg = replace(default_config("figure3"), out_dir=str(tmp_path), deltas=(1e-7,))
@@ -393,6 +407,43 @@ def test_rotation_serialization_header(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(ROTATION_CSV_HEADER)
     assert len(lines) == len(rt.grid) + 1
+
+
+@pytest.mark.parametrize("cfg", [
+    *map(default_config, KINDS),
+    replace(default_config("figure2"), step=0.025, stride=0.05),
+    replace(default_config("figure3"), step=0.01, stride=0.02),
+    replace(default_config("converge"), deltas=(0.04, 0.02, 0.01)),
+])
+def test_reports_keep_series_as_arrays(tmp_path, cfg):
+    # the series go to the writer as float64 arrays: the report's lists
+    # stay shorter than the float-text kernel's least block
+    result = run_experiment(replace(cfg, out_dir=str(tmp_path), formats=("json",)))
+    report = result.report
+    if cfg.kind != "cubic-compare":
+        columns = [report["times"], *(e for by_delta in report["series"].values()
+                                      for e in by_delta.values())]
+        assert all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns)
+
+    def lists(obj):
+        if isinstance(obj, dict):
+            for value in obj.values():
+                yield from lists(value)
+        elif isinstance(obj, (list, tuple)):
+            yield obj
+            for item in obj:
+                yield from lists(item)
+
+    assert max(sum(isinstance(x, float) for x in found) for found in lists(report)) \
+        < KERNEL_MIN_FLOATS
+
+    def plain(obj):
+        if isinstance(obj, dict):
+            return {key: plain(value) for key, value in obj.items()}
+        return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+    (path,) = (p for p in result.files if p.name == f"{KINDS[cfg.kind].command}.json")
+    assert path.read_text() == json.dumps(plain(report), indent=2, sort_keys=True) + "\n"
 
 
 def test_csv_floats_are_shortest_round_trip(tmp_path):
