@@ -356,6 +356,17 @@ def _markers(points: np.ndarray, labels: list[tuple[int, str]]) -> list:
     return [(points[i][0], points[i][1], label) for i, label in labels]
 
 
+def _time_labels(times: list[float]) -> list[str]:
+    """The times of one plot's markers in `%g` texts of the fewest
+    significant digits, 6 to 17, at which no two different times share a
+    text; 17 digits tell any two floats apart."""
+    for digits in range(6, 18):
+        texts = [f"{t:.{digits}g}" for t in times]
+        if len(set(texts)) == len(set(zip(times, texts))):
+            break
+    return texts
+
+
 def _error_report(config: ExperimentConfig, times: np.ndarray, series: dict) -> dict:
     """The report of error series (name -> {delta -> errors at `times`}),
     with their maxima and, over several deltas, the ratios of consecutive
@@ -427,7 +438,8 @@ def _quadratic_kind(config, pieces, times, idx) -> _Artifacts:
         marks.append(config.t0 + 22.5)
 
     header, rows, projected = _curve_table(config, times, curves)
-    labels = [(i, f"t={times[i]:g}") for _, i in _matches(times, marks)]
+    marked = [i for _, i in _matches(times, marks)]
+    labels = [(i, f"t={text}") for i, text in zip(marked, _time_labels(times[marked].tolist()))]
     svg = [SvgCurve(name, projected[name], CURVE_COLORS[name], dashed=(name == "taylor2"),
                     markers=_markers(projected[name], labels)) for name in curves]
 
@@ -457,7 +469,7 @@ def _figure3(config, pieces, times, idx) -> _Artifacts:
 
     header, rows, projected = _curve_table(
         config, times, {"ref": p.xref.second_rows()[idx], "approx": approx[:, 1, :]})
-    labels = [(i, f"{t:g}") for t, i in int_times]
+    labels = list(zip([i for _, i in int_times], _time_labels([t for t, _ in int_times])))
     svg = [SvgCurve(name, projected[key], CURVE_COLORS[color],
                     markers=_markers(projected[key], labels))
            for name, key, color in (("integrated", "ref", "reference"),

@@ -7,11 +7,14 @@ integrator its built-in accuracy check.  The associated rotation curve
 solves the left-invariant linear equation x' = x ad(V(t)).
 
 The RK4 step loop of `integrate_quadratic` runs in a small C kernel,
-`_rk4.c`, loaded through ctypes by `_native`: compiled on the first call
-(never at import), cached per machine, and used only after a self-check
-matches the Python loop byte for byte.  Where any of that fails, the same
-loop runs in Python, with the same bits and no warning; nothing of the
-package's own chooses between them.
+`_rk4.c`, and the conservation gates and `near_geodesic_gauge` read one
+pass of another, `_drift.c`, over the trajectory's nodes: the max and the
+first argmax of the drifts of C and c and of |V'| and |V''|.  Both are
+loaded through ctypes by `_native`: compiled on the first call (never at
+import), cached per machine, and used only after a self-check matches the
+Python twin (the Python loop, the numpy series of `_drift_python`) byte
+for byte.  Where any of that fails, the twin runs, with the same bits and
+no warning; nothing of the package's own chooses between them.
 
 Between grid nodes every derivative d = 0, 1, 2 of a trajectory is the
 cubic Hermite interpolant of its node values with derivative d + 1 as
@@ -249,14 +252,25 @@ class QuadraticTrajectory:
         return self.v2 - np.cross(self.v1, self.v)
 
     def conservation_drift(self) -> tuple[float, float]:
-        """(max |C(t) - C(t0)|, max |c(t) - c(t0)|) over the grid."""
-        dc, da = self._drift_series()
-        return float(np.max(dc)), float(np.max(da))
+        """(max |C(t) - C(t0)|, max |c(t) - c(t0)|) over the grid; NaN
+        where a drift is NaN."""
+        (dc, _), (da, _), _, _ = self._drift_scan
+        return dc, da
 
     def _drift_series(self) -> tuple[np.ndarray, np.ndarray]:
         """|C(t) - C(t0)| and |c(t) - c(t0)| at every grid node; c = <V'', V''>."""
         dC = self.constant_series() - self.C
         return np.sqrt(_squared_norms(dC)), np.abs(_squared_norms(self.v2) - self.c)
+
+    @cached_property
+    def _drift_scan(self) -> tuple[tuple[float, int], ...]:
+        """(max, first argmax) of |C(t) - C|, |c(t) - c|, |V'| and |V''|
+        over the grid nodes, a NaN counting as the max, as in np.argmax:
+        by the drift scan of `_drift.c` where it can be had (see
+        `_native`), else by its twin `_drift_python`, with the same bits
+        and no float warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (_drift_kernel() or _drift_python)(self)
 
     def near_geodesic_gauge(self) -> tuple[float, float]:
         """Sup norms (max |V'|, max |V''|) over the grid.
@@ -264,10 +278,8 @@ class QuadraticTrajectory:
         Small values of both are the operational gauge for a nearly
         geodesic rotation curve.
         """
-        return (
-            float(np.max(np.linalg.norm(self.v1, axis=1))),
-            float(np.max(np.linalg.norm(self.v2, axis=1))),
-        )
+        _, _, (v1, _), (v2, _) = self._drift_scan
+        return v1, v2
 
 
 @dataclass(frozen=True)
@@ -301,6 +313,82 @@ def _squared_norms(a: np.ndarray) -> np.ndarray:
     return (a0 * a0 + a1 * a1) + a2 * a2
 
 
+def _drift_python(traj: QuadraticTrajectory) -> tuple[tuple[float, int], ...]:
+    """`QuadraticTrajectory._drift_scan` in numpy: the twin of `_drift.c`,
+    operation for operation."""
+    peaks = []
+    for series in (*traj._drift_series(), np.sqrt(_squared_norms(traj.v1)),
+                   np.sqrt(_squared_norms(traj.v2))):
+        k = int(np.argmax(series))
+        peaks.append((float(series[k]), k))
+    return tuple(peaks)
+
+
+def _drift_kernel():
+    """The drift scan of `_drift.c` as a function with `_drift_python`'s
+    signature, or None where it cannot be had (see `_native`); then
+    `_drift_python` runs instead."""
+    return _native.kernel("drift", _bind_drift)
+
+
+def _bind_drift(library):
+    """`library`'s drift scan as a function with `_drift_python`'s
+    signature, if the two give the same maxima and nodes on fixed check
+    planes, else None."""
+    import ctypes
+
+    scan = library.drift_scan
+    scan.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong,
+                     ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p)
+    scan.restype = None
+
+    def drift_scan(traj: QuadraticTrajectory) -> tuple[tuple[float, int], ...]:
+        planes = [np.ascontiguousarray(a, dtype=np.float64) for a in (traj.v, traj.v1, traj.v2)]
+        C = np.ascontiguousarray(traj.C, dtype=np.float64)
+        shape = planes[0].shape
+        # the kernel reads count x 3 doubles of each plane and 3 of C; any
+        # other shape goes to the twin, which raises as numpy does
+        if not (len(shape) == 2 and shape[0] >= 1 and shape[1] == 3
+                and all(p.shape == shape for p in planes) and C.shape == (3,)):
+            return _drift_python(traj)
+        peaks = np.empty(4)
+        nodes = np.empty(4, dtype=np.int64)
+        scan(*(p.ctypes.data for p in planes), shape[0], C.ctypes.data, float(traj.c),
+             peaks.ctypes.data, nodes.ctypes.data)
+        return tuple(zip(peaks.tolist(), nodes.tolist()))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        same = all(_same_peaks(drift_scan(traj), _drift_python(traj)) for traj in _drift_checks())
+    return drift_scan if same else None
+
+
+def _same_peaks(ours, theirs) -> bool:
+    """Equal (max, node) pairs, NaN matching NaN."""
+    return [k for _, k in ours] == [k for _, k in theirs] and np.array_equal(
+        [m for m, _ in ours], [m for m, _ in theirs], equal_nan=True)
+
+
+def _drift_checks() -> list[QuadraticTrajectory]:
+    """The drift scan's self-check: 40 nodes, the first 16 of them one at
+    a time, so that each one's arithmetic shows in a maximum, then all 40
+    at once, then all 40 with a row whose squares overflow and a NaN row."""
+    rng = np.random.default_rng(2011)
+    planes = rng.normal(size=(3, 40, 3)) * 10.0 ** rng.integers(-3, 4, size=(3, 40, 1))
+    # squared norms 2^40 and 2^40 + 2^-12 have the one root 2^20, so the
+    # argmax of |V'| and of |V''| is the first of these nodes, not the second
+    planes[1:, 5:7] = [[2.0 ** 20, 0.0, 0.0], [2.0 ** 20, 2.0 ** -6, 0.0]]
+    C, c = rng.normal(size=3), float(rng.uniform())
+    special = planes.copy()
+    special[2, 9] = [1e200, -1e200, 3.0]
+    special[1, 23, 1] = math.nan
+
+    def trajectory(v, v1, v2):
+        return QuadraticTrajectory(grid=np.arange(float(len(v))), v=v, v1=v1, v2=v2, C=C, c=c)
+
+    return [*(trajectory(*planes[:, k:k + 1]) for k in range(16)),
+            trajectory(*planes), trajectory(*special)]
+
+
 def _uniform_grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float, int]:
     if not step > 0.0:
         raise ValueError("step must be positive")
@@ -326,7 +414,10 @@ def integrate_quadratic(ivp: QuadraticIVP, step: float) -> QuadraticTrajectory:
     one (3, n + 1, 3) array, which the trajectory keeps.  The conserved
     bracket constant C and squared acceleration c are monitored over the
     whole grid, and StepTooLarge is raised when the drift of either exceeds
-    C_DRIFT_LIMIT, which signals that the step must shrink.  An initial jet
+    C_DRIFT_LIMIT or is NaN, which signals that the step must shrink; the
+    worst drift and its node come from the trajectory's drift scan (the C
+    kernel of `_drift.c`, else its twin `_drift_python`), which
+    `conservation_drift` and `near_geodesic_gauge` then read.  An initial jet
     whose C or c overflows raises StepTooLarge before the first step, since
     no step helps; the float warnings of an overflowing jet or trajectory
     are kept quiet.
@@ -342,10 +433,9 @@ def integrate_quadratic(ivp: QuadraticIVP, step: float) -> QuadraticTrajectory:
     nodes = np.empty((3, n + 1, 3))
     (_kernel() or _rk4_python)(np.concatenate([ivp.v0, ivp.v1, ivp.v2]), h, n, nodes)
     traj = QuadraticTrajectory(grid=grid, v=nodes[0], v1=nodes[1], v2=nodes[2], C=C, c=c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dc, da = traj._drift_series()
-    _gate_drift("bracket constant C", dc, grid, h)
-    _gate_drift("squared acceleration c", da, grid, h)
+    (dc, kc), (da, ka), _, _ = traj._drift_scan
+    _gate_drift("bracket constant C", dc, kc, grid, h)
+    _gate_drift("squared acceleration c", da, ka, grid, h)
     return traj
 
 
@@ -433,14 +523,14 @@ def _bind_rk4(library):
     return steps if ours.tobytes() == theirs.tobytes() else None
 
 
-def _gate_drift(quantity: str, drift: np.ndarray, grid: np.ndarray, h: float) -> None:
-    """Raise StepTooLarge when the worst drift of a conserved quantity
-    exceeds C_DRIFT_LIMIT.  Written so that a NaN drift (an overflowed
-    trajectory) also raises, at its first NaN node."""
-    k = int(np.argmax(drift))
-    if not drift[k] <= C_DRIFT_LIMIT:
+def _gate_drift(quantity: str, drift: float, k: int, grid: np.ndarray, h: float) -> None:
+    """Raise StepTooLarge when the worst drift of a conserved quantity,
+    `drift` at node k, exceeds C_DRIFT_LIMIT.  Written so that a NaN drift
+    (an overflowed trajectory, whose worst node is its first NaN node)
+    also raises."""
+    if not drift <= C_DRIFT_LIMIT:
         raise StepTooLarge(
-            f"{quantity} drifted by {drift[k]:.3g} (limit {C_DRIFT_LIMIT:g}), worst at "
+            f"{quantity} drifted by {drift:.3g} (limit {C_DRIFT_LIMIT:g}), worst at "
             f"step index {k}, t={float(grid[k])!r}, with step {h:.3g}; use a smaller step")
 
 

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import so3cubics
 from so3cubics.cli import build_parser, main
 from so3cubics.errors import ConfigError, DegenerateB, OutOfDomain
-from so3cubics.harness import (KINDS, MAX_SAMPLES, RUNNERS, config_from_dict, default_config,
-                               read_config, run_experiment)
+from so3cubics.harness import (KINDS, MAX_SAMPLES, RUNNERS, _time_labels, config_from_dict,
+                               default_config, read_config, run_experiment)
 from so3cubics.output import (KERNEL_MIN_FLOATS, QUADRATIC_CSV_HEADER, ROTATION_CSV_HEADER,
                               quadratic_table, quadratic_to_dict, rotation_table, write_csv,
                               write_json)
@@ -313,6 +313,22 @@ def test_figure3_integer_times_far_from_the_origin(tmp_path):
     assert sorted(report["angle_at_integer_times"]) == sorted(map(repr, report["times"].tolist()))
     svg = (tmp_path / "figure3.svg").read_text()
     assert [curve.count("<circle") for curve in svg.split("<polyline")[1:]] == [301, 301]
+    # the marker labels (font size 9) take enough digits to tell the
+    # marked times apart, where 6 would print 1e+17 for each
+    labels = re.findall(r'font-size="9">([^<]*)</text>', svg)
+    assert len(labels) == 602
+    assert len(set(labels)) == len(set(report["angle_at_integer_times"])) == 301
+
+
+@pytest.mark.parametrize("times, labels", [
+    ([0.0, 2.0, 22.5], ["0", "2", "22.5"]),
+    # equal times keep one text; 15 digits tell 1e17 from 1e17 + 4096
+    ([1e17, 1e17 + 4096.0, 1e17], ["1e+17", "1.00000000000004e+17", "1e+17"]),
+    # neighbouring floats need all 17
+    ([0.1, math.nextafter(0.1, 1.0)], ["0.10000000000000001", "0.10000000000000002"]),
+])
+def test_time_labels_take_the_fewest_digits_that_tell_times_apart(times, labels):
+    assert _time_labels(times) == labels
 
 
 def test_figure3_distances_agree_at_tiny_delta(tmp_path):

@@ -64,13 +64,22 @@ def _require_kernel():
         pytest.skip("the C kernel of integrate_quadratic cannot be built here")
 
 
+def _require_drift_kernel():
+    if quadratic._drift_kernel() is None:
+        pytest.skip("the C drift scan of QuadraticTrajectory cannot be built here")
+    return quadratic._drift_kernel()
+
+
 @pytest.fixture(params=["kernel", "python"])
 def engine(request, monkeypatch):
-    """Run a test on the C kernel, then on the Python loop."""
+    """Run a test on the C kernels (the step loop and the drift scan), then
+    on their Python twins."""
     if request.param == "kernel":
         _require_kernel()
+        _require_drift_kernel()
     else:
         monkeypatch.setattr(quadratic, "_kernel", lambda: None)
+        monkeypatch.setattr(quadratic, "_drift_kernel", lambda: None)
     return request.param
 
 
@@ -181,9 +190,10 @@ def test_integrate_matches_vector_rk4_bit_for_bit(engine, v0, v1, v2, t1, step):
     assert np.array_equal(np.hstack([traj.v, traj.v1, traj.v2]), states)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(vectors, vectors, vectors, st.floats(0.5, 3.0), st.floats(0.01, 0.2))
-def test_returned_trajectory_drift_is_within_the_gate(v0, v1, v2, t1, step):
+def test_returned_trajectory_drift_is_within_the_gate(engine, v0, v1, v2, t1, step):
     # the gates and conservation_drift read one drift series, so what
     # integrate_quadratic returns reports at most C_DRIFT_LIMIT; steps this
     # large make many draws raise instead
@@ -218,6 +228,46 @@ def test_drift_series_sums_every_row_in_one_fixed_order():
     assert np.isinf(dc[7]) and np.isinf(da[7]) and np.isnan(dc[11])
 
 
+# a special row: its plane (V, V', V''), its node (modulo the node count)
+# and what it holds; a tie writes two rows, at the node and the next, whose
+# squared norms 2^40 and 2^40 + 2^-12 have the one root 2^20
+_ROWS = {"overflow": [[1e200, -1e200, 3.0]], "nan": [[0.0, math.nan, 1.0]],
+         "tie": [[2.0 ** 20, 0.0, 0.0], [2.0 ** 20, 2.0 ** -6, 0.0]]}
+special_rows = st.tuples(st.integers(0, 2), st.integers(0, 2 ** 31), st.sampled_from(sorted(_ROWS)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(1, 64), st.just(20_001)), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.lists(special_rows, max_size=4))
+@example(1, 0, False, [])
+@example(20_001, 1, False, [(1, 0, "nan")])
+@example(30, 2, True, [])
+@example(20_001, 3, False, [(2, 5, "overflow"), (0, 17, "nan"), (1, 40, "tie")])
+def test_drift_scan_matches_the_numpy_twin_bit_for_bit(count, seed, constant, specials):
+    # four (max, first argmax) pairs on random planes of 1 to 64 nodes or
+    # of the ensemble's 20,001, with every node equal (each series constant)
+    # or not, and with rows whose squares overflow, NaN rows and ties
+    scan = _require_drift_kernel()
+    rng = np.random.default_rng(seed)
+    planes = rng.normal(size=(3, count, 3)) * 10.0 ** rng.integers(-3, 4, size=(3, count, 1))
+    if constant:
+        planes[:] = planes[:, :1]
+    for d, k, kind in specials:
+        for j, row in enumerate(_ROWS[kind]):
+            planes[d, (k + j) % count] = row
+    traj = QuadraticTrajectory(grid=np.arange(float(count)), v=planes[0], v1=planes[1],
+                               v2=planes[2], C=rng.normal(size=3), c=float(rng.uniform()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        twin = quadratic._drift_python(traj)
+    ours = scan(traj)
+    assert [k for _, k in ours] == [k for _, k in twin]
+    # every maximum is NaN or a number >= +0.0, so equality (NaN matching
+    # NaN) is equality of the bits up to a NaN's payload
+    np.testing.assert_array_equal([m for m, _ in ours], [m for m, _ in twin])
+    if constant and not specials:
+        assert [k for _, k in ours] == [0, 0, 0, 0]
+
+
 def _outcome(ivp, step):
     """The state bytes of integrate_quadratic, or its StepTooLarge message."""
     try:
@@ -236,10 +286,12 @@ def test_kernel_and_python_loop_give_the_same_states_or_message(v0, v1, v2, t1, 
     # jets of size 1e-3 to 1e2 at steps up to 0.2: many draws overflow or
     # drift past a gate, and both engines must then say the same
     _require_kernel()
+    _require_drift_kernel()
     ivp = QuadraticIVP(0.0, t1, v0, v1, v2)
     kernel = _outcome(ivp, step)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadratic, "_kernel", lambda: None)
+        mp.setattr(quadratic, "_drift_kernel", lambda: None)
         assert _outcome(ivp, step) == kernel
 
 
@@ -297,6 +349,32 @@ def test_failed_self_check_runs_the_python_loop(fresh_loader, monkeypatch):
     assert quadratic._kernel() is None
     monkeypatch.setattr(quadratic, "_rk4_python", python_loop)
     _runs_the_python_loop(monkeypatch)
+
+
+def test_failed_drift_self_check_gates_by_the_twin(fresh_loader, monkeypatch):
+    ivp = QuadraticIVP(0.0, 5.0, [0.0, 0.0, 3.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0])
+    with pytest.raises(StepTooLarge) as gated:
+        integrate_quadratic(ivp, 0.5)
+    _native.kernel.cache_clear()
+    # the self-check compares against a twin one ulp off in its first maximum
+    twin = quadratic._drift_python
+
+    def one_ulp_off(traj):
+        (first, k), *rest = twin(traj)
+        return ((float(np.nextafter(first, np.inf)), k), *rest)
+
+    monkeypatch.setattr(quadratic, "_drift_python", one_ulp_off)
+    assert quadratic._drift_kernel() is None
+    calls = []
+    monkeypatch.setattr(quadratic, "_drift_python", lambda traj: calls.append(traj) or twin(traj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepTooLarge) as again:
+            integrate_quadratic(ivp, 0.5)
+    assert len(calls) == 1 and str(again.value) == str(gated.value)
+    # the step loop's kernel is built, loaded and checked on its own
+    if _native._build("rk4") is not None:
+        assert quadratic._kernel() is not None
 
 
 def test_integrate_returns_separate_contiguous_arrays(fig1_trajectory):
