@@ -8,10 +8,11 @@ was built with and `FLAGS`, into $XDG_CACHE_HOME/so3cubics
 (~/.cache/so3cubics when that is unset) as `<name>-<hash>.so`, the hash
 taken over the source, the headers it includes, the compiler command and
 the platform.  The build goes to a temporary name first and is then moved
-into place, so a reader never sees half a file.  `bind` receives the
-loaded library, declares its functions' types, runs the kernel's
-self-check against its Python twin, and returns what the module calls in
-place of that twin, or None when the check fails.
+into place, so a reader never sees half a file; the kernel's earlier
+builds in the cache, `<name>-<other hash>.so`, are then removed.  `bind`
+receives the loaded library, declares its functions' types, runs the
+kernel's self-check against its Python twin, and returns what the module
+calls in place of that twin, or None when the check fails.
 
 No compiler, an unwritable cache, a failed build or load, or a failed
 self-check gives None, silently; the module then runs its Python twin,
@@ -23,6 +24,7 @@ chooses between a kernel and its twin.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 from functools import cache
@@ -84,7 +86,21 @@ def _build(name: str) -> Path | None:
             finally:
                 if os.path.exists(partial):
                     os.unlink(partial)
+            _remove_superseded(name, built)
     except (OSError, RuntimeError, subprocess.SubprocessError):
         # RuntimeError: Path.home() with no home directory to be found
         return None
     return built
+
+
+def _remove_superseded(name: str, built: Path) -> None:
+    """Unlink the other builds of kernel `name`, `<name>-<16 hex digits>.so`,
+    from the directory of `built`, which an edited source or header or
+    another compiler leaves behind.  The builds of other kernels stay, and
+    a file that cannot be listed or removed is left as it is."""
+    pattern = re.compile(re.escape(name) + r"-[0-9a-f]{16}\.so")
+    with contextlib.suppress(OSError):
+        for path in built.parent.iterdir():
+            if path != built and pattern.fullmatch(path.name):
+                with contextlib.suppress(OSError):
+                    path.unlink()

@@ -22,6 +22,8 @@ FRAME_TOL = 1e-12          # orthonormality tolerance for Frame validation
 # Gram determinants in
 _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
+# the ValueError message of a vector with a NaN or infinite component
+_NOT_FINITE = "vector has non-finite components"
 
 
 def as_vector(v) -> np.ndarray:
@@ -30,7 +32,7 @@ def as_vector(v) -> np.ndarray:
     if arr.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("vector has non-finite components")
+        raise ValueError(_NOT_FINITE)
     return arr
 
 
@@ -59,7 +61,7 @@ def as_vectors(v) -> np.ndarray:
     if arr.shape[-1:] != (3,):
         raise ValueError(f"expected 3-vectors, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("vector has non-finite components")
+        raise ValueError(_NOT_FINITE)
     return arr
 
 
@@ -75,7 +77,11 @@ def rot_exp(v) -> np.ndarray:
     zero-angle limit is exact rather than a truncated series.  A stack of
     vectors, shape S + (3,), gives rotations of shape S + (3, 3).
     """
-    v = as_vectors(v)
+    return _rot_exp(as_vectors(v))
+
+
+def _rot_exp(v: np.ndarray) -> np.ndarray:
+    """`rot_exp` of a float array of finite 3-vectors, unchecked."""
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
     xx, yy, zz = x * x, y * y, z * z
     theta = np.sqrt(xx + yy + zz)

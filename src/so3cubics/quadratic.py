@@ -9,12 +9,15 @@ solves the left-invariant linear equation x' = x ad(V(t)).
 The RK4 step loop of `integrate_quadratic` runs in a small C kernel,
 `_rk4.c`, and the conservation gates and `near_geodesic_gauge` read one
 pass of another, `_drift.c`, over the trajectory's nodes: the max and the
-first argmax of the drifts of C and c and of |V'| and |V''|.  Both are
-loaded through ctypes by `_native`: compiled on the first call (never at
-import), cached per machine, and used only after a self-check matches the
-Python twin (the Python loop, the numpy series of `_drift_python`) byte
-for byte.  Where any of that fails, the twin runs, with the same bits and
-no warning; nothing of the package's own chooses between them.
+first argmax of the drifts of C and c and of |V'| and |V''|.  The Magnus
+steps of `integrate_cubic` are one pass of a third, `_magnus.c`: each
+step's Magnus vector, its Rodrigues exponential and the blocked running
+product of the steps.  All three are loaded through ctypes by `_native`:
+compiled on the first call (never at import), cached per machine, and
+used only after a self-check matches the Python twin (the Python loop,
+the numpy series of `_drift_python`, the numpy pass of `_magnus_python`)
+byte for byte.  Where any of that fails, the twin runs, with the same
+bits and no warning; nothing of the package's own chooses between them.
 
 Between grid nodes every derivative d = 0, 1, 2 of a trajectory is the
 cubic Hermite interpolant of its node values with derivative d + 1 as
@@ -43,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _native
-from .algebra import as_rotation, as_vector, bracket, rot_exp, rotation_error
+from .algebra import _NOT_FINITE, _rot_exp, as_rotation, as_vector, bracket, rotation_error
 from .errors import OutOfDomain, StepTooLarge
 
 NULL_TOL = 1e-12        # |C| at or below this counts as a null quadratic
@@ -546,11 +549,15 @@ def integrate_cubic(x0, velocity, step: float, t0: float | None = None,
 
     Each step multiplies by one exact rotation, x_{k+1} = x_k rot_exp(W_k)
     with W_k = h/2 (V_a + V_b) - (sqrt(3)/12) h^2 [V_b, V_a], where V_a and
-    V_b are V at the two Gauss-Legendre nodes of the step.  Every W_k and
-    its exponential is computed in one batch, and the running product is a
-    blocked prefix product (`_running_product`) of about 2 sqrt(n) batched
-    calls.  The curve stays on SO(3) to rounding, so it is never
-    renormalized.
+    V_b are V at the two Gauss-Legendre nodes of the step.  The running
+    product is a blocked prefix product (blocks of L = ceil(sqrt(n)) steps),
+    so each rotation is a product of at most about 2 sqrt(n) factors, and
+    every 3x3 product is summed in one fixed order.  The W_k, their
+    exponentials and the product are one pass of the C kernel of
+    `_magnus.c` where it can be had (`_magnus_kernel`), else its numpy
+    twin `_magnus_python`, with the same bits.  A W_k that is not finite
+    raises ValueError, as `rot_exp` does.  The curve stays on SO(3) to
+    rounding, so it is never renormalized.
 
     `velocity` is either a QuadraticTrajectory (dense-evaluated on its own
     interval, or on a given [t0, t1] within it, else OutOfDomain) or a
@@ -575,8 +582,22 @@ def integrate_cubic(x0, velocity, step: float, t0: float | None = None,
         va, vb = (velocity.at_fraction(node) for node in _GAUSS_NODES)
     else:
         va, vb = (sample(grid[:-1] + node * h) for node in _GAUSS_NODES)
-    omega = (0.5 * h) * (va + vb) - (_MAGNUS_COMMUTATOR * h * h) * np.cross(vb, va)
-    return RotationTrajectory(grid=grid, rotations=_running_product(x0, rot_exp(omega)))
+    magnus = _magnus_kernel() or _magnus_python
+    return RotationTrajectory(grid=grid, rotations=magnus(x0, va, vb, h))
+
+
+def _magnus_python(x0: np.ndarray, va: np.ndarray, vb: np.ndarray, h: float) -> np.ndarray:
+    """The rotations x0, x0 S_0, ..., x0 S_0 ... S_{n-1}, shape (n + 1, 3,
+    3), of n Magnus steps S_k = rot_exp(W_k) of size h, from V at the two
+    Gauss nodes of every step, va and vb, shape (n, 3): the numpy twin of
+    `_magnus.c`, operation for operation.  A W_k that is not finite raises
+    rot_exp's ValueError; no float warning escapes.  It calls rot_exp's
+    body, so that the kernel's self-check calls no public function."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = (0.5 * h) * (va + vb) - (_MAGNUS_COMMUTATOR * h * h) * np.cross(vb, va)
+        if not np.all(np.isfinite(omega)):
+            raise ValueError(_NOT_FINITE)
+        return _running_product(x0, _rot_exp(omega))
 
 
 def _running_product(x0: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -589,8 +610,9 @@ def _running_product(x0: np.ndarray, steps: np.ndarray) -> np.ndarray:
     applies the carry (x0, then the last row of the block before).  The
     factors keep their left-to-right order, so row k + 1 is x0 S_0 ... S_k
     up to rounding and row 0 is x0 itself; each row is a product of at most
-    about 2 sqrt(n) factors.  The products are formed in place in the
-    returned buffer, which holds fewer than L rotations beyond n + 1.
+    about 2 sqrt(n) factors.  Every product is `_product`'s.  The returned
+    rows are a view of a buffer that holds fewer than L rotations beyond
+    n + 1.
     """
     n = len(steps)
     size = math.isqrt(n - 1) + 1
@@ -601,9 +623,99 @@ def _running_product(x0: np.ndarray, steps: np.ndarray) -> np.ndarray:
     out[n + 1:] = np.eye(3)
     blocks = out[1:].reshape(count, size, 3, 3)
     for j in range(1, size):
-        np.matmul(blocks[:, j - 1], blocks[:, j], out=blocks[:, j])
+        blocks[:, j] = _product(blocks[:, j - 1], blocks[:, j])
     carry = out[0]
     for block in blocks:
-        np.matmul(carry, block, out=block)
+        block[...] = _product(carry, block)
         carry = block[-1]
     return out[:n + 1]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for (stacks of) 3x3 matrices, entry (i, j) summed as
+    ((a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j) on every machine (matmul's order
+    depends on numpy's build and the CPU): five ufunc calls."""
+    return ((a[..., :, 0:1] * b[..., 0:1, :] + a[..., :, 1:2] * b[..., 1:2, :])
+            + a[..., :, 2:3] * b[..., 2:3, :])
+
+
+def _magnus_kernel():
+    """The Magnus pass of `_magnus.c` as a function with `_magnus_python`'s
+    signature, or None where it cannot be had (see `_native`); then
+    `_magnus_python` runs instead."""
+    return _native.kernel("magnus", _bind_magnus)
+
+
+def _bind_magnus(library):
+    """`library`'s Magnus pass as a function with `_magnus_python`'s
+    signature, if the two give the same bytes, or the same ValueError, on
+    fixed check steps, else None."""
+    import ctypes
+
+    steps = library.magnus_steps
+    steps.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong, ctypes.c_double,
+                      ctypes.c_double, ctypes.c_void_p)
+    steps.restype = ctypes.c_longlong
+
+    def magnus(x0: np.ndarray, va: np.ndarray, vb: np.ndarray, h: float) -> np.ndarray:
+        va = np.ascontiguousarray(va, dtype=np.float64)
+        vb = np.ascontiguousarray(vb, dtype=np.float64)
+        n = len(va)
+        # the kernel reads n x 3 doubles of each; any other shape goes to
+        # the twin, which raises as numpy does
+        if not (va.shape == vb.shape == (n, 3) and n >= 1):
+            return _magnus_python(x0, va, vb, h)
+        out = np.empty((n + 1, 3, 3))
+        out[0] = x0
+        if steps(va.ctypes.data, vb.ctypes.data, n, 0.5 * h, _MAGNUS_COMMUTATOR * h * h,
+                 out.ctypes.data) >= 0:
+            raise ValueError(_NOT_FINITE)
+        return out
+
+    return magnus if all(_same_outcome(magnus, case) for case in _magnus_checks()) else None
+
+
+def _same_outcome(magnus, case) -> bool:
+    """`magnus` and `_magnus_python` give the same bytes, or the same
+    ValueError message, on the arguments `case`."""
+    outcomes = []
+    for engine in (magnus, _magnus_python):
+        try:
+            outcomes.append(engine(*case).tobytes())
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    return outcomes[0] == outcomes[1]
+
+
+# the self-check's step sizes (the first makes W = va where vb = 0) and its
+# angles |W|: zero (np.sinc's guard), squares that underflow, an angle near
+# the limit 0, a plain one, the zeros of sin(|W|/2) and sin(|W|), where a
+# and b have their sharpest last bits, and a large one
+_CHECK_MAGNUS_H = (2.0, 0.3)
+_CHECK_MAGNUS_W = (0.0, 1e-300, 1e-8, 1.0, math.pi, 2.0 * math.pi, 1e3)
+
+
+def _magnus_checks() -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+    """The Magnus pass's self-check: (x0, va, vb, h) for n = 1, 2, 3, 4, 5,
+    9, 10 and 17 steps, block sizes 1 to 5 with and without identity
+    padding in the twin.  At h = 2 every even step has vb = 0, so its W is
+    va, whose norm runs through `_CHECK_MAGNUS_W` in the direction of a
+    random unit vector; every other step has random va and vb of norms
+    1e-8 to 1e2.  At h = 0.3 every step is random, and the last case ends
+    on a NaN step."""
+    rng = np.random.default_rng(1999)
+    x0 = _rot_exp(rng.normal(size=3))
+    cases = []
+    for n in (1, 2, 3, 4, 5, 9, 10, 17):
+        va, vb = rng.normal(size=(2, n, 3)) * 10.0 ** rng.integers(-8, 3, size=(2, n, 1))
+        units = rng.normal(size=(n, 3))
+        units /= np.sqrt(_squared_norms(units))[:, None]
+        norms = np.resize(np.roll(_CHECK_MAGNUS_W, n), n)
+        designed = va.copy(), vb.copy()
+        designed[0][::2] = units[::2] * norms[::2, None]
+        designed[1][::2] = 0.0
+        cases += [(x0, *designed, _CHECK_MAGNUS_H[0]), (x0, va, vb, _CHECK_MAGNUS_H[1])]
+    va = va.copy()
+    va[-1, 1] = math.nan
+    cases.append((x0, va, vb, _CHECK_MAGNUS_H[1]))
+    return cases

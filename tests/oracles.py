@@ -31,7 +31,10 @@ integrate the same equations one numpy expression per stage:
   renormalization, an independent reference for the Magnus integrator.
 
 The Magnus integrator forms its running product x0 S_0 ... S_k by a blocked
-prefix product; `sequential_product` forms it one step at a time.
+prefix product with every 3x3 product summed in one fixed order;
+`sequential_product` forms it one step at a time, and
+`matmul_running_product` by the same blocked scan in `np.matmul`'s
+stacked products, the library's product before it fixed that order.
 
 The library measures a stack of rotation pairs in one `so3_distance` call;
 `pair_distance` measures one pair with the scalar numpy and math calls,
@@ -547,6 +550,30 @@ def sequential_product(x0, steps) -> np.ndarray:
         x = x @ steps[k]
         rots[k + 1] = x
     return rots
+
+
+def matmul_running_product(x0, steps) -> np.ndarray:
+    """The running products x0, x0 S_0, x0 S_0 S_1, ... of n >= 1 step
+    rotations, shape (n + 1, 3, 3), by a blocked scan in stacked matmuls:
+    blocks of L = ceil(sqrt(n)) steps, the last padded with identities,
+    L - 1 batched products for the prefixes inside every block, then one
+    product per block for its carry (x0, then the last row of the block
+    before)."""
+    n = len(steps)
+    size = math.isqrt(n - 1) + 1
+    count = -(-n // size)
+    out = np.empty((count * size + 1, 3, 3))
+    out[0] = x0
+    out[1:n + 1] = steps
+    out[n + 1:] = np.eye(3)
+    blocks = out[1:].reshape(count, size, 3, 3)
+    for j in range(1, size):
+        np.matmul(blocks[:, j - 1], blocks[:, j], out=blocks[:, j])
+    carry = out[0]
+    for block in blocks:
+        np.matmul(carry, block, out=block)
+        carry = block[-1]
+    return out[:n + 1]
 
 
 def pair_distance(r1, r2) -> tuple[float, float]:

@@ -82,8 +82,26 @@ def test_package_data_covers_every_c_source_and_header():
         patterns = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["so3cubics"]
     sources = {p for p in PACKAGE.rglob("*") if p.suffix in (".c", ".h")}
     shipped = {p for pattern in patterns for p in PACKAGE.glob(pattern)}
-    assert {"_rk4.c", "_floattext.c", "_floattext_powers.h"} <= {p.name for p in sources}
+    assert {"_rk4.c", "_drift.c", "_magnus.c", "_floattext.c",
+            "_floattext_powers.h"} <= {p.name for p in sources}
     assert sources - shipped == set()
+
+
+# ------------------------------------------------------------------ cache
+
+def test_a_build_removes_the_superseded_builds_of_its_kernel_only(fresh_loader):
+    # an earlier build of rk4 goes; drift's build and a name that only
+    # starts like rk4's stay
+    cache = fresh_loader / "cache" / "so3cubics"
+    cache.mkdir(parents=True)
+    planted = ["rk4-0000000000000000.so", "drift-0000000000000000.so",
+               "rk4-0000000000000000.so.old"]
+    for name in planted:
+        (cache / name).write_bytes(b"")
+    built = _native._build("rk4")
+    if built is None:
+        pytest.skip("the rk4 kernel cannot be built here")
+    assert sorted(p.name for p in cache.iterdir()) == sorted([built.name, *planted[1:]])
 
 
 # ------------------------------------------------------ float-text kernel

@@ -13,10 +13,10 @@ from hypothesis.extra import numpy as hnp
 from scipy.interpolate import CubicHermiteSpline
 
 from conftest import FIG1_CONSTANT, FIG1_V0, FIG1_V1, FIG1_V2, fig1_ivp, fig3_ivp
-from oracles import (quadratic_residual, rk4_quadratic, rk4_rotation, sequential_product,
-                     subgroup_product_velocity)
+from oracles import (matmul_running_product, quadratic_residual, rk4_quadratic, rk4_rotation,
+                     sequential_product, subgroup_product_velocity)
 from so3cubics import _native, quadratic
-from so3cubics.algebra import rot_exp
+from so3cubics.algebra import rot_exp, rotation_error
 from so3cubics.cli import main
 from so3cubics.errors import OutOfDomain, StepTooLarge
 from so3cubics.quadratic import (_GAUSS_NODES, C_DRIFT_LIMIT, DOMAIN_ULPS, QuadraticIVP,
@@ -70,16 +70,24 @@ def _require_drift_kernel():
     return quadratic._drift_kernel()
 
 
+def _require_magnus_kernel():
+    if quadratic._magnus_kernel() is None:
+        pytest.skip("the C Magnus pass of integrate_cubic cannot be built here")
+    return quadratic._magnus_kernel()
+
+
 @pytest.fixture(params=["kernel", "python"])
 def engine(request, monkeypatch):
-    """Run a test on the C kernels (the step loop and the drift scan), then
-    on their Python twins."""
+    """Run a test on the C kernels (the step loop, the drift scan and the
+    Magnus pass), then on their Python twins."""
     if request.param == "kernel":
         _require_kernel()
         _require_drift_kernel()
+        _require_magnus_kernel()
     else:
         monkeypatch.setattr(quadratic, "_kernel", lambda: None)
         monkeypatch.setattr(quadratic, "_drift_kernel", lambda: None)
+        monkeypatch.setattr(quadratic, "_magnus_kernel", lambda: None)
     return request.param
 
 
@@ -609,7 +617,7 @@ def test_trajectory_evaluators_take_empty_time_arrays(name, trailing, shape):
     (-1e150, 5.0, -1e150), (2.0, math.nextafter(_HI, math.inf), math.nextafter(_HI, math.inf)),
     (2.0, 8.0, None), (_LO, _HI, None),
 ])
-def test_integrate_cubic_takes_a_subinterval_of_its_trajectory(t0, t1, first_bad):
+def test_integrate_cubic_takes_a_subinterval_of_its_trajectory(t0, t1, first_bad, engine):
     traj, _ = _fig3_pieces()
     if first_bad is not None:
         with pytest.raises(OutOfDomain, match=re.escape(f"time {first_bad!r} ")):
@@ -622,13 +630,13 @@ def test_integrate_cubic_takes_a_subinterval_of_its_trajectory(t0, t1, first_bad
 
 # ----------------------------------------------------------- integrate_cubic
 
-def test_integrate_cubic_zero_velocity():
+def test_integrate_cubic_zero_velocity(engine):
     x0 = rot_exp([0.2, 0.1, -0.4])
     rt = integrate_cubic(x0, lambda t: np.zeros(3), 1e-2, t0=0.0, t1=1.0)
     assert np.max(np.abs(rt.rotations - x0)) < 1e-14
 
 
-def test_integrate_cubic_constant_velocity_is_subgroup():
+def test_integrate_cubic_constant_velocity_is_subgroup(engine):
     d = np.array([0.3, -0.5, 0.8])
     x0 = rot_exp([0.1, 0.7, 0.2])
     rt = integrate_cubic(x0, lambda t: d, 1e-3, t0=0.0, t1=2.0)
@@ -637,7 +645,7 @@ def test_integrate_cubic_constant_velocity_is_subgroup():
         np.testing.assert_allclose(rt.at_time(t), expected, atol=1e-9)
 
 
-def test_integrate_cubic_constant_velocity_is_exact():
+def test_integrate_cubic_constant_velocity_is_exact(engine):
     # with a constant velocity every Magnus step is the exact exponential
     d = np.array([0.3, -0.5, 0.8])
     x0 = rot_exp([0.1, 0.7, 0.2])
@@ -647,7 +655,7 @@ def test_integrate_cubic_constant_velocity_is_exact():
 
 
 @pytest.mark.parametrize("ivp", [fig1_ivp(), fig3_ivp(0.05, t1=5.0)], ids=["figure1", "figure3"])
-def test_integrate_cubic_matches_rk4_oracle(ivp):
+def test_integrate_cubic_matches_rk4_oracle(ivp, engine):
     traj = integrate_quadratic(ivp, 1e-3)
     rt = integrate_cubic(np.eye(3), traj, 1e-3)
     ref = rk4_rotation(np.eye(3), traj, 2.5e-4)[::4]
@@ -655,7 +663,7 @@ def test_integrate_cubic_matches_rk4_oracle(ivp):
     assert rt.max_rotation_error() < 1e-12
 
 
-def test_integrate_cubic_fourth_order():
+def test_integrate_cubic_fourth_order(engine):
     # x(t) = exp(t a) exp(t b) has the body velocity subgroup_product_velocity
     a = np.array([0.7, -0.2, 0.4])
     b = np.array([0.1, 0.9, -0.5])
@@ -667,7 +675,7 @@ def test_integrate_cubic_fourth_order():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 16, 17, 24, 25, 26, 997, 5000])
-def test_integrate_cubic_blocked_product_matches_sequential(n):
+def test_integrate_cubic_blocked_product_matches_sequential(n, engine):
     # a velocity that is constant on each step makes every Magnus step
     # exactly rot_exp(h w_k): both Gauss nodes read w_k and the commutator
     # vanishes, so the steps are known and only the running product differs
@@ -682,7 +690,7 @@ def test_integrate_cubic_blocked_product_matches_sequential(n):
     assert rt.max_rotation_error() < 1e-13
 
 
-def test_integrate_cubic_on_the_trajectory_grid_matches_the_callable_path():
+def test_integrate_cubic_on_the_trajectory_grid_matches_the_callable_path(engine):
     # on its own grid a trajectory is read at the Gauss fractions of every
     # step; a callable reads the same cubics through eval at h-spaced times
     traj = integrate_quadratic(fig3_ivp(0.05, t1=2.0), 1e-3)
@@ -694,7 +702,7 @@ def test_integrate_cubic_on_the_trajectory_grid_matches_the_callable_path():
     assert np.array_equal(fast.rotations[0], x0)
 
 
-def test_integrate_cubic_left_invariance(fig1_trajectory):
+def test_integrate_cubic_left_invariance(fig1_trajectory, engine):
     g = rot_exp([0.3, -0.2, 0.9])
     base = integrate_cubic(np.eye(3), fig1_trajectory, 1e-3)
     moved = integrate_cubic(g, fig1_trajectory, 1e-3)
@@ -702,9 +710,114 @@ def test_integrate_cubic_left_invariance(fig1_trajectory):
     assert np.max(np.abs(moved.rotations - translated)) < 1e-10
 
 
-def test_integrate_cubic_rejects_bad_start(fig1_trajectory):
+def test_integrate_cubic_rejects_bad_start(fig1_trajectory, engine):
     with pytest.raises(ValueError):
         integrate_cubic(1.5 * np.eye(3), fig1_trajectory, 1e-3)
+
+
+@pytest.mark.parametrize("t1", [5.0, 50.0], ids=["rot-long", "long-horizon"])
+def test_integrate_cubic_stays_within_rounding_of_the_matmul_product(t1, engine):
+    # the 5,000 steps of the bench's rot-long and the 50,000 of CI's
+    # long-horizon cubic, against the same steps in matmul's products
+    # (measured 6.6e-15 and 2.5e-14; defects 1.4e-14 and 3.3e-14)
+    traj = integrate_quadratic(fig3_ivp(0.05, t1=t1), 1e-3)
+    x0 = rot_exp([0.3, -0.2, 0.9])
+    rt = integrate_cubic(x0, traj, 1e-3)
+    _, h, _ = quadratic._uniform_grid(traj.t0, traj.t1, 1e-3)
+    va, vb = (traj.at_fraction(node) for node in _GAUSS_NODES)
+    omega = (0.5 * h) * (va + vb) - (quadratic._MAGNUS_COMMUTATOR * h * h) * np.cross(vb, va)
+    ref = matmul_running_product(x0, rot_exp(omega))
+    assert np.max(np.linalg.norm(rt.rotations - ref, axis=(1, 2))) <= 1e-13
+    assert rt.max_rotation_error() <= 1e-13
+    assert np.array_equal(rt.rotations[0], x0)
+
+
+def _magnus_outcome(magnus, *args):
+    """The rotation bytes of a Magnus pass, or its ValueError message."""
+    try:
+        return magnus(*args).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+# a non-finite entry of va or vb: its step (modulo n), its column of
+# (va, vb) and its value
+bad_entries = st.tuples(st.integers(0, 2 ** 31), st.integers(0, 5),
+                        st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(1, 300), st.just(5000)), st.integers(0, 2 ** 32 - 1),
+       st.floats(1e-3, 2.0), st.floats(-12.0, 3.0), st.lists(bad_entries, max_size=2))
+@example(1, 0, 2.0, 3.0, [])
+@example(5000, 1, 1e-3, -12.0, [(17, 4, math.nan)])
+@example(17, 2, 0.5, 0.0, [(0, 0, math.inf), (9, 1, -math.inf)])
+def test_magnus_pass_matches_the_numpy_twin_bit_for_bit(n, seed, h, low, bad):
+    # every step is zero (va = vb = 0), single (vb = 0 and |W| = 10^U(low, 3)
+    # up to rounding) or a pair (random va and vb, |W| up to about 2e2); a
+    # NaN or infinite entry makes both engines raise rot_exp's ValueError
+    magnus = _require_magnus_kernel()
+    rng = np.random.default_rng(seed)
+    x0 = rot_exp(rng.normal(size=3))
+    kind = rng.integers(0, 3, size=n)
+    scale = (10.0 ** rng.uniform(low, 3.0, size=n))[:, None]
+    va, vb = rng.normal(size=(2, n, 3))
+    va[kind == 1] *= 2.0 * scale[kind == 1] / (h * np.linalg.norm(va[kind == 1], axis=1)[:, None])
+    va[kind == 2] *= np.minimum(scale[kind == 2], 30.0) / h
+    vb[kind == 2] *= np.minimum(scale[kind == 2], 30.0) / h
+    va[kind == 0] = 0.0
+    vb[kind != 2] = 0.0
+    for k, column, value in bad:
+        (va, vb)[column // 3][k % n, column % 3] = value
+    ours = _magnus_outcome(magnus, x0, va, vb, h)
+    assert ours == _magnus_outcome(quadratic._magnus_python, x0, va, vb, h)
+    if bad:
+        assert ours == "vector has non-finite components"
+    else:
+        rotations = np.frombuffer(ours).reshape(n + 1, 3, 3)
+        assert np.array_equal(rotations[0], x0) and rotation_error(rotations) < 1e-12
+
+
+def test_magnus_self_check_covers_block_sizes_and_angles():
+    # step counts 1 to 17 (block sizes 1 to 5, the twin's last block padded
+    # or not), and every angle of _CHECK_MAGNUS_W as a W of its own
+    cases = quadratic._magnus_checks()
+    counts = {len(va) for _, va, _, _ in cases}
+    assert counts == {1, 2, 3, 4, 5, 9, 10, 17}
+    sizes = {n: math.isqrt(n - 1) + 1 for n in counts}
+    assert {n % sizes[n] == 0 for n in counts if sizes[n] > 1} == {True, False}
+    norms = [math.hypot(*row) for _, va, vb, h in cases if h == 2.0
+             for row, zero in zip(va.tolist(), ~vb.any(axis=1)) if zero]
+    for angle in quadratic._CHECK_MAGNUS_W:
+        assert any(abs(norm - angle) <= 1e-15 * angle for norm in norms), angle
+    # a pass that ends on a NaN step, where both engines raise
+    assert any(not np.all(np.isfinite(va)) for _, va, _, _ in cases)
+
+
+def test_failed_magnus_self_check_runs_the_twin(fresh_loader, monkeypatch):
+    traj = integrate_quadratic(fig1_ivp(1.0), 1e-2)
+    expected = integrate_cubic(np.eye(3), traj, 1e-2).rotations
+    _native.kernel.cache_clear()
+    # the self-check compares against a twin one ulp off in its last entry
+    twin = quadratic._magnus_python
+
+    def one_ulp_off(x0, va, vb, h):
+        out = twin(x0, va, vb, h)
+        out[-1, -1, -1] = np.nextafter(out[-1, -1, -1], np.inf)
+        return out
+
+    monkeypatch.setattr(quadratic, "_magnus_python", one_ulp_off)
+    assert quadratic._magnus_kernel() is None
+    calls = []
+    monkeypatch.setattr(quadratic, "_magnus_python",
+                        lambda *args: calls.append(args) or twin(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rotations = integrate_cubic(np.eye(3), traj, 1e-2).rotations
+    assert len(calls) == 1 and rotations.tobytes() == expected.tobytes()
+    # the step loop's kernel is built, loaded and checked on its own
+    if _native._build("rk4") is not None:
+        assert quadratic._kernel() is not None
 
 
 def test_rotation_trajectory_lookup(fig1_trajectory):
