@@ -15,11 +15,26 @@
  * at least two exponent digits (1e-05, 1.5e+16); 0.0 and -0.0 keep their
  * own text.
  *
- * format_slots writes the text of x[i] into the SLOT bytes at slots + SLOT i
- * and its length into lens[i].  join_slots then writes rows x cols slots
- * row by row, the slots of a row separated by sep and the rows by row_sep.
+ * format_fixed2 writes Python's "%.2f" text of doubles, for the points of
+ * so3cubics.output's SVG polylines.  For finite |x| < 1e13 it takes the
+ * exact product |x| 100 = p + e, p = fl(|x| 100), by Dekker's split at
+ * 2^27 + 1 (T. J. Dekker, "A floating-point technique for extending the
+ * available precision", Numer. Math. 18, 1971); the kernels are built
+ * with -ffp-contract=off, so no fused multiply-add changes e.  The cents
+ * are q = nearbyint(p), half to even.  Where p - q = +-0.5 the sign of e
+ * says on which side of the half the exact product lies, and e = 0 is a
+ * true tie, which "%.2f" also rounds to even.  The sign is that of x, so
+ * -0.001 gives -0.00 as in Python.  NaN, the infinities and |x| >= 1e13
+ * are left empty for Python to write.  (glibc's sprintf "%.2f" gives the
+ * same text but is slower than Python's own formatting.)
+ *
+ * format_slots and format_fixed2 write the text of x[i] into the SLOT
+ * bytes at slots + SLOT i and its length into lens[i].  join_slots then
+ * writes rows x cols slots row by row, the slots of a row separated by sep
+ * and the rows by row_sep.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -221,6 +236,54 @@ long long format_slots(const double *x, long long n, char *slots, unsigned char 
     long long empty = 0;
     for (long long i = 0; i < n; i++) {
         int len = format_one(x[i], slots + SLOT * i);
+        lens[i] = (unsigned char)len;
+        empty += len == 0;
+    }
+    return empty;
+}
+
+/* "%.2f"'s text of x into out; returns its length, or 0 where it leaves
+ * x to Python */
+static int format_fixed2_one(double x, char *out)
+{
+    const double r = fabs(x);
+    if (!(r < 1e13))
+        return 0;   /* NaN, an infinity, or too large */
+    /* r 100 = p + e exactly: r = hi + lo by Dekker's split, and 100 needs
+     * none, so hi 100 and lo 100 are exact */
+    const double p = r * 100.0;
+    const double t = r * 134217729.0;
+    const double hi = t - (t - r), lo = r - hi;
+    const double e = (hi * 100.0 - p) + lo * 100.0;
+    double q = nearbyint(p);
+    if (p - q == 0.5 && e > 0.0)
+        q += 1.0;
+    else if (p - q == -0.5 && e < 0.0)
+        q -= 1.0;
+    /* the digits of the cents, at least three, last first */
+    uint64_t cents = (uint64_t)q;
+    char digits[20];
+    int n = 0, len = 0;
+    do {
+        digits[n++] = (char)('0' + cents % 10);
+        cents /= 10;
+    } while (cents || n < 3);
+    if (signbit(x))
+        out[len++] = '-';
+    while (n > 2)
+        out[len++] = digits[--n];
+    out[len++] = '.';
+    out[len++] = digits[1];
+    out[len++] = digits[0];
+    return len;
+}
+
+/* returns the number of slots left empty */
+long long format_fixed2(const double *x, long long n, char *slots, unsigned char *lens)
+{
+    long long empty = 0;
+    for (long long i = 0; i < n; i++) {
+        int len = format_fixed2_one(x[i], slots + SLOT * i);
         lens[i] = (unsigned char)len;
         empty += len == 0;
     }

@@ -22,7 +22,8 @@
  * va and vb hold V at the two Gauss nodes of the n >= 1 steps, three
  * doubles a step; hh = h / 2 and cc = (sqrt(3) / 12) h h.  out holds n + 1
  * rotations of nine doubles, row by row, with x0 already in out[0..8].
- * The return value is -1, or the first step whose W is not finite; the
+ * The return value is -1, or the first step whose W is not finite or whose
+ * squared norm (xx + yy) + zz overflows, where the twin raises; the
  * rotations from that step on are then not written.
  */
 
@@ -45,12 +46,16 @@ static void product(const double *restrict a, const double *restrict b, double *
             c[3 * i + j] = (a[3 * i] * b[j] + a[3 * i + 1] * b[3 + j]) + a[3 * i + 2] * b[6 + j];
 }
 
-/* exp(ad w), row by row */
-static void rot_exp(const double *restrict w, double *restrict r)
+/* exp(ad w), row by row; returns 0, with r not written, where the squared
+ * norm of w is not finite */
+static int rot_exp(const double *restrict w, double *restrict r)
 {
     const double x = w[0], y = w[1], z = w[2];
     const double xx = x * x, yy = y * y, zz = z * z;
-    const double theta = sqrt((xx + yy) + zz);
+    const double theta2 = (xx + yy) + zz;
+    if (!isfinite(theta2))
+        return 0;
+    const double theta = sqrt(theta2);
     const double a = sinc(theta / PI);
     const double s = sinc(theta / (2.0 * PI));
     const double b = 0.5 * (s * s);
@@ -65,6 +70,7 @@ static void rot_exp(const double *restrict w, double *restrict r)
     r[6] = bxz - ay;
     r[7] = byz + ax;
     r[8] = 1.0 - b * (xx + yy);
+    return 1;
 }
 
 long long magnus_steps(const double *va, const double *vb, long long n, double hh, double cc,
@@ -85,9 +91,8 @@ long long magnus_steps(const double *va, const double *vb, long long n, double h
             hh * (a[1] + b[1]) - cc * (b[2] * a[0] - b[0] * a[2]),
             hh * (a[2] + b[2]) - cc * (b[0] * a[1] - b[1] * a[0]),
         };
-        if (!(isfinite(w[0]) && isfinite(w[1]) && isfinite(w[2])))
+        if (!(isfinite(w[0]) && isfinite(w[1]) && isfinite(w[2]) && rot_exp(w, step)))
             return k;
-        rot_exp(w, step);
         if (k % size == 0) {
             /* a new block: its carry is the rotation just before it */
             carry = out + 9 * k;

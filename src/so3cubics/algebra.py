@@ -22,7 +22,8 @@ FRAME_TOL = 1e-12          # orthonormality tolerance for Frame validation
 # Gram determinants in
 _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
-# the ValueError message of a vector with a NaN or infinite component
+# the ValueError message of a vector with a NaN or infinite component, and
+# of rot_exp's vector whose squared norm overflows
 _NOT_FINITE = "vector has non-finite components"
 
 
@@ -75,16 +76,23 @@ def rot_exp(v) -> np.ndarray:
     diagonal is 1 - b (y^2 + z^2) and so on, and the entry (0, 1) is
     b x y - a z.  Both coefficients are written through sinc, so the
     zero-angle limit is exact rather than a truncated series.  A stack of
-    vectors, shape S + (3,), gives rotations of shape S + (3, 3).
+    vectors, shape S + (3,), gives rotations of shape S + (3, 3).  A
+    vector that is not finite, or whose squared norm theta^2 overflows
+    (|v| above about 1.3e154), raises ValueError.
     """
     return _rot_exp(as_vectors(v))
 
 
 def _rot_exp(v: np.ndarray) -> np.ndarray:
-    """`rot_exp` of a float array of finite 3-vectors, unchecked."""
+    """`rot_exp` of a float array of finite 3-vectors: ValueError where a
+    squared norm overflows, and no float warning."""
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    xx, yy, zz = x * x, y * y, z * z
-    theta = np.sqrt(xx + yy + zz)
+    with np.errstate(over="ignore"):
+        xx, yy, zz = x * x, y * y, z * z
+        theta2 = xx + yy + zz
+    if not np.all(np.isfinite(theta2)):
+        raise ValueError(_NOT_FINITE)
+    theta = np.sqrt(theta2)
     a = np.sinc(theta / np.pi)
     b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
     ax, ay, az = a * x, a * y, a * z

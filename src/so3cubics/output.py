@@ -13,11 +13,15 @@ comes from `repr` in Python: one `%` format call per block with each
 distinct float formatted once.  JSON lists and the other arrays' lists are
 written item by item; the harness keeps every series that grows with the
 sample count an array, so its lists grow only with the number of deltas.
-An SVG polyline's points take one `%.2f` format call.  The bytes are those
-of `csv.writer`, of `json.dumps(indent=2, sort_keys=True)` and of `%.2f`:
-floats in tables and payloads take their shortest round-trip form, so a
-given config always produces byte-identical files, with the kernel or
-without it.
+An SVG polyline's points go through `_fixed_text`, the same kernel's
+second text: `%.2f` of every coordinate from an exact product in C, into
+the same slots, with Python's `%.2f` filling the slots of NaN, the
+infinities and coordinates of 1e13 or more, and the slots joined in C.
+Where the kernel cannot be had they take one `%.2f` format call.  The
+bytes are those of `csv.writer`, of `json.dumps(indent=2,
+sort_keys=True)` and of `%.2f`: floats in tables and payloads take their
+shortest round-trip form, so a given config always produces
+byte-identical files, with the kernel or without it.
 SVG plots are plain polyline renders of orthographically projected
 curves; every SVG has a CSV twin carrying the exact plotted numbers.
 """
@@ -29,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -82,13 +87,28 @@ def _float_text(values: np.ndarray, sep: str, row_sep: str) -> str:
     """The `repr` of every float of the 2-D array `values`, those of a row
     joined by `sep` and the rows joined by `row_sep`: by the float-text
     kernel where it can be had, else by `_float_text_python`."""
-    return (_kernel() or _float_text_python)(values, sep, row_sep)
+    kernel = _kernel()
+    return (kernel.shortest if kernel else _float_text_python)(values, sep, row_sep)
+
+
+def _fixed_text(values: np.ndarray, sep: str, row_sep: str) -> str:
+    """`_float_text` with the `%.2f` text of every float in place of its
+    `repr`: by the float-text kernel where it can be had, else by
+    `_fixed_text_python`."""
+    kernel = _kernel()
+    return (kernel.fixed2 if kernel else _fixed_text_python)(values, sep, row_sep)
 
 
 def _float_text_python(values: np.ndarray, sep: str, row_sep: str) -> str:
     """`_float_text` in Python: one `%` format call over `_float_texts`."""
     line = sep.join(["%s"] * values.shape[1])
     return row_sep.join([line] * len(values)) % _float_texts(values)
+
+
+def _fixed_text_python(values: np.ndarray, sep: str, row_sep: str) -> str:
+    """`_fixed_text` in Python: one `%` format call."""
+    line = sep.join(["%.2f"] * values.shape[1])
+    return row_sep.join([line] * len(values)) % tuple(values.ravel().tolist())
 
 
 def _float_texts(block: np.ndarray) -> tuple:
@@ -101,10 +121,19 @@ def _float_texts(block: np.ndarray) -> tuple:
     return tuple(texts[inverse])
 
 
-def _kernel():
-    """The float-text kernel of `_floattext.c` as a function with
-    `_float_text_python`'s signature, or None where it cannot be had (see
-    `_native`); then `_float_text_python` runs instead."""
+class _FloatKernel(NamedTuple):
+    """The float-text kernel's two texts: `shortest` with
+    `_float_text_python`'s signature and `fixed2` with
+    `_fixed_text_python`'s."""
+
+    shortest: Callable[[np.ndarray, str, str], str]
+    fixed2: Callable[[np.ndarray, str, str], str]
+
+
+def _kernel() -> _FloatKernel | None:
+    """The float-text kernel of `_floattext.c`, or None where it cannot be
+    had (see `_native`); then `_float_text_python` and `_fixed_text_python`
+    run instead."""
     return _native.kernel("floattext", _bind_floattext)
 
 
@@ -116,55 +145,86 @@ _CHECK_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.22507385850
                  1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-05, 0.0001, 100.0,
                  -0.1, 1 / 3, 2.0 ** 63, 1.5e300, 9.5e-7, -1e22, 1e23, 5e-310)
 
+# the fixed-point self-check's floats, before the ties k/8, the neighbours
+# of k + 0.005 and 240 random pixel values: both zeros, tiny negatives
+# (-0.00), halves of a cent that are not ties, both sides of the 1e13 cut
+# (the kernel leaves 1e13 to Python, as NaN and the infinities) and the
+# longest texts that fit a slot
+_CHECK_FIXED = (0.0, -0.0, -0.001, -1e-300, -5e-324, 5e-324, 0.005, 0.015, 2.675, 1.005, -2.675,
+                math.nextafter(1e13, 0.0), 1e13, -math.nextafter(1e13, 0.0), -1e13,
+                math.nan, math.inf, -math.inf, 1e28, -1e28)
 
-def _bind_floattext(library):
-    """`library`'s float text as a function with `_float_text_python`'s
-    signature, if the two give the same text of a fixed check table, else
-    None.
+
+def _bind_floattext(library) -> _FloatKernel | None:
+    """`library`'s two float texts, if each gives the text of its Python
+    twin on a fixed check table, else None.
 
     The kernel writes each float's text into a slot of its own and leaves
-    the slot empty where Grisu3 cannot prove its digits; Python writes
-    `repr` into those slots, and the kernel then joins the slots.
+    the slot empty where it cannot write it: where Grisu3 cannot prove the
+    digits of `repr`, and for `%.2f` at NaN, the infinities and 1e13 or
+    more.  Python writes its text into those slots, and the kernel then
+    joins the slots.  A `%.2f` text longer than a slot, that of a float of
+    magnitude 1e29 or so, sends the whole array to the twin.
     """
     import ctypes
 
-    fill, join = library.format_slots, library.join_slots
-    fill.argtypes = (ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p)
-    fill.restype = ctypes.c_longlong
+    join = library.join_slots
     join.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong,
                      ctypes.c_char_p, ctypes.c_longlong, ctypes.c_char_p, ctypes.c_longlong,
                      ctypes.c_void_p)
     join.restype = ctypes.c_longlong
 
-    def float_text(values: np.ndarray, sep: str, row_sep: str) -> str:
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        rows, cols = values.shape
-        n = rows * cols
-        slots = np.empty(n * _SLOT, dtype=np.uint8)
-        lens = np.empty(n, dtype=np.uint8)
-        if fill(values.ctypes.data, n, slots.ctypes.data, lens.ctypes.data):
-            flat, view = values.ravel(), slots.data
-            for i in np.flatnonzero(lens == 0).tolist():
-                text = float.__repr__(flat[i]).encode()
-                view[_SLOT * i:_SLOT * i + len(text)] = text
-                lens[i] = len(text)
-        sep_bytes, row_bytes = sep.encode(), row_sep.encode()
-        size = (int(lens.sum()) + rows * max(cols - 1, 0) * len(sep_bytes)
-                + max(rows - 1, 0) * len(row_bytes))
-        # room for the kernel's fixed-size copies past the end
-        out = np.empty(size + _SLOT, dtype=np.uint8)
-        join(slots.ctypes.data, lens.ctypes.data, rows, cols, sep_bytes, len(sep_bytes),
-             row_bytes, len(row_bytes), out.ctypes.data)
-        return str(out.data[:size], "ascii")
+    def slot_text(fill, one, twin):
+        """The text of a kernel's `fill`, with `one` writing a float that
+        `fill` leaves to Python, as a function with `twin`'s signature."""
+        fill.argtypes = (ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p)
+        fill.restype = ctypes.c_longlong
+
+        def text(values: np.ndarray, sep: str, row_sep: str) -> str:
+            values = np.ascontiguousarray(values, dtype=np.float64)
+            rows, cols = values.shape
+            n = rows * cols
+            slots = np.empty(n * _SLOT, dtype=np.uint8)
+            lens = np.empty(n, dtype=np.uint8)
+            if fill(values.ctypes.data, n, slots.ctypes.data, lens.ctypes.data):
+                flat, view = values.ravel(), slots.data
+                for i in np.flatnonzero(lens == 0).tolist():
+                    own = one(flat[i]).encode()
+                    if len(own) > _SLOT:
+                        return twin(values, sep, row_sep)
+                    view[_SLOT * i:_SLOT * i + len(own)] = own
+                    lens[i] = len(own)
+            sep_bytes, row_bytes = sep.encode(), row_sep.encode()
+            size = (int(lens.sum()) + rows * max(cols - 1, 0) * len(sep_bytes)
+                    + max(rows - 1, 0) * len(row_bytes))
+            # room for the kernel's fixed-size copies past the end
+            out = np.empty(size + _SLOT, dtype=np.uint8)
+            join(slots.ctypes.data, lens.ctypes.data, rows, cols, sep_bytes, len(sep_bytes),
+                 row_bytes, len(row_bytes), out.ctypes.data)
+            return str(out.data[:size], "ascii")
+
+        return text
+
+    kernel = _FloatKernel(
+        slot_text(library.format_slots, float.__repr__, _float_text_python),
+        slot_text(library.format_fixed2, "%.2f".__mod__, _fixed_text_python))
 
     rng = np.random.default_rng(2010)
-    check = np.concatenate([
+    shortest = np.concatenate([
         _CHECK_FLOATS,
         rng.integers(-2 ** 63, 2 ** 63, 240, dtype=np.int64).view(np.float64),
         rng.normal(size=240) * 10.0 ** rng.integers(-8, 20, 240),
     ]).reshape(-1, 3)
-    ours, theirs = (text(check, ", ", "\r\n") for text in (float_text, _float_text_python))
-    return float_text if ours == theirs else None
+    cents = np.arange(-20.0, 20.0) + 0.005
+    fixed = np.concatenate([
+        _CHECK_FIXED,
+        np.arange(-40, 40) / 8.0,
+        np.nextafter(cents, -np.inf), np.nextafter(cents, np.inf),
+        rng.uniform(-1000.0, 1000.0, 240),
+    ]).reshape(-1, 2)
+    same = (kernel.shortest(shortest, ", ", "\r\n") == _float_text_python(shortest, ", ", "\r\n")
+            and kernel.fixed2(fixed, ",", " ") == _fixed_text_python(fixed, ",", " "))
+    return kernel if same else None
 
 
 def write_json(path: Path, payload) -> Path:
@@ -337,8 +397,7 @@ def render_svg(curves: list[SvgCurve], title: str = "",
                      f'font-family="sans-serif" font-size="10">{corner[1]:.3g}</text>')
     legend_y = margin + 4.0
     for curve in curves:
-        flat = to_px(curve.points).ravel().tolist()
-        coords = " ".join(["%.2f,%.2f"] * (len(flat) // 2)) % tuple(flat)
+        coords = _fixed_text(to_px(curve.points), ",", " ")
         dash = ' stroke-dasharray="6,4"' if curve.dashed else ""
         parts.append(f'<polyline fill="none" stroke="{curve.color}" stroke-width="1.5"'
                      f'{dash} points="{coords}"/>')

@@ -555,8 +555,9 @@ def integrate_cubic(x0, velocity, step: float, t0: float | None = None,
     every 3x3 product is summed in one fixed order.  The W_k, their
     exponentials and the product are one pass of the C kernel of
     `_magnus.c` where it can be had (`_magnus_kernel`), else its numpy
-    twin `_magnus_python`, with the same bits.  A W_k that is not finite
-    raises ValueError, as `rot_exp` does.  The curve stays on SO(3) to
+    twin `_magnus_python`, with the same bits.  A W_k that is not finite,
+    or whose squared norm overflows, raises ValueError, as `rot_exp` does.
+    The curve stays on SO(3) to
     rounding, so it is never renormalized.
 
     `velocity` is either a QuadraticTrajectory (dense-evaluated on its own
@@ -590,9 +591,10 @@ def _magnus_python(x0: np.ndarray, va: np.ndarray, vb: np.ndarray, h: float) -> 
     """The rotations x0, x0 S_0, ..., x0 S_0 ... S_{n-1}, shape (n + 1, 3,
     3), of n Magnus steps S_k = rot_exp(W_k) of size h, from V at the two
     Gauss nodes of every step, va and vb, shape (n, 3): the numpy twin of
-    `_magnus.c`, operation for operation.  A W_k that is not finite raises
-    rot_exp's ValueError; no float warning escapes.  It calls rot_exp's
-    body, so that the kernel's self-check calls no public function."""
+    `_magnus.c`, operation for operation.  A W_k that is not finite, or
+    whose squared norm overflows, raises rot_exp's ValueError; no float
+    warning escapes.  It calls rot_exp's body, so that the kernel's
+    self-check calls no public function."""
     with np.errstate(over="ignore", invalid="ignore"):
         omega = (0.5 * h) * (va + vb) - (_MAGNUS_COMMUTATOR * h * h) * np.cross(vb, va)
         if not np.all(np.isfinite(omega)):
@@ -701,8 +703,9 @@ def _magnus_checks() -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
     padding in the twin.  At h = 2 every even step has vb = 0, so its W is
     va, whose norm runs through `_CHECK_MAGNUS_W` in the direction of a
     random unit vector; every other step has random va and vb of norms
-    1e-8 to 1e2.  At h = 0.3 every step is random, and the last case ends
-    on a NaN step."""
+    1e-8 to 1e2.  At h = 0.3 every step is random, and the last two cases
+    end on a step whose W is finite but overflows its squared norm and on
+    a NaN step."""
     rng = np.random.default_rng(1999)
     x0 = _rot_exp(rng.normal(size=3))
     cases = []
@@ -715,7 +718,8 @@ def _magnus_checks() -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
         designed[0][::2] = units[::2] * norms[::2, None]
         designed[1][::2] = 0.0
         cases += [(x0, *designed, _CHECK_MAGNUS_H[0]), (x0, va, vb, _CHECK_MAGNUS_H[1])]
-    va = va.copy()
+    huge, va = va.copy(), va.copy()
+    huge[-1] = (1e200, 0.0, 0.0)
     va[-1, 1] = math.nan
-    cases.append((x0, va, vb, _CHECK_MAGNUS_H[1]))
+    cases += [(x0, huge, vb, _CHECK_MAGNUS_H[1]), (x0, va, vb, _CHECK_MAGNUS_H[1])]
     return cases

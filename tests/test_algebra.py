@@ -119,6 +119,17 @@ def test_scalar_exp_and_ad_keep_shapes():
         ad_matrix([[0.1, 0.2, math.nan]])
 
 
+def test_rot_exp_refuses_a_squared_norm_that_overflows():
+    # |v| above about 1.3e154: theta^2 overflows, as for a vector that is
+    # not finite, with no float warning; just below it, a rotation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in ([1e200, 0.0, 0.0], [[0.1, 0.2, 0.3], [1e154, 1e154, 0.0]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                rot_exp(v)
+        assert rotation_error(rot_exp([1e154, 0.0, 0.0])) < 1e-12
+
+
 def test_rotation_error_of_a_stack_is_the_worst():
     rots = rot_exp(np.array([[0.1, 0.2, 0.3], [0.0, -1.0, 2.0], [0.5, 0.5, 0.5]]))
     bent = rots.copy()

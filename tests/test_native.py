@@ -1,6 +1,7 @@
 """The C kernels and their loader: the float-text kernel gives
-`float.__repr__`'s text, every kernel falls back to its Python twin on its
-own with the same bytes, and every C source ships with the package.
+`float.__repr__`'s and `%.2f`'s text, every kernel falls back to its
+Python twin on its own with the same bytes, and every C source ships with
+the package.
 
 Run as a script, this file prints the generated header of cached powers of
 ten that `_floattext.c` includes:
@@ -12,6 +13,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import sysconfig
 import tomllib
@@ -24,8 +26,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from so3cubics import _native, output, quadratic
-from so3cubics.output import KERNEL_MIN_FLOATS, write_csv, write_json
+from so3cubics import _native, harness, output, quadratic
+from so3cubics.cli import main
+from so3cubics.output import KERNEL_MIN_FLOATS, SvgCurve, render_svg, write_csv, write_json
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "so3cubics"
@@ -115,13 +118,14 @@ def _unbound(library):
     return library
 
 
-def _slot_texts(values) -> list:
-    """The kernel's own text of every float, None where it leaves the slot
-    to repr."""
+def _slot_texts(values, name="format_slots") -> list:
+    """The kernel's own text of every float, by its function `name`
+    (format_slots, repr, or format_fixed2, %.2f), None where it leaves the
+    slot to Python."""
     import ctypes
 
     library = _native.kernel("floattext", _unbound)
-    fill = library.format_slots
+    fill = getattr(library, name)
     fill.argtypes = (ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p)
     fill.restype = ctypes.c_longlong
     values = np.ascontiguousarray(values, dtype=np.float64)
@@ -188,6 +192,46 @@ def test_float_text_gives_up_rarely_on_random_floats():
     assert sum(t is None for t in _slot_texts(values)) < 0.03 * values.size
 
 
+def _ulps(x: float, steps: int) -> float:
+    """x moved by `steps` floats, up or down."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# %.2f's hard cases: exact ties k/8 (half a cent at odd k), k + 0.005 and
+# its neighbours, both zeros, tiny negatives (-0.00), the floats around
+# the 1e13 cut, NaN and the infinities, besides pixel values and any float
+_fixed_floats = st.one_of(
+    st.integers(-10 ** 9, 10 ** 9).map(lambda k: k / 8),
+    st.tuples(st.integers(-10 ** 9, 10 ** 9), st.integers(-2, 2)).map(
+        lambda ks: _ulps(ks[0] + 0.005, ks[1])),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, -5e-324, -1e-300]),
+    st.floats(-0.005, -0.0),
+    st.tuples(st.sampled_from([1e13, -1e13]), st.integers(-3, 3)).map(lambda xs: _ulps(*xs)),
+    st.floats(-1e4, 1e4),
+    st.floats(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_fixed_floats, min_size=1, max_size=200))
+@example([0.005, 0.015, 2.675, 1.005, 0.125, 0.375, -0.0, -0.001, 5e-324, 1e13,
+          math.nextafter(1e13, 0.0), 9999999999999.995, math.nan, -math.inf])
+def test_fixed_text_is_percent_2f(values):
+    _require_float_kernel()
+    texts = _slot_texts(values, "format_fixed2")
+    expected = ["%.2f" % v for v in values]
+    assert [(v, t) for v, t, e in zip(values, texts, expected) if t is not None and t != e] == []
+    # the kernel leaves NaN, the infinities and |x| >= 1e13 to Python, and
+    # only those
+    assert [t is None for t in texts] == [not abs(v) < 1e13 for v in values]
+    # the polyline text: "x,y" points joined by spaces
+    points = np.array(values + values[-1:] * (len(values) % 2)).reshape(-1, 2)
+    assert output._fixed_text(points, ",", " ") == " ".join(
+        "%.2f,%.2f" % (x, y) for x, y in points.tolist())
+
+
 # --------------------------------------------------------------- fallback
 
 # NaN, the infinities, both zeros, subnormals and 17-digit floats
@@ -198,12 +242,14 @@ _TABLE = np.concatenate([
 
 
 def _writes_python_text(tmp_path, monkeypatch):
-    """write_csv and write_json run the Python float text, silently, and
-    write csv.writer's and json.dumps' bytes."""
-    calls = []
-    python_texts = output._float_texts
+    """write_csv, write_json and render_svg run the Python float text,
+    silently, and write csv.writer's and json.dumps' bytes and `%.2f`."""
+    calls, fixed_calls = [], []
+    python_texts, python_fixed = output._float_texts, output._fixed_text_python
     monkeypatch.setattr(output, "_float_texts",
                         lambda block: calls.append(block) or python_texts(block))
+    monkeypatch.setattr(output, "_fixed_text_python",
+                        lambda *args: fixed_calls.append(args) or python_fixed(*args))
     finite = _TABLE[1:]   # the first row holds NaN and the infinities
     payload = {"table": finite, "list": finite[:, 0].tolist(), "nan": _TABLE[:, 0].tolist()}
     assert finite.size >= KERNEL_MIN_FLOATS and len(payload["list"]) >= KERNEL_MIN_FLOATS
@@ -220,6 +266,32 @@ def _writes_python_text(tmp_path, monkeypatch):
     expected = json.dumps({k: np.asarray(v).tolist() for k, v in payload.items()},
                           indent=2, sort_keys=True) + "\n"
     assert report == expected.encode()
+    # one call per polyline, the markers' f-strings from the same pixels
+    curve = SvgCurve("c", finite[:, :2], markers=[(x, y, "") for x, y in finite[:, :2].tolist()])
+    svg = render_svg([curve, curve])
+    assert len(fixed_calls) == 2
+    circles = [f"{x},{y}" for x, y in re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', svg)]
+    assert re.findall(r'points="([^"]*)"', svg) == [" ".join(circles[:len(finite)])] * 2
+
+
+@pytest.mark.parametrize("argv", [["figure2", "--step", "0.025", "--stride", "0.05"],
+                                  ["figure3", "--step", "0.01", "--stride", "0.02"]])
+def test_dense_figure_svg_is_the_same_with_the_kernel_and_the_twin(fresh_loader, monkeypatch,
+                                                                   argv):
+    drawn = []
+    monkeypatch.setattr(harness, "write_svg",
+                        lambda path, curves, title="": drawn.append((curves, title)) or path)
+    assert main([*argv, "--formats", "svg", "--out", str(fresh_loader / "out")]) == 0
+    [(curves, title)] = drawn
+    assert sum(len(curve.points) for curve in curves) >= 1000
+    _require_float_kernel()
+    kernel = render_svg(curves, title)
+    blocker = fresh_loader / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    _native.kernel.cache_clear()
+    assert output._kernel() is None
+    assert render_svg(curves, title) == kernel
 
 
 def test_float_kernel_and_python_text_give_the_same_bytes(tmp_path, monkeypatch):
@@ -263,6 +335,20 @@ def test_failed_float_self_check_writes_the_python_text(fresh_loader, monkeypatc
     # the step loop's kernel is built, loaded and checked on its own
     if _native._build("rk4") is not None:
         assert quadratic._kernel() is not None
+
+
+def test_failed_fixed_self_check_writes_the_python_text(fresh_loader, monkeypatch):
+    # the %.2f twin that the self-check compares against is off in one
+    # float: the kernel goes for CSV and JSON as well as for SVG
+    python_fixed = output._fixed_text_python
+
+    def one_text_off(values, sep, row_sep):
+        return "0" + python_fixed(values, sep, row_sep)
+
+    monkeypatch.setattr(output, "_fixed_text_python", one_text_off)
+    assert output._kernel() is None
+    monkeypatch.setattr(output, "_fixed_text_python", python_fixed)
+    _writes_python_text(fresh_loader, monkeypatch)
 
 
 if __name__ == "__main__":

@@ -636,6 +636,20 @@ def test_integrate_cubic_zero_velocity(engine):
     assert np.max(np.abs(rt.rotations - x0)) < 1e-14
 
 
+def test_integrate_cubic_refuses_a_step_whose_squared_norm_overflows(engine):
+    # W = 0.1 (1e200, 0, 0) is finite, but |W|^2 is not: the same ValueError
+    # as a W that is not finite, at any step, and no float warning
+    for first_bad in (0.0, 0.55):
+        velocity = lambda t: np.array([1e200 if t > first_bad else 1.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                integrate_cubic(np.eye(3), velocity, 0.1, t0=0.0, t1=1.0)
+    # just below the overflow the steps are rotations
+    rt = integrate_cubic(np.eye(3), lambda t: np.array([1e154, 0.0, 0.0]), 0.1, t0=0.0, t1=1.0)
+    assert rt.max_rotation_error() < 1e-12
+
+
 def test_integrate_cubic_constant_velocity_is_subgroup(engine):
     d = np.array([0.3, -0.5, 0.8])
     x0 = rot_exp([0.1, 0.7, 0.2])
@@ -740,10 +754,11 @@ def _magnus_outcome(magnus, *args):
         return str(exc)
 
 
-# a non-finite entry of va or vb: its step (modulo n), its column of
-# (va, vb) and its value
+# an entry of va or vb that makes its step's W not finite, or finite with
+# an overflowing squared norm (1e200, which no other entry cancels): its
+# step (modulo n), its column of (va, vb) and its value
 bad_entries = st.tuples(st.integers(0, 2 ** 31), st.integers(0, 5),
-                        st.sampled_from([math.nan, math.inf, -math.inf]))
+                        st.sampled_from([math.nan, math.inf, -math.inf, 1e200]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -752,6 +767,7 @@ bad_entries = st.tuples(st.integers(0, 2 ** 31), st.integers(0, 5),
 @example(1, 0, 2.0, 3.0, [])
 @example(5000, 1, 1e-3, -12.0, [(17, 4, math.nan)])
 @example(17, 2, 0.5, 0.0, [(0, 0, math.inf), (9, 1, -math.inf)])
+@example(17, 3, 2.0, 0.0, [(16, 3, 1e200)])
 def test_magnus_pass_matches_the_numpy_twin_bit_for_bit(n, seed, h, low, bad):
     # every step is zero (va = vb = 0), single (vb = 0 and |W| = 10^U(low, 3)
     # up to rounding) or a pair (random va and vb, |W| up to about 2e2); a
@@ -790,8 +806,10 @@ def test_magnus_self_check_covers_block_sizes_and_angles():
              for row, zero in zip(va.tolist(), ~vb.any(axis=1)) if zero]
     for angle in quadratic._CHECK_MAGNUS_W:
         assert any(abs(norm - angle) <= 1e-15 * angle for norm in norms), angle
-    # a pass that ends on a NaN step, where both engines raise
+    # passes that end on a NaN step and on a finite W whose squared norm
+    # overflows, where both engines raise
     assert any(not np.all(np.isfinite(va)) for _, va, _, _ in cases)
+    assert any(np.all(np.isfinite(va)) and np.max(np.abs(va)) > 1e154 for _, va, _, _ in cases)
 
 
 def test_failed_magnus_self_check_runs_the_twin(fresh_loader, monkeypatch):
