@@ -8,8 +8,8 @@ was built with and `FLAGS`, into $XDG_CACHE_HOME/so3cubics
 (~/.cache/so3cubics when that is unset) as `<name>-<hash>.so`, the hash
 taken over the source, the headers it includes, the compiler command and
 the platform.  The build goes to a temporary name first and is then moved
-into place, so a reader never sees half a file; the kernel's earlier
-builds in the cache, `<name>-<other hash>.so`, are then removed.  `bind`
+into place, so a reader never sees half a file; then all but the newest
+`_KEPT_BUILDS` builds of the kernel in the cache are removed.  `bind`
 receives the loaded library, declares its functions' types, runs the
 kernel's self-check against its Python twin, and returns what the module
 calls in place of that twin, or None when the check fails.
@@ -35,6 +35,9 @@ from pathlib import Path
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _HERE = Path(__file__).parent
+
+# the builds of a kernel that the cache keeps, for a few installed versions
+_KEPT_BUILDS = 4
 
 
 @cache
@@ -94,13 +97,15 @@ def _build(name: str) -> Path | None:
 
 
 def _remove_superseded(name: str, built: Path) -> None:
-    """Unlink the other builds of kernel `name`, `<name>-<16 hex digits>.so`,
-    from the directory of `built`, which an edited source or header or
-    another compiler leaves behind.  The builds of other kernels stay, and
-    a file that cannot be listed or removed is left as it is."""
+    """Unlink the builds of kernel `name`, `<name>-<16 hex digits>.so`, in
+    the directory of `built`, except `built` and the `_KEPT_BUILDS` - 1
+    newest others by mtime.  The builds of other kernels stay, and a file
+    that cannot be listed, read or removed is left as it is."""
     pattern = re.compile(re.escape(name) + r"-[0-9a-f]{16}\.so")
     with contextlib.suppress(OSError):
-        for path in built.parent.iterdir():
-            if path != built and pattern.fullmatch(path.name):
-                with contextlib.suppress(OSError):
-                    path.unlink()
+        others = [path for path in built.parent.iterdir()
+                  if path != built and pattern.fullmatch(path.name)]
+        others.sort(key=lambda path: path.stat().st_mtime, reverse=True)
+        for path in others[_KEPT_BUILDS - 1:]:
+            with contextlib.suppress(OSError):
+                path.unlink()

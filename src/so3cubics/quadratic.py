@@ -28,7 +28,9 @@ Hermite weights of theta, with no search and no division.  All other
 times go through `hermite`, which computes the cubics of only the
 intervals that the requested times fall in and keeps no coefficient
 table.  It writes scipy's CubicHermiteSpline formula directly, so its
-values are bit-identical to scipy's.
+values are bit-identical to scipy's.  For d = 2 `QuadraticTrajectory.eval`
+forms [V'', V] at the bracketing nodes only; `third_derivative_grid`, the
+whole grid of it, serves `at_fraction` and the reconstruction.
 Times outside the grid extrapolate the end cubics, as scipy's do; the
 evaluators of a trajectory (`QuadraticTrajectory.eval` and `jet`, the
 trajectory branch of `integrate_cubic`) first pass their times through
@@ -108,7 +110,7 @@ def hermite(x, y, m, t) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if y.shape[:1] != x.shape or m.shape != y.shape:
         raise ValueError("values and slopes must have shape (len(x),) + trailing")
-    return _hermite(x, y, m, t)
+    return _hermite(x, y, m.__getitem__, t)
 
 
 def _checked_nodes(x) -> np.ndarray:
@@ -120,12 +122,13 @@ def _checked_nodes(x) -> np.ndarray:
     return x
 
 
-def _hermite(x: np.ndarray, y: np.ndarray, m: np.ndarray, t) -> np.ndarray:
-    """`hermite` on float arrays it has already checked."""
+def _hermite(x: np.ndarray, y: np.ndarray, slopes, t) -> np.ndarray:
+    """`hermite` on float arrays it has already checked, its slopes read as
+    rows: slopes(i) is m[i] for an integer array i of node indices."""
     t = np.asarray(t, dtype=float)
     ts = t.ravel()
     i = np.clip(np.searchsorted(x, ts, side="right") - 1, 0, x.size - 2)
-    y0, y1, m0, m1 = y[i], y[i + 1], m[i], m[i + 1]
+    y0, y1, (m0, m1) = y[i], y[i + 1], slopes(np.stack((i, i + 1)))
     # dx and s broadcast against the trailing axes
     column = ts.shape + (1,) * (y.ndim - 1)
     dx = (x[i + 1] - x[i]).reshape(column)
@@ -199,7 +202,9 @@ class QuadraticTrajectory:
         Accepts scalar or array times within the grid's interval (see
         `check_times`); others raise OutOfDomain.  Derivative d is the
         Hermite interpolant of its node values with derivative d + 1 as
-        slope; the third derivative is assembled as [V''(t), V(t)].
+        slope, for d = 2 [V'', V] formed at the nodes that bracket t only
+        (those rows of `third_derivative_grid`, bit for bit); the third
+        derivative is assembled as [V''(t), V(t)].
         """
         if deriv == 3:
             return np.cross(self.eval(t, 2), self.eval(t))
@@ -207,7 +212,8 @@ class QuadraticTrajectory:
             raise ValueError("derivative order must be in 0..3")
         check_times(t, self.t0, self.t1)
         nodes = (self.v, self.v1, self.v2)
-        slopes = nodes[deriv + 1] if deriv < 2 else self.third_derivative_grid()
+        slopes = nodes[deriv + 1].__getitem__ if deriv < 2 else (
+            lambda i: np.cross(self.v2[i], self.v[i]))
         return _hermite(self._nodes, nodes[deriv], slopes, t)
 
     def at_fraction(self, theta: float, deriv: int = 0) -> np.ndarray:
@@ -236,7 +242,8 @@ class QuadraticTrajectory:
         return out
 
     def third_derivative_grid(self) -> np.ndarray:
-        """[V'', V] at the grid nodes: one read-only array, computed once."""
+        """[V'', V] at the grid nodes: one read-only array, computed once,
+        for the readers of every node (`at_fraction`, the reconstruction)."""
         return self._v3
 
     @cached_property

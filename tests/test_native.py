@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 import sysconfig
@@ -92,19 +93,39 @@ def test_package_data_covers_every_c_source_and_header():
 
 # ------------------------------------------------------------------ cache
 
-def test_a_build_removes_the_superseded_builds_of_its_kernel_only(fresh_loader):
-    # an earlier build of rk4 goes; drift's build and a name that only
-    # starts like rk4's stay
-    cache = fresh_loader / "cache" / "so3cubics"
+def _plant_builds(cache, names):
+    """Empty files `names` in `cache`, each a minute older than the one before."""
     cache.mkdir(parents=True)
-    planted = ["rk4-0000000000000000.so", "drift-0000000000000000.so",
-               "rk4-0000000000000000.so.old"]
-    for name in planted:
+    for age, name in enumerate(names, start=1):
         (cache / name).write_bytes(b"")
+        os.utime(cache / name, (1.7e9 - 60 * age,) * 2)
+
+
+def test_a_build_removes_the_superseded_builds_of_its_kernel_only(fresh_loader):
+    # of more rk4 builds than the cache keeps, the oldest go; drift's builds
+    # and names that only start like rk4's stay, whatever their age
+    cache = fresh_loader / "cache" / "so3cubics"
+    older = [f"rk4-{k:016x}.so" for k in range(_native._KEPT_BUILDS + 2)]
+    others = ["drift-0000000000000000.so", "drift-0000000000000001.so",
+              "rk4-0000000000000000.so.old", "rk4-00000000000000001.so", "rk4.so"]
+    _plant_builds(cache, [*older, *others])
     built = _native._build("rk4")
     if built is None:
         pytest.skip("the rk4 kernel cannot be built here")
-    assert sorted(p.name for p in cache.iterdir()) == sorted([built.name, *planted[1:]])
+    kept = older[:_native._KEPT_BUILDS - 1]
+    assert sorted(p.name for p in cache.iterdir()) == sorted([built.name, *kept, *others])
+
+
+def test_a_build_keeps_the_recent_builds_of_other_versions(fresh_loader):
+    # the builds of other installed versions that share the cache stay, so
+    # switching between them builds nothing again
+    cache = fresh_loader / "cache" / "so3cubics"
+    planted = [f"rk4-{k:016x}.so" for k in range(_native._KEPT_BUILDS - 1)]
+    _plant_builds(cache, planted)
+    built = _native._build("rk4")
+    if built is None:
+        pytest.skip("the rk4 kernel cannot be built here")
+    assert sorted(p.name for p in cache.iterdir()) == sorted([built.name, *planted])
 
 
 # ------------------------------------------------------ float-text kernel

@@ -526,6 +526,46 @@ def test_at_fraction_rejects_fractions_off_the_step_and_high_derivatives(
         fig1_trajectory.at_fraction(theta, deriv)
 
 
+@cache
+def _slope_trajectories():
+    """Trajectories on a uniform grid, a non-uniform grid and a 2-node grid."""
+    uneven = _nonuniform_trajectory()
+    ends = [0, -1]
+    two = QuadraticTrajectory(grid=uneven.grid[ends], v=uneven.v[ends], v1=uneven.v1[ends],
+                              v2=uneven.v2[ends], C=uneven.C, c=uneven.c)
+    return {"uniform": integrate_quadratic(fig1_ivp(1.0), 1e-2), "nonuniform": uneven,
+            "two nodes": two}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["uniform", "nonuniform", "two nodes"]), st.data())
+def test_eval_second_derivative_is_hermite_with_the_whole_grid_slopes(grid, data):
+    # eval(t, 2) forms [V'', V] at the bracketing nodes only; its bytes are
+    # those of the interpolant with third_derivative_grid() as slopes
+    kept = _slope_trajectories()[grid]
+    traj = QuadraticTrajectory(grid=kept.grid, v=kept.v, v1=kept.v1, v2=kept.v2, C=kept.C,
+                               c=kept.c)
+    times = data.draw(st.lists(st.one_of(st.floats(traj.t0, traj.t1),
+                                         st.sampled_from(list(traj.grid))), max_size=12))
+    times = np.array([*times, traj.t0, traj.t1])
+    cases = [times, times[0], times[-1], times.reshape(1, -1), np.zeros(0), np.zeros((2, 0))]
+    got = [traj.eval(t, 2) for t in cases]
+    assert "_v3" not in traj.__dict__
+    for t, ours in zip(cases, got):
+        ref = hermite(traj.grid, traj.v2, traj.third_derivative_grid(), t)
+        assert ours.shape == ref.shape == np.shape(t) + (3,)
+        assert ours.tobytes() == ref.tobytes()
+
+
+def test_eval_and_jet_leave_the_whole_grid_third_derivative_uncomputed():
+    traj = integrate_quadratic(fig1_ivp(1.0), 1e-2)
+    times = np.linspace(traj.t0, traj.t1, 41)
+    for read in (lambda t: traj.eval(t, 2), lambda t: traj.eval(t, 3), traj.jet):
+        read(times)
+        read(0.5)
+    assert "_v3" not in traj.__dict__
+
+
 def test_third_derivative_grid_is_computed_once_and_read_only():
     traj = integrate_quadratic(fig1_ivp(1.0), 1e-2)
     v3 = traj.third_derivative_grid()
