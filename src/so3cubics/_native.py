@@ -1,18 +1,20 @@
 """The package's C kernels: built on first use, cached per machine, and
 used only where they match their Python twins byte for byte.
 
-A kernel is a C source of the package, `_<name>.c`, together with a bind
-function that its Python module supplies.  `kernel(name, bind)` compiles
-the source on its first call (never at import) with the compiler Python
-was built with and `FLAGS`, into $XDG_CACHE_HOME/so3cubics
-(~/.cache/so3cubics when that is unset) as `<name>-<hash>.so`, the hash
-taken over the source, the headers it includes, the compiler command and
-the platform.  The build goes to a temporary name first and is then moved
+A kernel is a C source of the package, `_<name>.c`, and a row of
+`KERNELS`: the package module whose `_bind_<name>` serves it.
+`kernel(name)`, the one getter, builds the source on its first call (never
+at import) with the compiler Python was built with and `FLAGS`, into
+$XDG_CACHE_HOME/so3cubics (~/.cache/so3cubics when that is unset) as
+`<name>-<hash>.so`, the hash taken over the source, the headers it
+includes, the compiler command and the platform.  Only a build imports
+`subprocess`.  The build goes to a temporary name first and is then moved
 into place, so a reader never sees half a file; then all but the newest
-`_KEPT_BUILDS` builds of the kernel in the cache are removed.  `bind`
-receives the loaded library, declares its functions' types, runs the
-kernel's self-check against its Python twin, and returns what the module
-calls in place of that twin, or None when the check fails.
+`_KEPT_BUILDS` builds of the kernel in the cache are removed.  The bind
+receives the loaded library (`_load(name)`), declares its functions' types
+and returns what its module calls in place of the twin, with the
+self-check's cases as (ours, twin, args) triples.  `kernel` serves it only
+if `_same_outcome` holds on every case, and None otherwise.
 
 No compiler, an unwritable cache, a failed build or load, or a failed
 self-check gives None, silently; the module then runs its Python twin,
@@ -34,6 +36,9 @@ from pathlib import Path
 # becoming one fused multiply-add, which would change its bits
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
+# each kernel, `_<name>.c`, and the package module whose `_bind_<name>` serves it
+KERNELS = {"rk4": "quadratic", "drift": "quadratic", "magnus": "quadratic", "floattext": "output"}
+
 _HERE = Path(__file__).parent
 
 # the builds of a kernel that the cache keeps, for a few installed versions
@@ -41,19 +46,53 @@ _KEPT_BUILDS = 4
 
 
 @cache
-def kernel(name: str, bind):
-    """bind(the loaded `_<name>.c`), or None where it cannot be had; built,
-    loaded and bound once per process."""
+def kernel(name: str):
+    """What the module of `KERNELS[name]` calls in place of its twin, from
+    the loaded `_<name>.c`, or None where it cannot be had or fails its
+    self-check; built, loaded and checked once per process."""
+    import importlib
+
+    library = _load(name)
+    if library is None:
+        return None
+    module = importlib.import_module(f".{KERNELS[name]}", __package__)
+    served, checks = getattr(module, f"_bind_{name}")(library)
+    return served if all(_same_outcome(*check) for check in checks) else None
+
+
+@cache
+def _load(name: str):
+    """The loaded `_<name>.c`, with nothing bound, or None where it cannot
+    be built or loaded; once per process."""
     import ctypes
 
     built = _build(name)
     if built is None:
         return None
     try:
-        library = ctypes.CDLL(str(built))
+        return ctypes.CDLL(str(built))
     except OSError:
         return None
-    return bind(library)
+
+
+def _same_outcome(ours, twin, args) -> bool:
+    """`ours` and `twin`, each called on its own copies of the ndarrays in
+    `args`, return the same (the bytes of an ndarray, else the `repr`) and
+    leave the same bytes in every ndarray argument, or raise the same type
+    of exception with the same message; float warnings are kept quiet."""
+    import numpy as np
+
+    def outcome(engine):
+        own = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = engine(*own)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return (result.tobytes() if isinstance(result, np.ndarray) else repr(result),
+                [a.tobytes() for a in own if isinstance(a, np.ndarray)])
+
+    return outcome(ours) == outcome(twin)
 
 
 def _build(name: str) -> Path | None:
@@ -61,9 +100,7 @@ def _build(name: str) -> Path | None:
     first if it is not there, or None where that fails."""
     import hashlib
     import shlex
-    import subprocess
     import sysconfig
-    import tempfile
 
     compiler = sysconfig.get_config_var("CC")
     if not compiler:
@@ -79,21 +116,34 @@ def _build(name: str) -> Path | None:
         cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "so3cubics"
         built = cache_dir / f"{name}-{key.hexdigest()[:16]}.so"
         if not built.is_file():
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            handle, partial = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-            os.close(handle)
-            try:
-                subprocess.run([*command, str(source), "-o", partial], check=True,
-                               capture_output=True, timeout=120)
-                os.replace(partial, built)
-            finally:
-                if os.path.exists(partial):
-                    os.unlink(partial)
+            if not _compile([*command, str(source)], built):
+                return None
             _remove_superseded(name, built)
-    except (OSError, RuntimeError, subprocess.SubprocessError):
+    except (OSError, RuntimeError):
         # RuntimeError: Path.home() with no home directory to be found
         return None
     return built
+
+
+def _compile(command: list[str], built: Path) -> bool:
+    """Run `command` with `-o` a temporary file beside `built`, then move
+    that file to `built`; False where either fails."""
+    import subprocess
+    import tempfile
+
+    try:
+        built.parent.mkdir(parents=True, exist_ok=True)
+        handle, partial = tempfile.mkstemp(suffix=".so", dir=built.parent)
+        os.close(handle)
+        try:
+            subprocess.run([*command, "-o", partial], check=True, capture_output=True, timeout=120)
+            os.replace(partial, built)
+        finally:
+            if os.path.exists(partial):
+                os.unlink(partial)
+    except (OSError, subprocess.SubprocessError):
+        return False
+    return True
 
 
 def _remove_superseded(name: str, built: Path) -> None:

@@ -87,7 +87,7 @@ def _float_text(values: np.ndarray, sep: str, row_sep: str) -> str:
     """The `repr` of every float of the 2-D array `values`, those of a row
     joined by `sep` and the rows joined by `row_sep`: by the float-text
     kernel where it can be had, else by `_float_text_python`."""
-    kernel = _kernel()
+    kernel = _native.kernel("floattext")
     return (kernel.shortest if kernel else _float_text_python)(values, sep, row_sep)
 
 
@@ -95,7 +95,7 @@ def _fixed_text(values: np.ndarray, sep: str, row_sep: str) -> str:
     """`_float_text` with the `%.2f` text of every float in place of its
     `repr`: by the float-text kernel where it can be had, else by
     `_fixed_text_python`."""
-    kernel = _kernel()
+    kernel = _native.kernel("floattext")
     return (kernel.fixed2 if kernel else _fixed_text_python)(values, sep, row_sep)
 
 
@@ -130,13 +130,6 @@ class _FloatKernel(NamedTuple):
     fixed2: Callable[[np.ndarray, str, str], str]
 
 
-def _kernel() -> _FloatKernel | None:
-    """The float-text kernel of `_floattext.c`, or None where it cannot be
-    had (see `_native`); then `_float_text_python` and `_fixed_text_python`
-    run instead."""
-    return _native.kernel("floattext", _bind_floattext)
-
-
 # the self-check's floats, before 480 random ones: both zeros, NaN and the
 # infinities, the ends of the subnormal and normal ranges, both sides of
 # each switch between fixed and exponent notation, and 1e23, whose digits
@@ -155,9 +148,9 @@ _CHECK_FIXED = (0.0, -0.0, -0.001, -1e-300, -5e-324, 5e-324, 0.005, 0.015, 2.675
                 math.nan, math.inf, -math.inf, 1e28, -1e28)
 
 
-def _bind_floattext(library) -> _FloatKernel | None:
-    """`library`'s two float texts, if each gives the text of its Python
-    twin on a fixed check table, else None.
+def _bind_floattext(library):
+    """`library`'s two float texts, and their self-checks against their
+    Python twins on a fixed check table each.
 
     The kernel writes each float's text into a slot of its own and leaves
     the slot empty where it cannot write it: where Grisu3 cannot prove the
@@ -222,9 +215,8 @@ def _bind_floattext(library) -> _FloatKernel | None:
         np.nextafter(cents, -np.inf), np.nextafter(cents, np.inf),
         rng.uniform(-1000.0, 1000.0, 240),
     ]).reshape(-1, 2)
-    same = (kernel.shortest(shortest, ", ", "\r\n") == _float_text_python(shortest, ", ", "\r\n")
-            and kernel.fixed2(fixed, ",", " ") == _fixed_text_python(fixed, ",", " "))
-    return kernel if same else None
+    return kernel, [(kernel.shortest, _float_text_python, (shortest, ", ", "\r\n")),
+                    (kernel.fixed2, _fixed_text_python, (fixed, ",", " "))]
 
 
 def write_json(path: Path, payload) -> Path:

@@ -12,12 +12,12 @@ pass of another, `_drift.c`, over the trajectory's nodes: the max and the
 first argmax of the drifts of C and c and of |V'| and |V''|.  The Magnus
 steps of `integrate_cubic` are one pass of a third, `_magnus.c`: each
 step's Magnus vector, its Rodrigues exponential and the blocked running
-product of the steps.  All three are loaded through ctypes by `_native`:
-compiled on the first call (never at import), cached per machine, and
-used only after a self-check matches the Python twin (the Python loop,
-the numpy series of `_drift_python`, the numpy pass of `_magnus_python`)
-byte for byte.  Where any of that fails, the twin runs, with the same
-bits and no warning; nothing of the package's own chooses between them.
+product of the steps.  `_native.kernel(name)` serves each through its
+`_bind_<name>`: compiled on first use (never at import), cached per
+machine, and used only after a self-check matches its Python twin
+(`_rk4_python`, `_drift_python`, `_magnus_python`) byte for byte.  Where
+any of that fails, the twin runs, with the same bits and no warning;
+nothing of the package's own chooses between them.
 
 Between grid nodes every derivative d = 0, 1, 2 of a trajectory is the
 cubic Hermite interpolant of its node values with derivative d + 1 as
@@ -276,11 +276,11 @@ class QuadraticTrajectory:
     def _drift_scan(self) -> tuple[tuple[float, int], ...]:
         """(max, first argmax) of |C(t) - C|, |c(t) - c|, |V'| and |V''|
         over the grid nodes, a NaN counting as the max, as in np.argmax:
-        by the drift scan of `_drift.c` where it can be had (see
-        `_native`), else by its twin `_drift_python`, with the same bits
-        and no float warning."""
+        by the drift scan of `_drift.c` where `_native.kernel("drift")`
+        serves it, else by its twin `_drift_python`, with the same bits and
+        no float warning."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return (_drift_kernel() or _drift_python)(self)
+            return (_native.kernel("drift") or _drift_python)(self)
 
     def near_geodesic_gauge(self) -> tuple[float, float]:
         """Sup norms (max |V'|, max |V''|) over the grid.
@@ -334,17 +334,10 @@ def _drift_python(traj: QuadraticTrajectory) -> tuple[tuple[float, int], ...]:
     return tuple(peaks)
 
 
-def _drift_kernel():
-    """The drift scan of `_drift.c` as a function with `_drift_python`'s
-    signature, or None where it cannot be had (see `_native`); then
-    `_drift_python` runs instead."""
-    return _native.kernel("drift", _bind_drift)
-
-
 def _bind_drift(library):
     """`library`'s drift scan as a function with `_drift_python`'s
-    signature, if the two give the same maxima and nodes on fixed check
-    planes, else None."""
+    signature, and its self-check against `_drift_python` on the planes of
+    `_drift_checks`."""
     import ctypes
 
     scan = library.drift_scan
@@ -367,15 +360,7 @@ def _bind_drift(library):
              peaks.ctypes.data, nodes.ctypes.data)
         return tuple(zip(peaks.tolist(), nodes.tolist()))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        same = all(_same_peaks(drift_scan(traj), _drift_python(traj)) for traj in _drift_checks())
-    return drift_scan if same else None
-
-
-def _same_peaks(ours, theirs) -> bool:
-    """Equal (max, node) pairs, NaN matching NaN."""
-    return [k for _, k in ours] == [k for _, k in theirs] and np.array_equal(
-        [m for m, _ in ours], [m for m, _ in theirs], equal_nan=True)
+    return drift_scan, [(drift_scan, _drift_python, (traj,)) for traj in _drift_checks()]
 
 
 def _drift_checks() -> list[QuadraticTrajectory]:
@@ -418,13 +403,13 @@ def integrate_quadratic(ivp: QuadraticIVP, step: float) -> QuadraticTrajectory:
     in plain doubles.  Each stage sum is written in the order of the vector
     form y + (h/2) k and y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), so the
     result equals that form's bit for bit.  The loop is the C kernel of
-    `_rk4.c` where it can be built and passes its self-check (`_kernel`),
-    and otherwise the Python loop `_rk4_python`; the two give the same
-    bits.  Either writes V, V' and V'' straight into the three planes of
-    one (3, n + 1, 3) array, which the trajectory keeps.  The conserved
-    bracket constant C and squared acceleration c are monitored over the
-    whole grid, and StepTooLarge is raised when the drift of either exceeds
-    C_DRIFT_LIMIT or is NaN, which signals that the step must shrink; the
+    `_rk4.c` where `_native.kernel("rk4")` serves it, and otherwise the
+    Python loop `_rk4_python`; the two give the same bits.  Either writes
+    V, V' and V'' straight into the three planes of one (3, n + 1, 3)
+    array, which the trajectory keeps.  The conserved bracket constant C
+    and squared acceleration c are monitored over the whole grid, and
+    StepTooLarge is raised when the drift of either exceeds C_DRIFT_LIMIT
+    or is NaN, which signals that the step must shrink; the
     worst drift and its node come from the trajectory's drift scan (the C
     kernel of `_drift.c`, else its twin `_drift_python`), which
     `conservation_drift` and `near_geodesic_gauge` then read.  An initial jet
@@ -441,7 +426,7 @@ def integrate_quadratic(ivp: QuadraticIVP, step: float) -> QuadraticTrajectory:
             raise StepTooLarge(f"{quantity} of the initial jet overflows to "
                                f"{np.asarray(value).tolist()}; no step size helps")
     nodes = np.empty((3, n + 1, 3))
-    (_kernel() or _rk4_python)(np.concatenate([ivp.v0, ivp.v1, ivp.v2]), h, n, nodes)
+    (_native.kernel("rk4") or _rk4_python)(np.concatenate([ivp.v0, ivp.v1, ivp.v2]), h, n, nodes)
     traj = QuadraticTrajectory(grid=grid, v=nodes[0], v1=nodes[1], v2=nodes[2], C=C, c=c)
     (dc, kc), (da, ka), _, _ = traj._drift_scan
     _gate_drift("bracket constant C", dc, kc, grid, h)
@@ -509,16 +494,9 @@ _CHECK_STEP = 0.2
 _CHECK_STEPS = 64
 
 
-def _kernel():
-    """The C step loop of `_rk4.c` as a ctypes function with
-    `_rk4_python`'s signature, or None where it cannot be had (see
-    `_native`); then the Python loop runs instead."""
-    return _native.kernel("rk4", _bind_rk4)
-
-
 def _bind_rk4(library):
-    """`library`'s step loop, typed, if it matches `_rk4_python` byte for
-    byte on a short fixed IVP, else None."""
+    """`library`'s step loop, typed, and its self-check against
+    `_rk4_python` on a short fixed IVP, compared by the states it writes."""
     import ctypes
 
     steps = library.rk4_quadratic
@@ -526,11 +504,8 @@ def _bind_rk4(library):
     planes = np.ctypeslib.ndpointer(np.float64, ndim=3, flags=("C_CONTIGUOUS", "WRITEABLE"))
     steps.argtypes = (vector, ctypes.c_double, ctypes.c_longlong, planes)
     steps.restype = None
-    jet = np.array(_CHECK_JET)
-    ours, theirs = np.empty((2, 3, _CHECK_STEPS + 1, 3))
-    steps(jet, _CHECK_STEP, _CHECK_STEPS, ours)
-    _rk4_python(jet, _CHECK_STEP, _CHECK_STEPS, theirs)
-    return steps if ours.tobytes() == theirs.tobytes() else None
+    states = np.zeros((3, _CHECK_STEPS + 1, 3))
+    return steps, [(steps, _rk4_python, (np.array(_CHECK_JET), _CHECK_STEP, _CHECK_STEPS, states))]
 
 
 def _gate_drift(quantity: str, drift: float, k: int, grid: np.ndarray, h: float) -> None:
@@ -561,11 +536,10 @@ def integrate_cubic(x0, velocity, step: float, t0: float | None = None,
     so each rotation is a product of at most about 2 sqrt(n) factors, and
     every 3x3 product is summed in one fixed order.  The W_k, their
     exponentials and the product are one pass of the C kernel of
-    `_magnus.c` where it can be had (`_magnus_kernel`), else its numpy
+    `_magnus.c` where `_native.kernel("magnus")` serves it, else its numpy
     twin `_magnus_python`, with the same bits.  A W_k that is not finite,
     or whose squared norm overflows, raises ValueError, as `rot_exp` does.
-    The curve stays on SO(3) to
-    rounding, so it is never renormalized.
+    The curve stays on SO(3) to rounding, so it is never renormalized.
 
     `velocity` is either a QuadraticTrajectory (dense-evaluated on its own
     interval, or on a given [t0, t1] within it, else OutOfDomain) or a
@@ -590,7 +564,7 @@ def integrate_cubic(x0, velocity, step: float, t0: float | None = None,
         va, vb = (velocity.at_fraction(node) for node in _GAUSS_NODES)
     else:
         va, vb = (sample(grid[:-1] + node * h) for node in _GAUSS_NODES)
-    magnus = _magnus_kernel() or _magnus_python
+    magnus = _native.kernel("magnus") or _magnus_python
     return RotationTrajectory(grid=grid, rotations=magnus(x0, va, vb, h))
 
 
@@ -648,17 +622,10 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             + a[..., :, 2:3] * b[..., 2:3, :])
 
 
-def _magnus_kernel():
-    """The Magnus pass of `_magnus.c` as a function with `_magnus_python`'s
-    signature, or None where it cannot be had (see `_native`); then
-    `_magnus_python` runs instead."""
-    return _native.kernel("magnus", _bind_magnus)
-
-
 def _bind_magnus(library):
     """`library`'s Magnus pass as a function with `_magnus_python`'s
-    signature, if the two give the same bytes, or the same ValueError, on
-    fixed check steps, else None."""
+    signature, and its self-check against `_magnus_python` on the steps of
+    `_magnus_checks`."""
     import ctypes
 
     steps = library.magnus_steps
@@ -681,19 +648,7 @@ def _bind_magnus(library):
             raise ValueError(_NOT_FINITE)
         return out
 
-    return magnus if all(_same_outcome(magnus, case) for case in _magnus_checks()) else None
-
-
-def _same_outcome(magnus, case) -> bool:
-    """`magnus` and `_magnus_python` give the same bytes, or the same
-    ValueError message, on the arguments `case`."""
-    outcomes = []
-    for engine in (magnus, _magnus_python):
-        try:
-            outcomes.append(engine(*case).tobytes())
-        except ValueError as exc:
-            outcomes.append(str(exc))
-    return outcomes[0] == outcomes[1]
+    return magnus, [(magnus, _magnus_python, case) for case in _magnus_checks()]
 
 
 # the self-check's step sizes (the first makes W = va where vb = 0) and its

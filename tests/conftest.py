@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -37,12 +39,89 @@ def rng():
     return np.random.default_rng(20260809)
 
 
+def require_kernel(name):
+    """`_native.kernel(name)`, or a skip where that kernel cannot be had here."""
+    from so3cubics import _native
+    served = _native.kernel(name)
+    if served is None:
+        pytest.skip(f"the {name} kernel cannot be built here")
+    return served
+
+
+def forget_kernels():
+    """Make the loader build, load and check every kernel again on next use."""
+    from so3cubics import _native
+    _native.kernel.cache_clear()
+    _native._load.cache_clear()
+
+
+@contextlib.contextmanager
+def twins_only(*names):
+    """Within the block `_native.kernel` reads None for the kernels `names`,
+    every kernel where none is named, so their Python twins run."""
+    from so3cubics import _native
+    off = set(names or _native.KERNELS)
+    served = _native.kernel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "kernel", lambda name: None if name in off else served(name))
+        yield
+
+
+def off_twins() -> dict:
+    """For each kernel, (module, attribute, value) that puts its Python twin
+    one ulp, or one character, off: the kernel then fails its self-check."""
+    from so3cubics import output, quadratic
+    loop, scan, magnus, texts = (quadratic._rk4_python, quadratic._drift_python,
+                                 quadratic._magnus_python, output._float_texts)
+
+    def loop_off(jet, h, n, out):
+        loop(jet, h, n, out)
+        out[-1, -1, -1] = np.nextafter(out[-1, -1, -1], np.inf)
+
+    def scan_off(traj):
+        (first, k), *rest = scan(traj)
+        return ((float(np.nextafter(first, np.inf)), k), *rest)
+
+    def magnus_off(x0, va, vb, h):
+        out = magnus(x0, va, vb, h)
+        out[-1, -1, -1] = np.nextafter(out[-1, -1, -1], np.inf)
+        return out
+
+    def texts_off(block):
+        first, *rest = texts(block)
+        return (first + "0", *rest)
+
+    return {"rk4": (quadratic, "_rk4_python", loop_off),
+            "drift": (quadratic, "_drift_python", scan_off),
+            "magnus": (quadratic, "_magnus_python", magnus_off),
+            "floattext": (output, "_float_texts", texts_off)}
+
+
+@pytest.fixture(params=["kernel", "python"])
+def engine(request):
+    """Run a test on the C kernels of `quadratic` (the step loop, the drift
+    scan and the Magnus pass), then on the Python twins of every kernel."""
+    if request.param == "kernel":
+        for name in ("rk4", "drift", "magnus"):
+            require_kernel(name)
+        yield request.param
+    else:
+        with twins_only():
+            yield request.param
+
+
 @pytest.fixture
-def fresh_loader(monkeypatch, tmp_path):
+def fresh_kernels():
+    """No kernel loaded or checked yet; the loader forgets what it found
+    here once the test ends."""
+    forget_kernels()
+    yield
+    forget_kernels()
+
+
+@pytest.fixture
+def fresh_loader(fresh_kernels, monkeypatch, tmp_path):
     """The kernel loader with no kernel loaded yet and an empty cache
     directory; the loader forgets what it found here once the test ends."""
-    from so3cubics import _native
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    _native.kernel.cache_clear()
-    yield tmp_path
-    _native.kernel.cache_clear()
+    return tmp_path

@@ -1,7 +1,7 @@
 """The C kernels and their loader: the float-text kernel gives
 `float.__repr__`'s and `%.2f`'s text, every kernel falls back to its
-Python twin on its own with the same bytes, and every C source ships with
-the package.
+Python twin on its own with the same bytes, and every C source has a row
+in `_native.KERNELS` and ships with the package.
 
 Run as a script, this file prints the generated header of cached powers of
 ten that `_floattext.c` includes:
@@ -15,6 +15,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import sysconfig
 import tomllib
@@ -27,7 +28,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from so3cubics import _native, harness, output, quadratic
+from conftest import forget_kernels, off_twins, require_kernel, twins_only
+from so3cubics import _native, harness, output
 from so3cubics.cli import main
 from so3cubics.output import KERNEL_MIN_FLOATS, SvgCurve, render_svg, write_csv, write_json
 
@@ -80,15 +82,44 @@ def test_powers_header_is_generated():
 
 # -------------------------------------------------------------- packaging
 
+def test_every_c_source_has_a_row_in_the_kernel_table():
+    assert set(_native.KERNELS) == {p.stem[1:] for p in PACKAGE.glob("_*.c")}
+
+
 def test_package_data_covers_every_c_source_and_header():
     # without them an installed wheel runs every Python twin, silently
     with open(ROOT / "pyproject.toml", "rb") as fh:
         patterns = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["so3cubics"]
     sources = {p for p in PACKAGE.rglob("*") if p.suffix in (".c", ".h")}
     shipped = {p for pattern in patterns for p in PACKAGE.glob(pattern)}
-    assert {"_rk4.c", "_drift.c", "_magnus.c", "_floattext.c",
+    assert {*(f"_{name}.c" for name in _native.KERNELS),
             "_floattext_powers.h"} <= {p.name for p in sources}
     assert sources - shipped == set()
+
+
+# ----------------------------------------------------------------- loader
+
+@pytest.mark.parametrize("name", sorted(_native.KERNELS))
+def test_a_failed_self_check_turns_off_that_kernel_only(name, fresh_kernels, monkeypatch):
+    for each in _native.KERNELS:
+        require_kernel(each)
+    forget_kernels()
+    monkeypatch.setattr(*off_twins()[name])
+    # the others are built, loaded and checked on their own
+    assert [each for each in _native.KERNELS if _native.kernel(each) is None] == [name]
+
+
+def test_a_warm_cache_loads_every_kernel_without_subprocess():
+    # only a build imports subprocess, which nothing else in a run imports
+    for name in _native.KERNELS:
+        require_kernel(name)
+    code = ("import sys; from so3cubics import _native; "
+            "print(all(_native.kernel(n) is not None for n in _native.KERNELS), "
+            "'subprocess' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert run.stdout.split() == ["True", "False"]
 
 
 # ------------------------------------------------------------------ cache
@@ -130,22 +161,13 @@ def test_a_build_keeps_the_recent_builds_of_other_versions(fresh_loader):
 
 # ------------------------------------------------------ float-text kernel
 
-def _require_float_kernel():
-    if output._kernel() is None:
-        pytest.skip("the float-text kernel cannot be built here")
-
-
-def _unbound(library):
-    return library
-
-
 def _slot_texts(values, name="format_slots") -> list:
     """The kernel's own text of every float, by its function `name`
     (format_slots, repr, or format_fixed2, %.2f), None where it leaves the
     slot to Python."""
     import ctypes
 
-    library = _native.kernel("floattext", _unbound)
+    library = _native._load("floattext")
     fill = getattr(library, name)
     fill.argtypes = (ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p)
     fill.restype = ctypes.c_longlong
@@ -176,7 +198,7 @@ _bit_patterns = st.integers(-2 ** 63, 2 ** 63 - 1).map(
 @given(st.lists(st.floats() | _bit_patterns, min_size=1, max_size=200))
 @example([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-05, 0.0001, 9999999999999998.0])
 def test_float_text_is_repr(values):
-    _require_float_kernel()
+    require_kernel("floattext")
     _assert_reprs(values)
 
 
@@ -194,7 +216,7 @@ def _edge_floats() -> np.ndarray:
 
 
 def test_float_text_of_edge_values():
-    _require_float_kernel()
+    require_kernel("floattext")
     edges = _edge_floats()
     _assert_reprs(edges)
     # the kernel proves nearly all of them itself
@@ -202,7 +224,7 @@ def test_float_text_of_edge_values():
 
 
 def test_float_text_gives_up_rarely_on_random_floats():
-    _require_float_kernel()
+    require_kernel("floattext")
     rng = np.random.default_rng(1)
     values = np.concatenate([
         rng.integers(-2 ** 63, 2 ** 63, 20_000, dtype=np.int64).view(np.float64),
@@ -240,7 +262,7 @@ _fixed_floats = st.one_of(
 @example([0.005, 0.015, 2.675, 1.005, 0.125, 0.375, -0.0, -0.001, 5e-324, 1e13,
           math.nextafter(1e13, 0.0), 9999999999999.995, math.nan, -math.inf])
 def test_fixed_text_is_percent_2f(values):
-    _require_float_kernel()
+    require_kernel("floattext")
     texts = _slot_texts(values, "format_fixed2")
     expected = ["%.2f" % v for v in values]
     assert [(v, t) for v, t, e in zip(values, texts, expected) if t is not None and t != e] == []
@@ -280,7 +302,7 @@ def _writes_python_text(tmp_path, monkeypatch):
         report = write_json(tmp_path / "p.json", payload).read_bytes()
     # one call per float block: the CSV table and the JSON array; lists are
     # written item by item
-    assert len(calls) == 2 and output._kernel() is None
+    assert len(calls) == 2 and _native.kernel("floattext") is None
     buf = io.StringIO(newline="")
     csv.writer(buf).writerows([["a", "b", "c"], *_TABLE.tolist()])
     assert table == buf.getvalue().encode()
@@ -305,23 +327,23 @@ def test_dense_figure_svg_is_the_same_with_the_kernel_and_the_twin(fresh_loader,
     assert main([*argv, "--formats", "svg", "--out", str(fresh_loader / "out")]) == 0
     [(curves, title)] = drawn
     assert sum(len(curve.points) for curve in curves) >= 1000
-    _require_float_kernel()
+    require_kernel("floattext")
     kernel = render_svg(curves, title)
     blocker = fresh_loader / "not-a-directory"
     blocker.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-    _native.kernel.cache_clear()
-    assert output._kernel() is None
+    forget_kernels()
+    assert _native.kernel("floattext") is None
     assert render_svg(curves, title) == kernel
 
 
-def test_float_kernel_and_python_text_give_the_same_bytes(tmp_path, monkeypatch):
-    _require_float_kernel()
+def test_float_kernel_and_python_text_give_the_same_bytes(tmp_path):
+    require_kernel("floattext")
     kernel = [write_csv(tmp_path / "k.csv", ["a", "b", "c"], _TABLE).read_bytes(),
               write_json(tmp_path / "k.json", {"t": _TABLE[1:]}).read_bytes()]
-    monkeypatch.setattr(output, "_kernel", lambda: None)
-    python = [write_csv(tmp_path / "p.csv", ["a", "b", "c"], _TABLE).read_bytes(),
-              write_json(tmp_path / "p.json", {"t": _TABLE[1:]}).read_bytes()]
+    with twins_only("floattext"):
+        python = [write_csv(tmp_path / "p.csv", ["a", "b", "c"], _TABLE).read_bytes(),
+                  write_json(tmp_path / "p.json", {"t": _TABLE[1:]}).read_bytes()]
     assert kernel == python
 
 
@@ -344,18 +366,10 @@ def test_cache_path_that_is_a_file_writes_the_python_text(fresh_loader, monkeypa
 def test_failed_float_self_check_writes_the_python_text(fresh_loader, monkeypatch):
     # the self-check compares against a Python text that is off in one float
     python_texts = output._float_texts
-
-    def one_text_off(block):
-        first, *rest = python_texts(block)
-        return (first + "0", *rest)
-
-    monkeypatch.setattr(output, "_float_texts", one_text_off)
-    assert output._kernel() is None
+    monkeypatch.setattr(*off_twins()["floattext"])
+    assert _native.kernel("floattext") is None
     monkeypatch.setattr(output, "_float_texts", python_texts)
     _writes_python_text(fresh_loader, monkeypatch)
-    # the step loop's kernel is built, loaded and checked on its own
-    if _native._build("rk4") is not None:
-        assert quadratic._kernel() is not None
 
 
 def test_failed_fixed_self_check_writes_the_python_text(fresh_loader, monkeypatch):
@@ -367,7 +381,7 @@ def test_failed_fixed_self_check_writes_the_python_text(fresh_loader, monkeypatc
         return "0" + python_fixed(values, sep, row_sep)
 
     monkeypatch.setattr(output, "_fixed_text_python", one_text_off)
-    assert output._kernel() is None
+    assert _native.kernel("floattext") is None
     monkeypatch.setattr(output, "_fixed_text_python", python_fixed)
     _writes_python_text(fresh_loader, monkeypatch)
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.interpolate import CubicHermiteSpline
 
-from conftest import FIG1_CONSTANT, FIG1_V0, FIG1_V1, FIG1_V2, fig1_ivp, fig3_ivp
+from conftest import (FIG1_CONSTANT, FIG1_V0, FIG1_V1, FIG1_V2, fig1_ivp, fig3_ivp,
+                      forget_kernels, off_twins, require_kernel, twins_only)
 from oracles import (matmul_running_product, quadratic_residual, rk4_quadratic, rk4_rotation,
                      sequential_product, subgroup_product_velocity)
 from so3cubics import _native, quadratic
@@ -58,38 +59,6 @@ def test_initial_third_derivative_consistent_with_equation():
 
 
 # ------------------------------------------------------- integrate_quadratic
-
-def _require_kernel():
-    if quadratic._kernel() is None:
-        pytest.skip("the C kernel of integrate_quadratic cannot be built here")
-
-
-def _require_drift_kernel():
-    if quadratic._drift_kernel() is None:
-        pytest.skip("the C drift scan of QuadraticTrajectory cannot be built here")
-    return quadratic._drift_kernel()
-
-
-def _require_magnus_kernel():
-    if quadratic._magnus_kernel() is None:
-        pytest.skip("the C Magnus pass of integrate_cubic cannot be built here")
-    return quadratic._magnus_kernel()
-
-
-@pytest.fixture(params=["kernel", "python"])
-def engine(request, monkeypatch):
-    """Run a test on the C kernels (the step loop, the drift scan and the
-    Magnus pass), then on their Python twins."""
-    if request.param == "kernel":
-        _require_kernel()
-        _require_drift_kernel()
-        _require_magnus_kernel()
-    else:
-        monkeypatch.setattr(quadratic, "_kernel", lambda: None)
-        monkeypatch.setattr(quadratic, "_drift_kernel", lambda: None)
-        monkeypatch.setattr(quadratic, "_magnus_kernel", lambda: None)
-    return request.param
-
 
 def test_integrate_constant_data_stays_constant():
     d = np.array([0.4, -0.1, 0.9])
@@ -255,7 +224,7 @@ def test_drift_scan_matches_the_numpy_twin_bit_for_bit(count, seed, constant, sp
     # four (max, first argmax) pairs on random planes of 1 to 64 nodes or
     # of the ensemble's 20,001, with every node equal (each series constant)
     # or not, and with rows whose squares overflow, NaN rows and ties
-    scan = _require_drift_kernel()
+    scan = require_kernel("drift")
     rng = np.random.default_rng(seed)
     planes = rng.normal(size=(3, count, 3)) * 10.0 ** rng.integers(-3, 4, size=(3, count, 1))
     if constant:
@@ -293,13 +262,11 @@ scaled = st.tuples(vectors, st.floats(-3.0, 2.0)).map(lambda p: p[0] * 10.0 ** p
 def test_kernel_and_python_loop_give_the_same_states_or_message(v0, v1, v2, t1, step):
     # jets of size 1e-3 to 1e2 at steps up to 0.2: many draws overflow or
     # drift past a gate, and both engines must then say the same
-    _require_kernel()
-    _require_drift_kernel()
+    require_kernel("rk4")
+    require_kernel("drift")
     ivp = QuadraticIVP(0.0, t1, v0, v1, v2)
     kernel = _outcome(ivp, step)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quadratic, "_kernel", lambda: None)
-        mp.setattr(quadratic, "_drift_kernel", lambda: None)
+    with twins_only("rk4", "drift"):
         assert _outcome(ivp, step) == kernel
 
 
@@ -314,18 +281,18 @@ def _runs_the_python_loop(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = integrate_quadratic(ivp, 1e-2)
-    assert len(calls) == 1 and quadratic._kernel() is None
+    assert len(calls) == 1 and _native.kernel("rk4") is None
     assert np.array_equal(np.hstack([traj.v, traj.v1, traj.v2]), rk4_quadratic(ivp, 1e-2))
 
 
 def test_kernel_is_built_once_into_the_cache_directory(fresh_loader):
-    _require_kernel()
+    require_kernel("rk4")
     # one built file and no temporary left behind, named for what built it
     built, = (fresh_loader / "cache" / "so3cubics").iterdir()
     assert re.fullmatch(r"rk4-[0-9a-f]{16}\.so", built.name)
-    _native.kernel.cache_clear()
+    forget_kernels()
     stamp = built.stat().st_mtime_ns
-    assert quadratic._kernel() is not None
+    assert _native.kernel("rk4") is not None
     assert built.stat().st_mtime_ns == stamp
 
 
@@ -348,13 +315,8 @@ def test_cache_path_that_is_a_file_runs_the_python_loop(fresh_loader, monkeypatc
 def test_failed_self_check_runs_the_python_loop(fresh_loader, monkeypatch):
     # the self-check compares against a Python loop one ulp off in its last state
     python_loop = quadratic._rk4_python
-
-    def one_ulp_off(jet, h, n, out):
-        python_loop(jet, h, n, out)
-        out[-1, -1, -1] = np.nextafter(out[-1, -1, -1], np.inf)
-
-    monkeypatch.setattr(quadratic, "_rk4_python", one_ulp_off)
-    assert quadratic._kernel() is None
+    monkeypatch.setattr(*off_twins()["rk4"])
+    assert _native.kernel("rk4") is None
     monkeypatch.setattr(quadratic, "_rk4_python", python_loop)
     _runs_the_python_loop(monkeypatch)
 
@@ -363,16 +325,11 @@ def test_failed_drift_self_check_gates_by_the_twin(fresh_loader, monkeypatch):
     ivp = QuadraticIVP(0.0, 5.0, [0.0, 0.0, 3.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0])
     with pytest.raises(StepTooLarge) as gated:
         integrate_quadratic(ivp, 0.5)
-    _native.kernel.cache_clear()
+    forget_kernels()
     # the self-check compares against a twin one ulp off in its first maximum
     twin = quadratic._drift_python
-
-    def one_ulp_off(traj):
-        (first, k), *rest = twin(traj)
-        return ((float(np.nextafter(first, np.inf)), k), *rest)
-
-    monkeypatch.setattr(quadratic, "_drift_python", one_ulp_off)
-    assert quadratic._drift_kernel() is None
+    monkeypatch.setattr(*off_twins()["drift"])
+    assert _native.kernel("drift") is None
     calls = []
     monkeypatch.setattr(quadratic, "_drift_python", lambda traj: calls.append(traj) or twin(traj))
     with warnings.catch_warnings():
@@ -380,9 +337,6 @@ def test_failed_drift_self_check_gates_by_the_twin(fresh_loader, monkeypatch):
         with pytest.raises(StepTooLarge) as again:
             integrate_quadratic(ivp, 0.5)
     assert len(calls) == 1 and str(again.value) == str(gated.value)
-    # the step loop's kernel is built, loaded and checked on its own
-    if _native._build("rk4") is not None:
-        assert quadratic._kernel() is not None
 
 
 def test_integrate_returns_separate_contiguous_arrays(fig1_trajectory):
@@ -812,7 +766,7 @@ def test_magnus_pass_matches_the_numpy_twin_bit_for_bit(n, seed, h, low, bad):
     # every step is zero (va = vb = 0), single (vb = 0 and |W| = 10^U(low, 3)
     # up to rounding) or a pair (random va and vb, |W| up to about 2e2); a
     # NaN or infinite entry makes both engines raise rot_exp's ValueError
-    magnus = _require_magnus_kernel()
+    magnus = require_kernel("magnus")
     rng = np.random.default_rng(seed)
     x0 = rot_exp(rng.normal(size=3))
     kind = rng.integers(0, 3, size=n)
@@ -855,17 +809,11 @@ def test_magnus_self_check_covers_block_sizes_and_angles():
 def test_failed_magnus_self_check_runs_the_twin(fresh_loader, monkeypatch):
     traj = integrate_quadratic(fig1_ivp(1.0), 1e-2)
     expected = integrate_cubic(np.eye(3), traj, 1e-2).rotations
-    _native.kernel.cache_clear()
+    forget_kernels()
     # the self-check compares against a twin one ulp off in its last entry
     twin = quadratic._magnus_python
-
-    def one_ulp_off(x0, va, vb, h):
-        out = twin(x0, va, vb, h)
-        out[-1, -1, -1] = np.nextafter(out[-1, -1, -1], np.inf)
-        return out
-
-    monkeypatch.setattr(quadratic, "_magnus_python", one_ulp_off)
-    assert quadratic._magnus_kernel() is None
+    monkeypatch.setattr(*off_twins()["magnus"])
+    assert _native.kernel("magnus") is None
     calls = []
     monkeypatch.setattr(quadratic, "_magnus_python",
                         lambda *args: calls.append(args) or twin(*args))
@@ -873,9 +821,6 @@ def test_failed_magnus_self_check_runs_the_twin(fresh_loader, monkeypatch):
         warnings.simplefilter("error")
         rotations = integrate_cubic(np.eye(3), traj, 1e-2).rotations
     assert len(calls) == 1 and rotations.tobytes() == expected.tobytes()
-    # the step loop's kernel is built, loaded and checked on its own
-    if _native._build("rk4") is not None:
-        assert quadratic._kernel() is not None
 
 
 def test_rotation_trajectory_lookup(fig1_trajectory):
