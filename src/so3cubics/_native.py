@@ -37,7 +37,8 @@ from pathlib import Path
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 # each kernel, `_<name>.c`, and the package module whose `_bind_<name>` serves it
-KERNELS = {"rk4": "quadratic", "drift": "quadratic", "magnus": "quadratic", "floattext": "output"}
+KERNELS = {"rk4": "quadratic", "drift": "quadratic", "magnus": "quadratic", "floattext": "output",
+           "recon": "reconstruction"}
 
 _HERE = Path(__file__).parent
 
@@ -77,20 +78,25 @@ def _load(name: str):
 
 def _same_outcome(ours, twin, args) -> bool:
     """`ours` and `twin`, each called on its own copies of the ndarrays in
-    `args`, return the same (the bytes of an ndarray, else the `repr`) and
-    leave the same bytes in every ndarray argument, or raise the same type
-    of exception with the same message; float warnings are kept quiet."""
+    `args`, return the same (the bytes of an ndarray, item by item in a
+    tuple, else the `repr`) and leave the same bytes in every ndarray
+    argument, or raise the same type of exception with the same message;
+    float warnings are kept quiet."""
     import numpy as np
+
+    def encode(result):
+        if isinstance(result, np.ndarray):
+            return result.tobytes()
+        return tuple(map(encode, result)) if isinstance(result, tuple) else repr(result)
 
     def outcome(engine):
         own = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(all="ignore"):
                 result = engine(*own)
         except Exception as exc:
             return type(exc), str(exc)
-        return (result.tobytes() if isinstance(result, np.ndarray) else repr(result),
-                [a.tobytes() for a in own if isinstance(a, np.ndarray)])
+        return encode(result), [a.tobytes() for a in own if isinstance(a, np.ndarray)]
 
     return outcome(ours) == outcome(twin)
 

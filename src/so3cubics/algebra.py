@@ -228,11 +228,14 @@ def frame_from_pair(x1, x2) -> np.ndarray:
     shape S + (3, 3); a degenerate pair raises DegenerateFrame naming the
     first offending (flat) index.
 
-    A pair whose squared norms or Gram determinant leave the normal float
-    range is first scaled by powers of two, each vector to a largest
-    component in [1/2, 1).  That scaling is exact and leaves the rows
-    unchanged, so pairs of any finite magnitude give their frame, and all
-    other pairs are computed as given.
+    The squared norms and <x1, x2> are summed as (a0 b0 + a1 b1) + a2 b2
+    on every machine (`_dot`), the Gram determinant is |x1|^2 |x2|^2 -
+    <x1, x2>^2, and a pair is degenerate where it is at most GRAM_RTOL
+    |x1|^2 |x2|^2 or |x1|^2 is 0.  A pair whose squared norms or Gram
+    determinant leave the normal float range is first scaled by powers of
+    two, each vector to a largest component in [1/2, 1).  That scaling is
+    exact and leaves the rows unchanged, so pairs of any finite magnitude
+    give their frame, and all other pairs are computed as given.
     """
     x1, x2 = np.broadcast_arrays(as_vectors(x1), as_vectors(x2))
     shape = x1.shape
@@ -266,10 +269,15 @@ def frame_from_pair(x1, x2) -> np.ndarray:
 
 def _gram(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, ...]:
     """|x1|^2, |x2|^2, <x1, x2> and the Gram determinant of row pairs."""
-    n1sq = np.einsum("...i,...i->...", x1, x1)
-    n2sq = np.einsum("...i,...i->...", x2, x2)
-    dot = np.einsum("...i,...i->...", x1, x2)
+    n1sq, n2sq, dot = _dot(x1, x1), _dot(x2, x2), _dot(x1, x2)
     return n1sq, n2sq, dot, n1sq * n2sq - dot * dot
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a0 b0 + a1 b1) + a2 b2 over the last axis, summed in that order on
+    every machine (the orders of einsum and matmul depend on numpy's build
+    and the CPU)."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
 
 
 def _unit_scale(x: np.ndarray) -> np.ndarray:

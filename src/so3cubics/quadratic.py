@@ -48,7 +48,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _native
-from .algebra import _NOT_FINITE, _rot_exp, as_rotation, as_vector, bracket, rotation_error
+from .algebra import (_NOT_FINITE, _dot, _rot_exp, as_rotation, as_vector, bracket,
+                      rotation_error)
 from .errors import OutOfDomain, StepTooLarge
 
 NULL_TOL = 1e-12        # |C| at or below this counts as a null quadratic
@@ -169,6 +170,10 @@ class QuadraticTrajectory:
     Values between grid nodes come from cubic Hermite interpolation
     (`hermite`) of the jet (V, V', V''); the third derivative is always
     obtained from the equation itself as [V'', V], never by differencing.
+    The grid has shape (n + 1,) with n >= 1, the planes V, V', V'' shape
+    (n + 1, 3) and C shape (3,); any other shape raises ValueError naming
+    the field.  Their values are not checked here: the conservation gates
+    of `integrate_quadratic` and the reconstruction's checks read them.
     """
 
     grid: np.ndarray
@@ -177,6 +182,16 @@ class QuadraticTrajectory:
     v2: np.ndarray
     C: np.ndarray
     c: float
+
+    def __post_init__(self):
+        nodes = np.shape(self.grid)
+        if len(nodes) != 1 or nodes[0] < 2:
+            raise ValueError(f"grid has shape {nodes}; expected (n + 1,) with n >= 1")
+        for name, shape in (("v", nodes + (3,)), ("v1", nodes + (3,)), ("v2", nodes + (3,)),
+                            ("C", (3,))):
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ValueError(f"{name} has shape {got}; expected {shape}")
 
     @property
     def t0(self) -> float:
@@ -270,7 +285,7 @@ class QuadraticTrajectory:
     def _drift_series(self) -> tuple[np.ndarray, np.ndarray]:
         """|C(t) - C(t0)| and |c(t) - c(t0)| at every grid node; c = <V'', V''>."""
         dC = self.constant_series() - self.C
-        return np.sqrt(_squared_norms(dC)), np.abs(_squared_norms(self.v2) - self.c)
+        return np.sqrt(_dot(dC, dC)), np.abs(_dot(self.v2, self.v2) - self.c)
 
     @cached_property
     def _drift_scan(self) -> tuple[tuple[float, int], ...]:
@@ -316,19 +331,12 @@ class RotationTrajectory:
         return rotation_error(self.rotations)
 
 
-def _squared_norms(a: np.ndarray) -> np.ndarray:
-    """(a0 a0 + a1 a1) + a2 a2 for every row (a0, a1, a2) of a, summed in
-    that order on every machine (einsum's order depends on numpy's build)."""
-    a0, a1, a2 = a.T
-    return (a0 * a0 + a1 * a1) + a2 * a2
-
-
 def _drift_python(traj: QuadraticTrajectory) -> tuple[tuple[float, int], ...]:
     """`QuadraticTrajectory._drift_scan` in numpy: the twin of `_drift.c`,
     operation for operation."""
     peaks = []
-    for series in (*traj._drift_series(), np.sqrt(_squared_norms(traj.v1)),
-                   np.sqrt(_squared_norms(traj.v2))):
+    for series in (*traj._drift_series(), np.sqrt(_dot(traj.v1, traj.v1)),
+                   np.sqrt(_dot(traj.v2, traj.v2))):
         k = int(np.argmax(series))
         peaks.append((float(series[k]), k))
     return tuple(peaks)
@@ -346,17 +354,12 @@ def _bind_drift(library):
     scan.restype = None
 
     def drift_scan(traj: QuadraticTrajectory) -> tuple[tuple[float, int], ...]:
+        # the trajectory has checked the shapes the kernel reads
         planes = [np.ascontiguousarray(a, dtype=np.float64) for a in (traj.v, traj.v1, traj.v2)]
         C = np.ascontiguousarray(traj.C, dtype=np.float64)
-        shape = planes[0].shape
-        # the kernel reads count x 3 doubles of each plane and 3 of C; any
-        # other shape goes to the twin, which raises as numpy does
-        if not (len(shape) == 2 and shape[0] >= 1 and shape[1] == 3
-                and all(p.shape == shape for p in planes) and C.shape == (3,)):
-            return _drift_python(traj)
         peaks = np.empty(4)
         nodes = np.empty(4, dtype=np.int64)
-        scan(*(p.ctypes.data for p in planes), shape[0], C.ctypes.data, float(traj.c),
+        scan(*(p.ctypes.data for p in planes), len(planes[0]), C.ctypes.data, float(traj.c),
              peaks.ctypes.data, nodes.ctypes.data)
         return tuple(zip(peaks.tolist(), nodes.tolist()))
 
@@ -365,8 +368,9 @@ def _bind_drift(library):
 
 def _drift_checks() -> list[QuadraticTrajectory]:
     """The drift scan's self-check: 40 nodes, the first 16 of them one at
-    a time, so that each one's arithmetic shows in a maximum, then all 40
-    at once, then all 40 with a row whose squares overflow and a NaN row."""
+    a time (twice, as a trajectory has two nodes or more), so that each
+    one's arithmetic shows in a maximum, then all 40 at once, then all 40
+    with a row whose squares overflow and a NaN row."""
     rng = np.random.default_rng(2011)
     planes = rng.normal(size=(3, 40, 3)) * 10.0 ** rng.integers(-3, 4, size=(3, 40, 1))
     # squared norms 2^40 and 2^40 + 2^-12 have the one root 2^20, so the
@@ -380,7 +384,7 @@ def _drift_checks() -> list[QuadraticTrajectory]:
     def trajectory(v, v1, v2):
         return QuadraticTrajectory(grid=np.arange(float(len(v))), v=v, v1=v1, v2=v2, C=C, c=c)
 
-    return [*(trajectory(*planes[:, k:k + 1]) for k in range(16)),
+    return [*(trajectory(*planes[:, [k, k]]) for k in range(16)),
             trajectory(*planes), trajectory(*special)]
 
 
@@ -636,11 +640,8 @@ def _bind_magnus(library):
     def magnus(x0: np.ndarray, va: np.ndarray, vb: np.ndarray, h: float) -> np.ndarray:
         va = np.ascontiguousarray(va, dtype=np.float64)
         vb = np.ascontiguousarray(vb, dtype=np.float64)
+        # both are (n, 3), n >= 1: V at the Gauss nodes of a grid's steps
         n = len(va)
-        # the kernel reads n x 3 doubles of each; any other shape goes to
-        # the twin, which raises as numpy does
-        if not (va.shape == vb.shape == (n, 3) and n >= 1):
-            return _magnus_python(x0, va, vb, h)
         out = np.empty((n + 1, 3, 3))
         out[0] = x0
         if steps(va.ctypes.data, vb.ctypes.data, n, 0.5 * h, _MAGNUS_COMMUTATOR * h * h,
@@ -674,7 +675,7 @@ def _magnus_checks() -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
     for n in (1, 2, 3, 4, 5, 9, 10, 17):
         va, vb = rng.normal(size=(2, n, 3)) * 10.0 ** rng.integers(-8, 3, size=(2, n, 1))
         units = rng.normal(size=(n, 3))
-        units /= np.sqrt(_squared_norms(units))[:, None]
+        units /= np.sqrt(_dot(units, units))[:, None]
         norms = np.resize(np.roll(_CHECK_MAGNUS_W, n), n)
         designed = va.copy(), vb.copy()
         designed[0][::2] = units[::2] * norms[::2, None]

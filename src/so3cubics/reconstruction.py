@@ -8,13 +8,26 @@ through a single quadrature: with the moving frame adapted to
 
 the curve y(t) = plane_rotation(phi(t)) @ frame_from_pair(V''(t), V'''(t))
 satisfies x(t) = x0 y(t0)^T y(t); both rotation curves below are this
-one lift.  The integrand is read from the trajectory's node values (the
-input forms and checks |V'''|^2 there once) and, at the Simpson
-midpoints, from V and V'' interpolated at the fraction 1/2 of every step
-(`QuadraticTrajectory.at_fraction`).  The cumulative phase is kept at the
-grid nodes, with the integrand as its slope, and read at other times
-through `quadratic.hermite`: scipy's arithmetic bit for bit.  Times off
-the trajectory's interval raise OutOfDomain (`quadratic.check_times`).
+one lift.  The integrand is read at the trajectory's nodes and, at the
+Simpson midpoints, from V and V'' interpolated at the fraction 1/2 of
+every step (`QuadraticTrajectory.at_fraction`), with V''' = [V'', V].  The
+cumulative phase is kept at the grid nodes, with the integrand as its
+slope, and read at other times through `quadratic.hermite`: scipy's
+arithmetic bit for bit.  Times off the trajectory's interval raise
+OutOfDomain (`quadratic.check_times`).
+
+`ReconstructionInput` makes one pass over the grid for all of it: V''' and
+|V'''|^2 at the nodes, V and V'' at the midpoints, the integrand at both,
+the Simpson increments and their running sum in sequence, as np.cumsum
+adds, the smallest |V'''|^2 at the nodes and at the midpoints (the first,
+a NaN counting as the smallest, as np.argmin finds it), and the frames of
+every node's pair (V'', V''').  Every dot product in it, those of
+`frame_from_pair` too, is summed as (a0 b0 + a1 b1) + a2 b2
+(`algebra._dot`), so its bits are the same on every machine.  The pass is
+the C kernel of `_recon.c` where `_native.kernel("recon")` serves it, else
+its numpy twin `_recon_python`, with the same bits; a pair that leaves the
+normal float range, or that `frame_from_pair` refuses, sends the whole
+pass to the twin.
 
 For nearly constant quadratics both the phase and the frame have
 closed-form counterparts built from the second-order approximant, and the
@@ -25,19 +38,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import as_rotation, frame_from_pair, plane_rotation
+from . import _native
+from .algebra import GRAM_RTOL, _dot, as_rotation, frame_from_pair, plane_rotation
 # second_approximant: perfbench/selftest.py checks the tracer through this name
 from .approximants import (ApproxParams, _approximants, _check_finite,  # noqa: F401
                            second_approximant)
-from .errors import DegenerateB, DegenerateThirdDerivative
+from .errors import DegenerateB, DegenerateFrame, DegenerateThirdDerivative
 from .quadratic import QuadraticTrajectory, RotationTrajectory, check_times, hermite
 
 THIRD_DERIV_TOL = 1e-10   # |V'''| below this makes the quadrature singular
 ACCEL_TOL = 1e-12         # c below this means a reparameterised geodesic
+
+
+class _Quadrature(NamedTuple):
+    """One pass of `ReconstructionInput` over a trajectory's grid."""
+
+    node: tuple[int, float]    # the first smallest |V'''|^2 at the nodes: (index, value)
+    mid: tuple[int, float]     # the same at the step midpoints
+    slopes: np.ndarray         # sqrt(c) times the integrand at the nodes
+    phase: np.ndarray          # the cumulative phase at the nodes
+    frames: np.ndarray | None  # frame_from_pair(V'', V''') at the nodes; None where it raises
 
 
 @dataclass(frozen=True)
@@ -47,7 +71,10 @@ class ReconstructionInput:
     Requires non-degenerate acceleration (c > ACCEL_TOL) and a third
     derivative bounded away from zero on the whole grid; quadratics
     violating the latter are reparameterised geodesics for which the
-    quadrature does not apply.
+    quadrature does not apply.  Construction makes the grid's one pass and
+    raises DegenerateThirdDerivative where c or |V'''| at a node is too
+    small; |V'''| too small at a midpoint raises on the phase's first use.
+    Each check is written so that a NaN fails it.
     """
 
     trajectory: QuadraticTrajectory
@@ -56,42 +83,131 @@ class ReconstructionInput:
     def __post_init__(self):
         object.__setattr__(self, "x0", as_rotation(self.x0))
         traj = self.trajectory
-        if traj.c <= ACCEL_TOL:
+        if not traj.c > ACCEL_TOL:
             # V'' = 0 makes V''' = [V'', V] vanish too
             raise DegenerateThirdDerivative(f"degenerate acceleration: c = {traj.c:.3g}")
-        v3 = traj.third_derivative_grid()
-        object.__setattr__(self, "_v3_sq", np.einsum("ij,ij->i", v3, v3))
-        k = int(np.argmin(self._v3_sq))
-        if self._v3_sq[k] <= THIRD_DERIV_TOL ** 2:
-            raise DegenerateThirdDerivative(f"|V'''| dips to {math.sqrt(self._v3_sq[k]):.3g} on "
+        with np.errstate(all="ignore"):
+            quadrature = (_native.kernel("recon") or _recon_python)(traj)
+        object.__setattr__(self, "_quadrature", quadrature)
+        k, sq = quadrature.node
+        if not sq > THIRD_DERIV_TOL ** 2:
+            raise DegenerateThirdDerivative(f"|V'''| dips to {math.sqrt(sq):.3g} on "
                                             f"the grid, at node {k}, t={float(traj.grid[k])!r}")
 
-    @cached_property
+    @property
     def _phase(self) -> tuple[np.ndarray, np.ndarray]:
         """Cumulative phase at the grid nodes by per-interval Simpson, and
         its slope there, the exact integrand; `hermite` densifies the pair.
-        At the nodes the integrand reads V'' and the |V'''|^2 that
-        `__post_init__` checked, which are what `hermite` returns there."""
-        traj = self.trajectory
-        g_nodes = (traj.c - traj.v2 @ traj.C) / self._v3_sq
-        h = np.diff(traj.grid)
-        increments = h / 6.0 * (g_nodes[:-1] + 4.0 * self._integrand() + g_nodes[1:])
-        phase = np.concatenate([[0.0], np.cumsum(increments)])
-        return math.sqrt(traj.c) * phase, math.sqrt(traj.c) * g_nodes
-
-    def _integrand(self) -> np.ndarray:
-        """(c - <C, V''>) / |V'''|^2 at the Simpson midpoints, from V and V''
-        read at the fraction 1/2 of every step and V''' = [V'', V]."""
-        traj = self.trajectory
-        v2 = traj.at_fraction(0.5, 2)
-        v3 = np.cross(v2, traj.at_fraction(0.5))
-        norms = np.einsum("ij,ij->i", v3, v3)
-        k = int(np.argmin(norms))
-        if norms[k] <= THIRD_DERIV_TOL ** 2:
-            mid = 0.5 * (traj.grid[k] + traj.grid[k + 1])
-            raise DegenerateThirdDerivative(f"|V'''| dips to {math.sqrt(norms[k]):.3g} at the "
+        DegenerateThirdDerivative where |V'''| dips at a step midpoint."""
+        k, sq = self._quadrature.mid
+        if not sq > THIRD_DERIV_TOL ** 2:
+            grid = self.trajectory.grid
+            mid = 0.5 * (grid[k] + grid[k + 1])
+            raise DegenerateThirdDerivative(f"|V'''| dips to {math.sqrt(sq):.3g} at the "
                                             f"midpoint t={float(mid)!r}")
-        return (traj.c - v2 @ traj.C) / norms
+        return self._quadrature.phase, self._quadrature.slopes
+
+
+def _recon_python(traj: QuadraticTrajectory) -> _Quadrature:
+    """`ReconstructionInput`'s pass in numpy: the twin of `_recon.c`,
+    operation for operation, with `frame_from_pair` for the frames."""
+    v3 = traj.third_derivative_grid()
+    v2m = traj.at_fraction(0.5, 2)
+    v3m = np.cross(v2m, traj.at_fraction(0.5))
+    node_sq, mid_sq = _dot(v3, v3), _dot(v3m, v3m)
+    g_nodes = (traj.c - _dot(traj.v2, traj.C)) / node_sq
+    g_mids = (traj.c - _dot(v2m, traj.C)) / mid_sq
+    increments = np.diff(traj.grid) / 6.0 * (g_nodes[:-1] + 4.0 * g_mids + g_nodes[1:])
+    root = math.sqrt(traj.c)
+    try:
+        frames = frame_from_pair(traj.v2, v3)
+    except (DegenerateFrame, ValueError):
+        frames = None
+    return _Quadrature(_least(node_sq), _least(mid_sq), root * g_nodes,
+                       root * np.concatenate([[0.0], np.cumsum(increments)]), frames)
+
+
+def _least(values: np.ndarray) -> tuple[int, float]:
+    """(index, value) of the first smallest value, a NaN counting as the smallest."""
+    k = int(np.argmin(values))
+    return k, float(values[k])
+
+
+def _bind_recon(library):
+    """`library`'s pass as a function with `_recon_python`'s signature, and
+    its self-check against `_recon_python` on the trajectories of
+    `_recon_checks`."""
+    import ctypes
+
+    walk = library.recon_pass
+    walk.argtypes = (*(ctypes.c_void_p,) * 4, ctypes.c_longlong, ctypes.c_void_p,
+                     *(ctypes.c_double,) * 3, *(ctypes.c_void_p,) * 5)
+    walk.restype = ctypes.c_longlong
+
+    def recon(traj: QuadraticTrajectory) -> _Quadrature:
+        # the trajectory has checked the shapes the kernel reads
+        grid, v, v1, v2, C = (np.ascontiguousarray(a, dtype=np.float64)
+                              for a in (traj.grid, traj.v, traj.v1, traj.v2, traj.C))
+        count = len(grid)
+        slopes, phase = np.empty((2, count))
+        frames = np.empty((count, 3, 3))
+        at = np.empty(2, dtype=np.int64)
+        least = np.empty(2)
+        if walk(grid.ctypes.data, v.ctypes.data, v1.ctypes.data, v2.ctypes.data, count,
+                C.ctypes.data, float(traj.c), math.sqrt(traj.c), GRAM_RTOL, slopes.ctypes.data,
+                phase.ctypes.data, frames.ctypes.data, at.ctypes.data, least.ctypes.data) >= 0:
+            return _recon_python(traj)
+        return _Quadrature(*zip(at.tolist(), least.tolist()), slopes, phase, frames)
+
+    return recon, [(recon, _recon_python, (traj,)) for traj in _recon_checks()]
+
+
+def _draws(count: int, seed: int) -> list[float]:
+    """count floats in [-1, 1) from the Lehmer generator x -> 48271 x mod
+    2^31 - 1 started at seed: the self-check's data, with no numpy.random."""
+    out = []
+    for _ in range(count):
+        seed = seed * 48271 % 2147483647
+        out.append(seed / 2 ** 30 - 1.0)
+    return out
+
+
+def _recon_checks() -> list[QuadraticTrajectory]:
+    """The pass's self-check:
+    - 24 and 1 steps of a grid with steps of 0.05 to 0.15, and planes of
+      drawn rows of sizes 1e-2 to 1e2;
+    - rows that repeat every three nodes on the grid 0, 1, ..., 9, so that
+      the smallest |V'''|^2 ties at the nodes (4.6e-23, at or below
+      THIRD_DERIV_TOL^2) and at the midpoints, where the first one counts;
+    - those rows with a NaN in V' at node 5, which makes the midpoints on
+      either side NaN;
+    - the drawn rows with, at node 7, a pair whose Gram determinant equals
+      (GRAM_RTOL |V''|^2) |V'''|^2 exactly (V'' nearly along (1, 0, 0), and
+      V''' = (-2^-21, 0, 0) from the rounding of V'' x V alone), an
+      overflowing V'', or a NaN in V, each of which sends the pass to the
+      twin."""
+    def trajectory(grid, rows):
+        return QuadraticTrajectory(grid=np.array(grid), v=rows[:, 0], v1=rows[:, 1],
+                                   v2=rows[:, 2], C=np.array(_draws(3, 7)), c=0.75)
+
+    drawn = np.reshape(_draws(25 * 9, 2011), (25, 3, 3))
+    drawn *= 10.0 ** ((np.arange(25 * 3) % 5 - 2).reshape(25, 3, 1))
+    steps = 0.1 + 0.05 * np.array(_draws(24, 1999))
+    grid = np.concatenate([[0.0], np.cumsum(steps)])
+    tiny = [[1e-6, 1e-6, 3e-6], [0.0, 1e-6, 0.0], [1e-6, 2e-6, 0.0]]
+    period = np.tile(np.stack([drawn[0], tiny, drawn[1]]), (4, 1, 1))[:10]
+    gap = period.copy()
+    gap[5, 1, 1] = math.nan
+    cases = [trajectory(grid, drawn), trajectory(grid[:2], drawn[:2]),
+             trajectory(np.arange(10.0), period), trajectory(np.arange(10.0), gap)]
+    for row in ([[4.663170527372157e22, 4.02572632481319e16, 2.3534415066196276e16], drawn[7, 1],
+                 [0.12481112456129922, 1.0774974383343209e-7, 6.299055102236703e-8]],
+                [drawn[7, 0], drawn[7, 1], [1e200, -1e200, 3.0]],
+                [[math.nan, 0.0, 1.0], drawn[7, 1], drawn[7, 2]]):
+        odd = drawn.copy()
+        odd[7] = row
+        cases.append(trajectory(grid, odd))
+    return cases
 
 
 def rotation_phase(recon: ReconstructionInput, t) -> float | np.ndarray:
@@ -104,16 +220,23 @@ def rotation_phase(recon: ReconstructionInput, t) -> float | np.ndarray:
 
 
 def reconstruct_cubic(recon: ReconstructionInput) -> RotationTrajectory:
-    """The quadrature phase's lift (`_lift`) on the trajectory grid."""
+    """The quadrature phase's lift (`_lift`) on the trajectory grid, with
+    the frames of the input's pass; a pair that `frame_from_pair` refuses
+    raises its error here."""
     traj = recon.trajectory
-    rots = _lift(recon.x0, recon._phase[0], traj.v2, traj.third_derivative_grid())
-    return RotationTrajectory(grid=traj.grid, rotations=rots)
+    phase, _ = recon._phase
+    frames = recon._quadrature.frames
+    if frames is None:
+        # the pass met a pair that frame_from_pair refuses: raise its error
+        frame_from_pair(traj.v2, traj.third_derivative_grid())
+    return RotationTrajectory(grid=traj.grid, rotations=_lift(recon.x0, phase, frames))
 
 
-def _lift(x0: np.ndarray, phi: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
+def _lift(x0: np.ndarray, phi: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """x0 y(t0)^T y(t) for the phased moving frame y = plane_rotation(phi) @
-    frame_from_pair(V'', V''') at times from t0 on; row 0 is x0 itself."""
-    ys = plane_rotation(phi) @ frame_from_pair(v2, v3)
+    frames, the frames of (V'', V''') at times from t0 on; row 0 is x0
+    itself."""
+    ys = plane_rotation(phi) @ frames
     rots = x0 @ ys[0].T @ ys
     rots[0] = x0
     return rots
@@ -155,7 +278,7 @@ def approx_cubic(p: ApproxParams, x0, t) -> np.ndarray:
     ts = np.append(p.t0, t)
     v2, v3 = _approximants(p, ts, (2, 3))
     with np.errstate(all="ignore"):
-        out = _lift(x0, rotation_phase_approx(p, ts), v2, v3)[1:]
+        out = _lift(x0, rotation_phase_approx(p, ts), frame_from_pair(v2, v3))[1:]
     _check_finite(t, out)
     out[ts[1:] == p.t0] = x0
     return out.reshape(np.shape(t) + (3, 3))

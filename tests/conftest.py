@@ -70,9 +70,10 @@ def twins_only(*names):
 def off_twins() -> dict:
     """For each kernel, (module, attribute, value) that puts its Python twin
     one ulp, or one character, off: the kernel then fails its self-check."""
-    from so3cubics import output, quadratic
-    loop, scan, magnus, texts = (quadratic._rk4_python, quadratic._drift_python,
-                                 quadratic._magnus_python, output._float_texts)
+    from so3cubics import output, quadratic, reconstruction
+    loop, scan, magnus, texts, recon = (quadratic._rk4_python, quadratic._drift_python,
+                                        quadratic._magnus_python, output._float_texts,
+                                        reconstruction._recon_python)
 
     def loop_off(jet, h, n, out):
         loop(jet, h, n, out)
@@ -91,10 +92,17 @@ def off_twins() -> dict:
         first, *rest = texts(block)
         return (first + "0", *rest)
 
+    def recon_off(traj):
+        out = recon(traj)
+        phase = out.phase.copy()
+        phase[-1] = np.nextafter(phase[-1], np.inf)
+        return out._replace(phase=phase)
+
     return {"rk4": (quadratic, "_rk4_python", loop_off),
             "drift": (quadratic, "_drift_python", scan_off),
             "magnus": (quadratic, "_magnus_python", magnus_off),
-            "floattext": (output, "_float_texts", texts_off)}
+            "floattext": (output, "_float_texts", texts_off),
+            "recon": (reconstruction, "_recon_python", recon_off)}
 
 
 @pytest.fixture(params=["kernel", "python"])

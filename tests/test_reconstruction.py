@@ -1,16 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import FIG3_BASE, fig1_ivp, fig3_ivp
+from conftest import FIG3_BASE, fig1_ivp, fig3_ivp, require_kernel, twins_only
 from oracles import pair_distance
-from so3cubics.algebra import frame_from_axis, rot_exp, rotation_error
+from so3cubics import _native, reconstruction
+from so3cubics.algebra import (GRAM_RTOL, _dot, _gram, frame_from_axis, frame_from_pair,
+                               rot_exp, rotation_error)
 from so3cubics.approximants import ApproxParams, fit_params
-from so3cubics.errors import DegenerateB, DegenerateThirdDerivative
+from so3cubics.errors import DegenerateB, DegenerateFrame, DegenerateThirdDerivative
 from so3cubics.quadratic import (QuadraticIVP, QuadraticTrajectory, integrate_cubic,
                                  integrate_quadratic)
 from so3cubics.reconstruction import (ReconstructionInput, approx_cubic,
@@ -306,3 +312,197 @@ def test_entry_points_reject_a_non_rotation_x0(fig1_trajectory, entry, x0):
     }
     with pytest.raises(ValueError, match="x0 is not a rotation matrix"):
         calls[entry]()
+
+
+# ------------------------------------------------------------ the one pass
+
+@pytest.fixture(params=["kernel", "twin"])
+def recon_engine(request):
+    """Run a test on the pass's C kernel, then on its numpy twin."""
+    if request.param == "kernel":
+        require_kernel("recon")
+        yield request.param
+    else:
+        with twins_only("recon"):
+            yield request.param
+
+
+def _nan_at(traj, plane, k):
+    """traj with a NaN in component 1 of node k of `plane` (v or v1)."""
+    planes = {"v": traj.v.copy(), "v1": traj.v1.copy()}
+    planes[plane][k, 1] = math.nan
+    return QuadraticTrajectory(grid=traj.grid, v=planes["v"], v1=planes["v1"], v2=traj.v2,
+                               C=traj.C, c=traj.c)
+
+
+def test_a_nan_node_raises_at_that_node(fig1_trajectory, recon_engine):
+    traj = _nan_at(fig1_trajectory, "v", 1234)
+    with pytest.raises(DegenerateThirdDerivative,
+                       match=r"dips to nan on the grid, at node 1234, t=1\.234$"):
+        ReconstructionInput(traj, np.eye(3))
+
+
+def test_a_nan_midpoint_raises_on_first_use(fig1_trajectory, recon_engine):
+    # V' enters only the midpoints, on either side of its node; the first counts
+    recon = ReconstructionInput(_nan_at(fig1_trajectory, "v1", 1234), np.eye(3))
+    for read in (lambda: rotation_phase(recon, 1.0), lambda: reconstruct_cubic(recon)):
+        with pytest.raises(DegenerateThirdDerivative,
+                           match=r"dips to nan at the midpoint t=1\.2335$"):
+            read()
+
+
+def test_a_nan_acceleration_is_refused(fig1_trajectory):
+    traj = fig1_trajectory
+    nan_c = QuadraticTrajectory(grid=traj.grid, v=traj.v, v1=traj.v1, v2=traj.v2, C=traj.C,
+                                c=math.nan)
+    with pytest.raises(DegenerateThirdDerivative, match="degenerate acceleration: c = nan"):
+        ReconstructionInput(nan_c, np.eye(3))
+
+
+# a row (V, V', V'') put into a trajectory at one node by the property
+# below: V'' nearly along (1, 0, 0) with V''' = V'' x V = (lam, 0, 0) from
+# rounding alone, a relative Gram determinant of 6e-15 ("gram") or of
+# GRAM_RTOL, Gram determinant and bound equal to the last bit ("edge");
+# |V'''|^2 = 4.6e-23 ("node"); V'' past the normal range ("off"); a NaN in
+# V ("nan")
+_PASS_ROWS = {"gram": [[1.8e23, 1.368e16, 3.06e15], [0.0, 0.0, 0.0], [1.0, 7.6e-8, 1.7e-8]],
+              "edge": [[4.663170527372157e22, 4.02572632481319e16, 2.3534415066196276e16],
+                       [0.0, 0.0, 0.0],
+                       [0.12481112456129922, 1.0774974383343209e-7, 6.299055102236703e-8]],
+              "node": [[1e-6, 1e-6, 3e-6], [0.0, 1e-6, 0.0], [1e-6, 2e-6, 0.0]],
+              "off": [[0.5, 0.25, 1.0], [0.0, 0.1, 0.0], [1e200, -1e200, 3.0]],
+              "nan": [[math.nan, 0.0, 1.0], [0.0, 0.1, 0.0], [0.3, 0.2, 0.1]]}
+
+
+def _vanishing_midpoint(rows, grid, k):
+    """rows with V = (0, 0, 1) and V' = 0 at the nodes k and k + 1, and
+    V''(k + 1) such that the midpoint V'' of step k vanishes up to rounding:
+    (y0 + y1) / 2 + dx (y0 x V - y1 x V) / 8 = 0."""
+    e3 = np.array([0.0, 0.0, 1.0])
+    dx = grid[k + 1] - grid[k]
+    ad = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])   # y -> y x e3
+    y0 = rows[k, 2]
+    rows[k:k + 2, 0], rows[k:k + 2, 1] = e3, 0.0
+    rows[k + 1, 2] = np.linalg.solve(0.5 * np.eye(3) - dx / 8.0 * ad,
+                                     -(0.5 * y0 + dx / 8.0 * ad @ y0))
+    return rows
+
+
+def _pass_outcome(traj):
+    """What the library makes of the pass: the phase, its slopes, the
+    frames and the lifted rotations, or the first typed error."""
+    try:
+        recon = ReconstructionInput(traj, np.eye(3))
+        phase, slopes = recon._phase
+        lifted = reconstruct_cubic(recon).rotations
+    except (DegenerateThirdDerivative, DegenerateFrame) as exc:
+        return type(exc), str(exc)
+    return (phase.tobytes(), slopes.tobytes(), recon._quadrature.frames.tobytes(),
+            lifted.tobytes())
+
+
+_special = st.tuples(st.integers(0, 2 ** 31), st.sampled_from([*sorted(_PASS_ROWS), "mid"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(1, 40), st.just(5_000)), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.lists(_special, max_size=3))
+@example(1, 0, False, [])
+@example(5_000, 1, True, [])
+@example(12, 2, True, [(3, "gram")])
+@example(12, 2, False, [(4, "edge")])
+@example(12, 3, False, [(3, "node"), (7, "node")])
+@example(12, 4, True, [(5, "mid")])
+@example(12, 5, False, [(0, "nan")])
+@example(12, 6, True, [(11, "off")])
+def test_recon_pass_matches_the_numpy_twin_bit_for_bit(steps, seed, uneven, specials):
+    # random planes of sizes 1e-2 to 1e2 on uniform or uneven grids of 1 to
+    # 40 steps or 5,000, with rows that send the pass to the twin (a
+    # Gram-degenerate pair, an overflowing V'', a NaN in V) or make the
+    # library raise (a degenerate node or midpoint, the NaN)
+    require_kernel("recon")
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(steps + 1, 3, 3)) * 10.0 ** rng.integers(-2, 3, size=(steps + 1, 3, 1))
+    spacing = rng.uniform(0.5, 1.5, size=steps) if uneven else np.ones(steps)
+    grid = np.concatenate([[0.0], np.cumsum(1e-2 * spacing)])
+    for k, kind in specials:
+        if kind == "mid":
+            rows = _vanishing_midpoint(rows, grid, k % steps)
+        else:
+            rows[k % (steps + 1)] = _PASS_ROWS[kind]
+    traj = QuadraticTrajectory(grid=grid, v=rows[:, 0], v1=rows[:, 1], v2=rows[:, 2],
+                               C=rng.normal(size=3), c=float(rng.uniform(0.1, 2.0)))
+    ours = _pass_outcome(traj)
+    with twins_only("recon"):
+        assert _pass_outcome(traj) == ours
+    # the pass itself, the smallest |V'''|^2 (NaN matching NaN) included,
+    # also where the library raises before it reads all of it
+    assert _native._same_outcome(_native.kernel("recon"), reconstruction._recon_python, (traj,))
+
+
+def test_recon_self_check_covers_ties_nan_and_the_twin():
+    cases = reconstruction._recon_checks()
+    with np.errstate(all="ignore"):
+        passes = [reconstruction._recon_python(traj) for traj in cases]
+        v3 = [np.cross(traj.v2, traj.v) for traj in cases]
+        node_sq = [_dot(w, w) for w in v3]
+        v2_sq = [_dot(traj.v2, traj.v2) for traj in cases]
+    # one step, and uneven steps
+    assert {len(traj.grid) for traj in cases} >= {2, 25}
+    assert any(np.ptp(np.diff(traj.grid)) > 0.0 for traj in cases)
+    # a smallest |V'''|^2 at or below THIRD_DERIV_TOL^2 that ties with a
+    # later node, and a tie at the midpoints; a NaN midpoint
+    assert any(np.count_nonzero(sq == sq.min()) > 1 and sq.min() <= 1e-20 for sq in node_sq)
+    mids = [traj.at_fraction(0.5, 2) for traj in cases]
+    assert any(len(np.unique(m, axis=0)) < len(m) for m in mids)
+    assert any(math.isnan(p.mid[1]) for p in passes)
+    # the passes the kernel sends to its twin: a Gram-degenerate pair at a
+    # node whose |V'''|^2 passes the tolerance, a NaN node, and an
+    # overflowing V'', which the twin scales into range
+    assert any(p.frames is None and p.node[1] > 1e-20 for p in passes)
+    assert any(p.frames is None and math.isnan(p.node[1]) for p in passes)
+    assert any(np.isinf(sq).any() and p.frames is not None for sq, p in zip(v2_sq, passes))
+
+
+def test_recon_kernel_imports_no_numpy_random():
+    code = ("import sys; from so3cubics import _native; "
+            "print(_native.kernel('recon') is not None, 'numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    if run.stdout.split()[0] == "False":
+        pytest.skip("the recon kernel cannot be built here")
+    assert run.stdout.split() == ["True", "False"]
+
+
+def _with_row(traj, k, kind):
+    """traj with the node k replaced by the row `_PASS_ROWS[kind]`."""
+    rows = np.stack([traj.v, traj.v1, traj.v2], axis=1)
+    rows[k] = _PASS_ROWS[kind]
+    return QuadraticTrajectory(grid=traj.grid, v=rows[:, 0], v1=rows[:, 1], v2=rows[:, 2],
+                               C=traj.C, c=traj.c)
+
+
+@pytest.mark.parametrize("kind, relative", [("gram", "6e-15"), ("edge", "1e-12")])
+def test_a_gram_degenerate_pair_raises_in_reconstruct_cubic(fig1_trajectory, recon_engine,
+                                                           kind, relative):
+    # a relative Gram determinant below GRAM_RTOL, or equal to it to the
+    # last bit ("at or below"); |V'''| passes at that node, so
+    # construction and the phase succeed
+    traj = _with_row(fig1_trajectory, 3000, kind)
+    gram = _gram(traj.v2[3000], np.cross(traj.v2[3000], traj.v[3000]))
+    assert (gram[3] == GRAM_RTOL * gram[0] * gram[1]) == (kind == "edge")
+    recon = ReconstructionInput(traj, np.eye(3))
+    rotation_phase(recon, 1.0)
+    with pytest.raises(DegenerateFrame, match=rf"relative Gram determinant {relative} at or "
+                                              rf"below 1e-12 at index 3000 for norms "):
+        reconstruct_cubic(recon)
+
+
+def test_an_overflowing_pair_gives_its_scaled_frame(fig1_trajectory, recon_engine):
+    traj = _with_row(fig1_trajectory, 3000, "off")
+    recon = ReconstructionInput(traj, np.eye(3))
+    v3 = np.cross(traj.v2[3000], traj.v[3000])
+    np.testing.assert_array_equal(recon._quadrature.frames[3000],
+                                  frame_from_pair(traj.v2[3000], v3))
+
