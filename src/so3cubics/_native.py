@@ -14,7 +14,8 @@ into place, so a reader never sees half a file; then all but the newest
 receives the loaded library (`_load(name)`), declares its functions' types
 and returns what its module calls in place of the twin, with the
 self-check's cases as (ours, twin, args) triples.  `kernel` serves it only
-if `_same_outcome` holds on every case, and None otherwise.
+if `_same_outcome` holds on every case, and None otherwise.  Every
+self-check's data comes from `_draws`, a few lines of integer arithmetic.
 
 No compiler, an unwritable cache, a failed build or load, or a failed
 self-check gives None, silently; the module then runs its Python twin,
@@ -99,6 +100,16 @@ def _same_outcome(ours, twin, args) -> bool:
         return encode(result), [a.tobytes() for a in own if isinstance(a, np.ndarray)]
 
     return outcome(ours) == outcome(twin)
+
+
+def _draws(count: int, seed: int):
+    """count floats x / 2^30 - 1 in [-1, 1), as an array, for the states x
+    of the Lehmer generator x -> 48271 x mod 2^31 - 1 from seed (Park and
+    Miller's minimal standard, with the multiplier of Park, Miller and
+    Stockmeyer): every self-check's data.  Each float is its state exactly."""
+    import numpy as np
+
+    return np.array([seed := seed * 48271 % 2147483647 for _ in range(count)]) / 2.0 ** 30 - 1.0
 
 
 def _build(name: str) -> Path | None:

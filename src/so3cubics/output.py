@@ -130,7 +130,7 @@ class _FloatKernel(NamedTuple):
     fixed2: Callable[[np.ndarray, str, str], str]
 
 
-# the self-check's floats, before 480 random ones: both zeros, NaN and the
+# the self-check's floats, before 480 drawn ones: both zeros, NaN and the
 # infinities, the ends of the subnormal and normal ranges, both sides of
 # each switch between fixed and exponent notation, and 1e23, whose digits
 # Grisu3 cannot prove (the kernel leaves it to repr, as NaN and infinities)
@@ -139,7 +139,7 @@ _CHECK_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.22507385850
                  -0.1, 1 / 3, 2.0 ** 63, 1.5e300, 9.5e-7, -1e22, 1e23, 5e-310)
 
 # the fixed-point self-check's floats, before the ties k/8, the neighbours
-# of k + 0.005 and 240 random pixel values: both zeros, tiny negatives
+# of k + 0.005 and 240 drawn pixel values: both zeros, tiny negatives
 # (-0.00), halves of a cent that are not ties, both sides of the 1e13 cut
 # (the kernel leaves 1e13 to Python, as NaN and the infinities) and the
 # longest texts that fit a slot
@@ -150,7 +150,7 @@ _CHECK_FIXED = (0.0, -0.0, -0.001, -1e-300, -5e-324, 5e-324, 0.005, 0.015, 2.675
 
 def _bind_floattext(library):
     """`library`'s two float texts, and their self-checks against their
-    Python twins on a fixed check table each.
+    Python twins on a check table each, drawn by `_native._draws`.
 
     The kernel writes each float's text into a slot of its own and leaves
     the slot empty where it cannot write it: where Grisu3 cannot prove the
@@ -202,19 +202,15 @@ def _bind_floattext(library):
         slot_text(library.format_slots, float.__repr__, _float_text_python),
         slot_text(library.format_fixed2, "%.2f".__mod__, _fixed_text_python))
 
-    rng = np.random.default_rng(2010)
-    shortest = np.concatenate([
-        _CHECK_FLOATS,
-        rng.integers(-2 ** 63, 2 ** 63, 240, dtype=np.int64).view(np.float64),
-        rng.normal(size=240) * 10.0 ** rng.integers(-8, 20, 240),
-    ]).reshape(-1, 3)
+    draws = _native._draws(1200, 2010)
+    # 240 bit patterns of three 31-bit states each, which the draws are exactly
+    high, mid, low = ((draws[:720] + 1.0) * 2.0 ** 30).astype(np.uint64).reshape(3, 240)
+    shortest = np.concatenate([_CHECK_FLOATS, (high << 33 ^ mid << 2 ^ low).view(np.float64),
+                               draws[720:960] * 10.0 ** (np.arange(240) % 28 - 8)]).reshape(-1, 3)
     cents = np.arange(-20.0, 20.0) + 0.005
-    fixed = np.concatenate([
-        _CHECK_FIXED,
-        np.arange(-40, 40) / 8.0,
-        np.nextafter(cents, -np.inf), np.nextafter(cents, np.inf),
-        rng.uniform(-1000.0, 1000.0, 240),
-    ]).reshape(-1, 2)
+    # 240 pixel values; dividing by the inexact 1e-3 fills every bit of them
+    fixed = np.concatenate([_CHECK_FIXED, np.arange(-40, 40) / 8.0, np.nextafter(cents, -np.inf),
+                            np.nextafter(cents, np.inf), draws[960:] / 1e-3]).reshape(-1, 2)
     return kernel, [(kernel.shortest, _float_text_python, (shortest, ", ", "\r\n")),
                     (kernel.fixed2, _fixed_text_python, (fixed, ",", " "))]
 

@@ -344,8 +344,8 @@ def _drift_python(traj: QuadraticTrajectory) -> tuple[tuple[float, int], ...]:
 
 def _bind_drift(library):
     """`library`'s drift scan as a function with `_drift_python`'s
-    signature, and its self-check against `_drift_python` on the planes of
-    `_drift_checks`."""
+    signature, and its self-check against `_drift_python` on the
+    trajectories of `_drift_checks`."""
     import ctypes
 
     scan = library.drift_scan
@@ -367,25 +367,36 @@ def _bind_drift(library):
 
 
 def _drift_checks() -> list[QuadraticTrajectory]:
-    """The drift scan's self-check: 40 nodes, the first 16 of them one at
-    a time (twice, as a trajectory has two nodes or more), so that each
-    one's arithmetic shows in a maximum, then all 40 at once, then all 40
-    with a row whose squares overflow and a NaN row."""
-    rng = np.random.default_rng(2011)
-    planes = rng.normal(size=(3, 40, 3)) * 10.0 ** rng.integers(-3, 4, size=(3, 40, 1))
+    """The drift scan's self-check: the trajectories of `_check_planes`, one
+    more with ties in |V'| and |V''|, and each of the 25 drawn nodes alone
+    (twice, a trajectory having two nodes or more), so that each one's
+    arithmetic shows in a maximum."""
+    grid, (rows, *odd) = _check_planes()
     # squared norms 2^40 and 2^40 + 2^-12 have the one root 2^20, so the
     # argmax of |V'| and of |V''| is the first of these nodes, not the second
-    planes[1:, 5:7] = [[2.0 ** 20, 0.0, 0.0], [2.0 ** 20, 2.0 ** -6, 0.0]]
-    C, c = rng.normal(size=3), float(rng.uniform())
-    special = planes.copy()
-    special[2, 9] = [1e200, -1e200, 3.0]
-    special[1, 23, 1] = math.nan
+    ties = rows.copy()
+    ties[5:7, 1:] = np.array([[2.0 ** 20, 0.0, 0.0], [2.0 ** 20, 2.0 ** -6, 0.0]])[:, None]
+    return [*(_check_trajectory(grid[:2], rows[[k, k]]) for k in range(len(rows))),
+            *(_check_trajectory(grid, each) for each in (rows, ties, *odd))]
 
-    def trajectory(v, v1, v2):
-        return QuadraticTrajectory(grid=np.arange(float(len(v))), v=v, v1=v1, v2=v2, C=C, c=c)
 
-    return [*(trajectory(*planes[:, [k, k]]) for k in range(16)),
-            trajectory(*planes), trajectory(*special)]
+def _check_planes() -> tuple[np.ndarray, list[np.ndarray]]:
+    """The drift and recon self-checks' data: a grid of 24 drawn steps of
+    0.05 to 0.15, drawn rows (V, V', V'') of sizes 1e-2 to 1e2, and those
+    rows with, at node 7, a V'' whose squares overflow or a NaN in V."""
+    rows = np.reshape(_native._draws(25 * 9, 2011), (25, 3, 3))
+    rows *= 10.0 ** (np.arange(25 * 3) % 5 - 2).reshape(25, 3, 1)
+    grid = np.concatenate([[0.0], np.cumsum(0.1 + 0.05 * _native._draws(24, 1999))])
+    overflow, nan = rows.copy(), rows.copy()
+    overflow[7, 2] = [1e200, -1e200, 3.0]
+    nan[7, 0] = [math.nan, 0.0, 1.0]
+    return grid, [rows, overflow, nan]
+
+
+def _check_trajectory(grid: np.ndarray, rows: np.ndarray) -> QuadraticTrajectory:
+    """The trajectory of rows (V, V', V'') on grid, with a drawn C and c = 0.75."""
+    return QuadraticTrajectory(grid=grid, v=rows[:, 0], v1=rows[:, 1], v2=rows[:, 2],
+                               C=_native._draws(3, 7), c=0.75)
 
 
 def _uniform_grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float, int]:
@@ -424,7 +435,7 @@ def integrate_quadratic(ivp: QuadraticIVP, step: float) -> QuadraticTrajectory:
     grid, h, n = _uniform_grid(ivp.t0, ivp.t1, step)
     with np.errstate(over="ignore", invalid="ignore"):
         C = conserved_constant(ivp.v0, ivp.v1, ivp.v2)
-        c = float(ivp.v2 @ ivp.v2)
+        c = float(_dot(ivp.v2, ivp.v2))
     for quantity, value in (("bracket constant C", C), ("squared acceleration c", c)):
         if not np.all(np.isfinite(value)):
             raise StepTooLarge(f"{quantity} of the initial jet overflows to "
@@ -665,16 +676,15 @@ def _magnus_checks() -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
     9, 10 and 17 steps, block sizes 1 to 5 with and without identity
     padding in the twin.  At h = 2 every even step has vb = 0, so its W is
     va, whose norm runs through `_CHECK_MAGNUS_W` in the direction of a
-    random unit vector; every other step has random va and vb of norms
-    1e-8 to 1e2.  At h = 0.3 every step is random, and the last two cases
-    end on a step whose W is finite but overflows its squared norm and on
-    a NaN step."""
-    rng = np.random.default_rng(1999)
-    x0 = _rot_exp(rng.normal(size=3))
+    drawn unit vector; every other step has drawn va and vb of sizes 1e-8
+    to 1e2 (`_native._draws`).  At h = 0.3 every step is drawn, and the
+    last two cases end on a step whose W is finite but overflows its
+    squared norm and on a NaN step."""
+    x0 = _rot_exp(_native._draws(3, 1999))
     cases = []
     for n in (1, 2, 3, 4, 5, 9, 10, 17):
-        va, vb = rng.normal(size=(2, n, 3)) * 10.0 ** rng.integers(-8, 3, size=(2, n, 1))
-        units = rng.normal(size=(n, 3))
+        va, vb, units = np.reshape(_native._draws(9 * n, 1999 + n), (3, n, 3))
+        va, vb = (va, vb) * 10.0 ** (np.arange(2 * n) % 11 - 8).reshape(2, n, 1)
         units /= np.sqrt(_dot(units, units))[:, None]
         norms = np.resize(np.roll(_CHECK_MAGNUS_W, n), n)
         designed = va.copy(), vb.copy()

@@ -48,7 +48,8 @@ from .algebra import GRAM_RTOL, _dot, as_rotation, frame_from_pair, plane_rotati
 from .approximants import (ApproxParams, _approximants, _check_finite,  # noqa: F401
                            second_approximant)
 from .errors import DegenerateB, DegenerateFrame, DegenerateThirdDerivative
-from .quadratic import QuadraticTrajectory, RotationTrajectory, check_times, hermite
+from .quadratic import (QuadraticTrajectory, RotationTrajectory, _check_planes,
+                        _check_trajectory, check_times, hermite)
 
 THIRD_DERIV_TOL = 1e-10   # |V'''| below this makes the quadrature singular
 ACCEL_TOL = 1e-12         # c below this means a reparameterised geodesic
@@ -74,7 +75,8 @@ class ReconstructionInput:
     quadrature does not apply.  Construction makes the grid's one pass and
     raises DegenerateThirdDerivative where c or |V'''| at a node is too
     small; |V'''| too small at a midpoint raises on the phase's first use.
-    Each check is written so that a NaN fails it.
+    Each check is written so that a NaN fails it.  A C that is not finite,
+    or c = inf, raises ValueError before the pass.
     """
 
     trajectory: QuadraticTrajectory
@@ -86,6 +88,9 @@ class ReconstructionInput:
         if not traj.c > ACCEL_TOL:
             # V'' = 0 makes V''' = [V'', V] vanish too
             raise DegenerateThirdDerivative(f"degenerate acceleration: c = {traj.c:.3g}")
+        for name, value in (("C", traj.C), ("c", traj.c)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} is {np.asarray(value).tolist()}; expected finite values")
         with np.errstate(all="ignore"):
             quadrature = (_native.kernel("recon") or _recon_python)(traj)
         object.__setattr__(self, "_quadrature", quadrature)
@@ -162,52 +167,28 @@ def _bind_recon(library):
     return recon, [(recon, _recon_python, (traj,)) for traj in _recon_checks()]
 
 
-def _draws(count: int, seed: int) -> list[float]:
-    """count floats in [-1, 1) from the Lehmer generator x -> 48271 x mod
-    2^31 - 1 started at seed: the self-check's data, with no numpy.random."""
-    out = []
-    for _ in range(count):
-        seed = seed * 48271 % 2147483647
-        out.append(seed / 2 ** 30 - 1.0)
-    return out
-
-
 def _recon_checks() -> list[QuadraticTrajectory]:
-    """The pass's self-check:
-    - 24 and 1 steps of a grid with steps of 0.05 to 0.15, and planes of
-      drawn rows of sizes 1e-2 to 1e2;
-    - rows that repeat every three nodes on the grid 0, 1, ..., 9, so that
-      the smallest |V'''|^2 ties at the nodes (4.6e-23, at or below
-      THIRD_DERIV_TOL^2) and at the midpoints, where the first one counts;
-    - those rows with a NaN in V' at node 5, which makes the midpoints on
-      either side NaN;
-    - the drawn rows with, at node 7, a pair whose Gram determinant equals
-      (GRAM_RTOL |V''|^2) |V'''|^2 exactly (V'' nearly along (1, 0, 0), and
-      V''' = (-2^-21, 0, 0) from the rounding of V'' x V alone), an
-      overflowing V'', or a NaN in V, each of which sends the pass to the
-      twin."""
-    def trajectory(grid, rows):
-        return QuadraticTrajectory(grid=np.array(grid), v=rows[:, 0], v1=rows[:, 1],
-                                   v2=rows[:, 2], C=np.array(_draws(3, 7)), c=0.75)
-
-    drawn = np.reshape(_draws(25 * 9, 2011), (25, 3, 3))
-    drawn *= 10.0 ** ((np.arange(25 * 3) % 5 - 2).reshape(25, 3, 1))
-    steps = 0.1 + 0.05 * np.array(_draws(24, 1999))
-    grid = np.concatenate([[0.0], np.cumsum(steps)])
+    """The pass's self-check: the trajectories of `quadratic._check_planes`
+    (uneven steps; an overflowing V'' and a NaN in V, which send the pass to
+    the twin) and its first step alone; the drawn rows with, at node 7, a
+    pair whose Gram determinant equals (GRAM_RTOL |V''|^2) |V'''|^2 to the
+    last bit (V''' = (-2^-21, 0, 0) from the rounding of V'' x V alone),
+    which sends it to the twin too; rows that repeat every three nodes on
+    the grid 0, 1, ..., 9, so that the smallest |V'''|^2 ties at the nodes
+    (4.6e-23, at or below THIRD_DERIV_TOL^2) and at the midpoints, where the
+    first one counts; and those rows with a NaN in V' at node 5, which makes
+    the midpoints on either side NaN."""
+    grid, (rows, *odd) = _check_planes()
+    edge = rows.copy()
+    edge[7, 0] = [4.663170527372157e22, 4.02572632481319e16, 2.3534415066196276e16]
+    edge[7, 2] = [0.12481112456129922, 1.0774974383343209e-7, 6.299055102236703e-8]
     tiny = [[1e-6, 1e-6, 3e-6], [0.0, 1e-6, 0.0], [1e-6, 2e-6, 0.0]]
-    period = np.tile(np.stack([drawn[0], tiny, drawn[1]]), (4, 1, 1))[:10]
+    period = np.tile(np.stack([rows[0], tiny, rows[1]]), (4, 1, 1))[:10]
     gap = period.copy()
     gap[5, 1, 1] = math.nan
-    cases = [trajectory(grid, drawn), trajectory(grid[:2], drawn[:2]),
-             trajectory(np.arange(10.0), period), trajectory(np.arange(10.0), gap)]
-    for row in ([[4.663170527372157e22, 4.02572632481319e16, 2.3534415066196276e16], drawn[7, 1],
-                 [0.12481112456129922, 1.0774974383343209e-7, 6.299055102236703e-8]],
-                [drawn[7, 0], drawn[7, 1], [1e200, -1e200, 3.0]],
-                [[math.nan, 0.0, 1.0], drawn[7, 1], drawn[7, 2]]):
-        odd = drawn.copy()
-        odd[7] = row
-        cases.append(trajectory(grid, odd))
-    return cases
+    return [*(_check_trajectory(grid, each) for each in (rows, edge, *odd)),
+            _check_trajectory(grid[:2], rows[:2]),
+            *(_check_trajectory(np.arange(10.0), each) for each in (period, gap))]
 
 
 def rotation_phase(recon: ReconstructionInput, t) -> float | np.ndarray:

@@ -22,6 +22,7 @@ import tomllib
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -119,6 +120,19 @@ def test_a_warm_cache_loads_every_kernel_without_subprocess():
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
+    assert run.stdout.split() == ["True", "False"]
+
+
+@pytest.mark.parametrize("name", sorted(_native.KERNELS))
+def test_the_first_use_of_a_kernel_imports_no_numpy_random(name):
+    # every self-check draws its data from _native._draws
+    code = ("import sys; from so3cubics import _native; "
+            f"print(_native.kernel({name!r}) is not None, 'numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    if run.stdout.split()[0] == "False":
+        pytest.skip(f"the {name} kernel cannot be built here")
     assert run.stdout.split() == ["True", "False"]
 
 
@@ -273,6 +287,36 @@ def test_fixed_text_is_percent_2f(values):
     points = np.array(values + values[-1:] * (len(values) % 2)).reshape(-1, 2)
     assert output._fixed_text(points, ",", " ") == " ".join(
         "%.2f,%.2f" % (x, y) for x, y in points.tolist())
+
+
+def test_float_text_self_check_covers_edges_ties_and_random_bits():
+    stub = SimpleNamespace(join_slots=SimpleNamespace(), format_slots=SimpleNamespace(),
+                           format_fixed2=SimpleNamespace())
+    _, [(_, _, (shortest, *_)), (_, _, (fixed, *_))] = output._bind_floattext(stub)
+    floats, pennies = shortest.ravel(), fixed.ravel()
+    for table in (floats, pennies):
+        # both zeros, NaN and the infinities, subnormals
+        assert {0, 1 << 63} <= set(table.view(np.uint64).tolist())
+        assert np.isnan(table).any() and {math.inf, -math.inf} <= set(table.tolist())
+        assert np.any((table != 0.0) & (np.abs(table) < 2.2250738585072014e-308))
+    # both sides of repr's switches between fixed and exponent notation,
+    # and 1e23, whose digits Grisu3 cannot prove
+    for low, high in ((1e-05, 0.0001), (9999999999999998.0, 1e16)):
+        assert {low, high} <= set(floats.tolist()) and ("e" in repr(low)) != ("e" in repr(high))
+    assert 1e23 in floats.tolist()
+    # at least 200 random bit patterns: exponents all over the range, most of
+    # them far outside the decimal range of every other value drawn
+    finite = floats[np.isfinite(floats) & (floats != 0.0)]
+    wild = set(finite[(np.abs(finite) > 1e25) | (np.abs(finite) < 1e-25)].tolist())
+    assert len(wild - set(output._CHECK_FLOATS)) >= 200
+    # %.2f: the ties k/8, both neighbours of k + 0.005, both sides of the
+    # 1e13 cut and +-1e28
+    cents = np.arange(-20.0, 20.0) + 0.005
+    assert set((np.arange(-40, 40) / 8.0).tolist()) <= set(pennies.tolist())
+    assert set(np.nextafter(cents, -np.inf).tolist()) <= set(pennies.tolist())
+    assert set(np.nextafter(cents, np.inf).tolist()) <= set(pennies.tolist())
+    assert {math.nextafter(1e13, 0.0), 1e13, -math.nextafter(1e13, 0.0), -1e13,
+            1e28, -1e28} <= set(pennies.tolist())
 
 
 # --------------------------------------------------------------- fallback

@@ -17,7 +17,7 @@ from conftest import (FIG1_CONSTANT, FIG1_V0, FIG1_V1, FIG1_V2, fig1_ivp, fig3_i
 from oracles import (matmul_running_product, quadratic_residual, rk4_quadratic, rk4_rotation,
                      sequential_product, subgroup_product_velocity)
 from so3cubics import _native, quadratic
-from so3cubics.algebra import rot_exp, rotation_error
+from so3cubics.algebra import _dot, rot_exp, rotation_error
 from so3cubics.cli import main
 from so3cubics.errors import OutOfDomain, StepTooLarge
 from so3cubics.quadratic import (_GAUSS_NODES, C_DRIFT_LIMIT, DOMAIN_ULPS, QuadraticIVP,
@@ -72,6 +72,15 @@ def test_integrate_conserves_bracket_constant(fig1_trajectory):
     drift = np.max(np.linalg.norm(series - fig1_trajectory.C, axis=1))
     assert drift < 1e-9
     np.testing.assert_allclose(fig1_trajectory.C, FIG1_CONSTANT, atol=1e-15)
+
+
+def test_c_drift_at_the_first_node_is_zero():
+    # c is summed as the drift scan sums c(t), (a0 b0 + a1 b1) + a2 b2, and
+    # not in the order of numpy's BLAS, which differs for many vectors
+    jets = np.random.default_rng(5).normal(size=(200, 3))
+    for v2 in [FIG1_V2, *jets]:
+        traj = integrate_quadratic(QuadraticIVP(0.0, 0.01, FIG1_V0, FIG1_V1, v2), 1e-3)
+        assert traj._drift_series()[1][0] == 0.0, v2
 
 
 def test_integrate_matches_step_halving_oracle():
@@ -243,6 +252,32 @@ def test_drift_scan_matches_the_numpy_twin_bit_for_bit(count, seed, constant, sp
     np.testing.assert_array_equal([m for m, _ in ours], [m for m, _ in twin])
     if constant and not specials:
         assert [k for _, k in ours] == [0, 0, 0, 0]
+
+
+def test_drift_self_check_covers_single_nodes_ties_overflow_and_nan():
+    cases = quadratic._drift_checks()
+    with np.errstate(all="ignore"):
+        scans = [quadratic._drift_python(traj) for traj in cases]
+    # single nodes, each as a two-node trajectory of that node twice
+    singles = [traj for traj in cases if len(traj.grid) == 2 and all(
+        np.array_equal(plane[0], plane[1]) for plane in (traj.v, traj.v1, traj.v2))]
+    assert len(singles) >= 16
+
+    def tied(plane, peak):
+        # the largest norm at two nodes or more with different squared
+        # norms, and the scan's argmax the first of them
+        squares = _dot(plane, plane)
+        at = np.flatnonzero(np.sqrt(squares) == peak[0])
+        return len(at) > 1 and len(set(squares[at].tolist())) > 1 and peak[1] == at[0]
+
+    assert any(tied(traj.v1, scan[2]) and tied(traj.v2, scan[3])
+               for traj, scan in zip(cases, scans))
+    # a finite row whose squares overflow, and a NaN row
+    planes = [plane for traj in cases for plane in (traj.v, traj.v1, traj.v2)]
+    with np.errstate(over="ignore"):
+        assert any(np.all(np.isfinite(p)) and np.isinf(_dot(p, p)).any() for p in planes)
+    assert any(np.isnan(p).any() for p in planes)
+    assert any(math.isnan(scan[0][0]) for scan in scans)
 
 
 def _outcome(ivp, step):
