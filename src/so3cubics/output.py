@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _native
-from .quadratic import QuadraticTrajectory
+from .quadratic import _DOUBLES_IN, QuadraticTrajectory
 
 SCHEMA_PREFIX = "so3cubics"
 
@@ -59,6 +59,8 @@ CSV_BLOCK_ROWS = 1024
 KERNEL_MIN_FLOATS = 16
 # bytes of one float's slot, SLOT in _floattext.c; repr's longest text is 24
 _SLOT = 32
+# an SVG's width and height in pixels, and the margin of its plot frame
+SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 720, 540, 56.0
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
@@ -150,7 +152,8 @@ _CHECK_FIXED = (0.0, -0.0, -0.001, -1e-300, -5e-324, 5e-324, 0.005, 0.015, 2.675
 
 def _bind_floattext(library):
     """`library`'s two float texts, and their self-checks against their
-    Python twins on a check table each, drawn by `_native._draws`.
+    Python twins on a check table each, drawn by `_native._draws`; its
+    arrays are typed as ndarrays.
 
     The kernel writes each float's text into a slot of its own and leaves
     the slot empty where it cannot write it: where Grisu3 cannot prove the
@@ -161,25 +164,26 @@ def _bind_floattext(library):
     """
     import ctypes
 
+    bytes_in, bytes_out = (np.ctypeslib.ndpointer(np.uint8, flags=f) for f in ("C", "C,W"))
     join = library.join_slots
-    join.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong,
-                     ctypes.c_char_p, ctypes.c_longlong, ctypes.c_char_p, ctypes.c_longlong,
-                     ctypes.c_void_p)
+    join.argtypes = (bytes_in, bytes_in, ctypes.c_longlong, ctypes.c_longlong, ctypes.c_char_p,
+                     ctypes.c_longlong, ctypes.c_char_p, ctypes.c_longlong, bytes_out)
     join.restype = ctypes.c_longlong
 
     def slot_text(fill, one, twin):
         """The text of a kernel's `fill`, with `one` writing a float that
         `fill` leaves to Python, as a function with `twin`'s signature."""
-        fill.argtypes = (ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p)
+        fill.argtypes = (_DOUBLES_IN, ctypes.c_longlong, bytes_out, bytes_out)
         fill.restype = ctypes.c_longlong
 
         def text(values: np.ndarray, sep: str, row_sep: str) -> str:
+            # a payload's arrays may be views of a table's columns
             values = np.ascontiguousarray(values, dtype=np.float64)
             rows, cols = values.shape
             n = rows * cols
             slots = np.empty(n * _SLOT, dtype=np.uint8)
             lens = np.empty(n, dtype=np.uint8)
-            if fill(values.ctypes.data, n, slots.ctypes.data, lens.ctypes.data):
+            if fill(values, n, slots, lens):
                 flat, view = values.ravel(), slots.data
                 for i in np.flatnonzero(lens == 0).tolist():
                     own = one(flat[i]).encode()
@@ -192,8 +196,8 @@ def _bind_floattext(library):
                     + max(rows - 1, 0) * len(row_bytes))
             # room for the kernel's fixed-size copies past the end
             out = np.empty(size + _SLOT, dtype=np.uint8)
-            join(slots.ctypes.data, lens.ctypes.data, rows, cols, sep_bytes, len(sep_bytes),
-                 row_bytes, len(row_bytes), out.ctypes.data)
+            join(slots, lens, rows, cols, sep_bytes, len(sep_bytes), row_bytes, len(row_bytes),
+                 out)
             return str(out.data[:size], "ascii")
 
         return text
@@ -350,8 +354,8 @@ def project_points(points3d: np.ndarray, projection: np.ndarray) -> np.ndarray:
     return np.asarray(points3d, dtype=float) @ np.asarray(projection, dtype=float).T
 
 
-def render_svg(curves: list[SvgCurve], title: str = "",
-               width: int = 720, height: int = 540, margin: float = 56.0) -> str:
+def render_svg(curves: list[SvgCurve], title: str = "") -> str:
+    width, height, margin = SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
     pts = np.vstack([c.points for c in curves if len(c.points)])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)

@@ -58,6 +58,10 @@ DOMAIN_ULPS = 4         # float spacings a time may lie outside [t0, t1]
 
 # one RK4 node (V, V', V'') as nine native doubles
 _NODE = struct.Struct("9d")
+# the C kernels' float64 arrays as ctypes types: C-contiguous, and writeable
+# where a kernel writes; ctypes refuses any other array before the call
+_DOUBLES_IN = np.ctypeslib.ndpointer(np.float64, flags="C")
+_DOUBLES_OUT = np.ctypeslib.ndpointer(np.float64, flags="C,W")
 
 
 def conserved_constant(v, v1, v2) -> np.ndarray:
@@ -171,9 +175,13 @@ class QuadraticTrajectory:
     (`hermite`) of the jet (V, V', V''); the third derivative is always
     obtained from the equation itself as [V'', V], never by differencing.
     The grid has shape (n + 1,) with n >= 1, the planes V, V', V'' shape
-    (n + 1, 3) and C shape (3,); any other shape raises ValueError naming
-    the field.  Their values are not checked here: the conservation gates
-    of `integrate_quadratic` and the reconstruction's checks read them.
+    (n + 1, 3) and C shape (3,), else ValueError names the field; a grid
+    that is not finite and strictly increasing raises ValueError naming its
+    first bad node.  All five are held as C-contiguous float64 (an array
+    that is so already is kept, not copied), which the C kernels read as it
+    is.  The values of the planes, C and c are not checked here: the
+    conservation gates of `integrate_quadratic` and the reconstruction's
+    checks read them.
     """
 
     grid: np.ndarray
@@ -187,11 +195,19 @@ class QuadraticTrajectory:
         nodes = np.shape(self.grid)
         if len(nodes) != 1 or nodes[0] < 2:
             raise ValueError(f"grid has shape {nodes}; expected (n + 1,) with n >= 1")
-        for name, shape in (("v", nodes + (3,)), ("v1", nodes + (3,)), ("v2", nodes + (3,)),
-                            ("C", (3,))):
-            got = np.shape(getattr(self, name))
-            if got != shape:
-                raise ValueError(f"{name} has shape {got}; expected {shape}")
+        for name, shape in (("grid", nodes), ("v", nodes + (3,)), ("v1", nodes + (3,)),
+                            ("v2", nodes + (3,)), ("C", (3,))):
+            value = np.asarray(getattr(self, name), np.float64, order="C")
+            if value.shape != shape:
+                raise ValueError(f"{name} has shape {value.shape}; expected {shape}")
+            object.__setattr__(self, name, value)
+        # written so that NaN fails too
+        bad = ~np.isfinite(self.grid)
+        bad[1:] |= ~(self.grid[1:] > self.grid[:-1])
+        k = int(np.argmax(bad))
+        if bad[k]:
+            raise ValueError(f"nodes must be a strictly increasing array of finite times; "
+                             f"node {k} is {float(self.grid[k])!r}")
 
     @property
     def t0(self) -> float:
@@ -229,7 +245,7 @@ class QuadraticTrajectory:
         nodes = (self.v, self.v1, self.v2)
         slopes = nodes[deriv + 1].__getitem__ if deriv < 2 else (
             lambda i: np.cross(self.v2[i], self.v[i]))
-        return _hermite(self._nodes, nodes[deriv], slopes, t)
+        return _hermite(self.grid, nodes[deriv], slopes, t)
 
     def at_fraction(self, theta: float, deriv: int = 0) -> np.ndarray:
         """Derivative `deriv` (0..2) of the interpolant at grid[k] + theta
@@ -260,11 +276,6 @@ class QuadraticTrajectory:
         """[V'', V] at the grid nodes: one read-only array, computed once,
         for the readers of every node (`at_fraction`, the reconstruction)."""
         return self._v3
-
-    @cached_property
-    def _nodes(self) -> np.ndarray:
-        """The grid as `hermite` takes its nodes, checked once."""
-        return _checked_nodes(self.grid)
 
     @cached_property
     def _v3(self) -> np.ndarray:
@@ -343,24 +354,21 @@ def _drift_python(traj: QuadraticTrajectory) -> tuple[tuple[float, int], ...]:
 
 
 def _bind_drift(library):
-    """`library`'s drift scan as a function with `_drift_python`'s
-    signature, and its self-check against `_drift_python` on the
-    trajectories of `_drift_checks`."""
+    """`library`'s drift scan, its arrays typed as ndarrays, as a function
+    with `_drift_python`'s signature, and its self-check against
+    `_drift_python` on the trajectories of `_drift_checks`."""
     import ctypes
 
     scan = library.drift_scan
-    scan.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong,
-                     ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p)
+    scan.argtypes = (*(_DOUBLES_IN,) * 3, ctypes.c_longlong, _DOUBLES_IN, ctypes.c_double,
+                     _DOUBLES_OUT, np.ctypeslib.ndpointer(np.int64, flags="C,W"))
     scan.restype = None
 
     def drift_scan(traj: QuadraticTrajectory) -> tuple[tuple[float, int], ...]:
-        # the trajectory has checked the shapes the kernel reads
-        planes = [np.ascontiguousarray(a, dtype=np.float64) for a in (traj.v, traj.v1, traj.v2)]
-        C = np.ascontiguousarray(traj.C, dtype=np.float64)
+        # the trajectory holds the shapes, dtype and layout the kernel reads
         peaks = np.empty(4)
         nodes = np.empty(4, dtype=np.int64)
-        scan(*(p.ctypes.data for p in planes), len(planes[0]), C.ctypes.data, float(traj.c),
-             peaks.ctypes.data, nodes.ctypes.data)
+        scan(traj.v, traj.v1, traj.v2, len(traj.grid), traj.C, float(traj.c), peaks, nodes)
         return tuple(zip(peaks.tolist(), nodes.tolist()))
 
     return drift_scan, [(drift_scan, _drift_python, (traj,)) for traj in _drift_checks()]
@@ -638,26 +646,24 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _bind_magnus(library):
-    """`library`'s Magnus pass as a function with `_magnus_python`'s
-    signature, and its self-check against `_magnus_python` on the steps of
-    `_magnus_checks`."""
+    """`library`'s Magnus pass, its arrays typed as ndarrays, as a function
+    with `_magnus_python`'s signature, and its self-check against
+    `_magnus_python` on the steps of `_magnus_checks`.  A pass that stops at
+    a step hands the call to the twin, which raises its ValueError."""
     import ctypes
 
     steps = library.magnus_steps
-    steps.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong, ctypes.c_double,
-                      ctypes.c_double, ctypes.c_void_p)
+    steps.argtypes = (_DOUBLES_IN, _DOUBLES_IN, ctypes.c_longlong, ctypes.c_double,
+                      ctypes.c_double, _DOUBLES_OUT)
     steps.restype = ctypes.c_longlong
 
     def magnus(x0: np.ndarray, va: np.ndarray, vb: np.ndarray, h: float) -> np.ndarray:
-        va = np.ascontiguousarray(va, dtype=np.float64)
-        vb = np.ascontiguousarray(vb, dtype=np.float64)
         # both are (n, 3), n >= 1: V at the Gauss nodes of a grid's steps
         n = len(va)
         out = np.empty((n + 1, 3, 3))
         out[0] = x0
-        if steps(va.ctypes.data, vb.ctypes.data, n, 0.5 * h, _MAGNUS_COMMUTATOR * h * h,
-                 out.ctypes.data) >= 0:
-            raise ValueError(_NOT_FINITE)
+        if steps(va, vb, n, 0.5 * h, _MAGNUS_COMMUTATOR * h * h, out) >= 0:
+            return _magnus_python(x0, va, vb, h)
         return out
 
     return magnus, [(magnus, _magnus_python, case) for case in _magnus_checks()]

@@ -48,8 +48,8 @@ from .algebra import GRAM_RTOL, _dot, as_rotation, frame_from_pair, plane_rotati
 from .approximants import (ApproxParams, _approximants, _check_finite,  # noqa: F401
                            second_approximant)
 from .errors import DegenerateB, DegenerateFrame, DegenerateThirdDerivative
-from .quadratic import (QuadraticTrajectory, RotationTrajectory, _check_planes,
-                        _check_trajectory, check_times, hermite)
+from .quadratic import (_DOUBLES_IN, _DOUBLES_OUT, QuadraticTrajectory, RotationTrajectory,
+                        _check_planes, _check_trajectory, _hermite, check_times)
 
 THIRD_DERIV_TOL = 1e-10   # |V'''| below this makes the quadrature singular
 ACCEL_TOL = 1e-12         # c below this means a reparameterised geodesic
@@ -73,10 +73,10 @@ class ReconstructionInput:
     derivative bounded away from zero on the whole grid; quadratics
     violating the latter are reparameterised geodesics for which the
     quadrature does not apply.  Construction makes the grid's one pass and
-    raises DegenerateThirdDerivative where c or |V'''| at a node is too
-    small; |V'''| too small at a midpoint raises on the phase's first use.
-    Each check is written so that a NaN fails it.  A C that is not finite,
-    or c = inf, raises ValueError before the pass.
+    raises DegenerateThirdDerivative where c is too small, or |V'''| is too
+    small at a node or, the nodes passing, at a step midpoint.  Each check
+    is written so that a NaN fails it.  A C that is not finite, or c = inf,
+    raises ValueError before the pass.
     """
 
     trajectory: QuadraticTrajectory
@@ -98,19 +98,11 @@ class ReconstructionInput:
         if not sq > THIRD_DERIV_TOL ** 2:
             raise DegenerateThirdDerivative(f"|V'''| dips to {math.sqrt(sq):.3g} on "
                                             f"the grid, at node {k}, t={float(traj.grid[k])!r}")
-
-    @property
-    def _phase(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative phase at the grid nodes by per-interval Simpson, and
-        its slope there, the exact integrand; `hermite` densifies the pair.
-        DegenerateThirdDerivative where |V'''| dips at a step midpoint."""
-        k, sq = self._quadrature.mid
+        k, sq = quadrature.mid
         if not sq > THIRD_DERIV_TOL ** 2:
-            grid = self.trajectory.grid
-            mid = 0.5 * (grid[k] + grid[k + 1])
+            mid = 0.5 * (traj.grid[k] + traj.grid[k + 1])
             raise DegenerateThirdDerivative(f"|V'''| dips to {math.sqrt(sq):.3g} at the "
                                             f"midpoint t={float(mid)!r}")
-        return self._quadrature.phase, self._quadrature.slopes
 
 
 def _recon_python(traj: QuadraticTrajectory) -> _Quadrature:
@@ -139,28 +131,26 @@ def _least(values: np.ndarray) -> tuple[int, float]:
 
 
 def _bind_recon(library):
-    """`library`'s pass as a function with `_recon_python`'s signature, and
-    its self-check against `_recon_python` on the trajectories of
-    `_recon_checks`."""
+    """`library`'s pass, its arrays typed as ndarrays, as a function with
+    `_recon_python`'s signature, and its self-check against `_recon_python`
+    on the trajectories of `_recon_checks`."""
     import ctypes
 
     walk = library.recon_pass
-    walk.argtypes = (*(ctypes.c_void_p,) * 4, ctypes.c_longlong, ctypes.c_void_p,
-                     *(ctypes.c_double,) * 3, *(ctypes.c_void_p,) * 5)
+    walk.argtypes = (*(_DOUBLES_IN,) * 4, ctypes.c_longlong, _DOUBLES_IN, *(ctypes.c_double,) * 3,
+                     *(_DOUBLES_OUT,) * 3, np.ctypeslib.ndpointer(np.int64, flags="C,W"),
+                     _DOUBLES_OUT)
     walk.restype = ctypes.c_longlong
 
     def recon(traj: QuadraticTrajectory) -> _Quadrature:
-        # the trajectory has checked the shapes the kernel reads
-        grid, v, v1, v2, C = (np.ascontiguousarray(a, dtype=np.float64)
-                              for a in (traj.grid, traj.v, traj.v1, traj.v2, traj.C))
-        count = len(grid)
+        # the trajectory holds the shapes, dtype and layout the kernel reads
+        count = len(traj.grid)
         slopes, phase = np.empty((2, count))
         frames = np.empty((count, 3, 3))
         at = np.empty(2, dtype=np.int64)
         least = np.empty(2)
-        if walk(grid.ctypes.data, v.ctypes.data, v1.ctypes.data, v2.ctypes.data, count,
-                C.ctypes.data, float(traj.c), math.sqrt(traj.c), GRAM_RTOL, slopes.ctypes.data,
-                phase.ctypes.data, frames.ctypes.data, at.ctypes.data, least.ctypes.data) >= 0:
+        if walk(traj.grid, traj.v, traj.v1, traj.v2, count, traj.C, float(traj.c),
+                math.sqrt(traj.c), GRAM_RTOL, slopes, phase, frames, at, least) >= 0:
             return _recon_python(traj)
         return _Quadrature(*zip(at.tolist(), least.tolist()), slopes, phase, frames)
 
@@ -196,7 +186,7 @@ def rotation_phase(recon: ReconstructionInput, t) -> float | np.ndarray:
     trajectory's interval raise OutOfDomain."""
     traj = recon.trajectory
     check_times(t, traj.t0, traj.t1)
-    out = hermite(traj.grid, *recon._phase, t)
+    out = _hermite(traj.grid, recon._quadrature.phase, recon._quadrature.slopes.__getitem__, t)
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -205,8 +195,7 @@ def reconstruct_cubic(recon: ReconstructionInput) -> RotationTrajectory:
     the frames of the input's pass; a pair that `frame_from_pair` refuses
     raises its error here."""
     traj = recon.trajectory
-    phase, _ = recon._phase
-    frames = recon._quadrature.frames
+    phase, frames = recon._quadrature.phase, recon._quadrature.frames
     if frames is None:
         # the pass met a pair that frame_from_pair refuses: raise its error
         frame_from_pair(traj.v2, traj.third_derivative_grid())

@@ -136,6 +136,48 @@ def test_the_first_use_of_a_kernel_imports_no_numpy_random(name):
     assert run.stdout.split() == ["True", "False"]
 
 
+def _typed_calls(name) -> list:
+    """Calls of kernel `name`'s entries, (entry, args), on arrays of the
+    dtype, layout and shape that each entry takes, in an order that runs."""
+    def doubles(*shape):
+        return np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape) / 7.0
+
+    values, slots, lens = doubles(2, 2), np.zeros(4 * 32, np.uint8), np.zeros(4, np.uint8)
+    fill = (values, 4, slots, lens)
+    return {
+        "rk4": [("rk4_quadratic", (doubles(9), 0.1, 2, doubles(3, 3, 3)))],
+        "drift": [("drift_scan", (doubles(2, 3), doubles(2, 3), doubles(2, 3), 2, doubles(3), 1.0,
+                                  doubles(4), np.zeros(4, np.int64)))],
+        "magnus": [("magnus_steps", (doubles(2, 3), doubles(2, 3), 2, 0.1, 0.01,
+                                     doubles(3, 3, 3)))],
+        "floattext": [("format_slots", fill), ("format_fixed2", fill),
+                      ("join_slots", (slots, lens, 2, 2, b",", 1, b" ", 1,
+                                      np.zeros(256, np.uint8)))],
+        "recon": [("recon_pass", (doubles(3), doubles(3, 3), doubles(3, 3), doubles(3, 3), 3,
+                                  doubles(3), 1.0, 1.0, 1e-12, doubles(3), doubles(3),
+                                  doubles(3, 3, 3), np.zeros(2, np.int64), doubles(2)))],
+    }[name]
+
+
+@pytest.mark.parametrize("name", sorted(_native.KERNELS))
+def test_a_typed_entry_refuses_a_float32_or_fortran_order_array(name):
+    # ctypes refuses the argument before the call: no kernel reads an array
+    # of another dtype or layout as raw memory
+    import ctypes
+
+    require_kernel(name)
+    library = _native._load(name)
+    for entry, args in _typed_calls(name):
+        call = getattr(library, entry)
+        call(*args)
+        for i, arg in enumerate(args):
+            if not isinstance(arg, np.ndarray):
+                continue
+            for bad in [arg.astype(np.float32)] + [np.asfortranarray(arg)] * (arg.ndim > 1):
+                with pytest.raises(ctypes.ArgumentError):
+                    call(*args[:i], bad, *args[i + 1:])
+
+
 # ------------------------------------------------------------------ cache
 
 def _plant_builds(cache, names):
@@ -178,19 +220,16 @@ def test_a_build_keeps_the_recent_builds_of_other_versions(fresh_loader):
 def _slot_texts(values, name="format_slots") -> list:
     """The kernel's own text of every float, by its function `name`
     (format_slots, repr, or format_fixed2, %.2f), None where it leaves the
-    slot to Python."""
-    import ctypes
-
+    slot to Python.  The entries are typed as output's bind types them."""
     library = _native._load("floattext")
-    fill = getattr(library, name)
-    fill.argtypes = (ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p)
-    fill.restype = ctypes.c_longlong
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    slots = np.zeros((values.size, 32), dtype=np.uint8)
+    output._bind_floattext(library)
+    values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1, 1)
+    slots = np.zeros(values.size * 32, dtype=np.uint8)
     lens = np.zeros(values.size, dtype=np.uint8)
-    empty = fill(values.ctypes.data, values.size, slots.ctypes.data, lens.ctypes.data)
+    empty = getattr(library, name)(values, values.size, slots, lens)
     assert empty == np.count_nonzero(lens == 0)
-    return [slot[:n].tobytes().decode() if n else None for slot, n in zip(slots, lens.tolist())]
+    return [slot[:n].tobytes().decode() if n else None
+            for slot, n in zip(slots.reshape(-1, 32), lens.tolist())]
 
 
 def _assert_reprs(values):

@@ -99,7 +99,7 @@ def test_svg_polyline_matches_per_point_fstring(points):
     # a marker at every point: the markers still format one f-string per
     # coordinate, from the same pixel coordinates as the polyline
     curve = SvgCurve("c", points, markers=[(x, y, "") for x, y in points.tolist()])
-    svg = render_svg([curve], width=720, height=540, margin=56.0)
+    svg = render_svg([curve])
     polyline = re.search(r'points="([^"]*)"', svg).group(1)
     circles = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', svg)
     assert polyline == " ".join(f"{x},{y}" for x, y in circles)

@@ -475,11 +475,40 @@ def test_trajectory_refuses_planes_of_the_wrong_shape(field, value, match):
 
 def test_trajectory_checks_its_grid_as_hermite_checks_its_nodes():
     zeros = np.zeros((3, 3))
-    traj = QuadraticTrajectory(grid=np.array([0.0, 1.0, 1.0]), v=zeros, v1=zeros, v2=zeros,
-                               C=np.zeros(3), c=0.0)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="nodes must be a strictly increasing"):
-            traj.eval(0.5)
+    with pytest.raises(ValueError, match="nodes must be a strictly increasing"):
+        QuadraticTrajectory(grid=np.array([0.0, 1.0, 1.0]), v=zeros, v1=zeros, v2=zeros,
+                            C=np.zeros(3), c=0.0)
+
+
+@pytest.mark.parametrize("spoil, node", [
+    (lambda grid: np.put(grid, 1234, grid[1233]), 1234),
+    (lambda grid: np.put(grid, [1233, 1234], grid[[1234, 1233]]), 1234),
+    (lambda grid: np.put(grid, 1234, math.nan), 1234),
+    (lambda grid: np.put(grid, -1, math.inf), 5000),
+], ids=["repeated", "swapped", "nan", "infinite-end"])
+def test_a_grid_that_is_not_finite_and_increasing_is_refused_at_construction(
+        fig1_trajectory, spoil, node):
+    # a repeated or swapped node once reached the reconstruction, which
+    # returned rotations for it; a NaN node showed as a NaN midpoint there
+    traj = fig1_trajectory
+    grid = traj.grid.copy()
+    spoil(grid)
+    shown = re.escape(f"; node {node} is {float(grid[node])!r}")
+    with pytest.raises(ValueError, match=rf"^nodes must be a strictly increasing .*{shown}$"):
+        QuadraticTrajectory(grid=grid, v=traj.v, v1=traj.v1, v2=traj.v2, C=traj.C, c=traj.c)
+
+
+def test_a_trajectory_holds_its_arrays_as_contiguous_float64(fig1_trajectory):
+    traj = fig1_trajectory
+    # the planes of integrate_quadratic's buffer are kept, not copied
+    assert traj.v.base is traj.v1.base is traj.v2.base is not None
+    rows = np.arange(15.0).reshape(5, 3)
+    held = QuadraticTrajectory(grid=np.arange(5, dtype=np.float32), v=np.asfortranarray(rows),
+                               v1=rows[:, ::-1], v2=rows.astype(int), C=[1, 2, 3], c=1.0)
+    for name in ("grid", "v", "v1", "v2", "C"):
+        array = getattr(held, name)
+        assert array.dtype == np.float64 and array.flags.c_contiguous
+    assert held.v1.tolist() == rows[:, ::-1].tolist()
 
 
 def test_jet_rows_are_eval_bit_for_bit(fig1_trajectory):
@@ -608,7 +637,7 @@ def _unchecked(name, t):
     """What the evaluator `name` computes at t, read through `hermite` alone."""
     traj, recon = _fig3_pieces()
     if name == "phase":
-        return hermite(traj.grid, *recon._phase, t)
+        return hermite(traj.grid, recon._quadrature.phase, recon._quadrature.slopes, t)
     nodes = (traj.v, traj.v1, traj.v2, traj.third_derivative_grid())
     rows = [hermite(traj.grid, nodes[d], nodes[d + 1], t) for d in range(3)]
     if name == "jet":

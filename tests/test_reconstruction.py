@@ -64,7 +64,7 @@ def test_phase_reads_the_trajectory_at_the_midpoint_of_every_step(fig1_recon):
     g_mids = integrand(traj.eval(mids, 2), traj.eval(mids))
     increments = np.diff(grid) / 6.0 * (g_nodes[:-1] + 4.0 * g_mids + g_nodes[1:])
     phase = math.sqrt(traj.c) * np.concatenate([[0.0], np.cumsum(increments)])
-    got, slope = fig1_recon._phase
+    got, slope = fig1_recon._quadrature.phase, fig1_recon._quadrature.slopes
     assert np.max(np.abs(got - phase)) <= 1e-14 * np.max(np.abs(phase))
     np.testing.assert_allclose(slope, math.sqrt(traj.c) * g_nodes, rtol=1e-15, atol=0.0)
 
@@ -95,10 +95,9 @@ def test_degenerate_third_derivative_at_a_midpoint_names_it():
     traj = QuadraticTrajectory(grid=np.array([0.0, 1.0]), v=np.tile([0.0, 0.0, 1.0], (2, 1)),
                                v1=np.zeros((2, 3)), v2=np.array([y0, y1]),
                                C=np.zeros(3), c=1.0)
-    recon = ReconstructionInput(traj, np.eye(3))
     assert np.linalg.norm(traj.eval(0.5, 2)) < 1e-15
     with pytest.raises(DegenerateThirdDerivative, match=r"at the midpoint t=0\.5$"):
-        rotation_phase(recon, 1.0)
+        ReconstructionInput(traj, np.eye(3))
 
 
 def test_zero_acceleration_rejected():
@@ -339,13 +338,10 @@ def test_a_nan_node_raises_at_that_node(fig1_trajectory, recon_engine):
         ReconstructionInput(traj, np.eye(3))
 
 
-def test_a_nan_midpoint_raises_on_first_use(fig1_trajectory, recon_engine):
+def test_a_nan_midpoint_raises_at_construction(fig1_trajectory, recon_engine):
     # V' enters only the midpoints, on either side of its node; the first counts
-    recon = ReconstructionInput(_nan_at(fig1_trajectory, "v1", 1234), np.eye(3))
-    for read in (lambda: rotation_phase(recon, 1.0), lambda: reconstruct_cubic(recon)):
-        with pytest.raises(DegenerateThirdDerivative,
-                           match=r"dips to nan at the midpoint t=1\.2335$"):
-            read()
+    with pytest.raises(DegenerateThirdDerivative, match=r"dips to nan at the midpoint t=1\.2335$"):
+        ReconstructionInput(_nan_at(fig1_trajectory, "v1", 1234), np.eye(3))
 
 
 def test_a_nan_acceleration_is_refused(fig1_trajectory):
@@ -401,7 +397,7 @@ def _pass_outcome(traj):
     frames and the lifted rotations, or the first typed error."""
     try:
         recon = ReconstructionInput(traj, np.eye(3))
-        phase, slopes = recon._phase
+        phase, slopes = recon._quadrature.phase, recon._quadrature.slopes
         lifted = reconstruct_cubic(recon).rotations
     except (DegenerateThirdDerivative, DegenerateFrame) as exc:
         return type(exc), str(exc)
