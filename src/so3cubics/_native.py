@@ -11,11 +11,12 @@ includes, the compiler command and the platform.  Only a build imports
 `subprocess`.  The build goes to a temporary name first and is then moved
 into place, so a reader never sees half a file; then all but the newest
 `_KEPT_BUILDS` builds of the kernel in the cache are removed.  The bind
-receives the loaded library (`_load(name)`), declares its functions' types
-and returns what its module calls in place of the twin, with the
-self-check's cases as (ours, twin, args) triples.  `kernel` serves it only
-if `_same_outcome` holds on every case, and None otherwise.  Every
-self-check's data comes from `_draws`, a few lines of integer arithmetic.
+receives the loaded library (`_load(name)`), declares its functions' types,
+every array as one of the ndarray types below, and returns what its module
+calls in place of the twin, with the self-check's cases as (ours, twin,
+args) triples.  `kernel` serves it only if `_same_outcome` holds on every
+case, and None otherwise.  Every self-check's data comes from `_draws`, a
+few lines of integer arithmetic.
 
 No compiler, an unwritable cache, a failed build or load, or a failed
 self-check gives None, silently; the module then runs its Python twin,
@@ -33,6 +34,8 @@ import re
 from functools import cache
 from pathlib import Path
 
+import numpy as np
+
 # the compiler flags of every kernel; -ffp-contract=off keeps a * b + c from
 # becoming one fused multiply-add, which would change its bits
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
@@ -42,6 +45,11 @@ KERNELS = {"rk4": "quadratic", "drift": "quadratic", "magnus": "quadratic", "flo
            "recon": "reconstruction"}
 
 _HERE = Path(__file__).parent
+
+# the kernels' array arguments as ctypes types: C-order float64, int64 or uint8,
+# writeable where a kernel writes; ctypes refuses any other array before the call
+DOUBLES_IN, DOUBLES_OUT, INT64_OUT, BYTES_IN, BYTES_OUT = (np.ctypeslib.ndpointer(code, flags=flags)
+    for code, flags in (("f8", "C"), ("f8", "C,W"), ("i8", "C,W"), ("u1", "C"), ("u1", "C,W")))
 
 # the builds of a kernel that the cache keeps, for a few installed versions
 _KEPT_BUILDS = 4
@@ -83,8 +91,6 @@ def _same_outcome(ours, twin, args) -> bool:
     tuple, else the `repr`) and leave the same bytes in every ndarray
     argument, or raise the same type of exception with the same message;
     float warnings are kept quiet."""
-    import numpy as np
-
     def encode(result):
         if isinstance(result, np.ndarray):
             return result.tobytes()
@@ -107,8 +113,6 @@ def _draws(count: int, seed: int):
     of the Lehmer generator x -> 48271 x mod 2^31 - 1 from seed (Park and
     Miller's minimal standard, with the multiplier of Park, Miller and
     Stockmeyer): every self-check's data.  Each float is its state exactly."""
-    import numpy as np
-
     return np.array([seed := seed * 48271 % 2147483647 for _ in range(count)]) / 2.0 ** 30 - 1.0
 
 

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _native
-from .quadratic import _DOUBLES_IN, QuadraticTrajectory
+from .quadratic import QuadraticTrajectory
 
 SCHEMA_PREFIX = "so3cubics"
 
@@ -164,16 +164,17 @@ def _bind_floattext(library):
     """
     import ctypes
 
-    bytes_in, bytes_out = (np.ctypeslib.ndpointer(np.uint8, flags=f) for f in ("C", "C,W"))
     join = library.join_slots
-    join.argtypes = (bytes_in, bytes_in, ctypes.c_longlong, ctypes.c_longlong, ctypes.c_char_p,
-                     ctypes.c_longlong, ctypes.c_char_p, ctypes.c_longlong, bytes_out)
+    join.argtypes = (_native.BYTES_IN, _native.BYTES_IN, ctypes.c_longlong, ctypes.c_longlong,
+                     ctypes.c_char_p, ctypes.c_longlong, ctypes.c_char_p, ctypes.c_longlong,
+                     _native.BYTES_OUT)
     join.restype = ctypes.c_longlong
 
     def slot_text(fill, one, twin):
         """The text of a kernel's `fill`, with `one` writing a float that
         `fill` leaves to Python, as a function with `twin`'s signature."""
-        fill.argtypes = (_DOUBLES_IN, ctypes.c_longlong, bytes_out, bytes_out)
+        fill.argtypes = (_native.DOUBLES_IN, ctypes.c_longlong, _native.BYTES_OUT,
+                         _native.BYTES_OUT)
         fill.restype = ctypes.c_longlong
 
         def text(values: np.ndarray, sep: str, row_sep: str) -> str:

@@ -58,10 +58,6 @@ DOMAIN_ULPS = 4         # float spacings a time may lie outside [t0, t1]
 
 # one RK4 node (V, V', V'') as nine native doubles
 _NODE = struct.Struct("9d")
-# the C kernels' float64 arrays as ctypes types: C-contiguous, and writeable
-# where a kernel writes; ctypes refuses any other array before the call
-_DOUBLES_IN = np.ctypeslib.ndpointer(np.float64, flags="C")
-_DOUBLES_OUT = np.ctypeslib.ndpointer(np.float64, flags="C,W")
 
 
 def conserved_constant(v, v1, v2) -> np.ndarray:
@@ -119,11 +115,18 @@ def hermite(x, y, m, t) -> np.ndarray:
 
 
 def _checked_nodes(x) -> np.ndarray:
-    """x as a float array, or ValueError unless it is a strictly increasing
-    1-D array of two or more nodes."""
+    """x as a float array, or ValueError unless it is 1-D, of two or more
+    nodes, each finite and above the one before (naming the first that is not)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2 or not np.all(np.diff(x) > 0.0):
+    if x.ndim != 1 or x.size < 2:
         raise ValueError("nodes must be a strictly increasing 1-D array of 2 or more")
+    # written so that NaN fails too
+    bad = ~np.isfinite(x)
+    bad[1:] |= ~(x[1:] > x[:-1])
+    k = int(np.argmax(bad))
+    if bad[k]:
+        raise ValueError(f"nodes must be a strictly increasing array of finite times; "
+                         f"node {k} is {float(x[k])!r}")
     return x
 
 
@@ -175,13 +178,13 @@ class QuadraticTrajectory:
     (`hermite`) of the jet (V, V', V''); the third derivative is always
     obtained from the equation itself as [V'', V], never by differencing.
     The grid has shape (n + 1,) with n >= 1, the planes V, V', V'' shape
-    (n + 1, 3) and C shape (3,), else ValueError names the field; a grid
-    that is not finite and strictly increasing raises ValueError naming its
-    first bad node.  All five are held as C-contiguous float64 (an array
-    that is so already is kept, not copied), which the C kernels read as it
-    is.  The values of the planes, C and c are not checked here: the
-    conservation gates of `integrate_quadratic` and the reconstruction's
-    checks read them.
+    (n + 1, 3) and C shape (3,), else ValueError names the field; the grid
+    then goes through `hermite`'s node check, which names the first node
+    that is not finite or not above the one before.  All five are held as
+    C-contiguous float64 (an array that is so already is kept, not copied),
+    which the C kernels read as they are.  The values of the planes, C and
+    c are not checked here: the conservation gates of `integrate_quadratic`
+    and the reconstruction's checks read them.
     """
 
     grid: np.ndarray
@@ -201,13 +204,7 @@ class QuadraticTrajectory:
             if value.shape != shape:
                 raise ValueError(f"{name} has shape {value.shape}; expected {shape}")
             object.__setattr__(self, name, value)
-        # written so that NaN fails too
-        bad = ~np.isfinite(self.grid)
-        bad[1:] |= ~(self.grid[1:] > self.grid[:-1])
-        k = int(np.argmax(bad))
-        if bad[k]:
-            raise ValueError(f"nodes must be a strictly increasing array of finite times; "
-                             f"node {k} is {float(self.grid[k])!r}")
+        _checked_nodes(self.grid)
 
     @property
     def t0(self) -> float:
@@ -360,8 +357,8 @@ def _bind_drift(library):
     import ctypes
 
     scan = library.drift_scan
-    scan.argtypes = (*(_DOUBLES_IN,) * 3, ctypes.c_longlong, _DOUBLES_IN, ctypes.c_double,
-                     _DOUBLES_OUT, np.ctypeslib.ndpointer(np.int64, flags="C,W"))
+    scan.argtypes = (*(_native.DOUBLES_IN,) * 3, ctypes.c_longlong, _native.DOUBLES_IN,
+                     ctypes.c_double, _native.DOUBLES_OUT, _native.INT64_OUT)
     scan.restype = None
 
     def drift_scan(traj: QuadraticTrajectory) -> tuple[tuple[float, int], ...]:
@@ -523,9 +520,7 @@ def _bind_rk4(library):
     import ctypes
 
     steps = library.rk4_quadratic
-    vector = np.ctypeslib.ndpointer(np.float64, ndim=1, shape=(9,), flags="C_CONTIGUOUS")
-    planes = np.ctypeslib.ndpointer(np.float64, ndim=3, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    steps.argtypes = (vector, ctypes.c_double, ctypes.c_longlong, planes)
+    steps.argtypes = (_native.DOUBLES_IN, ctypes.c_double, ctypes.c_longlong, _native.DOUBLES_OUT)
     steps.restype = None
     states = np.zeros((3, _CHECK_STEPS + 1, 3))
     return steps, [(steps, _rk4_python, (np.array(_CHECK_JET), _CHECK_STEP, _CHECK_STEPS, states))]
@@ -653,8 +648,8 @@ def _bind_magnus(library):
     import ctypes
 
     steps = library.magnus_steps
-    steps.argtypes = (_DOUBLES_IN, _DOUBLES_IN, ctypes.c_longlong, ctypes.c_double,
-                      ctypes.c_double, _DOUBLES_OUT)
+    steps.argtypes = (_native.DOUBLES_IN, _native.DOUBLES_IN, ctypes.c_longlong, ctypes.c_double,
+                      ctypes.c_double, _native.DOUBLES_OUT)
     steps.restype = ctypes.c_longlong
 
     def magnus(x0: np.ndarray, va: np.ndarray, vb: np.ndarray, h: float) -> np.ndarray:

@@ -48,8 +48,8 @@ from .algebra import GRAM_RTOL, _dot, as_rotation, frame_from_pair, plane_rotati
 from .approximants import (ApproxParams, _approximants, _check_finite,  # noqa: F401
                            second_approximant)
 from .errors import DegenerateB, DegenerateFrame, DegenerateThirdDerivative
-from .quadratic import (_DOUBLES_IN, _DOUBLES_OUT, QuadraticTrajectory, RotationTrajectory,
-                        _check_planes, _check_trajectory, _hermite, check_times)
+from .quadratic import (QuadraticTrajectory, RotationTrajectory, _check_planes, _check_trajectory,
+                        _hermite, check_times)
 
 THIRD_DERIV_TOL = 1e-10   # |V'''| below this makes the quadrature singular
 ACCEL_TOL = 1e-12         # c below this means a reparameterised geodesic
@@ -137,9 +137,9 @@ def _bind_recon(library):
     import ctypes
 
     walk = library.recon_pass
-    walk.argtypes = (*(_DOUBLES_IN,) * 4, ctypes.c_longlong, _DOUBLES_IN, *(ctypes.c_double,) * 3,
-                     *(_DOUBLES_OUT,) * 3, np.ctypeslib.ndpointer(np.int64, flags="C,W"),
-                     _DOUBLES_OUT)
+    walk.argtypes = (*(_native.DOUBLES_IN,) * 4, ctypes.c_longlong, _native.DOUBLES_IN,
+                     *(ctypes.c_double,) * 3, *(_native.DOUBLES_OUT,) * 3, _native.INT64_OUT,
+                     _native.DOUBLES_OUT)
     walk.restype = ctypes.c_longlong
 
     def recon(traj: QuadraticTrajectory) -> _Quadrature:

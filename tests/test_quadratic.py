@@ -474,10 +474,16 @@ def test_trajectory_refuses_planes_of_the_wrong_shape(field, value, match):
 
 
 def test_trajectory_checks_its_grid_as_hermite_checks_its_nodes():
+    # one check, one message: repeated, swapped, NaN and infinite nodes
     zeros = np.zeros((3, 3))
-    with pytest.raises(ValueError, match="nodes must be a strictly increasing"):
-        QuadraticTrajectory(grid=np.array([0.0, 1.0, 1.0]), v=zeros, v1=zeros, v2=zeros,
-                            C=np.zeros(3), c=0.0)
+    for grid in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf],
+                 [-np.inf, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="nodes must be a strictly increasing") as hermites:
+            hermite(grid, zeros, zeros, 0.5)
+        with pytest.raises(ValueError, match="nodes must be a strictly increasing") as ours:
+            QuadraticTrajectory(grid=np.array(grid), v=zeros, v1=zeros, v2=zeros,
+                                C=np.zeros(3), c=0.0)
+        assert str(ours.value) == str(hermites.value)
 
 
 @pytest.mark.parametrize("spoil, node", [
