@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateFrame, ZeroDirection
 
 GRAM_RTOL = 1e-12          # relative Gram-determinant floor for frame_from_pair
-FRAME_TOL = 1e-12          # orthonormality tolerance for Frame validation
+FRAME_TOL = 1e-12          # largest rotation_error of a Frame's triple
 # the normal float range that frame_from_pair keeps its squared norms and
 # Gram determinants in
 _TINY = np.finfo(float).tiny
@@ -139,7 +139,7 @@ class Frame:
     f0 is the unit axis of the underlying constant angular velocity and d
     its magnitude, so the base velocity is d * f0.  The pair (f1, f2)
     spans the plane orthogonal to f0 with bracket(f0, f1) == f2 and
-    bracket(f2, f0) == f1.
+    bracket(f2, f0) == f1: its rows' `rotation_error` is at most FRAME_TOL.
     """
 
     f0: np.ndarray
@@ -148,18 +148,13 @@ class Frame:
     d: float
 
     def __post_init__(self):
-        object.__setattr__(self, "f0", as_vector(self.f0))
-        object.__setattr__(self, "f1", as_vector(self.f1))
-        object.__setattr__(self, "f2", as_vector(self.f2))
+        for name in ("f0", "f1", "f2"):
+            object.__setattr__(self, name, as_vector(getattr(self, name)))
         object.__setattr__(self, "d", float(self.d))
         if not self.d > 0.0:
             raise ValueError("frame scale d must be positive")
-        basis = np.array([self.f0, self.f1, self.f2])
-        if np.max(np.abs(basis @ basis.T - np.eye(3))) > FRAME_TOL:
-            raise ValueError("frame vectors are not orthonormal")
-        if (np.max(np.abs(bracket(self.f0, self.f1) - self.f2)) > FRAME_TOL
-                or np.max(np.abs(bracket(self.f2, self.f0) - self.f1)) > FRAME_TOL):
-            raise ValueError("frame is not positively oriented")
+        if not rotation_error(np.array([self.f0, self.f1, self.f2])) <= FRAME_TOL:
+            raise ValueError("frame is not a positively oriented orthonormal triple")
 
     @property
     def base(self) -> np.ndarray:
@@ -186,18 +181,16 @@ def frame_from_axis(axis) -> Frame:
 
     f0 is the normalized axis; f1 is the projection onto the f0-orthogonal
     plane of the standard basis vector least aligned with f0 (lowest index
-    on ties); f2 completes the positively oriented triple.
+    on ties); f2 completes the positively oriented triple (lengths: `_length`).
     """
     v = as_vector(axis)
-    d = float(np.linalg.norm(v))
+    d = float(_length(v))
     if d <= 1e-12:
         raise ZeroDirection("axis norm is below 1e-12")
     f0 = v / d
     idx = int(np.argmin(np.abs(f0)))
-    e = np.zeros(3)
-    e[idx] = 1.0
-    f1 = e - f0[idx] * f0
-    f1 /= np.linalg.norm(f1)
+    f1 = np.eye(3)[idx] - f0[idx] * f0
+    f1 /= _length(f1)
     f2 = bracket(f0, f1)
     return Frame(f0, f1, f2, d)
 
@@ -278,6 +271,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     every machine (the orders of einsum and matmul depend on numpy's build
     and the CPU)."""
     return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
+
+
+def _length(v: np.ndarray) -> np.ndarray:
+    """|v| = sqrt(_dot(v, v)) over the last axis: the one length of 3-vectors."""
+    return np.sqrt(_dot(v, v))
+
+
+def _frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|A - B|_F over the last two axes of 3x3 stacks, the one distance of
+    rotations: the rows of the difference squared by `_dot`, added as
+    (r0 + r1) + r2, then the square root, in that order on every machine."""
+    r0, r1, r2 = (_dot(row, row) for row in np.moveaxis(a - b, -2, 0))
+    return np.sqrt((r0 + r1) + r2)
 
 
 def _unit_scale(x: np.ndarray) -> np.ndarray:

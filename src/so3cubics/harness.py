@@ -39,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .algebra import _frobenius, _length
 from .approximants import (ApproxParams, first_approximant, fit_params,
                            second_approximant, taylor2_baseline)
 from .errors import ConfigError, DegenerateB
@@ -46,7 +47,7 @@ from .output import (CURVE_COLORS, QUADRATIC_CSV_HEADER, ROTATION_CSV_HEADER, SC
                      SvgCurve, project_points, quadratic_table, quadratic_to_dict,
                      rotation_table, rotation_to_dict, write_csv, write_json, write_svg)
 from .quadratic import (QuadraticIVP, QuadraticTrajectory, RotationTrajectory, _domain_slack,
-                        integrate_cubic, integrate_quadratic)
+                        _nearest, integrate_cubic, integrate_quadratic)
 from .reconstruction import (ReconstructionInput, approx_cubic, reconstruct_cubic,
                              rotation_phase, rotation_phase_approx, so3_distance)
 
@@ -107,6 +108,8 @@ class ExperimentConfig:
                                   f"interval endpoints resolve")
         if self._sample_count() > MAX_SAMPLES:
             raise ConfigError(f"more than MAX_SAMPLES={MAX_SAMPLES} sample times")
+        if "\0" in str(self.out_dir):
+            raise ConfigError("output_dir holds a NUL byte")
         if not self.formats or not set(self.formats) <= {"csv", "json", "svg"}:
             raise ConfigError("formats must be a nonempty subset of csv/json/svg")
         if not self.deltas:
@@ -323,16 +326,6 @@ class _Artifacts:
     dumps: tuple = ()
 
 
-def _nearest(nodes: np.ndarray, targets, tol: float = math.inf) -> np.ndarray:
-    """Index of the node nearest each target time (`nodes` ascending), or -1
-    where that node is farther than `tol` from the target."""
-    targets = np.asarray(targets, dtype=float)
-    hi = np.minimum(np.searchsorted(nodes, targets), len(nodes) - 1)
-    lo = np.maximum(hi - 1, 0)
-    idx = np.where(targets - nodes[lo] <= nodes[hi] - targets, lo, hi)
-    return np.where(np.abs(nodes[idx] - targets) <= tol, idx, -1)
-
-
 def _samples(config: ExperimentConfig, grid=None) -> tuple[np.ndarray, np.ndarray]:
     """(times, idx): the times every series of a run is evaluated at and
     written with.  Without a grid, the exact sample times and their own
@@ -404,7 +397,7 @@ def _curve_errors(p: _Pieces, times: np.ndarray) -> tuple[dict, dict]:
         "second": second_approximant(p.params, times),
         "taylor2": taylor2_baseline(p.ivp, times),
     }
-    errors = {name: np.linalg.norm(vals - curves["reference"], axis=1)
+    errors = {name: _length(vals - curves["reference"])
               for name, vals in curves.items() if name != "reference"}
     return curves, errors
 
@@ -489,8 +482,8 @@ def _converge(config, pieces, times, idx) -> _Artifacts:
         _, errors = _curve_errors(p, times)
         for name, err in errors.items():
             series[name][p.delta] = err
-        series["approx_cubic"][p.delta] = np.linalg.norm(
-            approx_cubic(p.params, np.eye(3), times) - p.xref.rotations[idx], axis=(1, 2))
+        series["approx_cubic"][p.delta] = _frobenius(approx_cubic(p.params, np.eye(3), times),
+                                                     p.xref.rotations[idx])
         series["phase"][p.delta] = np.abs(rotation_phase(p.recon, times)
                                           - rotation_phase_approx(p.params, times))
     report = _error_report(config, times, series)
@@ -518,21 +511,21 @@ def _cubic(config, pieces, times, idx) -> _Artifacts:
     (p,) = pieces
     xref = p.xref
     xrec = reconstruct_cubic(p.recon)
+    rotations = xref.rotations[idx]
     report = {
         "schema": f"{SCHEMA_PREFIX}-report-v1",
         "deltas": [p.delta],
-        "reconstruction_max_frobenius": float(np.max(np.linalg.norm(
-            xref.rotations - xrec.rotations, axis=(1, 2)))),
+        "reconstruction_max_frobenius": float(np.max(_frobenius(xref.rotations, xrec.rotations))),
         "rotation_defect_max": xref.max_rotation_error(),
         "config": config.to_dict(),
     }
     if not p.params.b_degenerate:
-        fro, angle = so3_distance(approx_cubic(p.params, np.eye(3), times), xref.rotations[idx])
+        fro, angle = so3_distance(approx_cubic(p.params, np.eye(3), times), rotations)
         report["approx_max_frobenius"] = float(fro.max())
         report["approx_max_angle"] = float(angle.max())
         report["params"] = p.params.to_dict()
 
-    sampled = rotation_table(times, xref.rotations[idx])
+    sampled = rotation_table(times, rotations)
     proj = np.asarray(config.projection, dtype=float)
     svg = [SvgCurve("integrated", project_points(xref.second_rows()[idx], proj),
                     CURVE_COLORS["reference"]),
@@ -540,7 +533,7 @@ def _cubic(config, pieces, times, idx) -> _Artifacts:
                     CURVE_COLORS["second"])]
     return _Artifacts((ROTATION_CSV_HEADER, sampled), svg,
                       "cubic: second rows, integrated vs reconstructed", report,
-                      (("cubic_trajectory.json", rotation_to_dict(sampled)),))
+                      (("cubic_trajectory.json", rotation_to_dict(times, rotations)),))
 
 
 @dataclass(frozen=True)

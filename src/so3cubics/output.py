@@ -178,7 +178,7 @@ def _bind_floattext(library):
         fill.restype = ctypes.c_longlong
 
         def text(values: np.ndarray, sep: str, row_sep: str) -> str:
-            # a payload's arrays may be views of a table's columns
+            # a caller's table or payload may hold a strided or float32 array
             values = np.ascontiguousarray(values, dtype=np.float64)
             rows, cols = values.shape
             n = rows * cols
@@ -330,13 +330,11 @@ def rotation_table(times, rotations) -> np.ndarray:
     return np.column_stack([times, np.reshape(rotations, (-1, 9))])
 
 
-def rotation_to_dict(table: np.ndarray) -> dict:
-    """The payload of a rotation table: its times and its rotations."""
-    return {
-        "schema": f"{SCHEMA_PREFIX}-rotation-v1",
-        "grid": table[:, 0],
-        "rotations": table[:, 1:],
-    }
+def rotation_to_dict(times, rotations) -> dict:
+    """The payload of `rotation_table`'s arguments, each rotation a row-major
+    row of nine floats; C-contiguous float arrays go in as they are."""
+    return {"schema": f"{SCHEMA_PREFIX}-rotation-v1", "grid": np.asarray(times, dtype=float),
+            "rotations": np.asarray(rotations, dtype=float).reshape(-1, 9)}
 
 
 @dataclass

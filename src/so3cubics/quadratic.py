@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _native
-from .algebra import (_NOT_FINITE, _dot, _rot_exp, as_rotation, as_vector, bracket,
+from .algebra import (_NOT_FINITE, _dot, _length, _rot_exp, as_rotation, as_vector, bracket,
                       rotation_error)
 from .errors import OutOfDomain, StepTooLarge
 
@@ -67,12 +67,22 @@ def conserved_constant(v, v1, v2) -> np.ndarray:
 
 def is_null(constant) -> bool:
     """A quadratic is null when its bracket constant vanishes."""
-    return float(np.linalg.norm(as_vector(constant))) <= NULL_TOL
+    return float(_length(as_vector(constant))) <= NULL_TOL
 
 
 def _domain_slack(t0: float, t1: float) -> float:
     """DOMAIN_ULPS float spacings of max(|t0|, |t1|), a time's rounding slack."""
     return DOMAIN_ULPS * math.ulp(max(abs(t0), abs(t1)))
+
+
+def _nearest(nodes: np.ndarray, targets, tol: float = math.inf) -> np.ndarray:
+    """Index of the node nearest each target time (`nodes` ascending; the lower
+    on a tie), or -1 where that node is farther than `tol`, as from a NaN."""
+    targets = np.asarray(targets, dtype=float)
+    hi = np.minimum(np.searchsorted(nodes, targets), len(nodes) - 1)
+    lo = np.maximum(hi - 1, 0)
+    idx = np.where(targets - nodes[lo] <= nodes[hi] - targets, lo, hi)
+    return np.where(np.abs(nodes[idx] - targets) <= tol, idx, -1)
 
 
 def check_times(t, t0: float, t1: float) -> None:
@@ -161,9 +171,8 @@ class QuadraticIVP:
     v2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "v0", as_vector(self.v0))
-        object.__setattr__(self, "v1", as_vector(self.v1))
-        object.__setattr__(self, "v2", as_vector(self.v2))
+        for name in ("v0", "v1", "v2"):
+            object.__setattr__(self, name, as_vector(getattr(self, name)))
         if not (np.isfinite(self.t0) and np.isfinite(self.t1)):
             raise ValueError("interval endpoints must be finite")
         if not self.t0 < self.t1:
@@ -293,7 +302,7 @@ class QuadraticTrajectory:
     def _drift_series(self) -> tuple[np.ndarray, np.ndarray]:
         """|C(t) - C(t0)| and |c(t) - c(t0)| at every grid node; c = <V'', V''>."""
         dC = self.constant_series() - self.C
-        return np.sqrt(_dot(dC, dC)), np.abs(_dot(self.v2, self.v2) - self.c)
+        return _length(dC), np.abs(_dot(self.v2, self.v2) - self.c)
 
     @cached_property
     def _drift_scan(self) -> tuple[tuple[float, int], ...]:
@@ -323,10 +332,9 @@ class RotationTrajectory:
     rotations: np.ndarray
 
     def at_time(self, t: float) -> np.ndarray:
-        """The rotation at the grid node within `_domain_slack` of t, else OutOfDomain."""
-        idx = int(np.argmin(np.abs(self.grid - t)))
-        # written so that a NaN time raises too
-        if not abs(float(self.grid[idx]) - t) <= _domain_slack(self.grid[0], self.grid[-1]):
+        """The rotation at the `_nearest` grid node; OutOfDomain past `_domain_slack`."""
+        idx = int(_nearest(self.grid, t, _domain_slack(self.grid[0], self.grid[-1])))
+        if idx < 0:
             raise OutOfDomain(f"time {t} is not a grid node")
         return self.rotations[idx]
 
@@ -342,12 +350,9 @@ class RotationTrajectory:
 def _drift_python(traj: QuadraticTrajectory) -> tuple[tuple[float, int], ...]:
     """`QuadraticTrajectory._drift_scan` in numpy: the twin of `_drift.c`,
     operation for operation."""
-    peaks = []
-    for series in (*traj._drift_series(), np.sqrt(_dot(traj.v1, traj.v1)),
-                   np.sqrt(_dot(traj.v2, traj.v2))):
-        k = int(np.argmax(series))
-        peaks.append((float(series[k]), k))
-    return tuple(peaks)
+    series = (*traj._drift_series(), _length(traj.v1), _length(traj.v2))
+    peaks = [int(np.argmax(s)) for s in series]
+    return tuple((float(s[k]), k) for s, k in zip(series, peaks))
 
 
 def _bind_drift(library):
@@ -686,7 +691,7 @@ def _magnus_checks() -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
     for n in (1, 2, 3, 4, 5, 9, 10, 17):
         va, vb, units = np.reshape(_native._draws(9 * n, 1999 + n), (3, n, 3))
         va, vb = (va, vb) * 10.0 ** (np.arange(2 * n) % 11 - 8).reshape(2, n, 1)
-        units /= np.sqrt(_dot(units, units))[:, None]
+        units /= _length(units)[:, None]
         norms = np.resize(np.roll(_CHECK_MAGNUS_W, n), n)
         designed = va.copy(), vb.copy()
         designed[0][::2] = units[::2] * norms[::2, None]

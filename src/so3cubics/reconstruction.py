@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _native
-from .algebra import GRAM_RTOL, _dot, as_rotation, frame_from_pair, plane_rotation
+from .algebra import GRAM_RTOL, _dot, _frobenius, as_rotation, frame_from_pair, plane_rotation
 # second_approximant: perfbench/selftest.py checks the tracer through this name
 from .approximants import (ApproxParams, _approximants, _check_finite,  # noqa: F401
                            second_approximant)
@@ -258,15 +258,14 @@ def so3_distance(r1, r2):
     """(Frobenius distance, geodesic angle) between two rotations, as two
     floats; stacks of shape S + (3, 3) give two arrays of shape S.
 
-    With M = R1^T R2 the angle is atan2(|vee(M - M^T)| / 2, (tr M - 1) / 2):
-    the sine and cosine of the angle each enter with an absolute error of
-    a few eps, so the angle is accurate to about eps at every separation
-    (acos of the cosine alone loses half the digits near 0 and pi)."""
+    The distance is `algebra._frobenius`'s, summed in one order on every
+    machine.  With M = R1^T R2 the angle is atan2(|vee(M - M^T)| / 2,
+    (tr M - 1) / 2): its sine and cosine each enter with an absolute error
+    of a few eps, so it is accurate to about eps at every separation (acos
+    of the cosine alone loses half the digits near 0 and pi)."""
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
-    diff = r1 - r2
-    diff = diff.reshape(diff.shape[:-2] + (1, 9))
-    fro = np.sqrt(diff @ np.swapaxes(diff, -1, -2))[..., 0, 0]
+    fro = _frobenius(r1, r2)
     m = np.swapaxes(r1, -1, -2) @ r2
     a = m[..., 2, 1] - m[..., 1, 2]
     b = m[..., 0, 2] - m[..., 2, 0]
@@ -274,6 +273,4 @@ def so3_distance(r1, r2):
     sin_angle = 0.5 * np.sqrt(a * a + b * b + c * c)
     cos_angle = 0.5 * (np.trace(m, axis1=-2, axis2=-1) - 1.0)
     angle = np.arctan2(sin_angle, cos_angle)
-    if fro.ndim == 0:
-        return float(fro), float(angle)
-    return fro, angle
+    return (float(fro), float(angle)) if fro.ndim == 0 else (fro, angle)

@@ -38,7 +38,9 @@ stacked products, the library's product before it fixed that order.
 
 The library measures a stack of rotation pairs in one `so3_distance` call;
 `pair_distance` measures one pair with the scalar numpy and math calls,
-and the stacked form must reproduce it bit for bit.
+and the stacked form must reproduce it bit for bit.  Its Frobenius part is
+`loop_frobenius`, which sums one pair at a time in Python floats in the
+order that `algebra._frobenius` sums whole stacks.
 
 The library writes the Rodrigues exponential and the rotation defect entry
 by entry; `matmul_rot_exp` (I + a K + b K @ K on `ad_matrix` stacks) and
@@ -576,10 +578,26 @@ def matmul_running_product(x0, steps) -> np.ndarray:
     return out[:n + 1]
 
 
+def loop_frobenius(a, b) -> np.ndarray:
+    """|A - B|_F of each pair of 3x3 matrices in two stacks of shape
+    S + (3, 3), one pair at a time in Python floats: each row of the
+    difference squared as (d0 d0 + d1 d1) + d2 d2, the rows added as
+    (r0 + r1) + r2, then math.sqrt; shape S."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.empty(a.shape[:-2])
+    for k in np.ndindex(out.shape):
+        rows = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a[k].tolist(), b[k].tolist())]
+        r0, r1, r2 = ((d0 * d0 + d1 * d1) + d2 * d2 for d0, d1, d2 in rows)
+        out[k] = math.sqrt((r0 + r1) + r2)
+    return out
+
+
 def pair_distance(r1, r2) -> tuple[float, float]:
-    """(Frobenius distance, geodesic angle) between two rotations: the angle
-    is atan2(|vee(M - M^T)| / 2, (tr M - 1) / 2) with M = R1^T R2."""
-    fro = float(np.linalg.norm(r1 - r2))
+    """(Frobenius distance, geodesic angle) between two rotations: the
+    distance is `loop_frobenius`'s, and the angle is
+    atan2(|vee(M - M^T)| / 2, (tr M - 1) / 2) with M = R1^T R2."""
+    fro = float(loop_frobenius(r1, r2))
     m = r1.T @ r2
     (_, m01, m02), (m10, _, m12), (m20, m21, _) = m.tolist()
     a, b, c = m21 - m12, m02 - m20, m10 - m01

@@ -71,6 +71,16 @@ def test_config_rejects_a_non_string_output_dir(output_dir):
     assert config_from_dict({"kind": "figure1", "output_dir": "here"}).out_dir == "here"
 
 
+def test_config_rejects_a_nul_byte_in_output_dir(tmp_path, monkeypatch, capsys):
+    # a NUL once reached Path.mkdir, which raised a bare ValueError (exit 1)
+    with pytest.raises(ConfigError, match="NUL"):
+        replace(default_config("figure1"), out_dir="o\0b").validate()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"output_dir": "o\u0000b"}))
+    assert main(["figure1", "--config", "cfg.json"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [
     ("base", "100"), ("base", [True, 0, 0]), ("deltas", "1"), ("budget", True),
     ("stride", "0.5"), ("step", [0.01]), ("delta", [0.1]), ("interval", [0, [1]]),
@@ -358,6 +368,20 @@ def test_converge_default_bands_pass(tmp_path):
         assert passed[name] == [True], (name, result.report["ratios"][name])
 
 
+def test_figure3_and_converge_measure_one_frobenius_series(tmp_path):
+    # the same family, delta and sample times: figure3's distance series
+    # and converge's approx_cubic series are one measurement, bit for bit
+    common = {"t0": 0.0, "t1": 10.0, "step": 0.01, "stride": 0.02, "formats": ("json",),
+              "pert": default_config("figure3").pert}
+    figure3 = run_experiment(replace(default_config("figure3"), out_dir=str(tmp_path / "f"),
+                                     **common)).report
+    converge = run_experiment(replace(default_config("converge"), out_dir=str(tmp_path / "c"),
+                                      deltas=(0.05, 0.025), **common)).report
+    assert np.array_equal(figure3["times"], converge["times"])
+    assert np.array_equal(figure3["series"]["approx_frobenius"]["0.05"],
+                          converge["series"]["approx_cubic"]["0.05"])
+
+
 def test_converge_three_deltas_two_ratio_rows(tmp_path):
     cfg = replace(default_config("converge"), out_dir=str(tmp_path),
                   deltas=(0.08, 0.04, 0.02), t1=1.5, step=2e-3, stride=0.05,
@@ -524,6 +548,7 @@ def test_cli_degeneracy_exit(tmp_path):
     (["figure1"], {"base": [True, 0, 0]}, 2),
     (["figure1"], {"step": 10 ** 400}, 2),
     (["figure1", "--stride", "0.5"], {"stride": "x"}, 2),
+    (["figure1", "--out", "{tmp}/o\u0000b"], None, 2),
 ])
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, config, code):
     # argv's own --out, placed after this default, overrides it

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import FIG3_BASE, fig1_ivp, fig3_ivp, require_kernel, twins_only
-from oracles import pair_distance
+from oracles import loop_frobenius, pair_distance
 from so3cubics import _native, reconstruction
-from so3cubics.algebra import (GRAM_RTOL, _dot, _gram, frame_from_axis, frame_from_pair,
-                               rot_exp, rotation_error)
+from so3cubics.algebra import (GRAM_RTOL, _dot, _frobenius, _gram, frame_from_axis,
+                               frame_from_pair, rot_exp, rotation_error)
 from so3cubics.approximants import ApproxParams, fit_params
 from so3cubics.errors import DegenerateB, DegenerateFrame, DegenerateThirdDerivative
 from so3cubics.quadratic import (QuadraticIVP, QuadraticTrajectory, integrate_cubic,
@@ -292,6 +292,24 @@ def test_stacked_distance_matches_scalar_loop_bit_for_bit(axes, scale):
     grid_fro, grid_angle = so3_distance(r1.reshape(2, 3, 3, 3), r2.reshape(2, 3, 3, 3))
     assert np.array_equal(grid_fro, fro.reshape(2, 3))
     assert np.array_equal(grid_angle, angle.reshape(2, 3))
+
+
+# zeros of both signs, and entries near 1, 1e150 and 1e-150 of either sign,
+# mixed within one matrix; every squared row stays finite
+_entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0),
+                     st.floats(-2.0, 2.0).map(lambda x: x * 1e150),
+                     st.floats(-2.0, 2.0).map(lambda x: x * 1e-150))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 3), (1, 3, 3), (5, 3, 3), (2, 3, 3, 3)]).flatmap(
+    lambda shape: st.tuples(arrays(float, shape, elements=_entries),
+                            arrays(float, shape, elements=_entries))))
+def test_frobenius_matches_scalar_loop_bit_for_bit(pair):
+    a, b = pair
+    fro = _frobenius(a, b)
+    assert fro.shape == a.shape[:-2]
+    assert np.array_equal(fro, loop_frobenius(a, b))
 
 
 # ------------------------------------------------------------ x0 validation
