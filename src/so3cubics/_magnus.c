@@ -1,6 +1,6 @@
 /* The Magnus steps of so3cubics.quadratic.integrate_cubic: for every step
- * k the Magnus vector W_k, its exponential exp(ad W_k) and the running
- * product x0 S_0 ... S_k, in one pass.
+ * k the Magnus vector W_k, its exponential exp(ad W_k), the running
+ * product x0 S_0 ... S_k and its defect, in one pass.
  *
  * Every operation is the numpy twin's (`quadratic._magnus_python`), in the
  * same order and in doubles:
@@ -13,7 +13,8 @@
  *     L = ceil(sqrt(n)) steps, the prefix products inside each block, then
  *     the carry (x0, or the last rotation of the block before) applied on
  *     the left, every 3x3 product summed as ((a_i0 b_0j + a_i1 b_1j)
- *     + a_i2 b_2j).
+ *     + a_i2 b_2j);
+ *   - the largest defect as algebra.rotation_error takes it, a NaN largest.
  * It calls sin and sqrt from the libm the Python process has loaded and is
  * built with -O2 -ffp-contract=off, so no a * b + c becomes one fused
  * multiply-add; the loader checks the result against the twin before
@@ -24,7 +25,9 @@
  * rotations of nine doubles, row by row, with x0 already in out[0..8].
  * The return value is -1, or the first step whose W is not finite or whose
  * squared norm (xx + yy) + zz overflows, where the twin raises; the
- * rotations from that step on are then not written.
+ * rotations from that step on, and worst, are then not written.  Else
+ * *worst is the largest defect of the n + 1 rotations, x0 among them, each
+ * taken as the rotation is written, so no second pass reads the stack.
  */
 
 #include <math.h>
@@ -44,6 +47,22 @@ static void product(const double *restrict a, const double *restrict b, double *
     for (int i = 0; i < 3; i++)
         for (int j = 0; j < 3; j++)
             c[3 * i + j] = (a[3 * i] * b[j] + a[3 * i + 1] * b[3 + j]) + a[3 * i + 2] * b[6 + j];
+}
+
+/* the larger of worst and the defect of the rotation r, |R^T R - I| and
+ * |det R - 1|, in algebra.rotation_error's expressions and order; a NaN is
+ * the larger, as in np.max */
+static double defect(const double *r, double worst)
+{
+    const double a = r[0], b = r[1], c = r[2], d = r[3], e = r[4], f = r[5], g = r[6], h = r[7];
+    const double i = r[8], det = (a * (e * i - f * h) - b * (d * i - f * g)) + c * (d * h - e * g);
+    const double terms[7] = {((a * a + d * d) + g * g) - 1.0, ((b * b + e * e) + h * h) - 1.0,
+                             ((c * c + f * f) + i * i) - 1.0, (a * b + d * e) + g * h,
+                             (a * c + d * f) + g * i, (b * c + e * f) + h * i, det - 1.0};
+    for (int k = 0; k < 7; k++)
+        if (!(fabs(terms[k]) <= worst) && !isnan(worst))
+            worst = fabs(terms[k]);
+    return worst;
 }
 
 /* exp(ad w), row by row; returns 0, with r not written, where the squared
@@ -74,7 +93,7 @@ static int rot_exp(const double *restrict w, double *restrict r)
 }
 
 long long magnus_steps(const double *va, const double *vb, long long n, double hh, double cc,
-                       double *out)
+                       double *out, double *worst)
 {
     long long size = (long long)sqrt((double)(n - 1));
     while (size * size > n - 1)
@@ -84,6 +103,7 @@ long long magnus_steps(const double *va, const double *vb, long long n, double h
     size++;   /* ceil(sqrt(n)) */
     double step[9], prefix[9], next[9];
     const double *carry = out;
+    double largest = defect(out, 0.0);
     for (long long k = 0; k < n; k++) {
         const double *a = va + 3 * k, *b = vb + 3 * k;
         const double w[3] = {
@@ -104,6 +124,8 @@ long long magnus_steps(const double *va, const double *vb, long long n, double h
                 prefix[i] = next[i];
         }
         product(carry, prefix, out + 9 * (k + 1));
+        largest = defect(out + 9 * (k + 1), largest);
     }
+    *worst = largest;
     return -1;
 }

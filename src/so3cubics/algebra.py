@@ -181,13 +181,17 @@ def frame_from_axis(axis) -> Frame:
 
     f0 is the normalized axis; f1 is the projection onto the f0-orthogonal
     plane of the standard basis vector least aligned with f0 (lowest index
-    on ties); f2 completes the positively oriented triple (lengths: `_length`).
+    on ties); f2 completes the positively oriented triple.  Lengths are
+    `_length`'s of v scaled by a power of two, so no square overflows; d = |v|.
     """
     v = as_vector(axis)
-    d = float(_length(v))
+    _, e = np.frexp(np.max(np.abs(v)))
+    length = _length(np.ldexp(v, -e))
+    with np.errstate(over="ignore"):
+        d = float(np.ldexp(length, e))
     if d <= 1e-12:
         raise ZeroDirection("axis norm is below 1e-12")
-    f0 = v / d
+    f0 = np.ldexp(v, -e) / length
     idx = int(np.argmin(np.abs(f0)))
     f1 = np.eye(3)[idx] - f0[idx] * f0
     f1 /= _length(f1)

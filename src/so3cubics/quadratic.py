@@ -12,12 +12,12 @@ pass of another, `_drift.c`, over the trajectory's nodes: the max and the
 first argmax of the drifts of C and c and of |V'| and |V''|.  The Magnus
 steps of `integrate_cubic` are one pass of a third, `_magnus.c`: each
 step's Magnus vector, its Rodrigues exponential and the blocked running
-product of the steps.  `_native.kernel(name)` serves each through its
-`_bind_<name>`: compiled on first use (never at import), cached per
-machine, and used only after a self-check matches its Python twin
-(`_rk4_python`, `_drift_python`, `_magnus_python`) byte for byte.  Where
-any of that fails, the twin runs, with the same bits and no warning;
-nothing of the package's own chooses between them.
+product of the steps, and its largest defect.  `_native.kernel(name)`
+serves each through its `_bind_<name>`: compiled on first use (never at
+import), cached per machine, and used only after a self-check matches its
+Python twin (`_rk4_python`, `_drift_python`, `_magnus_python`) byte for
+byte.  Where any of that fails, the twin runs, with the same bits and no
+warning; nothing of the package's own chooses between them.
 
 Between grid nodes every derivative d = 0, 1, 2 of a trajectory is the
 cubic Hermite interpolant of its node values with derivative d + 1 as
@@ -48,8 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _native
-from .algebra import (_NOT_FINITE, _dot, _length, _rot_exp, as_rotation, as_vector, bracket,
-                      rotation_error)
+from .algebra import _dot, _length, _rot_exp, as_rotation, as_vector, bracket, rotation_error
 from .errors import OutOfDomain, StepTooLarge
 
 NULL_TOL = 1e-12        # |C| at or below this counts as a null quadratic
@@ -343,8 +342,11 @@ class RotationTrajectory:
         return self.rotations[:, 1, :]
 
     def max_rotation_error(self) -> float:
-        """Worst orthogonality/determinant defect over all samples."""
-        return rotation_error(self.rotations)
+        """Worst orthogonality/determinant defect over all samples: the Magnus
+        pass's for `integrate_cubic`'s curves, else `rotation_error`, once."""
+        return self._defect
+
+    _defect = cached_property(lambda self: rotation_error(self.rotations))
 
 
 def _drift_python(traj: QuadraticTrajectory) -> tuple[tuple[float, int], ...]:
@@ -557,12 +559,12 @@ def integrate_cubic(x0, velocity, step: float, t0: float | None = None,
     V_b are V at the two Gauss-Legendre nodes of the step.  The running
     product is a blocked prefix product (blocks of L = ceil(sqrt(n)) steps),
     so each rotation is a product of at most about 2 sqrt(n) factors, and
-    every 3x3 product is summed in one fixed order.  The W_k, their
-    exponentials and the product are one pass of the C kernel of
+    every 3x3 product is summed in one fixed order.  The W_k, exponentials,
+    product and its largest defect (`max_rotation_error`) are one pass of
     `_magnus.c` where `_native.kernel("magnus")` serves it, else its numpy
-    twin `_magnus_python`, with the same bits.  A W_k that is not finite,
-    or whose squared norm overflows, raises ValueError, as `rot_exp` does.
-    The curve stays on SO(3) to rounding, so it is never renormalized.
+    twin `_magnus_python`, with the same bits.  A W_k whose squared norm is
+    not finite raises ValueError naming k and t = grid[k].  The curve
+    stays on SO(3) to rounding, so it is never renormalized.
 
     `velocity` is either a QuadraticTrajectory (dense-evaluated on its own
     interval, or on a given [t0, t1] within it, else OutOfDomain) or a
@@ -587,23 +589,30 @@ def integrate_cubic(x0, velocity, step: float, t0: float | None = None,
         va, vb = (velocity.at_fraction(node) for node in _GAUSS_NODES)
     else:
         va, vb = (sample(grid[:-1] + node * h) for node in _GAUSS_NODES)
-    magnus = _native.kernel("magnus") or _magnus_python
-    return RotationTrajectory(grid=grid, rotations=magnus(x0, va, vb, h))
+    rotations, defect = (_native.kernel("magnus") or _magnus_python)(x0, va, vb, h, grid)
+    curve = RotationTrajectory(grid=grid, rotations=rotations)
+    object.__setattr__(curve, "_defect", defect)
+    return curve
 
 
-def _magnus_python(x0: np.ndarray, va: np.ndarray, vb: np.ndarray, h: float) -> np.ndarray:
+def _magnus_python(x0: np.ndarray, va: np.ndarray, vb: np.ndarray, h: float,
+                   grid: np.ndarray) -> tuple[np.ndarray, float]:
     """The rotations x0, x0 S_0, ..., x0 S_0 ... S_{n-1}, shape (n + 1, 3,
-    3), of n Magnus steps S_k = rot_exp(W_k) of size h, from V at the two
-    Gauss nodes of every step, va and vb, shape (n, 3): the numpy twin of
-    `_magnus.c`, operation for operation.  A W_k that is not finite, or
-    whose squared norm overflows, raises rot_exp's ValueError; no float
+    3), of n Magnus steps S_k = rot_exp(W_k) of size h on `grid`, from V at
+    the Gauss nodes of every step, va and vb, shape (n, 3), and their
+    `rotation_error`: the numpy twin of `_magnus.c`, operation for
+    operation.  integrate_cubic's ValueError is raised here, and no float
     warning escapes.  It calls rot_exp's body, so that the kernel's
     self-check calls no public function."""
     with np.errstate(over="ignore", invalid="ignore"):
         omega = (0.5 * h) * (va + vb) - (_MAGNUS_COMMUTATOR * h * h) * np.cross(vb, va)
-        if not np.all(np.isfinite(omega)):
-            raise ValueError(_NOT_FINITE)
-        return _running_product(x0, _rot_exp(omega))
+        # rot_exp's squared norm of W, not finite where W is not
+        if not np.all(finite := np.isfinite(_dot(omega, omega))):
+            k = int(np.argmin(finite))
+            raise ValueError(f"Magnus vector W has a non-finite squared norm at step index {k}, "
+                             f"t={float(grid[k])!r}")
+        rotations = _running_product(x0, _rot_exp(omega))
+        return rotations, rotation_error(rotations)
 
 
 def _running_product(x0: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -654,17 +663,18 @@ def _bind_magnus(library):
 
     steps = library.magnus_steps
     steps.argtypes = (_native.DOUBLES_IN, _native.DOUBLES_IN, ctypes.c_longlong, ctypes.c_double,
-                      ctypes.c_double, _native.DOUBLES_OUT)
+                      ctypes.c_double, _native.DOUBLES_OUT, _native.DOUBLES_OUT)
     steps.restype = ctypes.c_longlong
 
-    def magnus(x0: np.ndarray, va: np.ndarray, vb: np.ndarray, h: float) -> np.ndarray:
+    def magnus(x0: np.ndarray, va: np.ndarray, vb: np.ndarray, h: float,
+               grid: np.ndarray) -> tuple[np.ndarray, float]:
         # both are (n, 3), n >= 1: V at the Gauss nodes of a grid's steps
         n = len(va)
-        out = np.empty((n + 1, 3, 3))
+        out, worst = np.empty((n + 1, 3, 3)), np.empty(1)
         out[0] = x0
-        if steps(va, vb, n, 0.5 * h, _MAGNUS_COMMUTATOR * h * h, out) >= 0:
-            return _magnus_python(x0, va, vb, h)
-        return out
+        if steps(va, vb, n, 0.5 * h, _MAGNUS_COMMUTATOR * h * h, out, worst) >= 0:
+            return _magnus_python(x0, va, vb, h, grid)
+        return out, float(worst[0])
 
     return magnus, [(magnus, _magnus_python, case) for case in _magnus_checks()]
 
@@ -677,16 +687,21 @@ _CHECK_MAGNUS_H = (2.0, 0.3)
 _CHECK_MAGNUS_W = (0.0, 1e-300, 1e-8, 1.0, math.pi, 2.0 * math.pi, 1e3)
 
 
-def _magnus_checks() -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
-    """The Magnus pass's self-check: (x0, va, vb, h) for n = 1, 2, 3, 4, 5,
-    9, 10 and 17 steps, block sizes 1 to 5 with and without identity
+def _magnus_checks() -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]]:
+    """The Magnus pass's self-check: (x0, va, vb, h, grid) for n = 1, 2, 3,
+    4, 5, 9, 10 and 17 steps, block sizes 1 to 5 with and without identity
     padding in the twin.  At h = 2 every even step has vb = 0, so its W is
     va, whose norm runs through `_CHECK_MAGNUS_W` in the direction of a
     drawn unit vector; every other step has drawn va and vb of sizes 1e-8
-    to 1e2 (`_native._draws`).  At h = 0.3 every step is drawn, and the
-    last two cases end on a step whose W is finite but overflows its
-    squared norm and on a NaN step."""
-    x0 = _rot_exp(_native._draws(3, 1999))
+    to 1e2 (`_native._draws`).  At h = 0.3 every step is drawn, and two
+    cases end on a step whose W is finite but overflows its squared norm
+    and on a NaN step.  Over 17 steps of |W| < 9e-3, x0 (I + 1e-9 E) for
+    E = e_i e_j^T or J / 3 (J all ones) makes each defect term the largest,
+    at row 0 but for det; J's case with step 12 turning J's axis onto e0
+    and step 13 back has it at row 13; x0[0, 1] = inf over two steps gives
+    NaN defects at row 1, infinite ones at row 2.  The seed of x0 is one
+    for which reassociating any defect term changes some case's result."""
+    x0 = _rot_exp(_native._draws(3, 42))
     cases = []
     for n in (1, 2, 3, 4, 5, 9, 10, 17):
         va, vb, units = np.reshape(_native._draws(9 * n, 1999 + n), (3, n, 3))
@@ -701,4 +716,11 @@ def _magnus_checks() -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
     huge[-1] = (1e200, 0.0, 0.0)
     va[-1, 1] = math.nan
     cases += [(x0, huge, vb, _CHECK_MAGNUS_H[1]), (x0, va, vb, _CHECK_MAGNUS_H[1])]
-    return cases
+    es = np.concatenate([np.eye(9)[[0, 4, 8, 1, 2, 5]].reshape(6, 3, 3), np.full((1, 3, 3), 1 / 3)])
+    offs = x0 + 1e-9 * _product(x0, es)
+    small, turn = np.reshape(_native._draws(51, 2029), (17, 3)) * 5e-3, np.zeros((17, 3))
+    turn[12:14] = np.outer([1.0, -1.0], [0.0, -1.0, 1.0]) * (math.acos(3.0 ** -0.5) / math.sqrt(2))
+    infinite = np.where(np.arange(9).reshape(3, 3) == 1, math.inf, x0)
+    cases += [(off, steps, 0.0 * steps, _CHECK_MAGNUS_H[0]) for off, steps in
+              [*zip(offs, [small] * 7), (offs[-1], turn), (infinite, small[:2])]]
+    return [(*case, case[3] * np.arange(len(case[1]) + 1.0)) for case in cases]

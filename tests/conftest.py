@@ -83,10 +83,10 @@ def off_twins() -> dict:
         (first, k), *rest = scan(traj)
         return ((float(np.nextafter(first, np.inf)), k), *rest)
 
-    def magnus_off(x0, va, vb, h):
-        out = magnus(x0, va, vb, h)
+    def magnus_off(*args):
+        out, worst = magnus(*args)
         out[-1, -1, -1] = np.nextafter(out[-1, -1, -1], np.inf)
-        return out
+        return out, worst
 
     def texts_off(block):
         first, *rest = texts(block)

@@ -429,6 +429,26 @@ def test_frame_from_axis_rejects_zero():
         frame_from_axis([0.0, 0.0, 1e-13])
 
 
+@pytest.mark.parametrize("scale", [665, -665], ids=["1e200", "1e-200"])
+def test_frame_from_axis_of_a_huge_or_tiny_axis(scale):
+    # the length is taken of the axis scaled by a power of two, so no
+    # square overflows or underflows: a 1e200 axis has the frame of the
+    # axis it scales, bit for bit, and d its true size; a 1e-200 axis
+    # raises ZeroDirection; no float warning either way
+    axis = np.array([0.6, -0.2, 1.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if scale < 0:
+            with pytest.raises(ZeroDirection, match="below 1e-12"):
+                frame_from_axis(np.ldexp(axis, scale))
+            return
+        frame, huge = frame_from_axis(axis), frame_from_axis(np.ldexp(axis, scale))
+    for mine, its in zip((huge.f0, huge.f1, huge.f2), (frame.f0, frame.f1, frame.f2)):
+        assert mine.tobytes() == its.tobytes()
+    assert huge.d == math.ldexp(frame.d, scale) and 1e200 < huge.d < 1e201
+    assert frame_from_axis([1e200, 0.0, 0.0]).d == 1e200
+
+
 def test_frame_validates_orthonormality():
     with pytest.raises(ValueError):
         Frame([1, 0, 0], [0.5, 0.5, 0], [0, 0, 1], 1.0)

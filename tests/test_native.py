@@ -149,7 +149,7 @@ def _typed_calls(name) -> list:
         "drift": [("drift_scan", (doubles(2, 3), doubles(2, 3), doubles(2, 3), 2, doubles(3), 1.0,
                                   doubles(4), np.zeros(4, np.int64)))],
         "magnus": [("magnus_steps", (doubles(2, 3), doubles(2, 3), 2, 0.1, 0.01,
-                                     doubles(3, 3, 3)))],
+                                     doubles(3, 3, 3), doubles(1)))],
         "floattext": [("format_slots", fill), ("format_fixed2", fill),
                       ("join_slots", (slots, lens, 2, 2, b",", 1, b" ", 1,
                                       np.zeros(256, np.uint8)))],

@@ -21,8 +21,8 @@ from so3cubics.algebra import _dot, rot_exp, rotation_error
 from so3cubics.cli import main
 from so3cubics.errors import OutOfDomain, StepTooLarge
 from so3cubics.quadratic import (_GAUSS_NODES, C_DRIFT_LIMIT, DOMAIN_ULPS, QuadraticIVP,
-                                 QuadraticTrajectory, conserved_constant, hermite,
-                                 integrate_cubic, integrate_quadratic, is_null)
+                                 QuadraticTrajectory, RotationTrajectory, conserved_constant,
+                                 hermite, integrate_cubic, integrate_quadratic, is_null)
 from so3cubics.reconstruction import ReconstructionInput, rotation_phase
 
 # Richardson step-halving reference for V(2) of the figure1 family:
@@ -720,12 +720,13 @@ def test_integrate_cubic_zero_velocity(engine):
 
 def test_integrate_cubic_refuses_a_step_whose_squared_norm_overflows(engine):
     # W = 0.1 (1e200, 0, 0) is finite, but |W|^2 is not: the same ValueError
-    # as a W that is not finite, at any step, and no float warning
-    for first_bad in (0.0, 0.55):
+    # as a W that is not finite, at any step, naming the first such step
+    # and its time, and no float warning
+    for first_bad, where in ((0.0, "step index 0, t=0.0"), (0.55, "step index 5, t=0.5")):
         velocity = lambda t: np.array([1e200 if t > first_bad else 1.0, 0.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(ValueError, match=f"non-finite squared norm at {where}$"):
                 integrate_cubic(np.eye(3), velocity, 0.1, t0=0.0, t1=1.0)
     # just below the overflow the steps are rotations
     rt = integrate_cubic(np.eye(3), lambda t: np.array([1e154, 0.0, 0.0]), 0.1, t0=0.0, t1=1.0)
@@ -829,11 +830,13 @@ def test_integrate_cubic_stays_within_rounding_of_the_matmul_product(t1, engine)
 
 
 def _magnus_outcome(magnus, *args):
-    """The rotation bytes of a Magnus pass, or its ValueError message."""
+    """The rotation bytes of a Magnus pass and the bytes of its largest
+    defect, or its ValueError message."""
     try:
-        return magnus(*args).tobytes()
+        rotations, worst = magnus(*args)
     except ValueError as exc:
         return str(exc)
+    return rotations.tobytes(), np.float64(worst).tobytes()
 
 
 # an entry of va or vb that makes its step's W not finite, or finite with
@@ -867,31 +870,76 @@ def test_magnus_pass_matches_the_numpy_twin_bit_for_bit(n, seed, h, low, bad):
     vb[kind != 2] = 0.0
     for k, column, value in bad:
         (va, vb)[column // 3][k % n, column % 3] = value
-    ours = _magnus_outcome(magnus, x0, va, vb, h)
-    assert ours == _magnus_outcome(quadratic._magnus_python, x0, va, vb, h)
+    grid = 0.5 + h * np.arange(n + 1.0)
+    ours = _magnus_outcome(magnus, x0, va, vb, h, grid)
+    assert ours == _magnus_outcome(quadratic._magnus_python, x0, va, vb, h, grid)
     if bad:
-        assert ours == "vector has non-finite components"
+        # every bad entry makes its own step's W or squared norm non-finite
+        k = min(k % n for k, _, _ in bad)
+        assert ours == ("Magnus vector W has a non-finite squared norm at step index "
+                        f"{k}, t={float(grid[k])!r}")
     else:
-        rotations = np.frombuffer(ours).reshape(n + 1, 3, 3)
-        assert np.array_equal(rotations[0], x0) and rotation_error(rotations) < 1e-12
+        rotations = np.frombuffer(ours[0]).reshape(n + 1, 3, 3)
+        worst = rotation_error(rotations)
+        assert ours[1] == np.float64(worst).tobytes()
+        assert np.array_equal(rotations[0], x0) and worst < 1e-12
 
 
 def test_magnus_self_check_covers_block_sizes_and_angles():
     # step counts 1 to 17 (block sizes 1 to 5, the twin's last block padded
     # or not), and every angle of _CHECK_MAGNUS_W as a W of its own
     cases = quadratic._magnus_checks()
-    counts = {len(va) for _, va, _, _ in cases}
+    counts = {len(va) for _, va, _, _, _ in cases}
     assert counts == {1, 2, 3, 4, 5, 9, 10, 17}
     sizes = {n: math.isqrt(n - 1) + 1 for n in counts}
     assert {n % sizes[n] == 0 for n in counts if sizes[n] > 1} == {True, False}
-    norms = [math.hypot(*row) for _, va, vb, h in cases if h == 2.0
+    norms = [math.hypot(*row) for _, va, vb, h, _ in cases if h == 2.0
              for row, zero in zip(va.tolist(), ~vb.any(axis=1)) if zero]
     for angle in quadratic._CHECK_MAGNUS_W:
         assert any(abs(norm - angle) <= 1e-15 * angle for norm in norms), angle
     # passes that end on a NaN step and on a finite W whose squared norm
     # overflows, where both engines raise
-    assert any(not np.all(np.isfinite(va)) for _, va, _, _ in cases)
-    assert any(np.all(np.isfinite(va)) and np.max(np.abs(va)) > 1e154 for _, va, _, _ in cases)
+    assert any(not np.all(np.isfinite(va)) for _, va, _, _, _ in cases)
+    assert any(np.all(np.isfinite(va)) and np.max(np.abs(va)) > 1e154
+               for _, va, _, _, _ in cases)
+    # every grid is the steps' own
+    assert all(np.array_equal(grid, h * np.arange(len(va) + 1.0)) for _, va, _, h, grid in cases)
+
+
+def _defect_terms(rotations):
+    """|R^T R - I| at (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2) and
+    |det R - 1| of each rotation, by matmul and np.linalg: shape (n + 1, 7)."""
+    gram = np.swapaxes(rotations, 1, 2) @ rotations - np.eye(3)
+    rows, cols = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
+    return np.abs(np.column_stack([gram[:, rows, cols], np.linalg.det(rotations) - 1.0]))
+
+
+def test_magnus_self_check_places_the_largest_defect():
+    # each of the seven defect terms is the largest of some case, by a
+    # margin far above rounding; one case has its largest defect at row 0
+    # alone (x0's, which a running maximum started past x0 misses), one at
+    # a single row past the first block; and one has a NaN defect before
+    # a last row of infinite ones, where NaN is the largest, as in np.max
+    terms, at_row_0, later, nan_first = set(), False, False, False
+    for x0, va, vb, h, grid in quadratic._magnus_checks():
+        with np.errstate(all="ignore"):
+            try:
+                rotations, worst = quadratic._magnus_python(x0, va, vb, h, grid)
+            except ValueError:
+                continue
+            defects, last = _defect_terms(rotations), rotation_error(rotations[-1])
+        if math.isnan(worst):
+            nan_first |= last == math.inf
+            continue
+        by_term, by_row = defects.max(axis=0), defects.max(axis=1)
+        top = np.sort(by_term)
+        if top[-1] > 1e-12 and top[-1] > (1.0 + 1e-6) * top[-2]:
+            terms.add(int(np.argmax(by_term)))
+        row = int(np.argmax(by_row))
+        alone = by_row[row] > 1e-12 and by_row[row] > (1.0 + 1e-6) * np.delete(by_row, row).max()
+        at_row_0 |= alone and row == 0
+        later |= alone and (row - 1) // (math.isqrt(len(va) - 1) + 1) >= 1
+    assert terms == set(range(7)) and at_row_0 and later and nan_first
 
 
 def test_failed_magnus_self_check_runs_the_twin(fresh_loader, monkeypatch):
@@ -907,8 +955,39 @@ def test_failed_magnus_self_check_runs_the_twin(fresh_loader, monkeypatch):
                         lambda *args: calls.append(args) or twin(*args))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rotations = integrate_cubic(np.eye(3), traj, 1e-2).rotations
-    assert len(calls) == 1 and rotations.tobytes() == expected.tobytes()
+        curve = integrate_cubic(np.eye(3), traj, 1e-2)
+    assert len(calls) == 1 and curve.rotations.tobytes() == expected.tobytes()
+    assert curve.max_rotation_error() == rotation_error(expected)
+
+
+@pytest.mark.parametrize("velocity", ["trajectory", "callable"])
+def test_magnus_pass_matches_rotation_error_in_the_defect_it_returns(velocity, engine, monkeypatch):
+    # max_rotation_error() of an integrated curve is the pass's own value,
+    # bit for bit rotation_error's, with no second pass over the rotations;
+    # x0 is 2e-9 off the group, so the defect is more than rounding
+    traj = integrate_quadratic(fig3_ivp(0.05, t1=2.0), 1e-3)
+    x0 = rot_exp([0.3, -0.2, 0.9]) * (1.0 + 1e-9)
+    if velocity == "trajectory":
+        rt = integrate_cubic(x0, traj, 1e-3)
+    else:
+        rt = integrate_cubic(x0, lambda t: traj.eval(t), 1e-3, t0=0.0, t1=2.0)
+    expected = rotation_error(rt.rotations)
+    calls = []
+    monkeypatch.setattr(quadratic, "rotation_error", lambda r: calls.append(r) or expected)
+    assert rt.max_rotation_error().hex() == expected.hex() and not calls
+    assert 1e-9 < expected < 1e-8
+
+
+def test_hand_built_rotation_trajectory_takes_rotation_error_once(monkeypatch):
+    rotations = rot_exp(np.outer(np.linspace(0.0, 1.0, 5), [0.3, -0.2, 0.9]))
+    rotations[2, 0, 1] += 3e-9
+    rt = RotationTrajectory(grid=np.linspace(0.0, 1.0, 5), rotations=rotations)
+    calls = []
+    monkeypatch.setattr(quadratic, "rotation_error",
+                        lambda r: calls.append(r) or rotation_error(r))
+    assert rt.max_rotation_error().hex() == rotation_error(rotations).hex()
+    assert rt.max_rotation_error().hex() == rotation_error(rotations).hex()
+    assert len(calls) == 1 and calls[0] is rotations
 
 
 def test_rotation_trajectory_lookup(fig1_trajectory):
