@@ -41,7 +41,7 @@ import numpy as np
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 # each kernel, `_<name>.c`, and the package module whose `_bind_<name>` serves it
-KERNELS = {"rk4": "quadratic", "drift": "quadratic", "magnus": "quadratic", "floattext": "output",
+KERNELS = {"rk4": "quadratic", "magnus": "quadratic", "floattext": "output",
            "recon": "reconstruction"}
 
 _HERE = Path(__file__).parent

@@ -1,18 +1,36 @@
 /* The step loop of so3cubics.quadratic.integrate_quadratic: classic RK4
- * for V''' = [V'', V] on the 9-vector (V, V', V'').
+ * for V''' = [V'', V] on the 9-vector (V, V', V''), and the worst value of
+ * four series at the nodes it writes, the drift |C(t) - C| of the bracket
+ * constant, the drift |c(t) - c| of the squared acceleration, |V'| and |V''|.
  *
- * Every operation is the Python loop's (`quadratic._rk4_python`), in the
- * same order and in doubles, so the two give the same bits as long as the
- * compiler neither reassociates nor contracts a * b + c into one fused
- * multiply-add; it is built with -O2 -ffp-contract=off, and the loader
- * checks the result against the Python loop before using it.
+ * Every operation is the Python loop's (`quadratic._rk4_python`) and, for
+ * the series, its numpy twin's (`quadratic._drift_python`), in the same
+ * order and in doubles: C(t) = V'' - V' x V with np.cross's expressions,
+ * and a norm as sqrt((a0 a0 + a1 a1) + a2 a2), taken at every node, since
+ * two squares can share one root and so the argmax of the roots is not
+ * that of the squares.  The two give the same bits as long as the compiler
+ * neither reassociates nor contracts a * b + c into one fused multiply-add;
+ * it is built with -O2 -ffp-contract=off, and the loader checks the result
+ * against the Python loop before using it.
  *
- * jet holds the initial (V, V', V'') as nine doubles.  out holds three
- * planes of n + 1 nodes of three doubles, V, then V', then V''; node k of
- * plane d is out[3 (d (n + 1) + k) + i].
+ * jet holds the initial (V, V', V'') as nine doubles and C three.  out
+ * holds three planes of n + 1 nodes of three doubles, V, then V', then
+ * V''; node k of plane d is out[3 (d (n + 1) + k) + i].  max[j] and arg[j]
+ * receive the worst value of series j over the nodes 0..n and its node as
+ * np.argmax finds it: the first NaN, else the first maximum.
  */
 
-void rk4_quadratic(const double *jet, double h, long long n, double *out)
+#include <math.h>
+
+static void peak(double x, long long k, double *max, long long *arg)
+{
+    /* node 0 starts the peak; a NaN max stays; a NaN x takes the place of a number */
+    if (k == 0 || (*max == *max && (x > *max || x != x)))
+        *max = x, *arg = k;
+}
+
+void rk4_quadratic(const double *jet, double h, long long n, const double *C, double c,
+                   double *out, double *max, long long *arg)
 {
     double *v = out, *v1 = out + 3 * (n + 1), *v2 = out + 6 * (n + 1);
     const double hh = 0.5 * h, h6 = h / 6.0;
@@ -24,6 +42,14 @@ void rk4_quadratic(const double *jet, double h, long long n, double *out)
         v[3 * k] = x0, v[3 * k + 1] = x1, v[3 * k + 2] = x2;
         v1[3 * k] = y0, v1[3 * k + 1] = y1, v1[3 * k + 2] = y2;
         v2[3 * k] = z0, v2[3 * k + 1] = z1, v2[3 * k + 2] = z2;
+        const double e0 = (z0 - (y1 * x2 - y2 * x1)) - C[0];
+        const double e1 = (z1 - (y2 * x0 - y0 * x2)) - C[1];
+        const double e2 = (z2 - (y0 * x1 - y1 * x0)) - C[2];
+        const double zz = (z0 * z0 + z1 * z1) + z2 * z2;
+        peak(sqrt((e0 * e0 + e1 * e1) + e2 * e2), k, max, arg);
+        peak(fabs(zz - c), k, max + 1, arg + 1);
+        peak(sqrt((y0 * y0 + y1 * y1) + y2 * y2), k, max + 2, arg + 2);
+        peak(sqrt(zz), k, max + 3, arg + 3);
         if (k == n)
             break;
         /* stage j evaluates the right-hand side (V', V'', [V'', V]) at

@@ -182,16 +182,12 @@ def frame_from_axis(axis) -> Frame:
     f0 is the normalized axis; f1 is the projection onto the f0-orthogonal
     plane of the standard basis vector least aligned with f0 (lowest index
     on ties); f2 completes the positively oriented triple.  Lengths are
-    `_length`'s of v scaled by a power of two, so no square overflows; d = |v|.
+    `_scaled_length`'s, so no square overflows; d = |v|.
     """
-    v = as_vector(axis)
-    _, e = np.frexp(np.max(np.abs(v)))
-    length = _length(np.ldexp(v, -e))
-    with np.errstate(over="ignore"):
-        d = float(np.ldexp(length, e))
+    scaled, length, d = _scaled_length(as_vector(axis))
     if d <= 1e-12:
         raise ZeroDirection("axis norm is below 1e-12")
-    f0 = np.ldexp(v, -e) / length
+    f0 = scaled / length
     idx = int(np.argmin(np.abs(f0)))
     f1 = np.eye(3)[idx] - f0[idx] * f0
     f1 /= _length(f1)
@@ -280,6 +276,16 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _length(v: np.ndarray) -> np.ndarray:
     """|v| = sqrt(_dot(v, v)) over the last axis: the one length of 3-vectors."""
     return np.sqrt(_dot(v, v))
+
+
+def _scaled_length(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(v 2^-e, its `_length`, |v|) for the 2^e that brings the largest |v_i|
+    of a finite 3-vector v into [1/2, 1), so no square over- or underflows;
+    |v| is that length times 2^e, with no warning, inf where |v| overflows."""
+    _, e = np.frexp(np.max(np.abs(v)))
+    length = _length(scaled := np.ldexp(v, -e))
+    with np.errstate(over="ignore"):
+        return scaled, length, float(np.ldexp(length, e))
 
 
 def _frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -7,16 +7,16 @@ integrator its built-in accuracy check.  The associated rotation curve
 solves the left-invariant linear equation x' = x ad(V(t)).
 
 The RK4 step loop of `integrate_quadratic` runs in a small C kernel,
-`_rk4.c`, and the conservation gates and `near_geodesic_gauge` read one
-pass of another, `_drift.c`, over the trajectory's nodes: the max and the
-first argmax of the drifts of C and c and of |V'| and |V''|.  The Magnus
-steps of `integrate_cubic` are one pass of a third, `_magnus.c`: each
-step's Magnus vector, its Rodrigues exponential and the blocked running
-product of the steps, and its largest defect.  `_native.kernel(name)`
-serves each through its `_bind_<name>`: compiled on first use (never at
-import), cached per machine, and used only after a self-check matches its
-Python twin (`_rk4_python`, `_drift_python`, `_magnus_python`) byte for
-byte.  Where any of that fails, the twin runs, with the same bits and no
+`_rk4.c`, which also keeps, as it writes each node, the max and the first
+argmax of the drifts of C and c and of |V'| and |V''|: the peaks that the
+conservation gates, `conservation_drift` and `near_geodesic_gauge` read.
+The Magnus steps of `integrate_cubic` are one pass of another,
+`_magnus.c`: each step's Magnus vector, its Rodrigues exponential and the
+blocked running product of the steps, and its largest defect.
+`_native.kernel(name)` serves each through its `_bind_<name>`: compiled on
+first use (never at import), cached per machine, and used only after a
+self-check matches its Python twin (`_rk4_python`, `_magnus_python`) byte
+for byte.  Where any of that fails, the twin runs, with the same bits and no
 warning; nothing of the package's own chooses between them.
 
 Between grid nodes every derivative d = 0, 1, 2 of a trajectory is the
@@ -48,7 +48,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _native
-from .algebra import _dot, _length, _rot_exp, as_rotation, as_vector, bracket, rotation_error
+from .algebra import (_dot, _length, _rot_exp, _scaled_length, as_rotation, as_vector, bracket,
+                      rotation_error)
 from .errors import OutOfDomain, StepTooLarge
 
 NULL_TOL = 1e-12        # |C| at or below this counts as a null quadratic
@@ -65,8 +66,8 @@ def conserved_constant(v, v1, v2) -> np.ndarray:
 
 
 def is_null(constant) -> bool:
-    """A quadratic is null when its bracket constant vanishes."""
-    return float(_length(as_vector(constant))) <= NULL_TOL
+    """A quadratic is null when its bracket constant's `_scaled_length` is at most NULL_TOL."""
+    return _scaled_length(as_vector(constant))[2] <= NULL_TOL
 
 
 def _domain_slack(t0: float, t1: float) -> float:
@@ -298,20 +299,12 @@ class QuadraticTrajectory:
         (dc, _), (da, _), _, _ = self._drift_scan
         return dc, da
 
-    def _drift_series(self) -> tuple[np.ndarray, np.ndarray]:
-        """|C(t) - C(t0)| and |c(t) - c(t0)| at every grid node; c = <V'', V''>."""
-        dC = self.constant_series() - self.C
-        return _length(dC), np.abs(_dot(self.v2, self.v2) - self.c)
-
     @cached_property
     def _drift_scan(self) -> tuple[tuple[float, int], ...]:
-        """(max, first argmax) of |C(t) - C|, |c(t) - c|, |V'| and |V''|
-        over the grid nodes, a NaN counting as the max, as in np.argmax:
-        by the drift scan of `_drift.c` where `_native.kernel("drift")`
-        serves it, else by its twin `_drift_python`, with the same bits and
-        no float warning."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (_native.kernel("drift") or _drift_python)(self)
+        """(max, first argmax) of |C(t) - C|, |c(t) - c|, |V'| and |V''| over
+        the nodes, a NaN counting as the max, as in np.argmax: the step
+        loop's for `integrate_quadratic`'s trajectories, else `_drift_python`'s."""
+        return _drift_python((self.v, self.v1, self.v2), self.C, self.c)
 
     def near_geodesic_gauge(self) -> tuple[float, float]:
         """Sup norms (max |V'|, max |V''|) over the grid.
@@ -349,66 +342,16 @@ class RotationTrajectory:
     _defect = cached_property(lambda self: rotation_error(self.rotations))
 
 
-def _drift_python(traj: QuadraticTrajectory) -> tuple[tuple[float, int], ...]:
-    """`QuadraticTrajectory._drift_scan` in numpy: the twin of `_drift.c`,
-    operation for operation."""
-    series = (*traj._drift_series(), _length(traj.v1), _length(traj.v2))
-    peaks = [int(np.argmax(s)) for s in series]
+def _drift_python(planes, C, c) -> tuple[tuple[float, int], ...]:
+    """`QuadraticTrajectory._drift_scan` of the planes V, V', V'' and the
+    pair (C, c), c(t) = <V'', V''>, in numpy and with no float warning: the
+    twin of the peaks of `_rk4.c`, operation for operation."""
+    v, v1, v2 = planes
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = (_length((v2 - np.cross(v1, v)) - C), np.abs(_dot(v2, v2) - c), _length(v1),
+                  _length(v2))
+        peaks = [int(np.argmax(s)) for s in series]
     return tuple((float(s[k]), k) for s, k in zip(series, peaks))
-
-
-def _bind_drift(library):
-    """`library`'s drift scan, its arrays typed as ndarrays, as a function
-    with `_drift_python`'s signature, and its self-check against
-    `_drift_python` on the trajectories of `_drift_checks`."""
-    import ctypes
-
-    scan = library.drift_scan
-    scan.argtypes = (*(_native.DOUBLES_IN,) * 3, ctypes.c_longlong, _native.DOUBLES_IN,
-                     ctypes.c_double, _native.DOUBLES_OUT, _native.INT64_OUT)
-    scan.restype = None
-
-    def drift_scan(traj: QuadraticTrajectory) -> tuple[tuple[float, int], ...]:
-        # the trajectory holds the shapes, dtype and layout the kernel reads
-        peaks = np.empty(4)
-        nodes = np.empty(4, dtype=np.int64)
-        scan(traj.v, traj.v1, traj.v2, len(traj.grid), traj.C, float(traj.c), peaks, nodes)
-        return tuple(zip(peaks.tolist(), nodes.tolist()))
-
-    return drift_scan, [(drift_scan, _drift_python, (traj,)) for traj in _drift_checks()]
-
-
-def _drift_checks() -> list[QuadraticTrajectory]:
-    """The drift scan's self-check: the trajectories of `_check_planes`, one
-    more with ties in |V'| and |V''|, and each of the 25 drawn nodes alone
-    (twice, a trajectory having two nodes or more), so that each one's
-    arithmetic shows in a maximum."""
-    grid, (rows, *odd) = _check_planes()
-    # squared norms 2^40 and 2^40 + 2^-12 have the one root 2^20, so the
-    # argmax of |V'| and of |V''| is the first of these nodes, not the second
-    ties = rows.copy()
-    ties[5:7, 1:] = np.array([[2.0 ** 20, 0.0, 0.0], [2.0 ** 20, 2.0 ** -6, 0.0]])[:, None]
-    return [*(_check_trajectory(grid[:2], rows[[k, k]]) for k in range(len(rows))),
-            *(_check_trajectory(grid, each) for each in (rows, ties, *odd))]
-
-
-def _check_planes() -> tuple[np.ndarray, list[np.ndarray]]:
-    """The drift and recon self-checks' data: a grid of 24 drawn steps of
-    0.05 to 0.15, drawn rows (V, V', V'') of sizes 1e-2 to 1e2, and those
-    rows with, at node 7, a V'' whose squares overflow or a NaN in V."""
-    rows = np.reshape(_native._draws(25 * 9, 2011), (25, 3, 3))
-    rows *= 10.0 ** (np.arange(25 * 3) % 5 - 2).reshape(25, 3, 1)
-    grid = np.concatenate([[0.0], np.cumsum(0.1 + 0.05 * _native._draws(24, 1999))])
-    overflow, nan = rows.copy(), rows.copy()
-    overflow[7, 2] = [1e200, -1e200, 3.0]
-    nan[7, 0] = [math.nan, 0.0, 1.0]
-    return grid, [rows, overflow, nan]
-
-
-def _check_trajectory(grid: np.ndarray, rows: np.ndarray) -> QuadraticTrajectory:
-    """The trajectory of rows (V, V', V'') on grid, with a drawn C and c = 0.75."""
-    return QuadraticTrajectory(grid=grid, v=rows[:, 0], v1=rows[:, 1], v2=rows[:, 2],
-                               C=_native._draws(3, 7), c=0.75)
 
 
 def _uniform_grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float, int]:
@@ -433,16 +376,15 @@ def integrate_quadratic(ivp: QuadraticIVP, step: float) -> QuadraticTrajectory:
     `_rk4.c` where `_native.kernel("rk4")` serves it, and otherwise the
     Python loop `_rk4_python`; the two give the same bits.  Either writes
     V, V' and V'' straight into the three planes of one (3, n + 1, 3)
-    array, which the trajectory keeps.  The conserved bracket constant C
-    and squared acceleration c are monitored over the whole grid, and
-    StepTooLarge is raised when the drift of either exceeds C_DRIFT_LIMIT
-    or is NaN, which signals that the step must shrink; the
-    worst drift and its node come from the trajectory's drift scan (the C
-    kernel of `_drift.c`, else its twin `_drift_python`), which
-    `conservation_drift` and `near_geodesic_gauge` then read.  An initial jet
-    whose C or c overflows raises StepTooLarge before the first step, since
-    no step helps; the float warnings of an overflowing jet or trajectory
-    are kept quiet.
+    array, which the trajectory keeps, and returns its `_drift_scan`, the
+    peaks over the nodes it wrote.  So the conserved bracket constant C and
+    squared acceleration c are monitored over the whole grid, and
+    StepTooLarge, naming the worst node, is raised when the drift of either
+    exceeds C_DRIFT_LIMIT or is NaN, which signals that the step must
+    shrink; `conservation_drift` and `near_geodesic_gauge` read the same
+    peaks.  An initial jet whose C or c overflows raises StepTooLarge before
+    the first step, since no step helps; the float warnings of an
+    overflowing jet or trajectory are kept quiet.
     """
     grid, h, n = _uniform_grid(ivp.t0, ivp.t1, step)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -452,19 +394,21 @@ def integrate_quadratic(ivp: QuadraticIVP, step: float) -> QuadraticTrajectory:
         if not np.all(np.isfinite(value)):
             raise StepTooLarge(f"{quantity} of the initial jet overflows to "
                                f"{np.asarray(value).tolist()}; no step size helps")
-    nodes = np.empty((3, n + 1, 3))
-    (_native.kernel("rk4") or _rk4_python)(np.concatenate([ivp.v0, ivp.v1, ivp.v2]), h, n, nodes)
+    nodes, jet = np.empty((3, n + 1, 3)), np.concatenate([ivp.v0, ivp.v1, ivp.v2])
+    peaks = (_native.kernel("rk4") or _rk4_python)(jet, h, n, C, c, nodes)
     traj = QuadraticTrajectory(grid=grid, v=nodes[0], v1=nodes[1], v2=nodes[2], C=C, c=c)
-    (dc, kc), (da, ka), _, _ = traj._drift_scan
+    object.__setattr__(traj, "_drift_scan", peaks)
+    (dc, kc), (da, ka), _, _ = peaks
     _gate_drift("bracket constant C", dc, kc, grid, h)
     _gate_drift("squared acceleration c", da, ka, grid, h)
     return traj
 
 
-def _rk4_python(jet: np.ndarray, h: float, n: int, out: np.ndarray) -> None:
-    """n RK4 steps of size h from the initial (V, V', V'') `jet`, written
-    into the planes V, V', V'' of `out`, shape (3, n + 1, 3): the Python
-    twin of `_rk4.c`, operation for operation."""
+def _rk4_python(jet: np.ndarray, h: float, n: int, C: np.ndarray, c: float,
+                out: np.ndarray) -> tuple[tuple[float, int], ...]:
+    """n RK4 steps of size h from the initial (V, V', V'') `jet`, written into
+    the planes V, V', V'' of `out`, shape (3, n + 1, 3), and their peaks with
+    (C, c), `_drift_python`'s: the Python twin of `_rk4.c`, step for step."""
     hh = 0.5 * h
     h6 = h / 6.0
     # V = (x0, x1, x2), V' = (y0, y1, y2), V'' = (z0, z1, z2)
@@ -509,6 +453,7 @@ def _rk4_python(jet: np.ndarray, h: float, n: int, out: np.ndarray) -> None:
         pack(states, offset, x0, x1, x2, y0, y1, y2, z0, z1, z2)
 
     out[...] = np.frombuffer(states, dtype=float).reshape(n + 1, 3, 3).swapaxes(0, 1)
+    return _drift_python(out, C, c)
 
 
 # the self-check's initial (V, V', V''), step and step count: a step this
@@ -522,15 +467,39 @@ _CHECK_STEPS = 64
 
 
 def _bind_rk4(library):
-    """`library`'s step loop, typed, and its self-check against
-    `_rk4_python` on a short fixed IVP, compared by the states it writes."""
+    """`library`'s step loop, its arrays typed as ndarrays, as a function
+    with `_rk4_python`'s signature, and its self-check against it on the
+    IVPs of `_rk4_checks`, compared by the states written and the peaks."""
     import ctypes
 
     steps = library.rk4_quadratic
-    steps.argtypes = (_native.DOUBLES_IN, ctypes.c_double, ctypes.c_longlong, _native.DOUBLES_OUT)
+    steps.argtypes = (_native.DOUBLES_IN, ctypes.c_double, ctypes.c_longlong, _native.DOUBLES_IN,
+                      ctypes.c_double, _native.DOUBLES_OUT, _native.DOUBLES_OUT, _native.INT64_OUT)
     steps.restype = None
-    states = np.zeros((3, _CHECK_STEPS + 1, 3))
-    return steps, [(steps, _rk4_python, (np.array(_CHECK_JET), _CHECK_STEP, _CHECK_STEPS, states))]
+
+    def rk4(jet, h, n, C, c, out):
+        peaks, nodes = np.empty(4), np.empty(4, dtype=np.int64)
+        steps(jet, h, n, C, c, out, peaks, nodes)
+        return tuple(zip(peaks.tolist(), nodes.tolist()))
+
+    return rk4, [(rk4, _rk4_python, case) for case in _rk4_checks()]
+
+
+def _rk4_checks() -> list[tuple[np.ndarray, float, int, np.ndarray, float, np.ndarray]]:
+    """The step loop's self-check: (jet, h, n, C, c, out), each jet with its
+    own C and c, for `_CHECK_STEPS` steps of `_CHECK_STEP` from: `_CHECK_JET`;
+    V = V'' = 0 and a drawn V', which then stays exactly constant, so |V'|
+    and |V''| tie at every node and peak at node 0; that jet with V' near
+    2e307, whose |V'|^2 overflows at every node and whose V overflows to inf
+    at node 45, where V'' turns to NaN; drawn V, V', V'' scaled by 1e-3, 1
+    and 1e-17, where |V'| peaks at node 0 but |V'|^2 at node 64; and a drawn
+    jet below 1/2, its seed one for which reassociating any sum of the four
+    series changes some case's result (all drawn by `_native._draws`)."""
+    ties = np.concatenate([np.zeros(3), _native._draws(3, 5), np.zeros(3)])
+    split = _native._draws(9, 63) * np.repeat([1e-3, 1.0, 1e-17], 3)
+    jets = (np.array(_CHECK_JET), ties, ties * 2e307, split, 0.5 * _native._draws(9, 557))
+    return [(jet, _CHECK_STEP, _CHECK_STEPS, jet[6:] - np.cross(jet[3:6], jet[:3]),
+             float(_dot(jet[6:], jet[6:])), np.zeros((3, _CHECK_STEPS + 1, 3))) for jet in jets]
 
 
 def _gate_drift(quantity: str, drift: float, k: int, grid: np.ndarray, h: float) -> None:

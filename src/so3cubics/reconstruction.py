@@ -48,8 +48,7 @@ from .algebra import GRAM_RTOL, _dot, _frobenius, as_rotation, frame_from_pair, 
 from .approximants import (ApproxParams, _approximants, _check_finite,  # noqa: F401
                            second_approximant)
 from .errors import DegenerateB, DegenerateFrame, DegenerateThirdDerivative
-from .quadratic import (QuadraticTrajectory, RotationTrajectory, _check_planes, _check_trajectory,
-                        _hermite, check_times)
+from .quadratic import QuadraticTrajectory, RotationTrajectory, _hermite, check_times
 
 THIRD_DERIV_TOL = 1e-10   # |V'''| below this makes the quadrature singular
 ACCEL_TOL = 1e-12         # c below this means a reparameterised geodesic
@@ -158,27 +157,38 @@ def _bind_recon(library):
 
 
 def _recon_checks() -> list[QuadraticTrajectory]:
-    """The pass's self-check: the trajectories of `quadratic._check_planes`
-    (uneven steps; an overflowing V'' and a NaN in V, which send the pass to
-    the twin) and its first step alone; the drawn rows with, at node 7, a
-    pair whose Gram determinant equals (GRAM_RTOL |V''|^2) |V'''|^2 to the
-    last bit (V''' = (-2^-21, 0, 0) from the rounding of V'' x V alone),
-    which sends it to the twin too; rows that repeat every three nodes on
-    the grid 0, 1, ..., 9, so that the smallest |V'''|^2 ties at the nodes
-    (4.6e-23, at or below THIRD_DERIV_TOL^2) and at the midpoints, where the
-    first one counts; and those rows with a NaN in V' at node 5, which makes
-    the midpoints on either side NaN."""
-    grid, (rows, *odd) = _check_planes()
-    edge = rows.copy()
+    """The pass's self-check: drawn rows (V, V', V'') of sizes 1e-2 to 1e2
+    on a grid of 24 drawn steps of 0.05 to 0.15; those rows with, at node 7,
+    a V'' whose squares overflow or a NaN in V, which send the pass to the
+    twin; the first step alone; the drawn rows with, at node 7, a pair whose
+    Gram determinant equals (GRAM_RTOL |V''|^2) |V'''|^2 to the last bit
+    (V''' = (-2^-21, 0, 0) from the rounding of V'' x V alone), which sends
+    it to the twin too; rows that repeat every three nodes on the grid 0, 1,
+    ..., 9, so that the smallest |V'''|^2 ties at the nodes (4.6e-23, at or
+    below THIRD_DERIV_TOL^2) and at the midpoints, where the first one
+    counts; and those rows with a NaN in V' at node 5, which makes the
+    midpoints on either side NaN."""
+    rows = np.reshape(_native._draws(25 * 9, 2011), (25, 3, 3))
+    rows *= 10.0 ** (np.arange(25 * 3) % 5 - 2).reshape(25, 3, 1)
+    grid = np.concatenate([[0.0], np.cumsum(0.1 + 0.05 * _native._draws(24, 1999))])
+    overflow, nan, edge = rows.copy(), rows.copy(), rows.copy()
+    overflow[7, 2] = [1e200, -1e200, 3.0]
+    nan[7, 0] = [math.nan, 0.0, 1.0]
     edge[7, 0] = [4.663170527372157e22, 4.02572632481319e16, 2.3534415066196276e16]
     edge[7, 2] = [0.12481112456129922, 1.0774974383343209e-7, 6.299055102236703e-8]
     tiny = [[1e-6, 1e-6, 3e-6], [0.0, 1e-6, 0.0], [1e-6, 2e-6, 0.0]]
     period = np.tile(np.stack([rows[0], tiny, rows[1]]), (4, 1, 1))[:10]
     gap = period.copy()
     gap[5, 1, 1] = math.nan
-    return [*(_check_trajectory(grid, each) for each in (rows, edge, *odd)),
+    return [*(_check_trajectory(grid, each) for each in (rows, edge, overflow, nan)),
             _check_trajectory(grid[:2], rows[:2]),
             *(_check_trajectory(np.arange(10.0), each) for each in (period, gap))]
+
+
+def _check_trajectory(grid: np.ndarray, rows: np.ndarray) -> QuadraticTrajectory:
+    """The trajectory of rows (V, V', V'') on grid, with a drawn C and c = 0.75."""
+    return QuadraticTrajectory(grid=grid, v=rows[:, 0], v1=rows[:, 1], v2=rows[:, 2],
+                               C=_native._draws(3, 7), c=0.75)
 
 
 def rotation_phase(recon: ReconstructionInput, t) -> float | np.ndarray:

@@ -71,17 +71,13 @@ def off_twins() -> dict:
     """For each kernel, (module, attribute, value) that puts its Python twin
     one ulp, or one character, off: the kernel then fails its self-check."""
     from so3cubics import output, quadratic, reconstruction
-    loop, scan, magnus, texts, recon = (quadratic._rk4_python, quadratic._drift_python,
-                                        quadratic._magnus_python, output._float_texts,
-                                        reconstruction._recon_python)
+    loop, magnus, texts, recon = (quadratic._rk4_python, quadratic._magnus_python,
+                                  output._float_texts, reconstruction._recon_python)
 
-    def loop_off(jet, h, n, out):
-        loop(jet, h, n, out)
+    def loop_off(jet, h, n, C, c, out):
+        peaks = loop(jet, h, n, C, c, out)
         out[-1, -1, -1] = np.nextafter(out[-1, -1, -1], np.inf)
-
-    def scan_off(traj):
-        (first, k), *rest = scan(traj)
-        return ((float(np.nextafter(first, np.inf)), k), *rest)
+        return peaks
 
     def magnus_off(*args):
         out, worst = magnus(*args)
@@ -99,7 +95,6 @@ def off_twins() -> dict:
         return out._replace(phase=phase)
 
     return {"rk4": (quadratic, "_rk4_python", loop_off),
-            "drift": (quadratic, "_drift_python", scan_off),
             "magnus": (quadratic, "_magnus_python", magnus_off),
             "floattext": (output, "_float_texts", texts_off),
             "recon": (reconstruction, "_recon_python", recon_off)}
@@ -107,10 +102,10 @@ def off_twins() -> dict:
 
 @pytest.fixture(params=["kernel", "python"])
 def engine(request):
-    """Run a test on the C kernels of `quadratic` (the step loop, the drift
-    scan and the Magnus pass), then on the Python twins of every kernel."""
+    """Run a test on the C kernels of `quadratic` (the step loop with its
+    drift peaks, and the Magnus pass), then on the Python twins of every kernel."""
     if request.param == "kernel":
-        for name in ("rk4", "drift", "magnus"):
+        for name in ("rk4", "magnus"):
             require_kernel(name)
         yield request.param
     else:

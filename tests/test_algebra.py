@@ -9,10 +9,11 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import (NotNearRotation, ad_matrix, axial_rotation, matmul_rot_exp,
                      matmul_rotation_error, moving_frame, renormalize, rot_exp_error)
-from so3cubics.algebra import (Frame, bracket, frame_from_axis,
+from so3cubics.algebra import (Frame, _length, _scaled_length, bracket, frame_from_axis,
                                frame_from_pair, plane_rotation, rot_exp,
                                rotation_error)
 from so3cubics.errors import DegenerateFrame, ZeroDirection
+from so3cubics.quadratic import NULL_TOL, is_null
 
 component = st.floats(-2.0, 2.0, allow_nan=False)
 vectors = st.tuples(component, component, component).map(np.array)
@@ -447,6 +448,28 @@ def test_frame_from_axis_of_a_huge_or_tiny_axis(scale):
         assert mine.tobytes() == its.tobytes()
     assert huge.d == math.ldexp(frame.d, scale) and 1e200 < huge.d < 1e201
     assert frame_from_axis([1e200, 0.0, 0.0]).d == 1e200
+
+
+@pytest.mark.parametrize("constant, null", [
+    ([1e200, 0.0, 0.0], False), ([0.0, -1e200, 1e200], False), ([0.0, 1e-13, 0.0], True),
+    ([1e-200, 0.0, -1e-200], True), ([0.0, 0.0, NULL_TOL], True),
+    ([0.0, 0.0, math.nextafter(NULL_TOL, 1.0)], False), ([0.0, 0.0, 0.0], True)],
+    ids=["1e200", "two-1e200", "1e-13", "two-1e-200", "tol", "past-tol", "zero"])
+def test_is_null_takes_the_scaled_length_of_a_huge_or_tiny_constant(constant, null):
+    # is_null takes frame_from_axis's length, of C scaled by a power of
+    # two: no square overflows, and no float warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_null(constant) is null
+
+
+@given(hnp.arrays(float, 3, elements=st.floats(-1e100, 1e100).filter(
+    lambda x: x == 0.0 or abs(x) > 1e-100)))
+def test_scaled_length_is_the_length_where_no_square_overflows(v):
+    # scaling by a power of two is exact, so where no square over- or
+    # underflows the length is _length's bit for bit, is_null's answer too
+    assert _scaled_length(v)[2] == float(_length(v))
+    assert is_null(v) == (float(_length(v)) <= NULL_TOL)
 
 
 def test_frame_validates_orthonormality():

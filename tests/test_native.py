@@ -145,9 +145,8 @@ def _typed_calls(name) -> list:
     values, slots, lens = doubles(2, 2), np.zeros(4 * 32, np.uint8), np.zeros(4, np.uint8)
     fill = (values, 4, slots, lens)
     return {
-        "rk4": [("rk4_quadratic", (doubles(9), 0.1, 2, doubles(3, 3, 3)))],
-        "drift": [("drift_scan", (doubles(2, 3), doubles(2, 3), doubles(2, 3), 2, doubles(3), 1.0,
-                                  doubles(4), np.zeros(4, np.int64)))],
+        "rk4": [("rk4_quadratic", (doubles(9), 0.1, 2, doubles(3), 1.0, doubles(3, 3, 3),
+                                   doubles(4), np.zeros(4, np.int64)))],
         "magnus": [("magnus_steps", (doubles(2, 3), doubles(2, 3), 2, 0.1, 0.01,
                                      doubles(3, 3, 3), doubles(1)))],
         "floattext": [("format_slots", fill), ("format_fixed2", fill),
@@ -189,11 +188,11 @@ def _plant_builds(cache, names):
 
 
 def test_a_build_removes_the_superseded_builds_of_its_kernel_only(fresh_loader):
-    # of more rk4 builds than the cache keeps, the oldest go; drift's builds
+    # of more rk4 builds than the cache keeps, the oldest go; magnus's builds
     # and names that only start like rk4's stay, whatever their age
     cache = fresh_loader / "cache" / "so3cubics"
     older = [f"rk4-{k:016x}.so" for k in range(_native._KEPT_BUILDS + 2)]
-    others = ["drift-0000000000000000.so", "drift-0000000000000001.so",
+    others = ["magnus-0000000000000000.so", "magnus-0000000000000001.so",
               "rk4-0000000000000000.so.old", "rk4-00000000000000001.so", "rk4.so"]
     _plant_builds(cache, [*older, *others])
     built = _native._build("rk4")

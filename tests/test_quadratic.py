@@ -80,7 +80,8 @@ def test_c_drift_at_the_first_node_is_zero():
     jets = np.random.default_rng(5).normal(size=(200, 3))
     for v2 in [FIG1_V2, *jets]:
         traj = integrate_quadratic(QuadraticIVP(0.0, 0.01, FIG1_V0, FIG1_V1, v2), 1e-3)
-        assert traj._drift_series()[1][0] == 0.0, v2
+        first = np.stack([traj.v, traj.v1, traj.v2])[:, :1]
+        assert quadratic._drift_python(first, traj.C, traj.c)[1] == (0.0, 0), v2
 
 
 def test_integrate_matches_step_halving_oracle():
@@ -202,8 +203,11 @@ def test_drift_series_sums_every_row_in_one_fixed_order():
     v1[11, 1] = math.nan
     traj = QuadraticTrajectory(grid=np.arange(300.0), v=v, v1=v1, v2=v2,
                                C=rng.normal(size=3), c=float(rng.uniform()))
+    # each row's drifts, as the scan of that row alone
+    scans = [quadratic._drift_python(np.stack([v, v1, v2])[:, k:k + 1], traj.C, traj.c)
+             for k in range(300)]
+    dc, da = ([scan[j][0] for scan in scans] for j in (0, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        dc, da = traj._drift_series()
         rows_c = (traj.constant_series() - traj.C).tolist()
 
     def squared(a0, a1, a2):
@@ -211,73 +215,112 @@ def test_drift_series_sums_every_row_in_one_fixed_order():
 
     np.testing.assert_array_equal(dc, [math.sqrt(squared(*row)) for row in rows_c])
     np.testing.assert_array_equal(da, [abs(squared(*row) - traj.c) for row in v2.tolist()])
-    assert np.isinf(dc[7]) and np.isinf(da[7]) and np.isnan(dc[11])
+    assert math.isinf(dc[7]) and math.isinf(da[7]) and math.isnan(dc[11])
 
 
-# a special row: its plane (V, V', V''), its node (modulo the node count)
-# and what it holds; a tie writes two rows, at the node and the next, whose
-# squared norms 2^40 and 2^40 + 2^-12 have the one root 2^20
-_ROWS = {"overflow": [[1e200, -1e200, 3.0]], "nan": [[0.0, math.nan, 1.0]],
-         "tie": [[2.0 ** 20, 0.0, 0.0], [2.0 ** 20, 2.0 ** -6, 0.0]]}
-special_rows = st.tuples(st.integers(0, 2), st.integers(0, 2 ** 31), st.sampled_from(sorted(_ROWS)))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(vectors, vectors, vectors, st.floats(0.5, 3.0), st.floats(0.01, 0.2))
+@example(FIG1_V0, FIG1_V1, FIG1_V2, 20.0, 1e-3)
+def test_integrated_peaks_are_the_numpy_scan_of_the_planes(engine, v0, v1, v2, t1, step):
+    # integrate_quadratic's peaks are those of the planes it returns, read
+    # in the one pass that writes them: the numpy scan runs within the
+    # Python loop only, and not again for the gates or either reader
+    calls = []
+    scan = quadratic._drift_python
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadratic, "_drift_python", lambda *args: calls.append(args) or scan(*args))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                traj = integrate_quadratic(QuadraticIVP(0.0, t1, v0, v1, v2), step)
+        except StepTooLarge:
+            return
+        traj.conservation_drift(), traj.near_geodesic_gauge()
+    assert len(calls) == (engine == "python")
+    with np.errstate(over="ignore", invalid="ignore"):
+        twin = scan((traj.v, traj.v1, traj.v2), traj.C, traj.c)
+    # repr round-trips every float, the sign of a zero included
+    assert repr(traj._drift_scan) == repr(twin)
+
+
+def test_a_hand_built_trajectory_scans_its_planes_once(monkeypatch):
+    calls = []
+    scan = quadratic._drift_python
+    monkeypatch.setattr(quadratic, "_drift_python", lambda *args: calls.append(args) or scan(*args))
+    traj = QuadraticTrajectory(grid=np.arange(3.0), v=np.eye(3), v1=np.ones((3, 3)),
+                               v2=np.diag([1.0, 2.0, 3.0]), C=np.zeros(3), c=1.0)
+    assert traj.near_geodesic_gauge() == (math.sqrt(3.0), 3.0)
+    # C(t) = (1, -1, 1), (1, 2, -1), (-1, 1, 3) and c(t) = 1, 4, 9 at the nodes
+    assert traj.conservation_drift() == (math.sqrt(11.0), 8.0)
+    assert len(calls) == 1
+
+
+# what a special jet holds: V = V'' = 0, after which V' stays constant and
+# |V'| and |V''| tie at every node; a scale past 1e100, whose states
+# overflow to inf and then NaN; a NaN entry
+_JETS = ("ties", "overflow", "nan")
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(st.integers(2, 64), st.just(20_001)), st.integers(0, 2 ** 32 - 1),
-       st.booleans(), st.lists(special_rows, max_size=4))
-@example(2, 0, False, [])
-@example(20_001, 1, False, [(1, 0, "nan")])
-@example(30, 2, True, [])
-@example(20_001, 3, False, [(2, 5, "overflow"), (0, 17, "nan"), (1, 40, "tie")])
-def test_drift_scan_matches_the_numpy_twin_bit_for_bit(count, seed, constant, specials):
-    # four (max, first argmax) pairs on random planes of 2 to 64 nodes or
-    # of the ensemble's 20,001, with every node equal (each series constant)
-    # or not, and with rows whose squares overflow, NaN rows and ties
-    scan = require_kernel("drift")
+@given(st.one_of(st.integers(1, 64), st.just(20_000)), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.sets(st.sampled_from(_JETS)))
+@example(1, 0, True, set())
+@example(20_000, 1, True, set())
+@example(64, 2, True, {"ties"})
+@example(64, 3, False, {"ties", "overflow"})
+@example(30, 4, True, {"nan"})
+def test_rk4_pass_and_its_peaks_match_the_python_loop_bit_for_bit(n, seed, own, specials):
+    # the states and the four (max, first argmax) pairs of the kernel's one
+    # pass against the Python loop's, on random jets of sizes 1e-3 to 1e2 at
+    # steps up to 0.2, for 1 to 64 steps or the ensemble's 20,000, with the
+    # jet's own C and c or drawn ones, and with ties, overflows and NaNs
+    steps = require_kernel("rk4")
     rng = np.random.default_rng(seed)
-    planes = rng.normal(size=(3, count, 3)) * 10.0 ** rng.integers(-3, 4, size=(3, count, 1))
-    if constant:
-        planes[:] = planes[:, :1]
-    for d, k, kind in specials:
-        for j, row in enumerate(_ROWS[kind]):
-            planes[d, (k + j) % count] = row
-    traj = QuadraticTrajectory(grid=np.arange(float(count)), v=planes[0], v1=planes[1],
-                               v2=planes[2], C=rng.normal(size=3), c=float(rng.uniform()))
-    with np.errstate(over="ignore", invalid="ignore"):
-        twin = quadratic._drift_python(traj)
-    ours = scan(traj)
-    assert [k for _, k in ours] == [k for _, k in twin]
+    jet = rng.normal(size=9) * 10.0 ** rng.integers(-3, 3, size=9)
+    h = float(rng.uniform(1e-3, 0.2))
+    if "ties" in specials:
+        jet[[0, 1, 2, 6, 7, 8]] = 0.0
+    if "overflow" in specials:
+        jet *= 10.0 ** rng.integers(100, 300)
+    if "nan" in specials:
+        jet[rng.integers(9)] = math.nan
+    v, v1, v2 = jet.reshape(3, 3)
+    with np.errstate(all="ignore"):
+        C, c = ((v2 - np.cross(v1, v), float(_dot(v2, v2))) if own
+                else (rng.normal(size=3), float(rng.uniform())))
+        ours, twin = np.empty((2, 3, n + 1, 3))
+        peaks = steps(jet, h, n, C, c, ours)
+        expected = quadratic._rk4_python(jet, h, n, C, c, twin)
+    # a NaN of the jet keeps its sign through an operation or loses it to
+    # the other NaN operand as the compiler orders the operands, so with
+    # one the states are equal up to NaN payloads (and NaN matches NaN);
+    # every NaN that a finite jet makes is the one default NaN
+    np.testing.assert_array_equal(ours, twin)
+    assert "nan" in specials or ours.tobytes() == twin.tobytes()
+    assert [k for _, k in peaks] == [k for _, k in expected]
     # every maximum is NaN or a number >= +0.0, so equality (NaN matching
     # NaN) is equality of the bits up to a NaN's payload
-    np.testing.assert_array_equal([m for m, _ in ours], [m for m, _ in twin])
-    if constant and not specials:
-        assert [k for _, k in ours] == [0, 0, 0, 0]
+    np.testing.assert_array_equal([m for m, _ in peaks], [m for m, _ in expected])
+    if specials == {"ties"}:
+        assert [k for _, k in peaks[2:]] == [0, 0]
 
 
-def test_drift_self_check_covers_single_nodes_ties_overflow_and_nan():
-    cases = quadratic._drift_checks()
+def test_rk4_self_check_covers_ties_a_root_square_split_overflow_and_nan():
+    runs, squares = [], []
     with np.errstate(all="ignore"):
-        scans = [quadratic._drift_python(traj) for traj in cases]
-    # single nodes, each as a two-node trajectory of that node twice
-    singles = [traj for traj in cases if len(traj.grid) == 2 and all(
-        np.array_equal(plane[0], plane[1]) for plane in (traj.v, traj.v1, traj.v2))]
-    assert len(singles) >= 16
-
-    def tied(plane, peak):
-        # the largest norm at two nodes or more with different squared
-        # norms, and the scan's argmax the first of them
-        squares = _dot(plane, plane)
-        at = np.flatnonzero(np.sqrt(squares) == peak[0])
-        return len(at) > 1 and len(set(squares[at].tolist())) > 1 and peak[1] == at[0]
-
-    assert any(tied(traj.v1, scan[2]) and tied(traj.v2, scan[3])
-               for traj, scan in zip(cases, scans))
-    # a finite row whose squares overflow, and a NaN row
-    planes = [plane for traj in cases for plane in (traj.v, traj.v1, traj.v2)]
-    with np.errstate(over="ignore"):
-        assert any(np.all(np.isfinite(p)) and np.isinf(_dot(p, p)).any() for p in planes)
-    assert any(np.isnan(p).any() for p in planes)
-    assert any(math.isnan(scan[0][0]) for scan in scans)
+        for *args, out in quadratic._rk4_checks():
+            out = out.copy()
+            runs.append((quadratic._rk4_python(*args, out), out))
+            squares.append(_dot(out[1], out[1]))
+    # V' constant and V'' = 0 at every node, so |V'| and |V''| peak at node 0
+    assert any(np.all(out[1] == out[1, 0]) and not out[2].any() and
+               [k for _, k in peaks[2:]] == [0, 0] for peaks, out in runs)
+    # the argmax of |V'| is not the argmax of |V'|^2
+    assert any(peaks[2][1] != int(np.argmax(sq)) for (peaks, _), sq in zip(runs, squares))
+    # states that overflow to inf and turn to NaN, and a NaN maximum
+    assert any(np.isinf(out).any() and np.isnan(out).any() for _, out in runs)
+    assert any(math.isnan(m) for peaks, _ in runs for m, _ in peaks)
+    assert all(not np.isnan(out[:, 0]).any() for _, out in runs)
 
 
 def _outcome(ivp, step):
@@ -298,10 +341,9 @@ def test_kernel_and_python_loop_give_the_same_states_or_message(v0, v1, v2, t1, 
     # jets of size 1e-3 to 1e2 at steps up to 0.2: many draws overflow or
     # drift past a gate, and both engines must then say the same
     require_kernel("rk4")
-    require_kernel("drift")
     ivp = QuadraticIVP(0.0, t1, v0, v1, v2)
     kernel = _outcome(ivp, step)
-    with twins_only("rk4", "drift"):
+    with twins_only("rk4"):
         assert _outcome(ivp, step) == kernel
 
 
@@ -356,17 +398,17 @@ def test_failed_self_check_runs_the_python_loop(fresh_loader, monkeypatch):
     _runs_the_python_loop(monkeypatch)
 
 
-def test_failed_drift_self_check_gates_by_the_twin(fresh_loader, monkeypatch):
+def test_failed_rk4_self_check_gates_by_the_twin(fresh_loader, monkeypatch):
     ivp = QuadraticIVP(0.0, 5.0, [0.0, 0.0, 3.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0])
     with pytest.raises(StepTooLarge) as gated:
         integrate_quadratic(ivp, 0.5)
     forget_kernels()
-    # the self-check compares against a twin one ulp off in its first maximum
-    twin = quadratic._drift_python
-    monkeypatch.setattr(*off_twins()["drift"])
-    assert _native.kernel("drift") is None
+    # the self-check compares against a twin one ulp off in its last state
+    twin = quadratic._rk4_python
+    monkeypatch.setattr(*off_twins()["rk4"])
+    assert _native.kernel("rk4") is None
     calls = []
-    monkeypatch.setattr(quadratic, "_drift_python", lambda traj: calls.append(traj) or twin(traj))
+    monkeypatch.setattr(quadratic, "_rk4_python", lambda *args: calls.append(args) or twin(*args))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepTooLarge) as again:
