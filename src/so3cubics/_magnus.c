@@ -12,8 +12,8 @@
  *   - the running product by the twin's blocked scan: blocks of
  *     L = ceil(sqrt(n)) steps, the prefix products inside each block, then
  *     the carry (x0, or the last rotation of the block before) applied on
- *     the left, every 3x3 product summed as ((a_i0 b_0j + a_i1 b_1j)
- *     + a_i2 b_2j);
+ *     the left, every 3x3 product `_product.h`'s, ((a_i0 b_0j + a_i1 b_1j)
+ *     + a_i2 b_2j), the one product of this kernel and of `_recon.c`'s lift;
  *   - the largest defect as algebra.rotation_error takes it, a NaN largest.
  * It calls sin and sqrt from the libm the Python process has loaded and is
  * built with -O2 -ffp-contract=off, so no a * b + c becomes one fused
@@ -32,6 +32,8 @@
 
 #include <math.h>
 
+#include "_product.h"
+
 static const double PI = 3.141592653589793;   /* np.pi */
 static const double SINC_GUARD = 1e-20;       /* x = 0 reads as this, as in np.sinc */
 
@@ -39,14 +41,6 @@ static double sinc(double x)
 {
     const double y = PI * (x == 0.0 ? SINC_GUARD : x);
     return sin(y) / y;
-}
-
-/* c = a b, for 3x3 matrices held row by row; c may not alias a or b */
-static void product(const double *restrict a, const double *restrict b, double *restrict c)
-{
-    for (int i = 0; i < 3; i++)
-        for (int j = 0; j < 3; j++)
-            c[3 * i + j] = (a[3 * i] * b[j] + a[3 * i + 1] * b[3 + j]) + a[3 * i + 2] * b[6 + j];
 }
 
 /* the larger of worst and the defect of the rotation r, |R^T R - I| and

@@ -1,4 +1,5 @@
-/* The quadrature pass of so3cubics.reconstruction.ReconstructionInput: one
+/* The two walks of so3cubics.reconstruction: the lift of both its rotation
+ * curves (below), and the quadrature pass of ReconstructionInput, one
  * walk over the nodes of a quadratic trajectory for V''' = V'' x V and
  * |V'''|^2 at every node, V and V'' at every step midpoint, the phase
  * integrand (c - <C, V''>) / |V'''|^2 at both, the Simpson increments and
@@ -36,10 +37,21 @@
  * NaN) or is degenerate (gram <= (gram_rtol |V''|^2) |V'''|^2); the outputs
  * are then incomplete, and the caller runs the twin, which rescales such
  * pairs or raises.
+ *
+ * The lift writes x0 y_0^T y_k for the phased frames y_k = P(phase[k]) F_k
+ * with the operations of its numpy twin (`reconstruction._lift_python`):
+ * P(phi) laid out as algebra.plane_rotation lays it out, rows (c, s, 0),
+ * (-s, c, 0) and (0, 0, 1), from cos and sin of the same libm; every 3x3
+ * product `_product.h`'s, ((a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j); the anchor
+ * A = x0 y_0^T; row k = A y_k, but row 0 = x0 itself.  phase holds n >= 1
+ * doubles, frames and out n rotations of nine doubles, row by row, and x0
+ * one.
  */
 
 #include <float.h>
 #include <math.h>
+
+#include "_product.h"
 
 static double dot(const double *a, const double *b)
 {
@@ -111,4 +123,22 @@ long long recon_pass(const double *grid, const double *v, const double *v1, cons
         g_before = g;
     }
     return -1;
+}
+
+void lift(const double *x0, const double *phase, const double *frames, long long n, double *out)
+{
+    double p[9] = {0.0}, y[9], y0t[9], anchor[9];
+    p[8] = 1.0;
+    for (long long k = 0; k < n; k++) {
+        const double c = cos(phase[k]), s = sin(phase[k]);
+        p[0] = c, p[1] = s, p[3] = -s, p[4] = c;
+        product(p, frames + 9 * k, y);
+        if (k == 0) {
+            for (int i = 0; i < 9; i++)
+                y0t[i] = y[3 * (i % 3) + i / 3], out[i] = x0[i];
+            product(x0, y0t, anchor);
+        } else {
+            product(anchor, y, out + 9 * k);
+        }
+    }
 }

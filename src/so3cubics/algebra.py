@@ -117,7 +117,11 @@ def rotation_error(r) -> float:
     R^T R is read as the six dot products of the columns of R, and the
     determinant by cofactors along the first row, each over the whole stack.
     """
-    r = np.asarray(r, dtype=float)
+    return _rotation_error(np.asarray(r, dtype=float))
+
+
+def _rotation_error(r: np.ndarray) -> float:
+    """`rotation_error` of a float array of 3x3 matrices."""
     (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(r, (-2, -1), (0, 1))
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     defects = np.stack([
@@ -200,6 +204,11 @@ def plane_rotation(angle) -> np.ndarray:
 
     An array of angles of shape S gives rotations of shape S + (3, 3).
     """
+    return _plane_rotation(angle)
+
+
+def _plane_rotation(angle) -> np.ndarray:
+    """`plane_rotation`'s body."""
     c = np.cos(angle)
     s = np.sin(angle)
     out = np.zeros(np.shape(angle) + (3, 3))
@@ -230,7 +239,14 @@ def frame_from_pair(x1, x2) -> np.ndarray:
     exact and leaves the rows unchanged, so pairs of any finite magnitude
     give their frame, and all other pairs are computed as given.
     """
-    x1, x2 = np.broadcast_arrays(as_vectors(x1), as_vectors(x2))
+    return _frame_from_pair(as_vectors(x1), as_vectors(x2))
+
+
+def _frame_from_pair(x1: np.ndarray, x2: np.ndarray, times: np.ndarray | None = None) -> np.ndarray:
+    """`frame_from_pair` of float arrays of finite 3-vectors; with `times`,
+    one time for each (flat) pair, its DegenerateFrame names times[k]
+    beside the index k."""
+    x1, x2 = np.broadcast_arrays(x1, x2)
     shape = x1.shape
     x1 = x1.reshape(-1, 3)
     x2 = x2.reshape(-1, 3)
@@ -246,6 +262,7 @@ def frame_from_pair(x1, x2) -> np.ndarray:
     if np.any(bad):
         k = int(np.argmax(bad))
         where = f" at index {k}" if len(shape) > 1 else ""
+        where += f", t={float(times[k])!r}," if times is not None else ""
         scale = n1sq[k] * n2sq[k]
         raise DegenerateFrame(
             f"relative Gram determinant {gram[k] / scale if scale else 0.0:.3g} at or below "
@@ -271,6 +288,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     every machine (the orders of einsum and matmul depend on numpy's build
     and the CPU)."""
     return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for (stacks of) 3x3 matrices, entry (i, j) summed as
+    ((a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j) on every machine (matmul's order
+    depends on numpy's build and the CPU): five ufunc calls."""
+    return ((a[..., :, 0:1] * b[..., 0:1, :] + a[..., :, 1:2] * b[..., 1:2, :])
+            + a[..., :, 2:3] * b[..., 2:3, :])
 
 
 def _length(v: np.ndarray) -> np.ndarray:

@@ -48,8 +48,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _native
-from .algebra import (_dot, _length, _rot_exp, _scaled_length, as_rotation, as_vector, bracket,
-                      rotation_error)
+from .algebra import (_dot, _length, _product, _rot_exp, _rotation_error, _scaled_length,
+                      as_rotation, as_vector, bracket, rotation_error)
 from .errors import OutOfDomain, StepTooLarge
 
 NULL_TOL = 1e-12        # |C| at or below this counts as a null quadratic
@@ -571,8 +571,8 @@ def _magnus_python(x0: np.ndarray, va: np.ndarray, vb: np.ndarray, h: float,
     the Gauss nodes of every step, va and vb, shape (n, 3), and their
     `rotation_error`: the numpy twin of `_magnus.c`, operation for
     operation.  integrate_cubic's ValueError is raised here, and no float
-    warning escapes.  It calls rot_exp's body, so that the kernel's
-    self-check calls no public function."""
+    warning escapes.  It calls the bodies of rot_exp and rotation_error, so
+    that the kernel's self-check calls no public function."""
     with np.errstate(over="ignore", invalid="ignore"):
         omega = (0.5 * h) * (va + vb) - (_MAGNUS_COMMUTATOR * h * h) * np.cross(vb, va)
         # rot_exp's squared norm of W, not finite where W is not
@@ -581,7 +581,7 @@ def _magnus_python(x0: np.ndarray, va: np.ndarray, vb: np.ndarray, h: float,
             raise ValueError(f"Magnus vector W has a non-finite squared norm at step index {k}, "
                              f"t={float(grid[k])!r}")
         rotations = _running_product(x0, _rot_exp(omega))
-        return rotations, rotation_error(rotations)
+        return rotations, _rotation_error(rotations)
 
 
 def _running_product(x0: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -613,14 +613,6 @@ def _running_product(x0: np.ndarray, steps: np.ndarray) -> np.ndarray:
         block[...] = _product(carry, block)
         carry = block[-1]
     return out[:n + 1]
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for (stacks of) 3x3 matrices, entry (i, j) summed as
-    ((a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j) on every machine (matmul's order
-    depends on numpy's build and the CPU): five ufunc calls."""
-    return ((a[..., :, 0:1] * b[..., 0:1, :] + a[..., :, 1:2] * b[..., 1:2, :])
-            + a[..., :, 2:3] * b[..., 2:3, :])
 
 
 def _bind_magnus(library):

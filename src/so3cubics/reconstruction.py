@@ -6,11 +6,14 @@ through a single quadrature: with the moving frame adapted to
 
     phi(t) = sqrt(c) * integral_{t0}^{t} (c - <C, V''(s)>) / |V'''(s)|^2 ds,
 
-the curve y(t) = plane_rotation(phi(t)) @ frame_from_pair(V''(t), V'''(t))
+the curve y(t) = plane_rotation(phi(t)) frame_from_pair(V''(t), V'''(t))
 satisfies x(t) = x0 y(t0)^T y(t); both rotation curves below are this
-one lift.  The integrand is read at the trajectory's nodes and, at the
-Simpson midpoints, from V and V'' interpolated at the fraction 1/2 of
-every step (`QuadraticTrajectory.at_fraction`), with V''' = [V'', V].  The
+one lift (`_lift`), each 3x3 product of it summed as ((a_i0 b_0j + a_i1
+b_1j) + a_i2 b_2j), in the recon kernel's second entry or its numpy twin,
+with the same bits on every machine.  The integrand is read at the
+trajectory's nodes and, at the Simpson midpoints, from V and V''
+interpolated at the fraction 1/2 of every step
+(`QuadraticTrajectory.at_fraction`), with V''' = [V'', V].  The
 cumulative phase is kept at the grid nodes, with the integrand as its
 slope, and read at other times through `quadratic.hermite`: scipy's
 arithmetic bit for bit.  Times off the trajectory's interval raise
@@ -38,12 +41,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import _native
-from .algebra import GRAM_RTOL, _dot, _frobenius, as_rotation, frame_from_pair, plane_rotation
+from .algebra import (GRAM_RTOL, _dot, _frame_from_pair, _frobenius, _plane_rotation, _product,
+                      _rot_exp, as_rotation, as_vectors, frame_from_pair)
 # second_approximant: perfbench/selftest.py checks the tracer through this name
 from .approximants import (ApproxParams, _approximants, _check_finite,  # noqa: F401
                            second_approximant)
@@ -90,8 +94,9 @@ class ReconstructionInput:
         for name, value in (("C", traj.C), ("c", traj.c)):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} is {np.asarray(value).tolist()}; expected finite values")
+        kernel = _native.kernel("recon")
         with np.errstate(all="ignore"):
-            quadrature = (_native.kernel("recon") or _recon_python)(traj)
+            quadrature = (kernel.quadrature if kernel else _recon_python)(traj)
         object.__setattr__(self, "_quadrature", quadrature)
         k, sq = quadrature.node
         if not sq > THIRD_DERIV_TOL ** 2:
@@ -105,8 +110,8 @@ class ReconstructionInput:
 
 
 def _recon_python(traj: QuadraticTrajectory) -> _Quadrature:
-    """`ReconstructionInput`'s pass in numpy: the twin of `_recon.c`,
-    operation for operation, with `frame_from_pair` for the frames."""
+    """`ReconstructionInput`'s pass in numpy: the twin of `_recon.c`'s pass,
+    operation for operation, with `frame_from_pair`'s body for the frames."""
     v3 = traj.third_derivative_grid()
     v2m = traj.at_fraction(0.5, 2)
     v3m = np.cross(v2m, traj.at_fraction(0.5))
@@ -116,8 +121,8 @@ def _recon_python(traj: QuadraticTrajectory) -> _Quadrature:
     increments = np.diff(traj.grid) / 6.0 * (g_nodes[:-1] + 4.0 * g_mids + g_nodes[1:])
     root = math.sqrt(traj.c)
     try:
-        frames = frame_from_pair(traj.v2, v3)
-    except (DegenerateFrame, ValueError):
+        frames = _frame_from_pair(traj.v2, v3) if np.isfinite(v3).all() else None
+    except DegenerateFrame:
         frames = None
     return _Quadrature(_least(node_sq), _least(mid_sq), root * g_nodes,
                        root * np.concatenate([[0.0], np.cumsum(increments)]), frames)
@@ -129,10 +134,17 @@ def _least(values: np.ndarray) -> tuple[int, float]:
     return k, float(values[k])
 
 
+class _ReconKernel(NamedTuple):
+    """The recon kernel's pass and lift, as `_recon_python` and `_lift_python`."""
+
+    quadrature: Callable[[QuadraticTrajectory], _Quadrature]
+    lift: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
 def _bind_recon(library):
-    """`library`'s pass, its arrays typed as ndarrays, as a function with
-    `_recon_python`'s signature, and its self-check against `_recon_python`
-    on the trajectories of `_recon_checks`."""
+    """`library`'s pass and lift, their arrays typed as ndarrays, as a
+    `_ReconKernel`, and its self-check against `_recon_python` on the
+    trajectories of `_recon_checks` and `_lift_python` on `_lift_checks`."""
     import ctypes
 
     walk = library.recon_pass
@@ -153,7 +165,18 @@ def _bind_recon(library):
             return _recon_python(traj)
         return _Quadrature(*zip(at.tolist(), least.tolist()), slopes, phase, frames)
 
-    return recon, [(recon, _recon_python, (traj,)) for traj in _recon_checks()]
+    library.lift.argtypes = (*(_native.DOUBLES_IN,) * 3, ctypes.c_longlong, _native.DOUBLES_OUT)
+    library.lift.restype = None
+
+    def lift(x0: np.ndarray, phi: np.ndarray, frames: np.ndarray) -> np.ndarray:
+        # phi and frames as the pass or approx_cubic made them; x0 as given
+        out = np.empty((len(phi), 3, 3))
+        library.lift(np.ascontiguousarray(x0), phi, frames, len(phi), out)
+        return out
+
+    return _ReconKernel(recon, lift), [
+        *((recon, _recon_python, (traj,)) for traj in _recon_checks()),
+        *((lift, _lift_python, case) for case in _lift_checks())]
 
 
 def _recon_checks() -> list[QuadraticTrajectory]:
@@ -185,6 +208,22 @@ def _recon_checks() -> list[QuadraticTrajectory]:
             *(_check_trajectory(np.arange(10.0), each) for each in (period, gap))]
 
 
+def _lift_checks() -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The lift's self-check: (x0, phases, frames) for 1, 2, 3 and 40
+    nodes, x0 the identity or a drawn rotation, every third phase 0, -0,
+    +-pi, 1e3 or 1e300 and the others drawn of sizes 1e-2 to 1e2, and the
+    frames of drawn pairs or drawn 3x3 matrices of sizes 1e-3 to 1e3."""
+    x0s, cases = (np.eye(3), _rot_exp(_native._draws(3, 42))), []
+    for n in (1, 2, 3, 40):
+        drawn = np.reshape(_native._draws(16 * n, 3001 + n), (n, 16))
+        phases = drawn[:, 0] * 10.0 ** (np.arange(n) % 5 - 2)
+        phases[::3] = np.resize([0.0, -0.0, math.pi, -math.pi, 1e3, 1e300], len(phases[::3]))
+        raw = drawn[:, 1:10].reshape(n, 3, 3) * 10.0 ** (np.arange(9 * n) % 7 - 3).reshape(n, 3, 3)
+        cases += [(x0, phases, frames) for x0 in x0s
+                  for frames in (raw, _frame_from_pair(drawn[:, 10:13], drawn[:, 13:]))]
+    return cases
+
+
 def _check_trajectory(grid: np.ndarray, rows: np.ndarray) -> QuadraticTrajectory:
     """The trajectory of rows (V, V', V'') on grid, with a drawn C and c = 0.75."""
     return QuadraticTrajectory(grid=grid, v=rows[:, 0], v1=rows[:, 1], v2=rows[:, 2],
@@ -203,21 +242,31 @@ def rotation_phase(recon: ReconstructionInput, t) -> float | np.ndarray:
 def reconstruct_cubic(recon: ReconstructionInput) -> RotationTrajectory:
     """The quadrature phase's lift (`_lift`) on the trajectory grid, with
     the frames of the input's pass; a pair that `frame_from_pair` refuses
-    raises its error here."""
+    raises its error here, a DegenerateFrame naming the node's index k and
+    t = grid[k]."""
     traj = recon.trajectory
     phase, frames = recon._quadrature.phase, recon._quadrature.frames
     if frames is None:
         # the pass met a pair that frame_from_pair refuses: raise its error
-        frame_from_pair(traj.v2, traj.third_derivative_grid())
+        _frame_from_pair(as_vectors(traj.v2), as_vectors(traj.third_derivative_grid()), traj.grid)
     return RotationTrajectory(grid=traj.grid, rotations=_lift(recon.x0, phase, frames))
 
 
 def _lift(x0: np.ndarray, phi: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """x0 y(t0)^T y(t) for the phased moving frame y = plane_rotation(phi) @
-    frames, the frames of (V'', V''') at times from t0 on; row 0 is x0
-    itself."""
-    ys = plane_rotation(phi) @ frames
-    rots = x0 @ ys[0].T @ ys
+    """x0 y(t0)^T y(t) for the phased moving frame y = plane_rotation(phi)
+    frames, from n >= 1 phases and frames of (V'', V''') at times from t0
+    on, every 3x3 product summed as `algebra._product` sums it; row 0 is
+    x0 itself.  The lift of `_recon.c` where `_native.kernel("recon")`
+    serves it, else its numpy twin `_lift_python`, with the same bits."""
+    kernel = _native.kernel("recon")
+    return (kernel.lift if kernel else _lift_python)(x0, phi, frames)
+
+
+def _lift_python(x0: np.ndarray, phi: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """`_lift` in numpy: the twin of `_recon.c`'s lift, operation for
+    operation, with `plane_rotation`'s body."""
+    ys = _product(_plane_rotation(phi), frames)
+    rots = _product(_product(x0, ys[0].T), ys)
     rots[0] = x0
     return rots
 
@@ -247,9 +296,11 @@ def approx_cubic(p: ApproxParams, x0, t) -> np.ndarray:
     """Quadrature-free first-order approximation to the rotation curve.
 
     Assembles the phased moving frame from the second and third
-    derivatives of the second-order approximant and anchors it at x0; the
-    value at t0 is x0 exactly.  A scalar t gives a rotation; an array of
-    times of shape S gives rotations of shape S + (3, 3).
+    derivatives of the second-order approximant and anchors it at x0 by
+    `reconstruct_cubic`'s lift (`_lift`); the value at t0 is x0 exactly.  A
+    scalar t gives a rotation; an array of times of shape S gives rotations
+    of shape S + (3, 3).  A pair that `frame_from_pair` refuses raises its
+    DegenerateFrame, naming the sample's time.
     """
     if p.beta <= 0.0 or p.b_degenerate:
         raise DegenerateB("closed-form cubic requires beta > 0")
@@ -258,7 +309,12 @@ def approx_cubic(p: ApproxParams, x0, t) -> np.ndarray:
     ts = np.append(p.t0, t)
     v2, v3 = _approximants(p, ts, (2, 3))
     with np.errstate(all="ignore"):
-        out = _lift(x0, rotation_phase_approx(p, ts), frame_from_pair(v2, v3))[1:]
+        phase = rotation_phase_approx(p, ts)
+        try:
+            frames = frame_from_pair(v2, v3)
+        except DegenerateFrame:
+            _frame_from_pair(v2, v3, ts)   # the same error, naming the sample's time
+        out = _lift(x0, phase, frames)[1:]
     _check_finite(t, out)
     out[ts[1:] == p.t0] = x0
     return out.reshape(np.shape(t) + (3, 3))

@@ -36,6 +36,11 @@ prefix product with every 3x3 product summed in one fixed order;
 `matmul_running_product` by the same blocked scan in `np.matmul`'s
 stacked products, the library's product before it fixed that order.
 
+The library lifts the phased moving frame to a rotation curve with every
+3x3 product summed in one fixed order; `polyexp_approx_cubic` lifts its
+frames through `loop_product`, one product at a time in Python floats in
+that order, so `approx_cubic` must reproduce it bit for bit.
+
 The library measures a stack of rotation pairs in one `so3_distance` call;
 `pair_distance` measures one pair with the scalar numpy and math calls,
 and the stacked form must reproduce it bit for bit.  Its Frobenius part is
@@ -281,8 +286,8 @@ def polyexp_approx_cubic(p: ApproxParams, x0, t, jets=None) -> np.ndarray:
     ts = np.append(p.t0, t)
     v2, v3 = (polyexp_values(p, ts, k, jets)[3] for k in (2, 3))
     with np.errstate(all="ignore"):
-        ys = plane_rotation(closed_form_phase(p, ts)) @ frame_from_pair(v2, v3)
-        out = x0 @ ys[0].T @ ys[1:]
+        ys = loop_product(plane_rotation(closed_form_phase(p, ts)), frame_from_pair(v2, v3))
+        out = loop_product(loop_product(x0, ys[0].T), ys[1:])
     out[ts[1:] == p.t0] = x0
     return out.reshape(np.shape(t) + (3, 3))
 
@@ -590,6 +595,20 @@ def loop_frobenius(a, b) -> np.ndarray:
         rows = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a[k].tolist(), b[k].tolist())]
         r0, r1, r2 = ((d0 * d0 + d1 * d1) + d2 * d2 for d0, d1, d2 in rows)
         out[k] = math.sqrt((r0 + r1) + r2)
+    return out
+
+
+def loop_product(a, b) -> np.ndarray:
+    """a @ b for 3x3 matrices or stacks of them of shapes S + (3, 3) that
+    broadcast, one product at a time in Python floats, entry (i, j) summed
+    as ((a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j), the order of
+    `algebra._product` and of the C kernels."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    out = np.empty(a.shape)
+    for k in np.ndindex(a.shape[:-2]):
+        x, y = a[k].tolist(), b[k].tolist()
+        out[k] = [[(x[i][0] * y[0][j] + x[i][1] * y[1][j]) + x[i][2] * y[2][j] for j in range(3)]
+                  for i in range(3)]
     return out
 
 

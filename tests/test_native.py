@@ -110,6 +110,33 @@ def test_a_failed_self_check_turns_off_that_kernel_only(name, fresh_kernels, mon
     assert [each for each in _native.KERNELS if _native.kernel(each) is None] == [name]
 
 
+def test_no_self_check_calls_a_public_algebra_function(monkeypatch):
+    # perfbench's tracer counts the calls of every public function under
+    # every alias; a kernel's first use inside a traced op must add none
+    import importlib
+
+    from so3cubics import algebra
+    public = {name: fn for name, fn in vars(algebra).items()
+              if not name.startswith("_") and callable(fn) and not isinstance(fn, type)
+              and fn.__module__ == algebra.__name__}
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    names = {id(fn): name for name, fn in public.items()}
+    for module in [m for key, m in sys.modules.items() if key.partition(".")[0] == "so3cubics"]:
+        for attr, value in list(vars(module).items()):
+            if public.get(names.get(id(value))) is value:
+                monkeypatch.setattr(module, attr, counted(names[id(value)], value))
+    for name, module in _native.KERNELS.items():
+        require_kernel(name)
+        bind = getattr(importlib.import_module(f"so3cubics.{module}"), f"_bind_{name}")
+        _, checks = bind(_native._load(name))
+        assert all(_native._same_outcome(*check) for check in checks)
+    assert calls == []
+
+
 def test_a_warm_cache_loads_every_kernel_without_subprocess():
     # only a build imports subprocess, which nothing else in a run imports
     for name in _native.KERNELS:
@@ -154,7 +181,8 @@ def _typed_calls(name) -> list:
                                       np.zeros(256, np.uint8)))],
         "recon": [("recon_pass", (doubles(3), doubles(3, 3), doubles(3, 3), doubles(3, 3), 3,
                                   doubles(3), 1.0, 1.0, 1e-12, doubles(3), doubles(3),
-                                  doubles(3, 3, 3), np.zeros(2, np.int64), doubles(2)))],
+                                  doubles(3, 3, 3), np.zeros(2, np.int64), doubles(2))),
+                  ("lift", (doubles(3, 3), doubles(2), doubles(2, 3, 3), 2, doubles(2, 3, 3)))],
     }[name]
 
 

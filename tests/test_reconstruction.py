@@ -11,8 +11,8 @@ from conftest import FIG3_BASE, fig1_ivp, fig3_ivp, require_kernel, twins_only
 from oracles import loop_frobenius, pair_distance
 from so3cubics import _native, reconstruction
 from so3cubics.algebra import (GRAM_RTOL, _dot, _frobenius, _gram, frame_from_axis,
-                               frame_from_pair, rot_exp, rotation_error)
-from so3cubics.approximants import ApproxParams, fit_params
+                               frame_from_pair, plane_rotation, rot_exp, rotation_error)
+from so3cubics.approximants import ApproxParams, fit_params, second_approximant
 from so3cubics.errors import DegenerateB, DegenerateFrame, DegenerateThirdDerivative
 from so3cubics.quadratic import (QuadraticIVP, QuadraticTrajectory, integrate_cubic,
                                  integrate_quadratic)
@@ -459,7 +459,8 @@ def test_recon_pass_matches_the_numpy_twin_bit_for_bit(steps, seed, uneven, spec
         assert _pass_outcome(traj) == ours
     # the pass itself, the smallest |V'''|^2 (NaN matching NaN) included,
     # also where the library raises before it reads all of it
-    assert _native._same_outcome(_native.kernel("recon"), reconstruction._recon_python, (traj,))
+    assert _native._same_outcome(_native.kernel("recon").quadrature, reconstruction._recon_python,
+                                 (traj,))
 
 
 def test_recon_self_check_covers_ties_nan_and_the_twin():
@@ -506,8 +507,22 @@ def test_a_gram_degenerate_pair_raises_in_reconstruct_cubic(fig1_trajectory, rec
     recon = ReconstructionInput(traj, np.eye(3))
     rotation_phase(recon, 1.0)
     with pytest.raises(DegenerateFrame, match=rf"relative Gram determinant {relative} at or "
-                                              rf"below 1e-12 at index 3000 for norms "):
+                                              rf"below 1e-12 at index 3000, t=3\.0, for norms "):
         reconstruct_cubic(recon)
+
+
+def test_a_gram_degenerate_closed_form_pair_names_its_sample_time(monkeypatch):
+    # V2''' along V2'' at the second sample, index 2 after the anchor t0
+    approximants = reconstruction._approximants
+
+    def parallel(p, ts, orders):
+        v2, v3 = approximants(p, ts, orders)
+        v3[2] = -3.0 * v2[2]
+        return np.stack([v2, v3])
+
+    monkeypatch.setattr(reconstruction, "_approximants", parallel)
+    with pytest.raises(DegenerateFrame, match=r"at or below 1e-12 at index 2, t=1\.5, for norms "):
+        approx_cubic(fig3_params(), np.eye(3), [1.0, 1.5, 2.0])
 
 
 def test_an_overflowing_pair_gives_its_scaled_frame(fig1_trajectory, recon_engine):
@@ -517,3 +532,82 @@ def test_an_overflowing_pair_gives_its_scaled_frame(fig1_trajectory, recon_engin
     np.testing.assert_array_equal(recon._quadrature.frames[3000],
                                   frame_from_pair(traj.v2[3000], v3))
 
+
+
+# ----------------------------------------------------------------- the lift
+
+_LIFT_PHASES = (0.0, -0.0, math.pi, -math.pi, 1e3, 1e300, math.nan, math.inf, -math.inf)
+
+
+def _canonical_nan(a):
+    """The bytes of a with every NaN the same NaN."""
+    return np.where(np.isnan(a), math.nan, a).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.just(1), st.just(2), st.integers(1, 40), st.just(5_001)),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(["identity", "drawn", "transposed"]),
+       st.booleans(), st.lists(st.tuples(st.integers(0, 2 ** 31), st.sampled_from(_LIFT_PHASES)),
+                               max_size=4))
+@example(1, 0, "identity", True, [])
+@example(2, 1, "drawn", False, [(0, math.nan), (1, math.inf)])
+@example(5_001, 2, "transposed", True, [(7, 1e300), (8, -0.0), (9, math.pi)])
+def test_lift_matches_the_numpy_twin_bit_for_bit(n, seed, x0_kind, paired, specials):
+    # phases of sizes 1e-2 to 1e2 with special values among them; frames of
+    # drawn pairs or drawn 3x3 matrices of sizes 1e-3 to 1e3; x0 the
+    # identity, a drawn rotation or its transpose, which is not C-ordered
+    kernel = require_kernel("recon")
+    rng = np.random.default_rng(seed)
+    x0 = np.eye(3) if x0_kind == "identity" else rot_exp(rng.normal(size=3))
+    x0 = x0.T if x0_kind == "transposed" else x0
+    phases = rng.normal(size=n) * 10.0 ** rng.integers(-2, 3, size=n)
+    for k, value in specials:
+        phases[k % n] = value
+    if paired:
+        frames = frame_from_pair(*rng.normal(size=(2, n, 3)))
+    else:
+        frames = rng.normal(size=(n, 3, 3)) * 10.0 ** rng.integers(-3, 4, size=(n, 3, 3))
+    with np.errstate(all="ignore"):
+        ours = kernel.lift(x0, phases, frames)
+        twin = reconstruction._lift_python(x0, phases, frames)
+    np.testing.assert_array_equal(ours[0], x0)
+    # a phase that is not finite has NaN cos and sin, and the operand order
+    # of a product may drop a NaN's sign
+    if not np.isfinite(phases).all():
+        assert _canonical_nan(ours) == _canonical_nan(twin)
+    else:
+        assert ours.tobytes() == twin.tobytes()
+
+
+def test_lift_self_check_covers_one_node_special_phases_and_raw_frames():
+    cases = reconstruction._lift_checks()
+    assert {len(phases) for _, phases, _ in cases} >= {1, 2, 40}
+    assert any(np.array_equal(x0, np.eye(3)) for x0, _, _ in cases)
+    assert any(rotation_error(frames) > 1.0 for _, _, frames in cases)
+    assert any(rotation_error(frames) < 1e-15 for _, _, frames in cases)
+    phases = np.concatenate([phases for _, phases, _ in cases])
+    assert {0.0, math.pi, -math.pi, 1e3, 1e300} <= set(phases.tolist())
+    assert np.signbit(phases[phases == 0.0]).any()
+
+
+def _matmul_lift(x0, phi, frames):
+    """The lift by numpy's stacked matmul, in the order of numpy's build."""
+    ys = plane_rotation(phi) @ frames
+    rots = x0 @ ys[0].T @ ys
+    rots[0] = x0
+    return rots
+
+
+@pytest.mark.parametrize("x0", [np.eye(3), rot_exp([0.3, -0.1, 0.8])])
+def test_lifted_curves_are_within_rounding_of_a_matmul_lift(x0, recon_engine):
+    # the rot-long grid (the figure3 family on [0, 5], h = 1e-3) and
+    # figure3's 501 samples on [0, 10]
+    recon = ReconstructionInput(integrate_quadratic(fig3_ivp(0.05, t1=5.0), 1e-3), x0)
+    quadrature = recon._quadrature
+    lifted = reconstruct_cubic(recon).rotations
+    assert np.max(np.abs(lifted - _matmul_lift(x0, quadrature.phase, quadrature.frames))) <= 1e-15
+    p, times = fig3_params(), np.linspace(0.0, 10.0, 501)
+    ts = np.append(p.t0, times)
+    frames = frame_from_pair(second_approximant(p, ts, 2), second_approximant(p, ts, 3))
+    expected = _matmul_lift(x0, rotation_phase_approx(p, ts), frames)[1:]
+    assert np.max(np.abs(approx_cubic(p, x0, times) - expected)) <= 1e-15
