@@ -1,13 +1,18 @@
-/* Shortest round-trip text of doubles, laid out as Python's float.__repr__
- * lays it out, for so3cubics.output's CSV and JSON writers.
+/* The text of a table of doubles, in one pass, for so3cubics.output's CSV
+ * and JSON writers (Python's float.__repr__) and SVG polylines ("%.2f").
  *
- * The digits come from Grisu3 (F. Loitsch, "Printing floating-point numbers
- * quickly and accurately with integers", PLDI 2010): 64-bit "DiyFp"
- * arithmetic scaled by a cached power of ten.  Grisu3 either proves its
- * digits the shortest that read back to the double and the closest of
- * those to it, or gives up on that double (about 0.3-2% of doubles); it
- * also gives up on NaN and the infinities.  Where it gives up the slot is
- * left empty (length 0) and the caller writes float.__repr__ there.
+ * shortest_text finds the shortest digits that read back to the double,
+ * and the closest of those to it, by Schubfach (R. Giulietti, "The
+ * Schubfach way to render doubles", 2020).  With v = c 2^q, the rounding
+ * interval of v is scaled by 10^-k, k = floor(log10 2^q) (of (3/4) 2^q at a
+ * power of two above the smallest normal, whose lower neighbour is
+ * closer), so that v 10^-k has 16 or 17 digits.  Four times v and its
+ * interval's bounds, times 10^-k, are rounded to odd from g(-k) 2^e, a
+ * 128-bit over-estimate of 10^-k from the table _floattext_powers.h; that
+ * keeps every comparison with an even integer exact.  One digit fewer is
+ * tried first, then s = floor(v 10^-k) or s + 1, the closer to v, ties to
+ * even.  The bounds belong to the interval where c is even (round half to
+ * even reads them back to v).  A finite double is never left out.
  *
  * With the digits d1..dn and v = 0.d1..dn x 10^p, the layout is repr's:
  * fixed notation when -4 < p <= 16, with ".0" added when there is no
@@ -15,23 +20,23 @@
  * at least two exponent digits (1e-05, 1.5e+16); 0.0 and -0.0 keep their
  * own text.
  *
- * format_fixed2 writes Python's "%.2f" text of doubles, for the points of
- * so3cubics.output's SVG polylines.  For finite |x| < 1e13 it takes the
- * exact product |x| 100 = p + e, p = fl(|x| 100), by Dekker's split at
+ * fixed2_text writes Python's "%.2f" text.  For finite |x| < 1e13 it takes
+ * the exact product |x| 100 = p + e, p = fl(|x| 100), by Dekker's split at
  * 2^27 + 1 (T. J. Dekker, "A floating-point technique for extending the
  * available precision", Numer. Math. 18, 1971); the kernels are built
  * with -ffp-contract=off, so no fused multiply-add changes e.  The cents
  * are q = nearbyint(p), half to even.  Where p - q = +-0.5 the sign of e
  * says on which side of the half the exact product lies, and e = 0 is a
  * true tie, which "%.2f" also rounds to even.  The sign is that of x, so
- * -0.001 gives -0.00 as in Python.  NaN, the infinities and |x| >= 1e13
- * are left empty for Python to write.  (glibc's sprintf "%.2f" gives the
+ * -0.001 gives -0.00 as in Python.  (glibc's sprintf "%.2f" gives the
  * same text but is slower than Python's own formatting.)
  *
- * format_slots and format_fixed2 write the text of x[i] into the SLOT
- * bytes at slots + SLOT i and its length into lens[i].  join_slots then
- * writes rows x cols slots row by row, the slots of a row separated by sep
- * and the rows by row_sep.
+ * Both write rows x cols doubles row by row into out, the texts of a row
+ * separated by sep and the rows by row_sep, and return the number of bytes
+ * written; out must have room for (rows cols + 1) ROOM + rows cols nsep +
+ * rows nrow bytes.  They return -1, with out left partly written, at the first
+ * double that has no text here: NaN or an infinity, and for fixed2_text
+ * also |x| >= 1e13.
  */
 
 #include <math.h>
@@ -40,172 +45,148 @@
 
 #include "_floattext_powers.h"
 
-#define SLOT 32
+/* the bytes of out one double may use: repr's longest text is 24 bytes,
+ * and the fixed-size copies reach 34 bytes past the start of a text */
+#define ROOM 40
 
-typedef struct {
-    uint64_t f;
-    int e;
-} diyfp;
+typedef unsigned __int128 uint128;
 
-/* x y rounded to the upper 64 bits of the 128-bit product, half up */
-static diyfp multiply(diyfp x, diyfp y)
+static const char DIGIT_PAIRS[200] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* floor(log10 2^q), floor(log10 (3/4) 2^q) and floor(log2 10^k), exact
+ * over every exponent of a double */
+static int floor_log10_pow2(int q) { return q * 1262611 >> 22; }
+static int floor_log10_three_quarters_pow2(int q) { return (q * 1262611 - 524031) >> 22; }
+static int floor_log2_pow10(int k) { return k * 1741647 >> 19; }
+
+/* g cp / 2^128 rounded to odd: its floor, with the last bit set where the
+ * quotient is not a whole number.  g's excess over the power of ten
+ * leaves less than 2^-64 in the fraction of a whole number's product. */
+static uint64_t round_to_odd(uint64_t g_hi, uint64_t g_lo, uint64_t cp)
 {
-    const uint64_t m32 = 0xFFFFFFFFu;
-    uint64_t a = x.f >> 32, b = x.f & m32, c = y.f >> 32, d = y.f & m32;
-    uint64_t ac = a * c, bc = b * c, ad = a * d, bd = b * d;
-    uint64_t mid = (bd >> 32) + (ad & m32) + (bc & m32) + (1u << 31);
-    diyfp r = {ac + (ad >> 32) + (bc >> 32) + (mid >> 32), x.e + y.e + 64};
-    return r;
+    uint128 x = (uint128)g_lo * cp;
+    uint128 y = (uint128)g_hi * cp + (uint64_t)(x >> 64);
+    return (uint64_t)(y >> 64) | ((uint64_t)y > 1);
 }
 
-static diyfp normalize(diyfp x)
+/* the shortest digits d of a positive finite double v, the closest of those
+ * to v, with v read back from d 10^exp10 */
+static uint64_t shortest_digits(uint64_t bits, int *exp10)
 {
-    while (!(x.f & 0xFFC0000000000000u)) {
-        x.f <<= 10;
-        x.e -= 10;
-    }
-    while (!(x.f & 0x8000000000000000u)) {
-        x.f <<= 1;
-        x.e -= 1;
-    }
-    return x;
-}
-
-/* Loitsch's round_weed: moves the last digit of buf towards w while that
- * provably brings it closer, and says whether the result is provably the
- * closest shortest digits inside the rounding interval */
-static int round_weed(char *buf, int len, uint64_t dist_high_w, uint64_t unsafe,
-                      uint64_t rest, uint64_t ten_kappa, uint64_t unit)
-{
-    uint64_t small = dist_high_w - unit, big = dist_high_w + unit;
-    while (rest < small && unsafe - rest >= ten_kappa
-           && (rest + ten_kappa < small || small - rest >= rest + ten_kappa - small)) {
-        buf[len - 1]--;
-        rest += ten_kappa;
-    }
-    if (rest < big && unsafe - rest >= ten_kappa
-        && (rest + ten_kappa < big || big - rest > rest + ten_kappa - big))
-        return 0;
-    return 2 * unit <= rest && rest <= unsafe - 4 * unit;
-}
-
-/* the digits of a positive finite double into buf; returns their count
- * and sets *point to p, or returns 0 where Grisu3 gives up */
-static int grisu3(double v, char *buf, int *point)
-{
-    uint64_t bits;
-    memcpy(&bits, &v, sizeof bits);
     const uint64_t hidden = (uint64_t)1 << 52;
-    uint64_t fraction = bits & (hidden - 1);
-    int biased = (int)(bits >> 52);
-    diyfp x = {fraction, 1 - 1075};
+    uint64_t c = bits & (hidden - 1);
+    int biased = (int)(bits >> 52), q = -1074;
     if (biased) {
-        x.f += hidden;
-        x.e = biased - 1075;
+        c |= hidden;
+        q = biased - 1075;
     }
-    /* the boundaries halfway to the neighbouring doubles; the lower one is
-     * closer when v is a power of two above the smallest normal */
-    diyfp plus = normalize((diyfp){(x.f << 1) + 1, x.e - 1});
-    diyfp minus = fraction == 0 && biased > 1 ? (diyfp){(x.f << 2) - 1, x.e - 2}
-                                               : (diyfp){(x.f << 1) - 1, x.e - 1};
-    minus.f <<= minus.e - plus.e;
-    minus.e = plus.e;
-    diyfp w = normalize(x);
-
-    /* the cached power 10^ten_k that brings w's exponent into [-60, -32] */
-    int k = (int)(0.30102999566398114 * (-60 - (w.e + 64) + 63));
-    if (k < 0.30102999566398114 * (-60 - (w.e + 64) + 63))
-        k++;
-    int index = (k - 1 - CACHED_POWER_FIRST) / CACHED_POWER_STEP + 1;
-    diyfp scale = {CACHED_POWERS[index].f, CACHED_POWERS[index].e};
-    int ten_k = CACHED_POWER_FIRST + CACHED_POWER_STEP * index;
-
-    diyfp sw = multiply(w, scale);
-    diyfp low = multiply(minus, scale), high = multiply(plus, scale);
-
-    /* digit generation on the widened interval (low - unit, high + unit) */
-    uint64_t unit = 1;
-    uint64_t too_high = high.f + unit, unsafe = too_high - (low.f - unit);
-    int shift = -sw.e;
-    uint64_t one = (uint64_t)1 << shift;
-    uint32_t integrals = (uint32_t)(too_high >> shift);
-    uint64_t fractionals = too_high & (one - 1);
-    uint32_t divisor = 1;
-    int kappa = 1;
-    while (divisor <= integrals / 10) {
-        divisor *= 10;
-        kappa++;
+    const int even = !(c & 1);
+    const uint64_t cb = c << 2, cbr = cb + 2;
+    uint64_t cbl;
+    int k;
+    if (c != hidden || q == -1074) {
+        cbl = cb - 2;
+        k = floor_log10_pow2(q);
+    } else {
+        /* the lower neighbour of a power of two is closer */
+        cbl = cb - 1;
+        k = floor_log10_three_quarters_pow2(q);
     }
-    int len = 0;
-    while (kappa > 0) {
-        buf[len++] = (char)('0' + integrals / divisor);
-        integrals %= divisor;
-        kappa--;
-        uint64_t rest = ((uint64_t)integrals << shift) + fractionals;
-        if (rest < unsafe) {
-            *point = len + kappa - ten_k;
-            return round_weed(buf, len, too_high - sw.f, unsafe, rest,
-                              (uint64_t)divisor << shift, unit) ? len : 0;
-        }
-        divisor /= 10;
-    }
-    for (;;) {
-        fractionals *= 10;
-        unit *= 10;
-        unsafe *= 10;
-        buf[len++] = (char)('0' + (fractionals >> shift));
-        fractionals &= one - 1;
-        kappa--;
-        if (fractionals < unsafe) {
-            *point = len + kappa - ten_k;
-            return round_weed(buf, len, (too_high - sw.f) * unit, unsafe, fractionals,
-                              one, unit) ? len : 0;
+    const int h = q + floor_log2_pow10(-k) + 1;
+    const uint64_t g_hi = POWERS[-k - POWERS_FIRST].hi, g_lo = POWERS[-k - POWERS_FIRST].lo;
+    const uint64_t vb = round_to_odd(g_hi, g_lo, cb << h);
+    const uint64_t lower = round_to_odd(g_hi, g_lo, cbl << h) + !even;
+    const uint64_t upper = round_to_odd(g_hi, g_lo, cbr << h) - !even;
+    const uint64_t s = vb >> 2;
+    if (s >= 10) {
+        /* one digit fewer: at most one multiple of ten lies in the interval */
+        const uint64_t sp = s / 10;
+        const int up_in = lower <= 40 * sp, wp_in = 40 * sp + 40 <= upper;
+        if (up_in != wp_in) {
+            *exp10 = k + 1;
+            return sp + wp_in;
         }
     }
+    const uint64_t t = s + 1;
+    const int u_in = lower <= 4 * s, w_in = 4 * t <= upper;
+    *exp10 = k;
+    if (u_in != w_in)
+        return u_in ? s : t;
+    /* both in: the closer, ties to even */
+    const uint64_t mid = 4 * s + 2;
+    return vb < mid || (vb == mid && !(s & 1)) ? s : t;
 }
 
-/* repr's text of v into out; returns its length, or 0 where it gives up */
-static int format_one(double v, char *out)
+/* the 8 digits of v < 10^8, leading zeros included */
+static void write8(char *out, uint32_t v)
 {
-    char digits[20];
-    int n, p, len = 0;
-    if (v != v || v - v != 0.0)
-        return 0;   /* NaN or an infinity */
-    if (v < 0.0 || (v == 0.0 && 1.0 / v < 0.0)) {
+    const uint32_t high = v / 10000, low = v % 10000;
+    memcpy(out, DIGIT_PAIRS + 2 * (high / 100), 2);
+    memcpy(out + 2, DIGIT_PAIRS + 2 * (high % 100), 2);
+    memcpy(out + 4, DIGIT_PAIRS + 2 * (low / 100), 2);
+    memcpy(out + 6, DIGIT_PAIRS + 2 * (low % 100), 2);
+}
+
+/* the 17 digits of d = hi 10^8 + lo < 10^17, leading zeros included */
+static void write17(char *out, uint64_t d)
+{
+    const uint64_t hi = d / 100000000;
+    out[0] = (char)('0' + hi / 100000000);
+    write8(out + 1, (uint32_t)(hi % 100000000));
+    write8(out + 9, (uint32_t)(d % 100000000));
+}
+
+/* repr's text of v into out; returns its length, or -1 at NaN and the
+ * infinities */
+static int shortest_one(double v, char *out)
+{
+    char buf[40];   /* 17 digits, and room for the fixed-size copies */
+    uint64_t bits;
+    int len = 0;
+    memcpy(&bits, &v, sizeof bits);
+    if ((bits >> 52 & 0x7FF) == 0x7FF)
+        return -1;   /* NaN or an infinity */
+    if (bits >> 63) {
         out[len++] = '-';
-        v = -v;
+        bits &= ~((uint64_t)1 << 63);
     }
-    if (v == 0.0) {
+    if (bits == 0) {
         memcpy(out + len, "0.0", 3);
         return len + 3;
     }
-    n = grisu3(v, digits, &p);
-    if (n == 0)
-        return 0;
-    while (n > 1 && digits[n - 1] == '0')
+    int exp10;
+    write17(buf, shortest_digits(bits, &exp10));
+    const char *digits = buf;
+    while (*digits == '0')
+        digits++;
+    int n = (int)(buf + 17 - digits);
+    const int p = n + exp10;
+    while (digits[n - 1] == '0')
         n--;
+    /* the digits go as fixed 16- or 17-byte copies, whatever their count */
     if (-4 < p && p <= 16) {
         if (p <= 0) {
             /* 0.000ddd */
-            out[len++] = '0';
-            out[len++] = '.';
-            for (int i = p; i < 0; i++)
-                out[len++] = '0';
-            memcpy(out + len, digits, n);
+            memcpy(out + len, "0.000000", 8);
+            len += 2 - p;
+            memcpy(out + len, digits, 17);
             len += n;
         } else if (p < n) {
             /* dd.ddd */
-            memcpy(out + len, digits, p);
+            memcpy(out + len, digits, 16);
             len += p;
             out[len++] = '.';
-            memcpy(out + len, digits + p, n - p);
+            memcpy(out + len, digits + p, 16);
             len += n - p;
         } else {
             /* ddd000.0 */
-            memcpy(out + len, digits, n);
+            memcpy(out + len, digits, 17);
             len += n;
-            for (int i = n; i < p; i++)
-                out[len++] = '0';
+            memcpy(out + len, "0000000000000000", 16);
+            len += p - n;
             out[len++] = '.';
             out[len++] = '0';
         }
@@ -215,7 +196,7 @@ static int format_one(double v, char *out)
         out[len++] = digits[0];
         if (n > 1) {
             out[len++] = '.';
-            memcpy(out + len, digits + 1, n - 1);
+            memcpy(out + len, digits + 1, 16);
             len += n - 1;
         }
         out[len++] = 'e';
@@ -224,31 +205,19 @@ static int format_one(double v, char *out)
             e = -e;
         if (e >= 100)
             out[len++] = (char)('0' + e / 100);
-        out[len++] = (char)('0' + e / 10 % 10);
-        out[len++] = (char)('0' + e % 10);
+        memcpy(out + len, DIGIT_PAIRS + 2 * (e % 100), 2);
+        len += 2;
     }
     return len;
 }
 
-/* returns the number of slots left empty */
-long long format_slots(const double *x, long long n, char *slots, unsigned char *lens)
-{
-    long long empty = 0;
-    for (long long i = 0; i < n; i++) {
-        int len = format_one(x[i], slots + SLOT * i);
-        lens[i] = (unsigned char)len;
-        empty += len == 0;
-    }
-    return empty;
-}
-
-/* "%.2f"'s text of x into out; returns its length, or 0 where it leaves
- * x to Python */
-static int format_fixed2_one(double x, char *out)
+/* "%.2f"'s text of x into out; returns its length, or -1 at NaN, the
+ * infinities and |x| >= 1e13 */
+static int fixed2_one(double x, char *out)
 {
     const double r = fabs(x);
     if (!(r < 1e13))
-        return 0;   /* NaN, an infinity, or too large */
+        return -1;
     /* r 100 = p + e exactly: r = hi + lo by Dekker's split, and 100 needs
      * none, so hi 100 and lo 100 are exact */
     const double p = r * 100.0;
@@ -260,52 +229,36 @@ static int format_fixed2_one(double x, char *out)
         q += 1.0;
     else if (p - q == -0.5 && e < 0.0)
         q -= 1.0;
-    /* the digits of the cents, at least three, last first */
-    uint64_t cents = (uint64_t)q;
-    char digits[20];
-    int n = 0, len = 0;
-    do {
-        digits[n++] = (char)('0' + cents % 10);
-        cents /= 10;
-    } while (cents || n < 3);
+    /* the cents, below 10^15: at least one digit before the point */
+    char buf[32];
+    write17(buf, (uint64_t)q);
+    const char *digits = buf;
+    while (digits < buf + 14 && *digits == '0')
+        digits++;
+    int len = 0;
     if (signbit(x))
         out[len++] = '-';
-    while (n > 2)
-        out[len++] = digits[--n];
+    memcpy(out + len, digits, 16);
+    len += (int)(buf + 15 - digits);
     out[len++] = '.';
-    out[len++] = digits[1];
-    out[len++] = digits[0];
+    out[len++] = buf[15];
+    out[len++] = buf[16];
     return len;
 }
 
-/* returns the number of slots left empty */
-long long format_fixed2(const double *x, long long n, char *slots, unsigned char *lens)
-{
-    long long empty = 0;
-    for (long long i = 0; i < n; i++) {
-        int len = format_fixed2_one(x[i], slots + SLOT * i);
-        lens[i] = (unsigned char)len;
-        empty += len == 0;
-    }
-    return empty;
-}
-
 /* n bytes of s to at, returning the end; s16 holds the first 16 bytes of s,
- * zero-padded, so that a short s goes as one fixed 16-byte copy */
+ * zero-padded, so that a short s goes as one fixed 16-byte copy, which a
+ * double's text then overwrites */
 static char *put(char *at, const char *s, long long n, const char *s16)
 {
-    if (n <= 16)
-        memcpy(at, s16, 16);
-    else
-        memcpy(at, s, n);
+    memcpy(at, n <= 16 ? s16 : s, n <= 16 ? 16 : n);
     return at + n;
 }
 
-/* returns the number of bytes written to out, which must have room for
- * SLOT bytes more: every slot goes as one fixed SLOT-byte copy */
-long long join_slots(const char *slots, const unsigned char *lens, long long rows,
-                     long long cols, const char *sep, long long nsep,
-                     const char *row_sep, long long nrow, char *out)
+/* the text of every double of x by one, joined; see the header comment */
+static long long join(int (*one)(double, char *), const double *x, long long rows,
+                      long long cols, const char *sep, long long nsep, const char *row_sep,
+                      long long nrow, char *out)
 {
     char sep16[16] = {0}, row16[16] = {0};
     memcpy(sep16, sep, nsep < 16 ? nsep : 16);
@@ -315,12 +268,25 @@ long long join_slots(const char *slots, const unsigned char *lens, long long row
         if (r)
             at = put(at, row_sep, nrow, row16);
         for (long long c = 0; c < cols; c++) {
-            long long i = r * cols + c;
             if (c)
                 at = put(at, sep, nsep, sep16);
-            memcpy(at, slots + SLOT * i, SLOT);
-            at += lens[i];
+            const int len = one(x[r * cols + c], at);
+            if (len < 0)
+                return -1;
+            at += len;
         }
     }
     return at - out;
+}
+
+long long shortest_text(const double *x, long long rows, long long cols, const char *sep,
+                        long long nsep, const char *row_sep, long long nrow, char *out)
+{
+    return join(shortest_one, x, rows, cols, sep, nsep, row_sep, nrow, out);
+}
+
+long long fixed2_text(const double *x, long long rows, long long cols, const char *sep,
+                      long long nsep, const char *row_sep, long long nrow, char *out)
+{
+    return join(fixed2_one, x, rows, cols, sep, nsep, row_sep, nrow, out);
 }

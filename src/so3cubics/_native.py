@@ -48,8 +48,8 @@ _HERE = Path(__file__).parent
 
 # the kernels' array arguments as ctypes types: C-order float64, int64 or uint8,
 # writeable where a kernel writes; ctypes refuses any other array before the call
-DOUBLES_IN, DOUBLES_OUT, INT64_OUT, BYTES_IN, BYTES_OUT = (np.ctypeslib.ndpointer(code, flags=flags)
-    for code, flags in (("f8", "C"), ("f8", "C,W"), ("i8", "C,W"), ("u1", "C"), ("u1", "C,W")))
+DOUBLES_IN, DOUBLES_OUT, INT64_OUT, BYTES_OUT = (np.ctypeslib.ndpointer(code, flags=flags)
+    for code, flags in (("f8", "C"), ("f8", "C,W"), ("i8", "C,W"), ("u1", "C,W")))
 
 # the builds of a kernel that the cache keeps, for a few installed versions
 _KEPT_BUILDS = 4

@@ -5,23 +5,22 @@ a list of SVG curves.  Each format has one writer, which takes arrays as
 they are and formats their floats in bulk.  `_float_text` writes the
 floats of a float table, `CSV_BLOCK_ROWS` rows at a time, and those of a
 1-D or 2-D float array in a JSON payload that holds `KERNEL_MIN_FLOATS` or
-more floats, all finite.  It runs the C kernel of `_floattext.c`: Grisu3
-digits in `float.__repr__`'s layout, written into one slot per float, with
-`repr` filling the slots whose digits Grisu3 cannot prove, and the slots
-joined in C.  Where that kernel cannot be had (see `_native`) the same text
-comes from `repr` in Python: one `%` format call per block with each
-distinct float formatted once.  JSON lists and the other arrays' lists are
-written item by item; the harness keeps every series that grows with the
-sample count an array, so its lists grow only with the number of deltas.
-An SVG polyline's points go through `_fixed_text`, the same kernel's
-second text: `%.2f` of every coordinate from an exact product in C, into
-the same slots, with Python's `%.2f` filling the slots of NaN, the
-infinities and coordinates of 1e13 or more, and the slots joined in C.
-Where the kernel cannot be had they take one `%.2f` format call.  The
-bytes are those of `csv.writer`, of `json.dumps(indent=2,
-sort_keys=True)` and of `%.2f`: floats in tables and payloads take their
-shortest round-trip form, so a given config always produces
-byte-identical files, with the kernel or without it.
+more floats, all finite.  It runs the C kernel of `_floattext.c`:
+Schubfach's shortest digits in `float.__repr__`'s layout, each float's
+text written straight into the joined text in one pass.  Where that kernel
+cannot be had (see `_native`), or the array holds NaN or an infinity, the
+same text comes from `repr` in Python: one `%` format call per block with
+each distinct float formatted once.  JSON lists and the other arrays'
+lists are written item by item; the harness keeps every series that grows
+with the sample count an array, so its lists grow only with the number of
+deltas.  An SVG polyline's points go through `_fixed_text`, the same
+kernel's second text: `%.2f` of every coordinate from an exact product in
+C, in the same one pass.  Where the kernel cannot be had, or a coordinate
+is NaN, an infinity or 1e13 or more, the polyline takes one `%.2f` format
+call in Python.  The bytes are those of `csv.writer`, of
+`json.dumps(indent=2, sort_keys=True)` and of `%.2f`: floats in tables and
+payloads take their shortest round-trip form, so a given config always
+produces byte-identical files, with the kernel or without it.
 SVG plots are plain polyline renders of orthographically projected
 curves; every SVG has a CSV twin carrying the exact plotted numbers.
 """
@@ -57,8 +56,8 @@ CSV_BLOCK_ROWS = 1024
 # fewest floats of a JSON list or array that go to the float-text kernel;
 # shorter ones cost less in Python than a kernel call does
 KERNEL_MIN_FLOATS = 16
-# bytes of one float's slot, SLOT in _floattext.c; repr's longest text is 24
-_SLOT = 32
+# bytes of the joined text that one float may use, ROOM in _floattext.c
+_ROOM = 40
 # an SVG's width and height in pixels, and the margin of its plot frame
 SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 720, 540, 56.0
 
@@ -132,92 +131,90 @@ class _FloatKernel(NamedTuple):
     fixed2: Callable[[np.ndarray, str, str], str]
 
 
-# the self-check's floats, before 480 drawn ones: both zeros, NaN and the
-# infinities, the ends of the subnormal and normal ranges, both sides of
-# each switch between fixed and exponent notation, and 1e23, whose digits
-# Grisu3 cannot prove (the kernel leaves it to repr, as NaN and infinities)
-_CHECK_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
-                 1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-05, 0.0001, 100.0,
-                 -0.1, 1 / 3, 2.0 ** 63, 1.5e300, 9.5e-7, -1e22, 1e23, 5e-310)
+# the self-check's finite floats, before 480 drawn ones: both zeros, the
+# ends of the subnormal and normal ranges, both sides of each switch
+# between fixed and exponent notation, 1e23 and its upper neighbour, which
+# has 1e23 on the bound of its interval and may not take it, 2^50 plus a
+# quarter or three, halfway between two 17-digit texts, and 2^64 and
+# 2^-24, whose closer lower neighbour decides their digits
+_CHECK_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16,
+                 9999999999999998.0, 1e-05, 0.0001, 100.0, -0.1, 1 / 3, 2.0 ** 63, 1.5e300,
+                 9.5e-7, -1e22, 1e23, 1.0000000000000001e23, 5e-310, 2.0 ** 50 + 0.25,
+                 2.0 ** 50 + 0.75, 2.0 ** 64, 2.0 ** -24)
 
-# the fixed-point self-check's floats, before the ties k/8, the neighbours
-# of k + 0.005 and 240 drawn pixel values: both zeros, tiny negatives
-# (-0.00), halves of a cent that are not ties, both sides of the 1e13 cut
-# (the kernel leaves 1e13 to Python, as NaN and the infinities) and the
-# longest texts that fit a slot
-_CHECK_FIXED = (0.0, -0.0, -0.001, -1e-300, -5e-324, 5e-324, 0.005, 0.015, 2.675, 1.005, -2.675,
-                math.nextafter(1e13, 0.0), 1e13, -math.nextafter(1e13, 0.0), -1e13,
-                math.nan, math.inf, -math.inf, 1e28, -1e28)
+# the fixed-point self-check's finite floats below 1e13, before the ties
+# k/8, the neighbours of k + 0.005 and 240 drawn pixel values: both zeros,
+# tiny negatives (-0.00), halves of a cent that are not ties and the
+# largest floats below the 1e13 cut, whose text rounds up to 1e13
+_CHECK_FIXED = (0.0, -0.0, -0.001, -1e-300, -5e-324, 5e-324, 0.005, -0.005, 0.015, 2.675, 1.005,
+                -2.675, math.nextafter(1e13, 0.0), -math.nextafter(1e13, 0.0))
+
+# floats that the kernel leaves to the twins, each among finite ones: NaN
+# and the infinities, and for %.2f 1e13 and more
+_CHECK_LEFT = (math.nan, math.inf, -math.inf)
+_CHECK_LEFT_FIXED = (*_CHECK_LEFT, 1e13, -1e13, 1e28, -1e28)
 
 
 def _bind_floattext(library):
     """`library`'s two float texts, and their self-checks against their
-    Python twins on a check table each, drawn by `_native._draws`; its
-    arrays are typed as ndarrays.
+    Python twins on two check tables each, drawn by `_native._draws`: one
+    of finite floats that the kernel writes itself, and one that holds the
+    floats it leaves to the twin.  Its arrays are typed as ndarrays.
 
-    The kernel writes each float's text into a slot of its own and leaves
-    the slot empty where it cannot write it: where Grisu3 cannot prove the
-    digits of `repr`, and for `%.2f` at NaN, the infinities and 1e13 or
-    more.  Python writes its text into those slots, and the kernel then
-    joins the slots.  A `%.2f` text longer than a slot, that of a float of
-    magnitude 1e29 or so, sends the whole array to the twin.
+    The kernel writes the text of every float of the array into the joined
+    text in one pass, and returns -1 where a float has no text in C: NaN
+    and the infinities, and for `%.2f` also 1e13 or more.  Then the twin
+    writes the whole array, with the same bytes.
     """
     import ctypes
 
-    join = library.join_slots
-    join.argtypes = (_native.BYTES_IN, _native.BYTES_IN, ctypes.c_longlong, ctypes.c_longlong,
-                     ctypes.c_char_p, ctypes.c_longlong, ctypes.c_char_p, ctypes.c_longlong,
-                     _native.BYTES_OUT)
-    join.restype = ctypes.c_longlong
-
-    def slot_text(fill, one, twin):
-        """The text of a kernel's `fill`, with `one` writing a float that
-        `fill` leaves to Python, as a function with `twin`'s signature."""
-        fill.argtypes = (_native.DOUBLES_IN, ctypes.c_longlong, _native.BYTES_OUT,
-                         _native.BYTES_OUT)
-        fill.restype = ctypes.c_longlong
+    def joined(entry, twin):
+        """The text of the kernel's `entry` as a function with `twin`'s
+        signature, which runs `twin` where `entry` leaves the array to it."""
+        entry.argtypes = (_native.DOUBLES_IN, ctypes.c_longlong, ctypes.c_longlong,
+                          ctypes.c_char_p, ctypes.c_longlong, ctypes.c_char_p,
+                          ctypes.c_longlong, _native.BYTES_OUT)
+        entry.restype = ctypes.c_longlong
 
         def text(values: np.ndarray, sep: str, row_sep: str) -> str:
             # a caller's table or payload may hold a strided or float32 array
             values = np.ascontiguousarray(values, dtype=np.float64)
             rows, cols = values.shape
-            n = rows * cols
-            slots = np.empty(n * _SLOT, dtype=np.uint8)
-            lens = np.empty(n, dtype=np.uint8)
-            if fill(values, n, slots, lens):
-                flat, view = values.ravel(), slots.data
-                for i in np.flatnonzero(lens == 0).tolist():
-                    own = one(flat[i]).encode()
-                    if len(own) > _SLOT:
-                        return twin(values, sep, row_sep)
-                    view[_SLOT * i:_SLOT * i + len(own)] = own
-                    lens[i] = len(own)
             sep_bytes, row_bytes = sep.encode(), row_sep.encode()
-            size = (int(lens.sum()) + rows * max(cols - 1, 0) * len(sep_bytes)
-                    + max(rows - 1, 0) * len(row_bytes))
-            # room for the kernel's fixed-size copies past the end
-            out = np.empty(size + _SLOT, dtype=np.uint8)
-            join(slots, lens, rows, cols, sep_bytes, len(sep_bytes), row_bytes, len(row_bytes),
-                 out)
-            return str(out.data[:size], "ascii")
+            out = np.empty((rows * cols + 1) * _ROOM + rows * cols * len(sep_bytes)
+                           + rows * len(row_bytes), dtype=np.uint8)
+            size = entry(values, rows, cols, sep_bytes, len(sep_bytes), row_bytes,
+                         len(row_bytes), out)
+            return twin(values, sep, row_sep) if size < 0 else str(out.data[:size], "ascii")
 
         return text
 
-    kernel = _FloatKernel(
-        slot_text(library.format_slots, float.__repr__, _float_text_python),
-        slot_text(library.format_fixed2, "%.2f".__mod__, _fixed_text_python))
+    kernel = _FloatKernel(joined(library.shortest_text, _float_text_python),
+                          joined(library.fixed2_text, _fixed_text_python))
+    # the kernel's own texts, None where it leaves the array to the twin: on
+    # finite floats the self-check compares these, so a kernel that left
+    # them to the twin would fail it
+    own_shortest, own_fixed2 = (joined(entry, lambda *args: None)
+                                for entry in (library.shortest_text, library.fixed2_text))
 
     draws = _native._draws(1200, 2010)
     # 240 bit patterns of three 31-bit states each, which the draws are exactly
     high, mid, low = ((draws[:720] + 1.0) * 2.0 ** 30).astype(np.uint64).reshape(3, 240)
     shortest = np.concatenate([_CHECK_FLOATS, (high << 33 ^ mid << 2 ^ low).view(np.float64),
-                               draws[720:960] * 10.0 ** (np.arange(240) % 28 - 8)]).reshape(-1, 3)
+                               draws[720:960] * 10.0 ** (np.arange(240) % 28 - 8)])
+    shortest = shortest[np.isfinite(shortest)]
+    shortest = shortest[:len(shortest) // 3 * 3].reshape(-1, 3)
     cents = np.arange(-20.0, 20.0) + 0.005
     # 240 pixel values; dividing by the inexact 1e-3 fills every bit of them
     fixed = np.concatenate([_CHECK_FIXED, np.arange(-40, 40) / 8.0, np.nextafter(cents, -np.inf),
                             np.nextafter(cents, np.inf), draws[960:] / 1e-3]).reshape(-1, 2)
-    return kernel, [(kernel.shortest, _float_text_python, (shortest, ", ", "\r\n")),
-                    (kernel.fixed2, _fixed_text_python, (fixed, ",", " "))]
+    return kernel, [
+        (own_shortest, _float_text_python, (shortest, ", ", "\r\n")),
+        (kernel.shortest, _float_text_python,
+         (np.array([*_CHECK_LEFT, *_CHECK_FLOATS[:3]]).reshape(-1, 3), ", ", "\r\n")),
+        (own_fixed2, _fixed_text_python, (fixed, ",", " ")),
+        (kernel.fixed2, _fixed_text_python,
+         (np.array([*_CHECK_LEFT_FIXED, 1.005]).reshape(-1, 2), ",", " "))]
 
 
 def write_json(path: Path, payload) -> Path:

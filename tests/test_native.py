@@ -3,8 +3,8 @@
 Python twin on its own with the same bytes, and every C source has a row
 in `_native.KERNELS` and ships with the package.
 
-Run as a script, this file prints the generated header of cached powers of
-ten that `_floattext.c` includes:
+Run as a script, this file prints the generated header of powers of ten
+that `_floattext.c` includes:
 
     PYTHONPATH=src python tests/test_native.py > src/so3cubics/_floattext_powers.h
 """
@@ -38,43 +38,70 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "so3cubics"
 
 
-# ---------------------------------------------------------- cached powers
+# ----------------------------------------------------------- power table
 
-def cached_powers() -> list[tuple[int, int]]:
-    """10^k for k = -348, -340, ..., 340 as (f, e) with f 2^e rounded to
-    nearest and 2^63 <= f < 2^64, from exact integers."""
-    powers = []
-    for k in range(-348, 341, 8):
+POWERS_FIRST, POWERS_LAST = -292, 324
+
+
+def floor_log2_pow10(k: int) -> int:
+    """floor(log2 10^k), exactly: 10^-k is never a power of two for k < 0."""
+    return (10 ** k).bit_length() - 1 if k >= 0 else -(10 ** -k).bit_length()
+
+
+def powers() -> list[int]:
+    """g(k) = floor(10^k 2^-e) + 1 with e = floor(log2 10^k) + 1 - 128, so
+    that 2^127 <= g < 2^128, for k = -292, ..., 324, from exact integers."""
+    table = []
+    for k in range(POWERS_FIRST, POWERS_LAST + 1):
+        e = floor_log2_pow10(k) + 1 - 128
         if k >= 0:
-            e = (10 ** k).bit_length() - 64
-            f = (10 ** k + (1 << e >> 1)) >> e if e > 0 else 10 ** k << -e
+            g = 10 ** k >> e if e > 0 else 10 ** k << -e
         else:
-            d = 10 ** -k
-            e = -(63 + d.bit_length())
-            f = ((1 << -e) + d // 2) // d
-        powers.append((f, e))
-    return powers
+            g = (1 << -e) // 10 ** -k
+        table.append(g + 1)
+    return table
 
 
 def powers_header() -> str:
-    rows = "".join(f"    {{0x{f:016x}u, {e}}},\n" for f, e in cached_powers())
-    return ("/* The cached powers of ten of _floattext.c: 10^k for k = -348, -340, ..., 340\n"
-            " * as f 2^e, 2^63 <= f < 2^64, with f rounded to nearest.  Generated from\n"
-            " * exact integers by tests/test_native.py (run it as a script); do not\n"
-            " * edit. */\n\n"
-            "#define CACHED_POWER_FIRST (-348)\n"
-            "#define CACHED_POWER_STEP 8\n\n"
-            "static const struct {\n    uint64_t f;\n    int e;\n} CACHED_POWERS[] = {\n"
+    rows = "".join(f"    {{0x{g >> 64:016x}u, 0x{g & (1 << 64) - 1:016x}u}},\n"
+                   for g in powers())
+    return ("/* The powers of ten of _floattext.c: g(k) = floor(10^k 2^-e) + 1 with\n"
+            " * e = floor(log2 10^k) + 1 - 128, so 2^127 <= g < 2^128, for k = -292,\n"
+            " * ..., 324, as {g >> 64, g mod 2^64}.  Generated from exact integers by\n"
+            " * tests/test_native.py (run it as a script); do not edit. */\n\n"
+            f"#define POWERS_FIRST ({POWERS_FIRST})\n\n"
+            "static const struct {\n    uint64_t hi, lo;\n} POWERS[] = {\n"
             + rows + "};\n")
 
 
-def test_cached_powers_are_normalized_and_rounded():
-    powers = cached_powers()
-    assert len(powers) == 87
-    assert powers[0] == (0xFA8FD5A0081C0288, -1220)   # double-conversion's first entry
-    for (f, e), k in zip(powers, range(-348, 341, 8)):
-        assert 2 ** 63 <= f < 2 ** 64
-        assert abs(f * Fraction(2) ** e - Fraction(10) ** k) <= Fraction(2) ** e / 2
+def _floor_log(base: int, x: Fraction) -> int:
+    """floor(log_base x) of a positive rational, exactly."""
+    k = math.floor(math.log(x.numerator, base) - math.log(x.denominator, base))
+    while Fraction(base) ** k > x:
+        k -= 1
+    while Fraction(base) ** (k + 1) <= x:
+        k += 1
+    return k
+
+
+def test_powers_bracket_their_power_of_ten():
+    table = powers()
+    assert len(table) == 617
+    for g, k in zip(table, range(POWERS_FIRST, POWERS_LAST + 1)):
+        e = floor_log2_pow10(k) + 1 - 128
+        assert 2 ** 127 <= g < 2 ** 128
+        assert g - 1 <= Fraction(10) ** k / Fraction(2) ** e < g
+
+
+def test_powers_log_formulas_are_exact_over_every_double_exponent():
+    # the kernel's multiply-shifts for floor(log10 2^q), floor(log10 (3/4)
+    # 2^q) and floor(log2 10^k), over every binary exponent q of a double
+    # and every decimal exponent k it can take or need
+    for q in range(-1074, 972):
+        assert q * 1262611 >> 22 == _floor_log(10, Fraction(2) ** q)
+        assert q * 1262611 - 524031 >> 22 == _floor_log(10, Fraction(3, 4) * Fraction(2) ** q)
+    for k in range(-324, POWERS_LAST + 1):
+        assert k * 1741647 >> 19 == floor_log2_pow10(k) == _floor_log(2, Fraction(10) ** k)
 
 
 def test_powers_header_is_generated():
@@ -169,16 +196,13 @@ def _typed_calls(name) -> list:
     def doubles(*shape):
         return np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape) / 7.0
 
-    values, slots, lens = doubles(2, 2), np.zeros(4 * 32, np.uint8), np.zeros(4, np.uint8)
-    fill = (values, 4, slots, lens)
+    text = (doubles(2, 2), 2, 2, b",", 1, b" ", 1, np.zeros(5 * output._ROOM + 6, np.uint8))
     return {
         "rk4": [("rk4_quadratic", (doubles(9), 0.1, 2, doubles(3), 1.0, doubles(3, 3, 3),
                                    doubles(4), np.zeros(4, np.int64)))],
         "magnus": [("magnus_steps", (doubles(2, 3), doubles(2, 3), 2, 0.1, 0.01,
                                      doubles(3, 3, 3), doubles(1)))],
-        "floattext": [("format_slots", fill), ("format_fixed2", fill),
-                      ("join_slots", (slots, lens, 2, 2, b",", 1, b" ", 1,
-                                      np.zeros(256, np.uint8)))],
+        "floattext": [("shortest_text", text), ("fixed2_text", text)],
         "recon": [("recon_pass", (doubles(3), doubles(3, 3), doubles(3, 3), doubles(3, 3), 3,
                                   doubles(3), 1.0, 1.0, 1e-12, doubles(3), doubles(3),
                                   doubles(3, 3, 3), np.zeros(2, np.int64), doubles(2))),
@@ -244,29 +268,29 @@ def test_a_build_keeps_the_recent_builds_of_other_versions(fresh_loader):
 
 # ------------------------------------------------------ float-text kernel
 
-def _slot_texts(values, name="format_slots") -> list:
-    """The kernel's own text of every float, by its function `name`
-    (format_slots, repr, or format_fixed2, %.2f), None where it leaves the
-    slot to Python.  The entries are typed as output's bind types them."""
+def _kernel_texts(values, entry="shortest_text") -> list | None:
+    """The kernel's own text of every float, one float a row, by its entry
+    `entry` (shortest_text, repr, or fixed2_text, %.2f), or None where it
+    leaves the array to the twin.  The entries are typed as output's bind
+    types them."""
     library = _native._load("floattext")
     output._bind_floattext(library)
     values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1, 1)
-    slots = np.zeros(values.size * 32, dtype=np.uint8)
-    lens = np.zeros(values.size, dtype=np.uint8)
-    empty = getattr(library, name)(values, values.size, slots, lens)
-    assert empty == np.count_nonzero(lens == 0)
-    return [slot[:n].tobytes().decode() if n else None
-            for slot, n in zip(slots.reshape(-1, 32), lens.tolist())]
+    out = np.zeros((values.size + 1) * (output._ROOM + 2), dtype=np.uint8)
+    size = getattr(library, entry)(values, values.size, 1, b",", 1, b"\n", 1, out)
+    return None if size < 0 else out[:size].tobytes().decode().splitlines()
 
 
 def _assert_reprs(values):
-    """Every text the kernel writes is repr's, and so is the joined text."""
+    """The kernel writes every finite float itself, as repr does, leaves an
+    array with NaN or an infinity to the twin, and the joined text is
+    repr's either way."""
     values = np.asarray(values, dtype=np.float64)
     reprs = list(map(float.__repr__, values.tolist()))
-    texts = _slot_texts(values)
-    assert [t for t, r in zip(texts, reprs) if t is not None and t != r] == []
-    # NaN and the infinities are left to repr
-    assert all(t is None for t, v in zip(texts, values.tolist()) if not math.isfinite(v))
+    finite = np.isfinite(values)
+    assert _kernel_texts(values[finite]) == [r for r, f in zip(reprs, finite) if f]
+    if not finite.all():
+        assert _kernel_texts(values) is None
     assert output._float_text(values[:, None], ",", "\n") == "\n".join(reprs)
 
 
@@ -284,35 +308,31 @@ def test_float_text_is_repr(values):
 
 def _edge_floats() -> np.ndarray:
     """Powers of two and their neighbours, powers of ten, the ends of the
-    subnormal and normal ranges, both zeros, 1e16 and 1e-5, with both signs."""
+    subnormal and normal ranges, both zeros, 1e16 and 1e-5, the largest
+    integers that a double holds exactly, with both signs."""
     twos = np.ldexp(1.0, np.arange(-1074, 1024))
     below = np.nextafter(twos, 0.0)
     above = np.nextafter(twos, np.inf)
     tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
     fixed = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, 1e16, 1e-5,
-             9999999999999998.0, 1e-4, 123456789012345680.0]
+             9999999999999998.0, 1e-4, 1e15, 123456789012345680.0, 2.0 ** 53 - 1, 2.0 ** 53]
     edges = np.concatenate([twos, below[below > 0], above[np.isfinite(above)], tens, fixed])
     return np.concatenate([edges, -edges])
 
 
 def test_float_text_of_edge_values():
     require_kernel("floattext")
-    edges = _edge_floats()
-    _assert_reprs(edges)
-    # the kernel proves nearly all of them itself
-    assert sum(t is None for t in _slot_texts(edges)) < 0.03 * edges.size
+    _assert_reprs(_edge_floats())
 
 
-def test_float_text_gives_up_rarely_on_random_floats():
+def test_float_text_writes_every_random_float_itself():
     require_kernel("floattext")
     rng = np.random.default_rng(1)
     values = np.concatenate([
         rng.integers(-2 ** 63, 2 ** 63, 20_000, dtype=np.int64).view(np.float64),
         rng.normal(size=20_000) * 10.0 ** rng.integers(-30, 30, 20_000),
     ])
-    values = values[np.isfinite(values)]
-    _assert_reprs(values)
-    assert sum(t is None for t in _slot_texts(values)) < 0.03 * values.size
+    _assert_reprs(values[np.isfinite(values)])
 
 
 def _ulps(x: float, steps: int) -> float:
@@ -343,12 +363,12 @@ _fixed_floats = st.one_of(
           math.nextafter(1e13, 0.0), 9999999999999.995, math.nan, -math.inf])
 def test_fixed_text_is_percent_2f(values):
     require_kernel("floattext")
-    texts = _slot_texts(values, "format_fixed2")
-    expected = ["%.2f" % v for v in values]
-    assert [(v, t) for v, t, e in zip(values, texts, expected) if t is not None and t != e] == []
-    # the kernel leaves NaN, the infinities and |x| >= 1e13 to Python, and
-    # only those
-    assert [t is None for t in texts] == [not abs(v) < 1e13 for v in values]
+    # the kernel writes every float below 1e13 itself, and leaves an array
+    # with NaN, an infinity or |x| >= 1e13 to the twin
+    written = [v for v in values if abs(v) < 1e13]
+    assert _kernel_texts(written, "fixed2_text") == ["%.2f" % v for v in written]
+    if len(written) < len(values):
+        assert _kernel_texts(values, "fixed2_text") is None
     # the polyline text: "x,y" points joined by spaces
     points = np.array(values + values[-1:] * (len(values) % 2)).reshape(-1, 2)
     assert output._fixed_text(points, ",", " ") == " ".join(
@@ -356,33 +376,55 @@ def test_fixed_text_is_percent_2f(values):
 
 
 def test_float_text_self_check_covers_edges_ties_and_random_bits():
-    stub = SimpleNamespace(join_slots=SimpleNamespace(), format_slots=SimpleNamespace(),
-                           format_fixed2=SimpleNamespace())
-    _, [(_, _, (shortest, *_)), (_, _, (fixed, *_))] = output._bind_floattext(stub)
-    floats, pennies = shortest.ravel(), fixed.ravel()
+    stub = SimpleNamespace(shortest_text=SimpleNamespace(), fixed2_text=SimpleNamespace())
+    kernel, checks = output._bind_floattext(stub)
+    [(own, _, (floats, *_)), (served, _, (left, *_)), (own_fixed, _, (pennies, *_)),
+     (served_fixed, _, (left_fixed, *_))] = checks
+    # the finite tables go to the kernel's own text, which does not fall back
+    # to the twin, and the others to the text that the writers call
+    assert own is not kernel.shortest and own_fixed is not kernel.fixed2
+    assert (served, served_fixed) == kernel
+    floats, pennies = floats.ravel(), pennies.ravel()
+    assert np.isfinite(floats).all() and (np.abs(pennies) < 1e13).all()
     for table in (floats, pennies):
-        # both zeros, NaN and the infinities, subnormals
+        # both zeros and subnormals
         assert {0, 1 << 63} <= set(table.view(np.uint64).tolist())
-        assert np.isnan(table).any() and {math.inf, -math.inf} <= set(table.tolist())
         assert np.any((table != 0.0) & (np.abs(table) < 2.2250738585072014e-308))
-    # both sides of repr's switches between fixed and exponent notation,
-    # and 1e23, whose digits Grisu3 cannot prove
+    # NaN and the infinities among finite floats, and for %.2f 1e13 and
+    # +-1e28
+    for table in (left.ravel(), left_fixed.ravel()):
+        assert np.isnan(table).any() and {math.inf, -math.inf} <= set(table.tolist())
+        assert np.isfinite(table).any()
+    assert {1e13, -1e13, 1e28, -1e28} <= set(left_fixed.ravel().tolist())
+    # both sides of repr's switches between fixed and exponent notation;
+    # 1e23 and its upper neighbour, which has 1e23 on the bound of its
+    # interval; 2^50 plus a quarter or three, halfway between two texts;
+    # powers of two whose closer lower neighbour decides their digits; the
+    # smallest subnormal, whose digits lie in the low eight alone
     for low, high in ((1e-05, 0.0001), (9999999999999998.0, 1e16)):
         assert {low, high} <= set(floats.tolist()) and ("e" in repr(low)) != ("e" in repr(high))
-    assert 1e23 in floats.tolist()
+    assert {1e23, 1.0000000000000001e23, 2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75, 2.0 ** 64,
+            2.0 ** -24, 5e-324} <= set(floats.tolist())
     # at least 200 random bit patterns: exponents all over the range, most of
     # them far outside the decimal range of every other value drawn
-    finite = floats[np.isfinite(floats) & (floats != 0.0)]
+    finite = floats[floats != 0.0]
     wild = set(finite[(np.abs(finite) > 1e25) | (np.abs(finite) < 1e-25)].tolist())
     assert len(wild - set(output._CHECK_FLOATS)) >= 200
-    # %.2f: the ties k/8, both neighbours of k + 0.005, both sides of the
-    # 1e13 cut and +-1e28
+    # %.2f: the ties k/8, both neighbours of k + 0.005 and the largest floats
+    # below the 1e13 cut
     cents = np.arange(-20.0, 20.0) + 0.005
     assert set((np.arange(-40, 40) / 8.0).tolist()) <= set(pennies.tolist())
     assert set(np.nextafter(cents, -np.inf).tolist()) <= set(pennies.tolist())
     assert set(np.nextafter(cents, np.inf).tolist()) <= set(pennies.tolist())
-    assert {math.nextafter(1e13, 0.0), 1e13, -math.nextafter(1e13, 0.0), -1e13,
-            1e28, -1e28} <= set(pennies.tolist())
+    assert {math.nextafter(1e13, 0.0), -math.nextafter(1e13, 0.0)} <= set(pennies.tolist())
+
+
+def test_float_text_self_check_refuses_a_kernel_that_leaves_finite_floats_to_the_twin():
+    # such a kernel passes a comparison of the served text with the twin;
+    # the finite tables' comparison of its own text does not let it
+    library = SimpleNamespace(shortest_text=lambda *args: -1, fixed2_text=lambda *args: -1)
+    _, checks = output._bind_floattext(library)
+    assert [_native._same_outcome(*check) for check in checks] == [False, True, False, True]
 
 
 # --------------------------------------------------------------- fallback
