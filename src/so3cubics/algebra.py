@@ -144,6 +144,9 @@ class Frame:
     its magnitude, so the base velocity is d * f0.  The pair (f1, f2)
     spans the plane orthogonal to f0 with bracket(f0, f1) == f2 and
     bracket(f2, f0) == f1: its rows' `rotation_error` is at most FRAME_TOL.
+    A vector's coordinates in the frame are its `_dot`s with f0, f1 and f2;
+    the transverse ones are encoded as z = <v, f1> + i <v, f2>, on which
+    ad(f0) acts as multiplication by i, and `from_complex` maps z back.
     """
 
     f0: np.ndarray
@@ -165,17 +168,8 @@ class Frame:
         """The constant angular velocity d * f0 the frame is adapted to."""
         return self.d * self.f0
 
-    def perp_complex(self, v) -> complex:
-        """The f0-orthogonal part of v encoded as <v,f1> + i <v,f2>.
-
-        On this plane ad(f0) acts as multiplication by i, which turns the
-        transverse endomorphism algebra into complex scalar arithmetic.
-        """
-        v = as_vector(v)
-        return complex(v @ self.f1, v @ self.f2)
-
     def from_complex(self, z) -> np.ndarray:
-        """Inverse of perp_complex (the f0 component is zero); a complex
+        """Re z f1 + Im z f2, the vector of transverse coordinate z; a complex
         array of shape S gives vectors of shape S + (3,)."""
         return np.multiply.outer(np.real(z), self.f1) + np.multiply.outer(np.imag(z), self.f2)
 
@@ -291,9 +285,9 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for (stacks of) 3x3 matrices, entry (i, j) summed as
-    ((a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j) on every machine (matmul's order
-    depends on numpy's build and the CPU): five ufunc calls."""
+    """The matrix product of (stacks of) 3x3 matrices a and b, entry (i, j)
+    summed as ((a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j) on every machine
+    (matmul's order depends on numpy's build and the CPU): five ufunc calls."""
     return ((a[..., :, 0:1] * b[..., 0:1, :] + a[..., :, 1:2] * b[..., 1:2, :])
             + a[..., :, 2:3] * b[..., 2:3, :])
 

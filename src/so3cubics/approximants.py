@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import Frame, as_vector, frame_from_axis
+from .algebra import Frame, _dot, as_vector, frame_from_axis
 from .errors import DegenerateB, OutOfDomain
 from .quadratic import QuadraticIVP
 
@@ -202,23 +202,22 @@ def fit_params(base, delta: float, v0, v1, v2, t0: float = 0.0) -> ApproxParams:
     axial polynomial coefficients; B from the transverse V''; then A1 and
     A0 by back-substitution.  When the transverse V'' vanishes the set is
     returned with beta = 0 and flagged `b_degenerate` instead of raising.
+    Coordinates in the frame are `algebra._dot`s; scaled perturbations
+    that are not finite raise ValueError, with no float warning.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     frame = frame_from_axis(base)
     d = frame.d
-    p0 = (as_vector(v0) - frame.base) / delta
-    p1 = as_vector(v1) / delta
-    p2 = as_vector(v2) / delta
-    if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1)) and np.all(np.isfinite(p2))):
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.array([as_vector(v0) - frame.base, as_vector(v1), as_vector(v2)]) / delta
+    if not np.all(np.isfinite(p)):
         raise ValueError("scaled perturbations are not finite")
 
-    c0 = float(p0 @ frame.f0)
-    c1 = float(p1 @ frame.f0)
-    c2 = 0.5 * float(p2 @ frame.f0)
-    perp0 = frame.perp_complex(p0)
-    perp1 = frame.perp_complex(p1)
-    perp2 = frame.perp_complex(p2)
+    axial, re, im = (_dot(p, f).tolist() for f in (frame.f0, frame.f1, frame.f2))
+    c0, c1, c2 = axial[0], axial[1], 0.5 * axial[2]
+    # complex(re, im), not re + 1j * im, which turns a -0.0 real part into 0.0
+    perp0, perp1, perp2 = map(complex, re, im)
 
     degenerate = abs(perp2) <= B_DEGENERACY_TOL
     if degenerate:

@@ -37,6 +37,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _native
+from .algebra import _dot
 from .quadratic import QuadraticTrajectory
 
 SCHEMA_PREFIX = "so3cubics"
@@ -346,8 +347,10 @@ class SvgCurve:
 
 
 def project_points(points3d: np.ndarray, projection: np.ndarray) -> np.ndarray:
-    """Orthographic projection of (N, 3) points onto two axis rows."""
-    return np.asarray(points3d, dtype=float) @ np.asarray(projection, dtype=float).T
+    """Orthographic projection of (N, 3) points onto two axis rows: each
+    coordinate is `algebra._dot` of the points with one row."""
+    points = np.asarray(points3d, dtype=float)
+    return _dot(points[..., None, :], np.asarray(projection, dtype=float))
 
 
 def render_svg(curves: list[SvgCurve], title: str = "") -> str:

@@ -289,10 +289,6 @@ class QuadraticTrajectory:
         v3.flags.writeable = False
         return v3
 
-    def constant_series(self) -> np.ndarray:
-        """V'' - [V', V] at every grid node (constant up to solver error)."""
-        return self.v2 - np.cross(self.v1, self.v)
-
     def conservation_drift(self) -> tuple[float, float]:
         """(max |C(t) - C(t0)|, max |c(t) - c(t0)|) over the grid; NaN
         where a drift is NaN."""

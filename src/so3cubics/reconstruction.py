@@ -328,15 +328,20 @@ def so3_distance(r1, r2):
     machine.  With M = R1^T R2 the angle is atan2(|vee(M - M^T)| / 2,
     (tr M - 1) / 2): its sine and cosine each enter with an absolute error
     of a few eps, so it is accurate to about eps at every separation (acos
-    of the cosine alone loses half the digits near 0 and pi)."""
+    of the cosine alone loses half the digits near 0 and pi).  M is
+    `algebra._product`'s and tr M is (m00 + m11) + m22, each summed in one
+    order on every machine.  A matrix with a NaN or infinite entry raises
+    ValueError."""
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
+    if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(r2))):
+        raise ValueError("rotations have non-finite entries")
     fro = _frobenius(r1, r2)
-    m = np.swapaxes(r1, -1, -2) @ r2
+    m = _product(np.swapaxes(r1, -1, -2), r2)
     a = m[..., 2, 1] - m[..., 1, 2]
     b = m[..., 0, 2] - m[..., 2, 0]
     c = m[..., 1, 0] - m[..., 0, 1]
     sin_angle = 0.5 * np.sqrt(a * a + b * b + c * c)
-    cos_angle = 0.5 * (np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    cos_angle = 0.5 * ((m[..., 0, 0] + m[..., 1, 1]) + m[..., 2, 2] - 1.0)
     angle = np.arctan2(sin_angle, cos_angle)
     return (float(fro), float(angle)) if fro.ndim == 0 else (fro, angle)

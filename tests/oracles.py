@@ -42,10 +42,11 @@ frames through `loop_product`, one product at a time in Python floats in
 that order, so `approx_cubic` must reproduce it bit for bit.
 
 The library measures a stack of rotation pairs in one `so3_distance` call;
-`pair_distance` measures one pair with the scalar numpy and math calls,
-and the stacked form must reproduce it bit for bit.  Its Frobenius part is
-`loop_frobenius`, which sums one pair at a time in Python floats in the
-order that `algebra._frobenius` sums whole stacks.
+`pair_distance` measures one pair in Python floats, and the stacked form
+must reproduce it bit for bit.  Its Frobenius part is `loop_frobenius`,
+which sums one pair at a time in the order that `algebra._frobenius` sums
+whole stacks; its R1^T R2 is `loop_product`'s, and its trace is summed as
+(m00 + m11) + m22, the order of `so3_distance`.
 
 The library writes the Rodrigues exponential and the rotation defect entry
 by entry; `matmul_rot_exp` (I + a K + b K @ K on `ad_matrix` stacks) and
@@ -615,13 +616,13 @@ def loop_product(a, b) -> np.ndarray:
 def pair_distance(r1, r2) -> tuple[float, float]:
     """(Frobenius distance, geodesic angle) between two rotations: the
     distance is `loop_frobenius`'s, and the angle is
-    atan2(|vee(M - M^T)| / 2, (tr M - 1) / 2) with M = R1^T R2."""
+    atan2(|vee(M - M^T)| / 2, (tr M - 1) / 2) with M = R1^T R2 formed by
+    `loop_product` and tr M summed as (m00 + m11) + m22."""
     fro = float(loop_frobenius(r1, r2))
-    m = r1.T @ r2
-    (_, m01, m02), (m10, _, m12), (m20, m21, _) = m.tolist()
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = loop_product(r1.T, r2).tolist()
     a, b, c = m21 - m12, m02 - m20, m10 - m01
     sin_angle = 0.5 * math.sqrt(a * a + b * b + c * c)
-    cos_angle = 0.5 * (float(np.trace(m)) - 1.0)
+    cos_angle = 0.5 * ((m00 + m11) + m22 - 1.0)
     return fro, float(np.arctan2(sin_angle, cos_angle))
 
 

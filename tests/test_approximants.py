@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
@@ -16,8 +16,8 @@ from oracles import (ad_matrix, axial_rotation, brute_force_correction, closed_f
                      quadratic_residual, second_correction_deriv2, second_correction_deriv3,
                      taylor2_values, transverse_vectors)
 from so3cubics.algebra import frame_from_axis
-from so3cubics.approximants import (ApproxParams, first_approximant, fit_params,
-                                    second_approximant, second_correction,
+from so3cubics.approximants import (B_DEGENERACY_TOL, ApproxParams, first_approximant,
+                                    fit_params, second_approximant, second_correction,
                                     taylor2_baseline)
 from so3cubics.errors import DegenerateB, OutOfDomain
 from so3cubics.quadratic import integrate_quadratic
@@ -84,6 +84,44 @@ def test_fit_angle_just_below_zero():
 def test_fit_validates_inputs():
     with pytest.raises(ValueError):
         fit_params([1, 0, 0], 0.0, [1, 0, 0], np.zeros(3), np.zeros(3))
+
+
+def test_fit_refuses_overflowing_perturbations_with_no_float_warning():
+    # dividing by a subnormal delta overflows: the ValueError comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="scaled perturbations are not finite"):
+            fit_params([1, 0, 0], 1e-320, [1, 0.5, 0], [0, 1, 0], [0, 0, 1])
+
+
+def _loop_dot(a, b):
+    """(a0 b0 + a1 b1) + a2 b2 in Python floats, `algebra._dot`'s order."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return (a0 * b0 + a1 * b1) + a2 * b2
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(float, (4, 3), elements=st.floats(-2.0, 2.0)), st.floats(0.005, 0.1))
+def test_fit_coordinates_match_scalar_loop_bit_for_bit(jet, delta):
+    # every coordinate in the frame is summed in _dot's order, on every
+    # machine (1-D matmul sums in numpy's and the CPU's order)
+    base, v0, v1, v2 = jet
+    assume(np.max(np.abs(base)) > 0.1)
+    p = fit_params(base, delta, v0, v1, v2)
+    f = p.frame
+    d, f0, f1, f2 = f.d, f.f0.tolist(), f.f1.tolist(), f.f2.tolist()
+    scaled = [[(x - d * y) / delta for x, y in zip(v0.tolist(), f0)],
+              [x / delta for x in v1.tolist()], [x / delta for x in v2.tolist()]]
+    axial = [_loop_dot(q, f0) for q in scaled]
+    perp = [complex(_loop_dot(q, f1), _loop_dot(q, f2)) for q in scaled]
+    assert [p.c0, p.c1, p.c2] == [axial[0], axial[1], 0.5 * axial[2]]
+    assert p.b_degenerate == (abs(perp[2]) <= B_DEGENERACY_TOL)
+    bc = 0j if p.b_degenerate else -perp[2] / d ** 2
+    a0c, a1c = perp[0] - bc, perp[1] + d * 1j * bc
+    assert [p.a01, p.a02, p.a11, p.a12] == [a0c.real, a0c.imag, a1c.real, a1c.imag]
+    assert p.beta == abs(bc)
+    gamma = math.atan2(bc.imag, bc.real) % (2.0 * math.pi)
+    assert p.gamma == (0.0 if gamma == 2.0 * math.pi else gamma)
 
 
 def test_params_json_round_trip():

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from so3cubics.output import (CSV_BLOCK_ROWS, KERNEL_MIN_FLOATS, SvgCurve, render_svg, write_csv,
-                              write_json)
+from so3cubics.output import (CSV_BLOCK_ROWS, KERNEL_MIN_FLOATS, SvgCurve, project_points,
+                              render_svg, write_csv, write_json)
 
 SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
                   2.2250738585072014e-308, 1e16, 9999999999999998.0, 1e-05, 1e-04]
@@ -107,6 +107,17 @@ def test_svg_polyline_matches_per_point_fstring(points):
     # every point lies inside the plot frame, a flat curve included
     coords = np.array([point.split(",") for point in polyline.split()], dtype=float)
     assert ((coords >= 56.0) & (coords <= [664.0, 484.0])).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(float, st.tuples(st.integers(1, 40), st.just(3)), elements=st.floats(-1e3, 1e3)),
+       arrays(float, (2, 3), elements=st.floats(-1.0, 1.0)))
+def test_projection_matches_scalar_loop_bit_for_bit(points, projection):
+    # each coordinate is summed as (x0 r0 + x1 r1) + x2 r2 on every machine
+    # (matmul sums in numpy's and the CPU's order)
+    expected = [[(x0 * r0 + x1 * r1) + x2 * r2 for r0, r1, r2 in projection.tolist()]
+                for x0, x1, x2 in points.tolist()]
+    assert project_points(points, projection).tolist() == expected
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, -0.004, float("nan"), float("inf"),

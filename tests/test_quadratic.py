@@ -68,7 +68,7 @@ def test_integrate_constant_data_stays_constant():
 
 
 def test_integrate_conserves_bracket_constant(fig1_trajectory):
-    series = fig1_trajectory.constant_series()
+    series = fig1_trajectory.v2 - np.cross(fig1_trajectory.v1, fig1_trajectory.v)
     drift = np.max(np.linalg.norm(series - fig1_trajectory.C, axis=1))
     assert drift < 1e-9
     np.testing.assert_allclose(fig1_trajectory.C, FIG1_CONSTANT, atol=1e-15)
@@ -208,7 +208,7 @@ def test_drift_series_sums_every_row_in_one_fixed_order():
              for k in range(300)]
     dc, da = ([scan[j][0] for scan in scans] for j in (0, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        rows_c = (traj.constant_series() - traj.C).tolist()
+        rows_c = (traj.v2 - np.cross(traj.v1, traj.v) - traj.C).tolist()
 
     def squared(a0, a1, a2):
         return (a0 * a0 + a1 * a1) + a2 * a2

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -292,6 +293,18 @@ def test_stacked_distance_matches_scalar_loop_bit_for_bit(axes, scale):
     grid_fro, grid_angle = so3_distance(r1.reshape(2, 3, 3, 3), r2.reshape(2, 3, 3, 3))
     assert np.array_equal(grid_fro, fro.reshape(2, 3))
     assert np.array_equal(grid_angle, angle.reshape(2, 3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_distance_refuses_non_finite_matrices(bad):
+    r = rot_exp([[0.3, -0.2, 0.1], [0.0, 1.0, 0.5]])
+    off = r.copy()
+    off[1, 2, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r1, r2 in ((r, off), (off, r), (np.eye(3), np.full((3, 3), bad))):
+            with pytest.raises(ValueError, match="non-finite"):
+                so3_distance(r1, r2)
 
 
 # zeros of both signs, and entries near 1, 1e150 and 1e-150 of either sign,
