@@ -4,7 +4,8 @@
  *
  * Every operation is the numpy twin's (`quadratic._magnus_python`), in the
  * same order and in doubles:
- *   - W = hh (va + vb) - cc (vb x va), with np.cross's expressions;
+ *   - W = hh (va + vb) - cc (vb x va) from V at the two Gauss nodes, va
+ *     and vb, with np.cross's expressions;
  *   - exp(ad W) as algebra.rot_exp writes it entry by entry, with a and b
  *     through np.sinc, sin(y)/y at y = pi x, where x = 0 reads as a tiny
  *     guard, as in np.sinc (sin(y)/y is then 1 exactly), and b x y as
@@ -20,9 +21,20 @@
  * multiply-add; the loader checks the result against the twin before
  * using it.
  *
- * va and vb hold V at the two Gauss nodes of the n >= 1 steps, three
- * doubles a step; hh = h / 2 and cc = (sqrt(3) / 12) h h.  out holds n + 1
- * rotations of nine doubles, row by row, with x0 already in out[0..8].
+ * The pass has two entries, which differ only in how step k reads V at its
+ * two Gauss nodes.  magnus_steps reads them from va and vb, three doubles
+ * a step, as the caller sampled them.  magnus_grid reads the trajectory
+ * itself: from its count = n + 1 times grid, values v and slopes v1, three
+ * doubles a node, it forms V at both Gauss fractions of step k from nodes
+ * k and k + 1, just before the step uses them, by `_hermite.h`'s read in
+ * QuadraticTrajectory.at_fraction's order, (h00 y_k + h01 y_k+1)
+ * + dx (h10 m_k + h11 m_k+1) with dx = grid[k+1] - grid[k], the step's own
+ * length, and weights holding (h00, h01, h10, h11) of the first fraction,
+ * then of the second, as the caller computed them.  No array of V is made.
+ *
+ * In both, n >= 1 steps; hh = h / 2 and cc = (sqrt(3) / 12) h h.  out
+ * holds n + 1 rotations of nine doubles, row by row, with x0 already in
+ * out[0..8].
  * The return value is -1, or the first step whose W is not finite or whose
  * squared norm (xx + yy) + zz overflows, where the twin raises; the
  * rotations from that step on, and worst, are then not written.  Else
@@ -32,6 +44,7 @@
 
 #include <math.h>
 
+#include "_hermite.h"
 #include "_product.h"
 
 static const double PI = 3.141592653589793;   /* np.pi */
@@ -86,8 +99,11 @@ static int rot_exp(const double *restrict w, double *restrict r)
     return 1;
 }
 
-long long magnus_steps(const double *va, const double *vb, long long n, double hh, double cc,
-                       double *out, double *worst)
+/* the pass of both entries: from va and vb where grid is NULL, else from
+ * the trajectory (grid, v, v1) at the fractions of weights */
+static long long pass(const double *va, const double *vb, const double *grid, const double *v,
+                      const double *v1, const double *weights, long long n, double hh,
+                      double cc, double *out, double *worst)
 {
     long long size = (long long)sqrt((double)(n - 1));
     while (size * size > n - 1)
@@ -95,11 +111,16 @@ long long magnus_steps(const double *va, const double *vb, long long n, double h
     while ((size + 1) * (size + 1) <= n - 1)
         size++;
     size++;   /* ceil(sqrt(n)) */
-    double step[9], prefix[9], next[9];
+    double step[9], prefix[9], next[9], read_a[3], read_b[3];
     const double *carry = out;
     double largest = defect(out, 0.0);
     for (long long k = 0; k < n; k++) {
-        const double *a = va + 3 * k, *b = vb + 3 * k;
+        if (grid) {
+            const double dx = grid[k + 1] - grid[k], *y = v + 3 * k, *m = v1 + 3 * k;
+            at_fraction(weights, y, y + 3, m, m + 3, dx, read_a);
+            at_fraction(weights + 4, y, y + 3, m, m + 3, dx, read_b);
+        }
+        const double *a = grid ? read_a : va + 3 * k, *b = grid ? read_b : vb + 3 * k;
         const double w[3] = {
             hh * (a[0] + b[0]) - cc * (b[1] * a[2] - b[2] * a[1]),
             hh * (a[1] + b[1]) - cc * (b[2] * a[0] - b[0] * a[2]),
@@ -122,4 +143,17 @@ long long magnus_steps(const double *va, const double *vb, long long n, double h
     }
     *worst = largest;
     return -1;
+}
+
+long long magnus_steps(const double *va, const double *vb, long long n, double hh, double cc,
+                       double *out, double *worst)
+{
+    return pass(va, vb, 0, 0, 0, 0, n, hh, cc, out, worst);
+}
+
+long long magnus_grid(const double *grid, const double *v, const double *v1,
+                      const double *weights, long long n, double hh, double cc, double *out,
+                      double *worst)
+{
+    return pass(0, 0, grid, v, v1, weights, n, hh, cc, out, worst);
 }

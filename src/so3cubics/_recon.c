@@ -11,7 +11,8 @@
  *   - cross products with np.cross's expressions, and every dot product
  *     summed as (a0 b0 + a1 b1) + a2 b2;
  *   - a midpoint value as QuadraticTrajectory.at_fraction(0.5) reads it,
- *     (0.5 y0 + 0.5 y1) + dx (0.125 m0 + -0.125 m1), with V' as the slope
+ *     (0.5 y0 + 0.5 y1) + dx (0.125 m0 + -0.125 m1) by `_hermite.h`'s
+ *     read, which the Magnus kernel shares, with V' as the slope
  *     of V and the node V''' as that of V'';
  *   - the increment of step k as (dx / 6) ((g_k + 4 g_mid) + g_k+1), the
  *     running sum in sequence from the first increment, as np.cumsum adds,
@@ -45,12 +46,17 @@
  * product `_product.h`'s, ((a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j); the anchor
  * A = x0 y_0^T; row k = A y_k, but row 0 = x0 itself.  phase holds n >= 1
  * doubles, frames and out n rotations of nine doubles, row by row, and x0
- * one.
+ * one.  Its second entry, lift_against, also reads n reference rotations
+ * and returns the largest distance |R_k - out_k|_F as algebra._frobenius
+ * sums it, each row of the difference by dot, (r0 + r1) + r2, then sqrt,
+ * taken as row k is written, a NaN the largest, as in np.max; so the
+ * agreement of two curves takes no second pass over either stack.
  */
 
 #include <float.h>
 #include <math.h>
 
+#include "_hermite.h"
 #include "_product.h"
 
 static double dot(const double *a, const double *b)
@@ -65,13 +71,8 @@ static void cross(const double *a, const double *b, double *out)
     out[2] = a[0] * b[1] - a[1] * b[0];
 }
 
-/* the midpoint of a step's cubic from its end values y and slopes m */
-static void midpoint(const double *y0, const double *y1, const double *m0, const double *m1,
-                     double dx, double *out)
-{
-    for (int i = 0; i < 3; i++)
-        out[i] = (0.5 * y0[i] + 0.5 * y1[i]) + dx * (0.125 * m0[i] + -0.125 * m1[i]);
-}
+/* the Hermite weights of the fraction 1/2, as at_fraction(0.5) computes them */
+static const double MIDPOINT[4] = {0.5, 0.5, 0.125, -0.125};
 
 /* np.argmin's pick: a NaN least stays; a NaN x takes the place of a number */
 static void lowest(double x, long long k, double *least, long long *at)
@@ -109,8 +110,8 @@ long long recon_pass(const double *grid, const double *v, const double *v1, cons
         } else {
             const double dx = grid[k] - grid[k - 1];
             double vm[3], zm[3], wm[3];
-            midpoint(x - 3, x, v1 + 3 * (k - 1), v1 + 3 * k, dx, vm);
-            midpoint(z - 3, z, before, w, dx, zm);
+            at_fraction(MIDPOINT, x - 3, x, v1 + 3 * (k - 1), v1 + 3 * k, dx, vm);
+            at_fraction(MIDPOINT, z - 3, z, before, w, dx, zm);
             cross(zm, vm, wm);
             const double nm = dot(wm, wm);
             const double increment = dx / 6.0 * ((g_before + 4.0 * ((c - dot(zm, C)) / nm)) + g);
@@ -125,9 +126,22 @@ long long recon_pass(const double *grid, const double *v, const double *v1, cons
     return -1;
 }
 
-void lift(const double *x0, const double *phase, const double *frames, long long n, double *out)
+/* the larger of worst and |a - b|_F, a NaN the larger */
+static double farther(const double *a, const double *b, double worst)
 {
-    double p[9] = {0.0}, y[9], y0t[9], anchor[9];
+    double d[9];
+    for (int i = 0; i < 9; i++)
+        d[i] = a[i] - b[i];
+    const double distance = sqrt((dot(d, d) + dot(d + 3, d + 3)) + dot(d + 6, d + 6));
+    return !(distance <= worst) && !isnan(worst) ? distance : worst;
+}
+
+/* the lift of both entries; the largest distance to reference, where it is
+ * not NULL */
+static double walk(const double *x0, const double *phase, const double *frames, long long n,
+                   const double *reference, double *out)
+{
+    double p[9] = {0.0}, y[9], y0t[9], anchor[9], worst = 0.0;
     p[8] = 1.0;
     for (long long k = 0; k < n; k++) {
         const double c = cos(phase[k]), s = sin(phase[k]);
@@ -140,5 +154,19 @@ void lift(const double *x0, const double *phase, const double *frames, long long
         } else {
             product(anchor, y, out + 9 * k);
         }
+        if (reference)
+            worst = farther(reference + 9 * k, out + 9 * k, worst);
     }
+    return worst;
+}
+
+void lift(const double *x0, const double *phase, const double *frames, long long n, double *out)
+{
+    walk(x0, phase, frames, n, 0, out);
+}
+
+double lift_against(const double *x0, const double *phase, const double *frames, long long n,
+                    const double *reference, double *out)
+{
+    return walk(x0, phase, frames, n, reference, out);
 }

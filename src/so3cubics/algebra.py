@@ -91,7 +91,7 @@ def _rot_exp(v: np.ndarray) -> np.ndarray:
         xx, yy, zz = x * x, y * y, z * z
         theta2 = xx + yy + zz
     if not np.all(np.isfinite(theta2)):
-        raise ValueError(_NOT_FINITE)
+        raise ValueError("vector's squared norm overflows (|v| above about 1.3e154)")
     theta = np.sqrt(theta2)
     a = np.sinc(theta / np.pi)
     b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
@@ -196,8 +196,11 @@ def frame_from_axis(axis) -> Frame:
 def plane_rotation(angle) -> np.ndarray:
     """Clockwise rotation by `angle` in the first two coordinates.
 
-    An array of angles of shape S gives rotations of shape S + (3, 3).
+    An array of angles of shape S gives rotations of shape S + (3, 3).  An
+    angle that is not finite raises ValueError.
     """
+    if not np.all(np.isfinite(angle)):
+        raise ValueError("angle is not finite")
     return _plane_rotation(angle)
 
 

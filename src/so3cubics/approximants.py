@@ -115,6 +115,15 @@ class _BandPoly:
 # parameters of the approximants
 # ---------------------------------------------------------------------------
 
+def _square(d: float) -> float:
+    """d ** 2 of the axis length d, or ValueError where it overflows (a
+    Python float's power raises OverflowError there)."""
+    try:
+        return d ** 2
+    except OverflowError:
+        raise ValueError(f"axis length d = {d!r} overflows when squared") from None
+
+
 @dataclass(frozen=True)
 class ApproxParams:
     """Parameter set of the first/second-order approximants.
@@ -155,10 +164,11 @@ class ApproxParams:
 
     @property
     def rho(self) -> float:
-        """-2 c2 / (d^2 beta); only defined for beta > 0."""
+        """-2 c2 / (d^2 beta); only defined for beta > 0, else DegenerateB;
+        a d whose square overflows raises ValueError."""
         if self.beta <= 0.0:
             raise DegenerateB("rho is undefined for beta = 0")
-        return -2.0 * self.c2 / (self.frame.d ** 2 * self.beta)
+        return -2.0 * self.c2 / (_square(self.frame.d) * self.beta)
 
     @cached_property
     def _closed_forms(self) -> list[tuple[_BandPoly, ...]]:
@@ -203,7 +213,9 @@ def fit_params(base, delta: float, v0, v1, v2, t0: float = 0.0) -> ApproxParams:
     A0 by back-substitution.  When the transverse V'' vanishes the set is
     returned with beta = 0 and flagged `b_degenerate` instead of raising.
     Coordinates in the frame are `algebra._dot`s; scaled perturbations
-    that are not finite raise ValueError, with no float warning.
+    that are not finite, and an axis length d = |base| whose square
+    overflows where the transverse V'' does not vanish, raise ValueError,
+    with no float warning.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
@@ -223,7 +235,7 @@ def fit_params(base, delta: float, v0, v1, v2, t0: float = 0.0) -> ApproxParams:
     if degenerate:
         beta, gamma, bc = 0.0, 0.0, 0j
     else:
-        bc = -perp2 / d ** 2
+        bc = -perp2 / _square(d)
         beta = abs(bc)
         gamma = math.atan2(bc.imag, bc.real) % (2.0 * math.pi)
         if gamma == 2.0 * math.pi:   # an angle just below 0 rounds up to 2 pi

@@ -510,12 +510,12 @@ def _cubic(config, pieces, times, idx) -> _Artifacts:
     and, where defined, the closed-form approximation."""
     (p,) = pieces
     xref = p.xref
-    xrec = reconstruct_cubic(p.recon)
+    xrec = reconstruct_cubic(p.recon, xref)
     rotations = xref.rotations[idx]
     report = {
         "schema": f"{SCHEMA_PREFIX}-report-v1",
         "deltas": [p.delta],
-        "reconstruction_max_frobenius": float(np.max(_frobenius(xref.rotations, xrec.rotations))),
+        "reconstruction_max_frobenius": xrec.reference_distance,
         "rotation_defect_max": xref.max_rotation_error(),
         "config": config.to_dict(),
     }

@@ -11,20 +11,24 @@ The RK4 step loop of `integrate_quadratic` runs in a small C kernel,
 argmax of the drifts of C and c and of |V'| and |V''|: the peaks that the
 conservation gates, `conservation_drift` and `near_geodesic_gauge` read.
 The Magnus steps of `integrate_cubic` are one pass of another,
-`_magnus.c`: each step's Magnus vector, its Rodrigues exponential and the
-blocked running product of the steps, and its largest defect.
-`_native.kernel(name)` serves each through its `_bind_<name>`: compiled on
-first use (never at import), cached per machine, and used only after a
-self-check matches its Python twin (`_rk4_python`, `_magnus_python`) byte
-for byte.  Where any of that fails, the twin runs, with the same bits and no
-warning; nothing of the package's own chooses between them.
+`_magnus.c`: V at each step's Gauss nodes, read from the trajectory's
+nodes where the steps are its own grid, the step's Magnus vector, its
+Rodrigues exponential and the blocked running product of the steps, and
+its largest defect.  `_native.kernel(name)` serves each through its
+`_bind_<name>`: compiled on first use (never at import), cached per
+machine, and used only after a self-check matches its Python twin
+(`_rk4_python`, `_magnus_python`) byte for byte.  Where any of that
+fails, the twin runs, with the same bits and no warning; nothing of the
+package's own chooses between them.
 
 Between grid nodes every derivative d = 0, 1, 2 of a trajectory is the
 cubic Hermite interpolant of its node values with derivative d + 1 as
 slope ([V'', V] for d = 2).  At one fixed fraction theta of every step
 (the Gauss nodes of `integrate_cubic`, the midpoints of the quadrature
 phase) `QuadraticTrajectory.at_fraction` reads it through the four
-Hermite weights of theta, with no search and no division.  All other
+Hermite weights of theta (`_hermite_weights`), with no search and no
+division; the Magnus and recon kernels read the same cubics node by
+node, in its expressions.  All other
 times go through `hermite`, which computes the cubics of only the
 intervals that the requested times fall in and keeps no coefficient
 table.  It writes scipy's CubicHermiteSpline formula directly, so its
@@ -160,6 +164,14 @@ def _hermite(x: np.ndarray, y: np.ndarray, slopes, t) -> np.ndarray:
     return out.reshape(t.shape + y.shape[1:])
 
 
+def _hermite_weights(theta: float) -> tuple[float, float, float, float]:
+    """The weights (h00, h01, h10, h11) of the cubic Hermite interpolant at
+    the fraction theta of a step, of `at_fraction` and the Magnus kernel."""
+    t2 = theta * theta
+    t3 = t2 * theta
+    return 2.0 * t3 - 3.0 * t2 + 1.0, 3.0 * t2 - 2.0 * t3, t3 - 2.0 * t2 + theta, t3 - t2
+
+
 @dataclass(frozen=True)
 class QuadraticIVP:
     """Initial data (V, V', V'') at t0 for integration up to t1."""
@@ -268,14 +280,13 @@ class QuadraticTrajectory:
         # written so that NaN fails too
         if not 0.0 <= theta <= 1.0:
             raise ValueError(f"fraction {theta!r} lies outside [0, 1]")
-        t2 = theta * theta
-        t3 = t2 * theta
+        h00, h01, h10, h11 = _hermite_weights(theta)
         nodes = (self.v, self.v1, self.v2, self._v3)
         y, m = nodes[deriv], nodes[deriv + 1]
         dx = np.diff(self.grid)[:, None]
-        out = (2.0 * t3 - 3.0 * t2 + 1.0) * y[:-1]
-        out += (3.0 * t2 - 2.0 * t3) * y[1:]
-        out += dx * ((t3 - 2.0 * t2 + theta) * m[:-1] + (t3 - t2) * m[1:])
+        out = h00 * y[:-1]
+        out += h01 * y[1:]
+        out += dx * (h10 * m[:-1] + h11 * m[1:])
         return out
 
     def third_derivative_grid(self) -> np.ndarray:
@@ -314,10 +325,12 @@ class QuadraticTrajectory:
 
 @dataclass(frozen=True)
 class RotationTrajectory:
-    """Time-sampled curve in SO(3)."""
+    """Time-sampled curve in SO(3); a curve that `reconstruct_cubic`
+    lifted against a reference curve keeps its largest distance from it."""
 
     grid: np.ndarray
     rotations: np.ndarray
+    reference_distance: float | None = None
 
     def at_time(self, t: float) -> np.ndarray:
         """The rotation at the `_nearest` grid node; OutOfDomain past `_domain_slack`."""
@@ -513,6 +526,8 @@ def _gate_drift(quantity: str, drift: float, k: int, grid: np.ndarray, h: float)
 # commutator term of the fourth-order Magnus expansion
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
+# the Hermite weights of both Gauss nodes, which the Magnus kernel reads
+_GAUSS_WEIGHTS = np.array([_hermite_weights(node) for node in _GAUSS_NODES])
 
 
 def integrate_cubic(x0, velocity, step: float, t0: float | None = None,
@@ -534,9 +549,10 @@ def integrate_cubic(x0, velocity, step: float, t0: float | None = None,
     `velocity` is either a QuadraticTrajectory (dense-evaluated on its own
     interval, or on a given [t0, t1] within it, else OutOfDomain) or a
     callable t -> 3-vector, in which case t0 and t1 must be given.  When
-    the step grid is the trajectory's own grid, V_a and V_b are read by
-    `QuadraticTrajectory.at_fraction` at the two Gauss fractions; other
-    grids read them through `eval`.
+    the step grid is the trajectory's own grid, the pass reads V_a and V_b
+    from the trajectory's nodes itself, as `QuadraticTrajectory.at_fraction`
+    reads them at the two Gauss fractions, with no array of them; other
+    grids sample them through `eval` first.
     """
     x0 = as_rotation(x0)
     if isinstance(velocity, QuadraticTrajectory):
@@ -551,25 +567,30 @@ def integrate_cubic(x0, velocity, step: float, t0: float | None = None,
 
     grid, h, _ = _uniform_grid(t0, t1, step)
     if isinstance(velocity, QuadraticTrajectory) and np.array_equal(grid, velocity.grid):
-        va, vb = (velocity.at_fraction(node) for node in _GAUSS_NODES)
+        reads = velocity
     else:
-        va, vb = (sample(grid[:-1] + node * h) for node in _GAUSS_NODES)
-    rotations, defect = (_native.kernel("magnus") or _magnus_python)(x0, va, vb, h, grid)
+        reads = tuple(sample(grid[:-1] + node * h) for node in _GAUSS_NODES)
+    rotations, defect = (_native.kernel("magnus") or _magnus_python)(x0, reads, h, grid)
     curve = RotationTrajectory(grid=grid, rotations=rotations)
     object.__setattr__(curve, "_defect", defect)
     return curve
 
 
-def _magnus_python(x0: np.ndarray, va: np.ndarray, vb: np.ndarray, h: float,
-                   grid: np.ndarray) -> tuple[np.ndarray, float]:
+def _magnus_python(x0: np.ndarray, reads: QuadraticTrajectory | tuple[np.ndarray, np.ndarray],
+                   h: float, grid: np.ndarray) -> tuple[np.ndarray, float]:
     """The rotations x0, x0 S_0, ..., x0 S_0 ... S_{n-1}, shape (n + 1, 3,
     3), of n Magnus steps S_k = rot_exp(W_k) of size h on `grid`, from V at
-    the Gauss nodes of every step, va and vb, shape (n, 3), and their
-    `rotation_error`: the numpy twin of `_magnus.c`, operation for
-    operation.  integrate_cubic's ValueError is raised here, and no float
-    warning escapes.  It calls the bodies of rot_exp and rotation_error, so
-    that the kernel's self-check calls no public function."""
+    the Gauss nodes of every step, which `reads` holds, (va, vb) of shape
+    (n, 3), or the trajectory on `grid` whose `at_fraction` reads them; and
+    their `rotation_error`: the numpy twin of both entries of `_magnus.c`,
+    operation for operation.  integrate_cubic's ValueError is raised here,
+    and no float warning escapes.  It calls the bodies of rot_exp and
+    rotation_error, so that the kernel's self-check calls no public
+    function."""
     with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(reads, QuadraticTrajectory):
+            reads = [reads.at_fraction(node) for node in _GAUSS_NODES]
+        va, vb = reads
         omega = (0.5 * h) * (va + vb) - (_MAGNUS_COMMUTATOR * h * h) * np.cross(vb, va)
         # rot_exp's squared norm of W, not finite where W is not
         if not np.all(finite := np.isfinite(_dot(omega, omega))):
@@ -614,26 +635,33 @@ def _running_product(x0: np.ndarray, steps: np.ndarray) -> np.ndarray:
 def _bind_magnus(library):
     """`library`'s Magnus pass, its arrays typed as ndarrays, as a function
     with `_magnus_python`'s signature, and its self-check against
-    `_magnus_python` on the steps of `_magnus_checks`.  A pass that stops at
-    a step hands the call to the twin, which raises its ValueError."""
+    `_magnus_python` on the steps of `_magnus_checks` and the trajectories
+    of `_magnus_grid_checks`.  A pass that stops at a step hands the call
+    to the twin, which raises its ValueError."""
     import ctypes
 
-    steps = library.magnus_steps
-    steps.argtypes = (_native.DOUBLES_IN, _native.DOUBLES_IN, ctypes.c_longlong, ctypes.c_double,
-                      ctypes.c_double, _native.DOUBLES_OUT, _native.DOUBLES_OUT)
-    steps.restype = ctypes.c_longlong
+    sampled, on_grid = library.magnus_steps, library.magnus_grid
+    sampled.argtypes = (*(_native.DOUBLES_IN,) * 2, ctypes.c_longlong, *(ctypes.c_double,) * 2,
+                        *(_native.DOUBLES_OUT,) * 2)
+    on_grid.argtypes = (*(_native.DOUBLES_IN,) * 4, *sampled.argtypes[2:])
+    sampled.restype = on_grid.restype = ctypes.c_longlong
 
-    def magnus(x0: np.ndarray, va: np.ndarray, vb: np.ndarray, h: float,
-               grid: np.ndarray) -> tuple[np.ndarray, float]:
-        # both are (n, 3), n >= 1: V at the Gauss nodes of a grid's steps
-        n = len(va)
+    def magnus(x0, reads, h, grid):
+        # reads: (va, vb) as integrate_cubic sampled them, or a trajectory on
+        # grid, which holds the shapes, dtype and layout the kernel reads
+        n = len(grid) - 1
         out, worst = np.empty((n + 1, 3, 3)), np.empty(1)
         out[0] = x0
-        if steps(va, vb, n, 0.5 * h, _MAGNUS_COMMUTATOR * h * h, out, worst) >= 0:
-            return _magnus_python(x0, va, vb, h, grid)
+        if isinstance(reads, QuadraticTrajectory):
+            entry, arrays = on_grid, (reads.grid, reads.v, reads.v1, _GAUSS_WEIGHTS)
+        else:
+            entry, arrays = sampled, reads
+        if entry(*arrays, n, 0.5 * h, _MAGNUS_COMMUTATOR * h * h, out, worst) >= 0:
+            return _magnus_python(x0, reads, h, grid)
         return out, float(worst[0])
 
-    return magnus, [(magnus, _magnus_python, case) for case in _magnus_checks()]
+    cases = [(x0, (va, vb), h, grid) for x0, va, vb, h, grid in _magnus_checks()]
+    return magnus, [(magnus, _magnus_python, case) for case in cases + _magnus_grid_checks()]
 
 
 # the self-check's step sizes (the first makes W = va where vb = 0) and its
@@ -681,3 +709,17 @@ def _magnus_checks() -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float, np
     cases += [(off, steps, 0.0 * steps, _CHECK_MAGNUS_H[0]) for off, steps in
               [*zip(offs, [small] * 7), (offs[-1], turn), (infinite, small[:2])]]
     return [(*case, case[3] * np.arange(len(case[1]) + 1.0)) for case in cases]
+
+
+def _magnus_grid_checks() -> list[tuple[np.ndarray, QuadraticTrajectory, float, np.ndarray]]:
+    """The pass's self-check on trajectories: (x0, traj, h, grid) for drawn
+    V and V' of sizes 1e-2 to 1e2 on 17 steps of h = 0.25, each exactly h
+    but the last, which is an ulp of its end longer, as `_uniform_grid`
+    can make it; on the first of them; and on the 17 with a NaN node."""
+    x0 = _rot_exp(_native._draws(3, 42))
+    scales = 10.0 ** (np.arange(54) % 5 - 2).reshape(18, 3)
+    v, v1 = np.reshape(_native._draws(108, 2027), (2, 18, 3)) * scales
+    grid, nan = 0.25 * np.arange(18.0), v.copy()
+    grid[-1], nan[7, 1] = np.nextafter(grid[-1], math.inf), math.nan
+    return [(x0, QuadraticTrajectory(grid=grid[:m], v=y[:m], v1=v1[:m], v2=v1[:m], C=v[0], c=0.0),
+             0.25, grid[:m]) for m, y in ((18, v), (2, v), (18, nan))]

@@ -138,7 +138,7 @@ class _ReconKernel(NamedTuple):
     """The recon kernel's pass and lift, as `_recon_python` and `_lift_python`."""
 
     quadrature: Callable[[QuadraticTrajectory], _Quadrature]
-    lift: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    lift: Callable[..., tuple[np.ndarray, float | None]]
 
 
 def _bind_recon(library):
@@ -166,13 +166,18 @@ def _bind_recon(library):
         return _Quadrature(*zip(at.tolist(), least.tolist()), slopes, phase, frames)
 
     library.lift.argtypes = (*(_native.DOUBLES_IN,) * 3, ctypes.c_longlong, _native.DOUBLES_OUT)
-    library.lift.restype = None
+    library.lift_against.argtypes = (*(_native.DOUBLES_IN,) * 3, ctypes.c_longlong,
+                                     _native.DOUBLES_IN, _native.DOUBLES_OUT)
+    library.lift.restype, library.lift_against.restype = None, ctypes.c_double
 
-    def lift(x0: np.ndarray, phi: np.ndarray, frames: np.ndarray) -> np.ndarray:
-        # phi and frames as the pass or approx_cubic made them; x0 as given
-        out = np.empty((len(phi), 3, 3))
-        library.lift(np.ascontiguousarray(x0), phi, frames, len(phi), out)
-        return out
+    def lift(x0, phi, frames, reference=None):
+        # phi and frames as the pass or approx_cubic made them, the reference
+        # as reconstruct_cubic checked it; x0 as given
+        out, args = np.empty((len(phi), 3, 3)), (np.ascontiguousarray(x0), phi, frames, len(phi))
+        if reference is None:
+            library.lift(*args, out)
+            return out, None
+        return out, library.lift_against(*args, reference, out)
 
     return _ReconKernel(recon, lift), [
         *((recon, _recon_python, (traj,)) for traj in _recon_checks()),
@@ -189,10 +194,12 @@ def _recon_checks() -> list[QuadraticTrajectory]:
     it to the twin too; rows that repeat every three nodes on the grid 0, 1,
     ..., 9, so that the smallest |V'''|^2 ties at the nodes (4.6e-23, at or
     below THIRD_DERIV_TOL^2) and at the midpoints, where the first one
-    counts; and those rows with a NaN in V' at node 5, which makes the
-    midpoints on either side NaN."""
-    rows = np.reshape(_native._draws(25 * 9, 2011), (25, 3, 3))
-    rows *= 10.0 ** (np.arange(25 * 3) % 5 - 2).reshape(25, 3, 1)
+    counts; those rows with a NaN in V' at node 5, which makes the
+    midpoints on either side NaN; and the drawn rows before their scaling,
+    all below 1 in size, where the last bits of the midpoint reads reach
+    the phase, so that reassociating the Hermite sum of a read fails."""
+    unscaled = np.reshape(_native._draws(25 * 9, 2011), (25, 3, 3))
+    rows = unscaled * 10.0 ** (np.arange(25 * 3) % 5 - 2).reshape(25, 3, 1)
     grid = np.concatenate([[0.0], np.cumsum(0.1 + 0.05 * _native._draws(24, 1999))])
     overflow, nan, edge = rows.copy(), rows.copy(), rows.copy()
     overflow[7, 2] = [1e200, -1e200, 3.0]
@@ -205,14 +212,18 @@ def _recon_checks() -> list[QuadraticTrajectory]:
     gap[5, 1, 1] = math.nan
     return [*(_check_trajectory(grid, each) for each in (rows, edge, overflow, nan)),
             _check_trajectory(grid[:2], rows[:2]),
-            *(_check_trajectory(np.arange(10.0), each) for each in (period, gap))]
+            *(_check_trajectory(np.arange(10.0), each) for each in (period, gap)),
+            _check_trajectory(grid, unscaled)]
 
 
 def _lift_checks() -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The lift's self-check: (x0, phases, frames) for 1, 2, 3 and 40
     nodes, x0 the identity or a drawn rotation, every third phase 0, -0,
     +-pi, 1e3 or 1e300 and the others drawn of sizes 1e-2 to 1e2, and the
-    frames of drawn pairs or drawn 3x3 matrices of sizes 1e-3 to 1e3."""
+    frames of drawn pairs or drawn 3x3 matrices of sizes 1e-3 to 1e3; the
+    last, 40 rotations, against 40 drawn rotations but row 17, three times
+    one and so the farthest (their seed one for which reassociating either
+    sum of its distance changes it), and against those with a NaN in row 5."""
     x0s, cases = (np.eye(3), _rot_exp(_native._draws(3, 42))), []
     for n in (1, 2, 3, 40):
         drawn = np.reshape(_native._draws(16 * n, 3001 + n), (n, 16))
@@ -221,7 +232,11 @@ def _lift_checks() -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         raw = drawn[:, 1:10].reshape(n, 3, 3) * 10.0 ** (np.arange(9 * n) % 7 - 3).reshape(n, 3, 3)
         cases += [(x0, phases, frames) for x0 in x0s
                   for frames in (raw, _frame_from_pair(drawn[:, 10:13], drawn[:, 13:]))]
-    return cases
+    reference = _rot_exp(np.reshape(_native._draws(120, 3052), (40, 3)))
+    reference[17] *= 3.0
+    nan = reference.copy()
+    nan[5, 1, 2] = math.nan
+    return cases + [(*cases[-1], each) for each in (reference, nan)]
 
 
 def _check_trajectory(grid: np.ndarray, rows: np.ndarray) -> QuadraticTrajectory:
@@ -239,36 +254,49 @@ def rotation_phase(recon: ReconstructionInput, t) -> float | np.ndarray:
     return float(out) if np.ndim(t) == 0 else out
 
 
-def reconstruct_cubic(recon: ReconstructionInput) -> RotationTrajectory:
+def reconstruct_cubic(recon: ReconstructionInput,
+                      reference: RotationTrajectory | None = None) -> RotationTrajectory:
     """The quadrature phase's lift (`_lift`) on the trajectory grid, with
     the frames of the input's pass; a pair that `frame_from_pair` refuses
     raises its error here, a DegenerateFrame naming the node's index k and
-    t = grid[k]."""
+    t = grid[k].  Given a `reference` curve on the same grid (else
+    ValueError), the lift also takes the largest `_frobenius` distance of
+    its rotations from the reference's, a NaN the largest, as in np.max,
+    which the curve keeps as its `reference_distance`."""
     traj = recon.trajectory
     phase, frames = recon._quadrature.phase, recon._quadrature.frames
     if frames is None:
         # the pass met a pair that frame_from_pair refuses: raise its error
         _frame_from_pair(as_vectors(traj.v2), as_vectors(traj.third_derivative_grid()), traj.grid)
-    return RotationTrajectory(grid=traj.grid, rotations=_lift(recon.x0, phase, frames))
+    rows = None if reference is None else np.ascontiguousarray(reference.rotations, dtype=float)
+    if rows is not None and not (np.array_equal(reference.grid, traj.grid)
+                                 and rows.shape == (len(traj.grid), 3, 3)):
+        raise ValueError("the reference curve is not on the trajectory's grid")
+    rotations, farthest = _lift(recon.x0, phase, frames, rows)
+    return RotationTrajectory(grid=traj.grid, rotations=rotations, reference_distance=farthest)
 
 
-def _lift(x0: np.ndarray, phi: np.ndarray, frames: np.ndarray) -> np.ndarray:
+def _lift(x0: np.ndarray, phi: np.ndarray, frames: np.ndarray,
+          reference: np.ndarray | None = None) -> tuple[np.ndarray, float | None]:
     """x0 y(t0)^T y(t) for the phased moving frame y = plane_rotation(phi)
     frames, from n >= 1 phases and frames of (V'', V''') at times from t0
     on, every 3x3 product summed as `algebra._product` sums it; row 0 is
-    x0 itself.  The lift of `_recon.c` where `_native.kernel("recon")`
-    serves it, else its numpy twin `_lift_python`, with the same bits."""
+    x0 itself.  With it the largest `_frobenius` distance of its rows from
+    the n `reference` rotations, a NaN the largest, or None without them.
+    The lift of `_recon.c` where `_native.kernel("recon")` serves it, else
+    its numpy twin `_lift_python`, with the same bits."""
     kernel = _native.kernel("recon")
-    return (kernel.lift if kernel else _lift_python)(x0, phi, frames)
+    return (kernel.lift if kernel else _lift_python)(x0, phi, frames, reference)
 
 
-def _lift_python(x0: np.ndarray, phi: np.ndarray, frames: np.ndarray) -> np.ndarray:
+def _lift_python(x0: np.ndarray, phi: np.ndarray, frames: np.ndarray,
+                 reference: np.ndarray | None = None) -> tuple[np.ndarray, float | None]:
     """`_lift` in numpy: the twin of `_recon.c`'s lift, operation for
-    operation, with `plane_rotation`'s body."""
+    operation, with `plane_rotation`'s body and `_frobenius`."""
     ys = _product(_plane_rotation(phi), frames)
     rots = _product(_product(x0, ys[0].T), ys)
     rots[0] = x0
-    return rots
+    return rots, None if reference is None else float(np.max(_frobenius(reference, rots)))
 
 
 def rotation_phase_approx(p: ApproxParams, t) -> float | np.ndarray:
@@ -314,7 +342,7 @@ def approx_cubic(p: ApproxParams, x0, t) -> np.ndarray:
             frames = frame_from_pair(v2, v3)
         except DegenerateFrame:
             _frame_from_pair(v2, v3, ts)   # the same error, naming the sample's time
-        out = _lift(x0, phase, frames)[1:]
+        out = _lift(x0, phase, frames)[0][1:]
     _check_finite(t, out)
     out[ts[1:] == p.t0] = x0
     return out.reshape(np.shape(t) + (3, 3))

@@ -126,7 +126,7 @@ def test_rot_exp_refuses_a_squared_norm_that_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for v in ([1e200, 0.0, 0.0], [[0.1, 0.2, 0.3], [1e154, 1e154, 0.0]]):
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(ValueError, match="squared norm overflows"):
                 rot_exp(v)
         assert rotation_error(rot_exp([1e154, 0.0, 0.0])) < 1e-12
 
@@ -285,6 +285,15 @@ def test_plane_rotation_inverse():
 def test_plane_rotation_composition():
     np.testing.assert_allclose(plane_rotation(0.4) @ plane_rotation(0.9),
                                plane_rotation(1.3), atol=1e-15)
+
+
+def test_plane_rotation_refuses_an_angle_that_is_not_finite():
+    # a typed error, not a NaN matrix after two float warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for angle in (math.inf, -math.inf, math.nan, [0.0, math.inf]):
+            with pytest.raises(ValueError, match="angle is not finite"):
+                plane_rotation(angle)
 
 
 # ----------------------------------------------------------- frame_from_pair

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,6 +93,20 @@ def test_fit_refuses_overflowing_perturbations_with_no_float_warning():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="scaled perturbations are not finite"):
             fit_params([1, 0, 0], 1e-320, [1, 0.5, 0], [0, 1, 0], [0, 0, 1])
+
+
+def test_fit_and_rho_refuse_an_axis_length_whose_square_overflows():
+    # d = |base| = 1e200: d ** 2 of a Python float raises OverflowError;
+    # both raise the documented ValueError instead, with no float warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"axis length d = 1e\+200 overflows when squared"):
+            fit_params([1e200, 0, 0], 0.05, [1e200, 1, 0], [0, 1, 0], [0, 0, 1])
+        fitted = fit_params([1, 0, 0], 0.05, [1, 1, 0], [0, 1, 0], [0, 0, 1])
+        huge = replace(fitted, frame=frame_from_axis([1e200, 0, 0]))
+        with pytest.raises(ValueError, match="overflows when squared"):
+            huge.rho
+        assert math.isfinite(fitted.rho)
 
 
 def _loop_dot(a, b):

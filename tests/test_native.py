@@ -201,12 +201,16 @@ def _typed_calls(name) -> list:
         "rk4": [("rk4_quadratic", (doubles(9), 0.1, 2, doubles(3), 1.0, doubles(3, 3, 3),
                                    doubles(4), np.zeros(4, np.int64)))],
         "magnus": [("magnus_steps", (doubles(2, 3), doubles(2, 3), 2, 0.1, 0.01,
-                                     doubles(3, 3, 3), doubles(1)))],
+                                     doubles(3, 3, 3), doubles(1))),
+                   ("magnus_grid", (doubles(3), doubles(3, 3), doubles(3, 3), doubles(2, 4), 2,
+                                    0.1, 0.01, doubles(3, 3, 3), doubles(1)))],
         "floattext": [("shortest_text", text), ("fixed2_text", text)],
         "recon": [("recon_pass", (doubles(3), doubles(3, 3), doubles(3, 3), doubles(3, 3), 3,
                                   doubles(3), 1.0, 1.0, 1e-12, doubles(3), doubles(3),
                                   doubles(3, 3, 3), np.zeros(2, np.int64), doubles(2))),
-                  ("lift", (doubles(3, 3), doubles(2), doubles(2, 3, 3), 2, doubles(2, 3, 3)))],
+                  ("lift", (doubles(3, 3), doubles(2), doubles(2, 3, 3), 2, doubles(2, 3, 3))),
+                  ("lift_against", (doubles(3, 3), doubles(2), doubles(2, 3, 3), 2,
+                                    doubles(2, 3, 3), doubles(2, 3, 3)))],
     }[name]
 
 

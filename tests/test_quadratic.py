@@ -913,8 +913,8 @@ def test_magnus_pass_matches_the_numpy_twin_bit_for_bit(n, seed, h, low, bad):
     for k, column, value in bad:
         (va, vb)[column // 3][k % n, column % 3] = value
     grid = 0.5 + h * np.arange(n + 1.0)
-    ours = _magnus_outcome(magnus, x0, va, vb, h, grid)
-    assert ours == _magnus_outcome(quadratic._magnus_python, x0, va, vb, h, grid)
+    ours = _magnus_outcome(magnus, x0, (va, vb), h, grid)
+    assert ours == _magnus_outcome(quadratic._magnus_python, x0, (va, vb), h, grid)
     if bad:
         # every bad entry makes its own step's W or squared norm non-finite
         k = min(k % n for k, _, _ in bad)
@@ -925,6 +925,76 @@ def test_magnus_pass_matches_the_numpy_twin_bit_for_bit(n, seed, h, low, bad):
         worst = rotation_error(rotations)
         assert ours[1] == np.float64(worst).tobytes()
         assert np.array_equal(rotations[0], x0) and worst < 1e-12
+
+
+# an entry of V or V' that makes the W of the steps either side of its
+# node not finite, or finite with an overflowing squared norm: its node
+# (modulo n + 1), its column of (v, v1) and its value
+bad_nodes = st.tuples(st.integers(0, 2 ** 31), st.integers(0, 5),
+                      st.sampled_from([math.nan, math.inf, -math.inf, 1e200]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(1, 300), st.just(5000)), st.integers(0, 2 ** 32 - 1),
+       st.integers(-3, 3), st.lists(bad_nodes, max_size=2))
+@example(1, 0, 0, [])
+@example(5000, 1, 1, [])
+@example(17, 2, -2, [(7, 0, 1e200)])
+@example(17, 3, 0, [(0, 4, math.nan), (17, 2, math.inf)])
+def test_magnus_pass_on_its_grid_matches_at_fraction_and_the_twin(n, seed, last, bad):
+    # the pass that reads V at the Gauss nodes from the trajectory itself,
+    # against at_fraction's reads and the numpy pass, byte for byte, or the
+    # same ValueError: trajectories integrated over n steps of 1e-3 to 1e-2,
+    # at most 3 in all (their drift peaked at 6.2e-8 over 1,500 draws), from
+    # a drawn jet, their last node moved by `last` ulps, so that the last
+    # step differs from the others, as _uniform_grid's grid[-1] = t1 can
+    # make it
+    magnus = require_kernel("magnus")
+    rng = np.random.default_rng(seed)
+    t0, step = rng.uniform(-1.0, 1.0), min(10.0 ** rng.uniform(-3.0, -2.0), 3.0 / n)
+    t1 = t0 + n * step
+    traj = integrate_quadratic(QuadraticIVP(t0, t1, *0.5 * rng.normal(size=(3, 3))), (t1 - t0) / n)
+    grid, h, _ = quadratic._uniform_grid(t0, t1, (t1 - t0) / n)
+    assert np.array_equal(grid, traj.grid) and len(grid) == n + 1
+    grid[-1] += last * np.spacing(grid[-1])
+    v, v1 = traj.v.copy(), traj.v1.copy()
+    for k, column, value in bad:
+        (v, v1)[column // 3][k % (n + 1), column % 3] = value
+    traj = QuadraticTrajectory(grid=grid, v=v, v1=v1, v2=traj.v2, C=traj.C, c=traj.c)
+    x0 = rot_exp(rng.normal(size=3))
+
+    def twin(x0, traj, h, grid):
+        va, vb = (traj.at_fraction(node) for node in _GAUSS_NODES)
+        return quadratic._magnus_python(x0, (va, vb), h, grid)
+
+    ours = _magnus_outcome(magnus, x0, traj, h, grid)
+    with np.errstate(all="ignore"):
+        assert ours == _magnus_outcome(twin, x0, traj, h, grid)
+    # a bad node stops the step before it, or step 0 for node 0
+    assert isinstance(ours, str) == bool(bad)
+    if bad:
+        k = max(min(k % (n + 1) for k, _, _ in bad) - 1, 0)
+        assert ours == ("Magnus vector W has a non-finite squared norm at step index "
+                        f"{k}, t={float(grid[k])!r}")
+
+
+def test_magnus_grid_self_check_covers_a_longer_last_step_and_a_stop():
+    # the pass that reads the trajectory is checked on the trajectory's own
+    # grids, one of them exact steps of h but the last, one ulp of the last
+    # node longer, so that a pass reading h for dx fails; and on one whose
+    # NaN node stops the pass at step 6, where both engines raise
+    cases = quadratic._magnus_grid_checks()
+    assert all(traj.grid.tobytes() == grid.tobytes() for _, traj, _, grid in cases)
+    steps = [(np.diff(grid), h, grid[-1]) for _, _, h, grid in cases]
+    assert any(np.all(dx[:-1] == h) and dx[-1] == h + np.spacing(last) for dx, h, last in steps)
+    raised = []
+    for case in cases:
+        try:
+            quadratic._magnus_python(*case)
+        except ValueError as exc:
+            raised.append(str(exc))
+    assert raised == ["Magnus vector W has a non-finite squared norm at step index 6, t=1.5"]
+    assert {len(grid) - 1 for _, _, _, grid in cases} == {1, 17}
 
 
 def test_magnus_self_check_covers_block_sizes_and_angles():
@@ -966,7 +1036,7 @@ def test_magnus_self_check_places_the_largest_defect():
     for x0, va, vb, h, grid in quadratic._magnus_checks():
         with np.errstate(all="ignore"):
             try:
-                rotations, worst = quadratic._magnus_python(x0, va, vb, h, grid)
+                rotations, worst = quadratic._magnus_python(x0, (va, vb), h, grid)
             except ValueError:
                 continue
             defects, last = _defect_terms(rotations), rotation_error(rotations[-1])

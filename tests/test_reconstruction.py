@@ -10,13 +10,13 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import FIG3_BASE, fig1_ivp, fig3_ivp, require_kernel, twins_only
 from oracles import loop_frobenius, pair_distance
-from so3cubics import _native, reconstruction
+from so3cubics import _native, quadratic, reconstruction
 from so3cubics.algebra import (GRAM_RTOL, _dot, _frobenius, _gram, frame_from_axis,
                                frame_from_pair, plane_rotation, rot_exp, rotation_error)
 from so3cubics.approximants import ApproxParams, fit_params, second_approximant
 from so3cubics.errors import DegenerateB, DegenerateFrame, DegenerateThirdDerivative
-from so3cubics.quadratic import (QuadraticIVP, QuadraticTrajectory, integrate_cubic,
-                                 integrate_quadratic)
+from so3cubics.quadratic import (QuadraticIVP, QuadraticTrajectory, RotationTrajectory,
+                                 integrate_cubic, integrate_quadratic)
 from so3cubics.reconstruction import (ReconstructionInput, approx_cubic,
                                       reconstruct_cubic, rotation_phase,
                                       rotation_phase_approx, so3_distance)
@@ -123,6 +123,25 @@ def test_reconstruction_matches_direct_integration(fig1_recon, fig1_trajectory):
     diff = np.max(np.linalg.norm(xr.rotations - xi.rotations, axis=(1, 2)))
     assert diff < 1e-6
     assert xr.max_rotation_error() < 1e-10
+
+
+def test_reconstruction_against_a_reference_keeps_its_largest_distance(
+        fig1_recon, fig1_trajectory, recon_engine):
+    # the lift's distance from the integrated curve is np.max of _frobenius
+    # over the two stacks, bit for bit, with the kernel and with the twin;
+    # the rotations are those lifted without a reference; a Fortran-ordered
+    # reference is read as it is, and one off the grid is refused
+    xi = integrate_cubic(np.eye(3), fig1_trajectory, 1e-3)
+    xr, plain = reconstruct_cubic(fig1_recon, xi), reconstruct_cubic(fig1_recon)
+    assert plain.reference_distance is None and xr.rotations.tobytes() == plain.rotations.tobytes()
+    assert xr.reference_distance == float(np.max(_frobenius(xi.rotations, xr.rotations)))
+    assert 0.0 < xr.reference_distance < 1e-6
+    fortran = RotationTrajectory(xi.grid, np.asfortranarray(xi.rotations))
+    assert reconstruct_cubic(fig1_recon, fortran).reference_distance == xr.reference_distance
+    for off in (RotationTrajectory(xi.grid[:-1], xi.rotations[:-1]),
+                RotationTrajectory(xi.grid + 1.0, xi.rotations)):
+        with pytest.raises(ValueError, match="not on the trajectory's grid"):
+            reconstruct_cubic(fig1_recon, off)
 
 
 def test_reconstruction_left_equivariance(fig1_trajectory):
@@ -476,6 +495,26 @@ def test_recon_pass_matches_the_numpy_twin_bit_for_bit(steps, seed, uneven, spec
                                  (traj,))
 
 
+def test_recon_self_check_shows_a_reassociated_midpoint_read(monkeypatch):
+    # the midpoints read as h00 y0 + (h01 y1 + dx (h10 m0 + h11 m1)), not in
+    # at_fraction's order (h00 y0 + h01 y1) + dx (...), change the phase of
+    # some self-check case, so a kernel that reads them so is refused
+    cases = reconstruction._recon_checks()
+    with np.errstate(all="ignore"):
+        phases = [reconstruction._recon_python(traj).phase for traj in cases]
+
+    def reassociated(traj, theta, deriv=0):
+        h00, h01, h10, h11 = quadratic._hermite_weights(theta)
+        y, m = (traj.v, traj.v1, traj.v2, traj.third_derivative_grid())[deriv:deriv + 2]
+        dx = np.diff(traj.grid)[:, None]
+        return h00 * y[:-1] + (h01 * y[1:] + dx * (h10 * m[:-1] + h11 * m[1:]))
+
+    monkeypatch.setattr(QuadraticTrajectory, "at_fraction", reassociated)
+    with np.errstate(all="ignore"):
+        moved = [reconstruction._recon_python(traj).phase for traj in cases]
+    assert any(a.tobytes() != b.tobytes() for a, b in zip(phases, moved))
+
+
 def test_recon_self_check_covers_ties_nan_and_the_twin():
     cases = reconstruction._recon_checks()
     with np.errstate(all="ignore"):
@@ -568,7 +607,9 @@ def _canonical_nan(a):
 def test_lift_matches_the_numpy_twin_bit_for_bit(n, seed, x0_kind, paired, specials):
     # phases of sizes 1e-2 to 1e2 with special values among them; frames of
     # drawn pairs or drawn 3x3 matrices of sizes 1e-3 to 1e3; x0 the
-    # identity, a drawn rotation or its transpose, which is not C-ordered
+    # identity, a drawn rotation or its transpose, which is not C-ordered;
+    # the same lift against drawn reference rotations, with the largest
+    # distance from them, bit for bit, NaN where a phase is not finite
     kernel = require_kernel("recon")
     rng = np.random.default_rng(seed)
     x0 = np.eye(3) if x0_kind == "identity" else rot_exp(rng.normal(size=3))
@@ -580,9 +621,14 @@ def test_lift_matches_the_numpy_twin_bit_for_bit(n, seed, x0_kind, paired, speci
         frames = frame_from_pair(*rng.normal(size=(2, n, 3)))
     else:
         frames = rng.normal(size=(n, 3, 3)) * 10.0 ** rng.integers(-3, 4, size=(n, 3, 3))
+    reference = rot_exp(rng.normal(size=(n, 3)))
     with np.errstate(all="ignore"):
-        ours = kernel.lift(x0, phases, frames)
-        twin = reconstruction._lift_python(x0, phases, frames)
+        ours, none = kernel.lift(x0, phases, frames)
+        twin, twin_none = reconstruction._lift_python(x0, phases, frames)
+        against, farthest = kernel.lift(x0, phases, frames, reference)
+        expected = reconstruction._lift_python(x0, phases, frames, reference)[1]
+    assert none is None and twin_none is None and against.tobytes() == ours.tobytes()
+    assert repr(farthest) == repr(expected) and math.isnan(farthest) == np.isnan(ours).any()
     np.testing.assert_array_equal(ours[0], x0)
     # a phase that is not finite has NaN cos and sin, and the operand order
     # of a product may drop a NaN's sign
@@ -593,7 +639,7 @@ def test_lift_matches_the_numpy_twin_bit_for_bit(n, seed, x0_kind, paired, speci
 
 
 def test_lift_self_check_covers_one_node_special_phases_and_raw_frames():
-    cases = reconstruction._lift_checks()
+    cases = [case[:3] for case in reconstruction._lift_checks()]
     assert {len(phases) for _, phases, _ in cases} >= {1, 2, 40}
     assert any(np.array_equal(x0, np.eye(3)) for x0, _, _ in cases)
     assert any(rotation_error(frames) > 1.0 for _, _, frames in cases)
@@ -601,6 +647,20 @@ def test_lift_self_check_covers_one_node_special_phases_and_raw_frames():
     phases = np.concatenate([phases for _, phases, _ in cases])
     assert {0.0, math.pi, -math.pi, 1e3, 1e300} <= set(phases.tolist())
     assert np.signbit(phases[phases == 0.0]).any()
+
+
+def test_lift_self_check_places_the_largest_distance_and_a_nan():
+    # against its two references the self-check's lift is farthest at row
+    # 17 alone, by a margin far above rounding, and NaN at row 5, where the
+    # largest distance is NaN, as in np.max
+    cases = [case for case in reconstruction._lift_checks() if len(case) == 4]
+    distances = [_frobenius(reference, reconstruction._lift_python(*case)[0])
+                 for *case, reference in cases]
+    assert len(cases) == 2 and int(np.argmax(distances[0])) == 17
+    assert distances[0][17] > 1.2 * np.delete(distances[0], 17).max()
+    assert np.isnan(distances[1]).tolist() == [k == 5 for k in range(40)]
+    assert reconstruction._lift_python(*cases[0])[1] == distances[0][17]
+    assert math.isnan(reconstruction._lift_python(*cases[1])[1])
 
 
 def _matmul_lift(x0, phi, frames):
