@@ -8,11 +8,11 @@
  * power of two above the smallest normal, whose lower neighbour is
  * closer), so that v 10^-k has 16 or 17 digits.  Four times v and its
  * interval's bounds, times 10^-k, are rounded to odd from g(-k) 2^e, a
- * 128-bit over-estimate of 10^-k from the table _floattext_powers.h; that
- * keeps every comparison with an even integer exact.  One digit fewer is
- * tried first, then s = floor(v 10^-k) or s + 1, the closer to v, ties to
- * even.  The bounds belong to the interval where c is even (round half to
- * even reads them back to v).  A finite double is never left out.
+ * 128-bit over-estimate of 10^-k from the caller's table of g; that keeps
+ * every comparison with an even integer exact.  One digit fewer is tried
+ * first, then s = floor(v 10^-k) or s + 1, the closer to v, ties to even.
+ * The bounds belong to the interval where c is even (round half to even
+ * reads them back to v).  A finite double is never left out.
  *
  * With the digits d1..dn and v = 0.d1..dn x 10^p, the layout is repr's:
  * fixed notation when -4 < p <= 16, with ".0" added when there is no
@@ -36,14 +36,19 @@
  * written; out must have room for (rows cols + 1) ROOM + rows cols nsep +
  * rows nrow bytes.  They return -1, with out left partly written, at the first
  * double that has no text here: NaN or an infinity, and for fixed2_text
- * also |x| >= 1e13.
+ * also |x| >= 1e13.  Both take powers, which only shortest_text reads: the
+ * rows {g >> 64, g mod 2^64} of g(j) = floor(10^j 2^-e) + 1 with
+ * e = floor(log2 10^j) + 1 - 128, so 2^127 <= g < 2^128, for j =
+ * POWERS_FIRST, ..., 324, every power a double needs, which
+ * so3cubics.output._powers_of_ten builds from exact integers.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
-#include "_floattext_powers.h"
+/* the decimal exponent of the first row of powers */
+#define POWERS_FIRST (-292)
 
 /* the bytes of out one double may use: repr's longest text is 24 bytes,
  * and the fixed-size copies reach 34 bytes past the start of a text */
@@ -74,7 +79,7 @@ static uint64_t round_to_odd(uint64_t g_hi, uint64_t g_lo, uint64_t cp)
 
 /* the shortest digits d of a positive finite double v, the closest of those
  * to v, with v read back from d 10^exp10 */
-static uint64_t shortest_digits(uint64_t bits, int *exp10)
+static uint64_t shortest_digits(uint64_t bits, int *exp10, const uint64_t (*powers)[2])
 {
     const uint64_t hidden = (uint64_t)1 << 52;
     uint64_t c = bits & (hidden - 1);
@@ -96,7 +101,7 @@ static uint64_t shortest_digits(uint64_t bits, int *exp10)
         k = floor_log10_three_quarters_pow2(q);
     }
     const int h = q + floor_log2_pow10(-k) + 1;
-    const uint64_t g_hi = POWERS[-k - POWERS_FIRST].hi, g_lo = POWERS[-k - POWERS_FIRST].lo;
+    const uint64_t g_hi = powers[-k - POWERS_FIRST][0], g_lo = powers[-k - POWERS_FIRST][1];
     const uint64_t vb = round_to_odd(g_hi, g_lo, cb << h);
     const uint64_t lower = round_to_odd(g_hi, g_lo, cbl << h) + !even;
     const uint64_t upper = round_to_odd(g_hi, g_lo, cbr << h) - !even;
@@ -141,7 +146,7 @@ static void write17(char *out, uint64_t d)
 
 /* repr's text of v into out; returns its length, or -1 at NaN and the
  * infinities */
-static int shortest_one(double v, char *out)
+static int shortest_one(double v, char *out, const uint64_t (*powers)[2])
 {
     char buf[40];   /* 17 digits, and room for the fixed-size copies */
     uint64_t bits;
@@ -158,7 +163,7 @@ static int shortest_one(double v, char *out)
         return len + 3;
     }
     int exp10;
-    write17(buf, shortest_digits(bits, &exp10));
+    write17(buf, shortest_digits(bits, &exp10, powers));
     const char *digits = buf;
     while (*digits == '0')
         digits++;
@@ -213,8 +218,9 @@ static int shortest_one(double v, char *out)
 
 /* "%.2f"'s text of x into out; returns its length, or -1 at NaN, the
  * infinities and |x| >= 1e13 */
-static int fixed2_one(double x, char *out)
+static int fixed2_one(double x, char *out, const uint64_t (*powers)[2])
 {
+    (void)powers;
     const double r = fabs(x);
     if (!(r < 1e13))
         return -1;
@@ -256,9 +262,10 @@ static char *put(char *at, const char *s, long long n, const char *s16)
 }
 
 /* the text of every double of x by one, joined; see the header comment */
-static long long join(int (*one)(double, char *), const double *x, long long rows,
-                      long long cols, const char *sep, long long nsep, const char *row_sep,
-                      long long nrow, char *out)
+static long long join(int (*one)(double, char *, const uint64_t (*)[2]), const double *x,
+                      long long rows, long long cols, const char *sep, long long nsep,
+                      const char *row_sep, long long nrow, char *out,
+                      const uint64_t (*powers)[2])
 {
     char sep16[16] = {0}, row16[16] = {0};
     memcpy(sep16, sep, nsep < 16 ? nsep : 16);
@@ -270,7 +277,7 @@ static long long join(int (*one)(double, char *), const double *x, long long row
         for (long long c = 0; c < cols; c++) {
             if (c)
                 at = put(at, sep, nsep, sep16);
-            const int len = one(x[r * cols + c], at);
+            const int len = one(x[r * cols + c], at, powers);
             if (len < 0)
                 return -1;
             at += len;
@@ -280,13 +287,15 @@ static long long join(int (*one)(double, char *), const double *x, long long row
 }
 
 long long shortest_text(const double *x, long long rows, long long cols, const char *sep,
-                        long long nsep, const char *row_sep, long long nrow, char *out)
+                        long long nsep, const char *row_sep, long long nrow, char *out,
+                        const uint64_t (*powers)[2])
 {
-    return join(shortest_one, x, rows, cols, sep, nsep, row_sep, nrow, out);
+    return join(shortest_one, x, rows, cols, sep, nsep, row_sep, nrow, out, powers);
 }
 
 long long fixed2_text(const double *x, long long rows, long long cols, const char *sep,
-                      long long nsep, const char *row_sep, long long nrow, char *out)
+                      long long nsep, const char *row_sep, long long nrow, char *out,
+                      const uint64_t (*powers)[2])
 {
-    return join(fixed2_one, x, rows, cols, sep, nsep, row_sep, nrow, out);
+    return join(fixed2_one, x, rows, cols, sep, nsep, row_sep, nrow, out, powers);
 }

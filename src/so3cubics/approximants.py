@@ -115,13 +115,13 @@ class _BandPoly:
 # parameters of the approximants
 # ---------------------------------------------------------------------------
 
-def _square(d: float) -> float:
-    """d ** 2 of the axis length d, or ValueError where it overflows (a
+def _power(d: float, n: int) -> float:
+    """d ** n of the axis length d, or ValueError where it overflows (a
     Python float's power raises OverflowError there)."""
     try:
-        return d ** 2
+        return d ** n
     except OverflowError:
-        raise ValueError(f"axis length d = {d!r} overflows when squared") from None
+        raise ValueError(f"axis length d = {d!r} overflows in d ** {n}") from None
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ class ApproxParams:
         a d whose square overflows raises ValueError."""
         if self.beta <= 0.0:
             raise DegenerateB("rho is undefined for beta = 0")
-        return -2.0 * self.c2 / (_square(self.frame.d) * self.beta)
+        return -2.0 * self.c2 / (_power(self.frame.d, 2) * self.beta)
 
     @cached_property
     def _closed_forms(self) -> list[tuple[_BandPoly, ...]]:
@@ -235,7 +235,7 @@ def fit_params(base, delta: float, v0, v1, v2, t0: float = 0.0) -> ApproxParams:
     if degenerate:
         beta, gamma, bc = 0.0, 0.0, 0j
     else:
-        bc = -perp2 / _square(d)
+        bc = -perp2 / _power(d, 2)
         beta = abs(bc)
         gamma = math.atan2(bc.imag, bc.real) % (2.0 * math.pi)
         if gamma == 2.0 * math.pi:   # an angle just below 0 rounds up to 2 pi
@@ -339,23 +339,21 @@ def _correction_forms(p: ApproxParams, a0c, a1c, bc) -> tuple[_BandPoly, _BandPo
     integration-by-parts recursion of _BandPoly.integ.
     """
     d = p.frame.d
+    d2, d3, d4 = (_power(d, n) for n in (2, 3, 4))
     # kernels weighting A0, A1 in the axial component
     l0 = _BandPoly.make(d, pe=[1j / d], pp=[-1j / d, -1.0, 0.5j * d])
-    l1 = _BandPoly.make(d, pe=[3.0 / d ** 2, 1j / d],
-                        pp=[-3.0 / d ** 2, 2j / d, 0.5])
+    l1 = _BandPoly.make(d, pe=[3.0 / d2, 1j / d], pp=[-3.0 / d2, 2j / d, 0.5])
     # kernels weighting A0, A1, B in the transverse component
-    m0 = _BandPoly.make(d, pe=[1.0 / d ** 3],
-                        pp=[-1.0 / d ** 3, 1j / d ** 2, 0.5 / d])
-    m1 = _BandPoly.make(d, pe=[1j / d ** 4],
-                        pp=[-1j / d ** 4, -1.0 / d ** 3, 0.5j / d ** 2, 1.0 / (6.0 * d)])
-    mb = _BandPoly.make(d, pe=[2.0 / d ** 3, 1j / d ** 2],
-                        pp=[-2.0 / d ** 3, 1j / d ** 2])
+    m0 = _BandPoly.make(d, pe=[1.0 / d3], pp=[-1.0 / d3, 1j / d2, 0.5 / d])
+    m1 = _BandPoly.make(d, pe=[1j / d4],
+                        pp=[-1j / d4, -1.0 / d3, 0.5j / d2, 1.0 / (6.0 * d)])
+    mb = _BandPoly.make(d, pe=[2.0 / d3, 1j / d2], pp=[-2.0 / d3, 1j / d2])
 
     f2 = (l0 * (a0c.conjugate() * bc) + l1 * (a1c.conjugate() * bc)) * -2.0
     iq = _pint(tuple(map(complex, p.q_coeffs)))
     g2 = _BandPoly.make(d, pe=iq).integ().integ()
     v2 = (m0 * (4.0 * p.c2 * a0c) + m1 * (4.0 * p.c2 * a1c) + mb * (-4.0 * p.c2 * bc)
-          + g2 * (2j * d ** 2 * bc))
+          + g2 * (2j * d2 * bc))
     return f2, v2
 
 

@@ -123,6 +123,24 @@ def _float_texts(block: np.ndarray) -> tuple:
     return tuple(texts[inverse])
 
 
+def _powers_of_ten() -> np.ndarray:
+    """The powers of `_floattext.c`, g(k) = floor(10^k 2^-e) + 1 with
+    e = floor(log2 10^k) + 1 - 128, for k = -292, ..., 324, as the rows
+    (g >> 64, g mod 2^64) of a C-order (617, 2) uint64 array.  g - 1 is the
+    top 128 bits of 10^k, or for k < 0 of floor(2^1100 10^k), each power of
+    ten taken exactly from the one before."""
+    tops, x, p = [], 1 << 1100, 1
+    for _ in range(292):
+        x //= 10
+        tops.append(x >> x.bit_length() - 128)
+    tops.reverse()
+    for _ in range(325):
+        tops.append(p << 128 >> p.bit_length())
+        p *= 10
+    rows = b"".join([(g + 1).to_bytes(16, "big") for g in tops])
+    return np.frombuffer(rows, ">u8").reshape(617, 2).astype(np.uint64)
+
+
 class _FloatKernel(NamedTuple):
     """The float-text kernel's two texts: `shortest` with
     `_float_text_python`'s signature and `fixed2` with
@@ -165,16 +183,19 @@ def _bind_floattext(library):
     The kernel writes the text of every float of the array into the joined
     text in one pass, and returns -1 where a float has no text in C: NaN
     and the infinities, and for `%.2f` also 1e13 or more.  Then the twin
-    writes the whole array, with the same bytes.
+    writes the whole array, with the same bytes.  Both entries take the
+    table of `_powers_of_ten`, built and typed once here for every call.
     """
     import ctypes
+
+    powers = (ctypes.c_uint64 * 2 * 617).from_buffer(_powers_of_ten())
 
     def joined(entry, twin):
         """The text of the kernel's `entry` as a function with `twin`'s
         signature, which runs `twin` where `entry` leaves the array to it."""
         entry.argtypes = (_native.DOUBLES_IN, ctypes.c_longlong, ctypes.c_longlong,
                           ctypes.c_char_p, ctypes.c_longlong, ctypes.c_char_p,
-                          ctypes.c_longlong, _native.BYTES_OUT)
+                          ctypes.c_longlong, _native.BYTES_OUT, ctypes.POINTER(type(powers)))
         entry.restype = ctypes.c_longlong
 
         def text(values: np.ndarray, sep: str, row_sep: str) -> str:
@@ -185,7 +206,7 @@ def _bind_floattext(library):
             out = np.empty((rows * cols + 1) * _ROOM + rows * cols * len(sep_bytes)
                            + rows * len(row_bytes), dtype=np.uint8)
             size = entry(values, rows, cols, sep_bytes, len(sep_bytes), row_bytes,
-                         len(row_bytes), out)
+                         len(row_bytes), out, powers)
             return twin(values, sep, row_sep) if size < 0 else str(out.data[:size], "ascii")
 
         return text

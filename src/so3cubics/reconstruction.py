@@ -49,7 +49,7 @@ from . import _native
 from .algebra import (GRAM_RTOL, _dot, _frame_from_pair, _frobenius, _plane_rotation, _product,
                       _rot_exp, as_rotation, as_vectors, frame_from_pair)
 # second_approximant: perfbench/selftest.py checks the tracer through this name
-from .approximants import (ApproxParams, _approximants, _check_finite,  # noqa: F401
+from .approximants import (ApproxParams, _approximants, _check_finite, _power,  # noqa: F401
                            second_approximant)
 from .errors import DegenerateB, DegenerateFrame, DegenerateThirdDerivative
 from .quadratic import QuadraticTrajectory, RotationTrajectory, _hermite, check_times
@@ -314,7 +314,7 @@ def rotation_phase_approx(p: ApproxParams, t) -> float | np.ndarray:
         tau = np.asarray(t, dtype=float) - p.t0
         u = d * tau
         osc = (p.a11 * (np.cos(p.gamma - u) - math.cos(p.gamma))
-               + p.a12 * (np.sin(p.gamma - u) - math.sin(p.gamma))) / d ** 2
+               + p.a12 * (np.sin(p.gamma - u) - math.sin(p.gamma))) / _power(d, 2)
         out = p.delta * math.sqrt(p.rho ** 2 + 1.0) * (tau * p.beta + osc)
     _check_finite(t, out)
     return float(out) if np.ndim(t) == 0 else out

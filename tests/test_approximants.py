@@ -100,13 +100,28 @@ def test_fit_and_rho_refuse_an_axis_length_whose_square_overflows():
     # both raise the documented ValueError instead, with no float warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"axis length d = 1e\+200 overflows when squared"):
+        with pytest.raises(ValueError, match=r"axis length d = 1e\+200 overflows in d \*\* 2"):
             fit_params([1e200, 0, 0], 0.05, [1e200, 1, 0], [0, 1, 0], [0, 0, 1])
         fitted = fit_params([1, 0, 0], 0.05, [1, 1, 0], [0, 1, 0], [0, 0, 1])
         huge = replace(fitted, frame=frame_from_axis([1e200, 0, 0]))
-        with pytest.raises(ValueError, match="overflows when squared"):
+        with pytest.raises(ValueError, match=r"overflows in d \*\* 2"):
             huge.rho
+        with pytest.raises(ValueError, match=r"overflows in d \*\* 2"):
+            rotation_phase_approx(huge, 1.0)
         assert math.isfinite(fitted.rho)
+
+
+def test_closed_forms_refuse_an_axis_length_whose_fourth_power_overflows():
+    # d = 1e80 squares, but d ** 3 and d ** 4 of a Python float raise
+    # OverflowError in the correction's kernels, which every closed form
+    # builds; each raises the documented ValueError instead, with no float
+    # warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = fit_params([1e80, 0, 0], 0.05, [1e80, 1, 0], [0, 1, 0], [0, 0, 1])
+        for evaluate in (first_approximant, second_approximant, second_correction):
+            with pytest.raises(ValueError, match=r"axis length d = 1e\+80 overflows in d \*\* 4"):
+                evaluate(p, 1.0)
 
 
 def _loop_dot(a, b):

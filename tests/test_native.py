@@ -1,15 +1,12 @@
 """The C kernels and their loader: the float-text kernel gives
-`float.__repr__`'s and `%.2f`'s text, every kernel falls back to its
-Python twin on its own with the same bytes, and every C source has a row
-in `_native.KERNELS` and ships with the package.
-
-Run as a script, this file prints the generated header of powers of ten
-that `_floattext.c` includes:
-
-    PYTHONPATH=src python tests/test_native.py > src/so3cubics/_floattext_powers.h
+`float.__repr__`'s and `%.2f`'s text from a power table that brackets
+every power of ten, every kernel falls back to its Python twin on its own
+with the same bytes, and every C source has a row in `_native.KERNELS`
+and ships with the package.
 """
 
 import csv
+import ctypes
 import io
 import json
 import math
@@ -48,32 +45,6 @@ def floor_log2_pow10(k: int) -> int:
     return (10 ** k).bit_length() - 1 if k >= 0 else -(10 ** -k).bit_length()
 
 
-def powers() -> list[int]:
-    """g(k) = floor(10^k 2^-e) + 1 with e = floor(log2 10^k) + 1 - 128, so
-    that 2^127 <= g < 2^128, for k = -292, ..., 324, from exact integers."""
-    table = []
-    for k in range(POWERS_FIRST, POWERS_LAST + 1):
-        e = floor_log2_pow10(k) + 1 - 128
-        if k >= 0:
-            g = 10 ** k >> e if e > 0 else 10 ** k << -e
-        else:
-            g = (1 << -e) // 10 ** -k
-        table.append(g + 1)
-    return table
-
-
-def powers_header() -> str:
-    rows = "".join(f"    {{0x{g >> 64:016x}u, 0x{g & (1 << 64) - 1:016x}u}},\n"
-                   for g in powers())
-    return ("/* The powers of ten of _floattext.c: g(k) = floor(10^k 2^-e) + 1 with\n"
-            " * e = floor(log2 10^k) + 1 - 128, so 2^127 <= g < 2^128, for k = -292,\n"
-            " * ..., 324, as {g >> 64, g mod 2^64}.  Generated from exact integers by\n"
-            " * tests/test_native.py (run it as a script); do not edit. */\n\n"
-            f"#define POWERS_FIRST ({POWERS_FIRST})\n\n"
-            "static const struct {\n    uint64_t hi, lo;\n} POWERS[] = {\n"
-            + rows + "};\n")
-
-
 def _floor_log(base: int, x: Fraction) -> int:
     """floor(log_base x) of a positive rational, exactly."""
     k = math.floor(math.log(x.numerator, base) - math.log(x.denominator, base))
@@ -85,9 +56,14 @@ def _floor_log(base: int, x: Fraction) -> int:
 
 
 def test_powers_bracket_their_power_of_ten():
-    table = powers()
-    assert len(table) == 617
-    for g, k in zip(table, range(POWERS_FIRST, POWERS_LAST + 1)):
+    # the library's table: each row (g >> 64, g mod 2^64) of g(k) =
+    # floor(10^k 2^-e) + 1, e = floor(log2 10^k) + 1 - 128, against the
+    # exact rational 10^k 2^-e
+    table = output._powers_of_ten()
+    assert table.dtype == np.uint64 and table.flags.c_contiguous
+    assert table.shape == (POWERS_LAST - POWERS_FIRST + 1, 2)
+    for (hi, lo), k in zip(table.tolist(), range(POWERS_FIRST, POWERS_LAST + 1)):
+        g = hi << 64 | lo
         e = floor_log2_pow10(k) + 1 - 128
         assert 2 ** 127 <= g < 2 ** 128
         assert g - 1 <= Fraction(10) ** k / Fraction(2) ** e < g
@@ -104,10 +80,6 @@ def test_powers_log_formulas_are_exact_over_every_double_exponent():
         assert k * 1741647 >> 19 == floor_log2_pow10(k) == _floor_log(2, Fraction(10) ** k)
 
 
-def test_powers_header_is_generated():
-    assert (PACKAGE / "_floattext_powers.h").read_text() == powers_header()
-
-
 # -------------------------------------------------------------- packaging
 
 def test_every_c_source_has_a_row_in_the_kernel_table():
@@ -120,8 +92,9 @@ def test_package_data_covers_every_c_source_and_header():
         patterns = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["so3cubics"]
     sources = {p for p in PACKAGE.rglob("*") if p.suffix in (".c", ".h")}
     shipped = {p for pattern in patterns for p in PACKAGE.glob(pattern)}
-    assert {*(f"_{name}.c" for name in _native.KERNELS),
-            "_floattext_powers.h"} <= {p.name for p in sources}
+    included = {header for name in _native.KERNELS for header in re.findall(
+        r'^#include "([^"]+)"', (PACKAGE / f"_{name}.c").read_text(), re.M)}
+    assert {*(f"_{name}.c" for name in _native.KERNELS), *included} <= {p.name for p in sources}
     assert sources - shipped == set()
 
 
@@ -190,13 +163,19 @@ def test_the_first_use_of_a_kernel_imports_no_numpy_random(name):
     assert run.stdout.split() == ["True", "False"]
 
 
+def _power_table():
+    """The power table as output's bind hands it to the float-text entries."""
+    return (ctypes.c_uint64 * 2 * 617).from_buffer(output._powers_of_ten())
+
+
 def _typed_calls(name) -> list:
     """Calls of kernel `name`'s entries, (entry, args), on arrays of the
     dtype, layout and shape that each entry takes, in an order that runs."""
     def doubles(*shape):
         return np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape) / 7.0
 
-    text = (doubles(2, 2), 2, 2, b",", 1, b" ", 1, np.zeros(5 * output._ROOM + 6, np.uint8))
+    text = (doubles(2, 2), 2, 2, b",", 1, b" ", 1, np.zeros(5 * output._ROOM + 6, np.uint8),
+            _power_table())
     return {
         "rk4": [("rk4_quadratic", (doubles(9), 0.1, 2, doubles(3), 1.0, doubles(3, 3, 3),
                                    doubles(4), np.zeros(4, np.int64)))],
@@ -217,18 +196,20 @@ def _typed_calls(name) -> list:
 @pytest.mark.parametrize("name", sorted(_native.KERNELS))
 def test_a_typed_entry_refuses_a_float32_or_fortran_order_array(name):
     # ctypes refuses the argument before the call: no kernel reads an array
-    # of another dtype or layout as raw memory
-    import ctypes
-
+    # of another dtype or layout, or a table of another length, as raw memory
     require_kernel(name)
     library = _native._load(name)
     for entry, args in _typed_calls(name):
         call = getattr(library, entry)
         call(*args)
         for i, arg in enumerate(args):
-            if not isinstance(arg, np.ndarray):
+            if isinstance(arg, ctypes.Array):
+                bads = [(arg._type_ * (len(arg) - 1))()]
+            elif isinstance(arg, np.ndarray):
+                bads = [arg.astype(np.float32)] + [np.asfortranarray(arg)] * (arg.ndim > 1)
+            else:
                 continue
-            for bad in [arg.astype(np.float32)] + [np.asfortranarray(arg)] * (arg.ndim > 1):
+            for bad in bads:
                 with pytest.raises(ctypes.ArgumentError):
                     call(*args[:i], bad, *args[i + 1:])
 
@@ -281,7 +262,8 @@ def _kernel_texts(values, entry="shortest_text") -> list | None:
     output._bind_floattext(library)
     values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1, 1)
     out = np.zeros((values.size + 1) * (output._ROOM + 2), dtype=np.uint8)
-    size = getattr(library, entry)(values, values.size, 1, b",", 1, b"\n", 1, out)
+    size = getattr(library, entry)(values, values.size, 1, b",", 1, b"\n", 1, out,
+                                   _power_table())
     return None if size < 0 else out[:size].tobytes().decode().splitlines()
 
 
@@ -431,6 +413,16 @@ def test_float_text_self_check_refuses_a_kernel_that_leaves_finite_floats_to_the
     assert [_native._same_outcome(*check) for check in checks] == [False, True, False, True]
 
 
+def test_float_text_self_check_refuses_powers_shifted_by_one_row(fresh_kernels, monkeypatch):
+    # the table reaches the kernel at bind time, before the self-check: a
+    # kernel handed the table one row off is not served
+    require_kernel("floattext")
+    table = output._powers_of_ten()
+    monkeypatch.setattr(output, "_powers_of_ten", lambda: np.roll(table, 1, axis=0))
+    forget_kernels()
+    assert _native.kernel("floattext") is None
+
+
 # --------------------------------------------------------------- fallback
 
 # NaN, the infinities, both zeros, subnormals and 17-digit floats
@@ -540,7 +532,3 @@ def test_failed_fixed_self_check_writes_the_python_text(fresh_loader, monkeypatc
     assert _native.kernel("floattext") is None
     monkeypatch.setattr(output, "_fixed_text_python", python_fixed)
     _writes_python_text(fresh_loader, monkeypatch)
-
-
-if __name__ == "__main__":
-    sys.stdout.write(powers_header())
